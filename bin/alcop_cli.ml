@@ -41,14 +41,28 @@ let spec_arg =
   Arg.(required & pos 0 (some spec_conv) None
        & info [] ~docv:"OP" ~doc:"Operator: a suite name or MxNxK / BxMxNxK.")
 
+(* Tile shapes are positive MxNxK triples. A zero or negative dimension is
+   a command-line error (exit 124, like any malformed option) instead of a
+   division by zero deep in the compiler. *)
+let tile_conv =
+  let triple = Arg.(t3 ~sep:'x' int int int) in
+  let parse s =
+    match Arg.conv_parser triple s with
+    | Ok (m, n, k) when m > 0 && n > 0 && k > 0 -> Ok (m, n, k)
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "tile %s: every dimension must be positive" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"MxNxK" (parse, Arg.conv_printer triple)
+
 let tiling_term =
   let open Term in
   let tb =
-    Arg.(value & opt (t3 ~sep:'x' int int int) (64, 64, 32)
+    Arg.(value & opt tile_conv (64, 64, 32)
          & info [ "tb" ] ~docv:"MxNxK" ~doc:"Threadblock tile.")
   in
   let warp =
-    Arg.(value & opt (t3 ~sep:'x' int int int) (32, 32, 16)
+    Arg.(value & opt tile_conv (32, 32, 16)
          & info [ "warp" ] ~docv:"MxNxK" ~doc:"Warp tile.")
   in
   let split =
@@ -504,31 +518,9 @@ let tune_cmd =
     end;
     (match log with
      | Some path ->
-       (* Attach the pipeline observatory's per-schedule feature record to
-          every measured trial: recompiles are session cache hits, so the
-          extra cost is one probe-on wave replay per trial. *)
-       let features =
-         Array.to_list result.Alcop_tune.Tuner.trials
-         |> List.filter_map (fun (t : Alcop_tune.Tuner.trial) ->
-                match t.Alcop_tune.Tuner.cost with
-                | None -> None
-                | Some _ ->
-                  (match Session.compile session t.Alcop_tune.Tuner.params spec with
-                   | Error _ -> None
-                   | Ok c ->
-                     (match
-                        Alcop_gpusim.Pipeview.run
-                          ~op:spec.Alcop_sched.Op_spec.name
-                          ~schedule:
-                            (Alcop_perfmodel.Params.to_string
-                               t.Alcop_tune.Tuner.params)
-                          c.Compiler.timing_request
-                      with
-                      | Ok v ->
-                        Some (t.Alcop_tune.Tuner.index,
-                              Alcop_gpusim.Pipeview.features v)
-                      | Error _ -> None)))
-       in
+       (* Attach the pipeline observatory's feature record to every
+          measured trial. *)
+       let features = Session.trial_features session spec result in
        Alcop_tune.Tuning_log.write_file ~features ~path
          ~spec_name:spec.Alcop_sched.Op_spec.name ~method_ ~seed result;
        Printf.printf "tuning log written to %s\n" path
@@ -1185,8 +1177,16 @@ let () =
   (match Sys.getenv_opt "ALCOP_FIXED_TS" with
    | Some ("" | "0") | None -> ()
    | Some _ -> Alcop_obs.Obs.set_clock (fun () -> 0.0));
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:"on a compile error, an unreadable input or an unwritable output."
+    :: Cmd.Exit.info 2 ~doc:"on an unknown $(b,--dump-ir-after) pass."
+    :: Cmd.Exit.info 3
+         ~doc:"when $(b,perf)'s host profile does not sum to wall time."
+    :: Cmd.Exit.defaults
+  in
   let info =
-    Cmd.info "alcop" ~version:"1.0"
+    Cmd.info "alcop" ~version:"1.0" ~exits
       ~doc:"ALCOP: automatic load-compute pipelining on a simulated AI-GPU."
   in
   exit

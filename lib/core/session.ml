@@ -352,3 +352,20 @@ let evaluate t ?pool ?extra_regs_per_thread params spec =
 let evaluator t ?(extra_regs = fun _ -> 0) (spec : Op_spec.t) =
   fun (params : Alcop_perfmodel.Params.t) ->
     evaluate t ~extra_regs_per_thread:(extra_regs params) params spec
+
+let trial_features t (spec : Op_spec.t) (r : Alcop_tune.Tuner.result) =
+  Array.to_list r.Alcop_tune.Tuner.trials
+  |> List.filter_map (fun (trial : Alcop_tune.Tuner.trial) ->
+         match trial.cost with
+         | None -> None
+         | Some _ ->
+           (match compile t trial.params spec with
+            | Error _ -> None
+            | Ok c ->
+              (match
+                 Alcop_gpusim.Pipeview.run ~op:spec.Op_spec.name
+                   ~schedule:(Alcop_perfmodel.Params.to_string trial.params)
+                   c.Compiler.timing_request
+               with
+               | Ok v -> Some (trial.index, Alcop_gpusim.Pipeview.features v)
+               | Error _ -> None)))

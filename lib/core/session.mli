@@ -124,6 +124,15 @@ val evaluator :
   float option
 (** Measurement function for the tuners, closed over one operator. *)
 
+val trial_features :
+  t -> Alcop_sched.Op_spec.t -> Alcop_tune.Tuner.result ->
+  (int * (string * float) list) list
+(** The pipeline observatory's feature record ({!Alcop_gpusim.Pipeview})
+    of every trial that compiled, keyed by space index — the [features]
+    argument of {!Alcop_tune.Tuning_log.write_file}. Recompiles are cache
+    hits on the session that ran the tuner, so the extra cost is one
+    probe-on wave replay per trial. *)
+
 val stats : t -> stats
 (** [hits + misses] telescopes to the total number of (cache-enabled)
     {!compile}/{!evaluate} calls on this session. *)

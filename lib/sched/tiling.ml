@@ -26,7 +26,13 @@ let mma_granule = 16
 let validate t (spec : Op_spec.t) =
   let err fmt = Format.kasprintf (fun m -> Error m) fmt in
   let divides a b = b mod a = 0 in
-  if not (divides t.tb_m spec.Op_spec.m) then
+  if
+    t.tb_m < 1 || t.tb_n < 1 || t.tb_k < 1 || t.warp_m < 1 || t.warp_n < 1
+    || t.warp_k < 1
+  then
+    err "tile dimensions must be positive (tb %dx%dx%d, warp %dx%dx%d)"
+      t.tb_m t.tb_n t.tb_k t.warp_m t.warp_n t.warp_k
+  else if not (divides t.tb_m spec.Op_spec.m) then
     err "tb_m=%d does not divide M=%d" t.tb_m spec.Op_spec.m
   else if not (divides t.tb_n spec.Op_spec.n) then
     err "tb_n=%d does not divide N=%d" t.tb_n spec.Op_spec.n

@@ -23,47 +23,57 @@ let default_config =
 
 let constant v = { base = v; learning_rate = 0.3; trees = [] }
 
-let predict (t : t) x =
+let predict_from (t : t) acc x =
   List.fold_left
     (fun acc tree -> acc +. (t.learning_rate *. Tree.predict tree x))
-    t.base t.trees
+    acc t.trees
 
+let predict (t : t) x = predict_from t t.base x
+
+(* The training set is column-stored and presorted once per call
+   ([Tree.prepare]); every round refits against the same orders. *)
 let fit ?(config = default_config) ?init (features : float array array)
     (targets : float array) =
   let n = Array.length features in
   if n = 0 then Option.value init ~default:(constant 0.0)
   else begin
+    (* When continuing from a prior, the prior's learning rate is kept so
+       its trees' contributions stay calibrated; new trees use the same
+       rate. *)
     let start =
       match init with
-      | Some m -> { m with learning_rate = m.learning_rate }
+      | Some m -> m
       | None ->
         let mu = Array.fold_left ( +. ) 0.0 targets /. float_of_int n in
         { base = mu; learning_rate = config.learning_rate; trees = [] }
     in
-    (* Note: when continuing from a prior, the prior's learning rate is
-       kept so its trees' contributions stay calibrated; new trees use the
-       same rate. *)
-    let current = Array.init n (fun i -> predict start features.(i)) in
-    let rec boost (model : t) round =
-      if round = config.n_rounds then model
+    let data = Tree.prepare features in
+    let current = Array.map (predict start) features in
+    let residuals = Array.make n 0.0 in
+    let rec boost rev_trees round =
+      if round = config.n_rounds then rev_trees
       else begin
-        let residuals = Array.init n (fun i -> targets.(i) -. current.(i)) in
-        let max_abs =
-          Array.fold_left (fun a r -> Float.max a (Float.abs r)) 0.0 residuals
-        in
-        if max_abs < 1e-9 then model
+        (* Stop once every residual is below 1e-9 (a NaN never is). *)
+        let converged = ref true in
+        for i = 0 to n - 1 do
+          let r = targets.(i) -. current.(i) in
+          residuals.(i) <- r;
+          if not (Float.abs r < 1e-9) then converged := false
+        done;
+        if !converged then rev_trees
         else begin
-          let tree = Tree.fit ~config:config.tree features residuals in
+          let tree = Tree.fit_data ~config:config.tree data residuals in
           Array.iteri
             (fun i x ->
               current.(i) <-
-                current.(i) +. (model.learning_rate *. Tree.predict tree x))
+                current.(i) +. (start.learning_rate *. Tree.predict tree x))
             features;
-          boost { model with trees = model.trees @ [ tree ] } (round + 1)
+          boost (tree :: rev_trees) (round + 1)
         end
       end
     in
-    boost start 0
+    let fresh = boost [] 0 in
+    { start with trees = start.trees @ List.rev fresh }
   end
 
 let n_trees t = List.length t.trees

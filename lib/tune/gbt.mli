@@ -18,5 +18,18 @@ type config = {
 val default_config : config
 val constant : float -> t
 val predict : t -> float array -> float
+
+val predict_from : t -> float -> float array -> float
+(** [predict_from t acc x] folds [t]'s trees onto [acc] in place of
+    [t.base], in the same order and arithmetic as {!predict}. For a model
+    fit with [~init:prior], [predict_from { m with trees = new_trees }
+    (predict prior x) x] equals [predict m x] bit for bit — callers that
+    score a space repeatedly cache [predict prior] once. *)
+
 val fit : ?config:config -> ?init:t -> float array array -> float array -> t
+(** Presorts the training set once ({!Tree.prepare}) and fits every
+    round's tree against it. With [~init], the result's trees are
+    [init.trees] followed by the new rounds, under [init]'s base and
+    learning rate. *)
+
 val n_trees : t -> int

@@ -236,12 +236,24 @@ let analytical_only ~pool ~hw ~spec ~space ~evaluate ~budget =
   in
   measure_order ?pool ~space ~evaluate order budget
 
-(* The shared Xgb workflow; [prior] carries the analytical pre-training. *)
-let xgb_loop ~pool ~hw ~spec ~space ~evaluate ~budget ~seed ~prior =
+(* The shared Xgb workflow; [prior] carries the analytical pre-training.
+   Every refit continues from the prior, so its trees are [prior.trees]
+   followed by new ones and each point's score is the prior's prediction,
+   computed once here, plus the new trees' fold on top. *)
+let xgb_loop ~pool ~space ~feats ~evaluate ~budget ~seed ~prior =
   let rng = Random.State.make [| seed; 0xA1C0 |] in
   let idx = Space.index space in
-  let feats =
-    Array.map (fun p -> Alcop_perfmodel.Features.extract hw spec p) space
+  let scorer =
+    match prior with
+    | None -> fun (m : Gbt.t) i -> Gbt.predict m feats.(i)
+    | Some p ->
+      let prior_score = Array.map (Gbt.predict p) feats in
+      let n_prior = Gbt.n_trees p in
+      fun m ->
+        let tail =
+          { m with trees = List.filteri (fun j _ -> j >= n_prior) m.trees }
+        in
+        fun i -> Gbt.predict_from tail prior_score.(i) feats.(i)
   in
   let measured : (int, float option) Hashtbl.t = Hashtbl.create 64 in
   let trials = ref [] in
@@ -268,25 +280,23 @@ let xgb_loop ~pool ~hw ~spec ~space ~evaluate ~budget ~seed ~prior =
       (eval_batch ?pool ~space ~evaluate ~record fresh)
   in
   let batch_size = max 1 (min 8 budget) in
-  let model = ref prior in
   (* Exact top-n of the whole space under the current model (exploitation);
      annealing fills the rest of a batch (exploration). *)
-  let top_by_model m ~exclude n =
+  let top_by_model score ~exclude n =
     let scored = ref [] in
     Array.iteri
-      (fun i _ -> if not (exclude i) then
-          scored := (Gbt.predict m feats.(i), i) :: !scored)
+      (fun i _ -> if not (exclude i) then scored := (score i, i) :: !scored)
       space;
     let sorted = List.sort (fun (a, _) (b, _) -> compare b a) !scored in
     List.filteri (fun j _ -> j < n) (List.map snd sorted)
   in
   let propose_batch m ~exclude n =
-    let exploit = top_by_model m ~exclude (max 1 (n / 2)) in
+    let score = scorer m in
+    let exploit = top_by_model score ~exclude (max 1 (n / 2)) in
     let exclude' i = exclude i || List.mem i exploit in
     let explore =
-      Anneal.propose rng idx
-        ~score:(fun i -> Gbt.predict m feats.(i))
-        ~exclude:exclude' ~batch:(n - List.length exploit)
+      Anneal.propose rng idx ~score ~exclude:exclude'
+        ~batch:(n - List.length exploit)
     in
     exploit @ explore
   in
@@ -312,7 +322,6 @@ let xgb_loop ~pool ~hw ~spec ~space ~evaluate ~budget ~seed ~prior =
           ~config:{ Gbt.default_config with n_rounds = 24 }
           ?init:prior xs ys
       in
-      model := Some fitted;
       let remaining = budget - List.length !trials in
       let batch =
         propose_batch fitted ~exclude:(Hashtbl.mem measured)
@@ -326,11 +335,14 @@ let xgb_loop ~pool ~hw ~spec ~space ~evaluate ~budget ~seed ~prior =
     end
   in
   loop ();
-  ignore !model;
   { trials = Array.of_list (List.rev !trials); space_size = Array.length space }
 
+let pretrain_config =
+  { Gbt.default_config with n_rounds = 64;
+    tree = { Tree.default_config with max_depth = 6 } }
+
 (* Pre-training set: analytical predictions over (a sample of) the space. *)
-let pretrain ~hw ~spec ~space ~seed =
+let pretrain ~hw ~spec ~space ~feats ~seed =
   let rng = Random.State.make [| seed; 0xF17 |] in
   let n = Array.length space in
   let sample_size = min n 2048 in
@@ -342,18 +354,13 @@ let pretrain ~hw ~spec ~space ~seed =
     List.filter_map
       (fun i ->
         match Alcop_perfmodel.Model.predict_cycles hw spec space.(i) with
-        | Some c ->
-          Some (Alcop_perfmodel.Features.extract hw spec space.(i), -.Float.log c)
+        | Some c -> Some (feats.(i), -.Float.log c)
         | None -> None)
       indices
   in
   let xs = Array.of_list (List.map fst pairs) in
   let ys = Array.of_list (List.map snd pairs) in
-  Gbt.fit
-    ~config:
-      { Gbt.default_config with n_rounds = 64;
-        tree = { Tree.default_config with max_depth = 6 } }
-    xs ys
+  Gbt.fit ~config:pretrain_config xs ys
 
 let run ?pool ~hw ~spec ~(space : Alcop_perfmodel.Params.t array) ~evaluate
     ~budget ~seed method_ =
@@ -372,11 +379,15 @@ let run ?pool ~hw ~spec ~(space : Alcop_perfmodel.Params.t array) ~evaluate
     | Grid -> grid ~pool ~space ~evaluate ~budget
     | Analytical_only ->
       analytical_only ~pool ~hw ~spec ~space ~evaluate ~budget
-    | Xgb -> xgb_loop ~pool ~hw ~spec ~space ~evaluate ~budget ~seed ~prior:None
-    | Analytical_xgb ->
-      let prior =
-        Alcop_obs.Obs.with_span "tuner.pretrain" (fun () ->
-            pretrain ~hw ~spec ~space ~seed)
+    | Xgb | Analytical_xgb ->
+      let feats =
+        Array.map (fun p -> Alcop_perfmodel.Features.extract hw spec p) space
       in
-      xgb_loop ~pool ~hw ~spec ~space ~evaluate ~budget ~seed
-        ~prior:(Some prior)
+      let prior =
+        if method_ = Xgb then None
+        else
+          Some
+            (Alcop_obs.Obs.with_span "tuner.pretrain" (fun () ->
+                 pretrain ~hw ~spec ~space ~feats ~seed))
+      in
+      xgb_loop ~pool ~space ~feats ~evaluate ~budget ~seed ~prior

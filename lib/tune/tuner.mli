@@ -40,6 +40,10 @@ val prefix_best : result -> float option array
 val target_of_cost : float option -> float
 (** Learning target: [-log cost], with a sentinel for failures. *)
 
+val pretrain_config : Gbt.config
+(** Boosting config of [Analytical_xgb]'s pre-training on analytical
+    predictions (paper Sec. IV-C). *)
+
 val exhaustive :
   ?pool:Alcop_par.Pool.t ->
   space:Alcop_perfmodel.Params.t array ->

@@ -13,6 +13,7 @@ let () =
      @ Test_timing.suite
      @ Test_perfmodel.suite
      @ Test_tune.suite
+     @ Test_tree_equiv.suite
      @ Test_compiler.suite
      @ Test_fingerprint.suite
      @ Test_passman.suite

@@ -107,7 +107,37 @@ let test_tuning_log_json () =
   in
   Alcotest.(check bool) "escaped quote" true (contains weird "a\\\"b\\nc")
 
+(* The tuning logs of [alcop tune MM_RN50_FC -j 1 --budget 12 --no-store
+   --log FILE] for both learned methods are pinned byte for byte in
+   test/golden/ (the CLI writes them through the same calls). They pin the
+   exact trial sequence, so any drift in the boosted cost model's trees or
+   scores — not just in the best cost — fails here. *)
+let tuning_log_golden method_ file () =
+  let hw = Alcop_hw.Hw_config.default in
+  let spec = Alcop_workloads.Suites.mm_rn50_fc in
+  let session = Alcop.Session.create ~hw () in
+  let space = Alcop.Variants.space Alcop.Variants.alcop spec in
+  let evaluate = Alcop.Variants.evaluator ~hw ~session Alcop.Variants.alcop spec in
+  let seed = 2023 in
+  let result =
+    Alcop_tune.Tuner.run ~hw ~spec ~space ~evaluate ~budget:12 ~seed method_
+  in
+  let features = Alcop.Session.trial_features session spec result in
+  let log =
+    Alcop_tune.Tuning_log.to_json ~features ~spec_name:spec.Op_spec.name
+      ~method_ ~seed result
+    ^ "\n"
+  in
+  let expected = In_channel.with_open_bin file In_channel.input_all in
+  Alcotest.(check string) file expected log
+
 let suite =
   [ ( "golden",
       [ Alcotest.test_case "Fig. 7 pipelined IR pinned" `Quick test_fig7_golden;
-        Alcotest.test_case "tuning log JSON" `Quick test_tuning_log_json ] ) ]
+        Alcotest.test_case "tuning log JSON" `Quick test_tuning_log_json;
+        Alcotest.test_case "tune log golden (xgb+)" `Slow
+          (tuning_log_golden Alcop_tune.Tuner.Analytical_xgb
+             "golden/tune_MM_RN50_FC_b12_xgbplus.json");
+        Alcotest.test_case "tune log golden (xgb)" `Slow
+          (tuning_log_golden Alcop_tune.Tuner.Xgb
+             "golden/tune_MM_RN50_FC_b12_xgb.json") ] ) ]

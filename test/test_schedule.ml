@@ -205,6 +205,26 @@ let test_tiling_granule_check () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "warp_m=8 must violate the MMA granule"
 
+(* Zero or negative tile dimensions are a structured validation error, and
+   a compile of one fails with a compile error instead of raising
+   Division_by_zero. *)
+let test_tiling_nonpositive_rejected () =
+  let spec = Op_spec.matmul ~name:"zero_tile" ~m:64 ~n:64 ~k:128 () in
+  List.iter
+    (fun (tb_m, tb_n, tb_k, warp_m, warp_n, warp_k) ->
+      let tiling = Tiling.make ~tb_m ~tb_n ~tb_k ~warp_m ~warp_n ~warp_k () in
+      (match Tiling.validate tiling spec with
+       | Error _ -> ()
+       | Ok () -> Alcotest.fail "non-positive tile validated");
+      let params =
+        Alcop_perfmodel.Params.make ~tiling ~smem_stages:2 ~reg_stages:1 ()
+      in
+      match Alcop.Compiler.compile params spec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "non-positive tile compiled")
+    [ (0, 0, 0, 16, 16, 16); (64, 64, 32, 0, 32, 16);
+      (64, -64, 32, 32, 32, 16); (64, 64, 32, 32, 32, -16) ]
+
 let suite =
   [ ( "schedule",
       [ Alcotest.test_case "dataflow of spec" `Quick test_of_spec_stages;
@@ -233,4 +253,6 @@ let suite =
         Alcotest.test_case "default gemm disable levels" `Quick
           test_default_gemm_disable_levels;
         Alcotest.test_case "tiling quantities" `Quick test_tiling_derived_quantities;
-        Alcotest.test_case "tiling granule" `Quick test_tiling_granule_check ] ) ]
+        Alcotest.test_case "tiling granule" `Quick test_tiling_granule_check;
+        Alcotest.test_case "non-positive tile rejected" `Quick
+          test_tiling_nonpositive_rejected ] ) ]

@@ -1,0 +1,161 @@
+(* Equivalence of the presorted, column-major tree fitter with the frozen
+   list fitter in [Legacy_tree]: on random datasets and on a real
+   pre-training set, [Tree.fit] and [Gbt.fit] (with and without [~init])
+   must build the same trees with bit-equal thresholds and leaves — that
+   is what keeps every tuning decision unchanged. *)
+
+open Alcop_tune
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let rec tree_equal (a : Tree.t) (b : Tree.t) =
+  match a, b with
+  | Leaf x, Leaf y -> bits_equal x y
+  | Node a, Node b ->
+    a.feature = b.feature
+    && bits_equal a.threshold b.threshold
+    && tree_equal a.left b.left && tree_equal a.right b.right
+  | Leaf _, Node _ | Node _, Leaf _ -> false
+
+let gbt_equal (a : Gbt.t) (b : Gbt.t) =
+  bits_equal a.base b.base
+  && bits_equal a.learning_rate b.learning_rate
+  && List.length a.trees = List.length b.trees
+  && List.for_all2 tree_equal a.trees b.trees
+
+(* --- random datasets --- *)
+
+type case = {
+  rows : float array array;
+  targets : float array;
+  targets2 : float array;  (** a second target, to fine-tune from a prior *)
+  config : Tree.config;
+  rounds : int;
+}
+
+(* Values come from a small pool (duplicates, ±0.0, constants) or are
+   continuous (more distinct values than [max_thresholds]). *)
+let gen_value pool =
+  let open QCheck.Gen in
+  frequency
+    [ (3, oneofl pool);
+      (2, float_range (-100.0) 100.0);
+      (1, map float_of_int (int_range (-3) 3)) ]
+
+let gen_case =
+  let open QCheck.Gen in
+  let pool = [ 0.0; -0.0; 1.0; 1.5; -2.0; 7.0 ] in
+  let* n = frequency [ (1, int_range 0 5); (4, int_range 6 60) ] in
+  let* n_features = int_range 1 5 in
+  let* kinds = array_repeat n_features (int_range 0 3) in
+  let column kind =
+    match kind with
+    | 0 -> map (fun v -> Array.make n v) (oneofl pool)  (* constant *)
+    | 1 -> array_repeat n (oneofl pool)  (* few distinct values *)
+    | _ -> array_repeat n (gen_value pool)
+  in
+  let* columns = flatten_a (Array.map column kinds) in
+  let rows = Array.init n (fun i -> Array.map (fun c -> c.(i)) columns) in
+  let target = array_repeat n (gen_value [ 0.0; -0.0; 2.0; 2.0; -1.0 ]) in
+  let* targets = target in
+  let* targets2 = target in
+  let* max_depth = int_range 1 6 in
+  let* min_samples_leaf = int_range 1 4 in
+  let* max_thresholds = int_range 1 20 in
+  let* rounds = int_range 1 6 in
+  return
+    { rows; targets; targets2; rounds;
+      config = { Tree.max_depth; min_samples_leaf; max_thresholds } }
+
+let print_case c =
+  Printf.sprintf "n=%d features=%d depth=%d leaf=%d thresholds=%d rounds=%d"
+    (Array.length c.rows)
+    (if Array.length c.rows = 0 then 0 else Array.length c.rows.(0))
+    c.config.max_depth c.config.min_samples_leaf c.config.max_thresholds
+    c.rounds
+
+let arb_case = QCheck.make ~print:print_case gen_case
+
+let gbt_config c =
+  { Gbt.default_config with n_rounds = c.rounds; tree = c.config }
+
+let prop_tree =
+  QCheck.Test.make ~count:500 ~name:"presorted Tree.fit == legacy (bit-equal)"
+    arb_case (fun c ->
+      tree_equal
+        (Tree.fit ~config:c.config c.rows c.targets)
+        (Legacy_tree.fit ~config:c.config c.rows c.targets))
+
+let prop_gbt =
+  QCheck.Test.make ~count:200 ~name:"presorted Gbt.fit == legacy (bit-equal)"
+    arb_case (fun c ->
+      let config = gbt_config c in
+      gbt_equal
+        (Gbt.fit ~config c.rows c.targets)
+        (Legacy_tree.gbt_fit ~config c.rows c.targets))
+
+let prop_gbt_init =
+  QCheck.Test.make ~count:200
+    ~name:"presorted Gbt.fit ~init == legacy (bit-equal)" arb_case (fun c ->
+      let config = gbt_config c in
+      let prior = Legacy_tree.gbt_fit ~config c.rows c.targets in
+      gbt_equal
+        (Gbt.fit ~config ~init:prior c.rows c.targets2)
+        (Legacy_tree.gbt_fit ~config ~init:prior c.rows c.targets2))
+
+(* The tuner scores a refit model as the prior's cached prediction plus a
+   fold over only the new trees; that must equal [Gbt.predict] bit for
+   bit. *)
+let prop_predict_from =
+  QCheck.Test.make ~count:200
+    ~name:"predict_from (predict prior) == predict (bit-equal)" arb_case
+    (fun c ->
+      let config = gbt_config c in
+      let prior = Gbt.fit ~config c.rows c.targets in
+      let m = Gbt.fit ~config ~init:prior c.rows c.targets2 in
+      let n_prior = Gbt.n_trees prior in
+      let tail =
+        { m with trees = List.filteri (fun j _ -> j >= n_prior) m.trees }
+      in
+      Array.for_all
+        (fun x ->
+          bits_equal (Gbt.predict m x)
+            (Gbt.predict_from tail (Gbt.predict prior x) x))
+        c.rows)
+
+(* --- a real pre-training set --- *)
+
+(* MM_RN50_FC's ALCOP space, 512 seeded draws, analytical targets: the
+   data [Tuner]'s pre-training fits, at a quarter of its sample size. *)
+let pretrain_set =
+  lazy
+    (let hw = Alcop_hw.Hw_config.ampere_a100 in
+     let spec = Alcop_workloads.Suites.mm_rn50_fc in
+     let space = Alcop.Variants.space Alcop.Variants.alcop spec in
+     let rng = Random.State.make [| 7 |] in
+     let pairs =
+       List.filter_map
+         (fun _ ->
+           let p = space.(Random.State.int rng (Array.length space)) in
+           match Alcop_perfmodel.Model.predict_cycles hw spec p with
+           | Some c ->
+             Some (Alcop_perfmodel.Features.extract hw spec p, -.Float.log c)
+           | None -> None)
+         (List.init 512 Fun.id)
+     in
+     (Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs)))
+
+let test_real_pretrain_set () =
+  let xs, ys = Lazy.force pretrain_set in
+  Alcotest.(check bool) "non-trivial set" true (Array.length xs > 256);
+  let config = Tuner.pretrain_config in
+  let fast = Gbt.fit ~config xs ys and slow = Legacy_tree.gbt_fit ~config xs ys in
+  Alcotest.(check int) "rounds" (Gbt.n_trees slow) (Gbt.n_trees fast);
+  Alcotest.(check bool) "bit-identical ensemble" true (gbt_equal fast slow)
+
+let suite =
+  [ ( "tree-equiv",
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_tree; prop_gbt; prop_gbt_init; prop_predict_from ]
+      @ [ Alcotest.test_case "MM_RN50_FC pre-training set == legacy" `Slow
+            test_real_pretrain_set ] ) ]
