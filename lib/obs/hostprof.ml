@@ -214,19 +214,24 @@ let pass_acc_of s name =
     acc
 
 (* Per-pass sampling runs ~5x per compile on the tuning hot path, so it
-   uses [Gc.counters] (~20ns, domain-local reads) rather than
-   [Gc.quick_stat] (~1.2us: cross-domain stat aggregation) — that is the
-   difference between <1% and ~6% overhead on the fig10 sweep. The
-   trade: per-pass collection *counts* are not sampled (they live at
-   task granularity, where the 2 quick_stat calls amortize over a whole
-   compile). *)
+   uses domain-local reads (~20ns) rather than [Gc.quick_stat] (~1.2us:
+   cross-domain stat aggregation) — that is the difference between <1%
+   and ~6% overhead on the fig10 sweep. The trade: per-pass collection
+   *counts* are not sampled (they live at task granularity, where the 2
+   quick_stat calls amortize over a whole compile). Minor words come from
+   [Gc.minor_words], which reads the allocation pointer: [Gc.counters]
+   misses most of the words allocated since the last minor collection
+   (1000 cons cells read as 376 words on OCaml 5.1.1). Promoted words
+   only change at a collection, so [Gc.counters] is exact for them. *)
 let pass_sample name f =
   if not (on ()) then f ()
   else begin
     let s = shard () in
-    let mw0, pw0, _ = Gc.counters () in
+    let mw0 = Gc.minor_words () in
+    let _, pw0, _ = Gc.counters () in
     let fin () =
-      let mw1, pw1, _ = Gc.counters () in
+      let mw1 = Gc.minor_words () in
+      let _, pw1, _ = Gc.counters () in
       let acc = pass_acc_of s name in
       acc.ps_runs <- acc.ps_runs + 1;
       acc.ps_minor <- acc.ps_minor +. (mw1 -. mw0);

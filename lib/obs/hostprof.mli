@@ -95,8 +95,9 @@ val blocking : lock -> (unit -> 'a) -> 'a
     in-flight compile) as a contended wait on the probe. *)
 
 val pass_sample : string -> (unit -> 'a) -> 'a
-(** Sample allocation counters ([Gc.counters]: minor + promoted words,
-    ~20ns per read) around one compile-pass execution and aggregate the
+(** Sample allocation counters ([Gc.minor_words] for minor words,
+    [Gc.counters] for promoted words; ~20ns per read) around one
+    compile-pass execution and aggregate the
     deltas under the pass name ("which pass allocates most");
     independent of the [Obs] pass spans. Collection {e counts} are
     sampled at task granularity only — [Gc.quick_stat] is ~1.2us per

@@ -259,6 +259,25 @@ let test_probes_off_are_noops () =
   Alcotest.(check int) "pass passthrough" 9
     (Hostprof.pass_sample "off" (fun () -> 9))
 
+(* A sampled pass reports every minor word it allocates: a 1000-element
+   list is 3000 words of cons cells, however few of them a minor
+   collection has seen yet. *)
+let test_pass_sample_counts_minor_words () =
+  Hostprof.start ();
+  let l = Hostprof.pass_sample "alloc" (fun () -> List.init 1000 Fun.id) in
+  let p = Hostprof.stop () in
+  Alcotest.(check int) "list built" 1000 (List.length l);
+  match
+    List.find_opt (fun pa -> pa.Hostprof.p_pass = "alloc") p.Hostprof.p_passes
+  with
+  | None -> Alcotest.fail "pass alloc missing from the profile"
+  | Some pa ->
+    Alcotest.(check int) "one run" 1 pa.Hostprof.p_runs;
+    Alcotest.(check bool)
+      (Printf.sprintf "minor words %.0f >= 3000" pa.Hostprof.pa_minor_words)
+      true
+      (pa.Hostprof.pa_minor_words >= 3000.0)
+
 (* --- golden report --- *)
 
 let golden_profile : Hostprof.profile =
@@ -479,6 +498,8 @@ let suite =
           test_lock_probe_contended;
         Alcotest.test_case "probes are no-ops when off" `Quick
           test_probes_off_are_noops;
+        Alcotest.test_case "pass sample counts every minor word" `Quick
+          test_pass_sample_counts_minor_words;
         Alcotest.test_case "report golden" `Quick test_report_golden;
         Alcotest.test_case "analysis numbers" `Quick
           test_report_analysis_numbers;
