@@ -522,10 +522,12 @@ let measure_pass ~quiet () =
             ignore (Session.timing s params spec)));
         Test.make ~name:"store-warm-mem" (Staged.stage (fun () ->
             ignore (Session.timing warm_store params spec)));
-        (* Probe-on variant of compile+simulate: the same cold compile plus
-           the pipeline observatory's probed wave replay and reduction.
-           The delta against the compile+simulate row is the cost of
-           turning the pipeview probe on. *)
+        (* Recorded variant of compile+simulate: the same cold compile,
+           then the pipeline observatory's recorded simulation and its
+           fold. The delta against the compile+simulate row is the cost
+           of recording a kernel's waves and folding them. (The row id
+           predates the single recording; it is kept so its history
+           stays comparable.) *)
         Test.make ~name:"pipeview-probe-overhead" (Staged.stage (fun () ->
             match Session.compile cold params spec with
             | Ok c ->

@@ -352,7 +352,7 @@ let time_cmd =
     Term.(const run $ spec_arg $ params_term $ trace_out $ no_cache_term
           $ store_dir_term $ no_store_term $ jobs_term)
 
-(* alcop profile: replay the simulated launch with the recording probe and
+(* alcop profile: replay the simulated launch with the recording on and
    print where every cycle went; optionally export the simulated-time
    Chrome trace and compare the analytical/bottleneck models against the
    simulator over the whole Fig. 10 suite. *)
@@ -376,8 +376,7 @@ let profile_cmd =
           let sim = c.Compiler.timing.Alcop_gpusim.Timing.total_cycles in
           let dominant =
             match
-              Alcop_gpusim.Profile.run ~op:name ~groups:c.Compiler.groups
-                c.Compiler.timing_request
+              Alcop_gpusim.Profile.run ~op:name c.Compiler.timing_request
             with
             | Ok p ->
               Alcop_gpusim.Timing.stall_class_name
@@ -427,7 +426,7 @@ let profile_cmd =
         match
           Alcop_gpusim.Profile.run ~op:spec.Alcop_sched.Op_spec.name
             ~schedule:(Alcop_perfmodel.Params.to_string params)
-            ~groups:c.Compiler.groups c.Compiler.timing_request
+            c.Compiler.timing_request
         with
         | Error f ->
           Format.printf "cannot profile: %a@."

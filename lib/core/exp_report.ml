@@ -221,7 +221,7 @@ let profile_stalls ~hw spec params =
   | Ok c ->
     (match
        Alcop_gpusim.Profile.run ~op:spec.Alcop_sched.Op_spec.name
-         ~groups:c.Compiler.groups c.Compiler.timing_request
+         c.Compiler.timing_request
      with
      | Error _ -> None
      | Ok p ->

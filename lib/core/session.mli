@@ -131,7 +131,7 @@ val trial_features :
     of every trial that compiled, keyed by space index — the [features]
     argument of {!Alcop_tune.Tuning_log.write_file}. Recompiles are cache
     hits on the session that ran the tuner, so the extra cost is one
-    probe-on wave replay per trial. *)
+    recorded simulation of the kernel's waves per trial. *)
 
 val stats : t -> stats
 (** [hits + misses] telescopes to the total number of (cache-enabled)

@@ -1,12 +1,12 @@
 (* Pipeline observatory (doc/pipeview.md): per-stage buffer occupancy,
    prefetch-slack attribution and sync-wait accounting for one schedule.
 
-   Replays the representative wave of a kernel with both simulator
-   channels attached — the stall-attribution probe (whose contiguous
-   per-threadblock segments telescope exactly to the threadblock's cycle
-   count) and the opt-in pipeline probe (which reports the ready/start
-   pair of every commit and wait, so positive prefetch slack is visible
-   even though it produces no stall interval). The raw streams reduce to:
+   Folds the recording of a kernel's representative wave: its stall
+   intervals (contiguous per threadblock, so they telescope exactly to the
+   threadblock's cycle count) and its fill and consume events (which carry
+   the ready/start pair of every commit and wait, so positive prefetch
+   slack is visible even though it produces no stall interval). The fold
+   yields:
 
    - per (group, stage-slot) occupancy timelines: a stage slot is busy
      from the cycle its batch's last async load lands until the consumer
@@ -16,7 +16,7 @@
    - a five-term partition of the critical threadblock's cycles —
      compute, exposed (pipeline wait stalls), scoreboard (non-pipelined
      load stalls), sync (barriers, drains, pure-latency waits), issue —
-     which, being a partition of contiguous segments, telescopes a
+     which, being a partition of contiguous intervals, telescopes a
      latency delta between two schedules exactly;
    - a flat per-schedule feature record (cost-model features, logged per
      tuner trial).
@@ -76,23 +76,16 @@ type t = {
   pv_drain_wait : float;  (** critical TB cycles in the final drain *)
 }
 
-(* --- recording --- *)
+(* --- folding the recording --- *)
 
-type raw = {
-  mutable r_fills : Timing.pipe_event list;  (* reversed *)
-  mutable r_advs : Timing.advance list;  (* reversed *)
-  mutable r_flights : Timing.flight list;  (* reversed *)
-}
-
-let bucket_of (a : Timing.advance) =
-  match a.Timing.adv_class with
-  | Timing.Compute -> "compute"
-  | Timing.Issue -> "issue"
-  | Timing.Launch -> "issue"  (* never inside a wave *)
-  | Timing.Sync_wait ->
-    (match a.Timing.adv_group with Some _ -> "exposed" | None -> "sync")
+(* Index into [term_names] of the bucket an interval falls in. *)
+let term_of cls group =
+  match cls with
+  | Timing.Compute -> 0
   | Timing.Dram_bw | Timing.Llc_bw | Timing.Smem_port ->
-    (match a.Timing.adv_group with Some _ -> "exposed" | None -> "scoreboard")
+    if group >= 0 then 1 else 2
+  | Timing.Sync_wait -> if group >= 0 then 1 else 3
+  | Timing.Issue | Timing.Launch -> 4  (* Launch: never inside a wave *)
 
 (* Union measure of [(start, stop)] intervals, merging as it goes.
    Intervals arrive in fill order; ring slots are reused sequentially so
@@ -112,137 +105,70 @@ let merge_intervals ivs =
   in
   (Array.of_list merged, busy)
 
-let analyze ~op ~schedule ~(timing : Timing.kernel_timing) ~label
-    (cfg : Timing.config) (p : Trace.program) =
-  let raw = { r_fills = []; r_advs = []; r_flights = [] } in
-  let probe =
-    { Timing.on_advance = (fun a -> raw.r_advs <- a :: raw.r_advs);
-      on_flight = (fun f -> raw.r_flights <- f :: raw.r_flights) }
-  in
-  let pipe e = raw.r_fills <- e :: raw.r_fills in
-  ignore (Timing.simulate_program ~probe ~pipe cfg p);
-  let pipes = List.rev raw.r_fills in
-  let advs = List.rev raw.r_advs in
-  let flights = List.rev raw.r_flights in
-  (* critical threadblock = latest drain finish *)
-  let finish = Array.make cfg.Timing.residents 0.0 in
-  List.iter
-    (function
-      | Timing.Drain { pd_tb; pd_finish; _ } ->
-        if pd_finish > finish.(pd_tb) then finish.(pd_tb) <- pd_finish
-      | _ -> ())
-    pipes;
-  let crit = ref 0 in
-  Array.iteri (fun i f -> if f > finish.(!crit) then crit := i) finish;
-  let crit = !crit in
-  let wave_cycles = finish.(crit) in
-  (* five-term partition of the critical threadblock's segments *)
-  let terms =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (a : Timing.advance) ->
-        if a.Timing.adv_tb = crit then begin
-          let b = bucket_of a in
-          let prior = Option.value ~default:0.0 (Hashtbl.find_opt tbl b) in
-          Hashtbl.replace tbl b
-            (prior +. (a.Timing.adv_stop -. a.Timing.adv_start))
-        end)
-      advs;
-    List.map
-      (fun name -> (name, Option.value ~default:0.0 (Hashtbl.find_opt tbl name)))
-      term_names
-  in
+let analyze ~op ~schedule ~timing ~label (p : Trace.program) rc =
+  let finish = Timing.finish_times rc in
+  let crit = Timing.critical_tb rc in
+  let wave_cycles = if crit < Array.length finish then finish.(crit) else 0.0 in
   let ng = Array.length p.Trace.groups in
   let stages g = max 1 p.Trace.group_stages.(g) in
-  (* per-group raw event pools, critical TB only *)
-  let fills = Array.make ng [] in
-  let consumes = Array.make ng [] in
+  let terms = Array.make (List.length term_names) 0.0 in
   let barrier_wait = ref 0.0 and drain_wait = ref 0.0 in
-  List.iter
-    (function
-      | Timing.Fill ({ pf_tb; pf_group; _ } as f) when pf_tb = crit ->
-        fills.(pf_group) <- Timing.Fill f :: fills.(pf_group)
-      | Timing.Consume ({ pc_tb; pc_group; _ } as c) when pc_tb = crit ->
-        consumes.(pc_group) <- Timing.Consume c :: consumes.(pc_group)
-      | Timing.Barrier_wait { pw_tb; pw_start; pw_finish } when pw_tb = crit ->
-        barrier_wait := !barrier_wait +. (pw_finish -. pw_start)
-      | Timing.Drain { pd_tb; pd_start; pd_finish } when pd_tb = crit ->
-        drain_wait := !drain_wait +. (pd_finish -. pd_start)
+  (* per group, critical TB only: batch -> land cycle, batch -> retire
+     cycle, batch -> async load bytes, and the slack samples (reversed) *)
+  let land_of = Array.init ng (fun _ -> Hashtbl.create 16) in
+  let retire_of = Array.init ng (fun _ -> Hashtbl.create 16) in
+  let batch_bytes = Array.init ng (fun _ -> Hashtbl.create 16) in
+  let slacks = Array.make ng [] in
+  Timing.fold ~tb:crit
+    (fun () -> function
+      | Timing.Interval { cls; group; start; stop; _ } ->
+        let k = term_of cls group in
+        terms.(k) <- terms.(k) +. (stop -. start)
+      | Timing.Flight { group; batch; async = true; bytes; _ }
+        when group >= 0 && batch >= 0 ->
+        let prior =
+          Option.value ~default:0 (Hashtbl.find_opt batch_bytes.(group) batch)
+        in
+        Hashtbl.replace batch_bytes.(group) batch (prior + bytes)
+      | Timing.Fill { group; batch; commit; ready; _ } ->
+        Hashtbl.replace land_of.(group) batch
+          (if ready > 0.0 then ready else commit)
+      | Timing.Consume { group; ordinal; consumed; start; ready; finish; _ }
+        when consumed >= 0 ->
+        Hashtbl.replace retire_of.(group) consumed finish;
+        slacks.(group) <-
+          { sl_group = p.Trace.groups.(group);
+            sl_stage = consumed mod stages group; sl_ordinal = ordinal;
+            sl_ready = ready; sl_start = start; sl_slack = start -. ready }
+          :: slacks.(group)
+      | Timing.Barrier_wait { start; finish; _ } ->
+        barrier_wait := !barrier_wait +. (finish -. start)
+      | Timing.Drain { start; finish; _ } ->
+        drain_wait := !drain_wait +. (finish -. start)
       | _ -> ())
-    pipes;
-  (* observed high-water: peak per-batch async load byte sum *)
-  let batch_bytes : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (f : Timing.flight) ->
-      if f.Timing.fl_tb = crit && f.Timing.fl_async && f.Timing.fl_batch >= 0
-      then
-        match f.Timing.fl_group with
-        | None -> ()
-        | Some gid ->
-          let rec idx i =
-            if i >= ng then -1
-            else if String.equal p.Trace.groups.(i) gid then i
-            else idx (i + 1)
-          in
-          let g = idx 0 in
-          if g >= 0 then begin
-            let key = (g, f.Timing.fl_batch) in
-            let prior =
-              Option.value ~default:0 (Hashtbl.find_opt batch_bytes key)
-            in
-            Hashtbl.replace batch_bytes key (prior + f.Timing.fl_bytes)
-          end)
-    flights;
-  let slacks = ref [] in
-  let groups_rev = ref [] in
-  for g = ng - 1 downto 0 do
+    () rc;
+  let group_view g =
     let st = stages g in
-    let gfills = List.rev fills.(g) in
-    let gcons = List.rev consumes.(g) in
-    (* batch -> land cycle (fill time); batch -> retire cycle *)
-    let land_of = Hashtbl.create 16 in
-    List.iter
-      (function
-        | Timing.Fill { pf_batch; pf_commit; pf_ready; _ } ->
-          Hashtbl.replace land_of pf_batch
-            (if pf_ready > 0.0 then pf_ready else pf_commit)
-        | _ -> ())
-      gfills;
-    let retire_of = Hashtbl.create 16 in
-    let gslacks = ref [] in
-    List.iter
-      (function
-        | Timing.Consume { pc_consumed; pc_start; pc_ready; pc_finish; pc_ordinal; _ }
-          when pc_consumed >= 0 ->
-          Hashtbl.replace retire_of pc_consumed pc_finish;
-          gslacks :=
-            { sl_group = p.Trace.groups.(g);
-              sl_stage = pc_consumed mod st; sl_ordinal = pc_ordinal;
-              sl_ready = pc_ready; sl_start = pc_start;
-              sl_slack = pc_start -. pc_ready }
-            :: !gslacks
-        | _ -> ())
-      gcons;
-    let gslacks = List.rev !gslacks in
+    let gslacks = List.rev slacks.(g) in
     (* occupancy: batch lives [land, retire], retire defaulting to the
        threadblock's finish for batches never consumed *)
     let slot_ivs = Array.make st [] in
     Hashtbl.iter
       (fun b land_t ->
         let retire =
-          Option.value ~default:wave_cycles (Hashtbl.find_opt retire_of b)
+          Option.value ~default:wave_cycles (Hashtbl.find_opt retire_of.(g) b)
         in
         let s = b mod st in
         if retire > land_t then
           slot_ivs.(s) <- (land_t, retire) :: slot_ivs.(s))
-      land_of;
+      land_of.(g);
     let slots =
       Array.init st (fun s ->
           let ivs, busy = merge_intervals slot_ivs.(s) in
           { oc_stage = s; oc_intervals = ivs; oc_busy = busy })
     in
     let duty =
-      if wave_cycles <= 0.0 || st = 0 then 0.0
+      if wave_cycles <= 0.0 then 0.0
       else
         Array.fold_left (fun a sl -> a +. sl.oc_busy) 0.0 slots
         /. (float_of_int st *. wave_cycles)
@@ -255,58 +181,42 @@ let analyze ~op ~schedule ~(timing : Timing.kernel_timing) ~label
         /. float_of_int n_waits
     in
     let min_slack =
-      List.fold_left (fun a s -> Float.min a s.sl_slack) infinity gslacks
+      if n_waits = 0 then 0.0
+      else List.fold_left (fun a s -> Float.min a s.sl_slack) infinity gslacks
     in
-    let min_slack = if n_waits = 0 then 0.0 else min_slack in
     let exposed =
-      List.fold_left
-        (fun a s -> a +. Float.max 0.0 (-.s.sl_slack))
-        0.0 gslacks
+      List.fold_left (fun a s -> a +. Float.max 0.0 (-.s.sl_slack)) 0.0 gslacks
     in
     let high_water =
-      Hashtbl.fold
-        (fun (gg, _) b acc -> if gg = g then max acc b else acc)
-        batch_bytes 0
+      Hashtbl.fold (fun _ b acc -> max acc b) batch_bytes.(g) 0
     in
-    slacks := gslacks @ !slacks;
-    groups_rev :=
-      { gv_id = p.Trace.groups.(g); gv_stages = st;
+    ( { gv_id = p.Trace.groups.(g); gv_stages = st;
         gv_synchronized = p.Trace.group_sync.(g);
         gv_footprint_bytes = p.Trace.group_bytes.(g);
         gv_high_water_bytes = high_water; gv_slots = slots; gv_duty = duty;
         gv_mean_slack = mean_slack; gv_min_slack = min_slack;
-        gv_exposed_cycles = exposed; gv_n_waits = n_waits }
-      :: !groups_rev
-  done;
+        gv_exposed_cycles = exposed; gv_n_waits = n_waits },
+      gslacks )
+  in
+  let views = List.init ng group_view in
   { pv_op = op; pv_schedule = schedule; pv_timing = timing;
     pv_wave_label = label; pv_wave_cycles = wave_cycles;
-    pv_critical_tb = crit; pv_terms = terms; pv_groups = !groups_rev;
-    pv_slacks = !slacks; pv_barrier_wait = !barrier_wait;
-    pv_drain_wait = !drain_wait }
+    pv_critical_tb = crit;
+    pv_terms = List.mapi (fun k name -> (name, terms.(k))) term_names;
+    pv_groups = List.map fst views; pv_slacks = List.concat_map snd views;
+    pv_barrier_wait = !barrier_wait; pv_drain_wait = !drain_wait }
 
 let run ?(op = "kernel") ?(schedule = "") (req : Timing.request) =
-  match Timing.run req with
-  | Error f -> Error f
-  | Ok timing -> (
-    match Timing.plan req with
-    | Error f -> Error f
-    | Ok pl ->
-      let label, cfg =
-        match pl.Timing.full_cfg, pl.Timing.tail_cfg with
-        | Some c, _ -> ("full", Some c)
-        | None, Some c -> ("tail", Some c)
-        | None, None -> ("full", None)
-      in
-      (match cfg with
-       | None ->
-         Ok
-           (analyze ~op ~schedule ~timing ~label
-              { Timing.hw = req.Timing.hw; residents = 1; active_sms = 1;
-                warps_per_tb = req.Timing.warps_per_tb; miss_rate = 0.0;
-                smem_penalty = 1.0; issue_overhead = 0.0;
-                barrier_groups = [] }
-              req.Timing.program)
-       | Some cfg -> Ok (analyze ~op ~schedule ~timing ~label cfg req.Timing.program)))
+  Result.map
+    (fun (timing, waves) ->
+      match waves with
+      | (w : Timing.recorded_wave) :: _ ->
+        analyze ~op ~schedule ~timing ~label:w.Timing.rw_label
+          req.Timing.program w.Timing.rw_recording
+      | [] ->
+        analyze ~op ~schedule ~timing ~label:"full" req.Timing.program
+          (Timing.recording ()))
+    (Timing.run_recorded req)
 
 (* --- features --- *)
 

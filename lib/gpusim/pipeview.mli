@@ -2,9 +2,8 @@
     attribution and sync-wait accounting for one schedule
     (doc/pipeview.md).
 
-    Replays the representative wave with both the stall-attribution probe
-    and the opt-in {!Timing.pipe_event} probe attached, and reduces the
-    streams to stage-occupancy timelines, per-wait prefetch slack
+    Folds the recording of the representative wave ({!Timing.event}) into
+    stage-occupancy timelines, per-wait prefetch slack
     (wait-start minus batch-land cycle; negative = exposed latency), a
     five-term partition of the critical threadblock's cycles that
     telescopes schedule deltas exactly, and a flat feature record for
@@ -65,9 +64,9 @@ type t = {
 val run :
   ?op:string -> ?schedule:string -> Timing.request ->
   (t, Occupancy.failure) result
-(** Time the kernel ({!Timing.run}), then replay its representative wave
-    (full wave when one exists, else the tail) with both probes and
-    reduce. [Error] iff the schedule exceeds per-threadblock resources. *)
+(** Time the kernel with its waves recorded ({!Timing.run_recorded}), then
+    fold the representative wave (full wave when one exists, else the
+    tail). [Error] iff the schedule exceeds per-threadblock resources. *)
 
 val features : t -> (string * float) list
 (** Flat per-schedule feature record (cost-model features; logged per

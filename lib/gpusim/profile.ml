@@ -1,191 +1,95 @@
-(* Simulated-time profiler: re-runs the timing simulator's waves with a
-   recording probe attached and turns the raw clock advances into
-   per-threadblock timelines, per-stage stall buckets, a text roofline
-   report and a Chrome trace of *simulated* time.
+(* Simulated-time profiler: folds the recorded waves of one kernel launch
+   into per-threadblock timelines, per-stage stall buckets, a text
+   roofline report and a Chrome trace of *simulated* time.
 
-   Because the simulator is deterministic and [Timing.plan] hands us
-   exactly the wave configs [Timing.run] used, the profiled waves replay
-   the very machine states the reported kernel latency came from — the
-   recording changes nothing but bookkeeping. *)
+   [Timing.run_recorded] simulates each wave once, with the recording on,
+   so the profile covers the very machine states the reported kernel
+   latency came from. *)
 
 module Obs = Alcop_obs.Obs
 module Json = Alcop_obs.Json
 module Sinks = Alcop_obs.Sinks
 
-type segment = {
-  sg_class : Timing.stall_class;
-  sg_group : string option;
-  sg_stage : int;  (** pipeline stage slot; -1 when not tied to a stage *)
-  sg_start : float;
-  sg_stop : float;
-}
-
-type copy_flight = {
-  cf_group : string option;
-  cf_stage : int;  (** batch ordinal mod stages; -1 when ungrouped *)
-  cf_batch : int;
-  cf_level : Trace.level;
-  cf_bytes : int;
-  cf_issue : float;
-  cf_land : float;
-}
-
-type tb_profile = {
-  tb_index : int;
-  tb_cycles : float;
-  tb_segments : segment array;  (** contiguous, in time order *)
-  tb_flights : copy_flight array;
-}
-
-type wave_profile = {
-  w_label : string;  (** ["full"] or ["tail"] *)
-  w_count : int;  (** how many identical waves the kernel runs *)
-  w_residents : int;
-  w_active_sms : int;
-  w_result : Timing.wave_result;
-  w_tbs : tb_profile array;
-  w_critical : int;  (** index of the slowest (critical-path) threadblock *)
-}
-
 type t = {
   p_op : string;
   p_schedule : string;
   p_timing : Timing.kernel_timing;
-  p_waves : wave_profile list;  (** full wave first when both exist *)
-  p_stages : (string * int) list;  (** pipeline group id -> stage count *)
-  p_program_hash : string;  (** [Trace.program_hash] of the replayed program *)
-  p_n_groups : int;  (** group-table size of the packed program *)
-  p_n_events : int;  (** packed program length *)
+  p_program : Trace.program;
+  p_waves : Timing.recorded_wave list;  (** full wave first when both exist *)
 }
 
+let run ?(op = "kernel") ?(schedule = "") (req : Timing.request) =
+  Result.map
+    (fun (timing, waves) ->
+      { p_op = op; p_schedule = schedule; p_timing = timing;
+        p_program = req.Timing.program; p_waves = waves })
+    (Timing.run_recorded req)
+
+let stages t g = max 1 t.p_program.Trace.group_stages.(g)
+
 let stages_of t gid =
-  match List.assoc_opt gid t.p_stages with Some s -> max 1 s | None -> 1
+  match Array.find_index (String.equal gid) t.p_program.Trace.groups with
+  | Some g -> stages t g
+  | None -> 1
 
-(* --- recording --- *)
-
-let record_wave ~stages label count (cfg : Timing.config) program =
-  let advances : Timing.advance list ref = ref [] in
-  let flights : Timing.flight list ref = ref [] in
-  let probe =
-    { Timing.on_advance = (fun a -> advances := a :: !advances);
-      on_flight = (fun f -> flights := f :: !flights) }
-  in
-  let result = Timing.simulate_program ~probe cfg program in
-  let seg_of (a : Timing.advance) =
-    let stage =
-      match a.Timing.adv_group with
-      | Some g when a.Timing.adv_ordinal >= 0 ->
-        a.Timing.adv_ordinal mod stages g
-      | _ -> -1
-    in
-    { sg_class = a.Timing.adv_class; sg_group = a.Timing.adv_group;
-      sg_stage = stage; sg_start = a.Timing.adv_start;
-      sg_stop = a.Timing.adv_stop }
-  in
-  let flight_of (f : Timing.flight) =
-    let stage =
-      match f.Timing.fl_group with
-      | Some g when f.Timing.fl_batch >= 0 -> f.Timing.fl_batch mod stages g
-      | _ -> -1
-    in
-    { cf_group = f.Timing.fl_group; cf_stage = stage;
-      cf_batch = f.Timing.fl_batch; cf_level = f.Timing.fl_level;
-      cf_bytes = f.Timing.fl_bytes; cf_issue = f.Timing.fl_issue;
-      cf_land = f.Timing.fl_land }
-  in
-  let tbs =
-    Array.init cfg.Timing.residents (fun i ->
-        let segs =
-          List.rev_map seg_of
-            (List.filter (fun (a : Timing.advance) -> a.Timing.adv_tb = i)
-               !advances)
-        in
-        let fls =
-          List.rev_map flight_of
-            (List.filter (fun (f : Timing.flight) -> f.Timing.fl_tb = i)
-               !flights)
-        in
-        let cycles =
-          List.fold_left (fun acc s -> Float.max acc s.sg_stop) 0.0 segs
-        in
-        { tb_index = i; tb_cycles = cycles;
-          tb_segments = Array.of_list segs;
-          tb_flights = Array.of_list fls })
-  in
-  let critical = ref 0 in
-  Array.iteri
-    (fun i tb -> if tb.tb_cycles > tbs.(!critical).tb_cycles then critical := i)
-    tbs;
-  { w_label = label; w_count = count; w_residents = cfg.Timing.residents;
-    w_active_sms = cfg.Timing.active_sms; w_result = result; w_tbs = tbs;
-    w_critical = !critical }
-
-let run ?(op = "kernel") ?(schedule = "")
-    ~(groups : Alcop_pipeline.Analysis.group list) (req : Timing.request) =
-  match Timing.run req with
-  | Error f -> Error f
-  | Ok timing ->
-    (match Timing.plan req with
-     | Error f -> Error f
-     | Ok pl ->
-       let stage_list =
-         List.map
-           (fun (g : Alcop_pipeline.Analysis.group) ->
-             (g.Alcop_pipeline.Analysis.id, g.Alcop_pipeline.Analysis.stages))
-           groups
-       in
-       let stages gid =
-         match List.assoc_opt gid stage_list with
-         | Some s -> max 1 s
-         | None -> 1
-       in
-       let waves =
-         List.filter_map Fun.id
-           [ Option.map
-               (fun cfg ->
-                 record_wave ~stages "full" pl.Timing.full_waves cfg
-                   req.program)
-               pl.Timing.full_cfg;
-             Option.map
-               (fun cfg -> record_wave ~stages "tail" 1 cfg req.program)
-               pl.Timing.tail_cfg ]
-       in
-       Ok
-         { p_op = op; p_schedule = schedule; p_timing = timing;
-           p_waves = waves; p_stages = stage_list;
-           p_program_hash = Digest.to_hex (Trace.program_hash req.program);
-           p_n_groups = Array.length req.program.Trace.groups;
-           p_n_events = Trace.length req.program })
+(* Stage slot of a batch ordinal of group [g]; -1 when not tied to one. *)
+let stage_of t g ordinal =
+  if g >= 0 && ordinal >= 0 then ordinal mod stages t g else -1
 
 (* --- aggregation --- *)
 
-let class_cycles (tb : tb_profile) cls =
-  Array.fold_left
-    (fun acc s ->
-      if s.sg_class = cls then acc +. (s.sg_stop -. s.sg_start) else acc)
-    0.0 tb.tb_segments
+let critical (w : Timing.recorded_wave) =
+  Timing.critical_tb w.Timing.rw_recording
 
-(* Per (group, stage) stall totals of one threadblock: only wait segments
+let tb_cycles (w : Timing.recorded_wave) tb =
+  (Timing.finish_times w.Timing.rw_recording).(tb)
+
+(* Per-class cycles of one threadblock, indexed by [stall_class_index]. *)
+let class_totals (w : Timing.recorded_wave) tb =
+  let totals = Array.make (List.length Timing.all_stall_classes) 0.0 in
+  Timing.fold ~tb
+    (fun () -> function
+      | Timing.Interval { cls; start; stop; _ } ->
+        let k = Timing.stall_class_index cls in
+        totals.(k) <- totals.(k) +. (stop -. start)
+      | _ -> ())
+    () w.Timing.rw_recording;
+  totals
+
+let class_cycles w tb cls = (class_totals w tb).(Timing.stall_class_index cls)
+
+(* Per (group, stage) stall totals of one threadblock: only wait intervals
    carry a stage slot, so this is the latency the pipeline failed to hide
    at each stage. *)
-let stage_stalls (tb : tb_profile) =
+let stage_stalls t (w : Timing.recorded_wave) tb =
   let tbl : (string * int, float) Hashtbl.t = Hashtbl.create 8 in
-  Array.iter
-    (fun s ->
-      match s.sg_group with
-      | Some g when s.sg_stage >= 0 ->
-        let key = (g, s.sg_stage) in
+  Timing.fold ~tb
+    (fun () -> function
+      | Timing.Interval { group; ordinal; start; stop; _ }
+        when stage_of t group ordinal >= 0 ->
+        let key =
+          (t.p_program.Trace.groups.(group), stage_of t group ordinal)
+        in
         let prior = Option.value ~default:0.0 (Hashtbl.find_opt tbl key) in
-        Hashtbl.replace tbl key (prior +. (s.sg_stop -. s.sg_start))
+        Hashtbl.replace tbl key (prior +. (stop -. start))
       | _ -> ())
-    tb.tb_segments;
+    () w.Timing.rw_recording;
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let representative t = match t.p_waves with w :: _ -> Some w | [] -> None
 
+(* Non-zero per-class cycles of one threadblock, in class order. *)
+let shown_classes w tb =
+  let totals = class_totals w tb in
+  List.filter_map
+    (fun cls ->
+      let cyc = totals.(Timing.stall_class_index cls) in
+      if cyc > 0.0 then Some (cls, cyc) else None)
+    Timing.all_stall_classes
+
 (* Per-class cycles of the kernel's critical threadblock (critical TB of
    the representative wave), named for trace/report consumers. Zero
-   classes are dropped; because the segments are contiguous, the listed
+   classes are dropped; because the intervals are contiguous, the listed
    classes still sum exactly to that threadblock's cycles — which is what
    lets a stall *diff* between two variants account for the whole cycle
    delta. *)
@@ -193,18 +97,15 @@ let stall_breakdown t =
   match representative t with
   | None -> []
   | Some w ->
-    let tb = w.w_tbs.(w.w_critical) in
-    List.filter_map
-      (fun cls ->
-        let cyc = class_cycles tb cls in
-        if cyc > 0.0 then Some (Timing.stall_class_name cls, cyc) else None)
-      Timing.all_stall_classes
+    List.map
+      (fun (cls, cyc) -> (Timing.stall_class_name cls, cyc))
+      (shown_classes w (critical w))
 
 let binding_resource t =
   match representative t with
   | None -> "none"
   | Some w ->
-    let r = w.w_result in
+    let r = w.Timing.rw_result in
     let c = r.Timing.cycles in
     if c <= 0.0 then "none"
     else
@@ -223,11 +124,11 @@ let dominant_stall t =
   match representative t with
   | None -> Timing.Sync_wait
   | Some w ->
-    let tb = w.w_tbs.(w.w_critical) in
+    let totals = class_totals w (critical w) in
     fst
       (List.fold_left
          (fun (bc, bv) cls ->
-           let v = class_cycles tb cls in
+           let v = totals.(Timing.stall_class_index cls) in
            if v > bv then (cls, v) else (bc, bv))
          (Timing.Sync_wait, -1.0)
          (List.filter (fun c -> c <> Timing.Compute) Timing.all_stall_classes))
@@ -246,12 +147,12 @@ let report t =
     tm.Timing.tbs_per_sm tm.Timing.occupancy_limiter
     Timing.launch_overhead_cycles;
   (match representative t with
-   | Some w when w.w_result.Timing.cycles > 0.0 ->
-     let r = w.w_result in
+   | Some w when w.Timing.rw_result.Timing.cycles > 0.0 ->
+     let r = w.Timing.rw_result in
      let c = r.Timing.cycles in
      line
        "roofline (%s wave): compute %4.1f%% | dram %4.1f%% | llc %4.1f%% | smem %4.1f%%  ->  binding: %s"
-       w.w_label
+       w.Timing.rw_label
        (100.0 *. r.Timing.compute_busy /. c)
        (100.0 *. r.Timing.dram_busy /. c)
        (100.0 *. r.Timing.llc_busy /. c)
@@ -259,40 +160,36 @@ let report t =
        (binding_resource t)
    | _ -> ());
   List.iter
-    (fun w ->
+    (fun (w : Timing.recorded_wave) ->
+      let cfg = w.Timing.rw_config in
       line "";
-      line "wave %s x%d: %d TB/SM on %d SMs, %.0f cycles" w.w_label w.w_count
-        w.w_residents w.w_active_sms w.w_result.Timing.cycles;
-      let tb = w.w_tbs.(w.w_critical) in
-      if tb.tb_cycles > 0.0 then begin
-        line "  stall breakdown (critical TB %d, %.0f cycles):" tb.tb_index
-          tb.tb_cycles;
-        let shown =
-          List.filter_map
-            (fun cls ->
-              let cyc = class_cycles tb cls in
-              if cyc > 0.0 then Some (cls, cyc) else None)
-            Timing.all_stall_classes
-        in
+      line "wave %s x%d: %d TB/SM on %d SMs, %.0f cycles" w.Timing.rw_label
+        w.Timing.rw_count cfg.Timing.residents cfg.Timing.active_sms
+        w.Timing.rw_result.Timing.cycles;
+      let tb = critical w in
+      let cycles = tb_cycles w tb in
+      if cycles > 0.0 then begin
+        line "  stall breakdown (critical TB %d, %.0f cycles):" tb cycles;
+        let shown = shown_classes w tb in
         let total = List.fold_left (fun a (_, c) -> a +. c) 0.0 shown in
         List.iter
           (fun (cls, cyc) ->
             line "    %-10s %5.1f%%  %12.1f cycles"
               (Timing.stall_class_name cls)
-              (100.0 *. cyc /. tb.tb_cycles)
+              (100.0 *. cyc /. cycles)
               cyc)
           shown;
         line "    %-10s %5.1f%%  %12.1f cycles" "total"
-          (100.0 *. total /. tb.tb_cycles)
+          (100.0 *. total /. cycles)
           total;
-        let per_stage = stage_stalls tb in
+        let per_stage = stage_stalls t w tb in
         if per_stage <> [] then begin
           line "  per-stage wait stalls (latency the pipeline failed to hide):";
           List.iter
             (fun ((g, stage), cyc) ->
               line "    %s stage %d/%d: %10.1f cycles (%4.1f%%)" g stage
                 (stages_of t g) cyc
-                (100.0 *. cyc /. tb.tb_cycles))
+                (100.0 *. cyc /. cycles))
             per_stage
         end
       end)
@@ -310,6 +207,7 @@ let report t =
 let chrome_events t =
   let events = ref [] in
   let add e = events := e :: !events in
+  let group_name g = t.p_program.Trace.groups.(g) in
   (* first event anchors the sink origin at simulated time 0 *)
   add
     (Obs.Point
@@ -317,88 +215,90 @@ let chrome_events t =
          fields =
            [ ("op", Json.Str t.p_op); ("schedule", Json.Str t.p_schedule);
              ("total_cycles", Json.Float t.p_timing.Timing.total_cycles);
-             ("program_hash", Json.Str t.p_program_hash);
-             ("n_groups", Json.Int t.p_n_groups);
-             ("n_events", Json.Int t.p_n_events);
+             ("program_hash",
+              Json.Str (Digest.to_hex (Trace.program_hash t.p_program)));
+             ("n_groups", Json.Int (Array.length t.p_program.Trace.groups));
+             ("n_events", Json.Int (Trace.length t.p_program));
              ("#process_name", Json.Str "alcop profile") ] });
   List.iteri
-    (fun wi w ->
+    (fun wi (w : Timing.recorded_wave) ->
+      let cfg = w.Timing.rw_config in
       let pid = wi + 2 in
       let pname =
-        Printf.sprintf "wave %s x%d (%d TB/SM, %d SMs)" w.w_label w.w_count
-          w.w_residents w.w_active_sms
+        Printf.sprintf "wave %s x%d (%d TB/SM, %d SMs)" w.Timing.rw_label
+          w.Timing.rw_count cfg.Timing.residents cfg.Timing.active_sms
       in
-      Array.iter
-        (fun tb ->
-          let exec_tid = (tb.tb_index * 32) + 1 in
-          let exec_route extra =
-            [ ("#pid", Json.Int pid); ("#tid", Json.Int exec_tid);
-              ("#process_name", Json.Str pname);
-              ("#thread_name",
-               Json.Str (Printf.sprintf "tb%d exec" tb.tb_index)) ]
-            @ extra
-          in
-          Array.iter
-            (fun s ->
-              let name =
-                match s.sg_group with
-                | Some g when s.sg_stage >= 0 ->
-                  Printf.sprintf "%s %s[s%d]"
-                    (Timing.stall_class_name s.sg_class) g s.sg_stage
-                | _ -> Timing.stall_class_name s.sg_class
-              in
-              add
-                (Obs.Span_end
-                   { name; ts = s.sg_start; dur = s.sg_stop -. s.sg_start;
-                     depth = 0;
-                     fields =
-                       exec_route
-                         [ ("class",
-                            Json.Str (Timing.stall_class_name s.sg_class));
-                           ("stage", Json.Int s.sg_stage) ] }))
-            tb.tb_segments;
-          (* async copy flights, one track per (group, stage) ring slot *)
-          Array.iter
-            (fun f ->
-              match f.cf_group with
-              | Some g when f.cf_stage >= 0 ->
-                let tid = exec_tid + 1 + f.cf_stage in
-                add
-                  (Obs.Span_end
-                     { name = Printf.sprintf "copy %s b%d (%dB)" g f.cf_batch
-                           f.cf_bytes;
-                       ts = f.cf_issue; dur = f.cf_land -. f.cf_issue;
-                       depth = 0;
-                       fields =
-                         [ ("#pid", Json.Int pid); ("#tid", Json.Int tid);
-                           ("#thread_name",
-                            Json.Str
-                              (Printf.sprintf "tb%d %s s%d" tb.tb_index g
-                                 f.cf_stage));
-                           ("bytes", Json.Int f.cf_bytes);
-                           ("batch", Json.Int f.cf_batch);
-                           ("level",
-                            Json.Str
-                              (match f.cf_level with
-                               | Trace.From_global -> "global"
-                               | Trace.From_shared -> "shared")) ] })
-              | _ -> ())
-            tb.tb_flights)
-        w.w_tbs;
       (* cumulative stall counters over the critical threadblock of the
          representative wave only — one counter track per stall class *)
-      if wi = 0 then begin
-        let tb = w.w_tbs.(w.w_critical) in
-        let totals = Hashtbl.create 8 in
-        Array.iter
-          (fun s ->
-            let cls = Timing.stall_class_name s.sg_class in
-            let prior = Option.value ~default:0.0 (Hashtbl.find_opt totals cls) in
-            let now = prior +. (s.sg_stop -. s.sg_start) in
-            Hashtbl.replace totals cls now;
-            add (Obs.Gauge { name = "stall." ^ cls; value = now; ts = s.sg_stop }))
-          tb.tb_segments
-      end)
+      let counted = if wi = 0 then critical w else -1 in
+      let totals = Array.make (List.length Timing.all_stall_classes) 0.0 in
+      let counters = ref [] in
+      for tb = 0 to cfg.Timing.residents - 1 do
+        let exec_tid = (tb * 32) + 1 in
+        let exec_route extra =
+          [ ("#pid", Json.Int pid); ("#tid", Json.Int exec_tid);
+            ("#process_name", Json.Str pname);
+            ("#thread_name", Json.Str (Printf.sprintf "tb%d exec" tb)) ]
+          @ extra
+        in
+        (* the threadblock's contiguous stall intervals, then its async
+           copy flights, one track per (group, stage) ring slot *)
+        let flights =
+          Timing.fold ~tb
+            (fun flights -> function
+              | Timing.Interval { cls; group; ordinal; start; stop; _ } ->
+                let stage = stage_of t group ordinal in
+                let name =
+                  if stage >= 0 then
+                    Printf.sprintf "%s %s[s%d]" (Timing.stall_class_name cls)
+                      (group_name group) stage
+                  else Timing.stall_class_name cls
+                in
+                add
+                  (Obs.Span_end
+                     { name; ts = start; dur = stop -. start; depth = 0;
+                       fields =
+                         exec_route
+                           [ ("class", Json.Str (Timing.stall_class_name cls));
+                             ("stage", Json.Int stage) ] });
+                if tb = counted then begin
+                  let k = Timing.stall_class_index cls in
+                  totals.(k) <- totals.(k) +. (stop -. start);
+                  counters :=
+                    Obs.Gauge
+                      { name = "stall." ^ Timing.stall_class_name cls;
+                        value = totals.(k); ts = stop }
+                    :: !counters
+                end;
+                flights
+              | Timing.Flight { group; batch; level; bytes; issue; landed; _ }
+                when stage_of t group batch >= 0 ->
+                let stage = stage_of t group batch in
+                Obs.Span_end
+                  { name =
+                      Printf.sprintf "copy %s b%d (%dB)" (group_name group)
+                        batch bytes;
+                    ts = issue; dur = landed -. issue; depth = 0;
+                    fields =
+                      [ ("#pid", Json.Int pid);
+                        ("#tid", Json.Int (exec_tid + 1 + stage));
+                        ("#thread_name",
+                         Json.Str
+                           (Printf.sprintf "tb%d %s s%d" tb (group_name group)
+                              stage));
+                        ("bytes", Json.Int bytes); ("batch", Json.Int batch);
+                        ("level",
+                         Json.Str
+                           (match level with
+                            | Trace.From_global -> "global"
+                            | Trace.From_shared -> "shared")) ] }
+                :: flights
+              | _ -> flights)
+            [] w.Timing.rw_recording
+        in
+        List.iter add (List.rev flights)
+      done;
+      List.iter add (List.rev !counters))
     t.p_waves;
   List.rev !events
 

@@ -1,75 +1,47 @@
 (** Simulated-time profiler.
 
-    Re-runs the timing simulator's waves with a recording {!Timing.probe}
-    attached and turns the raw clock advances into per-threadblock
-    timelines, per-stage stall buckets, a text roofline report, and a
-    Chrome trace of {e simulated} time (one track per threadblock plus one
-    per async-copy stage slot). Deterministic: the profiled waves replay
-    exactly the machine states behind the latency {!Timing.run} reported. *)
-
-type segment = {
-  sg_class : Timing.stall_class;
-  sg_group : string option;
-  sg_stage : int;  (** pipeline stage slot; [-1] when not tied to a stage *)
-  sg_start : float;
-  sg_stop : float;
-}
-
-type copy_flight = {
-  cf_group : string option;
-  cf_stage : int;  (** batch ordinal mod stages; [-1] when ungrouped *)
-  cf_batch : int;
-  cf_level : Trace.level;
-  cf_bytes : int;
-  cf_issue : float;
-  cf_land : float;
-}
-
-type tb_profile = {
-  tb_index : int;
-  tb_cycles : float;
-  tb_segments : segment array;
-      (** contiguous in time: per-class sums telescope to [tb_cycles] *)
-  tb_flights : copy_flight array;
-}
-
-type wave_profile = {
-  w_label : string;  (** ["full"] or ["tail"] *)
-  w_count : int;  (** how many identical waves the kernel runs *)
-  w_residents : int;
-  w_active_sms : int;
-  w_result : Timing.wave_result;
-  w_tbs : tb_profile array;
-  w_critical : int;  (** index of the slowest (critical-path) threadblock *)
-}
+    Folds the recorded waves of {!Timing.run_recorded} into
+    per-threadblock timelines, per-stage stall buckets, a text roofline
+    report, and a Chrome trace of {e simulated} time (one track per
+    threadblock plus one per async-copy stage slot). Deterministic: each
+    wave is simulated once, so the profile covers exactly the machine
+    states behind the reported latency. *)
 
 type t = {
   p_op : string;
   p_schedule : string;
   p_timing : Timing.kernel_timing;
-  p_waves : wave_profile list;  (** full wave first when both exist *)
-  p_stages : (string * int) list;  (** pipeline group id -> stage count *)
-  p_program_hash : string;
-      (** hex [Trace.program_hash] of the replayed packed program *)
-  p_n_groups : int;  (** group-table size of the packed program *)
-  p_n_events : int;  (** packed program length *)
+  p_program : Trace.program;  (** the replayed packed program *)
+  p_waves : Timing.recorded_wave list;  (** full wave first when both exist *)
 }
 
 val run :
   ?op:string ->
   ?schedule:string ->
-  groups:Alcop_pipeline.Analysis.group list ->
   Timing.request ->
   (t, Occupancy.failure) result
 
-val class_cycles : tb_profile -> Timing.stall_class -> float
-(** Total cycles of one threadblock attributed to one stall class. *)
+val stages_of : t -> string -> int
+(** Stage count of a pipeline group, from [Trace.program.group_stages]
+    (at least 1; 1 for an unknown group). *)
 
-val stage_stalls : tb_profile -> ((string * int) * float) list
-(** Wait-stall cycles per (group, stage slot), sorted — the latency the
-    pipeline failed to hide at each stage. *)
+val critical : Timing.recorded_wave -> int
+(** Index of the wave's slowest (critical-path) threadblock. *)
 
-val representative : t -> wave_profile option
+val tb_cycles : Timing.recorded_wave -> int -> float
+(** Finish time of one threadblock of the wave. *)
+
+val class_cycles : Timing.recorded_wave -> int -> Timing.stall_class -> float
+(** Total cycles of one threadblock attributed to one stall class. The
+    classes partition the threadblock's time, so they sum to
+    {!tb_cycles}. *)
+
+val stage_stalls :
+  t -> Timing.recorded_wave -> int -> ((string * int) * float) list
+(** Wait-stall cycles of one threadblock per (group, stage slot), sorted —
+    the latency the pipeline failed to hide at each stage. *)
+
+val representative : t -> Timing.recorded_wave option
 (** The wave whose cycles dominate the kernel (full when one exists). *)
 
 val stall_breakdown : t -> (string * float) list

@@ -32,12 +32,13 @@
    grows to the high-water mark and is reused across waves, so a wave
    simulation allocates O(1) words regardless of trace length.
 
-   Every advance of a threadblock's simulated clock can additionally be
-   observed through a [probe]: the engine labels each interval with the
-   stall class that caused it (the substrate of [Profile]), and reports
-   each load's issue-to-land flight for in-flight timeline rendering. With
-   no probe installed the bookkeeping degenerates to a handful of integer
-   increments, so the tuner's hot path is unaffected. *)
+   A wave can additionally be recorded: the engine writes every
+   observation — each advance of a threadblock's clock labelled with the
+   stall class that caused it, each load's issue-to-land flight, each
+   pipeline fill and consume, each barrier and drain wait — into one
+   [recording], which [Profile], [Pipeview] and [run]'s stall gauges all
+   fold over. Without a recording the bookkeeping degenerates to a handful
+   of integer increments, so the tuner's hot path is unaffected. *)
 
 type config = {
   hw : Alcop_hw.Hw_config.t;
@@ -92,68 +93,6 @@ let stall_class_name = function
 let all_stall_classes =
   [ Compute; Dram_bw; Llc_bw; Smem_port; Sync_wait; Issue; Launch ]
 
-type advance = {
-  adv_tb : int;
-  adv_class : stall_class;
-  adv_group : string option;
-      (** the pipeline group whose wait caused the interval, if any *)
-  adv_ordinal : int;
-      (** ordinal of the consumed batch within its group (stage slot =
-          ordinal mod stages); -1 for intervals not tied to a batch *)
-  adv_start : float;
-  adv_stop : float;
-}
-
-type flight = {
-  fl_tb : int;
-  fl_group : string option;
-  fl_batch : int;  (** batch ordinal within the group; -1 when ungrouped *)
-  fl_async : bool;
-  fl_level : Trace.level;
-  fl_bytes : int;
-  fl_issue : float;
-  fl_land : float;
-}
-
-type probe = {
-  on_advance : advance -> unit;
-  on_flight : flight -> unit;
-}
-
-(* --- pipeline probe ---
-
-   Opt-in observatory channel, separate from [probe] so the equivalence
-   gate against the frozen legacy engine (which predates it) is
-   untouched. The [advance] stream only materializes non-empty stall
-   intervals — a wait that finds its batch already landed produces
-   nothing there — so positive prefetch slack is invisible to it; these
-   events carry the ready/start pair for every commit and wait
-   regardless of whether anyone stalled. *)
-
-type pipe_event =
-  | Fill of {
-      pf_tb : int;
-      pf_group : int;  (** index into [Trace.program.groups] *)
-      pf_batch : int;  (** batch ordinal the commit closes *)
-      pf_commit : float;  (** cycle the commit issues *)
-      pf_ready : float;
-          (** cycle the batch's last async load lands (0 when the batch
-              contains no loads) *)
-    }
-  | Consume of {
-      pc_tb : int;
-      pc_group : int;
-      pc_ordinal : int;  (** consumption ordinal of the wait *)
-      pc_consumed : int;  (** committed batch index it consumes; -1 none *)
-      pc_start : float;  (** cycle the wait begins *)
-      pc_ready : float;  (** cycle the consumed batch landed *)
-      pc_finish : float;  (** [max start ready] *)
-    }
-  | Barrier_wait of { pw_tb : int; pw_start : float; pw_finish : float }
-  | Drain of { pd_tb : int; pd_start : float; pd_finish : float }
-      (** end-of-program wait for outstanding loads/stores; also the
-          threadblock's completion time ([pd_finish]) *)
-
 type wave_result = {
   cycles : float;
   compute_busy : float;
@@ -201,21 +140,6 @@ let mix_dominant m base =
   else if s > 0.0 && s >= t then Smem_port
   else Sync_wait
 
-(* --- advance arena ---
-
-   Preallocated, reusable buffer of (tb, class, start, stop) records — the
-   packed replacement of the old [advance list ref] bucket recorder in
-   [run]. One per domain; [run] resets it, the representative wave fills
-   it, [critical_stall_fractions] reads it before [run] returns. *)
-
-type adv_arena = {
-  mutable a_n : int;
-  mutable a_tb : int array;
-  mutable a_cls : int array;
-  mutable a_start : float array;
-  mutable a_stop : float array;
-}
-
 let stall_class_index = function
   | Compute -> 0
   | Dram_bw -> 1
@@ -228,47 +152,177 @@ let stall_class_index = function
 let stall_class_of_index =
   [| Compute; Dram_bw; Llc_bw; Smem_port; Sync_wait; Issue; Launch |]
 
-let arena_key =
-  Domain.DLS.new_key (fun () ->
-      { a_n = 0; a_tb = [||]; a_cls = [||]; a_start = [||]; a_stop = [||] })
+(* --- the recording ---
 
-let obtain_arena () =
-  let a = Domain.DLS.get arena_key in
-  a.a_n <- 0;
-  a
+   Every observation of one wave, in engine order, as parallel columns
+   that grow to the high-water mark: writing an entry allocates nothing.
+   An entry keeps the program counter of the event that produced it
+   instead of copying its operands (group, batch ordinal, consumed batch,
+   bytes, flags), so [event] reads those back from the program. Kinds
+   below [k_flight] are intervals, the kind being the stall-class index. *)
 
-let arena_push a tb cls start stop =
-  let cap = Array.length a.a_tb in
-  if a.a_n = cap then begin
-    let ncap = if cap = 0 then 1024 else 2 * cap in
-    let gi old =
-      let x = Array.make ncap 0 in
-      Array.blit old 0 x 0 cap;
-      x
-    in
-    let gf old =
-      let x = Array.make ncap 0.0 in
-      Array.blit old 0 x 0 cap;
-      x
-    in
-    a.a_tb <- gi a.a_tb;
-    a.a_cls <- gi a.a_cls;
-    a.a_start <- gf a.a_start;
-    a.a_stop <- gf a.a_stop
-  end;
-  let k = a.a_n in
-  a.a_tb.(k) <- tb;
-  a.a_cls.(k) <- stall_class_index cls;
-  a.a_start.(k) <- start;
-  a.a_stop.(k) <- stop;
-  a.a_n <- k + 1
+type event =
+  | Interval of {
+      tb : int;
+      cls : stall_class;
+      group : int;
+      ordinal : int;
+      start : float;
+      stop : float;
+    }
+  | Flight of {
+      tb : int;
+      group : int;
+      batch : int;
+      async : bool;
+      level : Trace.level;
+      bytes : int;
+      issue : float;
+      landed : float;
+    }
+  | Fill of {
+      tb : int;
+      group : int;
+      batch : int;
+      commit : float;
+      ready : float;
+    }
+  | Consume of {
+      tb : int;
+      group : int;
+      ordinal : int;
+      consumed : int;
+      start : float;
+      ready : float;
+      finish : float;
+    }
+  | Barrier_wait of { tb : int; start : float; finish : float }
+  | Drain of { tb : int; start : float; finish : float }
+
+let k_flight = 7
+let k_fill = 8
+let k_consume = 9
+let k_barrier = 10
+let k_drain = 11
+
+type recording = {
+  mutable program : Trace.program;
+  mutable residents : int;
+  mutable len : int;
+  mutable kind : int array;
+  mutable tb : int array;
+  mutable pc : int array;  (* -1: an interval no pipeline wait caused *)
+  mutable t0 : float array;
+  mutable t1 : float array;
+  mutable t2 : float array;
+}
+
+let empty_program = Trace.pack [||]
+
+let recording () =
+  { program = empty_program; residents = 0; len = 0; kind = [||]; tb = [||];
+    pc = [||]; t0 = [||]; t1 = [||]; t2 = [||] }
+
+(* Stands in for "no recording" so the engine needs no option match per
+   write; every write is guarded by [tracking], so it stays empty. *)
+let no_recording = recording ()
+
+let grow rc =
+  let cap = Array.length rc.kind in
+  let ncap = if cap = 0 then 1024 else 2 * cap in
+  let gi old =
+    let x = Array.make ncap 0 in
+    Array.blit old 0 x 0 cap;
+    x
+  in
+  let gf old =
+    let x = Array.make ncap 0.0 in
+    Array.blit old 0 x 0 cap;
+    x
+  in
+  rc.kind <- gi rc.kind;
+  rc.tb <- gi rc.tb;
+  rc.pc <- gi rc.pc;
+  rc.t0 <- gf rc.t0;
+  rc.t1 <- gf rc.t1;
+  rc.t2 <- gf rc.t2
+
+(* Inlined into the engine, so the floats are stored unboxed. *)
+let[@inline] push rc kind tb pc t0 t1 t2 =
+  if rc.len = Array.length rc.kind then grow rc;
+  let k = rc.len in
+  rc.kind.(k) <- kind;
+  rc.tb.(k) <- tb;
+  rc.pc.(k) <- pc;
+  rc.t0.(k) <- t0;
+  rc.t1.(k) <- t1;
+  rc.t2.(k) <- t2;
+  rc.len <- k + 1
+
+(* Only non-empty intervals are written: a threadblock's intervals stay
+   contiguous from 0 to its finish time. *)
+let[@inline] interval rc tb cls pc start stop =
+  if stop > start then push rc (stall_class_index cls) tb pc start stop 0.0
+
+let event rc k =
+  let p = rc.program and tb = rc.tb.(k) and c = rc.pc.(k) in
+  let kind = rc.kind.(k) and t0 = rc.t0.(k) and t1 = rc.t1.(k) in
+  if kind < k_flight then
+    Interval
+      { tb; cls = stall_class_of_index.(kind);
+        group = (if c >= 0 then p.Trace.group.{c} else -1);
+        ordinal = (if c >= 0 then p.Trace.batch.{c} else -1);
+        start = t0; stop = t1 }
+  else if kind = k_flight then begin
+    let fl = p.Trace.flags.{c} in
+    Flight
+      { tb; group = p.Trace.group.{c}; batch = p.Trace.batch.{c};
+        async = fl land Trace.flag_async <> 0;
+        level =
+          (if fl land Trace.flag_shared <> 0 then Trace.From_shared
+           else Trace.From_global);
+        bytes = p.Trace.arg.{c}; issue = t0; landed = t1 }
+  end
+  else if kind = k_fill then
+    Fill
+      { tb; group = p.Trace.group.{c}; batch = p.Trace.batch.{c};
+        commit = t0; ready = t1 }
+  else if kind = k_consume then
+    Consume
+      { tb; group = p.Trace.group.{c}; ordinal = p.Trace.batch.{c};
+        consumed = p.Trace.arg.{c}; start = t0; ready = t1;
+        finish = rc.t2.(k) }
+  else if kind = k_barrier then Barrier_wait { tb; start = t0; finish = t1 }
+  else Drain { tb; start = t0; finish = t1 }
+
+let fold ?tb f acc rc =
+  let acc = ref acc in
+  for k = 0 to rc.len - 1 do
+    match tb with
+    | Some i when rc.tb.(k) <> i -> ()
+    | _ -> acc := f !acc (event rc k)
+  done;
+  !acc
+
+let finish_times rc =
+  let fin = Array.make rc.residents 0.0 in
+  for k = 0 to rc.len - 1 do
+    if rc.kind.(k) = k_drain then fin.(rc.tb.(k)) <- rc.t1.(k)
+  done;
+  fin
+
+let critical_tb rc =
+  let fin = finish_times rc in
+  let crit = ref 0 in
+  Array.iteri (fun i f -> if f > fin.(!crit) then crit := i) fin;
+  !crit
 
 (* --- per-wave scratch ---
 
    Flat state arrays, domain-local and grow-only: acquired at the top of a
    wave simulation, zeroed to the needed extent, returned on exit. The
-   [in_use] flag catches re-entrancy (a probe callback that itself
-   simulates) by falling back to a fresh allocation. *)
+   [in_use] flag guards against re-entrancy by falling back to a fresh
+   allocation. *)
 
 type scratch = {
   mutable in_use : bool;
@@ -317,7 +371,7 @@ let bgrow cur n =
 
 (* --- the wave engine --- *)
 
-let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
+let simulate_packed ?recording (cfg : config) (p : Trace.program) =
   let hw = cfg.hw in
   let active = float_of_int (max 1 cfg.active_sms) in
   let dram = server () and llc = server () and smem = server ()
@@ -338,22 +392,14 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
         *. (hw.Alcop_hw.Hw_config.dram_latency -. hw.Alcop_hw.Hw_config.llc_latency))
   in
   let smem_latency = hw.Alcop_hw.Hw_config.smem_latency in
-  let tracking = probe <> None || arena <> None in
-  let probe_on = probe <> None in
-  let att i cls group ordinal start stop =
-    if stop > start then begin
-      (match probe with
-       | Some pr ->
-         pr.on_advance
-           { adv_tb = i; adv_class = cls; adv_group = group;
-             adv_ordinal = ordinal; adv_start = start; adv_stop = stop }
-       | None -> ());
-      match arena with
-      | Some a -> arena_push a i cls start stop
-      | None -> ()
-    end
-  in
+  let tracking = recording <> None in
+  let rc = Option.value recording ~default:no_recording in
   let r = cfg.residents in
+  if tracking then begin
+    rc.program <- p;
+    rc.residents <- r;
+    rc.len <- 0
+  end;
   let ng = Array.length p.Trace.groups in
   let maxd =
     Array.fold_left (fun acc d -> max acc d) 1 p.Trace.group_depth
@@ -394,7 +440,7 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
   let step i =
     let t0 = time.(i) in
     let now = t0 +. cfg.issue_overhead in
-    if tracking then att i Issue None (-1) t0 now;
+    if tracking then interval rc i Issue (-1) t0 now;
     let c = cursor.(i) in
     let op = opcode.{c} in
     if op = Trace.op_load then begin
@@ -438,16 +484,7 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
         openb.(pg) <- fmax openb.(pg) completion
       end
       else recent.(i) <- fmax recent.(i) completion;
-      (match probe with
-       | Some pr ->
-         pr.on_flight
-           { fl_tb = i;
-             fl_group = (if g >= 0 then Some p.Trace.groups.(g) else None);
-             fl_batch = batch.{c}; fl_async = async;
-             fl_level =
-               (if shared then Trace.From_shared else Trace.From_global);
-             fl_bytes = bytes; fl_issue = now; fl_land = completion }
-       | None -> ());
+      if tracking then push rc k_flight i c now completion 0.0;
       time.(i) <- now
     end
     else if op = Trace.op_store then begin
@@ -463,14 +500,9 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
       let pg = (i * ng) + g in
       let slot = (pg * maxd) + (batch.{c} mod gdepth.(g)) in
       ring.(slot) <- openb.(pg);
-      (match pipe with
-       | Some f ->
-         f (Fill
-              { pf_tb = i; pf_group = g; pf_batch = batch.{c};
-                pf_commit = now; pf_ready = openb.(pg) })
-       | None -> ());
       openb.(pg) <- 0.0;
       if tracking then begin
+        push rc k_fill i c now ring.(slot) 0.0;
         mix_copy4 ring_mix (4 * slot) open_mix (4 * pg);
         mix_reset4 open_mix (4 * pg)
       end;
@@ -495,16 +527,9 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
           if consumed >= 0 then mix_dominant ring_mix (4 * slot)
           else mix_dominant due_mix (4 * i)
         in
-        let gname = if probe_on then Some p.Trace.groups.(g) else None in
-        att i cls gname batch.{c} now t
+        interval rc i cls c now t;
+        push rc k_consume i c now ready t
       end;
-      (match pipe with
-       | Some f ->
-         f (Consume
-              { pc_tb = i; pc_group = g; pc_ordinal = batch.{c};
-                pc_consumed = consumed; pc_start = now; pc_ready = ready;
-                pc_finish = t })
-       | None -> ());
       time.(i) <- t
     end
     else if op = Trace.op_acquire || op = Trace.op_release then
@@ -514,10 +539,10 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
     else if op = Trace.op_barrier then begin
       boundary.(i) <- true;
       let t = fmax now out.(i) in
-      if tracking then att i Sync_wait None (-1) now t;
-      (match pipe with
-       | Some f -> f (Barrier_wait { pw_tb = i; pw_start = now; pw_finish = t })
-       | None -> ());
+      if tracking then begin
+        interval rc i Sync_wait (-1) now t;
+        push rc k_barrier i c now t 0.0
+      end;
       time.(i) <- t
     end
     else begin
@@ -534,7 +559,7 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
       end;
       let start = fmax now due.(i) in
       if tracking then
-        att i (mix_dominant due_mix (4 * i)) None (-1) now start;
+        interval rc i (mix_dominant due_mix (4 * i)) (-1) now start;
       due.(i) <- fmax due.(i) recent.(i);
       recent.(i) <- 0.0;
       if tracking then begin
@@ -545,7 +570,7 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
         serve compute ~now:start
           ~cost:(float_of_int arg.{c} /. compute_rate)
       in
-      if tracking then att i Compute None (-1) start finish;
+      if tracking then interval rc i Compute (-1) start finish;
       time.(i) <- finish
     end;
     cursor.(i) <- c + 1;
@@ -553,10 +578,10 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
       (* drain: the epilogue waits for every outstanding store/load *)
       let t0d = time.(i) in
       let t = fmax t0d out.(i) in
-      if tracking then att i Sync_wait None (-1) t0d t;
-      (match pipe with
-       | Some f -> f (Drain { pd_tb = i; pd_start = t0d; pd_finish = t })
-       | None -> ());
+      if tracking then begin
+        interval rc i Sync_wait (-1) t0d t;
+        push rc k_drain i (-1) t0d t 0.0
+      end;
       time.(i) <- t
     end
   in
@@ -580,10 +605,7 @@ let simulate_packed ?probe ?arena ?pipe (cfg : config) (p : Trace.program) =
   { cycles = !cycles; compute_busy = compute.busy; dram_busy = dram.busy;
     llc_busy = llc.busy; smem_busy = smem.busy }
 
-let simulate_program ?probe ?pipe cfg p = simulate_packed ?probe ?pipe cfg p
-
-let simulate_wave ?probe ?pipe (cfg : config) (trace : Trace.event array) =
-  simulate_packed ?probe ?pipe cfg (Trace.pack trace)
+let simulate_program = simulate_packed
 
 (* --- incremental wave reuse ---
 
@@ -592,10 +614,10 @@ let simulate_wave ?probe ?pipe (cfg : config) (trace : Trace.event array) =
    same latencies, so the tuner opts in to a keyed cache of wave results.
    Keys are (program content hash, residents, active SMs) with a full
    structural check of config and program on hit, so a reused latency is
-   provably the one a fresh simulation would produce. Probe- or
-   arena-carrying waves bypass the cache (their value is the side
-   channel). Counters are exposed through a function, not [Obs], so
-   enabling reuse cannot perturb the -j determinism contract. *)
+   provably the one a fresh simulation would produce. Recorded waves
+   bypass the cache (their value is the recording). Counters are exposed
+   through a function, not [Obs], so enabling reuse cannot perturb the -j
+   determinism contract. *)
 
 type cache_entry = {
   ce_cfg : config;
@@ -778,8 +800,7 @@ let bank_conflict_penalty ~swizzle ~tb_k ~elem_bytes =
   end
 
 (* The wave plan: how the grid quantizes into full and tail waves, and the
-   per-wave simulation configs. Shared by [run] and the [Profile] recorder
-   so both simulate exactly the same machine states. *)
+   per-wave simulation configs. *)
 type plan = {
   plan_occ : Occupancy.t;
   full_waves : int;
@@ -827,136 +848,165 @@ let plan (req : request) =
     in
     Ok { plan_occ = occ; full_waves; remainder = rem; full_cfg; tail_cfg }
 
-(* A cheap bucket-only recorder: per-threadblock stall-class totals of one
-   simulated wave, reported for the slowest (critical-path) threadblock.
-   [run] uses it to publish [timing.stall.*] gauges when observability is
-   on; [Profile] keeps full timelines instead. The arena is iterated from
-   the end so float accumulation order matches the historical
-   reverse-chronological advance list. *)
-let critical_stall_fractions wave_result (a : adv_arena) =
-  let totals : (int * stall_class, float) Hashtbl.t = Hashtbl.create 16 in
-  let ends : (int, float) Hashtbl.t = Hashtbl.create 8 in
-  for k = a.a_n - 1 downto 0 do
-    let tb = a.a_tb.(k) in
-    let key = (tb, stall_class_of_index.(a.a_cls.(k))) in
-    let prior = Option.value ~default:0.0 (Hashtbl.find_opt totals key) in
-    Hashtbl.replace totals key (prior +. (a.a_stop.(k) -. a.a_start.(k)));
-    let e = Option.value ~default:0.0 (Hashtbl.find_opt ends tb) in
-    Hashtbl.replace ends tb (fmax e a.a_stop.(k))
-  done;
-  let critical =
-    Hashtbl.fold
-      (fun tb e (bt, be) -> if e > be then (tb, e) else (bt, be))
-      ends (0, 0.0)
-    |> fst
-  in
+(* Stall-class fractions of the critical threadblock of one recorded wave:
+   the [timing.stall.*] gauges. Reads the recording's columns in place, so
+   a traced run allocates nothing per event. Each class is summed from the
+   end of the recording back; that order fixes the gauges' bits, which
+   ride in session entries and store records, where a changed bit would
+   make warm and cold reports differ. *)
+let critical_stall_fractions wave_result rc =
   if wave_result.cycles <= 0.0 then []
-  else
-    List.filter_map
-      (fun cls ->
-        match Hashtbl.find_opt totals (critical, cls) with
-        | Some c -> Some (cls, c /. wave_result.cycles)
-        | None -> Some (cls, 0.0))
+  else begin
+    let crit = critical_tb rc in
+    let totals = Array.make (Array.length stall_class_of_index) 0.0 in
+    for k = rc.len - 1 downto 0 do
+      let kind = rc.kind.(k) in
+      if kind < k_flight && rc.tb.(k) = crit then
+        totals.(kind) <- totals.(kind) +. (rc.t1.(k) -. rc.t0.(k))
+    done;
+    List.map
+      (fun cls -> (cls, totals.(stall_class_index cls) /. wave_result.cycles))
       all_stall_classes
+  end
+
+type recorded_wave = {
+  rw_label : string;
+  rw_count : int;
+  rw_config : config;
+  rw_result : wave_result;
+  rw_recording : recording;
+}
+
+(* Time a planned kernel, simulating the full wave with [full_rc] and the
+   tail wave with [tail_rc] when given. With [recorded], also return each
+   recorded wave through it. *)
+let time_kernel ?pool ?recorded (req : request) pl ~full_rc ~tail_rc =
+  let hw = req.hw in
+  let occ = pl.plan_occ in
+  let full_waves = pl.full_waves and rem = pl.remainder in
+  let sim cfg = function
+    | Some rc -> simulate_packed ~recording:rc cfg req.program
+    | None -> cached_simulate cfg req.program
+  in
+  (* The full and tail waves are independent simulations; with a pool of
+     2+ workers run them on two domains. Each recording is written by
+     exactly one worker and read after the join — and the combination
+     below is in fixed (full, tail) order, so the result is bit-identical
+     to the sequential pair. *)
+  let full_result, tail_result =
+    match (pool, pl.full_cfg, pl.tail_cfg) with
+    | Some p, Some full_cfg, Some tail_cfg when Alcop_par.Pool.jobs p > 1 ->
+      (match
+         Alcop_par.Pool.map p
+           (fun (cfg, rc) -> sim cfg rc)
+           [ (full_cfg, full_rc); (tail_cfg, tail_rc) ]
+       with
+      | [ fr; tr ] -> (Some (full_cfg, fr), Some (tail_cfg, tr))
+      | _ -> assert false)
+    | _ ->
+      ( Option.map (fun cfg -> (cfg, sim cfg full_rc)) pl.full_cfg,
+        Option.map (fun cfg -> (cfg, sim cfg tail_rc)) pl.tail_cfg )
+  in
+  let wave_cycles =
+    match full_result with Some (_, r) -> r.cycles | None -> 0.0
+  in
+  let tail_cycles =
+    match tail_result with Some (_, r) -> r.cycles | None -> 0.0
+  in
+  let body = (float_of_int full_waves *. wave_cycles) +. tail_cycles in
+  let total_cycles =
+    ((body +. launch_overhead_cycles) *. jitter req.jitter_key)
+  in
+  let compute_utilization =
+    match full_result, tail_result with
+    | Some (_, r), _ | None, Some (_, r) ->
+      if r.cycles > 0.0 then Float.min 1.0 (r.compute_busy /. r.cycles)
+      else 0.0
+    | None, None -> 0.0
+  in
+  let n_waves = full_waves + (if rem > 0 then 1 else 0) in
+  let miss_rate =
+    match full_result, tail_result with
+    | Some (cfg, _), _ | None, Some (cfg, _) -> cfg.miss_rate
+    | None, None -> 0.0
+  in
+  let wave_busy =
+    match full_result, tail_result with
+    | Some (_, r), _ | None, Some (_, r) -> Some r
+    | None, None -> None
+  in
+  (match recorded with
+   | Some out ->
+     let wave label count result rc =
+       match (result, rc) with
+       | Some (cfg, r), Some rc ->
+         Some
+           { rw_label = label; rw_count = count; rw_config = cfg;
+             rw_result = r; rw_recording = rc }
+       | _ -> None
+     in
+     out :=
+       List.filter_map Fun.id
+         [ wave "full" full_waves full_result full_rc;
+           wave "tail" 1 tail_result tail_rc ]
+   | None -> ());
+  (* Surface the representative wave's busy breakdown, the stall
+     attribution and the occupancy decision as telemetry — this is
+     exactly the data behind the paper's ablation figures, and it is
+     free when no sink is installed. *)
+  if Alcop_obs.Obs.enabled () then begin
+    let open Alcop_obs in
+    let representative_rc = if pl.full_cfg <> None then full_rc else tail_rc in
+    (match wave_busy, representative_rc with
+     | Some r, Some rc when r.cycles > 0.0 ->
+       let frac busy = Float.min 1.0 (busy /. r.cycles) in
+       Obs.gauge "timing.busy.compute" (frac r.compute_busy);
+       Obs.gauge "timing.busy.dram" (frac r.dram_busy);
+       Obs.gauge "timing.busy.llc" (frac r.llc_busy);
+       Obs.gauge "timing.busy.smem" (frac r.smem_busy);
+       List.iter
+         (fun (cls, f) ->
+           if cls <> Launch then
+             Obs.gauge ("timing.stall." ^ stall_class_name cls) f)
+         (critical_stall_fractions r rc)
+     | _ -> ());
+    Obs.gauge "timing.tbs_per_sm" (float_of_int occ.Occupancy.tbs_per_sm);
+    Obs.gauge "timing.n_waves" (float_of_int n_waves);
+    Obs.gauge "timing.miss_rate" miss_rate;
+    (* histogram, not gauge: across a tuning sweep or batch compile the
+       distribution of kernel latencies is the interesting object *)
+    Obs.observe "timing.kernel.cycles" total_cycles;
+    Obs.point "timing.occupancy"
+      [ ("limiter", Json.Str occ.Occupancy.limiter);
+        ("tbs_per_sm", Json.Int occ.Occupancy.tbs_per_sm);
+        ("n_waves", Json.Int n_waves) ]
+  end;
+  Ok
+    { total_cycles;
+      microseconds = Alcop_hw.Hw_config.cycles_to_us hw total_cycles;
+      n_waves; tbs_per_sm = occ.Occupancy.tbs_per_sm;
+      occupancy_limiter = occ.Occupancy.limiter; wave_cycles; tail_cycles;
+      miss_rate; compute_utilization; wave_busy }
 
 let run ?pool (req : request) =
-  let hw = req.hw in
   match plan req with
   | Error f -> Error f
   | Ok pl ->
-    let occ = pl.plan_occ in
-    let full_waves = pl.full_waves and rem = pl.remainder in
-    (* When observability is on, attach the arena recorder to the
-       representative wave (the full wave when one exists, else the tail)
-       so the stall breakdown rides along at no extra simulation cost. *)
-    let arena = if Alcop_obs.Obs.enabled () then Some (obtain_arena ()) else None in
-    let representative_is_full = pl.full_cfg <> None in
-    let full_arena = if representative_is_full then arena else None in
-    let tail_arena = if representative_is_full then None else arena in
-    let sim cfg = function
-      | Some ar -> simulate_packed ~arena:ar cfg req.program
-      | None -> cached_simulate cfg req.program
-    in
-    (* The full and tail waves are independent simulations; with a pool of
-       2+ workers run them on two domains. Only the representative wave
-       carries the arena, so it is written by exactly one worker and read
-       after the join — and the combination below is in fixed (full, tail)
-       order, so the result is bit-identical to the sequential pair. *)
-    let full_result, tail_result =
-      match (pool, pl.full_cfg, pl.tail_cfg) with
-      | Some p, Some full_cfg, Some tail_cfg when Alcop_par.Pool.jobs p > 1 ->
-        (match
-           Alcop_par.Pool.map p
-             (fun (cfg, ar) -> sim cfg ar)
-             [ (full_cfg, full_arena); (tail_cfg, tail_arena) ]
-         with
-        | [ fr; tr ] -> (Some (full_cfg, fr), Some (tail_cfg, tr))
-        | _ -> assert false)
-      | _ ->
-        ( Option.map (fun cfg -> (cfg, sim cfg full_arena)) pl.full_cfg,
-          Option.map (fun cfg -> (cfg, sim cfg tail_arena)) pl.tail_cfg )
-    in
-    let wave_cycles =
-      match full_result with Some (_, r) -> r.cycles | None -> 0.0
-    in
-    let tail_cycles =
-      match tail_result with Some (_, r) -> r.cycles | None -> 0.0
-    in
-    let body = (float_of_int full_waves *. wave_cycles) +. tail_cycles in
-    let total_cycles =
-      ((body +. launch_overhead_cycles) *. jitter req.jitter_key)
-    in
-    let compute_utilization =
-      match full_result, tail_result with
-      | Some (_, r), _ | None, Some (_, r) ->
-        if r.cycles > 0.0 then Float.min 1.0 (r.compute_busy /. r.cycles)
-        else 0.0
-      | None, None -> 0.0
-    in
-    let n_waves = full_waves + (if rem > 0 then 1 else 0) in
-    let miss_rate =
-      match full_result, tail_result with
-      | Some (cfg, _), _ | None, Some (cfg, _) -> cfg.miss_rate
-      | None, None -> 0.0
-    in
-    let wave_busy =
-      match full_result, tail_result with
-      | Some (_, r), _ | None, Some (_, r) -> Some r
-      | None, None -> None
-    in
-    (* Surface the representative wave's busy breakdown, the stall
-       attribution and the occupancy decision as telemetry — this is
-       exactly the data behind the paper's ablation figures, and it is
-       free when no sink is installed. *)
-    if Alcop_obs.Obs.enabled () then begin
-      let open Alcop_obs in
-      (match wave_busy, arena with
-       | Some r, Some a when r.cycles > 0.0 ->
-         let frac busy = Float.min 1.0 (busy /. r.cycles) in
-         Obs.gauge "timing.busy.compute" (frac r.compute_busy);
-         Obs.gauge "timing.busy.dram" (frac r.dram_busy);
-         Obs.gauge "timing.busy.llc" (frac r.llc_busy);
-         Obs.gauge "timing.busy.smem" (frac r.smem_busy);
-         List.iter
-           (fun (cls, f) ->
-             if cls <> Launch then
-               Obs.gauge ("timing.stall." ^ stall_class_name cls) f)
-           (critical_stall_fractions r a)
-       | _ -> ());
-      Obs.gauge "timing.tbs_per_sm" (float_of_int occ.Occupancy.tbs_per_sm);
-      Obs.gauge "timing.n_waves" (float_of_int n_waves);
-      Obs.gauge "timing.miss_rate" miss_rate;
-      (* histogram, not gauge: across a tuning sweep or batch compile the
-         distribution of kernel latencies is the interesting object *)
-      Obs.observe "timing.kernel.cycles" total_cycles;
-      Obs.point "timing.occupancy"
-        [ ("limiter", Json.Str occ.Occupancy.limiter);
-          ("tbs_per_sm", Json.Int occ.Occupancy.tbs_per_sm);
-          ("n_waves", Json.Int n_waves) ]
-    end;
-    Ok
-      { total_cycles;
-        microseconds = Alcop_hw.Hw_config.cycles_to_us hw total_cycles;
-        n_waves; tbs_per_sm = occ.Occupancy.tbs_per_sm;
-        occupancy_limiter = occ.Occupancy.limiter; wave_cycles; tail_cycles;
-        miss_rate; compute_utilization; wave_busy }
+    (* When observability is on, record the representative wave (the full
+       wave when one exists, else the tail) so the stall breakdown rides
+       along at no extra simulation cost. *)
+    let rc = if Alcop_obs.Obs.enabled () then Some (recording ()) else None in
+    let full_rc = if pl.full_cfg <> None then rc else None in
+    let tail_rc = if pl.full_cfg <> None then None else rc in
+    time_kernel ?pool req pl ~full_rc ~tail_rc
+
+let run_recorded (req : request) =
+  match plan req with
+  | Error f -> Error f
+  | Ok pl ->
+    let fresh cfg = Option.map (fun _ -> recording ()) cfg in
+    let recorded = ref [] in
+    Result.map
+      (fun timing -> (timing, !recorded))
+      (time_kernel ~recorded req pl ~full_rc:(fresh pl.full_cfg)
+         ~tail_rc:(fresh pl.tail_cfg))

@@ -36,7 +36,7 @@ type wave_result = {
 (** {1 Stall attribution}
 
     Every advance of a threadblock's simulated clock carries a stall
-    class. The intervals reported for one threadblock are contiguous and
+    class. The intervals recorded for one threadblock are contiguous and
     non-overlapping, so per-class totals sum exactly to that
     threadblock's finish time (the telescoping invariant [Profile] and
     the tests rely on). *)
@@ -54,97 +54,100 @@ val stall_class_name : stall_class -> string
 
 val all_stall_classes : stall_class list
 
-type advance = {
-  adv_tb : int;                 (** threadblock index within the wave *)
-  adv_class : stall_class;
-  adv_group : string option;
-      (** pipeline group whose wait caused the interval, if any *)
-  adv_ordinal : int;
-      (** ordinal of the consumed batch within its group (stage slot =
-          ordinal mod stages); [-1] for intervals not tied to a batch *)
-  adv_start : float;
-  adv_stop : float;
-}
+val stall_class_index : stall_class -> int
+(** Position of the class in {!all_stall_classes}. *)
 
-type flight = {
-  fl_tb : int;
-  fl_group : string option;
-  fl_batch : int;  (** batch ordinal within the group; [-1] when ungrouped *)
-  fl_async : bool;
-  fl_level : Trace.level;
-  fl_bytes : int;
-  fl_issue : float;
-  fl_land : float;
-}
+(** {1 Recorded replay}
 
-type probe = {
-  on_advance : advance -> unit;
-  on_flight : flight -> unit;
-}
+    A recorded wave keeps every observation the engine makes, in engine
+    order. [tb] is the threadblock index within the wave; [group] is an
+    index into [Trace.program.groups], [-1] when there is none. *)
 
-(** {1 Pipeline probe}
-
-    Opt-in channel for the pipeline observatory ({!Pipeview}), separate
-    from {!probe}: the [advance] stream materializes only non-empty stall
-    intervals, so a wait whose batch already landed — positive prefetch
-    slack, the thing multi-stage buffering exists to produce — is
-    invisible there. These events carry the ready/start cycle pair of
-    every commit and wait regardless of whether anyone stalled. With the
-    probe absent the engine performs no extra work or allocation. *)
-
-type pipe_event =
+type event =
+  | Interval of {
+      tb : int;
+      cls : stall_class;
+      group : int;  (** the pipeline group whose wait caused it, or [-1] *)
+      ordinal : int;
+          (** consumption ordinal of that wait (stage slot = ordinal mod
+              stages); [-1] for intervals not tied to a batch *)
+      start : float;
+      stop : float;
+    }
+      (** one non-empty advance of the threadblock's clock; a
+          threadblock's intervals are contiguous from 0 to its finish *)
+  | Flight of {
+      tb : int;
+      group : int;
+      batch : int;  (** batch ordinal within the group; [-1] when ungrouped *)
+      async : bool;
+      level : Trace.level;
+      bytes : int;
+      issue : float;
+      landed : float;
+    }  (** one load, from issue to landing *)
   | Fill of {
-      pf_tb : int;
-      pf_group : int;  (** index into [Trace.program.groups] *)
-      pf_batch : int;  (** batch ordinal the commit closes *)
-      pf_commit : float;  (** cycle the commit issues *)
-      pf_ready : float;
+      tb : int;
+      group : int;
+      batch : int;  (** batch ordinal the commit closes *)
+      commit : float;  (** cycle the commit issues *)
+      ready : float;
           (** cycle the batch's last async load lands ([0.] when the
               batch contains no loads) *)
     }
   | Consume of {
-      pc_tb : int;
-      pc_group : int;
-      pc_ordinal : int;  (** consumption ordinal of the wait *)
-      pc_consumed : int;
+      tb : int;
+      group : int;
+      ordinal : int;  (** consumption ordinal of the wait *)
+      consumed : int;
           (** committed batch index it consumes; [-1] when the wait fired
               before any commit *)
-      pc_start : float;  (** cycle the wait begins; prefetch slack is
-                             [pc_start -. pc_ready] — negative means the
-                             consumer stalled (exposed latency) *)
-      pc_ready : float;  (** cycle the consumed batch landed *)
-      pc_finish : float;  (** [max pc_start pc_ready] *)
+      start : float;
+          (** cycle the wait begins; prefetch slack is [start -. ready] —
+              negative means the consumer stalled (exposed latency) *)
+      ready : float;  (** cycle the consumed batch landed *)
+      finish : float;  (** [max start ready] *)
     }
-  | Barrier_wait of { pw_tb : int; pw_start : float; pw_finish : float }
-  | Drain of { pd_tb : int; pd_start : float; pd_finish : float }
-      (** end-of-program wait for outstanding loads/stores; [pd_finish]
-          is the threadblock's completion time *)
+      (** every pipeline wait, whether or not it stalled: positive
+          prefetch slack produces no [Interval] but shows here *)
+  | Barrier_wait of { tb : int; start : float; finish : float }
+  | Drain of { tb : int; start : float; finish : float }
+      (** end-of-program wait for outstanding loads/stores; [finish] is
+          the threadblock's completion time *)
+
+type recording
+(** The events of one simulated wave, stored in flat columns: recording
+    allocates nothing per event. *)
+
+val recording : unit -> recording
+(** An empty recording, to pass to {!simulate_program}. *)
+
+val fold : ?tb:int -> ('a -> event -> 'a) -> 'a -> recording -> 'a
+(** Fold over the recorded events in engine order; with [tb], over the
+    events of that threadblock only. *)
+
+val finish_times : recording -> float array
+(** Per threadblock, the finish time of its [Drain]. *)
+
+val critical_tb : recording -> int
+(** The critical threadblock: the lowest index among the maximal finish
+    times. *)
 
 val simulate_program :
-  ?probe:probe -> ?pipe:(pipe_event -> unit) -> config -> Trace.program ->
-  wave_result
+  ?recording:recording -> config -> Trace.program -> wave_result
 (** Replay one wave of a packed program. This is the engine: flat
     array-backed scoreboard state drawn from a domain-local scratch arena,
-    O(1) allocation per wave. With [?probe], reports every clock advance
-    ([on_advance]) and every load's issue-to-land flight ([on_advance]
-    intervals of one threadblock are contiguous from 0 to its finish
-    time). With [?pipe], additionally reports every pipeline fill/consume
-    and barrier/drain wait. Without either the attribution bookkeeping is
-    skipped entirely. *)
-
-val simulate_wave :
-  ?probe:probe -> ?pipe:(pipe_event -> unit) -> config ->
-  Trace.event array -> wave_result
-(** [simulate_program] over [Trace.pack] — the boxed-event view, for tests
-    and hand-built traces. *)
+    O(1) allocation per wave. With [?recording], first empties it, then
+    writes every observation of the wave into it; without one the
+    attribution bookkeeping is skipped entirely. *)
 
 (** {1 Incremental wave reuse}
 
     Opt-in cache of wave results keyed by (program content hash,
     residents, active SMs), with a structural config/program check on hit.
     Between tuner trials, candidate schedules that share a wave shape skip
-    re-simulation. Probe-carrying waves (profiling, observability gauges)
-    always simulate. *)
+    re-simulation. Recorded waves (profiling, observability gauges) always
+    simulate. *)
 
 val with_wave_reuse : (unit -> 'a) -> 'a
 (** Run [f] with wave-result reuse enabled (process-wide flag; nests). *)
@@ -224,21 +227,6 @@ val jitter : int -> float
 
 val bank_conflict_penalty : swizzle:bool -> tb_k:int -> elem_bytes:int -> float
 
-(** {1 Wave planning} *)
-
-type plan = {
-  plan_occ : Occupancy.t;
-  full_waves : int;
-  remainder : int;        (** threadblocks in the partial tail wave *)
-  full_cfg : config option;  (** [Some] iff [full_waves > 0] *)
-  tail_cfg : config option;  (** [Some] iff [remainder > 0] *)
-}
-
-val plan : request -> (plan, Occupancy.failure) result
-(** How the grid quantizes into full and tail waves, and the per-wave
-    simulation configs. [run] and [Profile] both build on this, so a
-    profiled wave replays exactly the machine state [run] timed. *)
-
 val run : ?pool:Alcop_par.Pool.t -> request -> (kernel_timing, Occupancy.failure) result
 (** Simulate a whole kernel launch. [Error] when the threadblock exceeds
     per-threadblock hardware resources (the schedule "fails to compile").
@@ -251,3 +239,18 @@ val run : ?pool:Alcop_par.Pool.t -> request -> (kernel_timing, Occupancy.failure
     ([timing.stall.<class>]) and the occupancy decision
     ([timing.tbs_per_sm], [timing.n_waves], [timing.miss_rate], plus a
     [timing.occupancy] point carrying the limiter). *)
+
+type recorded_wave = {
+  rw_label : string;  (** ["full"] or ["tail"] *)
+  rw_count : int;  (** how many identical waves the kernel runs *)
+  rw_config : config;
+  rw_result : wave_result;
+  rw_recording : recording;
+}
+
+val run_recorded :
+  request ->
+  (kernel_timing * recorded_wave list, Occupancy.failure) result
+(** {!run}, with every wave recorded: each wave is simulated once, and
+    its recording is returned next to the kernel timing, full wave first
+    when both exist. Emits the same telemetry as {!run}. *)

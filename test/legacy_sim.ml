@@ -10,6 +10,34 @@
 
 open Alcop_gpusim
 
+(* The probe channel the engine reported through when this copy was
+   frozen; the packed engine's recording projects onto it in [Test_packed]. *)
+
+type advance = {
+  adv_tb : int;
+  adv_class : Timing.stall_class;
+  adv_group : string option;
+  adv_ordinal : int;
+  adv_start : float;
+  adv_stop : float;
+}
+
+type flight = {
+  fl_tb : int;
+  fl_group : string option;
+  fl_batch : int;
+  fl_async : bool;
+  fl_level : Trace.level;
+  fl_bytes : int;
+  fl_issue : float;
+  fl_land : float;
+}
+
+type probe = {
+  on_advance : advance -> unit;
+  on_flight : flight -> unit;
+}
+
 type server = { mutable next_free : float; mutable busy : float }
 
 let server () = { next_free = 0.0; busy = 0.0 }
@@ -111,8 +139,8 @@ let simulate_wave ?probe (cfg : Timing.config) (trace : Trace.event array) =
   let att i cls group ordinal start stop =
     match probe with
     | Some p when stop > start ->
-      p.Timing.on_advance
-        { Timing.adv_tb = i; adv_class = cls; adv_group = group;
+      p.on_advance
+        { adv_tb = i; adv_class = cls; adv_group = group;
           adv_ordinal = ordinal; adv_start = start; adv_stop = stop }
     | _ -> ()
   in
@@ -175,8 +203,8 @@ let simulate_wave ?probe (cfg : Timing.config) (trace : Trace.event array) =
         end);
        (match probe with
         | Some p ->
-          p.Timing.on_flight
-            { Timing.fl_tb = i; fl_group = group; fl_batch = !batch_ord;
+          p.on_flight
+            { fl_tb = i; fl_group = group; fl_batch = !batch_ord;
               fl_async = async; fl_level = level; fl_bytes = bytes;
               fl_issue = now; fl_land = completion }
         | None -> ());

@@ -364,7 +364,7 @@ let profile_jsonl_trace ~smem_stages ~reg_stages =
   | Ok c ->
     (match
        Alcop_gpusim.Profile.run ~op:"MM_RN50_FC"
-         ~groups:c.Alcop.Compiler.groups c.Alcop.Compiler.timing_request
+         c.Alcop.Compiler.timing_request
      with
      | Error f ->
        Alcotest.failf "profile failed: %a" Alcop_gpusim.Occupancy.pp_failure f
@@ -393,8 +393,7 @@ let test_fig23_stall_diff_accounts_for_cycle_delta () =
     match Alcop_gpusim.Profile.representative p with
     | None -> Alcotest.fail "no wave"
     | Some w ->
-      w.Alcop_gpusim.Profile.w_tbs.(w.Alcop_gpusim.Profile.w_critical)
-        .Alcop_gpusim.Profile.tb_cycles
+      Alcop_gpusim.Profile.tb_cycles w (Alcop_gpusim.Profile.critical w)
   in
   let deltas =
     Analytics.diff_stalls

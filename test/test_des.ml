@@ -14,9 +14,9 @@ let cfg ?(residents = 1) ?(active_sms = 108) ?(miss_rate = 1.0)
     smem_penalty = 1.0; issue_overhead = 0.0; barrier_groups }
 
 let run ?residents ?active_sms ?miss_rate ?warps_per_tb ?barrier_groups events =
-  Timing.simulate_wave
+  Timing.simulate_program
     (cfg ?residents ?active_sms ?miss_rate ?warps_per_tb ?barrier_groups ())
-    (Array.of_list events)
+    (Trace.pack (Array.of_list events))
 
 let compute flops = Trace.Compute { flops }
 let gload bytes = Trace.Load { level = Trace.From_global; bytes; async = false; group = None }

@@ -5,12 +5,12 @@
    over random schedules — unstructured event soups and structured
    multi-stage pipelines, scope-synchronized and not — and demand exact
    equality: wave latencies, busy counters, the full advance/flight
-   probe streams (hence per-class stall breakdowns), at -j 1 and -j 4.
-   They are what allowed the legacy replay path to be deleted from the
-   library.
+   probe streams (hence per-class stall breakdowns; the packed side's
+   recording projects onto them), at -j 1 and -j 4. They are what
+   allowed the legacy replay path to be deleted from the library.
 
-   Also here: incremental wave-reuse soundness and the allocation budget
-   of a cold compile+simulate. *)
+   Also here: the recording's own stream contract, incremental wave-reuse
+   soundness and the allocation budgets of a cold compile+simulate. *)
 
 open Alcop_gpusim
 
@@ -129,18 +129,44 @@ let gen_sched =
 let arb_sched = QCheck.make ~print:sched_to_string gen_sched
 
 let collecting () =
-  let advs : Timing.advance list ref = ref [] in
-  let fls : Timing.flight list ref = ref [] in
-  ( { Timing.on_advance = (fun a -> advs := a :: !advs);
+  let advs : Legacy_sim.advance list ref = ref [] in
+  let fls : Legacy_sim.flight list ref = ref [] in
+  ( { Legacy_sim.on_advance = (fun a -> advs := a :: !advs);
       on_flight = (fun f -> fls := f :: !fls) },
     advs, fls )
+
+(* A recorded packed replay, projected onto the legacy probe streams: its
+   [Interval] and [Flight] events, newest first like [collecting]. *)
+let recorded_streams cfg (program : Trace.program) =
+  let rc = Timing.recording () in
+  let r = Timing.simulate_program ~recording:rc cfg program in
+  let name g = if g >= 0 then Some program.Trace.groups.(g) else None in
+  let advs, fls =
+    Timing.fold
+      (fun (advs, fls) -> function
+        | Timing.Interval { tb; cls; group; ordinal; start; stop } ->
+          ( { Legacy_sim.adv_tb = tb; adv_class = cls; adv_group = name group;
+              adv_ordinal = ordinal; adv_start = start; adv_stop = stop }
+            :: advs,
+            fls )
+        | Timing.Flight { tb; group; batch; async; level; bytes; issue; landed }
+          ->
+          ( advs,
+            { Legacy_sim.fl_tb = tb; fl_group = name group; fl_batch = batch;
+              fl_async = async; fl_level = level; fl_bytes = bytes;
+              fl_issue = issue; fl_land = landed }
+            :: fls )
+        | _ -> (advs, fls))
+      ([], []) rc
+  in
+  (r, advs, fls)
 
 (* Latency + busy equivalence, no probe: the tuner-facing fast path. *)
 let prop_results_equal =
   QCheck.Test.make ~name:"packed replay == legacy (latencies, busy)"
     ~count:150 arb_sched (fun s ->
       let legacy = Legacy_sim.simulate_wave s.cfg s.events in
-      let packed = Timing.simulate_wave s.cfg s.events in
+      let packed = Timing.simulate_program s.cfg (Trace.pack s.events) in
       legacy = packed)
 
 (* Probe equivalence: the complete advance and flight streams — classes,
@@ -150,10 +176,9 @@ let prop_probe_streams_equal =
   QCheck.Test.make ~name:"packed replay == legacy (probe streams)"
     ~count:120 arb_sched (fun s ->
       let lp, ladv, lfl = collecting () in
-      let pp, padv, pfl = collecting () in
       let lr = Legacy_sim.simulate_wave ~probe:lp s.cfg s.events in
-      let pr = Timing.simulate_wave ~probe:pp s.cfg s.events in
-      lr = pr && !ladv = !padv && !lfl = !pfl)
+      let pr, padv, pfl = recorded_streams s.cfg (Trace.pack s.events) in
+      lr = pr && !ladv = padv && !lfl = pfl)
 
 (* Same, over real compiler output: traces extracted from random
    pipelined kernels (reusing the property-test generator), with the
@@ -181,10 +206,42 @@ let prop_compiled_equal =
             barrier_groups }
         in
         let lp, ladv, lfl = collecting () in
-        let pp, padv, pfl = collecting () in
         let lr = Legacy_sim.simulate_wave ~probe:lp cfg events in
-        let pr = Timing.simulate_program ~probe:pp cfg program in
-        lr = pr && !ladv = !padv && !lfl = !pfl)
+        let pr, padv, pfl = recorded_streams cfg program in
+        lr = pr && !ladv = padv && !lfl = pfl)
+
+(* The recording's stream contract on compiled kernels: no wait finishes
+   before its batch is ready or before it begins, and each threadblock's
+   intervals run contiguously from 0 to its drain's finish. *)
+let prop_recording_contract =
+  QCheck.Test.make
+    ~name:"recording: consumes finish after ready, intervals tile each TB"
+    ~count:25 Test_property.arb_case (fun c ->
+      match Test_property.compile_case c with
+      | None -> QCheck.assume_fail ()
+      | Some (_, _, kernel, groups) ->
+        let program = Trace.extract_program ~groups kernel in
+        let cfg =
+          { Timing.hw; residents = 3; active_sms = 8; warps_per_tb = 4;
+            miss_rate = 0.5; smem_penalty = 1.0; issue_overhead = 4.0;
+            barrier_groups = [] }
+        in
+        let rc = Timing.recording () in
+        ignore (Timing.simulate_program ~recording:rc cfg program);
+        let reached = Array.make cfg.Timing.residents 0.0 in
+        let ok =
+          Timing.fold
+            (fun ok -> function
+              | Timing.Consume { start; ready; finish; _ } ->
+                ok && finish >= ready && finish >= start
+              | Timing.Interval { tb; start; stop; _ } ->
+                let contiguous = start = reached.(tb) in
+                reached.(tb) <- stop;
+                ok && contiguous
+              | _ -> ok)
+            true rc
+        in
+        ok && reached = Timing.finish_times rc)
 
 (* The packed form is lossless: decoding every index of [pack events]
    returns the original boxed event — including the new sync bit on
@@ -245,7 +302,8 @@ let test_empty_trace () =
       barrier_groups = [] }
   in
   Alcotest.(check bool) "empty trace identical" true
-    (Legacy_sim.simulate_wave cfg [||] = Timing.simulate_wave cfg [||])
+    (Legacy_sim.simulate_wave cfg [||]
+     = Timing.simulate_program cfg (Trace.pack [||]))
 
 (* Wave reuse returns exactly what a fresh simulation returns, and the
    cache actually hits. Hits are asserted in aggregate because the cache
@@ -287,6 +345,13 @@ let alloc_budget_pipeline = 9_000.0
 let alloc_budget_trace_extract = 2_500.0
 let alloc_budget_simulate = 1_000.0
 let alloc_budget_fingerprint = 2_000.0
+
+(* With observability on, [Timing.run] records its representative wave
+   for the [timing.stall.*] gauges. Writing the recording allocates
+   nothing per event and the gauges read its columns in place, so a
+   per-event allocation shows up here: measured 2.3e3 minor words on the
+   budget schedule, and the ceiling is ~2x that. *)
+let alloc_budget_simulate_traced = 4_500.0
 
 let budget_spec () =
   let spec = Alcop_workloads.Suites.mm_rn50_fc in
@@ -352,12 +417,26 @@ let test_per_pass_budgets () =
   check_budget "fingerprint" alloc_budget_fingerprint (fun () ->
       Alcop.Fingerprint.compile_key ~hw ~extra_regs_per_thread:0 params spec)
 
+let test_traced_simulate_budget () =
+  let spec, _tiling, params = budget_spec () in
+  let session = Alcop.Session.create ~hw ~cache:false () in
+  match Alcop.Session.compile session params spec with
+  | Error _ -> Alcotest.fail "budget compile failed"
+  | Ok c ->
+    Alcop_obs.Obs.reset ();
+    Alcop_obs.Obs.record ();
+    Fun.protect ~finally:Alcop_obs.Obs.reset (fun () ->
+        check_budget "simulate, observability on"
+          alloc_budget_simulate_traced (fun () ->
+            Alcop_gpusim.Timing.run c.Alcop.Compiler.timing_request))
+
 let suite =
   [ ( "packed",
       [ QCheck_alcotest.to_alcotest prop_pack_decode_roundtrip;
         QCheck_alcotest.to_alcotest prop_results_equal;
         QCheck_alcotest.to_alcotest prop_probe_streams_equal;
         QCheck_alcotest.to_alcotest prop_compiled_equal;
+        QCheck_alcotest.to_alcotest prop_recording_contract;
         Alcotest.test_case "-j1 == -j4 over 100 random schedules" `Quick
           test_parallel_waves_identical;
         Alcotest.test_case "empty trace" `Quick test_empty_trace;
@@ -366,4 +445,6 @@ let suite =
         Alcotest.test_case "allocation budget per cold compile" `Quick
           test_allocation_budget;
         Alcotest.test_case "allocation budgets per pass" `Quick
-          test_per_pass_budgets ] ) ]
+          test_per_pass_budgets;
+        Alcotest.test_case "allocation budget, traced simulate" `Quick
+          test_traced_simulate_budget ] ) ]

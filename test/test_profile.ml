@@ -26,50 +26,49 @@ let profile_of ?(smem_stages = 3) ?(reg_stages = 2) () =
   | Error e -> Alcotest.failf "compile failed: %s" (Alcop.Compiler.error_to_string e)
   | Ok c ->
     (match
-       Profile.run ~op:"MM_RN50_FC" ~groups:c.Alcop.Compiler.groups
-         c.Alcop.Compiler.timing_request
+       Profile.run ~op:"MM_RN50_FC" c.Alcop.Compiler.timing_request
      with
      | Error f -> Alcotest.failf "profile failed: %a" Occupancy.pp_failure f
      | Ok p -> p)
 
 (* Every simulated cycle of every threadblock is attributed to exactly one
-   stall class: the recorded segments are contiguous from 0 to the
+   stall class: the recorded intervals are contiguous from 0 to the
    threadblock's finish time, so the per-class sums telescope to
    [tb_cycles] (up to float addition noise), in every wave. *)
 let test_stall_cycles_sum_to_wave_cycles () =
   let p = profile_of () in
   Alcotest.(check bool) "at least one wave" true (p.Profile.p_waves <> []);
   List.iter
-    (fun (w : Profile.wave_profile) ->
-      Array.iter
-        (fun (tb : Profile.tb_profile) ->
-          (* contiguity: each segment starts where the previous stopped *)
-          let _ =
-            Array.fold_left
-              (fun prev (s : Profile.segment) ->
-                Alcotest.(check (float 1e-6))
-                  "segments contiguous" prev s.Profile.sg_start;
-                s.Profile.sg_stop)
-              0.0 tb.Profile.tb_segments
-          in
-          let class_sum =
-            List.fold_left
-              (fun acc cls -> acc +. Profile.class_cycles tb cls)
-              0.0 Timing.all_stall_classes
-          in
-          let tol = 1e-9 *. Float.max 1.0 tb.Profile.tb_cycles in
-          Alcotest.(check bool)
-            (Printf.sprintf "wave %s tb %d: classes sum to tb_cycles"
-               w.Profile.w_label tb.Profile.tb_index)
-            true
-            (Float.abs (class_sum -. tb.Profile.tb_cycles) <= tol);
-          (* the slowest threadblock defines the wave *)
-          Alcotest.(check bool) "tb within wave" true
-            (tb.Profile.tb_cycles <= w.Profile.w_result.Timing.cycles +. tol))
-        w.Profile.w_tbs;
-      let crit = w.Profile.w_tbs.(w.Profile.w_critical) in
-      Alcotest.(check (float 1e-6)) "critical tb defines wave cycles"
-        w.Profile.w_result.Timing.cycles crit.Profile.tb_cycles)
+    (fun (w : Timing.recorded_wave) ->
+      let cycles = w.Timing.rw_result.Timing.cycles in
+      for tb = 0 to w.Timing.rw_config.Timing.residents - 1 do
+        (* contiguity: each interval starts where the previous stopped *)
+        let _ =
+          Timing.fold
+            (fun prev -> function
+              | Timing.Interval { tb = i; start; stop; _ } when i = tb ->
+                Alcotest.(check (float 1e-6)) "segments contiguous" prev start;
+                stop
+              | _ -> prev)
+            0.0 w.Timing.rw_recording
+        in
+        let tb_cycles = Profile.tb_cycles w tb in
+        let class_sum =
+          List.fold_left
+            (fun acc cls -> acc +. Profile.class_cycles w tb cls)
+            0.0 Timing.all_stall_classes
+        in
+        let tol = 1e-9 *. Float.max 1.0 tb_cycles in
+        Alcotest.(check bool)
+          (Printf.sprintf "wave %s tb %d: classes sum to tb_cycles"
+             w.Timing.rw_label tb)
+          true
+          (Float.abs (class_sum -. tb_cycles) <= tol);
+        (* the slowest threadblock defines the wave *)
+        Alcotest.(check bool) "tb within wave" true (tb_cycles <= cycles +. tol)
+      done;
+      Alcotest.(check (float 1e-6)) "critical tb defines wave cycles" cycles
+        (Profile.tb_cycles w (Profile.critical w)))
     p.Profile.p_waves
 
 (* Per-stage buckets: stage slots of wait stalls lie in [0, stages) of
@@ -79,15 +78,14 @@ let test_per_stage_buckets_bounded () =
   match Profile.representative p with
   | None -> Alcotest.fail "no wave"
   | Some w ->
-    let tb = w.Profile.w_tbs.(w.Profile.w_critical) in
-    let per_stage = Profile.stage_stalls tb in
+    let per_stage = Profile.stage_stalls p w (Profile.critical w) in
     Alcotest.(check bool) "has per-stage buckets" true (per_stage <> []);
     List.iter
       (fun ((gid, stage), cyc) ->
         let stages =
-          match List.assoc_opt gid p.Profile.p_stages with
-          | Some s -> s
-          | None -> Alcotest.failf "unknown group %s" gid
+          if Array.mem gid p.Profile.p_program.Trace.groups then
+            Profile.stages_of p gid
+          else Alcotest.failf "unknown group %s" gid
         in
         Alcotest.(check bool)
           (Printf.sprintf "%s stage %d within [0,%d)" gid stage stages)
@@ -104,9 +102,9 @@ let test_more_stages_less_stall () =
     match Profile.representative p with
     | None -> Alcotest.fail "no wave"
     | Some w ->
-      let tb = w.Profile.w_tbs.(w.Profile.w_critical) in
-      Profile.class_cycles tb Timing.Sync_wait
-      +. Profile.class_cycles tb Timing.Dram_bw
+      let tb = Profile.critical w in
+      Profile.class_cycles w tb Timing.Sync_wait
+      +. Profile.class_cycles w tb Timing.Dram_bw
   in
   let unpipelined = stall_of (profile_of ~smem_stages:1 ~reg_stages:1 ()) in
   let pipelined = stall_of (profile_of ~smem_stages:4 ~reg_stages:2 ()) in
