@@ -498,8 +498,6 @@ let suite =
           test_lock_probe_contended;
         Alcotest.test_case "probes are no-ops when off" `Quick
           test_probes_off_are_noops;
-        Alcotest.test_case "pass sample counts every minor word" `Quick
-          test_pass_sample_counts_minor_words;
         Alcotest.test_case "report golden" `Quick test_report_golden;
         Alcotest.test_case "analysis numbers" `Quick
           test_report_analysis_numbers;
@@ -507,4 +505,6 @@ let suite =
         Alcotest.test_case "entries gauge: capacity hammer at jobs=4" `Quick
           test_entries_gauge_capacity_hammer;
         Alcotest.test_case "entries gauge: -j invariant" `Quick
-          test_entries_gauge_jobs_invariant ] ) ]
+          test_entries_gauge_jobs_invariant;
+        Alcotest.test_case "pass sample counts every minor word" `Quick
+          test_pass_sample_counts_minor_words ] ) ]

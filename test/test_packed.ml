@@ -436,7 +436,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_results_equal;
         QCheck_alcotest.to_alcotest prop_probe_streams_equal;
         QCheck_alcotest.to_alcotest prop_compiled_equal;
-        QCheck_alcotest.to_alcotest prop_recording_contract;
         Alcotest.test_case "-j1 == -j4 over 100 random schedules" `Quick
           test_parallel_waves_identical;
         Alcotest.test_case "empty trace" `Quick test_empty_trace;
@@ -447,4 +446,5 @@ let suite =
         Alcotest.test_case "allocation budgets per pass" `Quick
           test_per_pass_budgets;
         Alcotest.test_case "allocation budget, traced simulate" `Quick
-          test_traced_simulate_budget ] ) ]
+          test_traced_simulate_budget;
+        QCheck_alcotest.to_alcotest prop_recording_contract ] ) ]
