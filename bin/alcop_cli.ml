@@ -118,21 +118,14 @@ let ops_cmd =
    The persistent artifact store is on by default (rooted per --store /
    $ALCOP_STORE / XDG, see [Store.default_root]) so repeated invocations
    skip work across processes; --no-store opts out, and an unwritable
-   root degrades to exactly that with a one-line warning. Opening the
-   store also installs it as the disk tier behind the simulator's
-   wave-reuse cache. *)
+   root degrades to exactly that with a one-line warning. *)
 let session_of ?store_dir ?(no_store = false) ~no_cache () =
   Passman.set_validate_ir true;
   let store =
     if no_store then None
-    else begin
+    else
       let st = Store.create ?root:store_dir () in
-      if Store.enabled st then begin
-        Store.install_wave_persist st;
-        Some st
-      end
-      else None
-    end
+      if Store.enabled st then Some st else None
   in
   let session =
     if no_cache then Session.create ~hw ~cache:false ()

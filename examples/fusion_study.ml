@@ -106,8 +106,10 @@ let () =
     | Ok result ->
       let groups = Alcop_pipeline.Pass.groups result in
       let kernel = result.Alcop_pipeline.Pass.kernel in
-      let trace = Alcop_gpusim.Trace.extract ~groups kernel in
-      let stats = Alcop_gpusim.Trace.stats_of trace in
+      let stats =
+        Alcop_gpusim.Trace.stats_of_program
+          (Alcop_gpusim.Trace.extract_program ~groups kernel)
+      in
       Format.printf "    %-28s trace: %d events, %d global bytes/TB%s@." label
         stats.Alcop_gpusim.Trace.n_events
         stats.Alcop_gpusim.Trace.global_load_bytes

@@ -56,8 +56,6 @@ let pp_error fmt = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-let latency_us hw c = Alcop_hw.Hw_config.cycles_to_us hw c.latency_cycles
-
 (* Cost of materializing a non-inlined element-wise producer as its own
    kernel: one read and one write of the tensor over DRAM, plus a launch. *)
 let materialize_cycles (hw : Alcop_hw.Hw_config.t) (lowered : Lower.lowered) =

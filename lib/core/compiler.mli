@@ -22,8 +22,6 @@ type compiled = {
           split-K reduction *)
 }
 
-val latency_us : Alcop_hw.Hw_config.t -> compiled -> float
-
 (** Structured compile failure — one constructor per phase, so callers and
     the observability layer see *what* failed instead of a flat string. *)
 type error =

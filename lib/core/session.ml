@@ -71,7 +71,6 @@ let create ?(hw = Alcop_hw.Hw_config.default) ?(capacity = 8192)
     hits = 0; misses = 0; evictions = 0 }
 
 let hw t = t.hw
-let cache_enabled t = t.cache
 let attach_store t store = t.store <- store
 let store t = t.store
 
@@ -125,23 +124,6 @@ let for_hw hw =
         let s = create ~hw () in
         Hashtbl.add registry key s;
         s)
-
-let default () = for_hw Alcop_hw.Hw_config.default
-
-let global_stats () =
-  let sessions =
-    Hostprof.locked registry_probe registry_lock (fun () ->
-        Hashtbl.fold (fun _ t acc -> t :: acc) registry [])
-  in
-  List.fold_left
-    (fun acc t ->
-      let s = stats t in
-      { entries = acc.entries + s.entries;
-        hits = acc.hits + s.hits;
-        misses = acc.misses + s.misses;
-        evictions = acc.evictions + s.evictions })
-    { entries = 0; hits = 0; misses = 0; evictions = 0 }
-    sessions
 
 (* --- the cache proper --- *)
 

@@ -67,11 +67,7 @@ val for_hw : Alcop_hw.Hw_config.t -> t
     targeting the same machine share one artifact store. Scaled or
     cross-generation machines (experiment E9) each get their own. *)
 
-val default : unit -> t
-(** [for_hw Alcop_hw.Hw_config.default]. *)
-
 val hw : t -> Alcop_hw.Hw_config.t
-val cache_enabled : t -> bool
 
 val compile :
   t ->
@@ -158,6 +154,3 @@ val summary : t -> string
 (** One line: entries, hits, misses, hit rate, evictions. Also calls
     {!publish_entries_gauge}. *)
 
-val global_stats : unit -> stats
-(** Aggregate over every registry session ({!for_hw}); sessions made with
-    {!create} are not included. *)

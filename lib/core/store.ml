@@ -6,9 +6,6 @@
    here is best-effort: an I/O failure is a miss (reads) or disables the
    store after one warning line (writes); no exception escapes. *)
 
-module Json = Alcop_obs.Json
-module Timing = Alcop_gpusim.Timing
-
 type stats = {
   hits : int;
   misses : int;
@@ -224,90 +221,3 @@ let gc t ?max_bytes () =
       by_age;
     !removed
   end
-
-(* --- wave-result persistence glue --- *)
-
-(* A disk wave entry cannot be verified against the live [Trace.program]
-   the way the in-memory cache verifies structurally, so each record
-   carries a digest of the complete simulation config (hardware model
-   included). The file key stays (program hash, residents, active SMs)
-   like the in-memory key; the digest check turns any config drift into
-   a miss rather than a wrong result. *)
-
-let wave_key ~program_hash (cfg : Timing.config) =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%s|%d|%d" program_hash cfg.Timing.residents
-          cfg.Timing.active_sms))
-
-let config_digest (cfg : Timing.config) =
-  Fingerprint.to_hex
-    (Fingerprint.of_json
-       (Json.Obj
-          [ ("hw", Fingerprint.json_of_hw cfg.Timing.hw);
-            ("residents", Json.Int cfg.Timing.residents);
-            ("active_sms", Json.Int cfg.Timing.active_sms);
-            ("warps_per_tb", Json.Int cfg.Timing.warps_per_tb);
-            ("miss_rate", Json.Float cfg.Timing.miss_rate);
-            ("smem_penalty", Json.Float cfg.Timing.smem_penalty);
-            ("issue_overhead", Json.Float cfg.Timing.issue_overhead);
-            ("barrier_groups",
-             Json.List
-               (List.map (fun s -> Json.Str s) cfg.Timing.barrier_groups)) ]))
-
-let wave_entry_version = 1
-
-let render_wave ~digest (r : Timing.wave_result) =
-  Json.to_string
-    (Json.Obj
-       [ ("v", Json.Int wave_entry_version);
-         ("cfg", Json.Str digest);
-         ("cycles", Json.Float r.Timing.cycles);
-         ("compute_busy", Json.Float r.Timing.compute_busy);
-         ("dram_busy", Json.Float r.Timing.dram_busy);
-         ("llc_busy", Json.Float r.Timing.llc_busy);
-         ("smem_busy", Json.Float r.Timing.smem_busy) ])
-
-let parse_wave data =
-  match Json.of_string data with
-  | Error _ -> None
-  | Ok doc ->
-    let num name = Option.bind (Json.member name doc) Json.number in
-    (match
-       ( Json.member "v" doc, Json.member "cfg" doc,
-         num "cycles", num "compute_busy", num "dram_busy",
-         num "llc_busy", num "smem_busy" )
-     with
-     | ( Some (Json.Int v), Some (Json.Str digest),
-         Some cycles, Some compute_busy, Some dram_busy,
-         Some llc_busy, Some smem_busy )
-       when v = wave_entry_version ->
-       Some
-         ( digest,
-           { Timing.cycles; compute_busy; dram_busy; llc_busy; smem_busy } )
-     | _ -> None)
-
-let install_wave_persist t =
-  Timing.set_wave_persist
-    (Some
-       { Timing.wp_load =
-           (fun ~program_hash cfg ->
-             let key = wave_key ~program_hash cfg in
-             match read t ~ns:"wave" key with
-             | None -> None
-             | Some data ->
-               (match parse_wave data with
-                | Some (digest, r) when String.equal digest (config_digest cfg)
-                  ->
-                  Some r
-                | Some _ -> None  (* config drift: a miss, entry intact *)
-                | None ->
-                  mark_corrupt t ~ns:"wave" key;
-                  None));
-         Timing.wp_save =
-           (fun ~program_hash cfg r ->
-             write t ~ns:"wave"
-               (wave_key ~program_hash cfg)
-               (render_wave ~digest:(config_digest cfg) r)) })
-
-let uninstall_wave_persist () = Timing.set_wave_persist None

@@ -1,8 +1,8 @@
 (** Persistent on-disk artifact store: warm compiles across processes.
 
     A store is a directory of small JSON entries, named by content
-    fingerprint and grouped into namespaces ([compile/] for session
-    evaluation records, [wave/] for simulator wave results). Entries are
+    fingerprint and grouped into namespaces; the one namespace in use,
+    [compile/], holds the session's evaluation records. Entries are
     sharded by the first two hex characters of the key so no directory
     grows unboundedly, and written atomically (unique temp file in the
     store root, then [rename]), so concurrent processes hammering the same
@@ -70,19 +70,3 @@ val gc : t -> ?max_bytes:int -> unit -> int
     [max_bytes] (default: the store's configured cap). Returns the number
     of files removed. Safe to run concurrently with readers/writers:
     losing a race to a concurrent delete is not an error. *)
-
-(** {2 Wave-result persistence}
-
-    Glue that installs this store as the disk tier behind the simulator's
-    in-memory wave-reuse cache ({!Alcop_gpusim.Timing.with_wave_reuse}).
-    Wave entries are keyed by (program hash, residents, active SMs) like
-    the in-memory cache; since a disk entry cannot be structurally
-    verified against the live program, each record carries a digest of
-    the full simulation config (including the hardware model) that must
-    match on load — a mismatch is a miss, never a wrong result. *)
-
-val install_wave_persist : t -> unit
-(** Route wave-cache misses through this store (process-wide; replaces
-    any previously installed store). *)
-
-val uninstall_wave_persist : unit -> unit

@@ -88,9 +88,6 @@ let set t idx v =
   Array.iteri (fun d i -> flat := !flat + (i * t.strides.(d))) idx;
   Bigarray.Array1.set t.data !flat v
 
-let of_buffer (b : Buffer.t) =
-  zeros ~dtype:b.Buffer.dtype b.Buffer.shape
-
 let map f t =
   let n = Bigarray.Array1.dim t.data in
   let data = alloc n in

@@ -32,7 +32,6 @@ val random : ?dtype:Dtype.t -> seed:int -> int list -> t
 
 val get : t -> int array -> float
 val set : t -> int array -> float -> unit
-val of_buffer : Buffer.t -> t
 val map : (float -> float) -> t -> t
 
 val max_abs_diff : t -> t -> float

@@ -646,25 +646,6 @@ let with_wave_reuse f =
 
 let wave_reuse_stats () = with_cache_lock (fun () -> (!wave_cache_hits, !wave_cache_misses))
 
-(* Optional disk tier behind the in-memory cache, injected from above
-   (lib/core's [Store] depends on this library, not vice versa). The
-   loader is handed the full config so it can verify a persisted entry
-   against the machine model before trusting it. Disk traffic depends on
-   what earlier processes left behind, so like the in-memory counters the
-   disk counters are a function, never [Obs] telemetry. *)
-type wave_persist = {
-  wp_load : program_hash:string -> config -> wave_result option;
-  wp_save : program_hash:string -> config -> wave_result -> unit;
-}
-
-let wave_persist : wave_persist option Atomic.t = Atomic.make None
-let set_wave_persist p = Atomic.set wave_persist p
-let wave_disk_hits = ref 0
-let wave_disk_misses = ref 0
-
-let wave_persist_stats () =
-  with_cache_lock (fun () -> (!wave_disk_hits, !wave_disk_misses))
-
 let wave_cache_clear () =
   with_cache_lock (fun () ->
       Hashtbl.reset wave_cache;
@@ -691,8 +672,7 @@ let config_equal (a : config) (b : config) =
 let cached_simulate (cfg : config) (p : Trace.program) =
   if not (Atomic.get wave_reuse) then simulate_packed cfg p
   else begin
-    let ph = Trace.program_hash p in
-    let key = (ph, cfg.residents, cfg.active_sms) in
+    let key = (Trace.program_hash p, cfg.residents, cfg.active_sms) in
     let hit =
       with_cache_lock (fun () ->
           match Hashtbl.find_opt wave_cache key with
@@ -703,7 +683,10 @@ let cached_simulate (cfg : config) (p : Trace.program) =
             incr wave_cache_misses;
             None)
     in
-    let insert r =
+    match hit with
+    | Some r -> r
+    | None ->
+      let r = simulate_packed cfg p in
       with_cache_lock (fun () ->
           if not (Hashtbl.mem wave_cache key) then begin
             if Queue.length wave_cache_fifo >= wave_cache_cap then
@@ -711,37 +694,8 @@ let cached_simulate (cfg : config) (p : Trace.program) =
             Hashtbl.replace wave_cache key
               { ce_cfg = cfg; ce_prog = p; ce_result = r };
             Queue.push key wave_cache_fifo
-          end)
-    in
-    match hit with
-    | Some r -> r
-    | None ->
-      (* Memory miss: consult the disk tier (when installed) before
-         simulating; a verified disk entry back-fills the memory cache so
-         the next hit in this process is lock-and-go. *)
-      let disk =
-        match Atomic.get wave_persist with
-        | None -> None
-        | Some wp ->
-          (match wp.wp_load ~program_hash:ph cfg with
-           | Some r ->
-             with_cache_lock (fun () -> incr wave_disk_hits);
-             Some r
-           | None ->
-             with_cache_lock (fun () -> incr wave_disk_misses);
-             None)
-      in
-      (match disk with
-       | Some r ->
-         insert r;
-         r
-       | None ->
-         let r = simulate_packed cfg p in
-         insert r;
-         (match Atomic.get wave_persist with
-          | Some wp -> wp.wp_save ~program_hash:ph cfg r
-          | None -> ());
-         r)
+          end);
+      r
   end
 
 (* --- Whole-kernel latency --- *)

@@ -143,11 +143,13 @@ val simulate_program :
 
 (** {1 Incremental wave reuse}
 
-    Opt-in cache of wave results keyed by (program content hash,
-    residents, active SMs), with a structural config/program check on hit.
-    Between tuner trials, candidate schedules that share a wave shape skip
-    re-simulation. Recorded waves (profiling, observability gauges) always
-    simulate. *)
+    Opt-in in-memory cache of wave results keyed by (program content
+    hash, residents, active SMs), with a structural config/program check
+    on hit. Between tuner trials, candidate schedules that share a wave
+    shape skip re-simulation. The cache is process-local and bounded
+    (first in, first out); across processes a repeated evaluation is
+    answered by the artifact store's evaluation records instead. Recorded
+    waves (profiling, observability gauges) always simulate. *)
 
 val with_wave_reuse : (unit -> 'a) -> 'a
 (** Run [f] with wave-result reuse enabled (process-wide flag; nests). *)
@@ -158,33 +160,9 @@ val wave_reuse_stats : unit -> int * int
     scheduling order, and the -j determinism contract says observability
     streams must not. *)
 
-(** {2 Disk tier}
-
-    An optional persistence layer behind the in-memory wave cache,
-    injected from the layer above (the artifact store lives in [Alcop]
-    which depends on this library). On a memory miss the loader is
-    consulted first; on a fresh simulation the saver is offered the
-    result. The loader receives the full {!config} so it can refuse
-    entries recorded under a different machine model — a load must
-    return a result only when it is exactly what simulation would
-    produce. *)
-
-type wave_persist = {
-  wp_load : program_hash:string -> config -> wave_result option;
-  wp_save : program_hash:string -> config -> wave_result -> unit;
-}
-
-val set_wave_persist : wave_persist option -> unit
-(** Install (or remove, with [None]) the process-wide disk tier. *)
-
-val wave_persist_stats : unit -> int * int
-(** [(disk hits, disk misses)] since process start; a function for the
-    same -j determinism reason as {!wave_reuse_stats}. *)
-
 val wave_cache_clear : unit -> unit
-(** Drop the in-memory wave cache (counters are kept). Exists so tests
-    can force the next lookup to the disk tier, simulating a fresh
-    process. *)
+(** Drop the wave cache (counters are kept), so the next lookup of every
+    key misses and simulates. *)
 
 type request = {
   hw : Alcop_hw.Hw_config.t;

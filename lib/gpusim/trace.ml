@@ -796,21 +796,6 @@ type stats = {
   n_events : int;
 }
 
-let stats_of trace =
-  Array.fold_left
-    (fun acc e ->
-      match e with
-      | Load { level = From_global; bytes; _ } ->
-        { acc with global_load_bytes = acc.global_load_bytes + bytes }
-      | Load { level = From_shared; bytes; _ } ->
-        { acc with shared_load_bytes = acc.shared_load_bytes + bytes }
-      | Store { bytes } -> { acc with store_bytes = acc.store_bytes + bytes }
-      | Compute { flops } -> { acc with flops = acc.flops + flops }
-      | Commit _ | Wait_oldest _ | Acquire _ | Release _ | Barrier -> acc)
-    { global_load_bytes = 0; shared_load_bytes = 0; store_bytes = 0; flops = 0;
-      n_events = Array.length trace }
-    trace
-
 let stats_of_program p =
   let global = ref 0 and shared = ref 0 and stores = ref 0 and flops = ref 0 in
   for i = 0 to p.n - 1 do

@@ -142,5 +142,4 @@ type stats = {
   n_events : int;
 }
 
-val stats_of : event array -> stats
 val stats_of_program : program -> stats

@@ -104,5 +104,3 @@ let us_to_cycles t us = us *. t.clock_ghz *. 1000.0
 
 let peak_tensor_tflops t =
   float_of_int (t.tensor_core_flops_per_cycle * t.num_sms) *. t.clock_ghz /. 1000.0
-
-let dram_gbytes_per_s t = t.dram_bytes_per_cycle *. t.clock_ghz

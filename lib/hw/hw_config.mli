@@ -46,4 +46,3 @@ val scope_needs_matching_sync : t -> Alcop_ir.Buffer.scope -> bool
 val cycles_to_us : t -> float -> float
 val us_to_cycles : t -> float -> float
 val peak_tensor_tflops : t -> float
-val dram_gbytes_per_s : t -> float

@@ -111,13 +111,6 @@ let squeeze_lens r = List.filter (fun l -> l <> 1) (region_lens r)
 let copy_shapes_compatible ~dst ~src =
   region_elems dst = region_elems src && squeeze_lens dst = squeeze_lens src
 
-let slice_equal a b = Expr.equal a.offset b.offset && a.len = b.len
-
-let region_equal a b =
-  String.equal a.buffer b.buffer
-  && List.length a.slices = List.length b.slices
-  && List.for_all2 slice_equal a.slices b.slices
-
 (* --- Traversal --- *)
 
 let rec iter f stmt =

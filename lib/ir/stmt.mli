@@ -93,8 +93,6 @@ val region_lens : region -> int list
 val region_elems : region -> int
 val squeeze_lens : region -> int list
 val copy_shapes_compatible : dst:region -> src:region -> bool
-val slice_equal : slice -> slice -> bool
-val region_equal : region -> region -> bool
 
 (** {2 Traversal} *)
 

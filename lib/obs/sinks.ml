@@ -230,5 +230,3 @@ let console_summary write =
           (Obs.hist_percentile h 0.99))
   in
   { Obs.emit; close }
-
-let console_summary_stdout () = console_summary print_string

@@ -35,5 +35,3 @@ val console_summary : (string -> unit) -> Obs.sink
 (** Human-readable summary printed on [close]: the span tree with
     wall-clock durations in call order, then counters, gauges and
     histogram quantiles sorted by name. *)
-
-val console_summary_stdout : unit -> Obs.sink

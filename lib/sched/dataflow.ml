@@ -165,10 +165,6 @@ let cache_stages t =
   List.filter (fun s -> match s.kind with Cache_read _ -> true | _ -> false)
     t.stages
 
-let elemwise_stages t =
-  List.filter (fun s -> match s.kind with Elemwise _ -> true | _ -> false)
-    t.stages
-
 (* The chain of cache reads feeding one GEMM operand, outermost (global
    side) first, e.g. ["A_sh"; "A_reg"]. *)
 let cache_chain t operand =

@@ -41,7 +41,6 @@ val remove_elemwise : t -> string -> t
 (** Remove an element-wise stage, rewiring consumers to its source. *)
 
 val cache_stages : t -> stage list
-val elemwise_stages : t -> stage list
 
 val cache_chain : t -> string -> string list * string
 (** [cache_chain t operand] follows cache reads from a GEMM operand back to

@@ -21,8 +21,6 @@ let params_to_json (p : Alcop_perfmodel.Params.t) =
       ("swizzle", Json.Bool p.Alcop_perfmodel.Params.swizzle);
       ("inner_fuse", Json.Bool p.Alcop_perfmodel.Params.inner_fuse) ]
 
-let json_of_params p = Json.to_string (params_to_json p)
-
 let opt_cost = function
   | Some c -> Json.Float c
   | None -> Json.Null

@@ -4,8 +4,6 @@
 val params_to_json : Alcop_perfmodel.Params.t -> Alcop_obs.Json.t
 (** The schedule knobs as a JSON object. *)
 
-val json_of_params : Alcop_perfmodel.Params.t -> string
-
 val run_to_json :
   ?features:(int * (string * float) list) list ->
   spec_name:string ->

@@ -141,8 +141,8 @@ let prop_trace_flops_invariant =
       let base = { c with smem_stages = 1; reg_stages = 1 } in
       match compile_case base, compile_case c with
       | Some (_, _, k0, g0), Some (_, _, k1, g1) ->
-        let s0 = Trace.stats_of (Trace.extract ~groups:g0 k0) in
-        let s1 = Trace.stats_of (Trace.extract ~groups:g1 k1) in
+        let s0 = Trace.stats_of_program (Trace.extract_program ~groups:g0 k0) in
+        let s1 = Trace.stats_of_program (Trace.extract_program ~groups:g1 k1) in
         s0.Trace.flops = s1.Trace.flops
         && s0.Trace.store_bytes = s1.Trace.store_bytes
         (* pipelining may add wrapped prefetches, never remove loads *)

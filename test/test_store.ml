@@ -1,10 +1,9 @@
-(* Tests for the persistent on-disk artifact store: cross-"process"
-   serving (a fresh session over a shared directory), corruption
-   tolerance, size-capped eviction, concurrent same-key hammering, and
-   wave-result persistence with config verification. *)
+(* Tests for the persistent on-disk artifact store of evaluation
+   records: cross-"process" serving (a fresh session over a shared
+   directory), corruption tolerance, size-capped eviction and concurrent
+   same-key hammering. *)
 
 open Alcop
-module Timing = Alcop_gpusim.Timing
 
 let hw = Alcop_hw.Hw_config.ampere_a100
 
@@ -292,70 +291,6 @@ let test_same_key_hammer () =
   in
   Alcotest.(check (list string)) "no stale temp files" [] leftovers
 
-(* --- wave-result persistence --- *)
-
-let timing_request () =
-  match Compiler.compile ~hw ~extra_regs_per_thread:0 params spec with
-  | Ok c -> c.Compiler.timing_request
-  | Error e -> Alcotest.failf "compile failed: %s" (Compiler.error_to_string e)
-
-let test_wave_persistence () =
-  let req = timing_request () in
-  let dir = fresh_dir () in
-  let st = Store.create ~root:dir () in
-  Store.install_wave_persist st;
-  Fun.protect ~finally:Store.uninstall_wave_persist (fun () ->
-      Timing.wave_cache_clear ();
-      let dh0, _ = Timing.wave_persist_stats () in
-      let cold =
-        Timing.with_wave_reuse (fun () -> Timing.run req)
-      in
-      Alcotest.(check bool) "wave entries written" true
-        (let _, b = Store.usage st in b > 0);
-      (* A "fresh process": drop the in-memory wave cache, keep the disk. *)
-      Timing.wave_cache_clear ();
-      let warm = Timing.with_wave_reuse (fun () -> Timing.run req) in
-      let dh1, _ = Timing.wave_persist_stats () in
-      Alcotest.(check bool) "disk tier hit" true (dh1 > dh0);
-      (match cold, warm with
-       | Ok a, Ok b ->
-         Alcotest.(check bool) "timing bit-identical through disk" true (a = b)
-       | _ -> Alcotest.fail "timing run failed");
-      (* Config drift must be a miss, not a wrong answer: same program,
-         different machine (different bandwidth -> different miss cost). *)
-      let hw' =
-        { hw with Alcop_hw.Hw_config.dram_bytes_per_cycle =
-            hw.Alcop_hw.Hw_config.dram_bytes_per_cycle /. 2.0 }
-      in
-      let req' = { req with Timing.hw = hw' } in
-      Timing.wave_cache_clear ();
-      let other = Timing.with_wave_reuse (fun () -> Timing.run req') in
-      (match other, cold with
-       | Ok o, Ok c ->
-         Alcotest.(check bool) "different config, different result" true
-           (o.Timing.total_cycles <> c.Timing.total_cycles)
-       | _ -> Alcotest.fail "drifted run failed");
-      (* Corrupt every wave entry: next run recomputes correctly. *)
-      Timing.wave_cache_clear ();
-      let ns_dir = Filename.concat dir "wave" in
-      Array.iter
-        (fun sh ->
-          let shd = Filename.concat ns_dir sh in
-          if Sys.is_directory shd then
-            Array.iter
-              (fun f ->
-                Out_channel.with_open_bin (Filename.concat shd f) (fun oc ->
-                    Out_channel.output_string oc "{broken"))
-              (Sys.readdir shd))
-        (Sys.readdir ns_dir);
-      let recovered = Timing.with_wave_reuse (fun () -> Timing.run req) in
-      match recovered, cold with
-      | Ok r, Ok c ->
-        Alcotest.(check bool) "recovered bit-identically" true (r = c);
-        Alcotest.(check bool) "corruption counted" true
-          ((Store.stats st).Store.corrupt > 0)
-      | _ -> Alcotest.fail "recovery run failed")
-
 let suite =
   [ ( "store",
       [ Alcotest.test_case "warm across sessions (fresh process)" `Quick
@@ -374,6 +309,4 @@ let suite =
           test_default_root_env;
         Alcotest.test_case "concurrent same-key hammer" `Quick
           test_same_key_hammer;
-        Alcotest.test_case "wave results persist with config check" `Quick
-          test_wave_persistence;
         QCheck_alcotest.to_alcotest prop_corruption_fuzz ] ) ]

@@ -11,15 +11,24 @@ let spec = Op_spec.matmul ~name:"trace_test" ~m:128 ~n:128 ~k:256 ()
 let tiling =
   Tiling.make ~tb_m:64 ~tb_n:64 ~tb_k:32 ~warp_m:32 ~warp_n:32 ~warp_k:16 ()
 
-let build ?(smem_stages = 3) ?(reg_stages = 2) () =
+(* The packed program and the pipeline groups it was extracted with. *)
+let build_program ?(smem_stages = 3) ?(reg_stages = 2) () =
   let sched = Schedule.default_gemm ~smem_stages ~reg_stages spec tiling in
   let l = Lower.run sched in
   match Alcop_pipeline.Pass.run ~hw ~hints:l.Lower.hints l.Lower.kernel with
   | Ok r ->
     let groups = Alcop_pipeline.Pass.groups r in
-    (Trace.extract ~groups r.Alcop_pipeline.Pass.kernel, groups)
+    (Trace.extract_program ~groups r.Alcop_pipeline.Pass.kernel, groups)
   | Error rej ->
     Alcotest.failf "rejection: %a" Alcop_pipeline.Analysis.pp_rejection rej
+
+(* The boxed event view, for tests that match on events. *)
+let build ?smem_stages ?reg_stages () =
+  let p, groups = build_program ?smem_stages ?reg_stages () in
+  (Trace.decode p, groups)
+
+let program_stats ?smem_stages ?reg_stages () =
+  Trace.stats_of_program (fst (build_program ?smem_stages ?reg_stages ()))
 
 (* One threadblock computes tb_m x tb_n x K. *)
 let expected_flops = 2 * 64 * 64 * 256
@@ -29,25 +38,22 @@ let expected_flops = 2 * 64 * 64 * 256
 let steady_global_bytes = (64 + 64) * 32 * 2 * 8
 
 let test_flops_exact () =
-  let trace, _ = build () in
-  let stats = Trace.stats_of trace in
+  let stats = program_stats () in
   Alcotest.(check int) "flops" expected_flops stats.Trace.flops
 
 let test_global_bytes () =
-  let trace, _ = build () in
-  let stats = Trace.stats_of trace in
+  let stats = program_stats () in
   (* steady loads + 2 extra prologue-equivalent iterations (stages-1) *)
   let expected = steady_global_bytes * (8 + 2) / 8 in
   Alcotest.(check int) "global bytes" expected stats.Trace.global_load_bytes
 
 let test_store_bytes () =
-  let trace, _ = build () in
-  let stats = Trace.stats_of trace in
+  let stats = program_stats () in
   Alcotest.(check int) "output tile" (64 * 64 * 2) stats.Trace.store_bytes
 
 let test_unpipelined_trace_shape () =
-  let trace, _ = build ~smem_stages:1 ~reg_stages:1 () in
-  let stats = Trace.stats_of trace in
+  let p, _ = build_program ~smem_stages:1 ~reg_stages:1 () in
+  let stats = Trace.stats_of_program p in
   Alcotest.(check int) "flops" expected_flops stats.Trace.flops;
   Alcotest.(check int) "global bytes" steady_global_bytes
     stats.Trace.global_load_bytes;
@@ -55,7 +61,7 @@ let test_unpipelined_trace_shape () =
   let barriers =
     Array.fold_left
       (fun n e -> match e with Trace.Barrier -> n + 1 | _ -> n)
-      0 trace
+      0 (Trace.decode p)
   in
   Alcotest.(check int) "barriers" 16 barriers
 
@@ -130,8 +136,7 @@ let test_wait_follows_commit_order () =
 
 let test_warp_aggregation () =
   (* Register loads are per warp; with 4 warps the trace bytes must scale. *)
-  let trace, _ = build ~smem_stages:1 ~reg_stages:1 () in
-  let stats = Trace.stats_of trace in
+  let stats = program_stats ~smem_stages:1 ~reg_stages:1 () in
   (* per ki: (warp_m + warp_n) * warp_k * 2B * 4 warps; 2 ki x 8 ko *)
   let expected = (32 + 32) * 16 * 2 * 4 * 2 * 8 in
   Alcotest.(check int) "shared bytes" expected stats.Trace.shared_load_bytes
