@@ -448,7 +448,8 @@ module Benchdb = Alcop_obs.Benchdb
 
 (* One measurement pass: the six bechamel micro-benchmarks (each already
    an OLS estimate over its own repetitions within the quota) plus the
-   wall-clock fig10 sweeps at j = 1 / 2 / max under the host profiler.
+   wall-clock fig10 sweeps at j = 1 / 2 / max under the host profiler
+   and the wall-clock pre-training fit.
    Returns (id, ns, host sub-object) rows sorted by id. [quiet]
    suppresses the per-row prints — with --runs N the repeated passes
    would otherwise drown the stats table that summarizes them. *)
@@ -588,8 +589,26 @@ let measure_pass ~quiet () =
   if not quiet then
     Printf.printf "parallel sweep speedup at -j %d: %.2fx\n" jmax
       (if ns_of rowj > 0.0 then ns_of row1 /. ns_of rowj else 1.0);
+  (* The tuner's pre-training fit alone, timed by wall clock: one
+     [Gbt.fit] of [Tuner.pretrain_config] on MM_RN50_FC's full
+     pre-training set (the one [alcop tune]'s default seed draws), built
+     outside the timed region. *)
+  let pretrain_row =
+    let label = "alcop/tune-pretrain-fit" in
+    let space = Variants.space Variants.alcop spec in
+    let feats = Array.map (Alcop_perfmodel.Features.extract hw spec) space in
+    let xs, ys =
+      Alcop_tune.Tuner.pretrain_set ~hw ~spec ~space ~feats ~seed:2023
+    in
+    let t0 = Unix.gettimeofday () in
+    ignore (Alcop_tune.Gbt.fit ~config:Alcop_tune.Tuner.pretrain_config xs ys);
+    let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+    if not quiet then
+      Printf.printf "%-40s %14.1f ns/run (%.1f ms)\n" label ns (ns /. 1e6);
+    (label, ns, None)
+  in
   List.sort compare
-    (row1 :: row2 :: rowj
+    (row1 :: row2 :: rowj :: pretrain_row
      :: List.map (fun (id, ns) -> (id, ns, None)) sorted)
 
 (* Repeat the pass [runs] times (plus a discarded warmup pass when

@@ -665,6 +665,8 @@ let host_delta_line old_host new_host =
   | None, Some _ -> Some "  host: NEW carries host data, OLD does not"
   | None, None -> None
 
+let min_strict_runs = 3
+
 let compare_records ?(strict = false) ?(tolerance = 0.20) ~old_r ~new_r () =
   let lines = ref [] in
   let out fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
@@ -676,6 +678,22 @@ let compare_records ?(strict = false) ?(tolerance = 0.20) ~old_r ~new_r () =
         out "::%s::%s" (if strict then "error" else "warning") msg)
       fmt
   in
+  (* One run has no noise estimate, so it cannot tell a regression from
+     noise: a strict compare refuses rows measured fewer than 3 times. *)
+  if strict then
+    List.iter
+      (fun (side, r) ->
+        List.iter
+          (fun b ->
+            if b.b_stats.s_runs < min_strict_runs then
+              complain
+                "selfbench %s row %s has %d run%s; a strict compare needs \
+                 >= %d"
+                side b.b_id b.b_stats.s_runs
+                (if b.b_stats.s_runs = 1 then "" else "s")
+                min_strict_runs)
+          r.r_benches)
+      [ ("OLD", old_r); ("NEW", new_r) ];
   let old_ids = List.map (fun b -> b.b_id) old_r.r_benches in
   let new_ids = List.map (fun b -> b.b_id) new_r.r_benches in
   let only_old = List.filter (fun id -> not (List.mem id new_ids)) old_ids in

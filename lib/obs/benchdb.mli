@@ -220,7 +220,8 @@ val compare_records :
 (** Diff two selfbench records (either schema, host objects optional on
     either side). Benchmarks present on one side only are listed
     explicitly — "only in OLD" rows count as failures (a benchmark
-    disappeared), "only in NEW" rows do not. [strict] only switches the
+    disappeared), "only in NEW" rows do not. [strict] switches the
     GitHub annotation prefix on complaint lines from [::warning::] to
-    [::error::]; exiting is the caller's decision. Default
-    [tolerance = 0.20]. *)
+    [::error::] and also counts as a failure every row, on either side,
+    summarized over fewer than 3 runs (it has no noise estimate); exiting
+    is the caller's decision. Default [tolerance = 0.20]. *)

@@ -29,9 +29,21 @@ val prepare : float array array -> data
 
 val fit_data : ?config:config -> data -> float array -> t
 (** Variance-minimizing splits over subsampled midpoint thresholds, fit to
-    one target per sample. Every sum runs in ascending sample order and a
-    later candidate must score strictly lower to win, so the tree does not
-    depend on how the samples were sorted. *)
+    one target per sample.
+
+    Each node screens every (feature, threshold) candidate with an
+    approximate score from per-bin sums over the feature's sorted slice,
+    [(Q_l - S_l^2/n_l) + (Q_r - S_r^2/n_r)], then rescores exactly only
+    the candidates within [margin = 64 * (m + max_thresholds) * eps * Q]
+    of the lowest approximate score, for a node of [m] samples whose
+    squared targets sum to [Q]. The margin exceeds the rounding error of
+    both formulas, so a pruned candidate scores strictly above the
+    minimum and cannot win or tie. When the margin is not finite (a
+    non-finite target, or squares that may overflow) every candidate is
+    rescored. Exact scores sum in ascending sample order and a later
+    candidate must score strictly lower to win, so the tree does not
+    depend on how the samples were sorted, and equals the list fitter's
+    bit for bit. *)
 
 val fit : ?config:config -> float array array -> float array -> t
 (** [fit rows targets = fit_data (prepare rows) targets]. *)

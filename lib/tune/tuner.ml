@@ -342,7 +342,7 @@ let pretrain_config =
     tree = { Tree.default_config with max_depth = 6 } }
 
 (* Pre-training set: analytical predictions over (a sample of) the space. *)
-let pretrain ~hw ~spec ~space ~feats ~seed =
+let pretrain_set ~hw ~spec ~space ~feats ~seed =
   let rng = Random.State.make [| seed; 0xF17 |] in
   let n = Array.length space in
   let sample_size = min n 2048 in
@@ -358,8 +358,10 @@ let pretrain ~hw ~spec ~space ~feats ~seed =
         | None -> None)
       indices
   in
-  let xs = Array.of_list (List.map fst pairs) in
-  let ys = Array.of_list (List.map snd pairs) in
+  (Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs))
+
+let pretrain ~hw ~spec ~space ~feats ~seed =
+  let xs, ys = pretrain_set ~hw ~spec ~space ~feats ~seed in
   Gbt.fit ~config:pretrain_config xs ys
 
 let run ?pool ~hw ~spec ~(space : Alcop_perfmodel.Params.t array) ~evaluate

@@ -44,6 +44,18 @@ val pretrain_config : Gbt.config
 (** Boosting config of [Analytical_xgb]'s pre-training on analytical
     predictions (paper Sec. IV-C). *)
 
+val pretrain_set :
+  hw:Alcop_hw.Hw_config.t ->
+  spec:Alcop_sched.Op_spec.t ->
+  space:Alcop_perfmodel.Params.t array ->
+  feats:float array array ->
+  seed:int ->
+  float array array * float array
+(** The samples [Analytical_xgb] pre-trains on for this seed: up to 2048
+    points of the space ([feats.(i)] are the features of [space.(i)])
+    with the Table I model's [-log cycles] as targets. The prior is
+    [Gbt.fit ~config:pretrain_config] of them. *)
+
 val exhaustive :
   ?pool:Alcop_par.Pool.t ->
   space:Alcop_perfmodel.Params.t array ->

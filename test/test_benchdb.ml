@@ -394,6 +394,23 @@ let test_compare_regression_and_tolerance () =
   let r = Benchdb.compare_records ~strict:true ~old_r ~new_r:old_r () in
   Alcotest.(check int) "self-compare clean" 0 r.Benchdb.cmp_failures
 
+(* A row summarized over fewer than 3 runs has no noise estimate: a strict
+   compare fails on it, on either side, even against itself; a lenient
+   compare does not. *)
+let test_compare_strict_rejects_thin_rows () =
+  let thick = record [ bench "hot" 100.0; bench "cold" 10.0 ] in
+  let thin = record [ bench ~runs:1 "hot" 100.0; bench "cold" 10.0 ] in
+  let failures ?strict old_r new_r =
+    (Benchdb.compare_records ?strict ~old_r ~new_r ()).Benchdb.cmp_failures
+  in
+  Alcotest.(check int) "thin OLD fails strict" 1 (failures ~strict:true thin thick);
+  Alcotest.(check int) "thin NEW fails strict" 1 (failures ~strict:true thick thin);
+  Alcotest.(check int) "thin self-compare fails strict" 2
+    (failures ~strict:true thin thin);
+  Alcotest.(check int) "thin passes lenient" 0 (failures thin thin);
+  let three = record [ bench ~runs:3 "hot" 100.0 ] in
+  Alcotest.(check int) "3 runs are enough" 0 (failures ~strict:true three three)
+
 (* --- trend charts --- *)
 
 let test_trend_sections_render_band_and_marker () =
@@ -454,5 +471,7 @@ let suite =
           test_compare_disjoint_and_missing_host;
         Alcotest.test_case "compare: regression and tolerance" `Quick
           test_compare_regression_and_tolerance;
+        Alcotest.test_case "compare: strict rejects thin rows" `Quick
+          test_compare_strict_rejects_thin_rows;
         Alcotest.test_case "trend sections render band and marker" `Quick
           test_trend_sections_render_band_and_marker ] ) ]

@@ -131,6 +131,49 @@ let tuning_log_golden method_ file () =
   let expected = In_channel.with_open_bin file In_channel.input_all in
   Alcotest.(check string) file expected log
 
+(* The pre-trained prior of every Fig. 10 operator, fit on its full
+   pre-training set (up to 2048 samples) at the CLI's default seed, is
+   pinned in test/golden/pretrain_priors_fig10.txt: one line per operator
+   with the sample count, the tree count and the MD5 of a [%h] rendering
+   of the ensemble's base, every split feature and threshold, and every
+   leaf. The list fitter in [Legacy_tree] is too slow to serve as the
+   oracle at this size, so the lines were generated with the fitter that
+   scored every split candidate exactly, before the split screen; the
+   screened fitter must reproduce them bit for bit. *)
+let render_prior (m : Alcop_tune.Gbt.t) =
+  let b = Buffer.create 4096 in
+  let rec tree (t : Alcop_tune.Tree.t) =
+    match t with
+    | Leaf v -> Printf.bprintf b "L %h\n" v
+    | Node { feature; threshold; left; right } ->
+      Printf.bprintf b "N %d %h\n" feature threshold;
+      tree left;
+      tree right
+  in
+  Printf.bprintf b "base %h rate %h\n" m.base m.learning_rate;
+  List.iter tree m.trees;
+  Buffer.contents b
+
+let prior_line (spec : Op_spec.t) =
+  let hw = Alcop_hw.Hw_config.default in
+  let space = Alcop.Variants.space Alcop.Variants.alcop spec in
+  let feats = Array.map (Alcop_perfmodel.Features.extract hw spec) space in
+  let xs, ys = Alcop_tune.Tuner.pretrain_set ~hw ~spec ~space ~feats ~seed:2023 in
+  let m = Alcop_tune.Gbt.fit ~config:Alcop_tune.Tuner.pretrain_config xs ys in
+  Printf.sprintf "%s samples=%d trees=%d md5=%s" spec.Op_spec.name
+    (Array.length xs) (Alcop_tune.Gbt.n_trees m)
+    (Digest.to_hex (Digest.string (render_prior m)))
+
+let test_pretrain_priors_golden () =
+  let file = "golden/pretrain_priors_fig10.txt" in
+  let expected =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin file In_channel.input_all)
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check (list string)) file expected
+    (List.map prior_line Alcop_workloads.Suites.fig10)
+
 let suite =
   [ ( "golden",
       [ Alcotest.test_case "Fig. 7 pipelined IR pinned" `Quick test_fig7_golden;
@@ -140,4 +183,6 @@ let suite =
              "golden/tune_MM_RN50_FC_b12_xgbplus.json");
         Alcotest.test_case "tune log golden (xgb)" `Slow
           (tuning_log_golden Alcop_tune.Tuner.Xgb
-             "golden/tune_MM_RN50_FC_b12_xgb.json") ] ) ]
+             "golden/tune_MM_RN50_FC_b12_xgb.json");
+        Alcotest.test_case "pre-trained priors of all Fig. 10 operators" `Slow
+          test_pretrain_priors_golden ] ) ]

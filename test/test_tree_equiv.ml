@@ -103,6 +103,57 @@ let prop_gbt_init =
         (Gbt.fit ~config ~init:prior c.rows c.targets2)
         (Legacy_tree.gbt_fit ~config ~init:prior c.rows c.targets2))
 
+(* --- the split screen under stress --- *)
+
+(* [Tree.fit_data] scores candidates approximately from per-bin sums and
+   rescores exactly only those within a rounding-error margin of the
+   best. These cases push on that margin: every target shares a large
+   offset (1e6 or 1e12), so the sum of squares the margin scales with
+   dwarfs the split scores it separates; feature columns are duplicated,
+   so candidates on different features tie exactly and only the
+   first-best rule may pick between them; and continuous columns have
+   more distinct values than [max_thresholds]. Targets stay finite: with
+   ±inf and NaN targets mixed in, the presorted fitter already differs
+   from the list fitter in the sign bit of NaN leaves (-nan against nan),
+   which is not what this property is about. *)
+let gen_stress_case =
+  let open QCheck.Gen in
+  let* n = int_range 8 80 in
+  let* n_base = int_range 1 3 in
+  let column =
+    frequency
+      [ (3, array_repeat n (float_range (-50.0) 50.0));
+        (1, array_repeat n (map float_of_int (int_range 0 5))) ]
+  in
+  let* base = array_repeat n_base column in
+  let* copies = list_size (int_range 1 3) (int_range 0 (n_base - 1)) in
+  let columns =
+    Array.append base (Array.of_list (List.map (fun b -> base.(b)) copies))
+  in
+  let rows = Array.init n (fun i -> Array.map (fun c -> c.(i)) columns) in
+  let* offset = oneofl [ 1e6; -1e6; 1e12; -1e12 ] in
+  let* targets =
+    array_repeat n
+      (map (fun v -> offset +. v)
+         (frequency
+            [ (2, float_range (-10.0) 10.0);
+              (1, map float_of_int (int_range (-2) 2)) ]))
+  in
+  let* max_depth = int_range 1 6 in
+  let* min_samples_leaf = int_range 1 3 in
+  let* max_thresholds = int_range 1 8 in
+  return
+    { rows; targets; targets2 = targets; rounds = 1;
+      config = { Tree.max_depth; min_samples_leaf; max_thresholds } }
+
+let prop_tree_stress =
+  QCheck.Test.make ~count:500
+    ~name:"presorted Tree.fit == legacy under offset targets and tied columns"
+    (QCheck.make ~print:print_case gen_stress_case) (fun c ->
+      tree_equal
+        (Tree.fit ~config:c.config c.rows c.targets)
+        (Legacy_tree.fit ~config:c.config c.rows c.targets))
+
 (* The tuner scores a refit model as the prior's cached prediction plus a
    fold over only the new trees; that must equal [Gbt.predict] bit for
    bit. *)
@@ -156,6 +207,7 @@ let test_real_pretrain_set () =
 let suite =
   [ ( "tree-equiv",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_tree; prop_gbt; prop_gbt_init; prop_predict_from ]
+        [ prop_tree; prop_gbt; prop_gbt_init; prop_tree_stress;
+          prop_predict_from ]
       @ [ Alcotest.test_case "MM_RN50_FC pre-training set == legacy" `Slow
             test_real_pretrain_set ] ) ]
