@@ -448,8 +448,8 @@ module Benchdb = Alcop_obs.Benchdb
 
 (* One measurement pass: the six bechamel micro-benchmarks (each already
    an OLS estimate over its own repetitions within the quota) plus the
-   wall-clock fig10 sweeps at j = 1 / 2 / max under the host profiler
-   and the wall-clock pre-training fit.
+   wall-clock fig10 sweeps at j = 1 / 2 / max under the host profiler,
+   the wall-clock pre-training fit and the wall-clock tune job.
    Returns (id, ns, host sub-object) rows sorted by id. [quiet]
    suppresses the per-row prints — with --runs N the repeated passes
    would otherwise drown the stats table that summarizes them. *)
@@ -589,26 +589,43 @@ let measure_pass ~quiet () =
   if not quiet then
     Printf.printf "parallel sweep speedup at -j %d: %.2fx\n" jmax
       (if ns_of rowj > 0.0 then ns_of row1 /. ns_of rowj else 1.0);
-  (* The tuner's pre-training fit alone, timed by wall clock: one
-     [Gbt.fit] of [Tuner.pretrain_config] on MM_RN50_FC's full
-     pre-training set (the one [alcop tune]'s default seed draws), built
-     outside the timed region. *)
-  let pretrain_row =
-    let label = "alcop/tune-pretrain-fit" in
-    let space = Variants.space Variants.alcop spec in
-    let feats = Array.map (Alcop_perfmodel.Features.extract hw spec) space in
-    let xs, ys =
-      Alcop_tune.Tuner.pretrain_set ~hw ~spec ~space ~feats ~seed:2023
-    in
+  let space = Variants.space Variants.alcop spec in
+  let wall_row label run =
     let t0 = Unix.gettimeofday () in
-    ignore (Alcop_tune.Gbt.fit ~config:Alcop_tune.Tuner.pretrain_config xs ys);
+    run ();
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
     if not quiet then
       Printf.printf "%-40s %14.1f ns/run (%.1f ms)\n" label ns (ns /. 1e6);
     (label, ns, None)
   in
+  (* The tuner's pre-training fit alone, timed by wall clock: one
+     [Gbt.fit] of [Tuner.pretrain_config] on MM_RN50_FC's full
+     pre-training set (the one [alcop tune]'s default seed draws), built
+     outside the timed region. *)
+  let pretrain_row =
+    let feats = Array.map (Alcop_perfmodel.Features.extract hw spec) space in
+    let xs, ys =
+      Alcop_tune.Tuner.pretrain_set ~hw ~spec ~space ~feats ~seed:2023
+    in
+    wall_row "alcop/tune-pretrain-fit" (fun () ->
+        ignore
+          (Alcop_tune.Gbt.fit ~config:Alcop_tune.Tuner.pretrain_config xs ys))
+  in
+  (* One `alcop tune` job end to end, timed by wall clock: [Tuner.run]
+     with [Analytical_xgb] (pre-training, search and evaluation) at the
+     CLI's default budget and seed on MM_RN50_FC, through a fresh
+     in-memory session with the simulator's wave reuse cleared. *)
+  let tune_row =
+    Alcop_gpusim.Timing.wave_cache_clear ();
+    wall_row "alcop/tune-e2e-j1" (fun () ->
+        let session = Session.create ~hw () in
+        let evaluate = Variants.evaluator ~hw ~session Variants.alcop spec in
+        ignore
+          (Alcop_tune.Tuner.run ~hw ~spec ~space ~evaluate ~budget:20
+             ~seed:2023 Alcop_tune.Tuner.Analytical_xgb))
+  in
   List.sort compare
-    (row1 :: row2 :: rowj :: pretrain_row
+    (row1 :: row2 :: rowj :: pretrain_row :: tune_row
      :: List.map (fun (id, ns) -> (id, ns, None)) sorted)
 
 (* Repeat the pass [runs] times (plus a discarded warmup pass when

@@ -30,8 +30,8 @@ let predict_from (t : t) acc x =
 
 let predict (t : t) x = predict_from t t.base x
 
-(* The training set is column-stored and presorted once per call
-   ([Tree.prepare]); every round refits against the same orders. *)
+(* The training set is column-stored and ranked once per call
+   ([Tree.prepare]); every round refits against the same rank codes. *)
 let fit ?(config = default_config) ?init (features : float array array)
     (targets : float array) =
   let n = Array.length features in

@@ -27,8 +27,8 @@ val predict_from : t -> float -> float array -> float
     score a space repeatedly cache [predict prior] once. *)
 
 val fit : ?config:config -> ?init:t -> float array array -> float array -> t
-(** Presorts the training set once ({!Tree.prepare}) and fits every
-    round's tree against it. With [~init], the result's trees are
+(** Column-stores and ranks the training set once ({!Tree.prepare}) and
+    fits every round's tree against it. With [~init], the result's trees are
     [init.trees] followed by the new rounds, under [init]'s base and
     learning rate. *)
 

@@ -3,26 +3,29 @@
    of the target; thresholds are subsampled midpoints of the sorted unique
    feature values.
 
-   The fitter is column-major and sorts each feature once ([prepare]): a
-   node owns one range of an ascending sample-index array plus the same
-   range of every feature's value order, and a split stable-partitions all
-   of them, so children inherit sorted slices without re-sorting.
+   The fitter is column-major and ranks each feature once ([prepare]):
+   every sample gets, per feature, the dense rank code of its value among
+   the feature's distinct values. A node owns one range of an ascending
+   sample-index array, and a split stable-partitions only that range.
 
-   A node picks its split in two steps. The screen walks each feature's
-   sorted slice once, drops every sample into the bin between two
-   consecutive thresholds, and keeps per-bin count, sum and sum of
-   squares; prefix and suffix sums over the bins then give every
-   threshold an approximate score [(Q_l - S_l^2/n_l) + (Q_r - S_r^2/n_r)].
-   Only the candidates whose approximate score lies within a
-   rounding-error margin of the best one ([margin_factor] below) are
-   rescored exactly, with the two-pass arithmetic (side means, then
-   summed squared deviations) in ascending sample order — exactly as a
-   fold over the sample list would — and the first strictly best exact
-   score wins. A candidate the margin prunes scores strictly above the
-   minimum, so it could neither win nor tie; when the targets are not
-   finite the margin bounds nothing and every candidate is rescored. So
-   the trees are bit-identical to the straightforward list fitter that
-   re-sorts and re-partitions per threshold (kept as a test oracle). *)
+   A node picks its split in two steps. The screen makes one pass per
+   feature over the node's range and keeps per-code count, sum and sum
+   of squares of the targets; a walk over the codes present, in
+   ascending order, gives the node's distinct values, the thresholds
+   between them, and per-bin sums (a bin holds the codes between two
+   consecutive thresholds). Prefix and suffix sums over the bins then
+   give every threshold an approximate score
+   [(Q_l - S_l^2/n_l) + (Q_r - S_r^2/n_r)]. Only the candidates whose
+   approximate score lies within a rounding-error margin of the best one
+   ([margin_factor] below) are rescored exactly, with the two-pass
+   arithmetic (side means, then summed squared deviations) in ascending
+   sample order — exactly as a fold over the sample list would — and the
+   first strictly best exact score wins. A candidate the margin prunes
+   scores strictly above the minimum, so it could neither win nor tie;
+   when the targets are not finite the margin bounds nothing and every
+   candidate is rescored. So the trees are bit-identical to the
+   straightforward list fitter that re-sorts and re-partitions per
+   threshold (kept as a test oracle). *)
 
 type t =
   | Leaf of float
@@ -42,19 +45,23 @@ type config = {
 let default_config = { max_depth = 5; min_samples_leaf = 2; max_thresholds = 16 }
 
 (* Column store of one training set, plus the fitter's working buffers.
-   [orders.(f)] is every sample sorted by feature [f] (stable, under
-   [Float.compare]); [fit_data] copies it into [slices.(f)] and partitions
-   the copy in place, range by range. The candidate table holds one
-   node's screened splits; it is sized on the first fit and reused by
-   every later fit of the same data. *)
+   [codes.(f).(i)] ranks sample [i]'s value of feature [f] among the
+   feature's distinct values under [Float.compare] (all NaNs share code
+   0 when present; -0.0 and 0.0 share one code). The per-code buffers
+   hold one feature's histogram at one node; the candidate table holds
+   one node's screened splits and is sized on the first fit and reused
+   by every later fit of the same data. *)
 type data = {
   columns : float array array;  (** [columns.(f).(i)]: feature f of sample i *)
-  orders : int array array;
+  codes : int array array;  (** [codes.(f).(i)]: rank code of that value *)
+  n_codes : int array;  (** distinct values of each feature *)
   idx : int array;  (** node ranges of ascending sample indices *)
-  slices : int array array;  (** node ranges of each feature's order *)
   scratch : int array;  (** right half of a stable partition *)
-  goes_left : Bytes.t;  (** per sample, during a partition *)
-  uniq : float array;  (** distinct values of one node slice *)
+  code_n : int array;  (** per code: samples of the node *)
+  code_s : float array;  (** their target sum *)
+  code_q : float array;  (** their sum of squared targets *)
+  code_first : int array;  (** the lowest sample index with the code *)
+  present : int array;  (** the codes present at the node, ascending *)
   mutable cand_f : int array;  (** feature of each screened candidate *)
   mutable cand_thr : float array;  (** its threshold *)
   mutable cand_score : float array;  (** its approximate score *)
@@ -64,35 +71,30 @@ let prepare (rows : float array array) =
   let n = Array.length rows in
   let n_features = if n = 0 then 0 else Array.length rows.(0) in
   let columns = Array.init n_features (fun f -> Array.init n (fun i -> rows.(i).(f))) in
-  let orders =
+  let o = Array.make n 0 in
+  let codes =
     Array.map
       (fun col ->
-        let o = Array.init n Fun.id in
+        for i = 0 to n - 1 do
+          o.(i) <- i
+        done;
         Array.stable_sort (fun a b -> Float.compare col.(a) col.(b)) o;
-        o)
+        let code = Array.make n 0 in
+        for k = 1 to n - 1 do
+          code.(o.(k)) <-
+            code.(o.(k - 1))
+            + Bool.to_int (Float.compare col.(o.(k - 1)) col.(o.(k)) <> 0)
+        done;
+        code)
       columns
   in
-  { columns; orders; idx = Array.make n 0;
-    slices = Array.map (fun _ -> Array.make n 0) columns;
-    scratch = Array.make n 0; goes_left = Bytes.make n '\000';
-    uniq = Array.make n 0.0;
+  let n_codes = Array.map (Array.fold_left (fun m c -> max m (c + 1)) 0) codes in
+  let max_codes = Array.fold_left max 0 n_codes in
+  { columns; codes; n_codes; idx = Array.make n 0; scratch = Array.make n 0;
+    code_n = Array.make max_codes 0; code_s = Array.make max_codes 0.0;
+    code_q = Array.make max_codes 0.0; code_first = Array.make max_codes 0;
+    present = Array.make max_codes 0;
     cand_f = [||]; cand_thr = [||]; cand_score = [||] }
-
-(* Stable in-place partition of [a.(lo..hi-1)] by [goes_left]. *)
-let partition d a lo hi =
-  let l = ref lo and r = ref 0 in
-  for k = lo to hi - 1 do
-    let i = a.(k) in
-    if Bytes.unsafe_get d.goes_left i <> '\000' then begin
-      a.(!l) <- i;
-      incr l
-    end
-    else begin
-      d.scratch.(!r) <- i;
-      incr r
-    end
-  done;
-  Array.blit d.scratch 0 a !l !r
 
 (* Rounding-error margin of the screen, in units of [epsilon_float]
    times the node's sum of squared targets Q: a node of m samples with
@@ -108,17 +110,20 @@ let partition d a lo hi =
      its SSE, and the final add costs eps * score: |exact - SSE| <=
      (m + 3) * eps * Q to first order.
    - Screened score: a sample reaches its side's S and Q through one
-     square, at most n_side in-bin additions and T prefix (or suffix)
-     additions, so |S^ - S| <= g_(n+T+1) * sum |y| and |Q^ - Q| <=
-     g_(n+T+1) * Q. As |S| * sum |y| / n <= Q (Cauchy-Schwarz), S^2/n is
-     within (2 g_(n+T+1) + 2 eps) * Q, and the subtraction and the final
-     add cost eps each: |approx - SSE| <= (3(m + T) + 7) * eps * Q to
-     first order.
-   Together |approx - exact| <= 4 * (m + T + 3) * eps * Q; the factor 64
-   leaves ample room for the second-order terms, the rounding of the
-   comparison itself, Q's own rounding and underflow (absolute errors
-   near 1e-320, far below the margin of a node that splits, whose Q
-   exceeds its SSE >= 1e-12). So a candidate with [approx - margin >
+     square, at most n_c additions within its code (n_c <= n, the side's
+     samples), at most u code-into-bin additions (u <= m, the codes
+     present) and at most T prefix (or suffix) additions, so
+     |S^ - S| <= g_(2m+T+1) * sum |y| and |Q^ - Q| <= g_(2m+T+1) * Q.
+     As |S| * sum |y| / n <= Q (Cauchy-Schwarz), S^2/n is within
+     (2 g_(2m+T+1) + 2 eps) * Q, and the subtraction and the final add
+     cost eps each: |approx - SSE| <= (6m + 3T + 7) * eps * Q to first
+     order.
+   Together |approx - exact| <= (7m + 3T + 10) * eps * Q, at most a
+   quarter of the margin for every m >= 1 and T >= 1; the factor 64
+   leaves ample room for the second-order terms, the rounding
+   of the comparison itself, Q's own rounding and underflow (absolute
+   errors near 1e-320, far below the margin of a node that splits, whose
+   Q exceeds its SSE >= 1e-12). So a candidate with [approx - margin >
    min (approx + margin)] has an exact score strictly above the node's
    minimum. When 64 * (m + T) * Q is not finite — a non-finite target,
    or squares that may overflow — the bound says nothing and every
@@ -137,7 +142,7 @@ let fit_data ?(config = default_config) d (targets : float array) =
     d.cand_score <- Array.make n 0.0
   end;
   (* Per-bin count, sum and sum of squares of one feature's screen (bin
-     [j] holds the samples left of threshold [j] and right of [j - 1]),
+     [j] holds the codes left of threshold [j] and right of [j - 1]),
      and the suffix sums of the bins right of each threshold. *)
   let thr = Array.make max_t 0.0 in
   let bin_n = Array.make (max_t + 1) 0 in
@@ -145,6 +150,8 @@ let fit_data ?(config = default_config) d (targets : float array) =
   let bin_q = Array.make (max_t + 1) 0.0 in
   let right_s = Array.make (max_t + 1) 0.0 in
   let right_q = Array.make (max_t + 1) 0.0 in
+  let code_n = d.code_n and code_s = d.code_s and code_q = d.code_q in
+  let code_first = d.code_first and present = d.present in
   let mean lo hi =
     if hi = lo then 0.0
     else begin
@@ -164,48 +171,58 @@ let fit_data ?(config = default_config) d (targets : float array) =
     done;
     !acc
   in
-  (* Candidate thresholds of feature [f] at node [lo, hi): midpoints of
-     the distinct values of its sorted slice, evenly subsampled down to
-     [max_thresholds]. Returns how many were written to [thr]. Under
-     [Float.compare] a NaN sorts first, so the thresholds are a (possibly
-     empty) run of NaNs followed by a non-decreasing run of numbers: a
-     midpoint is NaN only next to a NaN or between -inf and +inf, which
-     leaves no third value. *)
-  let thresholds f lo hi =
-    let col = d.columns.(f) and slice = d.slices.(f) and uniq = d.uniq in
-    let u = ref 0 in
+  (* Screen feature [f] at node [lo, hi): append every threshold that
+     leaves [min_samples_leaf] samples on both sides to the candidate
+     table at [n_cand] with its approximate score, and return the new
+     table length.
+
+     The thresholds are the midpoints of the node's distinct values,
+     evenly subsampled down to [max_thresholds]. A code present at the
+     node stands for the value of its lowest-indexed sample there, which
+     is the value a stable sort of the node's samples would put first;
+     that keeps NaN payloads and the sign of zero exact. Under
+     [Float.compare] a NaN ranks first, so the thresholds are a
+     (possibly empty) run of NaNs followed by a non-decreasing run of
+     numbers: a midpoint is NaN only next to a NaN or between -inf and
+     +inf, which leaves no third value. A sample is left of threshold
+     [j] iff [x <= thr.(j)]; by the shape of the thresholds that holds
+     exactly for [j] at or after the bin of its code, which a pointer
+     finds while the present codes ascend. A NaN value is right of
+     every threshold, in the last bin. *)
+  let screen f lo hi n_cand =
+    let col = d.columns.(f) and code = d.codes.(f) in
     for k = lo to hi - 1 do
-      let v = col.(slice.(k)) in
-      if !u = 0 || Float.compare uniq.(!u - 1) v <> 0 then begin
-        uniq.(!u) <- v;
-        incr u
-      end
+      let i = Array.unsafe_get idx k in
+      let c = Array.unsafe_get code i and y = Array.unsafe_get targets i in
+      let cn = Array.unsafe_get code_n c in
+      if cn = 0 then Array.unsafe_set code_first c i;
+      Array.unsafe_set code_n c (cn + 1);
+      Array.unsafe_set code_s c (Array.unsafe_get code_s c +. y);
+      Array.unsafe_set code_q c (Array.unsafe_get code_q c +. (y *. y))
     done;
-    let n_mid = !u - 1 in
+    let u = ref 0 in
+    for c = 0 to d.n_codes.(f) - 1 do
+      Array.unsafe_set present !u c;
+      u := !u + Bool.to_int (Array.unsafe_get code_n c > 0)
+    done;
+    let u = !u in
+    let n_mid = u - 1 in
     let n_thr = max 0 (min n_mid max_t) in
     for j = 0 to n_thr - 1 do
       let q = if n_mid <= max_t then j else j * n_mid / max_t in
-      thr.(j) <- (uniq.(q) +. uniq.(q + 1)) /. 2.0
+      thr.(j) <-
+        (col.(code_first.(present.(q))) +. col.(code_first.(present.(q + 1))))
+        /. 2.0
     done;
-    n_thr
-  in
-  (* Screen feature [f] with its [n_thr] thresholds: append every
-     threshold that leaves [min_samples_leaf] samples on both sides to
-     the candidate table at [n_cand] with its approximate score, and
-     return the new table length. A sample is left of threshold [j] iff
-     [x <= thr.(j)]; by the shape of the thresholds that holds exactly
-     for [j] at or after the sample's bin, which a pointer finds while
-     the sorted slice ascends. A NaN value is right of every threshold,
-     in the last bin. *)
-  let screen f lo hi n_thr n_cand =
-    let col = d.columns.(f) and slice = d.slices.(f) in
+    (* Merge the codes into bins, leaving the per-code buffers zeroed for
+       the next screen. *)
     Array.fill bin_n 0 (n_thr + 1) 0;
     Array.fill bin_s 0 (n_thr + 1) 0.0;
     Array.fill bin_q 0 (n_thr + 1) 0.0;
     let p = ref 0 in
-    for k = lo to hi - 1 do
-      let i = Array.unsafe_get slice k in
-      let x = Array.unsafe_get col i and y = Array.unsafe_get targets i in
+    for q = 0 to u - 1 do
+      let c = present.(q) in
+      let x = col.(code_first.(c)) in
       let b =
         if Float.is_nan x then n_thr
         else begin
@@ -215,9 +232,12 @@ let fit_data ?(config = default_config) d (targets : float array) =
           !p
         end
       in
-      Array.unsafe_set bin_n b (Array.unsafe_get bin_n b + 1);
-      Array.unsafe_set bin_s b (Array.unsafe_get bin_s b +. y);
-      Array.unsafe_set bin_q b (Array.unsafe_get bin_q b +. (y *. y))
+      bin_n.(b) <- bin_n.(b) + code_n.(c);
+      bin_s.(b) <- bin_s.(b) +. code_s.(c);
+      bin_q.(b) <- bin_q.(b) +. code_q.(c);
+      code_n.(c) <- 0;
+      code_s.(c) <- 0.0;
+      code_q.(c) <- 0.0
     done;
     right_s.(n_thr) <- bin_s.(n_thr);
     right_q.(n_thr) <- bin_q.(n_thr);
@@ -293,8 +313,7 @@ let fit_data ?(config = default_config) d (targets : float array) =
     else begin
       let n_cand = ref 0 in
       for f = 0 to n_features - 1 do
-        let n_thr = thresholds f lo hi in
-        if n_thr > 0 then n_cand := screen f lo hi n_thr !n_cand
+        if d.n_codes.(f) > 1 then n_cand := screen f lo hi !n_cand
       done;
       let q = ref 0.0 in
       for k = lo to hi - 1 do
@@ -327,17 +346,22 @@ let fit_data ?(config = default_config) d (targets : float array) =
         end
       done;
       if !best_f >= 0 && !best_score < node_sse -. 1e-12 then begin
+        (* Stable partition of the node's range, the left side in place
+           and the right side through [scratch]: every sample is written
+           to both, and only its side's cursor advances. *)
         let col = d.columns.(!best_f) and t = !best_thr in
-        let n_left = ref 0 in
+        let scratch = d.scratch in
+        let l = ref lo and r = ref 0 in
         for k = lo to hi - 1 do
-          let i = idx.(k) in
-          let left = col.(i) <= t in
-          if left then incr n_left;
-          Bytes.unsafe_set d.goes_left i (if left then '\001' else '\000')
+          let i = Array.unsafe_get idx k in
+          let left = Bool.to_int (Array.unsafe_get col i <= t) in
+          Array.unsafe_set idx !l i;
+          Array.unsafe_set scratch !r i;
+          l := !l + left;
+          r := !r + 1 - left
         done;
-        partition d idx lo hi;
-        Array.iter (fun s -> partition d s lo hi) d.slices;
-        let mid = lo + !n_left in
+        let mid = !l in
+        Array.blit scratch 0 idx mid !r;
         let left = grow lo mid (depth + 1) in
         let right = grow mid hi (depth + 1) in
         Node { feature = !best_f; threshold = t; left; right }
@@ -351,7 +375,6 @@ let fit_data ?(config = default_config) d (targets : float array) =
     for i = 0 to n - 1 do
       idx.(i) <- i
     done;
-    Array.iteri (fun f o -> Array.blit o 0 d.slices.(f) 0 n) d.orders;
     grow 0 n 0
   end
 

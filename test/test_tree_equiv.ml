@@ -33,8 +33,12 @@ type case = {
   rounds : int;
 }
 
-(* Values come from a small pool (duplicates, ±0.0, constants) or are
-   continuous (more distinct values than [max_thresholds]). *)
+(* Values come from a small pool (duplicates, ±0.0, NaNs of both signs,
+   ±inf, constants) or are continuous (more distinct values than
+   [max_thresholds]). The NaNs and infinities put NaN and infinite
+   midpoint thresholds among the candidates, and ±0.0 and NaNs of either
+   sign put values with different bits into one group of
+   [Float.compare]-equal values. *)
 let gen_value pool =
   let open QCheck.Gen in
   frequency
@@ -44,7 +48,10 @@ let gen_value pool =
 
 let gen_case =
   let open QCheck.Gen in
-  let pool = [ 0.0; -0.0; 1.0; 1.5; -2.0; 7.0 ] in
+  let pool =
+    [ 0.0; -0.0; 1.0; 1.5; -2.0; 7.0; Float.nan; -.Float.nan; infinity;
+      neg_infinity ]
+  in
   let* n = frequency [ (1, int_range 0 5); (4, int_range 6 60) ] in
   let* n_features = int_range 1 5 in
   let* kinds = array_repeat n_features (int_range 0 3) in
