@@ -25,7 +25,7 @@
    [--machine ID] [--html FILE]] runs change-point detection over the
    history and (with --strict) exits nonzero on any detected regression.
    [compare OLD.json NEW.json [--strict] [--tolerance FRAC]] diffs two
-   selfbench files (either schema) with explicit only-in-OLD/NEW rows and
+   selfbench files (schema v2) with explicit only-in-OLD/NEW rows and
    host-profile deltas when both sides carry them.
    [perf] profiles the host runtime of the fig10 sweep and prints the
    Amdahl/speedup-loss diagnosis (doc/hostprof.md); [report] writes the
@@ -378,8 +378,8 @@ let host_lock_wait_ms (p : Hostprof.profile) =
     0.0 p.Hostprof.p_locks
 
 (* The "host" sub-object attached to sweep rows in BENCH_gpusim.json.
-   `compare` readers that only know id + ops_per_sec ignore it (schema
-   alcop-selfbench-v1 is unchanged); host-aware compares print deltas.
+   `compare` gates on the timing fields only and ignores it; host-aware
+   compares print deltas.
    [jobs] is the *resolved* worker count the sweep actually ran at —
    [Hostprof.p_jobs] is 0 for an inline (pool-less) run, which used to
    mislabel the j1 row (and the jmax alias of it on a 1-core box). *)
@@ -879,7 +879,7 @@ let run_trend ?(strict = false) ?window ?sensitivity ?min_rel ?machine ?html
 
 (* --- selfbench comparison (CI perf tripwire) --- *)
 
-(* Diff two selfbench files (either schema). Warn-only by default —
+(* Diff two selfbench files (schema v2). Warn-only by default —
    simulated-hardware throughput on shared CI runners is too noisy to
    gate on pairwise; the history trend gate above is the strict one.
    With [~strict:true] every regression beyond tolerance — and every

@@ -1096,8 +1096,7 @@ let report_cmd =
   let bench_json =
     Arg.(value & opt string "BENCH_gpusim.json"
          & info [ "bench-json" ] ~docv:"FILE"
-             ~doc:"Selfbench trajectory file (schema alcop-selfbench-v2; \
-                   v1 files are still read).")
+             ~doc:"Selfbench trajectory file (schema alcop-selfbench-v2).")
   in
   let history_dir =
     Arg.(value & opt string Alcop_obs.Benchdb.default_history_dir

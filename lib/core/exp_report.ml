@@ -143,34 +143,22 @@ let fig13_section ~results_dir ~hw ~pool () =
       Report.table ~header ~rows ]
 
 let selfbench_section ~bench_json () =
-  match Trace_reader.json_of_file bench_json with
-  | Error _ ->
+  match Benchdb.read_file bench_json with
+  | Error e ->
     Report.section ~title:"Compiler selfbench"
       ~intro:
-        (bench_json
-        ^ " not found — run `dune exec bench/main.exe -- selfbench` to \
-           generate it.")
+        (Printf.sprintf
+           "%s unreadable (%s) — run `dune exec bench/main.exe -- selfbench` \
+            to generate it."
+           bench_json e)
       []
-  | Ok doc ->
-    let benchmarks =
-      match Json.member "benchmarks" doc with
-      | Some (Json.List bs) -> bs
-      | _ -> []
-    in
+  | Ok r ->
     let rows =
-      List.filter_map
-        (fun b ->
-          match (Json.member "id" b, Json.member "ops_per_sec" b) with
-          | Some (Json.Str id), Some v ->
-            Option.map (fun ops -> (id, ops)) (Json.number v)
-          | _ -> None)
-        benchmarks
+      List.map
+        (fun b -> (b.Benchdb.b_id, Benchdb.ops_per_sec b.Benchdb.b_stats))
+        r.Benchdb.r_benches
     in
-    let machine =
-      match Json.member "machine" doc with
-      | Some (Json.Str s) -> s
-      | _ -> "?"
-    in
+    let machine = r.Benchdb.r_machine in
     Report.section ~title:"Compiler selfbench (bechamel)"
       ~intro:
         (Printf.sprintf

@@ -2,11 +2,12 @@
 
     A fingerprint is the MD5 digest of a canonical JSON rendering of
     everything that determines a compilation's result: the operator
-    specification, the schedule point, the hardware configuration and the
-    extra register pressure a compiler variant models. Two compile requests
-    receive the same fingerprint exactly when the compiler would produce
-    bit-identical output for both — which is what makes fingerprints safe
-    as keys of the {!Session} artifact cache.
+    specification, the schedule point, the hardware configuration (as its
+    own digest, {!hw_digest}) and the extra register pressure a compiler
+    variant models. Two compile requests receive the same fingerprint
+    exactly when the compiler would produce bit-identical output for both
+    — which is what makes fingerprints safe as keys of the {!Session}
+    artifact cache.
 
     Floats (hardware rates, latencies) are rendered with
     {!Alcop_obs.Json.float_repr}, the shortest round-tripping form, so
@@ -22,22 +23,17 @@ val to_hex : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** {2 Canonical JSON forms}
-
-    Exposed so tests can pin the canonicalization (in particular the float
-    path) independently of the digest. *)
-
-val json_of_hw : Alcop_hw.Hw_config.t -> Alcop_obs.Json.t
-val json_of_spec : Alcop_sched.Op_spec.t -> Alcop_obs.Json.t
-val json_of_params : Alcop_perfmodel.Params.t -> Alcop_obs.Json.t
-
-val of_json : Alcop_obs.Json.t -> t
-(** Digest of the canonical serialization of an arbitrary JSON document. *)
+val hw_digest : Alcop_hw.Hw_config.t -> string
+(** Hex MD5 of the canonical JSON document of a hardware config — the
+    ["hw"] field of every compile key. The last config digested is
+    memoized on physical equality, so repeated calls with one config
+    value render it once. *)
 
 val schema_version : int
 (** Version tag folded into {!compile_key}. Bumped whenever compiler
-    semantics or artifact representation change (v2: packed-program
-    traces), so cache entries can never replay across representations. *)
+    semantics, artifact representation or the key's serialization change
+    (v2: packed-program traces; v3: the hw config enters as
+    {!hw_digest}), so cache entries can never replay across them. *)
 
 val compile_key :
   hw:Alcop_hw.Hw_config.t ->
@@ -58,15 +54,3 @@ val compile_key_v :
 (** {!compile_key} under an explicit schema version — exists so the
     schema-bump test can prove old-version keys cannot alias current
     ones. *)
-
-val compile_key_doc :
-  version:int ->
-  hw:Alcop_hw.Hw_config.t ->
-  extra_regs_per_thread:int ->
-  Alcop_perfmodel.Params.t ->
-  Alcop_sched.Op_spec.t ->
-  Alcop_obs.Json.t
-(** The tree-built canonical document of one compile key. {!compile_key_v}
-    emits the same bytes directly into a scratch buffer without building
-    this tree; [Fingerprint.of_json (compile_key_doc ...)] must equal
-    [compile_key_v ...] — a test enforces the equivalence. *)

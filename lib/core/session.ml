@@ -112,11 +112,11 @@ let summary t =
 
 (* --- the global per-hardware registry --- *)
 
-let registry : (Fingerprint.t, t) Hashtbl.t = Hashtbl.create 4
+let registry : (string, t) Hashtbl.t = Hashtbl.create 4
 let registry_lock = Mutex.create ()
 
 let for_hw hw =
-  let key = Fingerprint.of_json (Fingerprint.json_of_hw hw) in
+  let key = Fingerprint.hw_digest hw in
   Hostprof.locked registry_probe registry_lock (fun () ->
       match Hashtbl.find_opt registry key with
       | Some s -> s

@@ -63,7 +63,7 @@ val store : t -> Store.t option
 
 val for_hw : Alcop_hw.Hw_config.t -> t
 (** The shared session for a hardware config, from a global registry keyed
-    by the config's fingerprint: all variants, tuners and experiments
+    by {!Fingerprint.hw_digest}: all variants, tuners and experiments
     targeting the same machine share one artifact store. Scaled or
     cross-generation machines (experiment E9) each get their own. *)
 

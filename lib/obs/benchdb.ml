@@ -139,7 +139,6 @@ type record = {
   r_benches : bench list;
 }
 
-let schema_v1 = "alcop-selfbench-v1"
 let schema_v2 = "alcop-selfbench-v2"
 
 let make_record ?ts ?(generated_by = "bench") ~machine ~fingerprint benches =
@@ -159,9 +158,6 @@ let bench_to_json b =
   Json.Obj
     ([ ("id", Json.Str b.b_id);
        ("runs", Json.Int st.s_runs);
-       (* ns_per_run + ops_per_sec keep v1 readers working on v2 files *)
-       ("ns_per_run", Json.Float st.s_median_ns);
-       ("ops_per_sec", Json.Float (ops_per_sec st));
        ("median_ns", Json.Float st.s_median_ns);
        ("mad_ns", Json.Float st.s_mad_ns);
        ("min_ns", Json.Float st.s_min_ns);
@@ -203,43 +199,28 @@ let fingerprint_of_json j =
            f_host_hash = hh; f_git_rev = rev }
   | _ -> None
 
-(* v2 entries have the full stats; v1 entries become single-run stats
-   with zero MAD (one sample has no measurable spread). Entries missing
-   both a usable time and a usable rate are dropped, not errors — one
-   alien entry must not invalidate a whole record. *)
+(* Entries missing an id or a median are dropped, not errors — one alien
+   entry must not invalidate a whole record. Missing spread fields
+   default to a single zero-MAD sample at the median. *)
 let bench_of_json j =
-  match str_field "id" j with
-  | None -> None
-  | Some id ->
-    let ns =
-      match num_field "median_ns" j with
-      | Some ns -> Some ns
-      | None ->
-        (match num_field "ns_per_run" j with
-         | Some ns -> Some ns
-         | None ->
-           (match num_field "ops_per_sec" j with
-            | Some ops when ops > 0.0 -> Some (1e9 /. ops)
-            | _ -> None))
-    in
-    (match ns with
-     | None -> None
-     | Some ns ->
-       let f key default = Option.value ~default (num_field key j) in
-       Some
-         { b_id = id;
-           b_stats =
-             { s_runs = Option.value ~default:1 (int_field "runs" j);
-               s_median_ns = ns;
-               s_mad_ns = f "mad_ns" 0.0;
-               s_min_ns = f "min_ns" ns;
-               s_p90_ns = f "p90_ns" ns;
-               s_mean_ns = f "mean_ns" ns };
-           b_host = Json.member "host" j })
+  match (str_field "id" j, num_field "median_ns" j) with
+  | Some id, Some ns ->
+    let f key default = Option.value ~default (num_field key j) in
+    Some
+      { b_id = id;
+        b_stats =
+          { s_runs = Option.value ~default:1 (int_field "runs" j);
+            s_median_ns = ns;
+            s_mad_ns = f "mad_ns" 0.0;
+            s_min_ns = f "min_ns" ns;
+            s_p90_ns = f "p90_ns" ns;
+            s_mean_ns = f "mean_ns" ns };
+        b_host = Json.member "host" j }
+  | _ -> None
 
 let record_of_json j =
   match str_field "schema" j with
-  | Some schema when schema = schema_v1 || schema = schema_v2 ->
+  | Some schema when schema = schema_v2 ->
     let benches =
       match Json.member "benchmarks" j with
       | Some (Json.List bs) -> List.filter_map bench_of_json bs

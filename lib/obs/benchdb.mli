@@ -7,9 +7,7 @@
     Schema {b alcop-selfbench-v2}: one record per [bench … record] run —
     a fingerprint plus, per benchmark, robust statistics over [--runs N]
     repetitions (median / MAD / min / p90 and a relative noise estimate).
-    Every v2 benchmark entry still carries [ns_per_run] (the median) and
-    [ops_per_sec], so v1 readers — including older [bench compare] —
-    keep working; {!record_of_json} reads both versions.
+    Any other schema, the legacy v1 included, is rejected.
 
     The history is one JSONL file per machine fingerprint under
     {!default_history_dir}, append-only (single atomic write per record)
@@ -70,7 +68,7 @@ val fingerprint_id : fingerprint -> string
     keying on either would shred the history into single-record files.
     Both stay recorded inside each record. *)
 
-(** {1 Records (schema v2, reads v1)} *)
+(** {1 Records (schema v2)} *)
 
 type bench = {
   b_id : string;
@@ -84,12 +82,11 @@ type record = {
   r_generated_by : string;
   r_machine : string;  (** simulated hardware name *)
   r_unit : string;
-  r_ts : float option;  (** unix seconds; [None] in v1 files *)
-  r_fingerprint : fingerprint option;  (** [None] in v1 files *)
+  r_ts : float option;  (** unix seconds; [None] when absent *)
+  r_fingerprint : fingerprint option;  (** [None] when absent *)
   r_benches : bench list;
 }
 
-val schema_v1 : string
 val schema_v2 : string
 
 val make_record :
@@ -99,11 +96,12 @@ val make_record :
 val record_to_json : record -> Json.t
 
 val record_of_json : Json.t -> (record, string) result
-(** Reads both [alcop-selfbench-v2] and legacy [alcop-selfbench-v1]
-    documents (v1 entries become single-run stats with zero MAD). *)
+(** Reads an [alcop-selfbench-v2] document; any other schema, the legacy
+    [alcop-selfbench-v1] included, is an [Error "unknown selfbench schema
+    …"]. Entries without an id or a [median_ns] are dropped. *)
 
 val read_file : string -> (record, string) result
-(** One whole-file record (the BENCH_gpusim.json shape, either schema). *)
+(** One whole-file record (the BENCH_gpusim.json shape). *)
 
 val write_file : string -> record -> unit
 
@@ -217,7 +215,7 @@ type compare_result = {
 val compare_records :
   ?strict:bool -> ?tolerance:float -> old_r:record -> new_r:record ->
   unit -> compare_result
-(** Diff two selfbench records (either schema, host objects optional on
+(** Diff two selfbench records (host objects optional on
     either side). Benchmarks present on one side only are listed
     explicitly — "only in OLD" rows count as failures (a benchmark
     disappeared), "only in NEW" rows do not. [strict] switches the

@@ -27,6 +27,7 @@ let () =
      @ Test_analysis_detail.suite
      @ Test_obs.suite
      @ Test_par.suite
+     @ Test_fingerprint.domain_suite
      @ Test_hostprof.suite
      @ Test_analytics.suite
      @ Test_benchdb.suite

@@ -112,32 +112,30 @@ let test_v2_roundtrip () =
          (b.Benchdb.b_host <> None)
      | bs -> Alcotest.failf "expected 2 benches, got %d" (List.length bs))
 
-let test_v1_compat () =
+let test_v1_rejected () =
+  (* The v1 schema (rate-only entries, no stats, no fingerprint) is an
+     unknown schema like any other. *)
   let v1 =
     {|{"schema":"alcop-selfbench-v1","machine":"sim-a100","unit":"ops_per_sec",
-      "benchmarks":[{"id":"alcop/lower","ns_per_run":200.0,"ops_per_sec":5000000.0},
-                    {"id":"rate-only","ops_per_sec":1000.0},
-                    {"id":"useless"}]}|}
+      "benchmarks":[{"id":"alcop/lower","ns_per_run":200.0,"ops_per_sec":5000000.0}]}|}
   in
-  match Result.bind (Json.of_string v1) Benchdb.record_of_json with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-    Alcotest.(check string) "schema kept" Benchdb.schema_v1 r.Benchdb.r_schema;
-    Alcotest.(check bool) "no fingerprint in v1" true
-      (r.Benchdb.r_fingerprint = None);
-    (match r.Benchdb.r_benches with
-     | [ a; b ] ->
-       (* v1 entries become single-run stats with zero MAD *)
-       Alcotest.(check int) "single run" 1 a.Benchdb.b_stats.Benchdb.s_runs;
-       Alcotest.(check (float 1e-9)) "ns kept" 200.0
-         a.Benchdb.b_stats.Benchdb.s_median_ns;
-       Alcotest.(check (float 1e-9)) "zero mad" 0.0
-         a.Benchdb.b_stats.Benchdb.s_mad_ns;
-       (* an entry with only a rate derives its time *)
-       Alcotest.(check (float 1e-3)) "ns from ops" 1e6
-         b.Benchdb.b_stats.Benchdb.s_median_ns
-     | bs ->
-       Alcotest.failf "expected 2 usable benches, got %d" (List.length bs));
+  (match Result.bind (Json.of_string v1) Benchdb.record_of_json with
+   | Error e ->
+     Alcotest.(check string) "v1 is an unknown schema"
+       "unknown selfbench schema alcop-selfbench-v1" e
+   | Ok _ -> Alcotest.fail "v1 schema should be rejected");
+  (* A v2 entry carrying only the legacy fields has no median: dropped. *)
+  let legacy_entry =
+    {|{"schema":"alcop-selfbench-v2","machine":"sim-a100",
+      "benchmarks":[{"id":"alcop/lower","median_ns":200.0},
+                    {"id":"legacy","ns_per_run":200.0,"ops_per_sec":5e6}]}|}
+  in
+  (match Result.bind (Json.of_string legacy_entry) Benchdb.record_of_json with
+   | Error e -> Alcotest.fail e
+   | Ok r ->
+     Alcotest.(check (list string)) "legacy-only entry dropped"
+       [ "alcop/lower" ]
+       (List.map (fun b -> b.Benchdb.b_id) r.Benchdb.r_benches));
     (* unknown schema is an error, not a silent empty record *)
     (match
        Result.bind
@@ -451,7 +449,7 @@ let suite =
         Alcotest.test_case "fingerprint id exclusions" `Quick
           test_fingerprint_id_exclusions;
         Alcotest.test_case "v2 round-trip" `Quick test_v2_roundtrip;
-        Alcotest.test_case "v1 compatibility" `Quick test_v1_compat;
+        Alcotest.test_case "v1 documents are rejected" `Quick test_v1_rejected;
         Alcotest.test_case "history append/read" `Quick
           test_history_append_read;
         Alcotest.test_case "history corruption tolerated" `Quick
