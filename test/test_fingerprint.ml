@@ -231,6 +231,6 @@ let suite =
 
 (* Spawns domains, so it runs after Test_obs's fork-based test. *)
 let domain_suite =
-  [ ( "fingerprint-domains",
+  [ ( "fingerprint-par",
       [ Alcotest.test_case "hw memo: 4 domains == sequential" `Quick
           test_hw_memo_across_domains ] ) ]
