@@ -11,8 +11,8 @@ type compiled = {
   kernel : Kernel.t;  (** pipelined *)
   groups : Alcop_pipeline.Analysis.group list;
   program : Alcop_gpusim.Trace.program;
-      (** packed event trace; [Alcop_gpusim.Trace.decode] for the boxed
-          debug view *)
+      (** packed event trace; [Alcop_gpusim.Trace.decode] prints it as
+          boxed events *)
   timing_request : Alcop_gpusim.Timing.request;
       (** the exact launch the simulator timed — replayable by
           [Alcop_gpusim.Profile] *)

@@ -145,7 +145,7 @@ let compile_ns = "compile"
    [timing]. [want_full]: [compile] cannot be served by a disk record, so
    a [Record] entry counts as a miss for it (and is upgraded in place
    afterwards). Returns [`Hit entry] or [`Miss]; a [`Miss] caller holds
-   the in-flight claim and MUST release it. *)
+   the in-flight claim and runs its branch under [holding_claim]. *)
 let acquire t key ~want_full =
   let rec go () =
     match Hashtbl.find_opt t.table key with
@@ -174,6 +174,17 @@ let acquire t key ~want_full =
 let release t key () =
   Hashtbl.remove t.inflight key;
   Condition.broadcast t.ready
+
+(* Run a [`Miss] branch: if it raises — in the compiler, the store's
+   read-through or write-through, or a telemetry sink — release the claim
+   before re-raising, so waiters retry instead of blocking forever.
+   Releasing again after [land_entry] only wakes the waiters. *)
+let holding_claim t key f =
+  try f ()
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    locked t (release t key);
+    Printexc.raise_with_backtrace e bt
 
 (* Insert under the lock and release the in-flight claim. Pushing into
    the FIFO only on first insertion keeps a Record->Full upgrade from
@@ -213,11 +224,7 @@ let store_write t key outcome gauges =
    compiler, capture its gauges, land a [Full] entry, write through. *)
 let compile_cold t ?pool ~extra_regs_per_thread ~key params spec =
   let outcome =
-    try Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params spec
-    with e ->
-      let bt = Printexc.get_raw_backtrace () in
-      locked t (release t key);
-      Printexc.raise_with_backtrace e bt
+    Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params spec
   in
   (* Capture-local read: under a pool this sees only the gauges this
      very compile published, never another domain's. *)
@@ -245,6 +252,7 @@ let compile t ?pool ?(extra_regs_per_thread = 0)
       outcome
     | `Hit { payload = Record _; _ } -> assert false  (* want_full *)
     | `Miss ->
+      holding_claim t key @@ fun () ->
       Obs.count "session.cache.miss";
       fst (compile_cold t ?pool ~extra_regs_per_thread ~key params spec)
   end
@@ -285,6 +293,7 @@ let timing t ?pool ?(extra_regs_per_thread = 0)
       List.iter (fun (name, v) -> Obs.gauge name v) e.gauges;
       timed_of_entry e
     | `Miss ->
+      holding_claim t key @@ fun () ->
       Obs.count "session.cache.miss";
       (* Read-through: a fresh process finds the record a previous one
          left behind and skips the compile entirely. Corrupt bytes are a

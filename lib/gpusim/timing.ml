@@ -512,7 +512,7 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
       let g = group.{c} in
       (* [arg] carries the index of the committed batch this wait consumes
          (-1 when the queue would have been empty), [batch] its
-         consumption ordinal — both precomputed by [Trace.finalize]. *)
+         consumption ordinal — both precomputed by the trace builder. *)
       let consumed = arg.{c} in
       let slot =
         if consumed >= 0 then

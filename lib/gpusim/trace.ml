@@ -33,9 +33,9 @@
    Batch ordinals are program-static (every threadblock runs the same
    program), so the push helpers compute, online, the pipeline batch each
    event opens/commits/consumes plus each group's maximum number of
-   in-flight batches ([finalize] applies the identical recurrence as a
-   separate pass for [pack]-built traces) — which is what lets the
-   simulator replace its batch queues with fixed-size rings. The emitted
+   in-flight batches — which is what lets the simulator replace its batch
+   queues with fixed-size rings. Hand-built traces ([pack]) are pushed
+   through the same helpers, so the recurrence exists once. The emitted
    columns are malloc-backed Bigarrays: exact-size major-heap int arrays
    cost more in GC pacing than the whole walk (see [icol]). *)
 
@@ -102,11 +102,6 @@ type icol = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let icol_create n : icol = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
-let icol_of_array (a : int array) : icol =
-  let b = icol_create (Array.length a) in
-  Array.iteri (fun i v -> b.{i} <- v) a;
-  b
-
 type program = {
   n : int;
   opcode : icol;
@@ -123,74 +118,6 @@ type program = {
 }
 
 let length p = p.n
-
-(* Batch ordinals, wait-consumption indices and per-group ring depths are
-   all derivable in one linear pass, because every threadblock replays the
-   same program: a load's batch is the count of commits its group has seen,
-   a wait consumes the oldest not-yet-consumed commit (or nothing, when the
-   program waits before ever committing), and the ring depth is the peak
-   number of committed-but-unconsumed batches. *)
-let finalize ~groups ~opcode ~arg ~group ~flags =
-  let n = Array.length opcode in
-  let ng = Array.length groups in
-  let batch = Array.make n (-1) in
-  let committed = Array.make ng 0 in
-  let taken = Array.make ng 0 in
-  let popped = Array.make ng 0 in
-  let depth = Array.make ng 1 in
-  (* Group-table metadata, derived best-effort from the event stream (the
-     primary path, [extract_program], fills exact values from the pipeline
-     analysis instead): a group is scope-synchronized when any of its
-     protocol events carries [flag_sync_group]; its stage count is the
-     acquire argument when one exists (ring depth otherwise); its
-     per-stage byte footprint is the peak sum of async load bytes joining
-     one batch. *)
-  let stages = Array.make ng 0 in
-  let sync = Array.make ng false in
-  let gbytes = Array.make ng 0 in
-  let openb = Array.make ng 0 in
-  for i = 0 to n - 1 do
-    let g = group.(i) in
-    let op = opcode.(i) in
-    if op = op_load then begin
-      if flags.(i) land flag_async <> 0 && g >= 0 then begin
-        batch.(i) <- committed.(g);
-        openb.(g) <- openb.(g) + arg.(i)
-      end
-    end
-    else if op = op_commit then begin
-      if flags.(i) land flag_sync_group <> 0 then sync.(g) <- true;
-      if openb.(g) > gbytes.(g) then gbytes.(g) <- openb.(g);
-      openb.(g) <- 0;
-      batch.(i) <- committed.(g);
-      committed.(g) <- committed.(g) + 1;
-      let occ = committed.(g) - popped.(g) in
-      if occ > depth.(g) then depth.(g) <- occ
-    end
-    else if op = op_wait then begin
-      if flags.(i) land flag_sync_group <> 0 then sync.(g) <- true;
-      batch.(i) <- taken.(g);
-      taken.(g) <- taken.(g) + 1;
-      if popped.(g) < committed.(g) then begin
-        arg.(i) <- popped.(g);
-        popped.(g) <- popped.(g) + 1
-      end
-      else arg.(i) <- -1
-    end
-    else if op = op_acquire then begin
-      sync.(g) <- true;
-      if arg.(i) > stages.(g) then stages.(g) <- arg.(i)
-    end
-    else if op = op_release then sync.(g) <- true
-  done;
-  for g = 0 to ng - 1 do
-    if stages.(g) = 0 then stages.(g) <- depth.(g)
-  done;
-  { n; opcode = icol_of_array opcode; arg = icol_of_array arg;
-    group = icol_of_array group; flags = icol_of_array flags;
-    batch = icol_of_array batch; groups; group_depth = depth;
-    group_stages = stages; group_sync = sync; group_bytes = gbytes;
-    hash = "" }
 
 let program_hash p =
   if String.length p.hash = 0 then
@@ -224,61 +151,231 @@ let event_at p i =
 
 let decode p = Array.init p.n (event_at p)
 
-let pack (events : event array) =
-  let n = Array.length events in
-  let gtbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let glist = ref [] in
-  let gn = ref 0 in
-  let intern gid =
-    match Hashtbl.find_opt gtbl gid with
-    | Some i -> i
-    | None ->
-      let i = !gn in
-      Hashtbl.replace gtbl gid i;
-      glist := gid :: !glist;
-      incr gn;
-      i
+(* --- program builder --- *)
+
+(* Reusable extraction buffer: grow-only struct-of-arrays, one per domain.
+   Extraction runs on the tuner's hot path (once per cold compile), so the
+   event rows are built in domain-local scratch and only the exact-size
+   program arrays are allocated per call. *)
+type xbuf = {
+  mutable xb_in_use : bool;  (** re-entrancy guard (never expected) *)
+  mutable xb_cap : int;
+  mutable xb_op : icol;
+  mutable xb_arg : icol;
+  mutable xb_grp : icol;
+  mutable xb_flg : icol;
+  mutable xb_bat : icol;
+}
+
+let xbuf_fresh cap =
+  { xb_in_use = false; xb_cap = cap; xb_op = icol_create cap;
+    xb_arg = icol_create cap; xb_grp = icol_create cap;
+    xb_flg = icol_create cap; xb_bat = icol_create cap }
+
+let xbuf_key = Domain.DLS.new_key (fun () -> xbuf_fresh 1024)
+
+let xbuf_grow b =
+  let cap = 2 * b.xb_cap in
+  let grow (a : icol) =
+    let a' = icol_create cap in
+    Bigarray.Array1.blit a (Bigarray.Array1.sub a' 0 b.xb_cap);
+    a'
   in
-  let opcode = Array.make n 0 in
-  let arg = Array.make n 0 in
-  let group = Array.make n (-1) in
-  let flags = Array.make n 0 in
+  b.xb_op <- grow b.xb_op;
+  b.xb_arg <- grow b.xb_arg;
+  b.xb_grp <- grow b.xb_grp;
+  b.xb_flg <- grow b.xb_flg;
+  b.xb_bat <- grow b.xb_bat;
+  b.xb_cap <- cap
+
+(* exact-size copy of the first [n] rows of a scratch column *)
+let icol_take (a : icol) n : icol =
+  let d = icol_create n in
+  Bigarray.Array1.blit (Bigarray.Array1.sub a 0 n) d;
+  d
+
+type xstate = {
+  env : int array;
+  mutable warp_mult : int;
+  buf : xbuf;
+  mutable len : int;
+  (* Online batch bookkeeping, one slot per interned group. Rows are
+     pushed in program order and every threadblock replays the same
+     program, so a load's batch is the count of commits its group has
+     seen, a wait consumes the oldest not-yet-consumed commit (or nothing,
+     when the program waits before ever committing), and the ring depth is
+     the peak number of committed-but-unconsumed batches. *)
+  g_committed : int array;
+  g_taken : int array;
+  g_popped : int array;
+  g_depth : int array;
+  g_flags : int array;
+      (** flag bits the extractor stamps on the group's commit/wait events
+          ([flag_sync_group] for scope pipelines, 0 for soft ones) *)
+  (* register ("soft") pipeline bookkeeping, one slot per group *)
+  s_gid : int array;  (** interned group index *)
+  s_hide : int array;  (** stages - 1: batches the pipeline keeps in flight *)
+  s_open : bool array;
+  s_batches : int array;
+  s_waits : int array;
+}
+
+let[@inline] push_row st ~op ~arg ~group ~flags ~batch =
+  if st.len = st.buf.xb_cap then xbuf_grow st.buf;
+  let b = st.buf in
+  let i = st.len in
+  Bigarray.Array1.unsafe_set b.xb_op i op;
+  Bigarray.Array1.unsafe_set b.xb_arg i arg;
+  Bigarray.Array1.unsafe_set b.xb_grp i group;
+  Bigarray.Array1.unsafe_set b.xb_flg i flags;
+  Bigarray.Array1.unsafe_set b.xb_bat i batch;
+  st.len <- i + 1
+
+let[@inline] push_load st ~bytes ~group ~flags =
+  push_row st ~op:op_load ~arg:bytes ~group ~flags
+    ~batch:
+      (if flags land flag_async <> 0 && group >= 0 then
+         Array.unsafe_get st.g_committed group
+       else -1)
+
+let push_commit st ~group ~flags =
+  push_row st ~op:op_commit ~arg:0 ~group ~flags
+    ~batch:st.g_committed.(group);
+  let c = st.g_committed.(group) + 1 in
+  st.g_committed.(group) <- c;
+  let occ = c - st.g_popped.(group) in
+  if occ > st.g_depth.(group) then st.g_depth.(group) <- occ
+
+let push_wait st ~group ~flags =
+  let consumed =
+    if st.g_popped.(group) < st.g_committed.(group) then begin
+      let p = st.g_popped.(group) in
+      st.g_popped.(group) <- p + 1;
+      p
+    end
+    else -1
+  in
+  push_row st ~op:op_wait ~arg:consumed ~group ~flags
+    ~batch:st.g_taken.(group);
+  st.g_taken.(group) <- st.g_taken.(group) + 1
+
+(* Run [fill] over a fresh state on the domain's scratch columns and cut
+   the program. [groups] is the interned group table; [stages], [sync] and
+   [bytes] hold at least one slot per group, and a group whose stage count
+   is still 0 takes its observed ring depth. *)
+let build ~groups ~nslots ~g_flags ~s_gid ~s_hide ~stages ~sync ~bytes fill =
+  let ng = Array.length groups in
+  let scratch =
+    let b = Domain.DLS.get xbuf_key in
+    if b.xb_in_use then xbuf_fresh 1024 else b
+  in
+  scratch.xb_in_use <- true;
+  Fun.protect ~finally:(fun () -> scratch.xb_in_use <- false) @@ fun () ->
+  let nsoft = Array.length s_gid in
+  let st =
+    { env = Array.make (max 1 nslots) 0; warp_mult = 1; buf = scratch;
+      len = 0;
+      g_committed = Array.make (max 1 ng) 0;
+      g_taken = Array.make (max 1 ng) 0;
+      g_popped = Array.make (max 1 ng) 0;
+      g_depth = Array.make (max 1 ng) 1;
+      g_flags;
+      s_gid; s_hide;
+      s_open = Array.make nsoft false;
+      s_batches = Array.make nsoft 0;
+      s_waits = Array.make nsoft 0 }
+  in
+  fill st;
+  let len = st.len in
+  let group_depth = Array.sub st.g_depth 0 ng in
+  let group_stages = Array.sub stages 0 ng in
+  for g = 0 to ng - 1 do
+    if group_stages.(g) = 0 then group_stages.(g) <- group_depth.(g)
+  done;
+  { n = len;
+    opcode = icol_take scratch.xb_op len;
+    arg = icol_take scratch.xb_arg len;
+    group = icol_take scratch.xb_grp len;
+    flags = icol_take scratch.xb_flg len;
+    batch = icol_take scratch.xb_bat len;
+    groups; group_depth; group_stages;
+    group_sync = Array.sub sync 0 ng;
+    group_bytes = Array.sub bytes 0 ng;
+    hash = "" }
+
+(* Intern table: group ids numbered in first-use order. *)
+let intern tbl gid =
+  match Hashtbl.find_opt tbl gid with
+  | Some i -> i
+  | None ->
+    let i = Hashtbl.length tbl in
+    Hashtbl.replace tbl gid i;
+    i
+
+let interned tbl =
+  let ids = Array.make (Hashtbl.length tbl) "" in
+  Hashtbl.iter (fun gid i -> ids.(i) <- gid) tbl;
+  ids
+
+(* The group table is derived from the event stream: a group is
+   scope-synchronized when any of its protocol events carries the sync
+   bit, its stage count is the largest acquire argument (ring depth when
+   there is none), and its per-stage byte footprint is the peak sum of
+   async load bytes joining one batch. *)
+let pack (events : event array) =
+  let gtbl = Hashtbl.create 8 in
+  let gids =
+    Array.map
+      (function
+        | Load { group = Some g; _ } | Commit { group = g; _ }
+        | Wait_oldest { group = g; _ } | Acquire { group = g; _ } | Release g ->
+          intern gtbl g
+        | Load { group = None; _ } | Store _ | Barrier | Compute _ -> -1)
+      events
+  in
+  let groups = interned gtbl in
+  let slots () = Array.make (max 1 (Array.length groups)) 0 in
+  let stages = slots () and bytes = slots () and open_bytes = slots () in
+  let sync = Array.make (max 1 (Array.length groups)) false in
+  let sync_bit g s =
+    if s then begin
+      sync.(g) <- true;
+      flag_sync_group
+    end
+    else 0
+  in
+  build ~groups ~nslots:0 ~g_flags:[||] ~s_gid:[||] ~s_hide:[||] ~stages ~sync
+    ~bytes
+  @@ fun st ->
   Array.iteri
     (fun i e ->
+      let group = gids.(i) in
       match e with
-      | Load { level; bytes; async; group = g } ->
-        opcode.(i) <- op_load;
-        arg.(i) <- bytes;
-        flags.(i) <-
-          (if async then flag_async else 0)
-          lor (match level with From_shared -> flag_shared | From_global -> 0);
-        (match g with Some gid -> group.(i) <- intern gid | None -> ())
-      | Store { bytes } ->
-        opcode.(i) <- op_store;
-        arg.(i) <- bytes
-      | Commit { group = g; sync } ->
-        opcode.(i) <- op_commit;
-        flags.(i) <- (if sync then flag_sync_group else 0);
-        group.(i) <- intern g
-      | Wait_oldest { group = g; sync } ->
-        opcode.(i) <- op_wait;
-        flags.(i) <- (if sync then flag_sync_group else 0);
-        group.(i) <- intern g
-      | Acquire { group = g; stages } ->
-        opcode.(i) <- op_acquire;
-        arg.(i) <- stages;
-        flags.(i) <- flag_sync_group;
-        group.(i) <- intern g
-      | Release g ->
-        opcode.(i) <- op_release;
-        flags.(i) <- flag_sync_group;
-        group.(i) <- intern g
-      | Barrier -> opcode.(i) <- op_barrier
+      | Load { level; bytes = b; async; _ } ->
+        if async && group >= 0 then open_bytes.(group) <- open_bytes.(group) + b;
+        push_load st ~bytes:b ~group
+          ~flags:
+            ((if async then flag_async else 0)
+            lor match level with From_shared -> flag_shared | From_global -> 0)
+      | Store { bytes = b } ->
+        push_row st ~op:op_store ~arg:b ~group ~flags:0 ~batch:(-1)
+      | Commit { sync = s; _ } ->
+        bytes.(group) <- max bytes.(group) open_bytes.(group);
+        open_bytes.(group) <- 0;
+        push_commit st ~group ~flags:(sync_bit group s)
+      | Wait_oldest { sync = s; _ } ->
+        push_wait st ~group ~flags:(sync_bit group s)
+      | Acquire { stages = k; _ } ->
+        stages.(group) <- max stages.(group) k;
+        push_row st ~op:op_acquire ~arg:k ~group
+          ~flags:(sync_bit group true) ~batch:(-1)
+      | Release _ ->
+        push_row st ~op:op_release ~arg:0 ~group
+          ~flags:(sync_bit group true) ~batch:(-1)
+      | Barrier -> push_row st ~op:op_barrier ~arg:0 ~group ~flags:0 ~batch:(-1)
       | Compute { flops } ->
-        opcode.(i) <- op_compute;
-        arg.(i) <- flops)
-    events;
-  finalize ~groups:(Array.of_list (List.rev !glist)) ~opcode ~arg ~group ~flags
+        push_row st ~op:op_compute ~arg:flops ~group ~flags:0 ~batch:(-1))
+    events
 
 (* --- resolved kernel walker --- *)
 
@@ -348,114 +445,12 @@ type rstmt =
   | Rnop
   | Rfail of string  (** malformed operands: raise if (and only if) reached *)
 
-(* Reusable extraction buffer: grow-only struct-of-arrays, one per domain.
-   Extraction runs on the tuner's hot path (once per cold compile), so the
-   event rows are built in domain-local scratch and only the exact-size
-   program arrays are allocated per call. *)
-type xbuf = {
-  mutable xb_in_use : bool;  (** re-entrancy guard (never expected) *)
-  mutable xb_cap : int;
-  mutable xb_op : icol;
-  mutable xb_arg : icol;
-  mutable xb_grp : icol;
-  mutable xb_flg : icol;
-  mutable xb_bat : icol;
-}
-
-let xbuf_fresh cap =
-  { xb_in_use = false; xb_cap = cap; xb_op = icol_create cap;
-    xb_arg = icol_create cap; xb_grp = icol_create cap;
-    xb_flg = icol_create cap; xb_bat = icol_create cap }
-
-let xbuf_key = Domain.DLS.new_key (fun () -> xbuf_fresh 1024)
-
-let xbuf_grow b =
-  let cap = 2 * b.xb_cap in
-  let grow (a : icol) =
-    let a' = icol_create cap in
-    Bigarray.Array1.blit a (Bigarray.Array1.sub a' 0 b.xb_cap);
-    a'
-  in
-  b.xb_op <- grow b.xb_op;
-  b.xb_arg <- grow b.xb_arg;
-  b.xb_grp <- grow b.xb_grp;
-  b.xb_flg <- grow b.xb_flg;
-  b.xb_bat <- grow b.xb_bat;
-  b.xb_cap <- cap
-
-(* exact-size copy of the first [n] rows of a scratch column *)
-let icol_take (a : icol) n : icol =
-  let d = icol_create n in
-  Bigarray.Array1.blit (Bigarray.Array1.sub a 0 n) d;
-  d
-
-type xstate = {
-  env : int array;
-  mutable warp_mult : int;
-  buf : xbuf;
-  mutable len : int;
-  (* online batch bookkeeping — the [finalize] recurrence applied at push
-     time (the rows are produced in program order, so the two are
-     identical by construction); one slot per interned group *)
-  g_committed : int array;
-  g_taken : int array;
-  g_popped : int array;
-  g_depth : int array;
-  g_flags : int array;
-      (** flag bits stamped on the group's commit/wait events
-          ([flag_sync_group] for scope pipelines, 0 for soft ones) *)
-  (* register ("soft") pipeline bookkeeping, one slot per group *)
-  s_gid : int array;  (** interned group index *)
-  s_hide : int array;  (** stages - 1: batches the pipeline keeps in flight *)
-  s_open : bool array;
-  s_batches : int array;
-  s_waits : int array;
-}
-
-let[@inline] push_row st ~op ~arg ~group ~flags ~batch =
-  if st.len = st.buf.xb_cap then xbuf_grow st.buf;
-  let b = st.buf in
-  let i = st.len in
-  Bigarray.Array1.unsafe_set b.xb_op i op;
-  Bigarray.Array1.unsafe_set b.xb_arg i arg;
-  Bigarray.Array1.unsafe_set b.xb_grp i group;
-  Bigarray.Array1.unsafe_set b.xb_flg i flags;
-  Bigarray.Array1.unsafe_set b.xb_bat i batch;
-  st.len <- i + 1
-
-let[@inline] push_load st ~bytes ~group ~flags =
-  push_row st ~op:op_load ~arg:bytes ~group ~flags
-    ~batch:
-      (if flags land flag_async <> 0 && group >= 0 then
-         Array.unsafe_get st.g_committed group
-       else -1)
-
-let push_commit st ~group =
-  push_row st ~op:op_commit ~arg:0 ~group ~flags:st.g_flags.(group)
-    ~batch:st.g_committed.(group);
-  let c = st.g_committed.(group) + 1 in
-  st.g_committed.(group) <- c;
-  let occ = c - st.g_popped.(group) in
-  if occ > st.g_depth.(group) then st.g_depth.(group) <- occ
-
-let push_wait st ~group =
-  let consumed =
-    if st.g_popped.(group) < st.g_committed.(group) then begin
-      let p = st.g_popped.(group) in
-      st.g_popped.(group) <- p + 1;
-      p
-    end
-    else -1
-  in
-  push_row st ~op:op_wait ~arg:consumed ~group ~flags:st.g_flags.(group)
-    ~batch:st.g_taken.(group);
-  st.g_taken.(group) <- st.g_taken.(group) + 1
-
 (* Close the open batch of every register pipeline that accumulated loads. *)
 let flush_soft st =
   for s = 0 to Array.length st.s_gid - 1 do
     if st.s_open.(s) then begin
-      push_commit st ~group:st.s_gid.(s);
+      let group = st.s_gid.(s) in
+      push_commit st ~group ~flags:st.g_flags.(group);
       st.s_batches.(s) <- st.s_batches.(s) + 1;
       st.s_open.(s) <- false
     end
@@ -468,7 +463,8 @@ let soft_waits st =
   flush_soft st;
   for s = 0 to Array.length st.s_gid - 1 do
     while st.s_waits.(s) < st.s_batches.(s) - st.s_hide.(s) do
-      push_wait st ~group:st.s_gid.(s);
+      let group = st.s_gid.(s) in
+      push_wait st ~group ~flags:st.g_flags.(group);
       st.s_waits.(s) <- st.s_waits.(s) + 1
     done
   done
@@ -527,7 +523,7 @@ let rec exec st node =
         let sgid = st.s_gid.(soft) in
         for _ = 2 to n do
           push_load st ~bytes:arg ~group ~flags;
-          push_commit st ~group:sgid;
+          push_commit st ~group:sgid ~flags:st.g_flags.(sgid);
           st.s_batches.(soft) <- st.s_batches.(soft) + 1
         done
       end
@@ -560,8 +556,8 @@ let rec exec st node =
   | Racquire { group; stages } ->
     push_row st ~op:op_acquire ~arg:stages ~group ~flags:flag_sync_group
       ~batch:(-1)
-  | Rcommit { group } -> push_commit st ~group
-  | Rwait { group } -> push_wait st ~group
+  | Rcommit { group } -> push_commit st ~group ~flags:st.g_flags.(group)
+  | Rwait { group } -> push_wait st ~group ~flags:st.g_flags.(group)
   | Rrelease { group } ->
     push_row st ~op:op_release ~arg:0 ~group ~flags:flag_sync_group
       ~batch:(-1)
@@ -586,21 +582,9 @@ let extract_program ~(groups : Alcop_pipeline.Analysis.group list)
         (fun n -> Hashtbl.replace by_buffer n g)
         (Alcop_pipeline.Analysis.member_names g))
     groups;
-  (* Intern table: group ids in first-use order, shared by resolution and
-     the final program. *)
-  let gtbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let glist = ref [] in
-  let gn = ref 0 in
-  let intern gid =
-    match Hashtbl.find_opt gtbl gid with
-    | Some i -> i
-    | None ->
-      let i = !gn in
-      Hashtbl.replace gtbl gid i;
-      glist := gid :: !glist;
-      incr gn;
-      i
-  in
+  (* group ids in first-use order, shared by resolution and the program *)
+  let gtbl = Hashtbl.create 8 in
+  let intern = intern gtbl in
   let softs =
     List.filter
       (fun (g : Alcop_pipeline.Analysis.group) ->
@@ -726,7 +710,7 @@ let extract_program ~(groups : Alcop_pipeline.Analysis.group list)
            g.Alcop_pipeline.Analysis.stages - 1)
          softs)
   in
-  let ng = !gn in
+  let ng = Hashtbl.length gtbl in
   (* Exact group-table metadata from the pipeline analysis: protocol kind
      (stamped on commit/wait flags via [g_flags]), declared stage count and
      the pass's per-stage byte footprint. Groups the analysis does not
@@ -747,45 +731,8 @@ let extract_program ~(groups : Alcop_pipeline.Analysis.group list)
           g_flags.(idx) <- flag_sync_group
         end)
     groups;
-  let scratch =
-    let b = Domain.DLS.get xbuf_key in
-    if b.xb_in_use then xbuf_fresh 1024 else b
-  in
-  scratch.xb_in_use <- true;
-  Fun.protect ~finally:(fun () -> scratch.xb_in_use <- false) @@ fun () ->
-  let st =
-    { env = Array.make (max 1 !nslots) 0; warp_mult = 1; buf = scratch;
-      len = 0;
-      g_committed = Array.make (max 1 ng) 0;
-      g_taken = Array.make (max 1 ng) 0;
-      g_popped = Array.make (max 1 ng) 0;
-      g_depth = Array.make (max 1 ng) 1;
-      g_flags;
-      s_gid; s_hide;
-      s_open = Array.make (List.length softs) false;
-      s_batches = Array.make (List.length softs) 0;
-      s_waits = Array.make (List.length softs) 0 }
-  in
-  exec st rbody;
-  let len = st.len in
-  let group_depth = Array.sub st.g_depth 0 ng in
-  let group_stages = Array.sub g_stages 0 ng in
-  let group_sync = Array.sub g_sync 0 ng in
-  let group_bytes = Array.sub g_bytes 0 ng in
-  for g = 0 to ng - 1 do
-    if group_stages.(g) = 0 then group_stages.(g) <- group_depth.(g)
-  done;
-  { n = len;
-    opcode = icol_take scratch.xb_op len;
-    arg = icol_take scratch.xb_arg len;
-    group = icol_take scratch.xb_grp len;
-    flags = icol_take scratch.xb_flg len;
-    batch = icol_take scratch.xb_bat len;
-    groups = Array.of_list (List.rev !glist);
-    group_depth; group_stages; group_sync; group_bytes;
-    hash = "" }
-
-let extract ~groups kernel = decode (extract_program ~groups kernel)
+  build ~groups:(interned gtbl) ~nslots:!nslots ~g_flags ~s_gid ~s_hide
+    ~stages:g_stages ~sync:g_sync ~bytes:g_bytes (fun st -> exec st rbody)
 
 (* Aggregate statistics of a trace; used by tests and reporting. *)
 type stats = {

@@ -12,10 +12,12 @@
     extractor synthesizes the equivalent batches: a compute event waits
     until all batches except the youngest [stages-1] have completed.
 
-    The boxed {!event} type is the public/debug view. The simulator's hot
-    path runs on the packed {!program} representation — parallel int arrays
-    with an interned group table and precomputed batch ordinals — produced
-    directly by {!extract_program} with no per-event boxing. *)
+    The simulator runs on the packed {!program} representation — parallel
+    int arrays with an interned group table and precomputed batch ordinals
+    — produced by {!extract_program} with no per-event boxing. The boxed
+    {!event} type is the view for tests and hand-built traces: {!pack}
+    pushes events through the extractor's own builder, so batch ordinals
+    are computed by one recurrence, and {!decode} prints a program back. *)
 
 open Alcop_ir
 
@@ -91,9 +93,10 @@ type program = {
       (** per group: peak committed-but-unconsumed batches (ring capacity
           a replay needs), always [>= 1] *)
   group_stages : int array;
-      (** per group: the pipeline stage count the pass planned (exact on
-          the {!extract_program} path; for {!pack}-built traces the max
-          acquire argument, falling back to the observed ring depth) *)
+      (** per group: the pipeline stage count the pass planned on the
+          {!extract_program} path; for {!pack}-built traces the largest
+          acquire argument. Either falls back to [group_depth] when
+          unknown. *)
   group_sync : bool array;
       (** per group: [true] for scope-synchronized pipelines, [false] for
           scoreboard-synthesized register pipelines *)
@@ -115,19 +118,17 @@ val extract_program :
     the kernel body is resolved once into a slot-indexed closure tree,
     then executed straight into int buffers. *)
 
-val extract :
-  groups:Alcop_pipeline.Analysis.group list -> Kernel.t -> event array
-(** [decode] of {!extract_program} — the boxed debug view. *)
-
 val pack : event array -> program
-(** Pack a boxed event sequence (computes batch ordinals and ring depths
-    the same way {!extract_program} does). Intended for tests and
-    hand-built traces. *)
+(** Pack a boxed event sequence by pushing it through the builder
+    {!extract_program} uses, so batch ordinals and ring depths come from
+    the same recurrence. The group table is derived from the events: a
+    group is synchronized when any of its protocol events carries [sync]
+    (acquire and release always do), its stage count is the largest
+    acquire argument, and its byte footprint is the peak async-load byte
+    sum of one batch. Intended for tests and hand-built traces. *)
 
 val decode : program -> event array
-
-val event_at : program -> int -> event
-(** Decode a single event (for [pp_event] and spot debugging). *)
+(** The boxed view of a program, event by event. *)
 
 val program_hash : program -> string
 (** Content digest of the packed encoding (group table included), memoized

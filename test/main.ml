@@ -28,6 +28,7 @@ let () =
      @ Test_obs.suite
      @ Test_par.suite
      @ Test_fingerprint.domain_suite
+     @ Test_session.domain_suite
      @ Test_hostprof.suite
      @ Test_analytics.suite
      @ Test_benchdb.suite

@@ -190,8 +190,8 @@ let prop_compiled_equal =
       match Test_property.compile_case c with
       | None -> QCheck.assume_fail ()
       | Some (_, _, kernel, groups) ->
-        let events = Trace.extract ~groups kernel in
         let program = Trace.extract_program ~groups kernel in
+        let events = Trace.decode program in
         let barrier_groups =
           List.filter_map
             (fun (g : Alcop_pipeline.Analysis.group) ->
@@ -269,6 +269,30 @@ let prop_pack_decode_roundtrip =
               | _ -> ())
             s.events;
           !ok))
+
+(* The extractor and [pack] push rows through one builder, so on a real
+   compiled kernel, packing the decoded events must reproduce every
+   column the extractor emitted, batch ordinals and ring depths included.
+   [group_stages] and [group_bytes] are left out: the extractor takes
+   them exactly from the pipeline analysis, while [pack] can only derive
+   them from the events (acquire arguments, per-batch async-load bytes). *)
+let prop_pack_matches_extractor =
+  QCheck.Test.make ~name:"pack (decode p) == extract_program columns"
+    ~count:25 Test_property.arb_case (fun c ->
+      match Test_property.compile_case c with
+      | None -> QCheck.assume_fail ()
+      | Some (_, _, kernel, groups) ->
+        let p = Trace.extract_program ~groups kernel in
+        let q = Trace.pack (Trace.decode p) in
+        p.Trace.n = q.Trace.n
+        && p.Trace.opcode = q.Trace.opcode
+        && p.Trace.arg = q.Trace.arg
+        && p.Trace.group = q.Trace.group
+        && p.Trace.flags = q.Trace.flags
+        && p.Trace.batch = q.Trace.batch
+        && p.Trace.groups = q.Trace.groups
+        && p.Trace.group_depth = q.Trace.group_depth
+        && p.Trace.group_sync = q.Trace.group_sync)
 
 let request_of_sched s total_tbs =
   { Timing.hw; program = Trace.pack s.events; total_tbs; warps_per_tb = 4;
@@ -449,4 +473,5 @@ let suite =
           test_per_pass_budgets;
         Alcotest.test_case "allocation budget, traced simulate" `Quick
           test_traced_simulate_budget;
-        QCheck_alcotest.to_alcotest prop_recording_contract ] ) ]
+        QCheck_alcotest.to_alcotest prop_recording_contract;
+        QCheck_alcotest.to_alcotest prop_pack_matches_extractor ] ) ]

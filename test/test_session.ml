@@ -115,6 +115,45 @@ let prop_cached_equals_cold =
       && s.Session.hits + s.Session.misses = 2
       && s.Session.hits = 1)
 
+(* A miss that raises after the compile — here the write-through's
+   telemetry — must release its in-flight claim: the next caller for the
+   same key becomes the miss itself instead of blocking forever in the
+   claim wait. The second call runs in a domain so a leaked claim fails
+   the test after ~5 s instead of hanging the suite. *)
+exception Sink_failure
+
+let test_failed_write_through_releases_claim () =
+  let root = Filename.temp_dir "alcop-session-test" "" in
+  let session = Session.create ~hw ~store:(Store.create ~root ()) () in
+  Alcop_obs.Obs.add_sink
+    { Alcop_obs.Obs.emit =
+        (function
+          | Alcop_obs.Obs.Counter { name = "session.store.write"; _ } ->
+            raise Sink_failure
+          | _ -> ());
+      close = ignore };
+  let raised =
+    Fun.protect ~finally:Alcop_obs.Obs.reset (fun () ->
+        match Session.timing session params spec with
+        | _ -> false
+        | exception Sink_failure -> true)
+  in
+  Alcotest.(check bool) "timing re-raises the sink failure" true raised;
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (Session.timing session params spec)))
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  match Atomic.get result with
+  | None -> Alcotest.fail "second timing call blocked on a leaked claim"
+  | Some r ->
+    Domain.join d;
+    Alcotest.(check bool) "second timing call is Ok" true (Result.is_ok r)
+
 let suite =
   [ ( "session",
       [ Alcotest.test_case "hit returns the identical artifact" `Quick
@@ -129,3 +168,9 @@ let suite =
           test_registry_shared_per_hw;
         Alcotest.test_case "clear" `Quick test_clear;
         QCheck_alcotest.to_alcotest prop_cached_equals_cold ] ) ]
+
+(* Spawns a domain: runs after Test_obs's fork-based test. *)
+let domain_suite =
+  [ ( "session-par",
+      [ Alcotest.test_case "failed write-through releases the claim" `Quick
+          test_failed_write_through_releases_claim ] ) ]
