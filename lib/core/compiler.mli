@@ -38,8 +38,6 @@ type error =
 val error_kind : error -> string
 (** "schedule" | "lowering" | "legality" | "launch". *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val error_to_string : error -> string
 
 val compile :

@@ -13,8 +13,4 @@ type report = {
   speedup_over_xla : float;
 }
 
-val sum_ops :
-  per_op:(Alcop_sched.Op_spec.t -> float option) -> Models.t -> float
-(** @raise Invalid_argument when an operator has no compilable schedule. *)
-
 val evaluate : ?hw:Alcop_hw.Hw_config.t -> Models.t -> report

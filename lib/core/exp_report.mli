@@ -9,17 +9,6 @@
     shapes otherwise; the selfbench section reads [bench_json] (and notes
     its absence rather than re-running bechamel). *)
 
-val generate :
-  ?hw:Alcop_hw.Hw_config.t -> ?pool:Alcop_par.Pool.t ->
-  ?results_dir:string -> ?bench_json:string -> ?history_dir:string ->
-  unit -> string
-(** The full HTML document. Defaults: default hardware, ["results"],
-    ["BENCH_gpusim.json"], [Alcop_obs.Benchdb.default_history_dir].
-    [pool] parallelizes the recompute fallbacks (one worker task per
-    suite operator). [history_dir] feeds the benchmark-history trend
-    sections (selfbench medians over time with ±MAD noise bands and
-    change-point markers, one section per machine stream). *)
-
 val write :
   ?hw:Alcop_hw.Hw_config.t -> ?pool:Alcop_par.Pool.t ->
   ?results_dir:string -> ?bench_json:string -> ?history_dir:string ->

@@ -156,23 +156,6 @@ type fig12_row = {
   bottleneck_top : (int * float option) list;
 }
 
-(* [ranked] lists the *measured* cost of each schedule in model-predicted
-   order; [None] entries are schedules that failed to compile. Returns the
-   normalized best within the top k, or [None] when all k failed (the
-   paper's "compile fail" marker). *)
-let best_in_top_k ~k ~ranked ~measured_best =
-  let top = List.filteri (fun i _ -> i < k) ranked in
-  let best =
-    List.fold_left
-      (fun acc cost ->
-        match cost, acc with
-        | Some c, Some b when c >= b -> acc
-        | Some c, _ -> Some c
-        | None, _ -> acc)
-      None top
-  in
-  Option.map (fun b -> measured_best /. b) best
-
 let fig12 ?(hw = Alcop_hw.Hw_config.default) ?pool ?(suite = Suites.fig10)
     ?(ks = [ 10; 50 ]) () =
   suite_map pool

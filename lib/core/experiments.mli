@@ -7,14 +7,6 @@ open Alcop_sched
 
 val geomean : float list -> float
 
-val best_latency :
-  ?hw:Alcop_hw.Hw_config.t -> Variants.t -> Op_spec.t -> float option
-(** Exhaustive-search best latency. Shared across experiments through the
-    per-hardware {!Session} artifact cache: re-deriving a variant's best
-    point costs one cache lookup per schedule point. *)
-
-val tflops : ?hw:Alcop_hw.Hw_config.t -> Op_spec.t -> float -> float
-
 (** {2 E1 — Fig. 1(b): the motivating example} *)
 
 type fig1b_row = {
@@ -66,13 +58,6 @@ type fig12_row = {
   ours_top : (int * float option) list;
   bottleneck_top : (int * float option) list;
 }
-
-val best_in_top_k :
-  k:int -> ranked:float option list -> measured_best:float -> float option
-(** [ranked] lists measured costs in model-predicted order; [None] when the
-    whole top-k failed to compile (the paper's "compile fail" marker).
-    One-off queries only — a sweep over many [k]s should take one
-    {!Alcop_tune.Tuner.prefix_best_costs} pass instead, as {!fig12} does. *)
 
 val fig12 :
   ?hw:Alcop_hw.Hw_config.t -> ?pool:Alcop_par.Pool.t ->

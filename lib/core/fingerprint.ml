@@ -19,7 +19,6 @@ type t = Digest.t
 
 let to_hex = Digest.to_hex
 let equal = Digest.equal
-let compare = Digest.compare
 
 (* Floats go through the JSON tree, whose serializer uses the shortest
    round-trip form: equal doubles yield equal text, distinct doubles

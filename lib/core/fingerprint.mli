@@ -21,7 +21,8 @@ val to_hex : t -> string
 (** 32 lowercase hex characters. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
+(** Test-only: tests compare keys; the session table hashes them
+    structurally. *)
 
 val hw_digest : Alcop_hw.Hw_config.t -> string
 (** Hex MD5 of the canonical JSON document of a hardware config — the
@@ -30,7 +31,8 @@ val hw_digest : Alcop_hw.Hw_config.t -> string
     value render it once. *)
 
 val schema_version : int
-(** Version tag folded into {!compile_key}. Bumped whenever compiler
+(** Test-only: tests pin the current key layout.
+    Version tag folded into {!compile_key}. Bumped whenever compiler
     semantics, artifact representation or the key's serialization change
     (v2: packed-program traces; v3: the hw config enters as
     {!hw_digest}), so cache entries can never replay across them. *)
@@ -51,6 +53,6 @@ val compile_key_v :
   Alcop_perfmodel.Params.t ->
   Alcop_sched.Op_spec.t ->
   t
-(** {!compile_key} under an explicit schema version — exists so the
-    schema-bump test can prove old-version keys cannot alias current
-    ones. *)
+(** Test-only: the schema-bump test proves with it that old-version keys
+    cannot alias current ones.
+    {!compile_key} under an explicit schema version. *)

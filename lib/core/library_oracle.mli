@@ -4,11 +4,6 @@
 
 open Alcop_sched
 
-val expert_factor : float
-
-val template_points : Op_spec.t -> Alcop_perfmodel.Params.t list
-(** The templates whose tilings divide this operator's shape. *)
-
 val best_latency : ?hw:Alcop_hw.Hw_config.t -> Op_spec.t -> float option
 (** Best template latency times the expert factor; [None] when no template
     fits the shape. *)

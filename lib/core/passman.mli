@@ -14,7 +14,7 @@
     - a dump hook ([--dump-ir-after=PASS] in [alcop show]/[alcop explain])
       that receives the intermediate kernel right after the pass runs.
 
-    The pass registry {!pipeline} is static: it describes the passes
+    The pass registry is static: it describes the passes
     [Compiler.compile] executes, in order, so CLIs can validate pass names
     and print help without compiling anything. *)
 
@@ -24,17 +24,16 @@ type info = {
   produces_ir : bool;  (** whether the pass yields a kernel to dump/check *)
 }
 
-val pipeline : info list
-(** The compile pipeline in execution order:
-    [schedule; lower; pipeline; trace; timing]. *)
-
 val find : string -> info option
+(** Test-only: the registry test reads one entry's fields. *)
 
 val names : string list
-(** Names of {!pipeline} in order. *)
+(** Names of the compile pipeline's passes in execution order:
+    [schedule; lower; pipeline; trace; timing]. *)
 
 val ir_pass_names : string list
-(** Names of the IR-producing passes (valid [--dump-ir-after] targets). *)
+(** Test-only: the registry test checks which passes produce IR.
+    Names of the IR-producing passes (valid [--dump-ir-after] targets). *)
 
 (** {2 IR dump hook} *)
 
@@ -46,6 +45,7 @@ val set_dump :
     one hook is active at a time. *)
 
 val clear_dump : unit -> unit
+(** Test-only: tests uninstall the dump hook between cases. *)
 
 (** {2 Post-pass validation} *)
 
@@ -58,6 +58,7 @@ val set_validate_ir : bool -> unit
     compile thousands of points. *)
 
 val validate_ir : unit -> bool
+(** Test-only: tests read back the validation switch. *)
 
 (** {2 Running a pass} *)
 

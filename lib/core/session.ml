@@ -70,7 +70,6 @@ let create ?(hw = Alcop_hw.Hw_config.default) ?(capacity = 8192)
     store;
     hits = 0; misses = 0; evictions = 0 }
 
-let hw t = t.hw
 let attach_store t store = t.store <- store
 let store t = t.store
 

@@ -67,8 +67,6 @@ val for_hw : Alcop_hw.Hw_config.t -> t
     targeting the same machine share one artifact store. Scaled or
     cross-generation machines (experiment E9) each get their own. *)
 
-val hw : t -> Alcop_hw.Hw_config.t
-
 val compile :
   t ->
   ?pool:Alcop_par.Pool.t ->
@@ -137,7 +135,8 @@ val hit_rate : stats -> float
 (** hits / (hits + misses); 0 when nothing was evaluated. *)
 
 val clear : t -> unit
-(** Drop all entries and zero the counters. *)
+(** Test-only: tests reset a session in place between phases.
+    Drop all entries and zero the counters. *)
 
 val publish_entries_gauge : t -> unit
 (** Publish the resident entry count as the [session.cache.entries]

@@ -29,7 +29,9 @@ type stats = {
 }
 
 val default_root : unit -> string
-(** [$ALCOP_STORE], else [$XDG_CACHE_HOME/alcop], else [$HOME/.cache/alcop],
+(** Test-only: the environment-precedence test reads it; {!create} applies
+    it.
+    [$ALCOP_STORE], else [$XDG_CACHE_HOME/alcop], else [$HOME/.cache/alcop],
     else a per-user directory under the system temp dir. *)
 
 val create : ?root:string -> ?max_bytes:int -> unit -> t
@@ -58,7 +60,8 @@ val mark_corrupt : t -> ns:string -> string -> unit
     the bad file so the next process pays the miss only once. *)
 
 val entry_path : t -> ns:string -> string -> string
-(** Where the entry lives (whether or not it exists) — for tests. *)
+(** Test-only: corruption and gc tests edit entries on disk.
+    Where the entry lives (whether or not it exists). *)
 
 val stats : t -> stats
 

@@ -14,6 +14,9 @@ type t = {
 
 val tvm : t
 val tvm_db : t
+(** Test-only: sweeps reach it through {!all}; the register-cost test names
+    it. *)
+
 val alcop_no_ml_ms : t
 val alcop_no_ml : t
 val alcop : t

@@ -4,13 +4,4 @@
 
 open Alcop_sched
 
-val codegen_factor : float
-val dispatch_factor : float
-
-val heuristic_point : Op_spec.t -> Alcop_perfmodel.Params.t option
-(** The deterministic no-search tiling XLA's own codegen would pick. *)
-
-val own_codegen_latency :
-  ?hw:Alcop_hw.Hw_config.t -> Op_spec.t -> float option
-
 val latency : ?hw:Alcop_hw.Hw_config.t -> Op_spec.t -> float option

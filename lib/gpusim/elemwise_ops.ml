@@ -24,5 +24,3 @@ let find_exn name =
   match find name with
   | Some f -> f
   | None -> invalid_arg ("Elemwise_ops: unknown op " ^ name)
-
-let names = List.map fst table

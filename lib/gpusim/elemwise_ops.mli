@@ -1,11 +1,6 @@
 (** Registry of element-wise functions that can be fused into copies (paper
     Fig. 5's f) or materialized as separate stages. *)
 
-val table : (string * (float -> float)) list
-val find : string -> (float -> float) option
-
 val find_exn : string -> float -> float
 (** @raise Invalid_argument on unknown names. *)
 
-val names : string list
-val gelu : float -> float

@@ -41,11 +41,6 @@ type group_view = {
   gv_n_waits : int;
 }
 
-val term_names : string list
-(** The five cycle-partition buckets, in display order: compute, exposed
-    (pipeline wait stalls), scoreboard (non-pipelined load stalls), sync
-    (barriers, drains, pure-latency waits), issue. *)
-
 type t = {
   pv_op : string;
   pv_schedule : string;

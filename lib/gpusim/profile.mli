@@ -22,27 +22,33 @@ val run :
   (t, Occupancy.failure) result
 
 val stages_of : t -> string -> int
-(** Stage count of a pipeline group, from [Trace.program.group_stages]
+(** Test-only: the profile tests check this part of {!report} directly.
+    Stage count of a pipeline group, from [Trace.program.group_stages]
     (at least 1; 1 for an unknown group). *)
 
 val critical : Timing.recorded_wave -> int
-(** Index of the wave's slowest (critical-path) threadblock. *)
+(** Test-only: the profile tests check this part of {!report} directly.
+    Index of the wave's slowest (critical-path) threadblock. *)
 
 val tb_cycles : Timing.recorded_wave -> int -> float
-(** Finish time of one threadblock of the wave. *)
+(** Test-only: the profile tests check this part of {!report} directly.
+    Finish time of one threadblock of the wave. *)
 
 val class_cycles : Timing.recorded_wave -> int -> Timing.stall_class -> float
-(** Total cycles of one threadblock attributed to one stall class. The
+(** Test-only: the profile tests check this part of {!report} directly.
+    Total cycles of one threadblock attributed to one stall class. The
     classes partition the threadblock's time, so they sum to
     {!tb_cycles}. *)
 
 val stage_stalls :
   t -> Timing.recorded_wave -> int -> ((string * int) * float) list
-(** Wait-stall cycles of one threadblock per (group, stage slot), sorted —
+(** Test-only: the profile tests check this part of {!report} directly.
+    Wait-stall cycles of one threadblock per (group, stage slot), sorted —
     the latency the pipeline failed to hide at each stage. *)
 
 val representative : t -> Timing.recorded_wave option
-(** The wave whose cycles dominate the kernel (full when one exists). *)
+(** Test-only: the profile tests check this part of {!report} directly.
+    The wave whose cycles dominate the kernel (full when one exists). *)
 
 val stall_breakdown : t -> (string * float) list
 (** Per-stall-class cycles of the critical threadblock of the
@@ -50,9 +56,6 @@ val stall_breakdown : t -> (string * float) list
     classes dropped. The classes partition that threadblock's time, so
     the values sum exactly to its cycle count — a stall diff between two
     variants therefore accounts for the whole cycle delta. *)
-
-val binding_resource : t -> string
-(** The busiest server of the representative wave, by busy fraction. *)
 
 val dominant_stall : t -> Timing.stall_class
 (** Largest non-[Compute] stall class of the critical threadblock. *)
@@ -63,7 +66,9 @@ val report : t -> string
     per-stage wait stalls. *)
 
 val chrome_events : t -> Alcop_obs.Obs.event list
-(** The profile as [Obs] events with simulated-cycle timestamps, routed
+(** Test-only: tests feed it to an in-memory sink; the CLI uses
+    {!write_chrome_trace}.
+    The profile as [Obs] events with simulated-cycle timestamps, routed
     onto per-threadblock and per-stage tracks via the Chrome sink's
     reserved [#pid]/[#tid] fields. *)
 

@@ -3,8 +3,6 @@
 
 open Alcop_sched
 
-val apply_opt : string option -> Tensor.t -> Tensor.t
-
 val gemm : Op_spec.t -> a:Tensor.t -> b:Tensor.t -> Tensor.t
 (** [C[b,i,j] = sum_k A[b,i,k] * B[b,j,k]], with the spec's optional
     element-wise ops applied to inputs and output. *)

@@ -120,9 +120,3 @@ let allclose ?(atol = 1e-6) ?(rtol = 1e-6) a b =
     done;
     !ok
   end
-
-let pp fmt t =
-  Format.fprintf fmt "tensor[%s] %a (%d elements)"
-    (String.concat "x" (List.map string_of_int t.shape))
-    Dtype.pp t.dtype
-    (Bigarray.Array1.dim t.data)

@@ -14,7 +14,6 @@ type t = {
   dtype : Dtype.t;
 }
 
-val num_elements : int list -> int
 val strides_of : int list -> int array
 
 val shape_equal : int list -> int list -> bool
@@ -24,6 +23,8 @@ val alloc : int -> data
 (** Fresh uninitialized float64 storage of [n] elements. *)
 
 val create : ?dtype:Dtype.t -> int list -> float -> t
+(** Test-only: tests build constant-filled input tensors. *)
+
 val zeros : ?dtype:Dtype.t -> int list -> t
 val init : ?dtype:Dtype.t -> int list -> (int array -> float) -> t
 
@@ -36,4 +37,3 @@ val map : (float -> float) -> t -> t
 
 val max_abs_diff : t -> t -> float
 val allclose : ?atol:float -> ?rtol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

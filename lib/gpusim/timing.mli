@@ -135,7 +135,9 @@ val critical_tb : recording -> int
 
 val simulate_program :
   ?recording:recording -> config -> Trace.program -> wave_result
-(** Replay one wave of a packed program. This is the engine: flat
+(** Test-only: tests replay hand-built programs; the library goes through
+    {!run}.
+    Replay one wave of a packed program. This is the engine: flat
     array-backed scoreboard state drawn from a domain-local scratch arena,
     O(1) allocation per wave. With [?recording], first empties it, then
     writes every observation of the wave into it; without one the
@@ -201,9 +203,11 @@ type kernel_timing = {
 val launch_overhead_cycles : float
 
 val jitter : int -> float
-(** Deterministic residual multiplier in [0.97, 1.03], keyed by schedule. *)
+(** Test-only: the DES tests check the residual bounds directly.
+    Deterministic residual multiplier in [0.97, 1.03], keyed by schedule. *)
 
 val bank_conflict_penalty : swizzle:bool -> tb_k:int -> elem_bytes:int -> float
+(** Test-only: the DES tests check the penalty model directly. *)
 
 val run : ?pool:Alcop_par.Pool.t -> request -> (kernel_timing, Occupancy.failure) result
 (** Simulate a whole kernel launch. [Error] when the threadblock exceeds

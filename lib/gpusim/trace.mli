@@ -38,6 +38,7 @@ type event =
   | Compute of { flops : int }
 
 val pp_event : Format.formatter -> event -> unit
+(** Test-only: tests print failing event sequences. *)
 
 (** {1 Packed programs}
 
@@ -46,7 +47,8 @@ val pp_event : Format.formatter -> event -> unit
     are interned into [groups]; [group.{i}] is an index into it, [-1] when
     the event has no group. *)
 
-(** Opcodes (values of [opcode.{i}]). *)
+(** Opcodes (values of [opcode.{i}]); every other value is a compute
+    event, whose [arg] is its FLOPs. *)
 
 val op_load : int
 val op_store : int
@@ -55,7 +57,6 @@ val op_wait : int
 val op_acquire : int
 val op_release : int
 val op_barrier : int
-val op_compute : int
 
 (** Flag bits (values or-ed into [flags.{i}]). *)
 
@@ -63,7 +64,8 @@ val flag_async : int
 val flag_shared : int
 
 val flag_sync_group : int
-(** Set on commit/wait/acquire/release events of scope-synchronized
+(** Test-only: tests check the sync bit of packed events.
+    Set on commit/wait/acquire/release events of scope-synchronized
     pipeline groups; clear on the synthesized commit/wait pairs of
     register ("soft") pipelines. Ignored by the simulator — carried for
     decoded views and the pipeline observatory. *)
@@ -128,7 +130,9 @@ val pack : event array -> program
     sum of one batch. Intended for tests and hand-built traces. *)
 
 val decode : program -> event array
-(** The boxed view of a program, event by event. *)
+(** Test-only: tests, and the frozen legacy engine they compare against,
+    read programs as boxed events.
+    The boxed view of a program, event by event. *)
 
 val program_hash : program -> string
 (** Content digest of the packed encoding (group table included), memoized

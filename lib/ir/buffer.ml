@@ -42,12 +42,6 @@ let size_bytes b = num_elements b * Dtype.size_bytes b.dtype
 
 let rank b = List.length b.shape
 
-let equal a b =
-  String.equal a.name b.name
-  && scope_equal a.scope b.scope
-  && Dtype.equal a.dtype b.dtype
-  && a.shape = b.shape
-
 let with_stage_dim stages b =
   if stages < 2 then invalid_arg "Buffer.with_stage_dim: need at least 2 stages";
   { b with shape = stages :: b.shape }

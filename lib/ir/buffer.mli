@@ -10,7 +10,8 @@ val scope_to_string : scope -> string
 val scope_equal : scope -> scope -> bool
 
 val inner_scope : scope -> scope option
-(** The next memory level closer to the compute units, if any. *)
+(** Test-only: the IR tests check the memory-level order.
+    The next memory level closer to the compute units, if any. *)
 
 type t = private {
   name : string;
@@ -25,7 +26,6 @@ val make : name:string -> scope:scope -> dtype:Dtype.t -> shape:int list -> t
 val num_elements : t -> int
 val size_bytes : t -> int
 val rank : t -> int
-val equal : t -> t -> bool
 
 val with_stage_dim : int -> t -> t
 (** [with_stage_dim n b] prepends a pipeline-stage dimension of extent [n];

@@ -27,8 +27,6 @@ let of_string = function
   | "i8" -> Some I8
   | _ -> None
 
-let equal (a : t) (b : t) = a = b
-
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* Quantization grid used by the functional interpreter to emulate reduced

@@ -12,8 +12,7 @@ val size_bytes : t -> int
 val to_string : t -> string
 
 val of_string : string -> t option
-
-val equal : t -> t -> bool
+(** Test-only: the IR tests check the name round trip. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -25,11 +25,16 @@ val one : t
 
 val add : t -> t -> t
 val sub : t -> t -> t
+(** Test-only: tests write index expressions with it. *)
+
 val mul : t -> t -> t
 val div : t -> t -> t
 val modulo : t -> t -> t
 val min_ : t -> t -> t
+(** Test-only: tests write index expressions with it. *)
+
 val max_ : t -> t -> t
+(** Test-only: tests write index expressions with it. *)
 
 val floordiv_int : int -> int -> int
 val floormod_int : int -> int -> int

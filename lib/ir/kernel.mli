@@ -21,5 +21,4 @@ val find_buffer : t -> string -> Buffer.t option
 
 val map_body : (Stmt.t -> Stmt.t) -> t -> t
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -79,6 +79,7 @@ val slice : Expr.t -> int -> slice
 val point_slice : Expr.t -> slice
 val region : string -> slice list -> region
 val full_region : Buffer.t -> region
+(** Test-only: tests build regions by hand. *)
 
 val seq : t list -> t
 (** Flattens nested [Seq]s; a singleton list collapses to its element. *)
@@ -89,7 +90,6 @@ val alloc : Buffer.t -> t -> t
 
 (** {2 Region utilities} *)
 
-val region_lens : region -> int list
 val region_elems : region -> int
 val squeeze_lens : region -> int list
 val copy_shapes_compatible : dst:region -> src:region -> bool
@@ -102,17 +102,14 @@ val iter : (t -> unit) -> t -> unit
 val map : (t -> t) -> t -> t
 (** Bottom-up rewriting: children first, then the rewritten node. *)
 
-val map_children : (t -> t) -> t -> t
-
-val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
-(** Pre-order fold. *)
-
 val allocs : t -> Buffer.t list
 (** All allocated buffers in program order. *)
 
 val find_alloc : t -> string -> Buffer.t option
+(** Test-only: tests inspect lowered and pipelined IR with it. *)
 
 val loop_vars : t -> string list
+(** Test-only: tests inspect lowered and pipelined IR with it. *)
 
 val subst_var : string -> Expr.t -> t -> t
 (** Substitute an index variable through every expression of the program. *)
@@ -121,15 +118,18 @@ val subst_var : string -> Expr.t -> t -> t
 
 val count : (t -> bool) -> t -> int
 val count_copies : ?kind:copy_kind -> t -> int
+(** Test-only: tests count primitives in lowered and pipelined IR. *)
+
 val count_syncs : t -> int
+(** Test-only: tests count primitives in lowered and pipelined IR. *)
+
 val count_mmas : t -> int
+(** Test-only: tests count primitives in lowered and pipelined IR. *)
 
 (** {2 Printing} *)
 
 val binding_to_string : loop_binding -> string
 val cmp_to_string : cmp -> string
-val pp_slice : Format.formatter -> slice -> unit
-val pp_region : Format.formatter -> region -> unit
-val pp_cond : Format.formatter -> cond -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** Test-only: tests match printed IR. *)

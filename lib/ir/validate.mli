@@ -11,8 +11,6 @@ type error = {
   message : string;
 }
 
-val pp_error : Format.formatter -> error -> unit
-
 exception Invalid of error list
 
 val check : Kernel.t -> (unit, error list) result

@@ -17,10 +17,6 @@ type span_stats = {
   ss_hist : Obs.histogram;  (** distribution of individual durations *)
 }
 
-val span_stats : Trace_reader.trace -> span_stats list
-(** Aggregated by span name, sorted by total duration descending (ties by
-    name). *)
-
 (** {1 Critical path} *)
 
 type critical_node = {
@@ -30,13 +26,10 @@ type critical_node = {
   cn_depth : int;
 }
 
-val critical_path : Trace_reader.span -> critical_node list
-(** Greedy longest-child descent from a root span: at each level the path
-    follows the child with the largest duration; the remainder (siblings
-    plus genuine self time) is reported as [cn_self]. *)
-
 val critical_path_of_trace : Trace_reader.trace -> critical_node list
-(** Critical path of the longest root span; [[]] on a spanless trace. *)
+(** Test-only: the analytics tests check this part of the trace reports
+    directly.
+    Critical path of the longest root span; [[]] on a spanless trace. *)
 
 (** {1 Span diff} *)
 
@@ -50,7 +43,9 @@ type span_delta = {
 val diff_spans :
   old_trace:Trace_reader.trace -> new_trace:Trace_reader.trace ->
   span_delta list
-(** Per-name total-duration deltas over the union of span names, sorted
+(** Test-only: the analytics tests check this part of the trace reports
+    directly.
+    Per-name total-duration deltas over the union of span names, sorted
     by delta magnitude descending. *)
 
 (** {1 Stall diff} *)
@@ -63,7 +58,9 @@ type stall_delta = {
 }
 
 val stall_breakdown_of_trace : Trace_reader.trace -> (string * float) list
-(** Per-stall-class cycle totals from the trace's cumulative
+(** Test-only: the analytics tests check this part of the trace reports
+    directly.
+    Per-stall-class cycle totals from the trace's cumulative
     [stall.<class>] gauges (emitted by the gpusim profiler for the
     critical thread block of the representative wave). The classes
     partition that block's cycles exactly, so the breakdown sums to its

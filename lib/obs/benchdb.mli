@@ -29,7 +29,8 @@ val median : float list -> float
 (** 0. on the empty list; the mean of the middle pair for even lengths. *)
 
 val mad : ?center:float -> float list -> float
-(** Median absolute deviation around [center] (default: the median). *)
+(** Test-only: the statistics test checks it directly; {!summarize} uses it.
+    Median absolute deviation around [center] (default: the median). *)
 
 val percentile : float -> float list -> float
 (** Linear interpolation between order statistics; [percentile 0.9]. *)
@@ -87,16 +88,16 @@ type record = {
   r_benches : bench list;
 }
 
-val schema_v2 : string
-
 val make_record :
   ?ts:float -> ?generated_by:string -> machine:string ->
   fingerprint:fingerprint -> bench list -> record
 
 val record_to_json : record -> Json.t
+(** Test-only: the schema tests round-trip in-memory documents. *)
 
 val record_of_json : Json.t -> (record, string) result
-(** Reads an [alcop-selfbench-v2] document; any other schema, the legacy
+(** Test-only: the schema tests parse in-memory documents.
+    Reads an [alcop-selfbench-v2] document; any other schema, the legacy
     [alcop-selfbench-v1] included, is an [Error "unknown selfbench schema
     …"]. Entries without an id or a [median_ns] are dropped. *)
 
@@ -134,12 +135,6 @@ type series_point = {
   sp_noise : float;  (** absolute noise in ops/sec (MAD-propagated) *)
 }
 
-val bench_ids : record list -> string list
-(** Union of benchmark ids, in first-seen order. *)
-
-val series : bench_id:string -> record list -> series_point list
-(** The per-benchmark trend series across a stream. *)
-
 type change_point = {
   cp_index : int;
       (** series position of the {e first record after} the shift *)
@@ -152,7 +147,8 @@ type change_point = {
 val change_points :
   ?window:int -> ?sensitivity:float -> ?min_rel:float ->
   (float * float) array -> change_point list
-(** Sliding median-shift change-point detection over [(value, noise)]
+(** Test-only: the detector tests feed it synthetic series.
+    Sliding median-shift change-point detection over [(value, noise)]
     points. At each boundary the medians of up to [window] points on
     either side are compared against a noise floor
     [sigma = max(1.4826·MAD(residuals), median per-point noise,
@@ -181,7 +177,8 @@ val regressions : trend list -> (trend * change_point) list
 (** The change points whose ratio is below 1 (throughput dropped). *)
 
 val first_bad : record list -> change_point -> trend -> string
-(** Human description of the first-bad record behind a change point:
+(** Test-only: the attribution test checks its text directly.
+    Human description of the first-bad record behind a change point:
     record number plus its git rev and timestamp when recorded. *)
 
 val trend_lines :

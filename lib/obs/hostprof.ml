@@ -711,48 +711,6 @@ let write_chrome_trace path p =
   in
   emit_all (Sinks.chrome_trace_file path) (origin_ev :: span_events p)
 
-let write_jsonl path p =
-  let worker_points =
-    List.map
-      (fun w ->
-        Obs.Point
-          { name = "hostprof.worker"; ts = 0.0;
-            fields =
-              [ ("role", Json.Str w.w_role); ("wall_ns", Json.Int w.w_wall_ns);
-                ("busy_ns", Json.Int w.w_busy_ns);
-                ("queue_ns", Json.Int w.w_queue_ns);
-                ("lock_ns", Json.Int w.w_lock_ns);
-                ("gc_ns", Json.Int w.w_gc_ns);
-                ("idle_ns", Json.Int w.w_idle_ns);
-                ("tasks", Json.Int w.w_tasks) ] })
-      p.p_workers
-  in
-  let lock_points =
-    List.map
-      (fun l ->
-        Obs.Point
-          { name = "hostprof.lock"; ts = 0.0;
-            fields =
-              [ ("lock", Json.Str l.l_name);
-                ("acquisitions", Json.Int l.l_acquisitions);
-                ("contended", Json.Int l.l_contended);
-                ("wait_ns", Json.Int l.l_wait_ns) ] })
-      p.p_locks
-  in
-  let pass_points =
-    List.map
-      (fun pa ->
-        Obs.Point
-          { name = "hostprof.pass"; ts = 0.0;
-            fields =
-              [ ("pass", Json.Str pa.p_pass); ("runs", Json.Int pa.p_runs);
-                ("minor_words", Json.Float pa.pa_minor_words);
-                ("promoted_words", Json.Float pa.pa_promoted_words) ] })
-      p.p_passes
-  in
-  emit_all (Sinks.jsonl_file path)
-    (span_events p @ worker_points @ lock_points @ pass_points)
-
 let json_of_hist h =
   Json.Obj
     [ ("count", Json.Int h.Obs.h_count); ("sum_s", Json.Float h.Obs.h_sum);

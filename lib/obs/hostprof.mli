@@ -43,7 +43,7 @@
     Usage: {!start} on the coordinating domain, run the workload (create
     pools {e inside} the window so worker lifetimes are covered and
     joined before {!stop}), then {!stop} and render with {!report} /
-    {!write_chrome_trace} / {!write_jsonl} / {!json_of_profile}.
+    {!write_chrome_trace} / {!json_of_profile}.
     Probes cost one atomic load when profiling is off. *)
 
 (** {1 Probes} (called by [Alcop_par.Pool], [Session], [Passman]) *)
@@ -195,10 +195,6 @@ val report : ?top:int -> profile -> string
 val write_chrome_trace : string -> profile -> unit
 (** Chrome trace with one [#tid] track per domain (coordinator = tid 0),
     through {!Sinks.chrome_trace_file}'s routing fields. *)
-
-val write_jsonl : string -> profile -> unit
-(** The same spans plus per-lock and per-pass points as a JSONL log,
-    through {!Sinks.jsonl_file}. *)
 
 val json_of_profile : profile -> Json.t
 (** Machine-readable profile (schema ["alcop-hostprof-v1"]) for

@@ -12,16 +12,12 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** Escape the contents of a JSON string literal (no surrounding quotes). *)
-
 val float_repr : float -> string
-(** The exact float text {!to_string} emits: the shortest of ["%.12g"] /
+(** Test-only: the fingerprint tests check float stability with it.
+    The exact float text {!to_string} emits: the shortest of ["%.12g"] /
     ["%.17g"] that re-parses to the identical double (["null"] for
     non-finite values). Equal doubles always produce equal strings, which
     is what makes it safe as a canonical form for content fingerprints. *)
-
-val to_buffer : Buffer.t -> t -> unit
 
 val to_string : t -> string
 (** Compact (single-line) serialization. Non-finite floats serialize as

@@ -38,7 +38,7 @@ type event =
 (** {1 Histograms}
 
     A fixed log-spaced bucket scheme shared by every histogram metric:
-    {!hist_buckets_per_decade} buckets per decade from 1e-9 up, plus an
+    8 buckets per decade from 1e-9 up, plus an
     underflow bucket 0 (values below the first edge, including zero) and a
     final overflow bucket. One fixed scheme makes histograms mergeable
     across runs and exactly reconstructible from a JSONL event log. *)
@@ -48,34 +48,35 @@ type histogram = {
   h_sum : float;
   h_min : float;  (** [+inf] while empty *)
   h_max : float;  (** [-inf] while empty *)
-  h_buckets : int array;  (** length {!hist_n_buckets}; treat as read-only *)
+  h_buckets : int array;  (** one per bucket; treat as read-only *)
 }
-
-val hist_buckets_per_decade : int
-val hist_n_buckets : int
 
 val hist_empty : unit -> histogram
 
 val hist_bucket_index : float -> int
+(** Test-only: the histogram tests check bucket edges. *)
 
 val hist_bucket_lo : int -> float
-(** Lower edge of a bucket; [0.] for the underflow bucket. *)
+(** Test-only: the histogram tests check bucket edges.
+    Lower edge of a bucket; [0.] for the underflow bucket. *)
 
 val hist_bucket_hi : int -> float
-(** Upper edge; [infinity] for the overflow bucket. *)
+(** Test-only: the histogram tests check bucket edges.
+    Upper edge; [infinity] for the overflow bucket. *)
 
 val hist_observe : histogram -> float -> histogram
 
 val hist_merge : histogram -> histogram -> histogram
 
 val hist_of_values : float list -> histogram
+(** Test-only: tests build reference histograms. *)
 
 val hist_percentile : histogram -> float -> float
 (** [hist_percentile h q] with [q] in [[0, 1]]: the q-quantile estimated
     from the buckets (geometric interpolation inside the winning bucket),
     clamped to the observed [[h_min, h_max]]. [nan] on an empty
     histogram. Bucket resolution bounds the relative error at
-    [10^(1/hist_buckets_per_decade) - 1] (~33% with 8 buckets/decade). *)
+    [10^(1/8) - 1] (~33%). *)
 
 type sink = {
   emit : event -> unit;
@@ -89,7 +90,8 @@ val enabled : unit -> bool
 val add_sink : sink -> unit
 
 val record : unit -> unit
-(** Turn recording on without any sink — counters and gauges accumulate
+(** Test-only: tests record metrics without installing a sink.
+    Turn recording on without any sink — counters and gauges accumulate
     and can be read back with {!counter_value} / {!gauge_value}. *)
 
 val reset : unit -> unit
@@ -126,13 +128,15 @@ val counter_value : string -> int
 (** Current total of a counter; 0 if never incremented. *)
 
 val counters : unit -> (string * int) list
-(** All counters, sorted by name — deterministic across runs for a
+(** Test-only: tests compare whole counter tables.
+    All counters, sorted by name — deterministic across runs for a
     deterministic workload. *)
 
 val gauge : string -> float -> unit
 (** Set a named gauge to its latest value. *)
 
 val gauge_value : string -> float option
+(** Test-only: tests read back single gauges. *)
 
 val gauges : unit -> (string * float) list
 (** All gauges, sorted by name. *)
@@ -152,7 +156,8 @@ val observe : string -> float -> unit
 val histogram_value : string -> histogram option
 
 val histograms : unit -> (string * histogram) list
-(** All histograms, sorted by name. *)
+(** Test-only: tests compare whole histogram tables.
+    All histograms, sorted by name. *)
 
 val point : string -> field list -> unit
 (** Emit one free-form event (e.g. one tuner trial). *)

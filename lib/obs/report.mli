@@ -4,21 +4,14 @@
     is one file that renders offline.
 
     Chart conventions: a fixed categorical hue order (series beyond
-    {!max_series} wrap — callers should fold long tails into "other"
+    the fifth wrap — callers should fold long tails into "other"
     first), one y-axis per chart, a legend whenever a chart has two or
     more series, and a table next to every chart so no information is
     color-alone. *)
 
 val html_escape : string -> string
 
-val max_series : int
-(** Number of categorical color slots. *)
-
 val table : header:string list -> rows:string list list -> string
-
-val legend : string list -> string
-(** Color-swatch legend for the given series names, in slot order; empty
-    for fewer than two series. *)
 
 val grouped_bars :
   ?refline:float -> ?y_label:string -> categories:string list ->

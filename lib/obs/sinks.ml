@@ -163,70 +163,3 @@ let chrome_trace_file ?ts_to_us path =
   let write, close_file = file_writer path in
   let s = chrome_trace ?ts_to_us write in
   { s with Obs.close = (fun () -> s.Obs.close (); close_file ()) }
-
-(* --- console summary --- *)
-
-type span_row = {
-  name : string;
-  depth : int;
-  mutable dur : float option;  (** None while still open *)
-}
-
-let console_summary write =
-  let rows : span_row list ref = ref [] in
-  let counters : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let gauges : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let hists : (string, Obs.histogram) Hashtbl.t = Hashtbl.create 8 in
-  let emit (ev : Obs.event) =
-    match ev with
-    | Obs.Span_begin { name; depth; _ } ->
-      rows := { name; depth; dur = None } :: !rows
-    | Obs.Span_end { name; dur; depth; _ } ->
-      (* innermost-first: fill the most recent open row of this span *)
-      (match
-         List.find_opt
-           (fun r -> r.dur = None && r.depth = depth && String.equal r.name name)
-           !rows
-       with
-       | Some r -> r.dur <- Some dur
-       | None -> rows := { name; depth; dur = Some dur } :: !rows)
-    | Obs.Counter { name; total; _ } -> Hashtbl.replace counters name total
-    | Obs.Gauge { name; value; _ } -> Hashtbl.replace gauges name value
-    | Obs.Hist { name; value; _ } ->
-      let h =
-        Option.value ~default:(Obs.hist_empty ()) (Hashtbl.find_opt hists name)
-      in
-      Hashtbl.replace hists name (Obs.hist_observe h value)
-    | Obs.Point _ -> ()
-  in
-  let close () =
-    let line fmt = Printf.ksprintf (fun s -> write (s ^ "\n")) fmt in
-    (match List.rev !rows with
-     | [] -> ()
-     | rows ->
-       line "-- spans (wall clock) --";
-       List.iter
-         (fun r ->
-           let label = String.make (2 * r.depth) ' ' ^ r.name in
-           match r.dur with
-           | Some d -> line "%-44s %10.3f ms" label (1e3 *. d)
-           | None -> line "%-44s %10s" label "(open)")
-         rows);
-    let dump title table fmt_v =
-      let entries =
-        List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) table [])
-      in
-      if entries <> [] then begin
-        line "-- %s --" title;
-        List.iter (fun (k, v) -> line "%-44s %10s" k (fmt_v v)) entries
-      end
-    in
-    dump "counters" counters string_of_int;
-    dump "gauges" gauges (Printf.sprintf "%.4g");
-    dump "histograms (count/p50/p90/p99)" hists (fun h ->
-        Printf.sprintf "%d/%.4g/%.4g/%.4g" h.Obs.h_count
-          (Obs.hist_percentile h 0.50)
-          (Obs.hist_percentile h 0.90)
-          (Obs.hist_percentile h 0.99))
-  in
-  { Obs.emit; close }

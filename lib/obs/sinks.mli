@@ -5,7 +5,8 @@
     [sink.close] — so [Obs.reset] finalizes the file. *)
 
 val jsonl : (string -> unit) -> Obs.sink
-(** One JSON object per event, one event per line (the line includes the
+(** Test-only: tests capture logs in memory; the CLI uses {!jsonl_file}.
+    One JSON object per event, one event per line (the line includes the
     trailing newline). Every field of the event is preserved, so e.g. a
     tuner's best-so-far curve is reconstructible from the log alone.
     {!Trace_reader} parses this format back into events and traces. *)
@@ -13,7 +14,9 @@ val jsonl : (string -> unit) -> Obs.sink
 val jsonl_file : string -> Obs.sink
 
 val chrome_trace : ?ts_to_us:(float -> float) -> (string -> unit) -> Obs.sink
-(** Chrome [chrome://tracing] / Perfetto trace-event JSON: spans become
+(** Test-only: tests capture traces in memory; the CLI uses
+    {!chrome_trace_file}.
+    Chrome [chrome://tracing] / Perfetto trace-event JSON: spans become
     complete ("X") events, gauges and histogram observations become
     counter ("C") events, points become instant ("i") events. Timestamps are relative to the first
     event and are written sorted, hence monotonic. The whole document is
@@ -31,7 +34,3 @@ val chrome_trace : ?ts_to_us:(float -> float) -> (string -> unit) -> Obs.sink
 
 val chrome_trace_file : ?ts_to_us:(float -> float) -> string -> Obs.sink
 
-val console_summary : (string -> unit) -> Obs.sink
-(** Human-readable summary printed on [close]: the span tree with
-    wall-clock durations in call order, then counters, gauges and
-    histogram quantiles sorted by name. *)

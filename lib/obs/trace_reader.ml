@@ -260,7 +260,3 @@ let span_count trace =
   iter_spans (fun _ -> incr n) trace.tr_spans;
   !n
 
-let gauge trace name = List.assoc_opt name trace.tr_gauges
-
-let counter trace name =
-  Option.value ~default:0 (List.assoc_opt name trace.tr_counters)

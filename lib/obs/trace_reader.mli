@@ -34,14 +34,8 @@ val fold_jsonl_file :
 
 (** {1 Events} *)
 
-val event_of_json : Json.t -> (Obs.event, string) result
-(** Inverse of [Sinks.json_of_event]. *)
-
-val events_of_jsonl : string -> Obs.event list * int
-(** Parse an in-memory JSONL document (e.g. from a test sink). The [int]
-    counts skipped lines: unparseable JSON or JSON that is not an event. *)
-
 val events_of_file : string -> (Obs.event list * int, string) result
+(** Test-only: tests read back the raw events of a log file. *)
 
 (** {1 Trace reconstruction} *)
 
@@ -76,14 +70,8 @@ type trace = {
       (** aggregated from [Hist] observations, sorted by name *)
 }
 
-val trace_of_events : Obs.event list -> trace
-(** Rebuild the span forest from [Span_end] events (which arrive in
-    completion order carrying their nesting depth) and aggregate metrics.
-    Spans left open in a truncated log are absent; their already-closed
-    children surface as extra roots. [tr_skipped] is 0 here — only the
-    file/JSONL entry points below can observe malformed lines. *)
-
 val trace_of_jsonl : string -> (trace, string) result
+(** Test-only: tests parse in-memory logs. *)
 
 val load : string -> (trace, string) result
 (** [trace_of_events] over [events_of_file]. *)
@@ -95,7 +83,3 @@ val iter_spans : (span -> unit) -> span list -> unit
 
 val span_count : trace -> int
 
-val gauge : trace -> string -> float option
-
-val counter : trace -> string -> int
-(** 0 when absent. *)

@@ -73,7 +73,9 @@ val parallel_for :
   merge:('s -> 's -> 's) ->
   neutral:'s ->
   's
-(** Chunked indexed loop with per-chunk worker state: indices
+(** Test-only: the pool tests pin its chunked fold; library loops use
+    {!map}.
+    Chunked indexed loop with per-chunk worker state: indices
     [0..n-1] are split into contiguous chunks of [chunk] (default
     [max 1 (ceil (n/32))] — independent of [jobs], so the chunk
     partition and therefore the fold shape never changes with

@@ -4,8 +4,8 @@
 
 open Alcop_sched
 
-val names : string list
 val dim : int
+(** Test-only: tests check the feature vector width. *)
 
 val extract : Alcop_hw.Hw_config.t -> Op_spec.t -> Params.t -> float array
 (** Always [dim]-long and finite; resource-infeasible schedules encode

@@ -26,15 +26,9 @@ type failure = Alcop_gpusim.Occupancy.failure
 val pipeline_latency :
   t_load:float -> t_use:float -> n_loop:int -> n_pipe:int -> n_mplx:int ->
   float * bool
-(** Table I's "Pipeline Latency Model" (Fig. 9): loop latency and whether
+(** Test-only: tests check Table I's rule directly.
+    Table I's "Pipeline Latency Model" (Fig. 9): loop latency and whether
     loading is the bottleneck. *)
-
-val pipeline_latency_bw :
-  t_load_latency:float -> t_load_bw:float -> t_use:float -> n_loop:int ->
-  n_pipe:int -> n_mplx:int -> float * bool
-(** The same rule with the load split into a hideable latency part and a
-    bandwidth-service part that floors the steady state: no stage count or
-    multiplexing hides aggregate bandwidth demand. *)
 
 val predict : Alcop_hw.Hw_config.t -> Op_spec.t -> Params.t -> (prediction, failure) result
 

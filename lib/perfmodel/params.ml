@@ -28,14 +28,5 @@ let to_string t =
     (if t.swizzle then "" else " noswizzle")
     (if t.inner_fuse then "" else " nofuse")
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let equal (a : t) (b : t) =
-  Alcop_sched.Tiling.equal a.tiling b.tiling
-  && a.smem_stages = b.smem_stages
-  && a.reg_stages = b.reg_stages
-  && a.swizzle = b.swizzle
-  && a.inner_fuse = b.inner_fuse
-
 (* A stable integer key for hashing / deterministic perturbation. *)
 let key spec_name t = Hashtbl.hash (spec_name, to_string t)

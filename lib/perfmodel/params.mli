@@ -20,8 +20,6 @@ val smem_bytes_per_tb : t -> int -> int
 val regs_per_thread : t -> int
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
 
 val key : string -> t -> int
 (** Stable integer key for deterministic perturbation, per operator. *)

@@ -86,7 +86,6 @@ let member_names g = List.map (fun m -> m.buffer.Buffer.name) g.members
 let stage_footprint_bytes g =
   List.fold_left (fun acc m -> acc + Buffer.size_bytes m.buffer) 0 g.members
 
-let is_pipelined t name = group_of_buffer t name <> None
 
 (* Collect the producing copies of all hinted buffers, with their loop
    stacks. *)
@@ -400,8 +399,7 @@ let group_infos ~(hw : Alcop_hw.Hw_config.t) (kernel : Kernel.t) infos =
 
 (* The analysis proper; legality violations surface as [Rejected] from the
    rule checks deep inside. [run] is the result-returning entry point the
-   compiler consumes; [run_exn] keeps the exception-style interface as a
-   thin wrapper for callers that treat a rejection as fatal. *)
+   compiler consumes. *)
 let run_internal ~(hw : Alcop_hw.Hw_config.t) ~(hints : Hints.t)
     (kernel : Kernel.t) =
   if hints = [] then { groups = [] }
@@ -415,11 +413,6 @@ let run ~hw ~hints kernel =
   match run_internal ~hw ~hints kernel with
   | analysis -> Ok analysis
   | exception Rejected r -> Error r
-
-let run_exn ~hw ~hints kernel =
-  match run ~hw ~hints kernel with
-  | Ok analysis -> analysis
-  | Error r -> raise (Rejected r)
 
 (* --- Structured per-buffer legality verdicts --------------------------
 

@@ -9,8 +9,6 @@ type rejection = {
   reason : string;
 }
 
-exception Rejected of rejection
-
 val pp_rejection : Format.formatter -> rejection -> unit
 
 type frame = {
@@ -60,17 +58,12 @@ val member_names : group -> string list
     pre-expansion member buffer sizes); the footprint the pipeline
     observatory compares occupancy high-water marks against. *)
 val stage_footprint_bytes : group -> int
-val is_pipelined : t -> string -> bool
 
 val run :
   hw:Alcop_hw.Hw_config.t -> hints:Hints.t -> Kernel.t ->
   (t, rejection) result
 (** [Error] when a hinted buffer fails one of the paper's three legality
-    rules or a structural precondition. Never raises {!Rejected}. *)
-
-val run_exn : hw:Alcop_hw.Hw_config.t -> hints:Hints.t -> Kernel.t -> t
-(** Thin wrapper over {!run}.
-    @raise Rejected on the first legality violation. *)
+    rules or a structural precondition. *)
 
 (** {2 Structured per-buffer legality verdicts}
 
@@ -99,7 +92,4 @@ val verdicts :
 (** One verdict per hinted buffer, in hint order. Deterministic for a
     given kernel, so reports can be golden-tested. *)
 
-val rule_title : int -> string
-
-val pp_buffer_verdict : Format.formatter -> buffer_verdict -> unit
 val pp_verdicts : Format.formatter -> buffer_verdict list -> unit

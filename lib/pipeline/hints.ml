@@ -27,10 +27,3 @@ let find t buffer = List.find_opt (fun h -> String.equal h.buffer buffer) t
 let mem t buffer = find t buffer <> None
 
 let buffers t = List.map (fun h -> h.buffer) t
-
-let pp fmt t =
-  let pp_hint fmt h =
-    Format.fprintf fmt "%s.pipeline(stage=%d%s)" h.buffer h.stages
-      (if h.inner_fuse then "" else ", fuse=false")
-  in
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_hint fmt (List.rev t)

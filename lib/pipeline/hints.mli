@@ -19,7 +19,6 @@ val empty : t
 val add : t -> hint -> t
 (** @raise Invalid_argument on a duplicate buffer. *)
 
-val find : t -> string -> hint option
 val mem : t -> string -> bool
 val buffers : t -> string list
-val pp : Format.formatter -> t -> unit
+(** Test-only: the schedule tests list the hinted buffers. *)

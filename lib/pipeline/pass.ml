@@ -27,9 +27,3 @@ let run ~hw ~hints kernel =
     Alcop_obs.Obs.count
       (Printf.sprintf "pipeline.rejected.rule%d" rejection.Analysis.rule);
     Error rejection
-
-let run_exn ~hw ~hints kernel =
-  match run ~hw ~hints kernel with
-  | Ok r -> r
-  | Error rejection ->
-    invalid_arg (Format.asprintf "%a" Analysis.pp_rejection rejection)

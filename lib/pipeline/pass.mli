@@ -19,4 +19,3 @@ val run :
     Returns [Error] when a hinted buffer fails one of the legality rules of
     paper Sec. II-A. *)
 
-val run_exn : hw:Alcop_hw.Hw_config.t -> hints:Hints.t -> Kernel.t -> result

@@ -13,9 +13,5 @@ val run : Analysis.t -> Kernel.t -> Kernel.t
 
 (* Exposed for white-box unit tests. *)
 
-val rewrite_loop_body : Analysis.t -> Analysis.group -> Stmt.t -> Stmt.t
-val build_prologue : Analysis.t -> Analysis.group -> Stmt.t -> Stmt.t
-val inject_sync : Analysis.group -> fused_inner:bool -> Stmt.t -> Stmt.t
-val boundary_wait : Analysis.group -> Analysis.group -> Stmt.t
-val expand_allocs : Analysis.t -> Stmt.t -> Stmt.t
 val prologue_var_of : string -> string
+(** Test-only: tests find the prologue loop by its variable. *)

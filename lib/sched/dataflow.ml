@@ -182,10 +182,3 @@ let kind_to_string = function
     Printf.sprintf "cache_read(%s, %s%s)" src (Buffer.scope_to_string scope)
       (match fused with None -> "" | Some f -> ", fused " ^ f)
   | Gemm { a; b } -> Printf.sprintf "gemm(%s, %s)" a b
-
-let pp fmt t =
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "%s = %s : [%s]@," s.name (kind_to_string s.kind)
-        (String.concat ", " (List.map string_of_int s.shape)))
-    t.stages

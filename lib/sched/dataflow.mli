@@ -24,9 +24,11 @@ type t = {
 val find : t -> string -> stage option
 val find_exn : t -> string -> stage
 val mem : t -> string -> bool
-val sources : stage -> string list
+(** Test-only: the schedule tests inspect the dataflow graph. *)
+
 val consumers : t -> string -> stage list
 val producer : t -> string -> string option
+(** Test-only: the schedule tests inspect the dataflow graph. *)
 
 val of_spec : Op_spec.t -> t
 
@@ -48,4 +50,3 @@ val cache_chain : t -> string -> string list * string
     [\["A_sh"; "A_reg"\]]) and the root stage name. *)
 
 val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit

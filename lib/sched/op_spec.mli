@@ -51,13 +51,12 @@ val conv2d : ?dtype:Dtype.t -> ?epilogue:string -> name:string -> conv_shape -> 
 (** Derives the implicit-GEMM dimensions M = N·OH·OW, N = OC, K = IC·KH·KW. *)
 
 val flops : t -> int
-val footprint_elements : t -> int
 val footprint_bytes : t -> int
 val arithmetic_intensity : t -> float
+(** Test-only: tests check operator shapes with it. *)
 
 val a_shape : t -> int list
 val b_shape : t -> int list
 val c_shape : t -> int list
 
-val kind_to_string : kind -> string
 val pp : Format.formatter -> t -> unit

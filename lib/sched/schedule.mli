@@ -30,8 +30,6 @@ type t = {
 
 val create : Op_spec.t -> t
 
-val pipelined : t -> string -> bool
-
 val cache_read : t -> string -> Buffer.scope -> t * string
 (** Insert a cache-read stage. @raise Schedule_error if applied after
     pipelining (ordering rule). *)

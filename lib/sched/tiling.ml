@@ -80,11 +80,7 @@ let registers_per_thread t ~reg_stages =
   let frags = reg_stages * (t.warp_m + t.warp_n) * t.warp_k / 32 / 2 in
   acc + frags + 24 (* index arithmetic, pointers, misc *)
 
-let equal (a : t) (b : t) = a = b
-
 let to_string t =
   Printf.sprintf "tb(%dx%dx%d)/warp(%dx%dx%d)%s" t.tb_m t.tb_n t.tb_k t.warp_m
     t.warp_n t.warp_k
     (if t.split_k > 1 then Printf.sprintf "/split%d" t.split_k else "")
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

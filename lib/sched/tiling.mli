@@ -19,9 +19,6 @@ val make :
   tb_m:int -> tb_n:int -> tb_k:int -> warp_m:int -> warp_n:int -> warp_k:int ->
   unit -> t
 
-val mma_granule : int
-(** Tensor-core MMA fragment edge (16). *)
-
 val validate : t -> Op_spec.t -> (unit, string) result
 (** Divisibility of the problem by the threadblock tile, of the threadblock
     tile by the warp tile, and MMA-granule alignment of the warp tile. *)
@@ -40,6 +37,4 @@ val smem_tile_bytes : t -> int -> int
 
 val registers_per_thread : t -> reg_stages:int -> int
 
-val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

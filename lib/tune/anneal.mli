@@ -8,8 +8,6 @@ type config = {
   t_end : float;
 }
 
-val default_config : config
-
 val propose :
   ?config:config ->
   Random.State.t ->

@@ -17,6 +17,9 @@ type config = {
 
 val default_config : config
 val constant : float -> t
+(** Test-only: the frozen reference fitter in the tests seeds its ensembles
+    with it. *)
+
 val predict : t -> float array -> float
 
 val predict_from : t -> float -> float array -> float

@@ -27,8 +27,6 @@ type indexed = {
 
 val index : Alcop_perfmodel.Params.t array -> indexed
 
-val knob_values : Alcop_perfmodel.Params.t -> int array
-
 val neighbour : indexed -> Random.State.t -> int -> int
 (** A random knob-distance-one neighbour that exists in the space; falls
     back to a uniform random point when no neighbour move is found. *)

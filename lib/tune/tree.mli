@@ -51,8 +51,13 @@ val fit_data : ?config:config -> data -> float array -> t
     stable-partitions only the node's range of sample indices. *)
 
 val fit : ?config:config -> float array array -> float array -> t
-(** [fit rows targets = fit_data (prepare rows) targets]. *)
+(** Test-only: the tree tests fit raw rows; the library prepares data once
+    for {!fit_data}.
+    [fit rows targets = fit_data (prepare rows) targets]. *)
 
 val predict : t -> float array -> float
 val depth : t -> int
+(** Test-only: tests check tree shape. *)
+
 val n_leaves : t -> int
+(** Test-only: tests check tree shape. *)

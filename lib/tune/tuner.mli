@@ -37,9 +37,6 @@ val prefix_best : result -> float option array
 (** {!prefix_best_costs} over the result's trial costs, so
     [(prefix_best r).(k - 1) = best_within r k] for [1 <= k <= n]. *)
 
-val target_of_cost : float option -> float
-(** Learning target: [-log cost], with a sentinel for failures. *)
-
 val pretrain_config : Gbt.config
 (** Boosting config of [Analytical_xgb]'s pre-training on analytical
     predictions (paper Sec. IV-C). *)

@@ -1,21 +1,12 @@
 (** JSON tuning logs, in the spirit of AutoTVM's record files.
     Serialization shares [Alcop_obs.Json] with the observability sinks. *)
 
-val params_to_json : Alcop_perfmodel.Params.t -> Alcop_obs.Json.t
-(** The schedule knobs as a JSON object. *)
-
-val run_to_json :
-  ?features:(int * (string * float) list) list ->
-  spec_name:string ->
-  method_:Tuner.method_ ->
-  seed:int ->
-  Tuner.result ->
-  Alcop_obs.Json.t
-
 val to_json :
   ?features:(int * (string * float) list) list ->
   spec_name:string -> method_:Tuner.method_ -> seed:int -> Tuner.result -> string
-(** One JSON object: operator, method, seed, space size, best cost, and
+(** Test-only: the golden test renders logs in memory; the CLI uses
+    {!write_file}.
+    One JSON object: operator, method, seed, space size, best cost, and
     every trial with its schedule knobs and measured cost (null = compile
     failure). [features] attaches a pipeline observatory feature record
     ({!Alcop_gpusim} pipeview) to trials by index, as a
@@ -53,11 +44,6 @@ type replay = {
   r_trials : replayed_trial list;  (** in measurement order *)
 }
 
-val params_of_json :
-  Alcop_obs.Json.t -> (Alcop_perfmodel.Params.t, string) result
-(** Inverse of {!params_to_json}. *)
-
-val replay_of_json : Alcop_obs.Json.t -> (replay, string) result
-
 val read_file : string -> (replay, string) result
-(** Parse a file written by {!write_file}; round-trips exactly. *)
+(** Test-only: the round-trip test reads logs back.
+    Parse a file written by {!write_file}; round-trips exactly. *)

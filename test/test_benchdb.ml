@@ -91,7 +91,7 @@ let test_v2_roundtrip () =
   match Benchdb.record_of_json (Benchdb.record_to_json r) with
   | Error e -> Alcotest.fail e
   | Ok r' ->
-    Alcotest.(check string) "schema" Benchdb.schema_v2 r'.Benchdb.r_schema;
+    Alcotest.(check string) "schema" "alcop-selfbench-v2" r'.Benchdb.r_schema;
     Alcotest.(check string) "machine" "sim-a100" r'.Benchdb.r_machine;
     Alcotest.(check (option (float 1e-9))) "ts" (Some 1000.0) r'.Benchdb.r_ts;
     (match r'.Benchdb.r_fingerprint with

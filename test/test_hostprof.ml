@@ -372,9 +372,7 @@ let test_exports () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let trace = Filename.concat dir "host.trace.json" in
-  let jsonl = Filename.concat dir "host.jsonl" in
   Hostprof.write_chrome_trace trace p;
-  Hostprof.write_jsonl jsonl p;
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -383,8 +381,6 @@ let test_exports () =
   let t = read_file trace in
   Alcotest.(check bool) "trace names the host process" true
     (contains t "alcop host");
-  Alcotest.(check bool) "jsonl non-empty" true
-    (String.length (read_file jsonl) > 0);
   (match Hostprof.json_of_profile p with
    | Json.Obj fields ->
      (match List.assoc_opt "schema" fields with
@@ -395,7 +391,6 @@ let test_exports () =
       | _ -> Alcotest.fail "workers field missing")
    | _ -> Alcotest.fail "profile json is not an object");
   Sys.remove trace;
-  Sys.remove jsonl;
   Unix.rmdir dir
 
 (* --- session.cache.entries gauge: FIFO bound under a jobs=4 hammer --- *)
