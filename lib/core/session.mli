@@ -26,7 +26,9 @@
     registry has its own lock. Concurrent {!compile} calls on the same
     key are deduplicated — the first caller is the sole miss, the rest
     block until the entry lands and count as hits, matching the totals of
-    the equivalent sequential call sequence (see doc/parallelism.md). *)
+    the equivalent sequential call sequence (see doc/parallelism.md). A
+    miss that raises releases its claim before the exception propagates,
+    so a waiter retries the key instead of blocking. *)
 
 type t
 

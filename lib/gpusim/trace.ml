@@ -16,7 +16,8 @@
    loop form a batch, and a compute event waits until all batches except
    the youngest [stages-1] have completed.
 
-   Representation: the boxed [event] type is the public/debug view only.
+   Representation: the boxed [event] type is the view for tests and
+   hand-built traces.
    The extractor produces a packed [program] — a struct-of-arrays encoding
    (parallel int columns for opcode, argument, interned group index, flags
    and batch ordinal) built in two phases:

@@ -86,7 +86,6 @@ let member_names g = List.map (fun m -> m.buffer.Buffer.name) g.members
 let stage_footprint_bytes g =
   List.fold_left (fun acc m -> acc + Buffer.size_bytes m.buffer) 0 g.members
 
-
 (* Collect the producing copies of all hinted buffers, with their loop
    stacks. *)
 let collect_sites (hints : Hints.t) body =
