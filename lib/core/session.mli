@@ -137,7 +137,8 @@ val hit_rate : stats -> float
 (** hits / (hits + misses); 0 when nothing was evaluated. *)
 
 val clear : t -> unit
-(** Test-only: tests reset a session in place between phases.
+(** Test-only: only its own test calls it; callers replace a session
+    instead of resetting it.
     Drop all entries and zero the counters. *)
 
 val publish_entries_gauge : t -> unit

@@ -35,7 +35,8 @@ val tb_cycles : Timing.recorded_wave -> int -> float
     Finish time of one threadblock of the wave. *)
 
 val class_cycles : Timing.recorded_wave -> int -> Timing.stall_class -> float
-(** Test-only: the profile tests check this part of {!report} directly.
+(** Test-only: the profile tests check with it that the stall classes
+    partition each threadblock's time.
     Total cycles of one threadblock attributed to one stall class. The
     classes partition the threadblock's time, so they sum to
     {!tb_cycles}. *)

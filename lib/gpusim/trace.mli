@@ -104,9 +104,9 @@ type program = {
           scoreboard-synthesized register pipelines *)
   group_bytes : int array;
       (** per group: bytes one pipeline stage occupies — the pass's
-          per-stage buffer footprint on the {!extract_program} path, the
-          peak per-batch async-load byte sum for {!pack}-built traces;
-          [0] when unknown *)
+          per-stage buffer footprint on the {!extract_program} path; for
+          {!pack}-built traces, derived from the events as the peak
+          async-load byte sum of one batch. [0] when unknown. *)
   mutable hash : string;  (** internal memo for {!program_hash}; [""] unset *)
 }
 

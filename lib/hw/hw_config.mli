@@ -45,6 +45,6 @@ val scope_needs_matching_sync : t -> Alcop_ir.Buffer.scope -> bool
 
 val cycles_to_us : t -> float -> float
 val us_to_cycles : t -> float -> float
-(** Test-only: tests convert published latencies to cycles. *)
+(** Test-only: the unit-conversion test round-trips cycles through it. *)
 
 val peak_tensor_tflops : t -> float
