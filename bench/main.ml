@@ -478,11 +478,12 @@ let measure_pass ~quiet () =
   let groups = Alcop_pipeline.Pass.groups pass_result in
   let kernel = pass_result.Alcop_pipeline.Pass.kernel in
   (* Cold compiles go through a pass-through session; the -hit benchmark
-     measures a fingerprint + cache lookup on a pre-warmed caching session,
-     i.e. what a repeated schedule point costs a tuner or variant sweep. *)
+     measures a fingerprint + memo lookup of [Session.evaluate] on a
+     pre-warmed caching session, i.e. what a repeated schedule point costs
+     a tuner or variant sweep. *)
   let cold = Session.create ~hw ~cache:false () in
   let warm = Session.create ~hw () in
-  ignore (Session.compile warm params spec);
+  ignore (Session.evaluate warm params spec);
   (* Persistent-store rows, against a throwaway store under the temp dir:
      store-cold re-colds the key each run (compile + record write);
      store-warm-disk answers from the on-disk record through a fresh
@@ -513,7 +514,7 @@ let measure_pass ~quiet () =
         Test.make ~name:"compile+simulate" (Staged.stage (fun () ->
             ignore (Session.compile cold params spec)));
         Test.make ~name:"session-evaluate-hit" (Staged.stage (fun () ->
-            ignore (Session.compile warm params spec)));
+            ignore (Session.evaluate warm params spec)));
         Test.make ~name:"store-cold" (Staged.stage (fun () ->
             Store.remove store ~ns:"compile" store_key;
             let s = Session.create ~hw ~store () in
@@ -614,9 +615,8 @@ let measure_pass ~quiet () =
   (* One `alcop tune` job end to end, timed by wall clock: [Tuner.run]
      with [Analytical_xgb] (pre-training, search and evaluation) at the
      CLI's default budget and seed on MM_RN50_FC, through a fresh
-     in-memory session with the simulator's wave reuse cleared. *)
+     in-memory session. *)
   let tune_row =
-    Alcop_gpusim.Timing.wave_cache_clear ();
     wall_row "alcop/tune-e2e-j1" (fun () ->
         let session = Session.create ~hw () in
         let evaluate = Variants.evaluator ~hw ~session Variants.alcop spec in

@@ -74,9 +74,5 @@ let () =
    | Ok c ->
      ignore
        (measure "timing-run" (fun () ->
-            Alcop_gpusim.Timing.run c.Alcop.Compiler.timing_request));
-     ignore
-       (measure "timing-run-reuse" (fun () ->
-            Alcop_gpusim.Timing.with_wave_reuse @@ fun () ->
             Alcop_gpusim.Timing.run c.Alcop.Compiler.timing_request))
    | Error _ -> ())

@@ -28,7 +28,9 @@ val find : string -> info option
 (** Test-only: the registry test reads one entry's fields. *)
 
 val names : string list
-(** Names of the compile pipeline's passes in execution order:
+(** Bench-only: perfbench lists its per-pass metrics from it; the
+    registry test checks it.
+    Names of the compile pipeline's passes in execution order:
     [schedule; lower; pipeline; trace; timing]. *)
 
 val ir_pass_names : string list

@@ -1,5 +1,5 @@
-(* The compilation session: a content-addressed artifact cache in front of
-   [Compiler.compile]. See the interface for the contract.
+(* The compilation session: a content-addressed memo of evaluation records
+   in front of [Compiler.compile]. See the interface for the contract.
 
    Domain-safety: one mutex per session guards the table, FIFO queue,
    stat counters and the in-flight set; the actual compile runs outside
@@ -19,23 +19,6 @@ let session_probe = Hostprof.make_lock "session.lock"
 let registry_probe = Hostprof.make_lock "session.registry"
 let ready_probe = Hostprof.make_lock "session.ready"
 
-(* An entry is either the full in-memory artifact (produced by a cold
-   compile in this process) or an evaluation record read through from the
-   on-disk store — enough for [evaluate]/[timing] but not for callers
-   that need the IR; [compile] treats a [Record] as a miss and upgrades
-   it in place. *)
-type payload =
-  | Full of (Compiler.compiled, Compiler.error) result
-  | Record of Artifact.t
-
-type entry = {
-  payload : payload;
-  gauges : (string * float) list;
-      (* [timing.*] gauges captured right after the cold compile, re-published
-         on every hit so gauge readers stay consistent with the latest
-         evaluation *)
-}
-
 type stats = {
   entries : int;
   hits : int;
@@ -49,7 +32,9 @@ type t = {
   cache : bool;
   lock : Mutex.t;
   ready : Condition.t;  (* an in-flight compile completed (or failed) *)
-  table : (Fingerprint.t, entry) Hashtbl.t;
+  table : (Fingerprint.t, Artifact.t) Hashtbl.t;
+      (* one evaluation record per key: what the store persists, with the
+         [timing.*] gauges captured at the cold compile *)
   inflight : (Fingerprint.t, unit) Hashtbl.t;
   order : Fingerprint.t Queue.t;  (* insertion order, for FIFO eviction *)
   mutable store : Store.t option;  (* persistent tier, when attached *)
@@ -129,29 +114,24 @@ let for_hw hw =
 let timing_prefix = "timing."
 
 let evict_to_capacity t =
-  while Hashtbl.length t.table >= t.capacity && not (Queue.is_empty t.order) do
-    let oldest = Queue.pop t.order in
-    if Hashtbl.mem t.table oldest then begin
-      Hashtbl.remove t.table oldest;
-      t.evictions <- t.evictions + 1;
-      Obs.count "session.cache.evict"
-    end
+  while Hashtbl.length t.table >= t.capacity do
+    Hashtbl.remove t.table (Queue.pop t.order);
+    t.evictions <- t.evictions + 1;
+    Obs.count "session.cache.evict"
   done
 
 let compile_ns = "compile"
 
 (* The in-flight-deduplicated miss protocol, shared by [compile] and
-   [timing]. [want_full]: [compile] cannot be served by a disk record, so
-   a [Record] entry counts as a miss for it (and is upgraded in place
-   afterwards). Returns [`Hit entry] or [`Miss]; a [`Miss] caller holds
-   the in-flight claim and runs its branch under [holding_claim]. *)
-let acquire t key ~want_full =
+   [timing]. Returns [`Hit record] or [`Miss]; a [`Miss] caller holds the
+   in-flight claim and runs its branch under [holding_claim]. *)
+let acquire t key =
   let rec go () =
     match Hashtbl.find_opt t.table key with
-    | Some e when (not want_full) || (match e.payload with Full _ -> true | Record _ -> false) ->
+    | Some r ->
       t.hits <- t.hits + 1;
-      `Hit e
-    | Some _ | None ->
+      `Hit r
+    | None ->
       if Hashtbl.mem t.inflight key then begin
         (* another domain is compiling this key; [wait] releases the
            session mutex, so time it as its own probe *)
@@ -185,15 +165,13 @@ let holding_claim t key f =
     locked t (release t key);
     Printexc.raise_with_backtrace e bt
 
-(* Insert under the lock and release the in-flight claim. Pushing into
-   the FIFO only on first insertion keeps a Record->Full upgrade from
-   double-queueing its key. *)
-let land_entry t key entry =
+(* Insert under the lock and release the in-flight claim. Only the claim
+   holder lands a key, once, so the key is new to the table. *)
+let land_entry t key record =
   locked t (fun () ->
-      let known = Hashtbl.mem t.table key in
-      if not known then evict_to_capacity t;
-      Hashtbl.replace t.table key entry;
-      if not known then Queue.push key t.order;
+      evict_to_capacity t;
+      Hashtbl.replace t.table key record;
+      Queue.push key t.order;
       release t key ())
 
 let record_of_outcome outcome gauges =
@@ -207,20 +185,30 @@ let record_of_outcome outcome gauges =
     Artifact.Failure
       { kind = Compiler.error_kind e; message = Compiler.error_to_string e }
 
+let publish_gauges = function
+  | Artifact.Success r ->
+    List.iter (fun (name, v) -> Obs.gauge name v) r.Artifact.gauges
+  | Artifact.Failure _ -> ()
+
+(* A hit re-publishes the gauges captured at the entry's cold compile. *)
+let count_hit record =
+  Obs.count "session.cache.hit";
+  publish_gauges record
+
 (* Write-through: every cold compile leaves an evaluation record behind
    for future processes. Counted through [Obs] — safe for the -j
    byte-identity contract because it happens only on the deduplicated
    sole-miss path, exactly like [session.cache.miss]. *)
-let store_write t key outcome gauges =
+let store_write t key record =
   match t.store with
   | None -> ()
   | Some st ->
     Store.write st ~ns:compile_ns (Fingerprint.to_hex key)
-      (Artifact.to_string (record_of_outcome outcome gauges));
+      (Artifact.to_string record);
     Obs.count "session.store.write"
 
 (* The cold path both [compile] and [timing] fall back to: run the real
-   compiler, capture its gauges, land a [Full] entry, write through. *)
+   compiler, capture its gauges, write the record through and land it. *)
 let compile_cold t ?pool ~extra_regs_per_thread ~key params spec =
   let outcome =
     Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params spec
@@ -232,9 +220,10 @@ let compile_cold t ?pool ~extra_regs_per_thread ~key params spec =
     | Ok _ -> Obs.gauges_with_prefix timing_prefix
     | Error _ -> []
   in
-  store_write t key outcome gauges;
-  land_entry t key { payload = Full outcome; gauges };
-  (outcome, gauges)
+  let record = record_of_outcome outcome gauges in
+  store_write t key record;
+  land_entry t key record;
+  (outcome, record)
 
 let compile t ?pool ?(extra_regs_per_thread = 0)
     (params : Alcop_perfmodel.Params.t) (spec : Op_spec.t) =
@@ -244,12 +233,22 @@ let compile t ?pool ?(extra_regs_per_thread = 0)
     let key =
       Fingerprint.compile_key ~hw:t.hw ~extra_regs_per_thread params spec
     in
-    match acquire t key ~want_full:true with
-    | `Hit { payload = Full outcome; gauges } ->
-      Obs.count "session.cache.hit";
-      List.iter (fun (name, v) -> Obs.gauge name v) gauges;
+    match acquire t key with
+    | `Hit record ->
+      (* The memo keeps only the record, so rebuild the artifact. The
+         rebuild's own telemetry is captured and dropped: a hit emits
+         exactly the hit counter and the recorded gauges. *)
+      let outcome =
+        match
+          Obs.capturing (fun () ->
+              Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params
+                spec)
+        with
+        | Ok outcome, _ -> outcome
+        | Error (e, bt), _ -> Printexc.raise_with_backtrace e bt
+      in
+      count_hit record;
       outcome
-    | `Hit { payload = Record _; _ } -> assert false  (* want_full *)
     | `Miss ->
       holding_claim t key @@ fun () ->
       Obs.count "session.cache.miss";
@@ -263,34 +262,26 @@ type timed = {
   timing : Alcop_gpusim.Timing.kernel_timing;
 }
 
-let timed_of_entry e =
-  match e.payload with
-  | Full (Ok c) ->
-    Ok { latency_cycles = c.Compiler.latency_cycles; timing = c.Compiler.timing }
-  | Full (Error err) -> Error (Compiler.error_to_string err)
-  | Record (Artifact.Success r) ->
+let timed_of_record = function
+  | Artifact.Success r ->
     Ok { latency_cycles = r.Artifact.latency_cycles; timing = r.Artifact.timing }
-  | Record (Artifact.Failure { message; _ }) -> Error message
-
-let timed_of_outcome = function
-  | Ok c ->
-    Ok { latency_cycles = c.Compiler.latency_cycles; timing = c.Compiler.timing }
-  | Error err -> Error (Compiler.error_to_string err)
+  | Artifact.Failure { message; _ } -> Error message
 
 let timing t ?pool ?(extra_regs_per_thread = 0)
     (params : Alcop_perfmodel.Params.t) (spec : Op_spec.t) =
   if not t.cache then
-    timed_of_outcome
-      (Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params spec)
+    timed_of_record
+      (record_of_outcome
+         (Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params spec)
+         [])
   else begin
     let key =
       Fingerprint.compile_key ~hw:t.hw ~extra_regs_per_thread params spec
     in
-    match acquire t key ~want_full:false with
-    | `Hit e ->
-      Obs.count "session.cache.hit";
-      List.iter (fun (name, v) -> Obs.gauge name v) e.gauges;
-      timed_of_entry e
+    match acquire t key with
+    | `Hit record ->
+      count_hit record;
+      timed_of_record record
     | `Miss ->
       holding_claim t key @@ fun () ->
       Obs.count "session.cache.miss";
@@ -317,21 +308,13 @@ let timing t ?pool ?(extra_regs_per_thread = 0)
                 None))
       in
       (match from_disk with
-       | Some a ->
-         let gauges =
-           match a with
-           | Artifact.Success r -> r.Artifact.gauges
-           | Artifact.Failure _ -> []
-         in
-         let e = { payload = Record a; gauges } in
-         land_entry t key e;
-         List.iter (fun (name, v) -> Obs.gauge name v) gauges;
-         timed_of_entry e
+       | Some record ->
+         land_entry t key record;
+         publish_gauges record;
+         timed_of_record record
        | None ->
-         let outcome, _ =
-           compile_cold t ?pool ~extra_regs_per_thread ~key params spec
-         in
-         timed_of_outcome outcome)
+         timed_of_record
+           (snd (compile_cold t ?pool ~extra_regs_per_thread ~key params spec)))
   end
 
 let evaluate t ?pool ?extra_regs_per_thread params spec =

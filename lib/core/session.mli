@@ -1,18 +1,23 @@
-(** The compilation session: a content-addressed artifact cache in front of
-    {!Compiler.compile}.
+(** The compilation session: a content-addressed memo of evaluation
+    records in front of {!Compiler.compile}.
 
     Every tuner, compiler variant and experiment evaluates schedule points
     through a session. The cache key is a {!Fingerprint} of (operator
     spec, schedule point, hardware config, extra register pressure), so a
-    point compiled once is never compiled or re-simulated again — the
-    paper's E2/E4/E5 experiments sweep five compiler variants over heavily
-    overlapping schedule spaces, and search-based schedulers live or die by
-    the cost of evaluating candidates. Both successful [compiled] artifacts
-    and structured compile errors are memoized (failed points recur in
-    sweeps just as often as good ones).
+    point evaluated once is never compiled or re-simulated for its
+    latency again — the paper's E2/E4/E5 experiments sweep five compiler
+    variants over heavily overlapping schedule spaces, and search-based
+    schedulers live or die by the cost of evaluating candidates.
 
-    The store is in-memory and capacity-bounded (FIFO eviction). Hit, miss
-    and eviction totals are kept per session and also published as
+    An entry is the {!Artifact.t} the store persists: the latency, the
+    kernel timing and the [timing.*] gauges of a successful compile, or
+    the kind and message of a structured compile error (failed points
+    recur in sweeps just as often as good ones). It is never the compiled
+    artifact itself, whose IR, schedule and packed program are ~30× the
+    record's size; {!compile} rebuilds that on a hit.
+
+    The memo is capacity-bounded (FIFO eviction). Hit, miss and eviction
+    totals are kept per session and also published as
     [session.cache.hit] / [session.cache.miss] / [session.cache.evict]
     counters through [Alcop_obs].
 
@@ -23,12 +28,12 @@
 
     Domain-safe: a per-session mutex guards the table, stats and FIFO
     queue (compiles themselves run outside the lock), and the {!for_hw}
-    registry has its own lock. Concurrent {!compile} calls on the same
-    key are deduplicated — the first caller is the sole miss, the rest
-    block until the entry lands and count as hits, matching the totals of
-    the equivalent sequential call sequence (see doc/parallelism.md). A
-    miss that raises releases its claim before the exception propagates,
-    so a waiter retries the key instead of blocking. *)
+    registry has its own lock. Concurrent calls on the same key are
+    deduplicated — the first caller is the sole miss, the rest block
+    until the entry lands and count as hits, matching the totals of the
+    equivalent sequential call sequence (see doc/parallelism.md). A miss
+    that raises releases its claim before the exception propagates, so a
+    waiter retries the key instead of blocking. *)
 
 type t
 
@@ -53,13 +58,14 @@ val create :
 
 val attach_store : t -> Store.t option -> unit
 (** Attach (or detach, with [None]) the persistent tier. With a store
-    attached, every cold compile writes an evaluation record through
+    attached, every cold compile writes its evaluation record through
     ([session.store.write]), and {!timing}/{!evaluate} misses read the
     store before compiling: a hit ([session.store.hit]) serves the
     recorded latency, kernel timing and gauges without running the
-    compiler at all — that is what makes warm compiles near-free across
-    processes. {!compile} needs the full artifact, so it never reads the
-    store (records cannot reconstruct the IR); it only writes through. *)
+    compiler at all, and lands the record in the memo — that is what
+    makes warm compiles near-free across processes. A {!compile} miss
+    never reads the store (it must compile to return the artifact); it
+    only writes through. *)
 
 val store : t -> Store.t option
 
@@ -76,11 +82,16 @@ val compile :
   Alcop_perfmodel.Params.t ->
   Alcop_sched.Op_spec.t ->
   (Compiler.compiled, Compiler.error) result
-(** The memoized equivalent of {!Compiler.compile} on this session's
-    hardware. Deterministic: a hit returns the artifact bit-identically as
-    the cold compile produced it. [pool] enables the timing simulator's
-    parallel-wave mode on cold compiles (see {!Alcop_gpusim.Timing.run});
-    it never changes the artifact, only wall-clock time. *)
+(** {!Compiler.compile} on this session's hardware, counted against the
+    memo. A miss compiles, lands the record and writes it through, like
+    {!timing}. A hit — including a key landed from a disk record — counts
+    as a hit, re-publishes the recorded gauges and compiles again to
+    return the artifact, without landing or writing anything; the
+    rebuild's own telemetry is dropped. Compilation is deterministic, so
+    the artifact is bit-identical to the cold one. [pool] enables the
+    timing simulator's parallel-wave mode (see
+    {!Alcop_gpusim.Timing.run}); it never changes the artifact, only
+    wall-clock time. *)
 
 type timed = {
   latency_cycles : float;
@@ -97,11 +108,12 @@ val timing :
   Alcop_perfmodel.Params.t ->
   Alcop_sched.Op_spec.t ->
   (timed, string) result
-(** Like {!compile} but returns only the timing view, which allows one
-    extra serving tier: on an in-memory miss with a store attached, a
-    persisted record from *any previous process* satisfies the call
-    (bit-identically — floats round-trip exactly). [Error] carries the
-    memoized compile error's rendering. *)
+(** The memoized evaluation: a hit is served from the memo's record
+    without compiling. On a miss with a store attached, a persisted
+    record from *any previous process* satisfies the call
+    (bit-identically — floats round-trip exactly); otherwise it compiles
+    as {!compile} does. [Error] carries the memoized compile error's
+    rendering. *)
 
 val evaluate :
   t ->
@@ -125,13 +137,15 @@ val trial_features :
   (int * (string * float) list) list
 (** The pipeline observatory's feature record ({!Alcop_gpusim.Pipeview})
     of every trial that compiled, keyed by space index — the [features]
-    argument of {!Alcop_tune.Tuning_log.write_file}. Recompiles are cache
-    hits on the session that ran the tuner, so the extra cost is one
-    recorded simulation of the kernel's waves per trial. *)
+    argument of {!Alcop_tune.Tuning_log.write_file}. Each trial's
+    {!compile} is a cache hit on the session that ran the tuner, so the
+    extra cost is one rebuild of the artifact and one recorded simulation
+    of its waves per trial. *)
 
 val stats : t -> stats
 (** [hits + misses] telescopes to the total number of (cache-enabled)
-    {!compile}/{!evaluate} calls on this session. *)
+    {!compile}/{!timing}/{!evaluate} calls on this session; [entries]
+    counts resident evaluation records, whichever call landed them. *)
 
 val hit_rate : stats -> float
 (** hits / (hits + misses); 0 when nothing was evaluated. *)

@@ -18,12 +18,17 @@ val tvm_db : t
     it. *)
 
 val alcop_no_ml_ms : t
+(** Bench-only: sweeps reach it through {!all}; perfbench's variant
+    ranking and the variant tests name it. *)
+
 val alcop_no_ml : t
 val alcop : t
 val all : t list
 
 val extra_regs : t -> Op_spec.t -> Alcop_perfmodel.Params.t -> int
-(** Register cost of prefetching without cp.async: the in-flight tile lives
+(** Bench-only: {!evaluator} applies it internally; perfbench and the
+    register-cost test call it directly.
+    Register cost of prefetching without cp.async: the in-flight tile lives
     in registers between global load and shared store. *)
 
 val space : t -> Op_spec.t -> Alcop_perfmodel.Params.t array

@@ -607,96 +607,10 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
 
 let simulate_program = simulate_packed
 
-(* --- incremental wave reuse ---
-
-   Between tuner trials most candidate schedules share wave shapes: the
-   same packed program simulated under the same wave config produces the
-   same latencies, so the tuner opts in to a keyed cache of wave results.
-   Keys are (program content hash, residents, active SMs) with a full
-   structural check of config and program on hit, so a reused latency is
-   provably the one a fresh simulation would produce. Recorded waves
-   bypass the cache (their value is the recording). Counters are exposed
-   through a function, not [Obs], so enabling reuse cannot perturb the -j
-   determinism contract. *)
-
-type cache_entry = {
-  ce_cfg : config;
-  ce_prog : Trace.program;
-  ce_result : wave_result;
-}
-
-let wave_reuse = Atomic.make false
-let wave_cache_cap = 1024
-
-let wave_cache : (string * int * int, cache_entry) Hashtbl.t =
-  Hashtbl.create 256
-
-let wave_cache_fifo : (string * int * int) Queue.t = Queue.create ()
-let wave_cache_lock = Mutex.create ()
-let wave_cache_hits = ref 0
-let wave_cache_misses = ref 0
-
-let with_cache_lock f =
-  Mutex.lock wave_cache_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock wave_cache_lock) f
-
-let with_wave_reuse f =
-  let prev = Atomic.exchange wave_reuse true in
-  Fun.protect ~finally:(fun () -> Atomic.set wave_reuse prev) f
-
-let wave_reuse_stats () = with_cache_lock (fun () -> (!wave_cache_hits, !wave_cache_misses))
-
-let wave_cache_clear () =
-  with_cache_lock (fun () ->
-      Hashtbl.reset wave_cache;
-      Queue.clear wave_cache_fifo)
-
-let program_equal (a : Trace.program) (b : Trace.program) =
-  a == b
-  || (a.Trace.n = b.Trace.n
-      && a.Trace.opcode = b.Trace.opcode
-      && a.Trace.arg = b.Trace.arg
-      && a.Trace.group = b.Trace.group
-      && a.Trace.flags = b.Trace.flags
-      && a.Trace.groups = b.Trace.groups)
-
-let config_equal (a : config) (b : config) =
-  a.residents = b.residents && a.active_sms = b.active_sms
-  && a.warps_per_tb = b.warps_per_tb
-  && a.miss_rate = b.miss_rate
-  && a.smem_penalty = b.smem_penalty
-  && a.issue_overhead = b.issue_overhead
-  && a.barrier_groups = b.barrier_groups
-  && a.hw = b.hw
-
-let cached_simulate (cfg : config) (p : Trace.program) =
-  if not (Atomic.get wave_reuse) then simulate_packed cfg p
-  else begin
-    let key = (Trace.program_hash p, cfg.residents, cfg.active_sms) in
-    let hit =
-      with_cache_lock (fun () ->
-          match Hashtbl.find_opt wave_cache key with
-          | Some e when config_equal e.ce_cfg cfg && program_equal e.ce_prog p ->
-            incr wave_cache_hits;
-            Some e.ce_result
-          | _ ->
-            incr wave_cache_misses;
-            None)
-    in
-    match hit with
-    | Some r -> r
-    | None ->
-      let r = simulate_packed cfg p in
-      with_cache_lock (fun () ->
-          if not (Hashtbl.mem wave_cache key) then begin
-            if Queue.length wave_cache_fifo >= wave_cache_cap then
-              Hashtbl.remove wave_cache (Queue.pop wave_cache_fifo);
-            Hashtbl.replace wave_cache key
-              { ce_cfg = cfg; ce_prog = p; ce_result = r };
-            Queue.push key wave_cache_fifo
-          end);
-      r
-  end
+(* No-ops kept for perfbench/, which still calls them. *)
+let with_wave_reuse f = f ()
+let wave_reuse_stats () = (0, 0)
+let wave_cache_clear () = ()
 
 (* --- Whole-kernel latency --- *)
 
@@ -838,10 +752,7 @@ let time_kernel ?pool ?recorded (req : request) pl ~full_rc ~tail_rc =
   let hw = req.hw in
   let occ = pl.plan_occ in
   let full_waves = pl.full_waves and rem = pl.remainder in
-  let sim cfg = function
-    | Some rc -> simulate_packed ~recording:rc cfg req.program
-    | None -> cached_simulate cfg req.program
-  in
+  let sim cfg rc = simulate_packed ?recording:rc cfg req.program in
   (* The full and tail waves are independent simulations; with a pool of
      2+ workers run them on two domains. Each recording is written by
      exactly one worker and read after the join — and the combination

@@ -143,28 +143,18 @@ val simulate_program :
     writes every observation of the wave into it; without one the
     attribution bookkeeping is skipped entirely. *)
 
-(** {1 Incremental wave reuse}
-
-    Opt-in in-memory cache of wave results keyed by (program content
-    hash, residents, active SMs), with a structural config/program check
-    on hit. Between tuner trials, candidate schedules that share a wave
-    shape skip re-simulation. The cache is process-local and bounded
-    (first in, first out); across processes a repeated evaluation is
-    answered by the artifact store's evaluation records instead. Recorded
-    waves (profiling, observability gauges) always simulate. *)
-
 val with_wave_reuse : (unit -> 'a) -> 'a
-(** Run [f] with wave-result reuse enabled (process-wide flag; nests). *)
+(** Bench-only: [f ()]. The simulator has no wave-result cache; the name
+    stays only because perfbench/ calls it, and nothing else may. *)
 
 val wave_reuse_stats : unit -> int * int
-(** [(hits, misses)] accumulated since process start. Deliberately a
-    function rather than [Obs] telemetry: cache traffic depends on trial
-    scheduling order, and the -j determinism contract says observability
-    streams must not. *)
+(** Bench-only: always [(0, 0)]. The simulator has no wave-result cache;
+    the name stays only because perfbench/ reads its
+    [timing.wave_reuse_*] counts from it, and nothing else may. *)
 
 val wave_cache_clear : unit -> unit
-(** Drop the wave cache (counters are kept), so the next lookup of every
-    key misses and simulates. *)
+(** Bench-only: does nothing. The simulator has no wave-result cache; the
+    name stays only because perfbench/ calls it, and nothing else may. *)
 
 type request = {
   hw : Alcop_hw.Hw_config.t;

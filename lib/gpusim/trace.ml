@@ -115,17 +115,13 @@ type program = {
   group_stages : int array;
   group_sync : bool array;
   group_bytes : int array;
-  mutable hash : string;  (** lazily memoized content digest; [""] = unset *)
 }
 
 let length p = p.n
 
 let program_hash p =
-  if String.length p.hash = 0 then
-    p.hash <-
-      Digest.string
-        (Marshal.to_string (p.opcode, p.arg, p.group, p.flags, p.groups) []);
-  p.hash
+  Digest.string
+    (Marshal.to_string (p.opcode, p.arg, p.group, p.flags, p.groups) [])
 
 let event_at p i =
   let g = p.group.{i} in
@@ -301,8 +297,7 @@ let build ~groups ~nslots ~g_flags ~s_gid ~s_hide ~stages ~sync ~bytes fill =
     batch = icol_take scratch.xb_bat len;
     groups; group_depth; group_stages;
     group_sync = Array.sub sync 0 ng;
-    group_bytes = Array.sub bytes 0 ng;
-    hash = "" }
+    group_bytes = Array.sub bytes 0 ng }
 
 (* Intern table: group ids numbered in first-use order. *)
 let intern tbl gid =

@@ -107,7 +107,6 @@ type program = {
           per-stage buffer footprint on the {!extract_program} path; for
           {!pack}-built traces, derived from the events as the peak
           async-load byte sum of one batch. [0] when unknown. *)
-  mutable hash : string;  (** internal memo for {!program_hash}; [""] unset *)
 }
 
 val length : program -> int
@@ -135,9 +134,10 @@ val decode : program -> event array
     The boxed view of a program, event by event. *)
 
 val program_hash : program -> string
-(** Content digest of the packed encoding (group table included), memoized
-    on first use. Two programs with equal hashes are, up to MD5 collision,
-    the same event sequence — the incremental re-simulation key. *)
+(** Content digest of the packed encoding (group table included),
+    computed on each call. Two programs with equal hashes are, up to MD5
+    collision, the same event sequence; profile exports carry it to
+    identify the trace. *)
 
 type stats = {
   global_load_bytes : int;

@@ -26,14 +26,18 @@ type stats = {
 }
 
 val median : float list -> float
-(** 0. on the empty list; the mean of the middle pair for even lengths. *)
+(** Bench-only: {!summarize} uses it; perfbench and the statistics test
+    call it directly.
+    0. on the empty list; the mean of the middle pair for even lengths. *)
 
 val mad : ?center:float -> float list -> float
 (** Test-only: the statistics test checks it directly; {!summarize} uses it.
     Median absolute deviation around [center] (default: the median). *)
 
 val percentile : float -> float list -> float
-(** Linear interpolation between order statistics; [percentile 0.9]. *)
+(** Bench-only: {!summarize} uses it; perfbench and the statistics test
+    call it directly.
+    Linear interpolation between order statistics; [percentile 0.9]. *)
 
 val summarize : float list -> stats
 (** Robust summary of raw per-run times in nanoseconds. *)

@@ -154,6 +154,8 @@ val observe : string -> float -> unit
     tuning sweep, or candidate latencies across a search. *)
 
 val histogram_value : string -> histogram option
+(** Bench-only: perfbench reads single histograms back.
+    The named histogram, if anything was observed into it. *)
 
 val histograms : unit -> (string * histogram) list
 (** Test-only: tests compare whole histogram tables.

@@ -185,10 +185,6 @@ let eval_batch ?pool ~(space : Alcop_perfmodel.Params.t array) ~evaluate
          indices)
 
 let exhaustive ?pool ~(space : Alcop_perfmodel.Params.t array) ~evaluate () =
-  (* Trials that land on the same wave shape reuse simulated latencies —
-     see [Timing.with_wave_reuse]; results are structurally verified, so
-     the sweep is unchanged. *)
-  Alcop_gpusim.Timing.with_wave_reuse @@ fun () ->
   let record = trial_recorder () in
   let trials =
     eval_batch ?pool ~space ~evaluate ~record
@@ -374,7 +370,6 @@ let run ?pool ~hw ~spec ~(space : Alcop_perfmodel.Params.t array) ~evaluate
         ("seed", Alcop_obs.Json.Int seed);
         ("space_size", Alcop_obs.Json.Int (Array.length space)) ]
   @@ fun () ->
-  Alcop_gpusim.Timing.with_wave_reuse @@ fun () ->
   if Array.length space = 0 then { trials = [||]; space_size = 0 }
   else
     match method_ with

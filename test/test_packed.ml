@@ -9,8 +9,8 @@
    recording projects onto them), at -j 1 and -j 4. They are what
    allowed the legacy replay path to be deleted from the library.
 
-   Also here: the recording's own stream contract, incremental wave-reuse
-   soundness and the allocation budgets of a cold compile+simulate. *)
+   Also here: the recording's own stream contract and the allocation
+   budgets of a cold compile+simulate. *)
 
 open Alcop_gpusim
 
@@ -329,30 +329,6 @@ let test_empty_trace () =
     (Legacy_sim.simulate_wave cfg [||]
      = Timing.simulate_program cfg (Trace.pack [||]))
 
-(* Wave reuse returns exactly what a fresh simulation returns, and the
-   cache actually hits. Hits are asserted in aggregate because the cache
-   keeps the first entry on a key collision (same program hash and
-   occupancy, different rates), so an individual schedule may legally
-   never hit — but the repeated runs must. *)
-let test_wave_reuse_identical () =
-  let rand = Random.State.make [| 0xA1C0; 7 |] in
-  let scheds = QCheck.Gen.generate ~n:30 ~rand gen_sched in
-  let h0, _ = Timing.wave_reuse_stats () in
-  List.iter
-    (fun s ->
-      let req = request_of_sched s 500 in
-      let plain = Timing.run req in
-      let reused =
-        Timing.with_wave_reuse (fun () ->
-            ignore (Timing.run req);
-            (* second run reuses the cached wave results *)
-            Timing.run req)
-      in
-      Alcotest.(check bool) "reused run identical" true (plain = reused))
-    scheds;
-  let h1, _ = Timing.wave_reuse_stats () in
-  Alcotest.(check bool) "cache hits advanced" true (h1 > h0)
-
 (* Allocation budget of one cold compile+simulate (ROADMAP item 5): the
    packed datapath landed at roughly 1.85e4 minor words; the ceiling is
    ~2x that so creep is caught by `dune runtest` without flaking on
@@ -465,8 +441,6 @@ let suite =
         Alcotest.test_case "-j1 == -j4 over 100 random schedules" `Quick
           test_parallel_waves_identical;
         Alcotest.test_case "empty trace" `Quick test_empty_trace;
-        Alcotest.test_case "wave reuse: identical results, real hits" `Quick
-          test_wave_reuse_identical;
         Alcotest.test_case "allocation budget per cold compile" `Quick
           test_allocation_budget;
         Alcotest.test_case "allocation budgets per pass" `Quick

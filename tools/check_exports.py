@@ -7,8 +7,10 @@ references. A use counts when it is qualified (`Trace.pack`, also through
 file that opens the module (`open Trace`, `let open Trace in`,
 `Trace.( ... )`). Comments are ignored.
 
-Exits 1 if some export is unreferenced, or is referenced only from test/
-and its doc comment does not start with `Test-only:`.
+Exits 1 if some export is unreferenced, is referenced only from test/
+and its doc comment does not start with `Test-only:`, or is referenced
+only from perfbench/ (and test/) and its doc comment does not start with
+`Bench-only:`.
 
 Usage: python3 tools/check_exports.py
 """
@@ -104,17 +106,20 @@ def main():
     for mli, module, name, doc in exports():
         found = users(mli, module, name)
         where = "%s:%s" % (mli.relative_to(ROOT), module + "." + name)
+        dirs = {f.relative_to(ROOT).parts[0] for f in found}
         if not found:
             unreferenced.append(where)
-        elif all(f.relative_to(ROOT).parts[0] == "test" for f in found):
-            if not re.match(r"\(\*\*\s*Test-only:", doc):
-                untagged.append(where)
+        elif dirs <= {"test", "perfbench"}:
+            tag = "Bench-only:" if "perfbench" in dirs else "Test-only:"
+            if not re.match(r"\(\*\*\s*" + tag, doc):
+                untagged.append((tag, where))
     for w in unreferenced:
         print("unreferenced: " + w)
-    for w in untagged:
-        print("test-only without a `Test-only:` doc comment: " + w)
+    for tag, w in untagged:
+        print("%s export without a `%s` doc comment: %s"
+              % (tag[:-1].lower(), tag, w))
     if unreferenced or untagged:
-        print("%d unreferenced, %d untagged test-only exports"
+        print("%d unreferenced, %d untagged test- or bench-only exports"
               % (len(unreferenced), len(untagged)))
         return 1
     return 0
