@@ -55,6 +55,18 @@ let tile_conv =
   in
   Arg.conv ~docv:"MxNxK" (parse, Arg.conv_printer triple)
 
+(* A tuning budget is a positive trial count; [--budget 0] or below is a
+   command-line error (exit 124) rather than a run that measures
+   nothing. *)
+let budget_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "budget %s: must be at least 1" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let tiling_term =
   let open Term in
   let tb =
@@ -528,7 +540,8 @@ let tune_cmd =
          & info [ "m"; "method" ] ~doc:"grid | xgb | analytical | xgb+.")
   in
   let budget =
-    Arg.(value & opt int 20 & info [ "budget" ] ~doc:"Measurement budget.")
+    Arg.(value & opt budget_conv 20
+         & info [ "budget" ] ~doc:"Measurement budget (at least 1).")
   in
   let seed = Arg.(value & opt int 2023 & info [ "seed" ] ~doc:"Random seed.") in
   let log =

@@ -13,14 +13,15 @@ type config = {
 
 let default_config = { n_chains = 16; n_steps = 48; t_start = 1.0; t_end = 0.05 }
 
-(* [score] is "higher is better" (e.g. -log predicted cycles). *)
+(* [scores.(i)] is point [i]'s model score, "higher is better" (e.g.
+   -log predicted cycles). *)
 let propose ?(config = default_config) rng (idx : Space.indexed)
-    ~(score : int -> float) ~(exclude : int -> bool) ~batch =
-  let n = Array.length idx.Space.points in
+    ~(scores : float array) ~(exclude : int -> bool) ~batch =
+  let n = Array.length scores in
   if n = 0 then []
   else begin
     let visited = Hashtbl.create 256 in
-    let note i = if not (Hashtbl.mem visited i) then Hashtbl.replace visited i (score i) in
+    let note i = if not (Hashtbl.mem visited i) then Hashtbl.replace visited i scores.(i) in
     let cooling =
       exp (log (config.t_end /. config.t_start) /. float_of_int config.n_steps)
     in
@@ -31,7 +32,7 @@ let propose ?(config = default_config) rng (idx : Space.indexed)
       for _ = 1 to config.n_steps do
         let cand = Space.neighbour idx rng !current in
         note cand;
-        let delta = score cand -. score !current in
+        let delta = scores.(cand) -. scores.(!current) in
         if delta >= 0.0 || Random.State.float rng 1.0 < exp (delta /. !temp)
         then current := cand;
         temp := !temp *. cooling

@@ -12,10 +12,11 @@ val propose :
   ?config:config ->
   Random.State.t ->
   Space.indexed ->
-  score:(int -> float) ->
+  scores:float array ->
   exclude:(int -> bool) ->
   batch:int ->
   int list
-(** Run annealing chains maximizing [score]; return up to [batch] distinct
-    non-excluded indices, best-scored first, topped up randomly if chains
-    found too few. *)
+(** Run annealing chains maximizing [scores.(i)], the score of point [i]
+    of the indexed space; return up to [batch] distinct non-excluded
+    indices, best-scored first, topped up randomly if chains found too
+    few. *)

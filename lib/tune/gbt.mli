@@ -21,13 +21,22 @@ val constant : float -> t
     with it. *)
 
 val predict : t -> float array -> float
+(** Test-only: the tests check fits and {!score} against it; the tuner
+    scores whole spaces with {!score}. *)
 
-val predict_from : t -> float -> float array -> float
-(** [predict_from t acc x] folds [t]'s trees onto [acc] in place of
-    [t.base], in the same order and arithmetic as {!predict}. For a model
-    fit with [~init:prior], [predict_from { m with trees = new_trees }
-    (predict prior x) x] equals [predict m x] bit for bit — callers that
-    score a space repeatedly cache [predict prior] once. *)
+val score : ?skip:int -> t -> float array array -> float array -> unit
+(** [score ~skip t xs acc] adds the trees of [t] after its first [skip]
+    (default 0) onto each [acc.(i)], for the row [xs.(i)]: tree by tree in
+    boosting order, [acc.(i) <- acc.(i) +. t.learning_rate *. leaf], the
+    arithmetic of {!predict}. So from [acc.(i) = t.base] it leaves
+    [predict t xs.(i)] bit for bit, and for [t] fit with [~init:prior] it
+    leaves [predict t xs.(i)] from [acc.(i) = predict prior xs.(i)] with
+    [~skip:(n_trees prior)].
+
+    Each tree is compiled to a complete binary tree of its depth, walked
+    without branches four rows at a time. Raises [Invalid_argument] if a
+    tree is deeper than 16, a split reads a feature outside a row, or [xs]
+    and [acc] differ in length. *)
 
 val fit : ?config:config -> ?init:t -> float array array -> float array -> t
 (** Column-stores and ranks the training set once ({!Tree.prepare}) and

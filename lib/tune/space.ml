@@ -88,65 +88,123 @@ let enumerate ?(restriction = full) (spec : Op_spec.t) =
     tb_ms;
   Array.of_list (List.rev !points)
 
-(* Neighbour structure for simulated annealing: points at knob distance one.
-   Precomputed lazily from the knob encoding. *)
+(* Neighbour structure for simulated annealing: points at knob distance
+   one. A point's key is a mixed-radix integer over the positions of its
+   knob values among the distinct values each knob takes in the space,
+   then [swizzle] and [inner_fuse]. Split-K counts as [max 1 split_k], so
+   two points share a key exactly when they print the same. *)
 type indexed = {
   points : Alcop_perfmodel.Params.t array;
-  index_of : (string, int) Hashtbl.t;
+  values : int array array;  (** per knob: its distinct values, ascending *)
+  sorted : int array;  (** [key * n + i] per point [i], ascending *)
 }
 
-let index points =
-  let index_of = Hashtbl.create (Array.length points) in
-  Array.iteri
-    (fun i p -> Hashtbl.replace index_of (Alcop_perfmodel.Params.to_string p) i)
-    points;
-  { points; index_of }
+let n_knobs = 9
 
-let knob_values (p : Alcop_perfmodel.Params.t) =
+let knob (p : Alcop_perfmodel.Params.t) axis =
   let t = p.Alcop_perfmodel.Params.tiling in
-  [| t.Tiling.tb_m; t.Tiling.tb_n; t.Tiling.tb_k; t.Tiling.warp_m;
-     t.Tiling.warp_n; t.Tiling.warp_k; p.Alcop_perfmodel.Params.smem_stages;
-     p.Alcop_perfmodel.Params.reg_stages; t.Tiling.split_k |]
+  match axis with
+  | 0 -> t.Tiling.tb_m
+  | 1 -> t.Tiling.tb_n
+  | 2 -> t.Tiling.tb_k
+  | 3 -> t.Tiling.warp_m
+  | 4 -> t.Tiling.warp_n
+  | 5 -> t.Tiling.warp_k
+  | 6 -> p.Alcop_perfmodel.Params.smem_stages
+  | 7 -> p.Alcop_perfmodel.Params.reg_stages
+  | _ -> max 1 t.Tiling.split_k
 
-let of_knobs (p : Alcop_perfmodel.Params.t) knobs =
-  let tiling =
-    Tiling.make ~tb_m:knobs.(0) ~tb_n:knobs.(1) ~tb_k:knobs.(2)
-      ~warp_m:knobs.(3) ~warp_n:knobs.(4) ~warp_k:knobs.(5)
-      ~split_k:knobs.(8) ()
+let position values v =
+  let rec go j =
+    if j = Array.length values then -1
+    else if values.(j) = v then j
+    else go (j + 1)
   in
-  Alcop_perfmodel.Params.make ~swizzle:p.Alcop_perfmodel.Params.swizzle ~tiling
-    ~smem_stages:knobs.(6) ~reg_stages:knobs.(7) ()
+  go 0
+
+(* The key of [p] with knob [axis] set to [v] ([axis = -1]: none) and
+   [inner_fuse] set to [fuse]; -1 if some knob value is not in the
+   space. *)
+let key_with values (p : Alcop_perfmodel.Params.t) ~axis ~v ~fuse =
+  let rec go a key =
+    if a = n_knobs then
+      (((key * 2) + Bool.to_int p.Alcop_perfmodel.Params.swizzle) * 2)
+      + Bool.to_int fuse
+    else
+      let j = position values.(a) (if a = axis then v else knob p a) in
+      if j < 0 then -1 else go (a + 1) ((key * Array.length values.(a)) + j)
+  in
+  go 0 0
+
+let index points =
+  let n = Array.length points in
+  let values =
+    Array.init n_knobs (fun a ->
+        Array.fold_left
+          (fun acc p ->
+            let v = knob p a in
+            if List.mem v acc then acc else v :: acc)
+          [] points
+        |> List.sort compare |> Array.of_list)
+  in
+  (* [key * n + i] must not overflow. *)
+  let bound =
+    Array.fold_left
+      (fun b v ->
+        let r = max 1 (Array.length v) in
+        if b >= max_int / r then max_int else b * r)
+      (4 * max 1 n) values
+  in
+  if bound = max_int then
+    invalid_arg "Space.index: too many distinct knob values";
+  let sorted =
+    Array.mapi
+      (fun i p ->
+        let fuse = p.Alcop_perfmodel.Params.inner_fuse in
+        (key_with values p ~axis:(-1) ~v:0 ~fuse * n) + i)
+      points
+  in
+  Array.sort Int.compare sorted;
+  { points; values; sorted }
+
+(* The point with [key], or -1. Of points sharing a key the last one
+   wins, as a [Hashtbl.replace] of each point in order would leave it. *)
+let find idx key =
+  let n = Array.length idx.points in
+  (* The last position whose entry is below [(key + 1) * n]. *)
+  let lo = ref (-1) and hi = ref n in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if idx.sorted.(mid) < (key + 1) * n then lo := mid else hi := mid
+  done;
+  if !lo >= 0 && idx.sorted.(!lo) >= key * n then idx.sorted.(!lo) - (key * n)
+  else -1
+
+let axis_options =
+  Array.map Array.of_list
+    [| tb_candidates; tb_candidates; tbk_candidates; warp_candidates;
+       warp_candidates; warpk_candidates; full.smem_stage_options;
+       full.reg_stage_options; split_candidates |]
 
 (* A random knob-neighbour of [i] that exists in the space; falls back to a
-   uniformly random point when no neighbour move is found quickly. *)
+   uniformly random point when no neighbour move is found quickly. A move
+   keeps [swizzle] and turns [inner_fuse] on. The comparison with the
+   current value reads the raw split-K, the key its [max 1]. *)
 let neighbour (idx : indexed) rng i =
   let p = idx.points.(i) in
-  let knobs = knob_values p in
-  let axis_options = [|
-    [ 16; 32; 64; 128; 256 ]; [ 16; 32; 64; 128; 256 ]; [ 16; 32; 64 ];
-    [ 16; 32; 64; 128 ]; [ 16; 32; 64; 128 ]; [ 16; 32 ];
-    [ 1; 2; 3; 4 ]; [ 1; 2 ]; [ 1; 2; 4 ];
-  |] in
+  let split_k = p.Alcop_perfmodel.Params.tiling.Tiling.split_k in
   let rec attempt tries =
     if tries = 0 then Random.State.int rng (Array.length idx.points)
     else begin
-      let axis = Random.State.int rng 9 in
+      let axis = Random.State.int rng n_knobs in
       let options = axis_options.(axis) in
-      let v = List.nth options (Random.State.int rng (List.length options)) in
-      if v = knobs.(axis) then attempt (tries - 1)
-      else begin
-        let knobs' = Array.copy knobs in
-        knobs'.(axis) <- v;
-        match of_knobs p knobs' with
-        | candidate ->
-          (match
-             Hashtbl.find_opt idx.index_of
-               (Alcop_perfmodel.Params.to_string candidate)
-           with
-           | Some j -> j
-           | None -> attempt (tries - 1))
-        | exception Invalid_argument _ -> attempt (tries - 1)
-      end
+      let v = options.(Random.State.int rng (Array.length options)) in
+      if v = (if axis = n_knobs - 1 then split_k else knob p axis) then
+        attempt (tries - 1)
+      else
+        let key = key_with idx.values p ~axis ~v ~fuse:true in
+        let j = if key < 0 then -1 else find idx key in
+        if j < 0 then attempt (tries - 1) else j
     end
   in
   attempt 12

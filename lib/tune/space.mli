@@ -20,10 +20,8 @@ val no_pipelining : restriction
 
 val enumerate : ?restriction:restriction -> Op_spec.t -> Alcop_perfmodel.Params.t array
 
-type indexed = {
-  points : Alcop_perfmodel.Params.t array;
-  index_of : (string, int) Hashtbl.t;
-}
+type indexed
+(** A space with an integer key per point, for {!neighbour}. *)
 
 val index : Alcop_perfmodel.Params.t array -> indexed
 

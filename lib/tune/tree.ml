@@ -67,30 +67,65 @@ type data = {
   mutable cand_score : float array;  (** its approximate score *)
 }
 
+(* Stable sort of the sample indices [o] by their [col] values under
+   [Float.compare]: a bottom-up merge sort that merges back and forth
+   between [o] and [buf] (as long as [o]), so unlike [Array.stable_sort]
+   it allocates nothing. *)
+let sort_by_value (col : float array) o buf =
+  let n = Array.length o in
+  let src = ref o and dst = ref buf in
+  let width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min (!lo + !width) n and hi = min (!lo + (2 * !width)) n in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || Float.compare col.(s.(!i)) col.(s.(!j)) <= 0)
+        then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src != o then Array.blit !src 0 o 0 n
+
 let prepare (rows : float array array) =
   let n = Array.length rows in
   let n_features = if n = 0 then 0 else Array.length rows.(0) in
   let columns = Array.init n_features (fun f -> Array.init n (fun i -> rows.(i).(f))) in
-  let o = Array.make n 0 in
+  (* [fit_data] writes both index buffers before it reads them; until then
+     they sort one column at a time. *)
+  let idx = Array.make n 0 and scratch = Array.make n 0 in
   let codes =
     Array.map
       (fun col ->
         for i = 0 to n - 1 do
-          o.(i) <- i
+          idx.(i) <- i
         done;
-        Array.stable_sort (fun a b -> Float.compare col.(a) col.(b)) o;
+        sort_by_value col idx scratch;
         let code = Array.make n 0 in
         for k = 1 to n - 1 do
-          code.(o.(k)) <-
-            code.(o.(k - 1))
-            + Bool.to_int (Float.compare col.(o.(k - 1)) col.(o.(k)) <> 0)
+          code.(idx.(k)) <-
+            code.(idx.(k - 1))
+            + Bool.to_int (Float.compare col.(idx.(k - 1)) col.(idx.(k)) <> 0)
         done;
         code)
       columns
   in
   let n_codes = Array.map (Array.fold_left (fun m c -> max m (c + 1)) 0) codes in
   let max_codes = Array.fold_left max 0 n_codes in
-  { columns; codes; n_codes; idx = Array.make n 0; scratch = Array.make n 0;
+  { columns; codes; n_codes; idx; scratch;
     code_n = Array.make max_codes 0; code_s = Array.make max_codes 0.0;
     code_q = Array.make max_codes 0.0; code_first = Array.make max_codes 0;
     present = Array.make max_codes 0;

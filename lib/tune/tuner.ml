@@ -232,24 +232,65 @@ let analytical_only ~pool ~hw ~spec ~space ~evaluate ~budget =
   in
   measure_order ?pool ~space ~evaluate order budget
 
+(* The [n] best non-excluded indices of [scores], best first: scores
+   descending under [Float.compare] (NaN last), equal scores by
+   descending index. That is the order the stable sort of a list built by
+   prepending each (score, index) gave, found here in one pass that keeps
+   only the best [n]. *)
+let top_by_model (scores : float array) ~exclude n =
+  let best = Array.make (max 0 n) 0 and len = ref 0 in
+  let better i j =
+    let c = Float.compare scores.(i) scores.(j) in
+    c > 0 || (c = 0 && i > j)
+  in
+  for i = 0 to Array.length scores - 1 do
+    if (not (exclude i)) && (!len < n || (n > 0 && better i best.(n - 1)))
+    then begin
+      (* Shift the worse entries down one place (the last falls off). *)
+      let k = ref (min !len (n - 1)) in
+      while !k > 0 && better i best.(!k - 1) do
+        best.(!k) <- best.(!k - 1);
+        decr k
+      done;
+      best.(!k) <- i;
+      len := min n (!len + 1)
+    end
+  done;
+  List.init !len (Array.get best)
+
 (* The shared Xgb workflow; [prior] carries the analytical pre-training.
-   Every refit continues from the prior, so its trees are [prior.trees]
-   followed by new ones and each point's score is the prior's prediction,
-   computed once here, plus the new trees' fold on top. *)
+   A model is scored once over the whole space into an array that both
+   the exact top-n and the annealer read. Every refit continues from the
+   prior, so its trees are [prior.trees] followed by new ones: the
+   prior's scores are computed once, and a refit adds only its new trees
+   onto a copy of them in one reused buffer ([Gbt.score] keeps
+   [Gbt.predict]'s arithmetic, so every score is bit-identical). *)
 let xgb_loop ~pool ~space ~feats ~evaluate ~budget ~seed ~prior =
   let rng = Random.State.make [| seed; 0xA1C0 |] in
   let idx = Space.index space in
-  let scorer =
+  let n = Array.length space in
+  let prior_scores, n_prior =
     match prior with
-    | None -> fun (m : Gbt.t) i -> Gbt.predict m feats.(i)
-    | Some p ->
-      let prior_score = Array.map (Gbt.predict p) feats in
-      let n_prior = Gbt.n_trees p in
-      fun m ->
-        let tail =
-          { m with trees = List.filteri (fun j _ -> j >= n_prior) m.trees }
-        in
-        fun i -> Gbt.predict_from tail prior_score.(i) feats.(i)
+    | None -> ([||], 0)
+    | Some (p : Gbt.t) ->
+      let s = Array.make n p.base in
+      Gbt.score p feats s;
+      (s, Gbt.n_trees p)
+  in
+  let buffer = lazy (Array.make n 0.0) in
+  let scores_of (m : Gbt.t) =
+    match prior with
+    | Some _ when Gbt.n_trees m = n_prior -> prior_scores
+    | Some _ ->
+      let s = Lazy.force buffer in
+      Array.blit prior_scores 0 s 0 n;
+      Gbt.score ~skip:n_prior m feats s;
+      s
+    | None ->
+      let s = Lazy.force buffer in
+      Array.fill s 0 n m.base;
+      Gbt.score m feats s;
+      s
   in
   let measured : (int, float option) Hashtbl.t = Hashtbl.create 64 in
   let trials = ref [] in
@@ -275,23 +316,15 @@ let xgb_loop ~pool ~space ~feats ~evaluate ~budget ~seed ~prior =
         trials := t :: !trials)
       (eval_batch ?pool ~space ~evaluate ~record fresh)
   in
-  let batch_size = max 1 (min 8 budget) in
+  let batch_size = min 8 budget in
   (* Exact top-n of the whole space under the current model (exploitation);
      annealing fills the rest of a batch (exploration). *)
-  let top_by_model score ~exclude n =
-    let scored = ref [] in
-    Array.iteri
-      (fun i _ -> if not (exclude i) then scored := (score i, i) :: !scored)
-      space;
-    let sorted = List.sort (fun (a, _) (b, _) -> compare b a) !scored in
-    List.filteri (fun j _ -> j < n) (List.map snd sorted)
-  in
   let propose_batch m ~exclude n =
-    let score = scorer m in
-    let exploit = top_by_model score ~exclude (max 1 (n / 2)) in
+    let scores = scores_of m in
+    let exploit = top_by_model scores ~exclude (max 1 (n / 2)) in
     let exclude' i = exclude i || List.mem i exploit in
     let explore =
-      Anneal.propose rng idx ~score ~exclude:exclude'
+      Anneal.propose rng idx ~scores ~exclude:exclude'
         ~batch:(n - List.length exploit)
     in
     exploit @ explore
@@ -370,7 +403,8 @@ let run ?pool ~hw ~spec ~(space : Alcop_perfmodel.Params.t array) ~evaluate
         ("seed", Alcop_obs.Json.Int seed);
         ("space_size", Alcop_obs.Json.Int (Array.length space)) ]
   @@ fun () ->
-  if Array.length space = 0 then { trials = [||]; space_size = 0 }
+  if Array.length space = 0 || budget <= 0 then
+    { trials = [||]; space_size = Array.length space }
   else
     match method_ with
     | Grid -> grid ~pool ~space ~evaluate ~budget

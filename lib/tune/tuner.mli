@@ -53,6 +53,13 @@ val pretrain_set :
     with the Table I model's [-log cycles] as targets. The prior is
     [Gbt.fit ~config:pretrain_config] of them. *)
 
+val top_by_model : float array -> exclude:(int -> bool) -> int -> int list
+(** Test-only: the tests check its order against a full sort.
+    [top_by_model scores ~exclude n] is the [n] best indices [i] of
+    [scores] with [not (exclude i)], best first: scores descending under
+    [Float.compare] (NaN last), equal scores by descending index. One pass
+    keeps the best [n] in order; nothing is sorted. *)
+
 val exhaustive :
   ?pool:Alcop_par.Pool.t ->
   space:Alcop_perfmodel.Params.t array ->
@@ -71,7 +78,8 @@ val run :
   method_ ->
   result
 (** Deterministic for a given seed. Each space point is measured at most
-    once; the run stops early if the space is exhausted.
+    once; the run stops early if the space is exhausted. A [budget] of 0
+    or below measures nothing and returns no trials, under every method.
 
     With [pool], each proposed batch of candidates is measured across the
     worker domains; the trial array, per-trial telemetry and tuning log

@@ -1,8 +1,10 @@
 (* Equivalence of the presorted, column-major tree fitter with the frozen
    list fitter in [Legacy_tree]: on random datasets and on a real
    pre-training set, [Tree.fit] and [Gbt.fit] (with and without [~init])
-   must build the same trees with bit-equal thresholds and leaves — that
-   is what keeps every tuning decision unchanged. *)
+   must build the same trees with bit-equal thresholds and leaves. And
+   the compiled batch scorer [Gbt.score] must sum every row's score bit
+   for bit as [Gbt.predict] does. Together that is what keeps every tuning
+   decision unchanged. *)
 
 open Alcop_tune
 
@@ -161,25 +163,98 @@ let prop_tree_stress =
         (Tree.fit ~config:c.config c.rows c.targets)
         (Legacy_tree.fit ~config:c.config c.rows c.targets))
 
-(* The tuner scores a refit model as the prior's cached prediction plus a
-   fold over only the new trees; that must equal [Gbt.predict] bit for
-   bit. *)
-let prop_predict_from =
+(* --- the compiled scorer --- *)
+
+(* The tuner scores a refit model as the prior's scores plus [Gbt.score]
+   over only the new trees; that must equal [Gbt.predict] bit for bit. *)
+let prop_score_fitted =
   QCheck.Test.make ~count:200
-    ~name:"predict_from (predict prior) == predict (bit-equal)" arb_case
+    ~name:"score ~skip onto predict prior == predict (bit-equal)" arb_case
     (fun c ->
       let config = gbt_config c in
       let prior = Gbt.fit ~config c.rows c.targets in
       let m = Gbt.fit ~config ~init:prior c.rows c.targets2 in
-      let n_prior = Gbt.n_trees prior in
-      let tail =
-        { m with trees = List.filteri (fun j _ -> j >= n_prior) m.trees }
+      let acc = Array.map (Gbt.predict prior) c.rows in
+      Gbt.score ~skip:(Gbt.n_trees prior) m c.rows acc;
+      Array.for_all2 (fun a x -> bits_equal a (Gbt.predict m x)) acc c.rows)
+
+(* Ensembles drawn directly rather than fitted: depth-0 trees, mixed and
+   unbalanced depths up to 7, NaN and infinite thresholds, and rows from
+   the same pool of NaN, ±inf and ±0.0 values. Row counts cover every
+   [n mod 4], and [skip] every prefix of the ensemble. Leaves and bases
+   take ±inf and ±0.0 but no NaN: the sum of two NaNs keeps the sign of
+   whichever operand the compiled code puts first, which OCaml leaves
+   unspecified. A fit to finite targets has no NaN leaf, and ±inf ones
+   only ever make the one default NaN. *)
+type ensemble = {
+  model : Gbt.t;
+  xs : float array array;
+  skip : int;
+}
+
+let value_pool =
+  [ 0.0; -0.0; 1.0; 1.5; -2.0; 7.0; Float.nan; -.Float.nan; infinity;
+    neg_infinity ]
+
+let leaf_pool = [ 0.0; -0.0; 1.0; -2.0; infinity; neg_infinity ]
+
+let gen_tree n_features =
+  let open QCheck.Gen in
+  let leaf = map (fun v -> Tree.Leaf v) (gen_value leaf_pool) in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [ (1, leaf);
+            ( 3,
+              map3
+                (fun (feature, threshold) left right ->
+                  Tree.Node { feature; threshold; left; right })
+                (pair (int_bound (n_features - 1)) (gen_value value_pool))
+                (self (depth - 1)) (self (depth - 1)) ) ])
+
+let gen_ensemble =
+  let open QCheck.Gen in
+  let* n_features = int_range 1 5 in
+  let* n_trees = int_range 0 8 in
+  let* trees = list_repeat n_trees (int_range 0 7 >>= gen_tree n_features) in
+  let* base = gen_value leaf_pool in
+  let* learning_rate = oneofl [ 0.3; 0.1; 1.0 ] in
+  let* n = int_range 0 13 in
+  let* xs = array_repeat n (array_repeat n_features (gen_value value_pool)) in
+  let* skip = int_range 0 n_trees in
+  return { model = { Gbt.base; learning_rate; trees }; xs; skip }
+
+let print_ensemble e =
+  Printf.sprintf "rows=%d skip=%d depths=[%s]" (Array.length e.xs) e.skip
+    (String.concat ";"
+       (List.map (fun t -> string_of_int (Tree.depth t)) e.model.trees))
+
+let prop_score_random =
+  QCheck.Test.make ~count:500
+    ~name:"score ~skip == predict on random ensembles (bit-equal)"
+    (QCheck.make ~print:print_ensemble gen_ensemble) (fun e ->
+      let head =
+        { e.model with trees = List.filteri (fun j _ -> j < e.skip) e.model.trees }
       in
-      Array.for_all
-        (fun x ->
-          bits_equal (Gbt.predict m x)
-            (Gbt.predict_from tail (Gbt.predict prior x) x))
-        c.rows)
+      let acc = Array.map (Gbt.predict head) e.xs in
+      Gbt.score ~skip:e.skip e.model e.xs acc;
+      Array.for_all2 (fun a x -> bits_equal a (Gbt.predict e.model x)) acc e.xs)
+
+let test_score_rejects_deep_tree () =
+  let rec chain d =
+    if d = 0 then Tree.Leaf 1.0
+    else
+      Tree.Node
+        { feature = 0; threshold = 0.0; left = Tree.Leaf 0.0; right = chain (d - 1) }
+  in
+  let xs = [| [| 1.0 |] |] in
+  let score d = Gbt.score { Gbt.base = 0.0; learning_rate = 0.3; trees = [ chain d ] } xs in
+  score 16 (Array.make 1 0.0);
+  Alcotest.check_raises "depth 17"
+    (Invalid_argument "Gbt.score: tree depth 17 exceeds 16") (fun () ->
+      score 17 (Array.make 1 0.0))
 
 (* --- a real pre-training set --- *)
 
@@ -215,6 +290,8 @@ let suite =
   [ ( "tree-equiv",
       List.map QCheck_alcotest.to_alcotest
         [ prop_tree; prop_gbt; prop_gbt_init; prop_tree_stress;
-          prop_predict_from ]
-      @ [ Alcotest.test_case "MM_RN50_FC pre-training set == legacy" `Slow
+          prop_score_fitted; prop_score_random ]
+      @ [ Alcotest.test_case "score rejects a tree deeper than 16" `Quick
+            test_score_rejects_deep_tree;
+          Alcotest.test_case "MM_RN50_FC pre-training set == legacy" `Slow
             test_real_pretrain_set ] ) ]

@@ -54,6 +54,101 @@ let test_neighbour_stays_in_space () =
     Alcotest.(check bool) "in range" true (j >= 0 && j < Array.length space)
   done
 
+(* The integer-keyed [Space.neighbour] must make the same moves as the
+   frozen string-keyed copy in [Legacy_space]: from equal random states,
+   the same start points give the same index sequence. *)
+let neighbour_sequences_agree ~seed space =
+  let idx = Space.index space and legacy = Legacy_space.index space in
+  let rng = Random.State.make [| seed |] in
+  let rng_legacy = Random.State.make [| seed |] in
+  let starts = Random.State.make [| seed; 1 |] in
+  let n = Array.length space in
+  let rec go k i =
+    k = 0
+    || begin
+      let j = Space.neighbour idx rng i in
+      j = Legacy_space.neighbour legacy rng_legacy i
+      && go (k - 1) (if k mod 3 = 0 then Random.State.int starts n else j)
+    end
+  in
+  n = 0 || go 400 (Random.State.int starts n)
+
+let test_neighbour_matches_legacy_fig10 () =
+  List.iter
+    (fun (spec : Op_spec.t) ->
+      let space = Alcop.Variants.space Alcop.Variants.alcop spec in
+      Alcotest.(check bool) (spec.Op_spec.name ^ " neighbour sequence") true
+        (neighbour_sequences_agree ~seed:(Array.length space) space))
+    Alcop_workloads.Suites.fig10
+
+(* Synthetic spaces: knob values on and off the move's option lists,
+   split-K 0 (keyed like 1), swizzle and inner fusion off (a move keeps
+   swizzle and turns fusion on), and repeated points (the last copy is the
+   one a move finds). *)
+let gen_synthetic_space =
+  let open QCheck.Gen in
+  let knob options = frequency [ (4, oneofl options); (1, oneofl [ 8; 48; 512 ]) ] in
+  let gen_point =
+    let* tb_m = knob [ 16; 32; 64; 128; 256 ] and* tb_n = knob [ 16; 32; 64; 128; 256 ]
+    and* tb_k = knob [ 16; 32; 64 ] and* warp_m = knob [ 16; 32; 64; 128 ]
+    and* warp_n = knob [ 16; 32; 64; 128 ]
+    and* warp_k = knob [ 16; 32 ]
+    and* split_k = oneofl [ 0; 1; 1; 2; 4; 3 ]
+    and* smem_stages = oneofl [ 1; 2; 3; 4; 5 ] and* reg_stages = oneofl [ 1; 2; 3 ]
+    and* swizzle = frequency [ (3, return true); (1, return false) ]
+    and* inner_fuse = frequency [ (3, return true); (1, return false) ] in
+    let tiling =
+      Tiling.make ~split_k ~tb_m ~tb_n ~tb_k ~warp_m ~warp_n ~warp_k ()
+    in
+    return
+      (Alcop_perfmodel.Params.make ~swizzle ~inner_fuse ~tiling ~smem_stages
+         ~reg_stages ())
+  in
+  let* distinct = list_size (int_range 1 80) gen_point in
+  let distinct = Array.of_list distinct in
+  let* copies = list_size (int_range 0 20) (int_bound (Array.length distinct - 1)) in
+  let* seed = int_bound 1_000_000 in
+  return (seed, Array.append distinct (Array.of_list (List.map (Array.get distinct) copies)))
+
+let prop_neighbour_synthetic =
+  QCheck.Test.make ~count:300 ~name:"neighbour == string-keyed legacy (synthetic spaces)"
+    (QCheck.make
+       ~print:(fun (seed, space) ->
+         Printf.sprintf "seed=%d points=%d" seed (Array.length space))
+       gen_synthetic_space)
+    (fun (seed, space) -> neighbour_sequences_agree ~seed space)
+
+(* --- bounded top-n --- *)
+
+(* Frozen reference: [Tuner.top_by_model] as it was, a stable sort of the
+   (score, index) list built by prepending each index. *)
+let sorted_top scores ~exclude n =
+  let scored = ref [] in
+  Array.iteri (fun i s -> if not (exclude i) then scored := (s, i) :: !scored) scores;
+  let sorted = List.sort (fun (a, _) (b, _) -> compare b a) !scored in
+  List.filteri (fun j _ -> j < n) (List.map snd sorted)
+
+let prop_top_by_model =
+  let gen =
+    let open QCheck.Gen in
+    let score =
+      frequency
+        [ (3, oneofl [ 0.0; -0.0; 1.0; -1.0; Float.nan; -.Float.nan; infinity;
+                       neg_infinity ]);
+          (2, float_range (-3.0) 3.0) ]
+    in
+    triple (array_size (int_range 0 40) score)
+      (array_size (return 40) (frequency [ (3, return false); (1, return true) ]))
+      (int_range 0 12)
+  in
+  QCheck.Test.make ~count:1000 ~name:"top_by_model == sorted list (NaN, ties, exclusions)"
+    (QCheck.make
+       ~print:(fun (s, _, n) -> Printf.sprintf "scores=%d n=%d" (Array.length s) n)
+       gen)
+    (fun (scores, excluded, n) ->
+      let exclude i = excluded.(i) in
+      Tuner.top_by_model scores ~exclude n = sorted_top scores ~exclude n)
+
 (* --- regression trees --- *)
 
 let test_tree_fits_step_function () =
@@ -123,10 +218,11 @@ let test_gbt_empty_data () =
 
 (* Allocation ceiling of one pre-training fit (64 rounds, depth 6) on a
    fixed seeded set of 1024 samples x 12 features. The rank-code fitter
-   measured 1.46e5 minor words here (the presorted-slice fitter before it
-   1.68e5); the list fitter they replaced, which re-sorted and
-   re-partitioned boxed lists per node and threshold, took 6.3e8. The
-   ceiling is ~2x the measured value. *)
+   measured 1.15e5 minor words here (1.46e5 while [Array.stable_sort]
+   built its rank codes; the presorted-slice fitter before it 1.68e5);
+   the list fitter they replaced, which re-sorted and re-partitioned boxed
+   lists per node and threshold, took 6.3e8. The ceiling is ~2x the
+   rank-code fitter's first measurement. *)
 let alloc_budget_gbt_fit = 300_000.0
 
 let test_gbt_fit_allocation () =
@@ -222,6 +318,48 @@ let test_best_within_monotone () =
   | Some a, Some b -> Alcotest.(check bool) "monotone improvement" true (b <= a)
   | _ -> Alcotest.fail "expected costs"
 
+(* A budget of 0 or below measures nothing, under every method. *)
+let test_zero_budget () =
+  let space = Lazy.force space in
+  let calls = ref 0 in
+  let evaluate p = incr calls; synthetic_evaluate p in
+  List.iter
+    (fun budget ->
+      List.iter
+        (fun m ->
+          let r = Tuner.run ~hw ~spec ~space ~evaluate ~budget ~seed:1 m in
+          let what = Printf.sprintf "%s budget %d" (Tuner.method_to_string m) budget in
+          Alcotest.(check int) (what ^ " trials") 0 (Array.length r.Tuner.trials);
+          Alcotest.(check int) (what ^ " space size") (Array.length space)
+            r.Tuner.space_size)
+        [ Tuner.Grid; Tuner.Xgb; Tuner.Analytical_only; Tuner.Analytical_xgb ])
+    [ 0; -1 ];
+  Alcotest.(check int) "nothing measured" 0 !calls
+
+(* Allocation ceiling of one ALCOP tuning run as [alcop tune] makes it:
+   MM_RN50_FC's space (9,400 points), [Analytical_xgb], budget 20, seed
+   2023, measured through a fresh session. It measured 2.1-2.4e6 minor
+   words; before the compiled scorer, integer space key and bounded top-n
+   it took 9.07e6 (string keys, boxed list folds and sorted tuple lists). *)
+let alloc_budget_tune_run = 3_500_000.0
+
+let test_tune_run_allocation () =
+  let spec = Alcop_workloads.Suites.mm_rn50_fc in
+  let session = Alcop.Session.create ~hw () in
+  let evaluate = Alcop.Variants.evaluator ~hw ~session Alcop.Variants.alcop spec in
+  let space = Alcop.Variants.space Alcop.Variants.alcop spec in
+  let w0 = Gc.minor_words () in
+  let r =
+    Tuner.run ~hw ~spec ~space ~evaluate ~budget:20 ~seed:2023
+      Tuner.Analytical_xgb
+  in
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "all trials" 20 (Array.length r.Tuner.trials);
+  Alcotest.(check bool)
+    (Printf.sprintf "Tuner.run allocates %.0f minor words (budget %.0f)" dw
+       alloc_budget_tune_run)
+    true (dw <= alloc_budget_tune_run)
+
 (* --- tuning log round-trip (read side goes through the shared
    Trace_reader file/JSON plumbing) --- *)
 
@@ -274,6 +412,10 @@ let suite =
         Alcotest.test_case "space no duplicates" `Quick test_space_no_duplicates;
         Alcotest.test_case "neighbour stays in space" `Quick
           test_neighbour_stays_in_space;
+        Alcotest.test_case "neighbour == legacy on Fig. 10 spaces" `Slow
+          test_neighbour_matches_legacy_fig10;
+        QCheck_alcotest.to_alcotest prop_neighbour_synthetic;
+        QCheck_alcotest.to_alcotest prop_top_by_model;
         Alcotest.test_case "tree fits step function" `Quick
           test_tree_fits_step_function;
         Alcotest.test_case "tree constant target" `Quick test_tree_constant_target;
@@ -292,5 +434,8 @@ let suite =
         Alcotest.test_case "analytical-only optimal on own objective" `Slow
           test_analytical_only_hits_optimum_on_own_objective;
         Alcotest.test_case "best-within monotone" `Slow test_best_within_monotone;
+        Alcotest.test_case "zero budget measures nothing" `Slow test_zero_budget;
+        Alcotest.test_case "tune run allocation ceiling" `Slow
+          test_tune_run_allocation;
         Alcotest.test_case "tuning log round-trip" `Slow
           test_tuning_log_roundtrip ] ) ]
