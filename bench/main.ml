@@ -534,7 +534,8 @@ let measure_pass ~quiet () =
             match Session.compile cold params spec with
             | Ok c ->
               ignore
-                (Alcop_gpusim.Pipeview.run c.Compiler.timing_request)
+                (Result.map Alcop_gpusim.Pipeview.of_profile
+                   (Alcop_gpusim.Profile.run c.Compiler.timing_request))
             | Error _ -> ()));
         Test.make ~name:"analytical-model" (Staged.stage (fun () ->
             ignore (Alcop_perfmodel.Model.predict hw spec params))) ]
@@ -949,7 +950,8 @@ let run_perf () =
 
 let run_report () =
   header "HTML experiment report";
-  Exp_report.write ~hw ?pool:(pool ()) "report.html";
+  Out_channel.with_open_text "report.html" (fun oc ->
+      output_string oc (Exp_report.generate ~hw ?pool:(pool ()) ()));
   Printf.printf "wrote report.html\n%!"
 
 let experiments =

@@ -221,19 +221,28 @@ let no_store_term =
        & info [ "no-store" ]
            ~doc:"Disable the persistent on-disk artifact store.")
 
-(* File-backed sinks open their file eagerly; turn an unwritable path into a
-   clean CLI error instead of an uncaught Sys_error. [reset_at_exit]
-   guarantees the sink is closed (file flushed, Chrome trace document
-   written) even when a later step exits early — e.g. [with_compiled]'s
-   [exit 1] on a compile error. *)
-let install_file_sink make path =
-  match make path with
-  | sink ->
-    Alcop_obs.Obs.add_sink sink;
-    Alcop_obs.Obs.reset_at_exit ()
+(* Every output flag writes its file through [write_output]: [write]
+   opens PATH itself, and an unwritable path becomes a one-line error and
+   exit 1, as `alcop --help` documents, instead of an uncaught Sys_error.
+   Views hand over data — text, or events for a [Sinks] file sink. *)
+let write_output path write =
+  match write path with
+  | v -> v
   | exception Sys_error msg ->
     Printf.eprintf "cannot open %s: %s\n" path msg;
     exit 1
+
+let write_text path text =
+  write_output path (fun path ->
+      Out_channel.with_open_text path (fun oc -> output_string oc text))
+
+(* A live sink for the whole run. [reset_at_exit] guarantees it is closed
+   (file flushed, Chrome trace document written) even when a later step
+   exits early — e.g. [with_compiled]'s [exit 1] on a compile error. *)
+let install_file_sink make path =
+  write_output path (fun path ->
+      Alcop_obs.Obs.add_sink (make path);
+      Alcop_obs.Obs.reset_at_exit ())
 
 let show_cmd =
   let run spec params before cuda dump_ir =
@@ -439,16 +448,20 @@ let profile_cmd =
           exit 1
         | Ok p ->
           print_string (Alcop_gpusim.Profile.report p);
+          let events = Alcop_gpusim.Profile.events p in
           (match trace_out with
            | Some path ->
-             Alcop_gpusim.Profile.write_chrome_trace path p;
+             write_output path (fun path ->
+                 Alcop_obs.Sinks.(
+                   emit_all (chrome_trace_file ~ts_to_us:Fun.id path) events));
              Printf.printf
                "\nChrome trace (simulated time, 1 cycle = 1 us) written to %s\n"
                path
            | None -> ());
           (match jsonl_out with
            | Some path ->
-             Alcop_gpusim.Profile.write_jsonl path p;
+             write_output path (fun path ->
+                 Alcop_obs.Sinks.(emit_all (jsonl_file path) events));
              Printf.printf "JSONL event log written to %s\n" path
            | None -> ());
           if compare_model then dashboard params)
@@ -525,8 +538,10 @@ let tune_cmd =
        (* Attach the pipeline observatory's feature record to every
           measured trial. *)
        let features = Session.trial_features session spec result in
-       Alcop_tune.Tuning_log.write_file ~features ~path
-         ~spec_name:spec.Alcop_sched.Op_spec.name ~method_ ~seed result;
+       write_text path
+         (Alcop_tune.Tuning_log.to_json ~features
+            ~spec_name:spec.Alcop_sched.Op_spec.name ~method_ ~seed result
+          ^ "\n");
        Printf.printf "tuning log written to %s\n" path
      | None -> ());
     match log_jsonl with
@@ -600,17 +615,18 @@ let perf_cmd =
     if not no_cache then Printf.printf "%s\n" (Session.summary session);
     (match trace_out with
      | Some path ->
-       Alcop_obs.Hostprof.write_chrome_trace path profile;
+       write_output path (fun path ->
+           Alcop_obs.Sinks.(
+             emit_all (chrome_trace_file path)
+               (Alcop_obs.Hostprof.events profile)));
        Printf.printf
          "host Chrome trace (one track per domain) written to %s\n" path
      | None -> ());
     (match json_out with
      | Some path ->
-       let oc = open_out path in
-       output_string oc
-         (Alcop_obs.Json.to_string (Alcop_obs.Hostprof.json_of_profile profile));
-       output_char oc '\n';
-       close_out oc;
+       write_text path
+         (Alcop_obs.Json.to_string (Alcop_obs.Hostprof.json_of_profile profile)
+          ^ "\n");
        Printf.printf "host profile JSON written to %s\n" path
      | None -> ());
     (match log_jsonl with
@@ -793,147 +809,18 @@ let explain_pipeline_cmd =
   let view session spec params =
     with_compiled ~session params spec (fun c ->
         match
-          Alcop_gpusim.Pipeview.run ~op:spec.Alcop_sched.Op_spec.name
+          Alcop_gpusim.Profile.run ~op:spec.Alcop_sched.Op_spec.name
             ~schedule:(Alcop_perfmodel.Params.to_string params)
             c.Compiler.timing_request
         with
-        | Ok v -> v
+        | Ok p -> Alcop_gpusim.Pipeview.of_profile p
         | Error f ->
           Format.eprintf "cannot analyze: %a@."
             Alcop_gpusim.Occupancy.pp_failure f;
           exit 1)
   in
-  (* HTML building blocks (shared report scaffold, inline SVG only) *)
-  let occupancy_section (v : Alcop_gpusim.Pipeview.t) =
-    let open Alcop_gpusim.Pipeview in
-    let rows =
-      List.concat_map
-        (fun g ->
-          Array.to_list g.gv_slots
-          |> List.map (fun slot ->
-                 ( Printf.sprintf "%s stage %d" g.gv_id slot.oc_stage,
-                   Array.to_list slot.oc_intervals )))
-        v.pv_groups
-    in
-    Alcop_obs.Report.section ~title:"Stage occupancy"
-      ~intro:
-        "Fill-to-retire intervals of every pipeline stage slot across the \
-         critical threadblock's wave, on a shared cycle axis. Gaps are \
-         cycles the stage buffer sat empty."
-      [ Alcop_obs.Report.interval_rows ~x_label:"cycles"
-          ~total:v.pv_wave_cycles ~rows () ]
-  in
-  let slack_section (v : Alcop_gpusim.Pipeview.t) =
-    let open Alcop_gpusim.Pipeview in
-    let slacks = List.map (fun s -> (s.sl_group, s.sl_slack)) v.pv_slacks in
-    if slacks = [] then ""
-    else begin
-      let values = List.map snd slacks in
-      let lo = List.fold_left Float.min 0.0 values in
-      let hi = Float.max 1.0 (List.fold_left Float.max 0.0 values) in
-      let nbins = 8 in
-      let width = (hi -. lo) /. float_of_int nbins in
-      let bin x =
-        min (nbins - 1) (max 0 (int_of_float ((x -. lo) /. width)))
-      in
-      let categories =
-        List.init nbins (fun i ->
-            Printf.sprintf "%.0f..%.0f"
-              (lo +. (float_of_int i *. width))
-              (lo +. (float_of_int (i + 1) *. width)))
-      in
-      let groups =
-        List.sort_uniq compare (List.map fst slacks)
-      in
-      let series =
-        List.map
-          (fun g ->
-            let counts = Array.make nbins 0.0 in
-            List.iter
-              (fun (g', x) ->
-                if String.equal g g' then
-                  counts.(bin x) <- counts.(bin x) +. 1.0)
-              slacks;
-            (g, Array.to_list counts))
-          groups
-      in
-      let table_rows =
-        List.map
-          (fun g ->
-            [ g.gv_id; string_of_int g.gv_stages;
-              (if g.gv_synchronized then "scope" else "soft");
-              Printf.sprintf "%.1f" g.gv_mean_slack;
-              Printf.sprintf "%.1f" g.gv_min_slack;
-              Printf.sprintf "%.0f" g.gv_exposed_cycles;
-              Printf.sprintf "%.2f" g.gv_duty ])
-          v.pv_groups
-      in
-      Alcop_obs.Report.section ~title:"Prefetch slack"
-        ~intro:
-          "Per-wait slack = wait-start minus batch-land cycle; negative \
-           slack is exposed copy latency the pipeline failed to hide."
-        [ Alcop_obs.Report.grouped_bars ~y_label:"waits"
-            ~categories ~series ();
-          Alcop_obs.Report.table
-            ~header:[ "group"; "stages"; "protocol"; "mean slack";
-                      "min slack"; "exposed cycles"; "duty" ]
-            ~rows:table_rows ]
-    end
-  in
-  let partition_section (v : Alcop_gpusim.Pipeview.t) =
-    let open Alcop_gpusim.Pipeview in
-    Alcop_obs.Report.section ~title:"Cycle partition"
-      ~intro:
-        "The five terms partition the critical threadblock's wave cycles \
-         exactly; their schedule-to-schedule deltas telescope the latency \
-         delta."
-      [ Alcop_obs.Report.table ~header:[ "term"; "cycles"; "share" ]
-          ~rows:
-            (List.map
-               (fun (name, c) ->
-                 [ name; Printf.sprintf "%.0f" c;
-                   Printf.sprintf "%.1f%%"
-                     (100.0 *. c /. Float.max 1.0 v.pv_wave_cycles) ])
-               v.pv_terms) ]
-  in
-  let compare_section label_a label_b a b =
-    let cmp = Alcop_gpusim.Pipeview.compare_views a b in
-    let open Alcop_gpusim.Pipeview in
-    Alcop_obs.Report.section ~title:"Latency delta, telescoped"
-      ~intro:
-        (Printf.sprintf
-           "Wave-cycle delta %s → %s, split across the five partition \
-            terms; the term deltas sum to the total exactly (integer \
-            cycles)."
-           (Alcop_obs.Report.html_escape label_a)
-           (Alcop_obs.Report.html_escape label_b))
-      [ Alcop_obs.Report.table
-          ~header:[ "term"; label_a; label_b; "delta" ]
-          ~rows:
-            (List.map
-               (fun t ->
-                 [ t.dt_name; string_of_int t.dt_a; string_of_int t.dt_b;
-                   Printf.sprintf "%+d" t.dt_delta ])
-               cmp.cmp_terms
-            @ [ [ "total"; string_of_int cmp.cmp_total_a;
-                  string_of_int cmp.cmp_total_b;
-                  Printf.sprintf "%+d" cmp.cmp_total_delta ] ]);
-        Alcop_obs.Report.diverging_bars ~pos_label:"slower in B"
-          ~neg_label:"faster in B"
-          ~rows:
-            (List.map (fun t -> (t.dt_name, float_of_int t.dt_delta))
-               cmp.cmp_terms)
-          () ]
-  in
-  let write_html path sections =
-    let doc =
-      Alcop_obs.Report.page ~title:"ALCOP pipeline observatory"
-        ~subtitle:"per-stage occupancy, prefetch slack, sync attribution"
-        sections
-    in
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-        output_string oc doc);
+  let write_html path html =
+    write_text path html;
     Printf.printf "HTML report written to %s\n" path
   in
   let run spec params stages compare html jsonl_out =
@@ -950,16 +837,15 @@ let explain_pipeline_cmd =
         (Alcop_gpusim.Pipeview.compare_report ~label_a ~label_b a b);
       (match jsonl_out with
        | Some path ->
-         Alcop_gpusim.Pipeview.write_jsonl path b;
+         write_output path (fun path ->
+             Alcop_obs.Sinks.(
+               emit_all (jsonl_file path) (Alcop_gpusim.Pipeview.events b)));
          Printf.printf "JSONL event log (schedule %s) written to %s\n"
            label_b path
        | None -> ());
       (match html with
        | Some path ->
-         write_html path
-           [ compare_section label_a label_b a b;
-             partition_section a; occupancy_section a; slack_section a;
-             partition_section b; occupancy_section b; slack_section b ]
+         write_html path (Exp_report.pipeview_compare_page ~label_a ~label_b a b)
        | None -> ())
     | None ->
       let params =
@@ -980,13 +866,14 @@ let explain_pipeline_cmd =
        | Error _ -> ());
       (match jsonl_out with
        | Some path ->
-         Alcop_gpusim.Pipeview.write_jsonl path v;
+         write_output path (fun path ->
+             Alcop_obs.Sinks.(
+               emit_all (jsonl_file path) (Alcop_gpusim.Pipeview.events v)));
          Printf.printf "JSONL event log written to %s\n" path
        | None -> ());
       (match html with
        | Some path ->
-         write_html path
-           [ partition_section v; occupancy_section v; slack_section v ]
+         write_html path (Exp_report.pipeview_page v)
        | None -> ())
   in
   let stages =
@@ -1092,8 +979,10 @@ let trace_cmd =
 
 let report_cmd =
   let run out results_dir bench_json history_dir jobs =
-    with_jobs jobs (fun pool ->
-        Exp_report.write ~hw ?pool ~results_dir ~bench_json ~history_dir out);
+    write_text out
+      (with_jobs jobs (fun pool ->
+           Exp_report.generate ~hw ?pool ~results_dir ~bench_json ~history_dir
+             ()));
     Printf.printf "HTML report written to %s\n" out
   in
   let out =

@@ -199,42 +199,46 @@ let history_sections ~history_dir () =
           Benchdb.trend_sections ~machine records (Benchdb.trends records))
       streams
 
-(* Stall diff between the fig 2/3 example's unpipelined baseline and the
-   full multi-level pipeline: the per-class cycle deltas partition the
-   total cycle delta (each side's classes telescope to its critical
-   threadblock's cycles), so the table *accounts for* the speedup. *)
-let profile_stalls ~hw spec params =
-  match Session.compile (Session.for_hw hw) params spec with
-  | Error _ -> None
-  | Ok c ->
-    (match
-       Alcop_gpusim.Profile.run ~op:spec.Alcop_sched.Op_spec.name
-         c.Compiler.timing_request
-     with
-     | Error _ -> None
-     | Ok p ->
-       Some
-         ( p.Alcop_gpusim.Profile.p_timing.Alcop_gpusim.Timing.total_cycles,
-           Alcop_gpusim.Profile.stall_breakdown p ))
+(* --- the fig 2/3 example pair ---
 
-let stall_diff_section ~hw () =
-  let spec = Alcop_workloads.Suites.mm_rn50_fc in
+   The unpipelined baseline and the full multi-level pipeline of the
+   fig 2/3 example, each recorded once: the stall-class diff and the
+   pipeline observatory below fold the same two profiles. *)
+
+let example_spec = Alcop_workloads.Suites.mm_rn50_fc
+
+let example_profile ~hw ~smem_stages ~reg_stages =
   let tiling =
     Alcop_sched.Tiling.make ~tb_m:64 ~tb_n:64 ~tb_k:32 ~warp_m:32 ~warp_n:32
       ~warp_k:16 ()
   in
-  let params ~smem_stages ~reg_stages =
+  let params =
     Alcop_perfmodel.Params.make ~tiling ~smem_stages ~reg_stages ()
   in
-  match
-    ( profile_stalls ~hw spec (params ~smem_stages:1 ~reg_stages:1),
-      profile_stalls ~hw spec (params ~smem_stages:3 ~reg_stages:2) )
-  with
+  match Session.compile (Session.for_hw hw) params example_spec with
+  | Error _ -> None
+  | Ok c ->
+    Result.to_option
+      (Alcop_gpusim.Profile.run ~op:example_spec.Alcop_sched.Op_spec.name
+         ~schedule:(Alcop_perfmodel.Params.to_string params)
+         c.Compiler.timing_request)
+
+(* Stall diff between the pair: the per-class cycle deltas partition the
+   total cycle delta (each side's classes telescope to its critical
+   threadblock's cycles), so the table *accounts for* the speedup. *)
+let stall_diff_section = function
   | None, _ | _, None ->
     Report.section ~title:"Why pipelining wins: stall-class diff"
       ~intro:"(profiling the example variants failed on this build)" []
-  | Some (old_cycles, old_stalls), Some (new_cycles, new_stalls) ->
-    let deltas = Analytics.diff_stalls ~old_stalls ~new_stalls in
+  | Some base, Some piped ->
+    let total (p : Alcop_gpusim.Profile.t) =
+      p.Alcop_gpusim.Profile.p_timing.Alcop_gpusim.Timing.total_cycles
+    in
+    let deltas =
+      Analytics.diff_stalls
+        ~old_stalls:(Alcop_gpusim.Profile.stall_breakdown base)
+        ~new_stalls:(Alcop_gpusim.Profile.stall_breakdown piped)
+    in
     let to_, tn, td = Analytics.stall_total deltas in
     let header = [ "stall class"; "unpipelined"; "3x2 pipelined"; "delta" ] in
     let rows =
@@ -258,69 +262,83 @@ let stall_diff_section ~hw () =
             stages). Kernel total %s -> %s cycles; the per-class deltas \
             below sum exactly to the critical block's cycle delta — the \
             diff accounts for the whole speedup."
-           spec.Alcop_sched.Op_spec.name
-           (Analytics.fmt_num old_cycles)
-           (Analytics.fmt_num new_cycles))
+           example_spec.Alcop_sched.Op_spec.name
+           (Analytics.fmt_num (total base))
+           (Analytics.fmt_num (total piped)))
       [ Report.diverging_bars ~pos_label:"more cycles (worse)"
           ~neg_label:"fewer cycles (better)"
           ~rows:(List.map (fun d -> (d.Analytics.st_class, d.Analytics.st_delta)) deltas)
           ();
         Report.table ~header ~rows ]
 
-(* Pipeline observatory on the same fig 2/3 pair: stage-occupancy
-   waterfall and prefetch-slack stats of the pipelined schedule, plus the
-   five-term exact telescoping of the latency delta (doc/pipeview.md). *)
-let pipeview_of ~hw spec params =
-  match Session.compile (Session.for_hw hw) params spec with
-  | Error _ -> None
-  | Ok c ->
-    (match
-       Alcop_gpusim.Pipeview.run ~op:spec.Alcop_sched.Op_spec.name
-         ~schedule:(Alcop_perfmodel.Params.to_string params)
-         c.Compiler.timing_request
-     with
-     | Error _ -> None
-     | Ok v -> Some v)
+(* --- the pipeline observatory (doc/pipeview.md) ---
 
-let pipeview_section ~hw () =
-  let spec = Alcop_workloads.Suites.mm_rn50_fc in
-  let tiling =
-    Alcop_sched.Tiling.make ~tb_m:64 ~tb_n:64 ~tb_k:32 ~warp_m:32 ~warp_n:32
-      ~warp_k:16 ()
+   One renderer for [explain-pipeline --html] and the report's
+   observatory section: a compared pair's telescoped latency delta, then
+   each view's cycle partition, stage occupancy and prefetch slack. *)
+
+open Alcop_gpusim.Pipeview
+
+let partition_section v =
+  Report.section ~title:"Cycle partition"
+    ~intro:
+      "The five terms partition the critical threadblock's wave cycles \
+       exactly; their schedule-to-schedule deltas telescope the latency \
+       delta."
+    [ Report.table ~header:[ "term"; "cycles"; "share" ]
+        ~rows:
+          (List.map
+             (fun (name, c) ->
+               [ name; Printf.sprintf "%.0f" c;
+                 Printf.sprintf "%.1f%%"
+                   (100.0 *. c /. Float.max 1.0 v.pv_wave_cycles) ])
+             v.pv_terms) ]
+
+let occupancy_section v =
+  let rows =
+    List.concat_map
+      (fun g ->
+        Array.to_list g.gv_slots
+        |> List.map (fun slot ->
+               ( Printf.sprintf "%s stage %d" g.gv_id slot.oc_stage,
+                 Array.to_list slot.oc_intervals )))
+      v.pv_groups
   in
-  let params ~smem_stages ~reg_stages =
-    Alcop_perfmodel.Params.make ~tiling ~smem_stages ~reg_stages ()
-  in
-  match
-    ( pipeview_of ~hw spec (params ~smem_stages:1 ~reg_stages:1),
-      pipeview_of ~hw spec (params ~smem_stages:3 ~reg_stages:2) )
-  with
-  | None, _ | _, None ->
-    Report.section ~title:"Pipeline observatory"
-      ~intro:"(analyzing the example variants failed on this build)" []
-  | Some base, Some piped ->
-    let open Alcop_gpusim.Pipeview in
-    let cmp = compare_views base piped in
-    let delta_rows =
+  Report.section ~title:"Stage occupancy"
+    ~intro:
+      "Fill-to-retire intervals of every pipeline stage slot across the \
+       critical threadblock's wave, on a shared cycle axis. Gaps are \
+       cycles the stage buffer sat empty."
+    [ Report.interval_rows ~x_label:"cycles" ~total:v.pv_wave_cycles ~rows () ]
+
+let slack_section v =
+  let slacks = List.map (fun s -> (s.sl_group, s.sl_slack)) v.pv_slacks in
+  if slacks = [] then ""
+  else begin
+    let values = List.map snd slacks in
+    let lo = List.fold_left Float.min 0.0 values in
+    let hi = Float.max 1.0 (List.fold_left Float.max 0.0 values) in
+    let nbins = 8 in
+    let width = (hi -. lo) /. float_of_int nbins in
+    let bin x = min (nbins - 1) (max 0 (int_of_float ((x -. lo) /. width))) in
+    let categories =
+      List.init nbins (fun i ->
+          Printf.sprintf "%.0f..%.0f"
+            (lo +. (float_of_int i *. width))
+            (lo +. (float_of_int (i + 1) *. width)))
+    in
+    let series =
       List.map
-        (fun t ->
-          [ t.dt_name; string_of_int t.dt_a; string_of_int t.dt_b;
-            Printf.sprintf "%+d" t.dt_delta ])
-        cmp.cmp_terms
-      @ [ [ "total"; string_of_int cmp.cmp_total_a;
-            string_of_int cmp.cmp_total_b;
-            Printf.sprintf "%+d" cmp.cmp_total_delta ] ]
-    in
-    let occupancy_rows =
-      List.concat_map
         (fun g ->
-          Array.to_list g.gv_slots
-          |> List.map (fun slot ->
-                 ( Printf.sprintf "%s stage %d" g.gv_id slot.oc_stage,
-                   Array.to_list slot.oc_intervals )))
-        piped.pv_groups
+          let counts = Array.make nbins 0.0 in
+          List.iter
+            (fun (g', x) ->
+              if String.equal g g' then counts.(bin x) <- counts.(bin x) +. 1.0)
+            slacks;
+          (g, Array.to_list counts))
+        (List.sort_uniq compare (List.map fst slacks))
     in
-    let group_rows =
+    let table_rows =
       List.map
         (fun g ->
           [ g.gv_id; string_of_int g.gv_stages;
@@ -329,30 +347,88 @@ let pipeview_section ~hw () =
             Printf.sprintf "%.1f" g.gv_min_slack;
             Printf.sprintf "%.0f" g.gv_exposed_cycles;
             Printf.sprintf "%.2f" g.gv_duty ])
-        piped.pv_groups
+        v.pv_groups
     in
-    Report.section ~title:"Pipeline observatory"
+    Report.section ~title:"Prefetch slack"
       ~intro:
-        (Printf.sprintf
-           "Per-stage buffer occupancy and prefetch slack of the 3x2 \
-            pipelined schedule on %s, and the 1x1 -> 3x2 latency delta \
-            telescoped into five partition terms (integer cycles, exact; \
-            doc/pipeview.md)."
-           spec.Alcop_sched.Op_spec.name)
-      [ Report.table ~header:[ "term"; "1x1"; "3x2"; "delta" ]
-          ~rows:delta_rows;
-        Report.interval_rows ~x_label:"cycles"
-          ~total:piped.pv_wave_cycles ~rows:occupancy_rows ();
+        "Per-wait slack = wait-start minus batch-land cycle; negative \
+         slack is exposed copy latency the pipeline failed to hide."
+      [ Report.grouped_bars ~y_label:"waits" ~categories ~series ();
         Report.table
-          ~header:[ "group"; "stages"; "protocol"; "mean slack"; "min slack";
-                    "exposed cycles"; "duty" ]
-          ~rows:group_rows ]
+          ~header:[ "group"; "stages"; "protocol"; "mean slack";
+                    "min slack"; "exposed cycles"; "duty" ]
+          ~rows:table_rows ]
+  end
+
+let view_sections v =
+  [ partition_section v; occupancy_section v; slack_section v ]
+
+let compare_sections ~label_a ~label_b a b =
+  let cmp = compare_views a b in
+  Report.section ~title:"Latency delta, telescoped"
+    ~intro:
+      (Printf.sprintf
+         "Wave-cycle delta %s → %s, split across the five partition \
+          terms; the term deltas sum to the total exactly (integer \
+          cycles)."
+         label_a label_b)
+    [ Report.table
+        ~header:[ "term"; label_a; label_b; "delta" ]
+        ~rows:
+          (List.map
+             (fun t ->
+               [ t.dt_name; string_of_int t.dt_a; string_of_int t.dt_b;
+                 Printf.sprintf "%+d" t.dt_delta ])
+             cmp.cmp_terms
+          @ [ [ "total"; string_of_int cmp.cmp_total_a;
+                string_of_int cmp.cmp_total_b;
+                Printf.sprintf "%+d" cmp.cmp_total_delta ] ]);
+      Report.diverging_bars ~pos_label:"slower in B" ~neg_label:"faster in B"
+        ~rows:
+          (List.map (fun t -> (t.dt_name, float_of_int t.dt_delta))
+             cmp.cmp_terms)
+        () ]
+  :: (view_sections a @ view_sections b)
+
+let observatory_page sections =
+  Report.page ~title:"ALCOP pipeline observatory"
+    ~subtitle:"per-stage occupancy, prefetch slack, sync attribution"
+    sections
+
+let pipeview_page v = observatory_page (view_sections v)
+
+let pipeview_compare_page ~label_a ~label_b a b =
+  observatory_page (compare_sections ~label_a ~label_b a b)
+
+(* The report's observatory: [explain-pipeline --compare 1x1,3x2]'s
+   sections on the example pair, under one heading. *)
+let pipeview_section = function
+  | None, _ | _, None ->
+    Report.section ~title:"Pipeline observatory"
+      ~intro:"(analyzing the example variants failed on this build)" []
+  | Some base, Some piped ->
+    String.concat "\n"
+      (Report.section ~title:"Pipeline observatory"
+         ~intro:
+           (Printf.sprintf
+              "Per-stage buffer occupancy and prefetch slack of the 1x1 \
+               and 3x2 schedules on %s, and the 1x1 -> 3x2 latency delta \
+               telescoped into five partition terms (integer cycles, \
+               exact; doc/pipeview.md)."
+              example_spec.Alcop_sched.Op_spec.name)
+         []
+      :: compare_sections ~label_a:"1x1" ~label_b:"3x2" (of_profile base)
+           (of_profile piped))
 
 (* --- assembly --- *)
 
 let generate ?(hw = Alcop_hw.Hw_config.default) ?pool
     ?(results_dir = "results") ?(bench_json = "BENCH_gpusim.json")
     ?(history_dir = Benchdb.default_history_dir) () =
+  let examples =
+    ( example_profile ~hw ~smem_stages:1 ~reg_stages:1,
+      example_profile ~hw ~smem_stages:3 ~reg_stages:2 )
+  in
   Report.page ~title:"ALCOP experiment report"
     ~subtitle:
       (Printf.sprintf
@@ -364,9 +440,4 @@ let generate ?(hw = Alcop_hw.Hw_config.default) ?pool
        fig13_section ~results_dir ~hw ~pool ();
        selfbench_section ~bench_json () ]
      @ history_sections ~history_dir ()
-     @ [ stall_diff_section ~hw (); pipeview_section ~hw () ])
-
-let write ?hw ?pool ?results_dir ?bench_json ?history_dir path =
-  let html = generate ?hw ?pool ?results_dir ?bench_json ?history_dir () in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc html)
+     @ [ stall_diff_section examples; pipeview_section examples ])

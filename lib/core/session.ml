@@ -336,9 +336,12 @@ let trial_features t (spec : Op_spec.t) (r : Alcop_tune.Tuner.result) =
             | Error _ -> None
             | Ok c ->
               (match
-                 Alcop_gpusim.Pipeview.run ~op:spec.Op_spec.name
+                 Alcop_gpusim.Profile.run ~op:spec.Op_spec.name
                    ~schedule:(Alcop_perfmodel.Params.to_string trial.params)
                    c.Compiler.timing_request
                with
-               | Ok v -> Some (trial.index, Alcop_gpusim.Pipeview.features v)
+               | Ok p ->
+                 Some
+                   ( trial.index,
+                     Alcop_gpusim.Pipeview.(features (of_profile p)) )
                | Error _ -> None)))

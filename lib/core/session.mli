@@ -137,7 +137,7 @@ val trial_features :
   (int * (string * float) list) list
 (** The pipeline observatory's feature record ({!Alcop_gpusim.Pipeview})
     of every trial that compiled, keyed by space index — the [features]
-    argument of {!Alcop_tune.Tuning_log.write_file}. Each trial's
+    argument of {!Alcop_tune.Tuning_log.to_json}. Each trial's
     {!compile} is a cache hit on the session that ran the tuner, so the
     extra cost is one rebuild of the artifact and one recorded simulation
     of its waves per trial. *)

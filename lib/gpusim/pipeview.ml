@@ -27,7 +27,6 @@
 
 module Obs = Alcop_obs.Obs
 module Json = Alcop_obs.Json
-module Sinks = Alcop_obs.Sinks
 
 type slack_sample = {
   sl_group : string;
@@ -206,17 +205,14 @@ let analyze ~op ~schedule ~timing ~label (p : Trace.program) rc =
     pv_groups = List.map fst views; pv_slacks = List.concat_map snd views;
     pv_barrier_wait = !barrier_wait; pv_drain_wait = !drain_wait }
 
-let run ?(op = "kernel") ?(schedule = "") (req : Timing.request) =
-  Result.map
-    (fun (timing, waves) ->
-      match waves with
-      | (w : Timing.recorded_wave) :: _ ->
-        analyze ~op ~schedule ~timing ~label:w.Timing.rw_label
-          req.Timing.program w.Timing.rw_recording
-      | [] ->
-        analyze ~op ~schedule ~timing ~label:"full" req.Timing.program
-          (Timing.recording ()))
-    (Timing.run_recorded req)
+let of_profile (pr : Profile.t) =
+  let analyze =
+    analyze ~op:pr.Profile.p_op ~schedule:pr.Profile.p_schedule
+      ~timing:pr.Profile.p_timing pr.Profile.p_program
+  in
+  match pr.Profile.p_waves with
+  | w :: _ -> analyze ~label:w.Timing.rw_label w.Timing.rw_recording
+  | [] -> analyze ~label:"full" (Timing.recording ())
 
 (* --- features --- *)
 
@@ -410,9 +406,3 @@ let events t =
       t.pv_groups
   in
   (point :: slack_points) @ occupancy_spans
-
-let emit_to (sink : Obs.sink) t =
-  List.iter sink.Obs.emit (events t);
-  sink.Obs.close ()
-
-let write_jsonl path t = emit_to (Sinks.jsonl_file path) t

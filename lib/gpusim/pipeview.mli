@@ -2,12 +2,12 @@
     attribution and sync-wait accounting for one schedule
     (doc/pipeview.md).
 
-    Folds the recording of the representative wave ({!Timing.event}) into
-    stage-occupancy timelines, per-wait prefetch slack
-    (wait-start minus batch-land cycle; negative = exposed latency), a
-    five-term partition of the critical threadblock's cycles that
-    telescopes schedule deltas exactly, and a flat feature record for
-    cost models. Group identity, protocol kind, stage counts and the
+    Folds the recording of a {!Profile.t}'s representative wave
+    ({!Timing.event}) into stage-occupancy timelines, per-wait prefetch
+    slack (wait-start minus batch-land cycle; negative = exposed
+    latency), a five-term partition of the critical threadblock's cycles
+    that telescopes schedule deltas exactly, and a flat feature record
+    for cost models. Group identity, protocol kind, stage counts and the
     pass's per-stage footprint are read from [Trace.program]'s group
     table — no pipeline re-analysis. *)
 
@@ -56,12 +56,10 @@ type t = {
   pv_drain_wait : float;
 }
 
-val run :
-  ?op:string -> ?schedule:string -> Timing.request ->
-  (t, Occupancy.failure) result
-(** Time the kernel with its waves recorded ({!Timing.run_recorded}), then
-    fold the representative wave (full wave when one exists, else the
-    tail). [Error] iff the schedule exceeds per-threadblock resources. *)
+val of_profile : Profile.t -> t
+(** Fold the profile's representative recorded wave (full wave when one
+    exists, else the tail). No simulation runs: a caller that wants both
+    views of a schedule records it once with {!Profile.run}. *)
 
 val features : t -> (string * float) list
 (** Flat per-schedule feature record (cost-model features; logged per
@@ -103,6 +101,4 @@ val compare_report : label_a:string -> label_b:string -> t -> t -> string
 val events : t -> Alcop_obs.Obs.event list
 (** JSONL-ready events: one [pipeview] point carrying the feature record,
     one [pipeview.slack] point per wait, and occupancy spans per
-    (group, stage) interval. *)
-
-val write_jsonl : string -> t -> unit
+    (group, stage) interval. {!Alcop_obs.Sinks.emit_all} writes them. *)

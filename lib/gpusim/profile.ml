@@ -1,6 +1,6 @@
 (* Simulated-time profiler: folds the recorded waves of one kernel launch
    into per-threadblock timelines, per-stage stall buckets, a text
-   roofline report and a Chrome trace of *simulated* time.
+   roofline report and the events of a Chrome trace of *simulated* time.
 
    [Timing.run_recorded] simulates each wave once, with the recording on,
    so the profile covers the very machine states the reported kernel
@@ -8,7 +8,6 @@
 
 module Obs = Alcop_obs.Obs
 module Json = Alcop_obs.Json
-module Sinks = Alcop_obs.Sinks
 
 type t = {
   p_op : string;
@@ -202,9 +201,9 @@ let report t =
    thread per threadblock (the contiguous stall segments) plus one thread
    per (threadblock, group, stage) showing async copies in flight — ring
    slots of one stage never overlap, so each is a clean track. Timestamps
-   are raw simulated cycles; the sink is installed with [ts_to_us:Fun.id]
-   so one cycle renders as one microsecond. *)
-let chrome_events t =
+   are raw simulated cycles; a Chrome sink made with [ts_to_us:Fun.id]
+   renders one cycle as one microsecond. *)
+let events t =
   let events = ref [] in
   let add e = events := e :: !events in
   let group_name g = t.p_program.Trace.groups.(g) in
@@ -301,12 +300,3 @@ let chrome_events t =
       List.iter add (List.rev !counters))
     t.p_waves;
   List.rev !events
-
-let emit_to (sink : Obs.sink) t =
-  List.iter sink.Obs.emit (chrome_events t);
-  sink.Obs.close ()
-
-let write_chrome_trace path t =
-  emit_to (Sinks.chrome_trace_file ~ts_to_us:Fun.id path) t
-
-let write_jsonl path t = emit_to (Sinks.jsonl_file path) t

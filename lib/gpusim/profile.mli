@@ -2,10 +2,11 @@
 
     Folds the recorded waves of {!Timing.run_recorded} into
     per-threadblock timelines, per-stage stall buckets, a text roofline
-    report, and a Chrome trace of {e simulated} time (one track per
-    threadblock plus one per async-copy stage slot). Deterministic: each
-    wave is simulated once, so the profile covers exactly the machine
-    states behind the reported latency. *)
+    report, and the events of a Chrome trace of {e simulated} time (one
+    track per threadblock plus one per async-copy stage slot).
+    Deterministic: each wave is simulated once, so the profile covers
+    exactly the machine states behind the reported latency.
+    {!Pipeview.of_profile} folds the same recorded waves. *)
 
 type t = {
   p_op : string;
@@ -66,15 +67,9 @@ val report : t -> string
     breakdown (summing to 100% of the critical threadblock's cycles) and
     per-stage wait stalls. *)
 
-val chrome_events : t -> Alcop_obs.Obs.event list
-(** Test-only: tests feed it to an in-memory sink; the CLI uses
-    {!write_chrome_trace}.
-    The profile as [Obs] events with simulated-cycle timestamps, routed
+val events : t -> Alcop_obs.Obs.event list
+(** The profile as [Obs] events with simulated-cycle timestamps, routed
     onto per-threadblock and per-stage tracks via the Chrome sink's
-    reserved [#pid]/[#tid] fields. *)
-
-val write_chrome_trace : string -> t -> unit
-(** Write the Chrome trace (simulated time, 1 cycle = 1 us). *)
-
-val write_jsonl : string -> t -> unit
-(** Write the same events as a JSONL log. *)
+    reserved [#pid]/[#tid] fields. A Chrome trace sink made with
+    [~ts_to_us:Fun.id] shows one cycle as one microsecond; the same
+    events make the JSONL log. {!Alcop_obs.Sinks.emit_all} writes them. *)

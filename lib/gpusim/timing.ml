@@ -853,17 +853,39 @@ let time_kernel ?pool ?recorded (req : request) pl ~full_rc ~tail_rc =
       occupancy_limiter = occ.Occupancy.limiter; wave_cycles; tail_cycles;
       miss_rate; compute_utilization; wave_busy }
 
+(* [run]'s recording for the stall gauges: one per domain, reused from run
+   to run so its columns stay at their high-water mark instead of being
+   regrown on the major heap every time. The [gauge_in_use] flag falls
+   back to a fresh recording on re-entry, as the wave scratch arena does;
+   a recording never outlives the run that filled it. *)
+type gauge_slot = { mutable gauge_in_use : bool; gauge_rc : recording }
+
+let fresh_gauge_slot () = { gauge_in_use = false; gauge_rc = recording () }
+let gauge_key = Domain.DLS.new_key fresh_gauge_slot
+
 let run ?pool (req : request) =
   match plan req with
   | Error f -> Error f
+  | Ok pl when not (Alcop_obs.Obs.enabled ()) ->
+    time_kernel ?pool req pl ~full_rc:None ~tail_rc:None
   | Ok pl ->
-    (* When observability is on, record the representative wave (the full
+    (* With observability on, record the representative wave (the full
        wave when one exists, else the tail) so the stall breakdown rides
        along at no extra simulation cost. *)
-    let rc = if Alcop_obs.Obs.enabled () then Some (recording ()) else None in
-    let full_rc = if pl.full_cfg <> None then rc else None in
-    let tail_rc = if pl.full_cfg <> None then None else rc in
-    time_kernel ?pool req pl ~full_rc ~tail_rc
+    let slot =
+      let slot = Domain.DLS.get gauge_key in
+      if slot.gauge_in_use then fresh_gauge_slot () else slot
+    in
+    let rc = slot.gauge_rc in
+    slot.gauge_in_use <- true;
+    Fun.protect
+      ~finally:(fun () ->
+        rc.program <- empty_program;
+        slot.gauge_in_use <- false)
+    @@ fun () ->
+    if pl.full_cfg <> None then
+      time_kernel ?pool req pl ~full_rc:(Some rc) ~tail_rc:None
+    else time_kernel ?pool req pl ~full_rc:None ~tail_rc:(Some rc)
 
 let run_recorded (req : request) =
   match plan req with

@@ -210,7 +210,9 @@ val run : ?pool:Alcop_par.Pool.t -> request -> (kernel_timing, Occupancy.failure
     critical-threadblock stall fractions of the representative wave
     ([timing.stall.<class>]) and the occupancy decision
     ([timing.tbs_per_sm], [timing.n_waves], [timing.miss_rate], plus a
-    [timing.occupancy] point carrying the limiter). *)
+    [timing.occupancy] point carrying the limiter). The stall fractions
+    come from a recording kept per domain and reused across runs, so a
+    traced run allocates no recording of its own. *)
 
 type recorded_wave = {
   rw_label : string;  (** ["full"] or ["tail"] *)

@@ -682,34 +682,25 @@ let tid_table p =
   List.iteri (fun i w -> Hashtbl.replace t w.w_role i) p.p_workers;
   fun role -> Option.value ~default:99 (Hashtbl.find_opt t role)
 
-let span_events p =
+(* An explicit time origin first, so the trace opens at the window start
+   even when the first span starts later. *)
+let events p =
   let tid_of = tid_table p in
-  List.map
-    (fun sp ->
-      let fields =
-        [ ("#pid", Json.Int 1); ("#tid", Json.Int (tid_of sp.sp_track));
-          ("#process_name", Json.Str "alcop host");
-          ("#thread_name", Json.Str sp.sp_track);
-          ("queue_us", Json.Float (float_of_int sp.sp_queue_ns /. 1e3));
-          ("lock_us", Json.Float (float_of_int sp.sp_lock_ns /. 1e3));
-          ("minor_words", Json.Float sp.sp_minor_words) ]
-      in
-      Obs.Span_end
-        { name = sp.sp_label; ts = sec sp.sp_start_ns;
-          dur = sec (sp.sp_end_ns - sp.sp_start_ns); depth = 0; fields })
-    p.p_spans
-
-let emit_all sink events =
-  List.iter sink.Obs.emit events;
-  sink.Obs.close ()
-
-let write_chrome_trace path p =
-  (* an explicit time origin first, so the trace opens at the window
-     start even when the first span starts later *)
-  let origin_ev =
-    Obs.Span_begin { name = "hostprof.window"; ts = 0.0; depth = 0 }
-  in
-  emit_all (Sinks.chrome_trace_file path) (origin_ev :: span_events p)
+  Obs.Span_begin { name = "hostprof.window"; ts = 0.0; depth = 0 }
+  :: List.map
+       (fun sp ->
+         let fields =
+           [ ("#pid", Json.Int 1); ("#tid", Json.Int (tid_of sp.sp_track));
+             ("#process_name", Json.Str "alcop host");
+             ("#thread_name", Json.Str sp.sp_track);
+             ("queue_us", Json.Float (float_of_int sp.sp_queue_ns /. 1e3));
+             ("lock_us", Json.Float (float_of_int sp.sp_lock_ns /. 1e3));
+             ("minor_words", Json.Float sp.sp_minor_words) ]
+         in
+         Obs.Span_end
+           { name = sp.sp_label; ts = sec sp.sp_start_ns;
+             dur = sec (sp.sp_end_ns - sp.sp_start_ns); depth = 0; fields })
+       p.p_spans
 
 let json_of_hist h =
   Json.Obj

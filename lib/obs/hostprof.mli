@@ -16,7 +16,8 @@
     an [Obs] table. Enabling host profiling therefore leaves every
     telemetry stream — tuning logs, JSONL events, counters, gauges —
     byte-identical to an unprofiled run (property-tested). Exports below
-    construct their own private sinks from recorded data.
+    return data built from the recorded profile and never touch the
+    global [Obs] state.
 
     {b Accounting contract.} Every worker's wall clock inside the
     profiled window telescopes {e exactly} (integer nanoseconds) into
@@ -43,7 +44,7 @@
     Usage: {!start} on the coordinating domain, run the workload (create
     pools {e inside} the window so worker lifetimes are covered and
     joined before {!stop}), then {!stop} and render with {!report} /
-    {!write_chrome_trace} / {!json_of_profile}.
+    {!events} / {!json_of_profile}.
     Probes cost one atomic load when profiling is off. *)
 
 (** {1 Probes} (called by [Alcop_par.Pool], [Session], [Passman]) *)
@@ -190,11 +191,13 @@ val report : ?top:int -> profile -> string
     allocation-heaviest passes, task queue-latency percentiles. Pure —
     deterministic for a given profile (golden-tested). *)
 
-(** {1 Export} (private sinks; never touches the global [Obs] state) *)
+(** {1 Export} (pure data; never touches the global [Obs] state) *)
 
-val write_chrome_trace : string -> profile -> unit
-(** Chrome trace with one [#tid] track per domain (coordinator = tid 0),
-    through {!Sinks.chrome_trace_file}'s routing fields. *)
+val events : profile -> Obs.event list
+(** The profile as [Obs] events for a Chrome trace sink: a window-origin
+    span first, then one span per task with one [#tid] track per domain
+    (coordinator = tid 0), through {!Sinks.chrome_trace}'s routing
+    fields. {!Sinks.emit_all} writes them. *)
 
 val json_of_profile : profile -> Json.t
 (** Machine-readable profile (schema ["alcop-hostprof-v1"]) for

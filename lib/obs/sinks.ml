@@ -163,3 +163,7 @@ let chrome_trace_file ?ts_to_us path =
   let write, close_file = file_writer path in
   let s = chrome_trace ?ts_to_us write in
   { s with Obs.close = (fun () -> s.Obs.close (); close_file ()) }
+
+let emit_all (sink : Obs.sink) events =
+  List.iter sink.Obs.emit events;
+  sink.Obs.close ()

@@ -34,3 +34,7 @@ val chrome_trace : ?ts_to_us:(float -> float) -> (string -> unit) -> Obs.sink
 
 val chrome_trace_file : ?ts_to_us:(float -> float) -> string -> Obs.sink
 
+val emit_all : Obs.sink -> Obs.event list -> unit
+(** Emit every event to the sink, in order, then close it. The one way a
+    view's events ({!Hostprof.events}, [Profile.events],
+    [Pipeview.events]) become a file: pass a file sink. *)

@@ -58,14 +58,6 @@ let run_to_json ?(features = []) ~spec_name ~method_ ~seed (r : Tuner.result) =
 let to_json ?(features = []) ~spec_name ~method_ ~seed r =
   Json.to_string (run_to_json ~features ~spec_name ~method_ ~seed r)
 
-let write_file ?(features = []) ~path ~spec_name ~method_ ~seed r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_json ~features ~spec_name ~method_ ~seed r);
-      output_char oc '\n')
-
 (* --- reading logs back ---
 
    The inverse direction, for replaying a tuning run offline (re-ranking

@@ -4,22 +4,12 @@
 val to_json :
   ?features:(int * (string * float) list) list ->
   spec_name:string -> method_:Tuner.method_ -> seed:int -> Tuner.result -> string
-(** Test-only: the golden test renders logs in memory; the CLI uses
-    {!write_file}.
-    One JSON object: operator, method, seed, space size, best cost, and
+(** One JSON object: operator, method, seed, space size, best cost, and
     every trial with its schedule knobs and measured cost (null = compile
     failure). [features] attaches a pipeline observatory feature record
     ({!Alcop_gpusim} pipeview) to trials by index, as a
-    ["pipeline_features"] object of floats. *)
-
-val write_file :
-  ?features:(int * (string * float) list) list ->
-  path:string ->
-  spec_name:string ->
-  method_:Tuner.method_ ->
-  seed:int ->
-  Tuner.result ->
-  unit
+    ["pipeline_features"] object of floats. A log file holds it and a
+    trailing newline. *)
 
 (** {1 Reading logs back}
 
@@ -46,4 +36,4 @@ type replay = {
 
 val read_file : string -> (replay, string) result
 (** Test-only: the round-trip test reads logs back.
-    Parse a file written by {!write_file}; round-trips exactly. *)
+    Parse a log file ({!to_json} and a newline); round-trips exactly. *)

@@ -371,7 +371,7 @@ let profile_jsonl_trace ~smem_stages ~reg_stages =
      | Ok p ->
        let path = Filename.temp_file "alcop_profile" ".jsonl" in
        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-       Alcop_gpusim.Profile.write_jsonl path p;
+       Sinks.emit_all (Sinks.jsonl_file path) (Alcop_gpusim.Profile.events p);
        (match Trace_reader.load path with
         | Error e -> Alcotest.fail e
         | Ok trace -> (p, trace)))

@@ -12,6 +12,7 @@ open Alcop_par
 module Obs = Alcop_obs.Obs
 module Hostprof = Alcop_obs.Hostprof
 module Json = Alcop_obs.Json
+module Sinks = Alcop_obs.Sinks
 
 let hw = Alcop_hw.Hw_config.default
 
@@ -372,7 +373,7 @@ let test_exports () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let trace = Filename.concat dir "host.trace.json" in
-  Hostprof.write_chrome_trace trace p;
+  Sinks.emit_all (Sinks.chrome_trace_file trace) (Hostprof.events p);
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in

@@ -355,6 +355,14 @@ let alloc_budget_fingerprint = 1_700.0
    budget schedule, and the ceiling is ~2x that. *)
 let alloc_budget_simulate_traced = 4_500.0
 
+(* Arrays past the minor heap's size limit are allocated straight on the
+   major heap, where no minor-word budget sees them. A traced
+   [Timing.run] once built a fresh recording per run, whose columns grew
+   by doubling into such arrays: 18,444 direct major words per run
+   on the budget schedule. The per-domain recording is now reused, so a
+   warm traced run allocates none. *)
+let major_budget_simulate_traced = 1_000.0
+
 let budget_spec () =
   let spec = Alcop_workloads.Suites.mm_rn50_fc in
   let tiling =
@@ -374,6 +382,18 @@ let measured_minor_words f =
   let w0 = Gc.minor_words () in
   ignore (f ());
   Gc.minor_words () -. w0
+
+(* Words allocated directly on the major heap by the third of three runs:
+   major words minus those promoted from the minor heap. [Gc.counters]
+   reads the domain's live counts; [Gc.quick_stat]'s major words only
+   move at a collection. *)
+let measured_direct_major_words f =
+  ignore (f ());
+  ignore (f ());
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (f ());
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. major0 -. (promoted1 -. promoted0)
 
 let check_budget name budget f =
   let dw = measured_minor_words f in
@@ -428,9 +448,17 @@ let test_traced_simulate_budget () =
     Alcop_obs.Obs.reset ();
     Alcop_obs.Obs.record ();
     Fun.protect ~finally:Alcop_obs.Obs.reset (fun () ->
-        check_budget "simulate, observability on"
-          alloc_budget_simulate_traced (fun () ->
-            Alcop_gpusim.Timing.run c.Alcop.Compiler.timing_request))
+        let run () = Alcop_gpusim.Timing.run c.Alcop.Compiler.timing_request in
+        check_budget "simulate, observability on" alloc_budget_simulate_traced
+          run;
+        let dw = measured_direct_major_words run in
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "simulate, observability on, allocates %.0f direct major words \
+              (budget %.0f)"
+             dw major_budget_simulate_traced)
+          true
+          (dw < major_budget_simulate_traced))
 
 let suite =
   [ ( "packed",

@@ -37,8 +37,8 @@ let pipeline_events ~stages ~iters ~bytes ~flops =
     (prologue @ List.concat (List.init iters iter) @ [ Trace.Barrier ])
 
 let view_of_events events =
-  match Pipeview.run (request_of_events events) with
-  | Ok v -> v
+  match Profile.run (request_of_events events) with
+  | Ok p -> Pipeview.of_profile p
   | Error f ->
     Alcotest.failf "pipeview failed: %s"
       (Format.asprintf "%a" Occupancy.pp_failure f)
@@ -65,8 +65,8 @@ let compiled_view ?pool ~smem_stages ~reg_stages () =
   match Alcop.Session.compile session ?pool params spec with
   | Error _ -> Alcotest.fail "compile failed"
   | Ok c ->
-    (match Pipeview.run c.Alcop.Compiler.timing_request with
-     | Ok v -> v
+    (match Profile.run c.Alcop.Compiler.timing_request with
+     | Ok p -> Pipeview.of_profile p
      | Error _ -> Alcotest.fail "pipeview failed on compiled kernel")
 
 let test_partition_telescopes () =

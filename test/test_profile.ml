@@ -139,8 +139,7 @@ let test_chrome_trace_valid () =
   let sink =
     Alcop_obs.Sinks.chrome_trace ~ts_to_us:Fun.id (Buffer.add_string buf)
   in
-  List.iter sink.Alcop_obs.Obs.emit (Profile.chrome_events p);
-  sink.Alcop_obs.Obs.close ();
+  Alcop_obs.Sinks.emit_all sink (Profile.events p);
   let open Alcop_obs in
   match Json.of_string (String.trim (Buffer.contents buf)) with
   | Error e -> Alcotest.fail e

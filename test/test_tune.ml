@@ -371,8 +371,11 @@ let test_tuning_log_roundtrip () =
   in
   let path = Filename.temp_file "alcop_tune" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Tuning_log.write_file ~path ~spec_name:spec.Op_spec.name ~method_:Tuner.Grid
-    ~seed:3 result;
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        (Tuning_log.to_json ~spec_name:spec.Op_spec.name ~method_:Tuner.Grid
+           ~seed:3 result);
+      output_char oc '\n');
   match Tuning_log.read_file path with
   | Error e -> Alcotest.fail e
   | Ok r ->
