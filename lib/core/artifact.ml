@@ -65,79 +65,68 @@ let to_string t =
   in
   Json.to_string doc
 
-(* Decoding combinators over [option]: any absent or mistyped field
+(* Decoding: an absent or mistyped field raises [Malformed], which
    collapses the whole parse to [None]. *)
 
-let ( let* ) = Option.bind
+exception Malformed
 
-let num name doc = Option.bind (Json.member name doc) Json.number
+let field name doc =
+  match Json.member name doc with Some v -> v | None -> raise Malformed
+
+let number = function
+  | Json.Int i -> float_of_int i
+  | Json.Float f -> f
+  | _ -> raise Malformed
+
+let num name doc = number (field name doc)
 
 let int_field name doc =
-  match Json.member name doc with Some (Json.Int i) -> Some i | _ -> None
+  match field name doc with Json.Int i -> i | _ -> raise Malformed
 
 let str_field name doc =
-  match Json.member name doc with Some (Json.Str s) -> Some s | _ -> None
+  match field name doc with Json.Str s -> s | _ -> raise Malformed
 
 let wave_of_json doc =
-  let* cycles = num "cycles" doc in
-  let* compute_busy = num "compute_busy" doc in
-  let* dram_busy = num "dram_busy" doc in
-  let* llc_busy = num "llc_busy" doc in
-  let* smem_busy = num "smem_busy" doc in
-  Some { Timing.cycles; compute_busy; dram_busy; llc_busy; smem_busy }
+  { Timing.cycles = num "cycles" doc;
+    compute_busy = num "compute_busy" doc;
+    dram_busy = num "dram_busy" doc;
+    llc_busy = num "llc_busy" doc;
+    smem_busy = num "smem_busy" doc }
 
 let timing_of_json doc =
-  let* total_cycles = num "total_cycles" doc in
-  let* microseconds = num "microseconds" doc in
-  let* n_waves = int_field "n_waves" doc in
-  let* tbs_per_sm = int_field "tbs_per_sm" doc in
-  let* occupancy_limiter = str_field "occupancy_limiter" doc in
-  let* wave_cycles = num "wave_cycles" doc in
-  let* tail_cycles = num "tail_cycles" doc in
-  let* miss_rate = num "miss_rate" doc in
-  let* compute_utilization = num "compute_utilization" doc in
-  let* wave_busy =
-    match Json.member "wave_busy" doc with
-    | Some Json.Null -> Some None
-    | Some (Json.Obj _ as w) ->
-      (match wave_of_json w with Some w -> Some (Some w) | None -> None)
-    | _ -> None
-  in
-  Some
-    { Timing.total_cycles; microseconds; n_waves; tbs_per_sm;
-      occupancy_limiter; wave_cycles; tail_cycles; miss_rate;
-      compute_utilization; wave_busy }
+  { Timing.total_cycles = num "total_cycles" doc;
+    microseconds = num "microseconds" doc;
+    n_waves = int_field "n_waves" doc;
+    tbs_per_sm = int_field "tbs_per_sm" doc;
+    occupancy_limiter = str_field "occupancy_limiter" doc;
+    wave_cycles = num "wave_cycles" doc;
+    tail_cycles = num "tail_cycles" doc;
+    miss_rate = num "miss_rate" doc;
+    compute_utilization = num "compute_utilization" doc;
+    wave_busy =
+      (match field "wave_busy" doc with
+       | Json.Null -> None
+       | Json.Obj _ as w -> Some (wave_of_json w)
+       | _ -> raise Malformed) }
 
 let gauges_of_json doc =
-  match Json.member "gauges" doc with
-  | Some (Json.Obj fields) ->
-    List.fold_left
-      (fun acc (name, v) ->
-        let* acc = acc in
-        let* v = Json.number v in
-        Some ((name, v) :: acc))
-      (Some []) fields
-    |> Option.map List.rev
-  | _ -> None
+  match field "gauges" doc with
+  | Json.Obj fields -> List.map (fun (name, v) -> (name, number v)) fields
+  | _ -> raise Malformed
+
+let record_of_json doc =
+  if int_field "v" doc <> version then raise Malformed;
+  match field "ok" doc with
+  | Json.Bool true ->
+    Success
+      { latency_cycles = num "latency_cycles" doc;
+        timing = timing_of_json (field "timing" doc);
+        gauges = gauges_of_json doc }
+  | Json.Bool false ->
+    Failure { kind = str_field "kind" doc; message = str_field "message" doc }
+  | _ -> raise Malformed
 
 let of_string data =
   match Json.of_string data with
   | Error _ -> None
-  | Ok doc ->
-    let* v = int_field "v" doc in
-    if v <> version then None
-    else begin
-      match Json.member "ok" doc with
-      | Some (Json.Bool true) ->
-        let* latency_cycles = num "latency_cycles" doc in
-        let* timing =
-          Option.bind (Json.member "timing" doc) timing_of_json
-        in
-        let* gauges = gauges_of_json doc in
-        Some (Success { latency_cycles; timing; gauges })
-      | Some (Json.Bool false) ->
-        let* kind = str_field "kind" doc in
-        let* message = str_field "message" doc in
-        Some (Failure { kind; message })
-      | _ -> None
-    end
+  | Ok doc -> (try Some (record_of_json doc) with Malformed -> None)

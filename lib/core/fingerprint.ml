@@ -70,10 +70,9 @@ let json_of_spec (spec : Op_spec.t) =
       Json.Obj
         [ ("conv2d",
            Json.List
-             (List.map i
-                [ c.Op_spec.cn; c.Op_spec.ci; c.Op_spec.ch; c.Op_spec.cw;
-                  c.Op_spec.co; c.Op_spec.ckh; c.Op_spec.ckw;
-                  c.Op_spec.stride; c.Op_spec.pad ])) ]
+             [ i c.Op_spec.cn; i c.Op_spec.ci; i c.Op_spec.ch;
+               i c.Op_spec.cw; i c.Op_spec.co; i c.Op_spec.ckh;
+               i c.Op_spec.ckw; i c.Op_spec.stride; i c.Op_spec.pad ]) ]
   in
   Json.Obj
     [ ("name", s spec.Op_spec.name);
@@ -92,9 +91,9 @@ let json_of_params (p : Alcop_perfmodel.Params.t) =
   Json.Obj
     [ ("tiling",
        Json.List
-         (List.map i
-            [ t.Tiling.tb_m; t.Tiling.tb_n; t.Tiling.tb_k; t.Tiling.warp_m;
-              t.Tiling.warp_n; t.Tiling.warp_k; t.Tiling.split_k ]));
+         [ i t.Tiling.tb_m; i t.Tiling.tb_n; i t.Tiling.tb_k;
+           i t.Tiling.warp_m; i t.Tiling.warp_n; i t.Tiling.warp_k;
+           i t.Tiling.split_k ]);
       ("smem_stages", i p.Alcop_perfmodel.Params.smem_stages);
       ("reg_stages", i p.Alcop_perfmodel.Params.reg_stages);
       ("swizzle", b p.Alcop_perfmodel.Params.swizzle);

@@ -49,7 +49,12 @@ let create ?(hw = Alcop_hw.Hw_config.default) ?(capacity = 8192)
   { hw; capacity; cache;
     lock = Mutex.create ();
     ready = Condition.create ();
-    table = Hashtbl.create (min capacity 1024);
+    (* Small: a bucket array past 256 words is allocated straight on the
+       major heap, and a short-lived session (a process answering a few
+       evaluations from the store) holds a handful of entries. The table
+       doubles as it fills; nothing iterates it, so its initial size
+       cannot change a result. *)
+    table = Hashtbl.create 16;
     inflight = Hashtbl.create 8;
     order = Queue.create ();
     store;

@@ -1,7 +1,8 @@
 (** Minimal JSON tree: the one emitter (escaping, float formatting, null)
-    shared by the tuning logs and every observability sink, plus a small
-    parser so tests can round-trip what the sinks write. The repository
-    carries no external JSON dependency. *)
+    shared by the tuning logs, every observability sink, the compile keys
+    and the artifact store, and the one parser, which reads artifact-store
+    records, trace JSONL ([Trace_reader]) and bench history ([Benchdb]).
+    The repository carries no external JSON dependency. *)
 
 type t =
   | Null
@@ -27,7 +28,9 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse one JSON document. Numbers with a fraction or exponent parse as
-    [Float], others as [Int]. The [Error] payload names the offset. *)
+    [Float], others as [Int] (or [Float] when they overflow an int). A
+    [\u] escape takes exactly four hex digits. A malformed document is
+    an [Error] whose payload names the offset. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on anything else. *)

@@ -26,6 +26,7 @@ let () =
      @ Test_des.suite
      @ Test_analysis_detail.suite
      @ Test_obs.suite
+     @ Test_json.suite
      @ Test_par.suite
      @ Test_fingerprint.domain_suite
      @ Test_session.domain_suite

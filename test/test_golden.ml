@@ -174,6 +174,45 @@ let test_pretrain_priors_golden () =
   Alcotest.(check (list string)) file expected
     (List.map prior_line Alcop_workloads.Suites.fig10)
 
+(* Compile keys, pinned in test/golden/fingerprint_keys_fig10.txt: the
+   digest of the default hw config, then per Fig. 10 operator the key of
+   its first ALCOP point at no extra registers and the key of its first
+   ALCOP point that TVM-DB charges registers for, at that cost. A store
+   path is a key, so a renderer change that moves one byte of a key
+   leaves every existing store cold; the lines were generated before the
+   allocation-lean JSON emitter and may change only with a schema bump. *)
+let key_lines () =
+  let hw = Alcop_hw.Hw_config.default in
+  let line (spec : Op_spec.t) p extra =
+    Printf.sprintf "%s %s extra=%d %s" spec.Op_spec.name
+      (Alcop_perfmodel.Params.to_string p) extra
+      (Alcop.Fingerprint.to_hex
+         (Alcop.Fingerprint.compile_key ~hw ~extra_regs_per_thread:extra p
+            spec))
+  in
+  Printf.sprintf "hw %s" (Alcop.Fingerprint.hw_digest hw)
+  :: List.concat_map
+       (fun (spec : Op_spec.t) ->
+         let space = Alcop.Variants.space Alcop.Variants.alcop spec in
+         let tvm_db_regs =
+           Alcop.Variants.extra_regs Alcop.Variants.tvm_db spec
+         in
+         match Array.find_opt (fun q -> tvm_db_regs q > 0) space with
+         | Some q -> [ line spec space.(0) 0; line spec q (tvm_db_regs q) ]
+         | None ->
+           Alcotest.failf "%s: no ALCOP point with a TVM-DB register cost"
+             spec.Op_spec.name)
+       Alcop_workloads.Suites.fig10
+
+let test_key_golden () =
+  let file = "golden/fingerprint_keys_fig10.txt" in
+  let expected =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin file In_channel.input_all)
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check (list string)) file expected (key_lines ())
+
 let suite =
   [ ( "golden",
       [ Alcotest.test_case "Fig. 7 pipelined IR pinned" `Quick test_fig7_golden;
@@ -185,4 +224,6 @@ let suite =
           (tuning_log_golden Alcop_tune.Tuner.Xgb
              "golden/tune_MM_RN50_FC_b12_xgb.json");
         Alcotest.test_case "pre-trained priors of all Fig. 10 operators" `Slow
-          test_pretrain_priors_golden ] ) ]
+          test_pretrain_priors_golden;
+        Alcotest.test_case "compile keys of the Fig. 10 operators" `Quick
+          test_key_golden ] ) ]

@@ -338,15 +338,28 @@ let test_empty_trace () =
    instead of drowning in a whole-compile number. Measured (2026-08):
    lower 1.6e3, pipeline 5.4e3, trace-extract 1.1e3, simulate 1.6e2,
    full compile+simulate 9.4e3 — down from the 1.85e4 the old single
-   3.7e4 budget guarded. Fingerprint measured 825 (2026-10), with the hw
-   config digested once per config value; a key that re-renders the hw
-   document allocates ~2.3e3 and fails its ceiling. *)
+   3.7e4 budget guarded. *)
 let alloc_budget_full = 13_000.0
 let alloc_budget_lower = 3_500.0
 let alloc_budget_pipeline = 9_000.0
 let alloc_budget_trace_extract = 2_500.0
 let alloc_budget_simulate = 1_000.0
-let alloc_budget_fingerprint = 1_700.0
+
+(* Ceilings of the store-served evaluation path, ~1.5x the measured
+   value. With the JSON emitter escaping through a fresh buffer per
+   string, a parser that boxed every byte it peeked and a key tree built
+   through [List.map], a key took 825 minor words, a memo hit 842 and a
+   store-served [Session.timing] through a fresh session 3,406; each of
+   those fails its ceiling. Now: key 307, memo hit 324, store-served
+   936. *)
+let alloc_budget_fingerprint = 450.0
+let alloc_budget_session_hit = 500.0
+let alloc_budget_store_served = 1_400.0
+
+(* A session once opened with a 1,024-bucket table: 1,025 words put
+   straight on the major heap by every fresh session, where no minor-word
+   ceiling sees them. *)
+let major_budget_store_served = 200.0
 
 (* With observability on, [Timing.run] records its representative wave
    for the [timing.stall.*] gauges. Writing the recording allocates
@@ -439,6 +452,32 @@ let test_per_pass_budgets () =
   check_budget "fingerprint" alloc_budget_fingerprint (fun () ->
       Alcop.Fingerprint.compile_key ~hw ~extra_regs_per_thread:0 params spec)
 
+let test_evaluation_budgets () =
+  let spec, _tiling, params = budget_spec () in
+  let session = Alcop.Session.create ~hw () in
+  check_budget "session memo hit" alloc_budget_session_hit (fun () ->
+      Alcop.Session.evaluate session params spec);
+  (* The first call fills the store; the measured third is served from
+     it, through a session as fresh as a new process's. *)
+  let store =
+    Alcop.Store.create ~root:(Filename.temp_dir "alcop-budget-store" "") ()
+  in
+  let served () =
+    Alcop.Session.timing (Alcop.Session.create ~hw ~store ()) params spec
+  in
+  check_budget "store-served timing, fresh session" alloc_budget_store_served
+    served;
+  let dw = measured_direct_major_words served in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "store-served timing, fresh session, allocates %.0f direct major \
+        words (budget %.0f)"
+       dw major_budget_store_served)
+    true
+    (dw < major_budget_store_served);
+  Alcotest.(check int) "every call after the first was served by the store" 5
+    (Alcop.Store.stats store).Alcop.Store.hits
+
 let test_traced_simulate_budget () =
   let spec, _tiling, params = budget_spec () in
   let session = Alcop.Session.create ~hw ~cache:false () in
@@ -473,6 +512,8 @@ let suite =
           test_allocation_budget;
         Alcotest.test_case "allocation budgets per pass" `Quick
           test_per_pass_budgets;
+        Alcotest.test_case "allocation budgets per store-served evaluation"
+          `Quick test_evaluation_budgets;
         Alcotest.test_case "allocation budget, traced simulate" `Quick
           test_traced_simulate_budget;
         QCheck_alcotest.to_alcotest prop_recording_contract;

@@ -150,7 +150,9 @@ let test_corrupt_entries () =
   corrupt_then_serve "";                                  (* truncated to nothing *)
   corrupt_then_serve "{\"v\":1,\"ok\":true";              (* cut mid-document *)
   corrupt_then_serve "not json at all \x00\xff";          (* garbage bytes *)
-  corrupt_then_serve "{\"v\":999,\"ok\":true}"            (* future schema *)
+  corrupt_then_serve "{\"v\":999,\"ok\":true}";           (* future schema *)
+  (* a malformed \u escape: once an uncaught [Failure] in the parser *)
+  corrupt_then_serve {|{"v":1,"ok":false,"kind":"x","message":"\uZZZZ"}|}
 
 let prop_corruption_fuzz =
   (* Any byte string in an entry file either parses to a record or reads
