@@ -55,17 +55,21 @@ let tile_conv =
   in
   Arg.conv ~docv:"MxNxK" (parse, Arg.conv_printer triple)
 
-(* A tuning budget is a positive trial count; [--budget 0] or below is a
-   command-line error (exit 124) rather than a run that measures
-   nothing. *)
-let budget_conv =
+(* Counts that must be at least 1: a tuning budget ([--budget 0] would
+   measure nothing) and a pipeline stage count (1 = no pipelining; below 1
+   [Params.make] raises). Anything lower is a command-line error (exit
+   124). *)
+let count_conv what =
   let parse s =
     match Arg.conv_parser Arg.int s with
     | Ok n when n >= 1 -> Ok n
-    | Ok _ -> Error (`Msg (Printf.sprintf "budget %s: must be at least 1" s))
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s %s: must be at least 1" what s))
     | Error _ as e -> e
   in
   Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
+let budget_conv = count_conv "budget"
+let stage_conv = count_conv "stage count"
 
 let tiling_term =
   let open Term in
@@ -89,11 +93,11 @@ let tiling_term =
 let stages_term =
   let open Term in
   let smem =
-    Arg.(value & opt int 3
+    Arg.(value & opt stage_conv 3
          & info [ "smem-stages" ] ~doc:"Shared-memory pipeline stages (1 = off).")
   in
   let reg =
-    Arg.(value & opt int 2
+    Arg.(value & opt stage_conv 2
          & info [ "reg-stages" ] ~doc:"Register pipeline stages (1 = off).")
   in
   let fuse =
@@ -527,7 +531,9 @@ let tune_cmd =
            | None -> "compile fail"))
       result.Alcop_tune.Tuner.trials;
     (match Alcop_tune.Tuner.best result with
-     | Some best -> Printf.printf "best in %d trials: %.0f cycles\n" budget best
+     | Some best ->
+       Printf.printf "best in %d trials: %.0f cycles\n"
+         (Array.length result.Alcop_tune.Tuner.trials) best
      | None -> Printf.printf "no trial compiled\n");
     if not no_cache then begin
       Printf.printf "%s\n" (Session.summary session);

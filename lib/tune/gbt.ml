@@ -129,7 +129,10 @@ let score ?(skip = 0) (t : t) (xs : float array array) (acc : float array) =
   done
 
 (* The training set is column-stored and ranked once per call
-   ([Tree.prepare]); every round refits against the same rank codes. *)
+   ([Tree.prepare]); every round refits against the same rank codes, and
+   adds its tree's leaf to each sample's running prediction from the node
+   ranges the fit partitioned ([Tree.add_fitted]): the leaf [Tree.predict]
+   would reach, without walking the tree. *)
 let fit ?(config = default_config) ?init (features : float array array)
     (targets : float array) =
   let n = Array.length features in
@@ -161,11 +164,7 @@ let fit ?(config = default_config) ?init (features : float array array)
         if !converged then rev_trees
         else begin
           let tree = Tree.fit_data ~config:config.tree data residuals in
-          Array.iteri
-            (fun i x ->
-              current.(i) <-
-                current.(i) +. (start.learning_rate *. Tree.predict tree x))
-            features;
+          Tree.add_fitted data start.learning_rate current;
           boost (tree :: rev_trees) (round + 1)
         end
       end

@@ -163,6 +163,110 @@ let prop_tree_stress =
         (Tree.fit ~config:c.config c.rows c.targets)
         (Legacy_tree.fit ~config:c.config c.rows c.targets))
 
+(* --- histogram subtraction under stress --- *)
+
+(* A split scans only its smaller child and subtracts it from the parent
+   for the larger one, so the larger child's sums carry both operands'
+   rounding, and a code stands for its first sample overall, whose bits
+   may differ from the node's first. These cases aim at both: targets
+   share a 1e6 offset with a spread of 1e-3, so [Q - S^2/n] and the
+   subtracted sums cancel almost every digit; columns are duplicated or
+   tied (an affine or negated copy splits the samples the same way), so
+   candidates tie exactly; zero-heavy columns mix -0.0 and 0.0 in one
+   code; and NaNs carry distinct payloads and signs, quiet and
+   signalling, in one code. In most cases only the samples of a 30%
+   tier share the offset, so the root splits them off and the other 70%,
+   the larger child, gets near-zero targets from a subtracted histogram
+   whose error comes from the offset: only the tracked error bound keeps
+   the margin wide enough there. Deep trees with large leaves put
+   subtracted histograms several levels down. *)
+let gen_nan =
+  let open QCheck.Gen in
+  map3
+    (fun sign quiet payload ->
+      Int64.float_of_bits
+        (List.fold_left Int64.logor 0x7FF0000000000000L
+           [ (if sign then Int64.min_int else 0L);
+             (if quiet then 0x0008000000000000L else 0L);
+             Int64.of_int payload ]))
+    bool bool (int_range 1 0xFFFF)
+
+let gen_subtraction_case =
+  let open QCheck.Gen in
+  let* n = int_range 16 160 in
+  let* n_base = int_range 1 4 in
+  let column =
+    frequency
+      [ (2, array_repeat n (float_range (-50.0) 50.0));
+        (2, array_repeat n (map float_of_int (int_range 0 5)));
+        (2, array_repeat n (oneofl [ 0.0; -0.0; 0.0; -0.0; 1.0; -1.0; 2.5 ]));
+        ( 2,
+          array_repeat n
+            (frequency [ (2, gen_nan); (3, map float_of_int (int_range (-2) 2)) ])
+        ) ]
+  in
+  let* base = array_repeat n_base column in
+  let copy =
+    let* b = int_range 0 (n_base - 1) in
+    oneofl
+      [ base.(b);
+        Array.map (fun x -> (2.0 *. x) +. 1.0) base.(b);
+        Array.map (fun x -> -.x) base.(b) ]
+  in
+  let* copies = list_size (int_range 1 3) copy in
+  let* tier = array_repeat n (map (fun r -> if r < 3 then 1.0 else 0.0) (int_bound 9)) in
+  let columns = Array.concat [ [| tier |]; base; Array.of_list copies ] in
+  let rows = Array.init n (fun i -> Array.map (fun c -> c.(i)) columns) in
+  let* offset = oneofl [ 1e6; -1e6 ] in
+  let* tiered = frequency [ (3, return true); (1, return false) ] in
+  let target =
+    let+ noise =
+      array_repeat n
+        (frequency
+           [ (3, float_range (-5e-4) 5e-4);
+             (1, oneofl [ -5e-4; 0.0; 2.5e-4; 5e-4 ]) ])
+    in
+    Array.mapi
+      (fun i v -> (if tiered then offset *. tier.(i) else offset) +. v)
+      noise
+  in
+  let* targets = target in
+  let* targets2 = target in
+  let* max_depth = int_range 1 8 in
+  let* min_samples_leaf = int_range 1 8 in
+  let* max_thresholds = int_range 1 20 in
+  let* rounds = int_range 1 4 in
+  return
+    { rows; targets; targets2; rounds;
+      config = { Tree.max_depth; min_samples_leaf; max_thresholds } }
+
+let arb_subtraction_case = QCheck.make ~print:print_case gen_subtraction_case
+
+let prop_tree_subtraction =
+  QCheck.Test.make ~count:1000 ~name:"subtraction stress: Tree.fit == legacy"
+    arb_subtraction_case (fun c ->
+      tree_equal
+        (Tree.fit ~config:c.config c.rows c.targets)
+        (Legacy_tree.fit ~config:c.config c.rows c.targets))
+
+let prop_gbt_subtraction =
+  QCheck.Test.make ~count:100 ~name:"subtraction stress: Gbt.fit == legacy"
+    arb_subtraction_case (fun c ->
+      let config = gbt_config c in
+      gbt_equal
+        (Gbt.fit ~config c.rows c.targets)
+        (Legacy_tree.gbt_fit ~config c.rows c.targets))
+
+let prop_gbt_init_subtraction =
+  QCheck.Test.make ~count:100
+    ~name:"subtraction stress: Gbt.fit ~init == legacy" arb_subtraction_case
+    (fun c ->
+      let config = gbt_config c in
+      let prior = Legacy_tree.gbt_fit ~config c.rows c.targets in
+      gbt_equal
+        (Gbt.fit ~config ~init:prior c.rows c.targets2)
+        (Legacy_tree.gbt_fit ~config ~init:prior c.rows c.targets2))
+
 (* --- the compiled scorer --- *)
 
 (* The tuner scores a refit model as the prior's scores plus [Gbt.score]
@@ -290,7 +394,8 @@ let suite =
   [ ( "tree-equiv",
       List.map QCheck_alcotest.to_alcotest
         [ prop_tree; prop_gbt; prop_gbt_init; prop_tree_stress;
-          prop_score_fitted; prop_score_random ]
+          prop_tree_subtraction; prop_gbt_subtraction;
+          prop_gbt_init_subtraction; prop_score_fitted; prop_score_random ]
       @ [ Alcotest.test_case "score rejects a tree deeper than 16" `Quick
             test_score_rejects_deep_tree;
           Alcotest.test_case "MM_RN50_FC pre-training set == legacy" `Slow
