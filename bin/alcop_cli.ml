@@ -178,9 +178,9 @@ let with_jobs jobs f =
   if jobs <= 1 then f None
   else Alcop_par.Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
-let with_compiled ?(session = Session.for_hw hw) ?pool params spec f =
+let with_compiled ?(session = Session.for_hw hw) params spec f =
   Passman.set_validate_ir true;
-  match Session.compile session ?pool params spec with
+  match Session.compile session params spec with
   | Ok c -> f c
   | Error e ->
     Printf.eprintf "compile error: %s\n" (Compiler.error_to_string e);
@@ -325,12 +325,11 @@ let time_cmd =
         (if p.Alcop_perfmodel.Model.smem_bound then "load" else "compute")
     | Error _ -> ()
   in
-  let run spec params trace_out no_cache store_dir no_store jobs =
+  let run spec params trace_out no_cache store_dir no_store =
     (match trace_out with
      | Some path -> install_file_sink Alcop_obs.Sinks.chrome_trace_file path
      | None -> ());
     let session = session_of ?store_dir ~no_store ~no_cache () in
-    with_jobs jobs @@ fun pool ->
     let summarize () =
       if not no_cache then begin
         Printf.printf "%s\n" (Session.summary session);
@@ -341,7 +340,7 @@ let time_cmd =
     | Some path ->
       (* The Chrome trace wants the real compile phases, so this path
          always compiles fully (it still writes the store through). *)
-      with_compiled ~session ?pool params spec (fun c ->
+      with_compiled ~session params spec (fun c ->
           print_report spec params c.Compiler.latency_cycles c.Compiler.timing;
           summarize ();
           Alcop_obs.Obs.reset ();
@@ -351,7 +350,7 @@ let time_cmd =
       (* Evaluation-grade query: servable by the in-memory cache, the
          on-disk store (a warm run in a *fresh process* never compiles),
          or a cold compile — whichever tier answers first. *)
-      (match Session.timing session ?pool params spec with
+      (match Session.timing session params spec with
        | Ok r ->
          print_report spec params r.Session.latency_cycles r.Session.timing;
          summarize ()
@@ -368,7 +367,7 @@ let time_cmd =
   Cmd.v
     (Cmd.info "time" ~doc:"Simulate one schedule and print the breakdown.")
     Term.(const run $ spec_arg $ params_term $ trace_out $ no_cache_term
-          $ store_dir_term $ no_store_term $ jobs_term)
+          $ store_dir_term $ no_store_term)
 
 (* alcop profile: replay the simulated launch with the recording on and
    print where every cycle went; optionally export the simulated-time
@@ -1031,7 +1030,7 @@ let cache_cmd =
     Printf.printf "entries:  %d\n" entries;
     Printf.printf "size:     %.1f KiB (gc cap %.1f MiB)\n"
       (float_of_int bytes /. 1024.0)
-      (float_of_int (Store.max_bytes st) /. 1024.0 /. 1024.0)
+      (float_of_int Store.max_bytes /. 1024.0 /. 1024.0)
   in
   let stats_cmd =
     let run store_dir =

@@ -77,7 +77,7 @@ let materialize_cycles (hw : Alcop_hw.Hw_config.t) (lowered : Lower.lowered) =
    owns the obs span, the per-pass wall-time gauge, optional post-pass IR
    validation and the --dump-ir-after hook, so this function reads as the
    plain pipeline of paper Fig. 4. *)
-let compile ?(hw = Alcop_hw.Hw_config.default) ?pool
+let compile ?(hw = Alcop_hw.Hw_config.default)
     ?(extra_regs_per_thread = 0) (params : Alcop_perfmodel.Params.t)
     (spec : Op_spec.t) =
   Obs.with_span "compile"
@@ -171,7 +171,7 @@ let compile ?(hw = Alcop_hw.Hw_config.default) ?pool
           in
           (match
              Passman.run ~name:"timing" (fun () ->
-                 Alcop_gpusim.Timing.run ?pool request)
+                 Alcop_gpusim.Timing.run request)
            with
            | Error f -> fail (Launch_failed f)
            | Ok timing ->

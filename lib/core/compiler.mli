@@ -42,14 +42,11 @@ val error_to_string : error -> string
 
 val compile :
   ?hw:Alcop_hw.Hw_config.t ->
-  ?pool:Alcop_par.Pool.t ->
   ?extra_regs_per_thread:int ->
   Alcop_perfmodel.Params.t ->
   Op_spec.t ->
   (compiled, error) result
 (** Compile one operator under one schedule point, cold — no caching.
-    [pool] enables {!Alcop_gpusim.Timing.run}'s parallel-wave mode; it
-    never changes the artifact.
     Almost every caller wants {!Session.compile} instead, which memoizes
     the result under a content fingerprint of the inputs. [Error] covers
     schedule construction failures, lowering failures, pipelining-legality

@@ -74,14 +74,6 @@ let hit_rate (s : stats) =
   let total = s.hits + s.misses in
   if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
 
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.table;
-      Queue.clear t.order;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)
-
 (* Restored from PR 5 as an explicitly-published gauge. Mid-flight entry
    counts are interleaving-dependent under a pool, so the gauge is only
    published from coordinator-side call sites (summary, bench, the perf
@@ -214,10 +206,8 @@ let store_write t key record =
 
 (* The cold path both [compile] and [timing] fall back to: run the real
    compiler, capture its gauges, write the record through and land it. *)
-let compile_cold t ?pool ~extra_regs_per_thread ~key params spec =
-  let outcome =
-    Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params spec
-  in
+let compile_cold t ~extra_regs_per_thread ~key params spec =
+  let outcome = Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec in
   (* Capture-local read: under a pool this sees only the gauges this
      very compile published, never another domain's. *)
   let gauges =
@@ -230,10 +220,10 @@ let compile_cold t ?pool ~extra_regs_per_thread ~key params spec =
   land_entry t key record;
   (outcome, record)
 
-let compile t ?pool ?(extra_regs_per_thread = 0)
+let compile t ?(extra_regs_per_thread = 0)
     (params : Alcop_perfmodel.Params.t) (spec : Op_spec.t) =
   if not t.cache then
-    Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params spec
+    Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec
   else begin
     let key =
       Fingerprint.compile_key ~hw:t.hw ~extra_regs_per_thread params spec
@@ -246,8 +236,7 @@ let compile t ?pool ?(extra_regs_per_thread = 0)
       let outcome =
         match
           Obs.capturing (fun () ->
-              Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params
-                spec)
+              Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec)
         with
         | Ok outcome, _ -> outcome
         | Error (e, bt), _ -> Printexc.raise_with_backtrace e bt
@@ -257,7 +246,7 @@ let compile t ?pool ?(extra_regs_per_thread = 0)
     | `Miss ->
       holding_claim t key @@ fun () ->
       Obs.count "session.cache.miss";
-      fst (compile_cold t ?pool ~extra_regs_per_thread ~key params spec)
+      fst (compile_cold t ~extra_regs_per_thread ~key params spec)
   end
 
 (* --- evaluation-grade lookups: may be served by the persistent store --- *)
@@ -272,12 +261,12 @@ let timed_of_record = function
     Ok { latency_cycles = r.Artifact.latency_cycles; timing = r.Artifact.timing }
   | Artifact.Failure { message; _ } -> Error message
 
-let timing t ?pool ?(extra_regs_per_thread = 0)
+let timing t ?(extra_regs_per_thread = 0)
     (params : Alcop_perfmodel.Params.t) (spec : Op_spec.t) =
   if not t.cache then
     timed_of_record
       (record_of_outcome
-         (Compiler.compile ?pool ~hw:t.hw ~extra_regs_per_thread params spec)
+         (Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec)
          [])
   else begin
     let key =
@@ -319,11 +308,11 @@ let timing t ?pool ?(extra_regs_per_thread = 0)
          timed_of_record record
        | None ->
          timed_of_record
-           (snd (compile_cold t ?pool ~extra_regs_per_thread ~key params spec)))
+           (snd (compile_cold t ~extra_regs_per_thread ~key params spec)))
   end
 
-let evaluate t ?pool ?extra_regs_per_thread params spec =
-  match timing t ?pool ?extra_regs_per_thread params spec with
+let evaluate t ?extra_regs_per_thread params spec =
+  match timing t ?extra_regs_per_thread params spec with
   | Ok r -> Some r.latency_cycles
   | Error _ -> None
 

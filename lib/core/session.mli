@@ -77,7 +77,6 @@ val for_hw : Alcop_hw.Hw_config.t -> t
 
 val compile :
   t ->
-  ?pool:Alcop_par.Pool.t ->
   ?extra_regs_per_thread:int ->
   Alcop_perfmodel.Params.t ->
   Alcop_sched.Op_spec.t ->
@@ -88,10 +87,7 @@ val compile :
     as a hit, re-publishes the recorded gauges and compiles again to
     return the artifact, without landing or writing anything; the
     rebuild's own telemetry is dropped. Compilation is deterministic, so
-    the artifact is bit-identical to the cold one. [pool] enables the
-    timing simulator's parallel-wave mode (see
-    {!Alcop_gpusim.Timing.run}); it never changes the artifact, only
-    wall-clock time. *)
+    the artifact is bit-identical to the cold one. *)
 
 type timed = {
   latency_cycles : float;
@@ -103,7 +99,6 @@ type timed = {
 
 val timing :
   t ->
-  ?pool:Alcop_par.Pool.t ->
   ?extra_regs_per_thread:int ->
   Alcop_perfmodel.Params.t ->
   Alcop_sched.Op_spec.t ->
@@ -117,7 +112,6 @@ val timing :
 
 val evaluate :
   t ->
-  ?pool:Alcop_par.Pool.t ->
   ?extra_regs_per_thread:int ->
   Alcop_perfmodel.Params.t ->
   Alcop_sched.Op_spec.t ->
@@ -149,11 +143,6 @@ val stats : t -> stats
 
 val hit_rate : stats -> float
 (** hits / (hits + misses); 0 when nothing was evaluated. *)
-
-val clear : t -> unit
-(** Test-only: only its own test calls it; callers replace a session
-    instead of resetting it.
-    Drop all entries and zero the counters. *)
 
 val publish_entries_gauge : t -> unit
 (** Publish the resident entry count as the [session.cache.entries]

@@ -20,7 +20,6 @@ let tmp_seq = Atomic.make 0
 
 type t = {
   root : string;
-  cap : int;
   lock : Mutex.t;
   mutable enabled : bool;
   mutable hits : int;
@@ -29,6 +28,8 @@ type t = {
   mutable corrupt : int;
   mutable errors : int;
 }
+
+let max_bytes = 64 * 1024 * 1024
 
 let locked t f =
   Mutex.lock t.lock;
@@ -69,10 +70,10 @@ let disable t msg =
         Printf.eprintf "alcop: artifact store disabled: %s\n%!" msg
       end)
 
-let create ?root ?(max_bytes = 64 * 1024 * 1024) () =
+let create ?root () =
   let root = match root with Some r -> r | None -> default_root () in
   let t =
-    { root; cap = max_bytes;
+    { root;
       lock = Mutex.create ();
       enabled = true;
       hits = 0; misses = 0; writes = 0; corrupt = 0; errors = 0 }
@@ -94,7 +95,6 @@ let create ?root ?(max_bytes = 64 * 1024 * 1024) () =
 
 let enabled t = t.enabled
 let root t = t.root
-let max_bytes t = t.cap
 
 let stats t =
   locked t (fun () ->
@@ -196,11 +196,10 @@ let usage t =
     (fun (n, bytes) (_, _, size) -> (n + 1, bytes + size))
     (0, 0) (walk t)
 
-let gc t ?max_bytes () =
-  let cap = match max_bytes with Some c -> c | None -> t.cap in
+let gc t ?(max_bytes = max_bytes) () =
   let files = walk t in
   let total = List.fold_left (fun b (_, _, s) -> b + s) 0 files in
-  if total <= cap then 0
+  if total <= max_bytes then 0
   else begin
     (* oldest first; path is the tie-break so the order is total *)
     let by_age =
@@ -213,7 +212,7 @@ let gc t ?max_bytes () =
     let remaining = ref total in
     List.iter
       (fun (p, _, size) ->
-        if !remaining > cap then begin
+        if !remaining > max_bytes then begin
           delete_quietly p;
           remaining := !remaining - size;
           incr removed

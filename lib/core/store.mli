@@ -34,15 +34,17 @@ val default_root : unit -> string
     [$ALCOP_STORE], else [$XDG_CACHE_HOME/alcop], else [$HOME/.cache/alcop],
     else a per-user directory under the system temp dir. *)
 
-val create : ?root:string -> ?max_bytes:int -> unit -> t
+val create : ?root:string -> unit -> t
 (** Open (creating if needed) the store rooted at [root] (default
-    {!default_root}). [max_bytes] (default 64 MiB) is the {!gc} target.
+    {!default_root}).
     If the root cannot be created or written, prints one warning line to
     stderr and returns a disabled store. *)
 
 val enabled : t -> bool
 val root : t -> string
-val max_bytes : t -> int
+
+val max_bytes : int
+(** The default {!gc} target: 64 MiB. *)
 
 val read : t -> ns:string -> string -> string option
 (** The entry's bytes, or [None] when absent/unreadable. An entry that
@@ -70,6 +72,6 @@ val usage : t -> int * int
 
 val gc : t -> ?max_bytes:int -> unit -> int
 (** Evict least-recently-modified entries until total size fits under
-    [max_bytes] (default: the store's configured cap). Returns the number
+    [max_bytes] (default {!max_bytes}). Returns the number
     of files removed. Safe to run concurrently with readers/writers:
     losing a race to a concurrent delete is not an error. *)

@@ -70,13 +70,11 @@ let evaluator ?(hw = Alcop_hw.Hw_config.default) ?session (v : t)
   Session.evaluator session ~extra_regs:(extra_regs v spec) spec
 
 (* Best simulated latency of a compiler variant on one operator under
-   exhaustive schedule search; [None] if nothing in the space launches.
-   [pool] fans the exhaustive sweep across worker domains. *)
-let best_latency ?(hw = Alcop_hw.Hw_config.default) ?pool (v : t)
-    (spec : Op_spec.t) =
+   exhaustive schedule search; [None] if nothing in the space launches. *)
+let best_latency ?(hw = Alcop_hw.Hw_config.default) (v : t) (spec : Op_spec.t) =
   let space = space v spec in
   let evaluate = evaluator ~hw v spec in
-  let result = Alcop_tune.Tuner.exhaustive ?pool ~space ~evaluate () in
+  let result = Alcop_tune.Tuner.exhaustive ~space ~evaluate () in
   Alcop_tune.Tuner.best result
 
 (* Like [best_latency] but also returns the winning schedule point. *)

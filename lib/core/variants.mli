@@ -41,11 +41,9 @@ val evaluator :
     pass-through one for [--no-cache]). *)
 
 val best_latency :
-  ?hw:Alcop_hw.Hw_config.t -> ?pool:Alcop_par.Pool.t -> t -> Op_spec.t ->
-  float option
+  ?hw:Alcop_hw.Hw_config.t -> t -> Op_spec.t -> float option
 (** Best simulated latency under exhaustive schedule search (the paper's
-    evaluation protocol); [None] if nothing in the space launches.
-    [pool] fans the sweep across worker domains (bit-identical result). *)
+    evaluation protocol); [None] if nothing in the space launches. *)
 
 val best_point :
   ?hw:Alcop_hw.Hw_config.t -> t -> Op_spec.t ->

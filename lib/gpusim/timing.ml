@@ -748,30 +748,16 @@ type recorded_wave = {
 (* Time a planned kernel, simulating the full wave with [full_rc] and the
    tail wave with [tail_rc] when given. With [recorded], also return each
    recorded wave through it. *)
-let time_kernel ?pool ?recorded (req : request) pl ~full_rc ~tail_rc =
+let time_kernel ?recorded (req : request) pl ~full_rc ~tail_rc =
   let hw = req.hw in
   let occ = pl.plan_occ in
   let full_waves = pl.full_waves and rem = pl.remainder in
-  let sim cfg rc = simulate_packed ?recording:rc cfg req.program in
-  (* The full and tail waves are independent simulations; with a pool of
-     2+ workers run them on two domains. Each recording is written by
-     exactly one worker and read after the join — and the combination
-     below is in fixed (full, tail) order, so the result is bit-identical
-     to the sequential pair. *)
-  let full_result, tail_result =
-    match (pool, pl.full_cfg, pl.tail_cfg) with
-    | Some p, Some full_cfg, Some tail_cfg when Alcop_par.Pool.jobs p > 1 ->
-      (match
-         Alcop_par.Pool.map p
-           (fun (cfg, rc) -> sim cfg rc)
-           [ (full_cfg, full_rc); (tail_cfg, tail_rc) ]
-       with
-      | [ fr; tr ] -> (Some (full_cfg, fr), Some (tail_cfg, tr))
-      | _ -> assert false)
-    | _ ->
-      ( Option.map (fun cfg -> (cfg, sim cfg full_rc)) pl.full_cfg,
-        Option.map (fun cfg -> (cfg, sim cfg tail_rc)) pl.tail_cfg )
+  let sim rc = function
+    | Some cfg -> Some (cfg, simulate_packed ?recording:rc cfg req.program)
+    | None -> None
   in
+  let full_result = sim full_rc pl.full_cfg in
+  let tail_result = sim tail_rc pl.tail_cfg in
   let wave_cycles =
     match full_result with Some (_, r) -> r.cycles | None -> 0.0
   in
@@ -863,11 +849,11 @@ type gauge_slot = { mutable gauge_in_use : bool; gauge_rc : recording }
 let fresh_gauge_slot () = { gauge_in_use = false; gauge_rc = recording () }
 let gauge_key = Domain.DLS.new_key fresh_gauge_slot
 
-let run ?pool (req : request) =
+let run (req : request) =
   match plan req with
   | Error f -> Error f
   | Ok pl when not (Alcop_obs.Obs.enabled ()) ->
-    time_kernel ?pool req pl ~full_rc:None ~tail_rc:None
+    time_kernel req pl ~full_rc:None ~tail_rc:None
   | Ok pl ->
     (* With observability on, record the representative wave (the full
        wave when one exists, else the tail) so the stall breakdown rides
@@ -884,8 +870,8 @@ let run ?pool (req : request) =
         slot.gauge_in_use <- false)
     @@ fun () ->
     if pl.full_cfg <> None then
-      time_kernel ?pool req pl ~full_rc:(Some rc) ~tail_rc:None
-    else time_kernel ?pool req pl ~full_rc:None ~tail_rc:(Some rc)
+      time_kernel req pl ~full_rc:(Some rc) ~tail_rc:None
+    else time_kernel req pl ~full_rc:None ~tail_rc:(Some rc)
 
 let run_recorded (req : request) =
   match plan req with

@@ -199,12 +199,10 @@ val jitter : int -> float
 val bank_conflict_penalty : swizzle:bool -> tb_k:int -> elem_bytes:int -> float
 (** Test-only: the DES tests check the penalty model directly. *)
 
-val run : ?pool:Alcop_par.Pool.t -> request -> (kernel_timing, Occupancy.failure) result
-(** Simulate a whole kernel launch. [Error] when the threadblock exceeds
-    per-threadblock hardware resources (the schedule "fails to compile").
-    When [pool] has 2+ workers and the launch has both a full and a tail
-    wave, the two (independent) wave simulations run on separate domains;
-    the reported timing is bit-identical to the sequential run.
+val run : request -> (kernel_timing, Occupancy.failure) result
+(** Simulate a whole kernel launch: the full wave, then the tail wave.
+    [Error] when the threadblock exceeds per-threadblock hardware
+    resources (the schedule "fails to compile").
     When an [Alcop_obs] sink is installed, emits gauges for the
     compute/DRAM/LLC/smem busy fractions ([timing.busy.*]), the
     critical-threadblock stall fractions of the representative wave

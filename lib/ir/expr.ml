@@ -91,10 +91,13 @@ and modulo a b =
   match a, b with
   | _, Const 1 -> Const 0
   | Const x, Const y when y <> 0 -> Const (floormod_int x y)
-  | Mod (e, Const x), Const y when x = y -> Mod (e, Const x)
   | _, Const n when n > 1 ->
+    (* Test the reduced operand, not the raw one: dropping multiples can
+       expose an inner [mod n] (e.g. ((z % 3) + 3) % 3), and collapsing it
+       only on the next pass would make [simplify] not idempotent. *)
     (match drop_multiples n a with
      | Const x -> Const (floormod_int x n)
+     | Mod (_, Const m) as r when m = n -> r
      | reduced -> Mod (reduced, Const n))
   | _ -> Mod (a, b)
 

@@ -31,8 +31,6 @@ let default_jobs () =
   | Some n when n >= 1 -> n
   | Some _ | None -> Domain.recommended_domain_count ()
 
-let jobs t = t.pool_jobs
-
 let worker_loop t i =
   Hostprof.set_role (Printf.sprintf "worker-%d" i);
   let rec next () =
@@ -83,7 +81,7 @@ let with_pool ?jobs f =
 (* Enqueue the thunks and block until all of them ran. Thunks must not
    raise — batch builders wrap the user function in [Obs.capturing],
    which already converts exceptions into values. *)
-let run_batch ?(label = "pool.task") t thunks =
+let run_batch t thunks =
   match thunks with
   | [] -> ()
   | _ ->
@@ -95,7 +93,7 @@ let run_batch ?(label = "pool.task") t thunks =
          token lets the profiler report enqueue->start queue latency *)
       let enqueue = Hostprof.task_enqueued () in
       fun () ->
-        Hostprof.task ~enqueue ~label thunk;
+        Hostprof.task ~enqueue ~label:"pool.task" thunk;
         Hostprof.lock_acquire batch_probe batch_lock;
         decr remaining;
         if !remaining = 0 then Condition.signal batch_done;
@@ -142,7 +140,7 @@ let map_array ?each t f xs =
              the writes to the coordinator. *)
           slots.(i) <- Some (outcome, recorded))
     in
-    run_batch ~label:"pool.task" t thunks;
+    run_batch t thunks;
     Array.mapi
       (fun i _ ->
         match slots.(i) with
@@ -151,52 +149,4 @@ let map_array ?each t f xs =
       xs
   end
 
-let map ?each t f xs = Array.to_list (map_array ?each t f (Array.of_list xs))
-
-let parallel_for ?chunk t ~n ~init ~body ~merge ~neutral =
-  if n <= 0 then neutral
-  else begin
-    (* Chunk size must not depend on [jobs]: the chunk partition fixes
-       the shape of the init/fold/merge tree, and that shape has to be
-       identical across -j values for bit-identical results. *)
-    let csize =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some c -> invalid_arg (Printf.sprintf "Pool.parallel_for: chunk = %d" c)
-      | None -> max 1 ((n + 31) / 32)
-    in
-    let nchunks = (n + csize - 1) / csize in
-    let run_chunk ci =
-      let lo = ci * csize in
-      let hi = min n (lo + csize) in
-      let s = ref (init ()) in
-      for i = lo to hi - 1 do
-        s := body !s i
-      done;
-      !s
-    in
-    if t.pool_jobs = 1 || nchunks = 1 then begin
-      let acc = ref neutral in
-      for ci = 0 to nchunks - 1 do
-        acc :=
-          merge !acc (Hostprof.task ~label:"pool.chunk" (fun () -> run_chunk ci))
-      done;
-      !acc
-    end
-    else begin
-      let slots : 's slot option array = Array.make nchunks None in
-      let thunks =
-        List.init nchunks (fun ci () ->
-            let outcome, recorded = Obs.capturing (fun () -> run_chunk ci) in
-            slots.(ci) <- Some (outcome, recorded))
-      in
-      run_batch ~label:"pool.chunk" t thunks;
-      let acc = ref neutral in
-      for ci = 0 to nchunks - 1 do
-        match slots.(ci) with
-        | Some slot -> acc := merge !acc (deliver ci slot)
-        | None -> assert false
-      done;
-      !acc
-    end
-  end
+let map t f xs = Array.to_list (map_array t f (Array.of_list xs))

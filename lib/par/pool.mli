@@ -2,10 +2,11 @@
     telemetry merge.
 
     Hand-rolled on stdlib [Domain] + [Mutex]/[Condition] (no domainslib):
-    [jobs] worker domains block on a shared task queue; batch operations
-    ([map], [map_array], [parallel_for]) enqueue one thunk per work item
-    (or chunk), wait for the batch, then consume results {e in item
-    order} on the calling domain.
+    [jobs] worker domains block on a shared task queue; a batch operation
+    ([map], [map_array]) enqueues one thunk per work item, waits for the
+    batch, then consumes results {e in item order} on the calling domain.
+    Two loops use it: the tuner's measurement batches and the
+    per-operator experiment sweeps.
 
     Determinism contract (see doc/parallelism.md): every task runs under
     {!Alcop_obs.Obs.capturing}, so its telemetry lands in a domain-local
@@ -40,8 +41,6 @@ val create : ?jobs:int -> unit -> t
     [jobs = 1] spawns nothing — every batch operation runs inline on the
     caller. Raises [Invalid_argument] when [jobs < 1]. *)
 
-val jobs : t -> int
-
 val shutdown : t -> unit
 (** Signal the workers to exit and join them. Idempotent; the pool must
     be idle (no batch in flight). A pool that is never shut down keeps
@@ -61,26 +60,5 @@ val map_array : ?each:(int -> 'b -> unit) -> t -> ('a -> 'b) -> 'a array -> 'b a
     higher-indexed items (speculatively executed in parallel) is
     dropped. *)
 
-val map : ?each:(int -> 'b -> unit) -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map_array} for lists, preserving order. *)
-
-val parallel_for :
-  ?chunk:int ->
-  t ->
-  n:int ->
-  init:(unit -> 's) ->
-  body:('s -> int -> 's) ->
-  merge:('s -> 's -> 's) ->
-  neutral:'s ->
-  's
-(** Test-only: the pool tests pin its chunked fold; library loops use
-    {!map}.
-    Chunked indexed loop with per-chunk worker state: indices
-    [0..n-1] are split into contiguous chunks of [chunk] (default
-    [max 1 (ceil (n/32))] — independent of [jobs], so the chunk
-    partition and therefore the fold shape never changes with
-    parallelism); each chunk folds [body] over its indices starting from
-    a fresh [init ()], and chunk states are combined left-to-right in
-    chunk order as [merge (merge neutral s0) s1 ...]. Deterministic for
-    any [init]/[body]/[merge]; telemetry is captured and replayed per
-    chunk like {!map_array}. *)

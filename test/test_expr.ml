@@ -148,6 +148,17 @@ let test_mod_drops_multiples () =
     done
   done
 
+(* ((16 + z) % 3 + 3) % 3: dropping the [+ 3] exposes the inner [% 3], which
+   must collapse in the same pass for [simplify] to be idempotent. *)
+let test_mod_collapse_after_drop () =
+  let open Expr in
+  let e =
+    Mod (Add (Mod (Add (Const 16, Var "z"), Const 3), Const 3), Const 3)
+  in
+  let once = simplify e in
+  Alcotest.(check string) "collapsed" "(z + 1) % 3" (to_string once);
+  Alcotest.(check bool) "idempotent" true (equal once (simplify once))
+
 let test_min_max () =
   let e = Expr.min_ (Expr.var "x") (Expr.max_ (Expr.var "y") (Expr.const 3)) in
   Alcotest.(check int) "eval" 7 (Expr.eval (env_of test_env) e);
@@ -232,6 +243,8 @@ let suite =
         Alcotest.test_case "subst" `Quick test_subst;
         Alcotest.test_case "free vars" `Quick test_free_vars;
         Alcotest.test_case "mod drops multiples" `Quick test_mod_drops_multiples;
+        Alcotest.test_case "mod collapses after dropping multiples" `Quick
+          test_mod_collapse_after_drop;
         Alcotest.test_case "min/max" `Quick test_min_max;
         Alcotest.test_case "printing precedence" `Quick test_pp_precedence;
         QCheck_alcotest.to_alcotest prop_simplify_preserves_eval;

@@ -1,11 +1,10 @@
 (* Tests for the domain pool (Alcop_par): result order and identity vs
-   sequential for jobs in {1,2,4}, chunked parallel_for reduction,
-   lowest-index exception propagation, a QCheck property that Tuner.run
-   through a pool is bit-identical to the sequential run, exact telemetry
-   merge (identical event stream and counter totals under a deterministic
-   clock), a concurrent-compile hammer on a Session (in-flight dedup must
-   reproduce sequential hit/miss totals), the for_hw registry under
-   concurrency, and the timing simulator's parallel-wave mode. *)
+   sequential for jobs in {1,2,4}, lowest-index exception propagation, a
+   QCheck property that Tuner.run through a pool is bit-identical to the
+   sequential run, exact telemetry merge (identical event stream and
+   counter totals under a deterministic clock), a concurrent-compile
+   hammer on a Session (in-flight dedup must reproduce sequential
+   hit/miss totals), and the for_hw registry under concurrency. *)
 
 open Alcop_sched
 open Alcop_par
@@ -40,42 +39,6 @@ let test_map_each_in_index_order () =
     "each called in index order"
     (List.init 50 (fun i -> (i, i * 2)))
     (List.rev !seen)
-
-(* --- parallel_for: chunked fold with merge --- *)
-
-let test_parallel_for_sum () =
-  let n = 1000 in
-  let expected = n * (n - 1) / 2 in
-  List.iter
-    (fun jobs ->
-      List.iter
-        (fun chunk ->
-          let got =
-            Pool.with_pool ~jobs (fun p ->
-                Pool.parallel_for ?chunk p ~n
-                  ~init:(fun () -> 0)
-                  ~body:(fun acc i -> acc + i)
-                  ~merge:( + ) ~neutral:0)
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "sum at jobs=%d chunk=%s" jobs
-               (match chunk with Some c -> string_of_int c | None -> "auto"))
-            expected got)
-        [ None; Some 1; Some 7; Some 1000 ])
-    [ 1; 2; 4 ]
-
-(* Chunk states must merge in chunk order (left-to-right), not completion
-   order: build the index list and check it comes back sorted. *)
-let test_parallel_for_merge_order () =
-  let got =
-    Pool.with_pool ~jobs:4 (fun p ->
-        Pool.parallel_for ~chunk:3 p ~n:20
-          ~init:(fun () -> [])
-          ~body:(fun acc i -> i :: acc)
-          ~merge:(fun a b -> a @ List.rev b)
-          ~neutral:[])
-  in
-  Alcotest.(check (list int)) "indices in order" (List.init 20 Fun.id) got
 
 (* --- exception propagation: the lowest-indexed failure wins --- *)
 
@@ -234,30 +197,6 @@ let test_for_hw_concurrent_is_one_session () =
       (List.for_all (fun s -> s == s0) rest)
   | [] -> Alcotest.fail "no sessions"
 
-(* --- timing: parallel-wave mode equals the sequential simulation --- *)
-
-let test_timing_parallel_wave_matches () =
-  let spec = Op_spec.matmul ~name:"par_timing" ~m:512 ~n:512 ~k:256 () in
-  let tiling =
-    Tiling.make ~tb_m:64 ~tb_n:64 ~tb_k:32 ~warp_m:32 ~warp_n:32 ~warp_k:16 ()
-  in
-  let params =
-    Alcop_perfmodel.Params.make ~tiling ~smem_stages:3 ~reg_stages:2 ()
-  in
-  match Alcop.Compiler.compile ~hw params spec with
-  | Error e ->
-    Alcotest.failf "compile failed: %s" (Alcop.Compiler.error_to_string e)
-  | Ok c ->
-    let req = c.Alcop.Compiler.timing_request in
-    let seq = Alcop_gpusim.Timing.run req in
-    let par =
-      Pool.with_pool ~jobs:2 (fun p -> Alcop_gpusim.Timing.run ~pool:p req)
-    in
-    (match seq, par with
-     | Ok a, Ok b ->
-       Alcotest.(check bool) "kernel timings identical" true (a = b)
-     | Error _, _ | _, Error _ -> Alcotest.fail "timing run failed")
-
 (* --- pool hygiene --- *)
 
 let test_create_rejects_zero_jobs () =
@@ -267,7 +206,6 @@ let test_create_rejects_zero_jobs () =
 
 let test_shutdown_idempotent () =
   let p = Pool.create ~jobs:2 () in
-  Alcotest.(check int) "jobs" 2 (Pool.jobs p);
   Pool.shutdown p;
   Pool.shutdown p
 
@@ -277,9 +215,6 @@ let suite =
           test_map_matches_sequential;
         Alcotest.test_case "each runs in index order" `Quick
           test_map_each_in_index_order;
-        Alcotest.test_case "parallel_for sum" `Quick test_parallel_for_sum;
-        Alcotest.test_case "parallel_for merges in chunk order" `Quick
-          test_parallel_for_merge_order;
         Alcotest.test_case "lowest-index exception wins" `Quick
           test_lowest_index_exception;
         QCheck_alcotest.to_alcotest prop_tuner_pool_bit_identical;
@@ -288,8 +223,6 @@ let suite =
           test_session_inflight_dedup;
         Alcotest.test_case "for_hw concurrent returns one session" `Quick
           test_for_hw_concurrent_is_one_session;
-        Alcotest.test_case "parallel-wave timing identical" `Quick
-          test_timing_parallel_wave_matches;
         Alcotest.test_case "create rejects jobs < 1" `Quick
           test_create_rejects_zero_jobs;
         Alcotest.test_case "shutdown is idempotent" `Quick

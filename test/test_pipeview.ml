@@ -52,7 +52,7 @@ let check_telescopes v =
 
 (* Telescoping on real compiler output, across pipelined and unpipelined
    schedules: the five terms partition the critical TB's cycles. *)
-let compiled_view ?pool ~smem_stages ~reg_stages () =
+let compiled_view ~smem_stages ~reg_stages () =
   let spec = Alcop_workloads.Suites.mm_rn50_fc in
   let tiling =
     Alcop_sched.Tiling.make ~tb_m:64 ~tb_n:64 ~tb_k:32 ~warp_m:32 ~warp_n:32
@@ -62,7 +62,7 @@ let compiled_view ?pool ~smem_stages ~reg_stages () =
     Alcop_perfmodel.Params.make ~tiling ~smem_stages ~reg_stages ()
   in
   let session = Alcop.Session.create ~hw ~cache:false () in
-  match Alcop.Session.compile session ?pool params spec with
+  match Alcop.Session.compile session params spec with
   | Error _ -> Alcotest.fail "compile failed"
   | Ok c ->
     (match Profile.run c.Alcop.Compiler.timing_request with
@@ -137,22 +137,6 @@ let test_compare_exact () =
   Alcotest.(check int) "side A totals its terms" cmp.Pipeview.cmp_total_a
     (List.fold_left (fun acc t -> acc + t.Pipeview.dt_a) 0 cmp.Pipeview.cmp_terms)
 
-(* The feature record is a pure function of the compiled program: -j 1
-   and -j 4 compiles must produce bit-identical features. *)
-let test_features_parallel_identical () =
-  let seq = Pipeview.features (compiled_view ~smem_stages:3 ~reg_stages:2 ()) in
-  let par =
-    Alcop_par.Pool.with_pool ~jobs:4 (fun pool ->
-        Pipeview.features (compiled_view ~pool ~smem_stages:3 ~reg_stages:2 ()))
-  in
-  Alcotest.(check int) "same arity" (List.length seq) (List.length par);
-  List.iter2
-    (fun (ka, va) (kb, vb) ->
-      Alcotest.(check string) "feature name" ka kb;
-      if not (Float.equal va vb) then
-        Alcotest.failf "feature %s differs: %.17g vs %.17g" ka va vb)
-    seq par
-
 let suite =
   [ ( "pipeview",
       [ Alcotest.test_case "five-term partition telescopes" `Quick
@@ -162,6 +146,4 @@ let suite =
         Alcotest.test_case "positive slack when hidden" `Quick
           test_slack_positive_when_hidden;
         Alcotest.test_case "compare telescopes exactly (integer cycles)"
-          `Quick test_compare_exact;
-        Alcotest.test_case "-j1 == -j4 feature record" `Quick
-          test_features_parallel_identical ] ) ]
+          `Quick test_compare_exact ] ) ]

@@ -75,15 +75,6 @@ let test_registry_shared_per_hw () =
   let v100 = Session.for_hw Alcop_hw.Hw_config.volta_v100 in
   Alcotest.(check bool) "different hw, different session" true (not (a == v100))
 
-let test_clear () =
-  let session = Session.create ~hw () in
-  ignore (Session.evaluate session params spec);
-  ignore (Session.evaluate session params spec);
-  Session.clear session;
-  let s = Session.stats session in
-  Alcotest.(check int) "entries dropped" 0 s.Session.entries;
-  Alcotest.(check int) "counters zeroed" 0 (s.Session.hits + s.Session.misses)
-
 (* An entry holds only the evaluation record, not the compiled artifact:
    over 256 points of a Fig. 10 operator the whole session stays under 200
    reachable words per entry (a compiled artifact alone is ~1.5k). *)
@@ -137,7 +128,7 @@ let prop_cached_equals_cold =
 exception Sink_failure
 
 let test_failed_write_through_releases_claim () =
-  let root = Filename.temp_dir "alcop-session-test" "" in
+  Temp_dir.with_dir "alcop-session-test" @@ fun root ->
   let session = Session.create ~hw ~store:(Store.create ~root ()) () in
   Alcop_obs.Obs.add_sink
     { Alcop_obs.Obs.emit =
@@ -180,7 +171,6 @@ let suite =
           test_no_cache_pass_through;
         Alcotest.test_case "registry shares sessions per hardware" `Quick
           test_registry_shared_per_hw;
-        Alcotest.test_case "clear" `Quick test_clear;
         Alcotest.test_case "entries are evaluation records" `Quick
           test_entries_are_records;
         QCheck_alcotest.to_alcotest prop_cached_equals_cold ] ) ]

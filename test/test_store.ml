@@ -19,21 +19,12 @@ let bad_params =
   (* smem stages beyond what shared memory fits: a memoized failure *)
   Alcop_perfmodel.Params.make ~tiling ~smem_stages:64 ~reg_stages:2 ()
 
-let tmp_counter = ref 0
-
-let fresh_dir () =
-  incr tmp_counter;
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "alcop-store-test-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  (try Sys.remove d with Sys_error _ -> ());
-  d
+let with_dir f = Temp_dir.with_dir "alcop-store-test" f
 
 (* --- cross-process serving: fresh session, shared directory --- *)
 
 let test_warm_across_sessions () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let st1 = Store.create ~root:dir () in
   let s1 = Session.create ~hw ~store:st1 () in
   let cold =
@@ -65,7 +56,7 @@ let test_warm_across_sessions () =
   Alcotest.(check int) "session counted both" 1 (Session.stats s2).Session.hits
 
 let test_failures_persist () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let s1 =
     Session.create ~hw ~store:(Store.create ~root:dir ()) ()
   in
@@ -81,7 +72,7 @@ let test_compile_never_reads_records () =
   (* [compile] never reads the store: it compiles to return the artifact.
      A key [timing] landed from a disk record is still a memo hit for it,
      so the rebuild lands and writes nothing. *)
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   ignore
     (Session.timing
        (Session.create ~hw ~store:(Store.create ~root:dir ()) ())
@@ -114,7 +105,7 @@ let test_compile_never_reads_records () =
 (* --- corruption tolerance --- *)
 
 let corrupt_then_serve payload =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let st1 = Store.create ~root:dir () in
   let s1 = Session.create ~hw ~store:st1 () in
   let cold =
@@ -199,8 +190,8 @@ let test_artifact_roundtrip () =
 (* --- eviction under a size cap --- *)
 
 let test_gc_eviction () =
-  let dir = fresh_dir () in
-  let st = Store.create ~root:dir ~max_bytes:4096 () in
+  with_dir @@ fun dir ->
+  let st = Store.create ~root:dir () in
   let payload = String.make 512 'x' in
   for i = 0 to 19 do
     let key = Digest.to_hex (Digest.string (string_of_int i)) in
@@ -211,7 +202,7 @@ let test_gc_eviction () =
   done;
   let _, bytes_before = Store.usage st in
   Alcotest.(check bool) "over cap before gc" true (bytes_before > 4096);
-  let removed = Store.gc st () in
+  let removed = Store.gc st ~max_bytes:4096 () in
   let entries, bytes = Store.usage st in
   Alcotest.(check bool) "under cap after gc" true (bytes <= 4096);
   Alcotest.(check int) "entries + removed = 20" 20 (entries + removed);
@@ -223,7 +214,8 @@ let test_gc_eviction () =
       true
       (Sys.file_exists (Store.entry_path st ~ns:"compile" key))
   done;
-  Alcotest.(check int) "gc below cap is a no-op" 0 (Store.gc st ())
+  Alcotest.(check int) "gc below cap is a no-op" 0
+    (Store.gc st ~max_bytes:4096 ())
 
 (* --- unwritable root degrades cleanly --- *)
 
@@ -267,7 +259,7 @@ let test_same_key_hammer () =
      handles over the same directory (the same file-level interleavings
      two OS processes produce). Every read must observe a complete
      payload — atomic rename means torn entries are impossible. *)
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let key = Digest.to_hex (Digest.string "hammer") in
   let payload tag = Printf.sprintf "{\"tag\":%d,\"fill\":\"%s\"}" tag (String.make 256 'p') in
   let iters = 200 in
@@ -303,6 +295,27 @@ let test_same_key_hammer () =
   in
   Alcotest.(check (list string)) "no stale temp files" [] leftovers
 
+(* --- test scratch directories --- *)
+
+(* Every store test gets a directory no earlier run can have filled, and
+   leaves nothing behind, also when its body raises. A reused name once let
+   a "cold" compile be served from a previous run's record. *)
+let test_scratch_dirs () =
+  let fill dir =
+    Alcotest.(check (array string)) "starts empty" [||] (Sys.readdir dir);
+    Store.write (Store.create ~root:dir ()) ~ns:"compile" "deadbeef" "x";
+    dir
+  in
+  let first = with_dir fill in
+  let second = ref "" in
+  (match with_dir (fun dir -> second := fill dir; failwith "body") with
+   | _ -> Alcotest.fail "the body's exception was lost"
+   | exception Failure _ -> ());
+  Alcotest.(check bool) "a fresh name each time" false (first = !second);
+  List.iter
+    (fun d -> Alcotest.(check bool) (d ^ " removed") false (Sys.file_exists d))
+    [ first; !second ]
+
 let suite =
   [ ( "store",
       [ Alcotest.test_case "warm across sessions (fresh process)" `Quick
@@ -321,4 +334,6 @@ let suite =
           test_default_root_env;
         Alcotest.test_case "concurrent same-key hammer" `Quick
           test_same_key_hammer;
-        QCheck_alcotest.to_alcotest prop_corruption_fuzz ] ) ]
+        QCheck_alcotest.to_alcotest prop_corruption_fuzz;
+        Alcotest.test_case "test scratch dirs are fresh and removed" `Quick
+          test_scratch_dirs ] ) ]

@@ -378,53 +378,6 @@ let test_tune_run_allocation () =
        alloc_budget_tune_run)
     true (dw <= alloc_budget_tune_run)
 
-(* --- tuning log round-trip (read side goes through the shared
-   Trace_reader file/JSON plumbing) --- *)
-
-let test_tuning_log_roundtrip () =
-  let space = Lazy.force space in
-  let result =
-    Tuner.run ~hw ~spec ~space ~evaluate:synthetic_evaluate ~budget:8 ~seed:3
-      Tuner.Grid
-  in
-  let path = Filename.temp_file "alcop_tune" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc
-        (Tuning_log.to_json ~spec_name:spec.Op_spec.name ~method_:Tuner.Grid
-           ~seed:3 result);
-      output_char oc '\n');
-  match Tuning_log.read_file path with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-    Alcotest.(check string) "operator" spec.Op_spec.name r.Tuning_log.r_operator;
-    Alcotest.(check string) "method"
-      (Tuner.method_to_string Tuner.Grid)
-      r.Tuning_log.r_method;
-    Alcotest.(check int) "seed" 3 r.Tuning_log.r_seed;
-    Alcotest.(check int) "space size" result.Tuner.space_size
-      r.Tuning_log.r_space_size;
-    Alcotest.(check int) "trial count"
-      (Array.length result.Tuner.trials)
-      (List.length r.Tuning_log.r_trials);
-    List.iteri
-      (fun i rt ->
-        let t = result.Tuner.trials.(i) in
-        Alcotest.(check int) "trial index" t.Tuner.index
-          rt.Tuning_log.rt_index;
-        Alcotest.(check string) "trial params"
-          (Alcop_perfmodel.Params.to_string t.Tuner.params)
-          (Alcop_perfmodel.Params.to_string rt.Tuning_log.rt_params);
-        match t.Tuner.cost, rt.Tuning_log.rt_cost with
-        | None, None -> ()
-        | Some a, Some b -> Alcotest.(check (float 1e-9)) "trial cost" a b
-        | _ -> Alcotest.fail "trial cost presence mismatch")
-      r.Tuning_log.r_trials;
-    (match Tuner.best result, r.Tuning_log.r_best_cycles with
-     | None, None -> ()
-     | Some a, Some b -> Alcotest.(check (float 1e-9)) "best cycles" a b
-     | _ -> Alcotest.fail "best cycles presence mismatch")
-
 let suite =
   [ ( "tune",
       [ Alcotest.test_case "space non-empty and valid" `Quick
@@ -457,6 +410,4 @@ let suite =
         Alcotest.test_case "best-within monotone" `Slow test_best_within_monotone;
         Alcotest.test_case "zero budget measures nothing" `Slow test_zero_budget;
         Alcotest.test_case "tune run allocation ceiling" `Slow
-          test_tune_run_allocation;
-        Alcotest.test_case "tuning log round-trip" `Slow
-          test_tuning_log_roundtrip ] ) ]
+          test_tune_run_allocation ] ) ]
