@@ -6,9 +6,9 @@
      dune exec bench/main.exe -- list    -- list experiment ids
 
    Experiment ids: fig1b fig10 table3 fig11 fig12 fig13 table1 fig23 scaling
-   selfbench perf report.
+   csv selfbench perf.
 
-   The performance observatory (doc/benchmarking.md):
+   Self-benchmarking (doc/benchmarking.md):
    [selfbench [--runs N]] uses Bechamel to measure the compiler's own
    throughput (lowering, the pipelining pass, trace extraction, timing
    simulation, a compile-cache hit) and the fig10 sweep at j=1/2/max with
@@ -16,21 +16,13 @@
    measurement repeats N times after a discarded warmup pass and each
    benchmark reports median/MAD/min/p90 plus a noise estimate
    (schema alcop-selfbench-v2, written to BENCH_gpusim.json).
-   [record [--runs N] [--history DIR]] measures and appends the record to
-   the per-machine-fingerprint history stream (--inject-regression F
-   instead appends the stream's last record with times scaled by F, a
-   deterministic regression for gate self-tests).
-   [history [ID]] lists the streams, or one stream's records.
-   [trend [--strict] [--sensitivity S] [--window W] [--min-rel F]
-   [--machine ID] [--html FILE]] runs change-point detection over the
-   history and (with --strict) exits nonzero on any detected regression.
    [compare OLD.json NEW.json [--strict] [--tolerance FRAC]] diffs two
    selfbench files (schema v2) with explicit only-in-OLD/NEW rows and
-   host-profile deltas when both sides carry them.
+   host-profile deltas when both sides carry them; with --strict it is
+   the regression gate.
    [perf] profiles the host runtime of the fig10 sweep and prints the
-   Amdahl/speedup-loss diagnosis (doc/hostprof.md); [report] writes the
-   self-contained HTML experiment report (including history trend
-   charts). *)
+   Amdahl/speedup-loss diagnosis (doc/hostprof.md). The HTML experiment
+   report is `alcop report`. *)
 
 open Alcop
 
@@ -453,7 +445,7 @@ module Benchdb = Alcop_obs.Benchdb
    Returns (id, ns, host sub-object) rows sorted by id. [quiet]
    suppresses the per-row prints — with --runs N the repeated passes
    would otherwise drown the stats table that summarizes them. *)
-let measure_pass ~quiet () =
+let measure_pass ~quiet ~store_dir () =
   let open Bechamel in
   let spec = Alcop_workloads.Suites.mm_rn50_fc in
   let tiling =
@@ -484,15 +476,11 @@ let measure_pass ~quiet () =
   let cold = Session.create ~hw ~cache:false () in
   let warm = Session.create ~hw () in
   ignore (Session.evaluate warm params spec);
-  (* Persistent-store rows, against a throwaway store under the temp dir:
+  (* Persistent-store rows, against the throwaway store [measure] made:
      store-cold re-colds the key each run (compile + record write);
      store-warm-disk answers from the on-disk record through a fresh
      session, i.e. what a brand-new process pays; store-warm-mem answers
      from the record already resident in a warmed session. *)
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "alcop-selfbench-store-%d" (Unix.getpid ()))
-  in
   let store = Store.create ~root:store_dir () in
   let store_key =
     Fingerprint.to_hex
@@ -528,8 +516,8 @@ let measure_pass ~quiet () =
            then the pipeline observatory's recorded simulation and its
            fold. The delta against the compile+simulate row is the cost
            of recording a kernel's waves and folding them. (The row id
-           predates the single recording; it is kept so its history
-           stays comparable.) *)
+           predates the single recording; it is kept so older records
+           stay comparable.) *)
         Test.make ~name:"pipeview-probe-overhead" (Staged.stage (fun () ->
             match Session.compile cold params spec with
             | Ok c ->
@@ -565,7 +553,7 @@ let measure_pass ~quiet () =
      (the sweep runs for seconds and every -j does identical work by
      construction) under the host profiler, at j = 1 / 2 / max. Each row
      carries its utilization + lock-wait summary into the record so
-     `bench compare` trajectories show *why* a speedup moved. *)
+     `bench compare` shows *why* a speedup moved. *)
   let jmax = max 1 (resolved_jobs ()) in
   let sweep_row label jobs =
     let ns, profile = sweep_once ~profiled:true jobs in
@@ -629,20 +617,36 @@ let measure_pass ~quiet () =
     (row1 :: row2 :: rowj :: pretrain_row :: tune_row
      :: List.map (fun (id, ns) -> (id, ns, None)) sorted)
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 (* Repeat the pass [runs] times (plus a discarded warmup pass when
    runs > 1: the first pass pays page-cache and JIT-less but very real
    allocator warmup) and fold the per-id samples into robust statistics.
-   The host sub-object is taken from the last pass. *)
+   The host sub-object is taken from the last pass. Every pass shares one
+   fresh store directory, removed with its contents however [measure]
+   exits, so no run ever meets records an earlier one left behind. *)
 let measure ~runs () =
   let runs = max 1 runs in
-  if runs > 1 then begin
-    Printf.printf "warmup pass (discarded)...\n%!";
-    ignore (measure_pass ~quiet:true ())
-  end;
+  let store_dir = Filename.temp_dir "alcop-selfbench-store-" "" in
   let passes =
-    List.init runs (fun i ->
-        if runs > 1 then Printf.printf "measurement run %d/%d...\n%!" (i + 1) runs;
-        measure_pass ~quiet:(runs > 1) ())
+    Fun.protect
+      ~finally:(fun () -> try remove_tree store_dir with Sys_error _ -> ())
+      (fun () ->
+        if runs > 1 then begin
+          Printf.printf "warmup pass (discarded)...\n%!";
+          ignore (measure_pass ~quiet:true ~store_dir ())
+        end;
+        List.init runs (fun i ->
+            if runs > 1 then
+              Printf.printf "measurement run %d/%d...\n%!" (i + 1) runs;
+            measure_pass ~quiet:(runs > 1) ~store_dir ()))
   in
   let ids =
     match passes with
@@ -676,7 +680,10 @@ let measure ~runs () =
       ids
   in
   let fp = Benchdb.collect_fingerprint () in
-  Printf.printf "fingerprint: %s (git %s, host %s)\n" (Benchdb.fingerprint_id fp)
+  Printf.printf
+    "fingerprint: %s, ocaml %s, %d cores, jobs %s (git %s, host %s)\n"
+    fp.Benchdb.f_os fp.Benchdb.f_ocaml fp.Benchdb.f_cores
+    (if fp.Benchdb.f_jobs = "" then "auto" else fp.Benchdb.f_jobs)
     fp.Benchdb.f_git_rev fp.Benchdb.f_host_hash;
   Benchdb.make_record ~ts:(Unix.time ())
     ~generated_by:
@@ -703,188 +710,14 @@ let run_selfbench ?(runs = 1) () =
   Printf.printf "wrote BENCH_gpusim.json (%d benchmarks, schema %s)\n%!"
     (List.length record.Benchdb.r_benches) record.Benchdb.r_schema
 
-(* --- bench record / history / trend: the on-disk observatory --- *)
-
-let scale_stats factor (st : Benchdb.stats) =
-  { st with
-    Benchdb.s_median_ns = st.Benchdb.s_median_ns *. factor;
-    s_mad_ns = st.Benchdb.s_mad_ns *. factor;
-    s_min_ns = st.Benchdb.s_min_ns *. factor;
-    s_p90_ns = st.Benchdb.s_p90_ns *. factor;
-    s_mean_ns = st.Benchdb.s_mean_ns *. factor }
-
-let run_record ?(runs = 1) ?(dir = Benchdb.default_history_dir) ?inject () =
-  match inject with
-  | Some factor ->
-    (* Deterministic gate self-test: append the stream's last record with
-       all times scaled by [factor] (1.0 = exact duplicate) instead of
-       measuring — so CI can prove the trend gate trips and un-trips
-       without depending on real timing noise. *)
-    let fp = Benchdb.collect_fingerprint () in
-    let path = Benchdb.history_file ~dir (Benchdb.fingerprint_id fp) in
-    (match Benchdb.read_history path with
-     | Error msg ->
-       Printf.eprintf "record --inject-regression: %s: %s\n" path msg;
-       exit 1
-     | Ok ([], _) ->
-       Printf.eprintf
-         "record --inject-regression: %s has no records to scale yet\n" path;
-       exit 1
-     | Ok (records, _) ->
-       let last = List.nth records (List.length records - 1) in
-       let scaled =
-         { last with
-           Benchdb.r_ts = Some (Unix.time ());
-           r_generated_by =
-             Printf.sprintf "bench record --inject-regression %g" factor;
-           r_benches =
-             List.map
-               (fun (b : Benchdb.bench) ->
-                 { b with Benchdb.b_stats = scale_stats factor b.Benchdb.b_stats })
-               last.Benchdb.r_benches }
-       in
-       (match Benchdb.append ~dir scaled with
-        | Ok path ->
-          Printf.printf "appended injected x%g record to %s\n%!" factor path
-        | Error msg ->
-          Printf.eprintf "record: %s\n" msg;
-          exit 1))
-  | None ->
-    header "Record selfbench into the benchmark history";
-    let record = measure ~runs () in
-    print_stats_table record;
-    (match Benchdb.append ~dir record with
-     | Ok path ->
-       Printf.printf "appended record (%d benchmarks, schema %s) to %s\n%!"
-         (List.length record.Benchdb.r_benches) record.Benchdb.r_schema path
-     | Error msg ->
-       Printf.eprintf "record: %s\n" msg;
-       exit 1)
-
-let fmt_ts = function
-  | None -> "-"
-  | Some ts ->
-    let tm = Unix.gmtime ts in
-    Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-
-let run_history ?id ?(dir = Benchdb.default_history_dir) () =
-  match id with
-  | None ->
-    (match Benchdb.machines ~dir with
-     | [] ->
-       Printf.printf
-         "no history under %s — run `dune exec bench/main.exe -- record` \
-          to start one\n"
-         dir
-     | streams ->
-       List.iter
-         (fun (machine, path) ->
-           match Benchdb.read_history path with
-           | Ok (records, skipped) ->
-             Printf.printf "%-40s %4d records%s\n" machine
-               (List.length records)
-               (if skipped > 0 then
-                  Printf.sprintf " (%d corrupt line%s skipped)" skipped
-                    (if skipped = 1 then "" else "s")
-                else "")
-           | Error msg -> Printf.printf "%-40s unreadable: %s\n" machine msg)
-         streams)
-  | Some id ->
-    let path = Benchdb.history_file ~dir id in
-    (match Benchdb.read_history path with
-     | Error msg ->
-       Printf.eprintf "history: %s: %s\n" path msg;
-       exit 1
-     | Ok (records, skipped) ->
-       if skipped > 0 then
-         Printf.printf "::warning::%s: skipped %d corrupt line%s\n" path
-           skipped
-           (if skipped = 1 then "" else "s");
-       List.iteri
-         (fun i (r : Benchdb.record) ->
-           let rev =
-             match r.Benchdb.r_fingerprint with
-             | Some fp -> fp.Benchdb.f_git_rev
-             | None -> "-"
-           in
-           Printf.printf "#%-3d %-20s git %-10s %2d benchmarks  %s\n" i
-             (fmt_ts r.Benchdb.r_ts) rev
-             (List.length r.Benchdb.r_benches)
-             r.Benchdb.r_generated_by)
-         records)
-
-let run_trend ?(strict = false) ?window ?sensitivity ?min_rel ?machine ?html
-    ?(dir = Benchdb.default_history_dir) () =
-  let streams =
-    match machine with
-    | Some id -> [ (id, Benchdb.history_file ~dir id) ]
-    | None -> Benchdb.machines ~dir
-  in
-  match streams with
-  | [] ->
-    (* an empty observatory is not a regression — the gate stays green
-       until there is history to judge *)
-    Printf.printf
-      "no history under %s — run `dune exec bench/main.exe -- record` to \
-       start one\n"
-      dir
-  | streams ->
-    let loaded =
-      List.filter_map
-        (fun (m, path) ->
-          match Benchdb.read_history path with
-          | Error msg ->
-            if machine <> None then begin
-              Printf.eprintf "trend: %s: %s\n" path msg;
-              exit 1
-            end;
-            Printf.printf "::warning::%s: unreadable stream: %s\n" path msg;
-            None
-          | Ok (records, skipped) ->
-            Some
-              ( m, records, skipped,
-                Benchdb.trends ?window ?sensitivity ?min_rel records ))
-        streams
-    in
-    List.iter
-      (fun (m, records, skipped, trends) ->
-        List.iter print_endline
-          (Benchdb.trend_lines ~machine:m ~skipped records trends);
-        print_newline ())
-      loaded;
-    (match html with
-     | None -> ()
-     | Some file ->
-       let page =
-         Benchdb.trend_page
-           (List.map (fun (m, records, _, trends) -> (m, records, trends)) loaded)
-       in
-       let oc = open_out file in
-       Fun.protect
-         ~finally:(fun () -> close_out oc)
-         (fun () -> output_string oc page);
-       Printf.printf "wrote %s\n%!" file);
-    let regression_count =
-      List.fold_left
-        (fun acc (_, _, _, trends) ->
-          acc + List.length (Benchdb.regressions trends))
-        0 loaded
-    in
-    if strict && regression_count > 0 then begin
-      Printf.printf "strict trend gate: %d regression%s\n" regression_count
-        (if regression_count = 1 then "" else "s");
-      exit 1
-    end
-
 (* --- selfbench comparison (CI perf tripwire) --- *)
 
 (* Diff two selfbench files (schema v2). Warn-only by default —
    simulated-hardware throughput on shared CI runners is too noisy to
-   gate on pairwise; the history trend gate above is the strict one.
-   With [~strict:true] every regression beyond tolerance — and every
-   disappeared benchmark — makes the process exit nonzero. *)
+   gate on a one-run record. With [~strict:true] it is the regression
+   gate: every regression beyond tolerance, every disappeared benchmark
+   and every row summarized over fewer than 3 runs makes the process
+   exit nonzero. *)
 let run_compare ?(strict = false) ?(tolerance = 0.20) old_path new_path =
   let read label path =
     match Benchdb.read_file path with
@@ -946,23 +779,16 @@ let run_perf () =
       "dominant worker-side loss: %s (%.0f%% of worker wall)\n" name
       (100.0 *. frac)
 
-(* --- HTML experiment report --- *)
-
-let run_report () =
-  header "HTML experiment report";
-  Out_channel.with_open_text "report.html" (fun oc ->
-      output_string oc (Exp_report.generate ~hw ?pool:(pool ()) ()));
-  Printf.printf "wrote report.html\n%!"
-
 let experiments =
   [ ("fig1b", run_fig1b); ("fig10", run_fig10); ("table3", run_table3);
     ("fig11", run_fig11); ("fig12", run_fig12); ("fig13", run_fig13);
     ("table1", run_table1); ("fig23", run_fig23); ("scaling", run_scaling);
     ("csv", run_csv); ("selfbench", fun () -> run_selfbench ());
-    ("perf", run_perf); ("report", run_report) ]
+    ("perf", run_perf) ]
 
-(* Shared option plumbing for the observatory subcommands. Each [want_*]
-   helper validates one flag value or exits 2 with the offending text. *)
+(* Shared option plumbing for the compare and selfbench subcommands. Each
+   [want_*] helper validates one flag value or exits 2 with the offending
+   text. *)
 let bad_value cmd flag v =
   Printf.eprintf "%s: bad %s %s\n" cmd flag v;
   exit 2
@@ -1012,80 +838,6 @@ let parse_selfbench rest =
   go rest;
   run_selfbench ~runs:!runs ()
 
-(* record [--runs N] [--history DIR] [--inject-regression FACTOR] *)
-let parse_record rest =
-  let runs = ref 1
-  and dir = ref Benchdb.default_history_dir
-  and inject = ref None in
-  let rec go = function
-    | [] -> ()
-    | "--runs" :: v :: rest ->
-      runs := want_int "record" "--runs" v ~min:1;
-      go rest
-    | "--history" :: v :: rest -> dir := v; go rest
-    | "--inject-regression" :: v :: rest ->
-      inject := Some (want_float "record" "--inject-regression" v ~min:0.0);
-      go rest
-    | a :: _ ->
-      Printf.eprintf
-        "usage: record [--runs N] [--history DIR] [--inject-regression \
-         FACTOR] (got %s)\n"
-        a;
-      exit 2
-  in
-  go rest;
-  run_record ~runs:!runs ~dir:!dir ?inject:!inject ()
-
-(* history [ID] [--history DIR] *)
-let parse_history rest =
-  let dir = ref Benchdb.default_history_dir and id = ref None in
-  let rec go = function
-    | [] -> ()
-    | "--history" :: v :: rest -> dir := v; go rest
-    | a :: rest when !id = None -> id := Some a; go rest
-    | a :: _ ->
-      Printf.eprintf "usage: history [ID] [--history DIR] (got %s)\n" a;
-      exit 2
-  in
-  go rest;
-  run_history ?id:!id ~dir:!dir ()
-
-(* trend [--strict] [--sensitivity S] [--window W] [--min-rel F]
-   [--machine ID] [--html FILE] [--history DIR] *)
-let parse_trend rest =
-  let strict = ref false
-  and window = ref None
-  and sensitivity = ref None
-  and min_rel = ref None
-  and machine = ref None
-  and html = ref None
-  and dir = ref Benchdb.default_history_dir in
-  let rec go = function
-    | [] -> ()
-    | "--strict" :: rest -> strict := true; go rest
-    | "--sensitivity" :: v :: rest ->
-      sensitivity := Some (want_float "trend" "--sensitivity" v ~min:0.0);
-      go rest
-    | "--window" :: v :: rest ->
-      window := Some (want_int "trend" "--window" v ~min:1);
-      go rest
-    | "--min-rel" :: v :: rest ->
-      min_rel := Some (want_float "trend" "--min-rel" v ~min:0.0);
-      go rest
-    | "--machine" :: v :: rest -> machine := Some v; go rest
-    | "--html" :: v :: rest -> html := Some v; go rest
-    | "--history" :: v :: rest -> dir := v; go rest
-    | a :: _ ->
-      Printf.eprintf
-        "usage: trend [--strict] [--sensitivity S] [--window W] [--min-rel \
-         F] [--machine ID] [--html FILE] [--history DIR] (got %s)\n"
-        a;
-      exit 2
-  in
-  go rest;
-  run_trend ~strict:!strict ?window:!window ?sensitivity:!sensitivity
-    ?min_rel:!min_rel ?machine:!machine ?html:!html ~dir:!dir ()
-
 let () =
   (* Strip -j / --jobs N anywhere on the command line; the rest are
      experiment ids (or the compare subcommand) as before. *)
@@ -1107,16 +859,13 @@ let () =
     match args with
     | [ "list" ] -> List.iter (fun (n, _) -> print_endline n) experiments
     | "compare" :: rest -> parse_compare rest
-    | "record" :: rest -> parse_record rest
-    | "history" :: rest -> parse_history rest
-    | "trend" :: rest -> parse_trend rest
     | "selfbench" :: (_ :: _ as rest) -> parse_selfbench rest
     | [] | [ "all" ] ->
       Printf.printf "ALCOP reproduction - all experiments on %s\n"
         hw.Alcop_hw.Hw_config.name;
       List.iter
         (fun (name, f) ->
-          if name <> "csv" && name <> "report" && name <> "perf" then f ())
+          if name <> "csv" && name <> "perf" then f ())
         experiments
     | names ->
       List.iter

@@ -983,11 +983,10 @@ let trace_cmd =
     [ trace_summary_cmd; trace_diff_cmd ]
 
 let report_cmd =
-  let run out results_dir bench_json history_dir jobs =
+  let run out results_dir bench_json jobs =
     write_text out
       (with_jobs jobs (fun pool ->
-           Exp_report.generate ~hw ?pool ~results_dir ~bench_json ~history_dir
-             ()));
+           Exp_report.generate ~hw ?pool ~results_dir ~bench_json ()));
     Printf.printf "HTML report written to %s\n" out
   in
   let out =
@@ -1003,21 +1002,15 @@ let report_cmd =
   let bench_json =
     Arg.(value & opt string "BENCH_gpusim.json"
          & info [ "bench-json" ] ~docv:"FILE"
-             ~doc:"Selfbench trajectory file (schema alcop-selfbench-v2).")
-  in
-  let history_dir =
-    Arg.(value & opt string Alcop_obs.Benchdb.default_history_dir
-         & info [ "history-dir" ] ~docv:"DIR"
-             ~doc:"Benchmark history directory (written by `bench record`); \
-                   feeds the per-machine trend charts.")
+             ~doc:"Selfbench record (schema alcop-selfbench-v2).")
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Write the self-contained HTML experiment report: figures 10, \
-             12 and 13, the compiler selfbench, benchmark-history trend \
-             charts, and a stall-class diff explaining the pipelining \
-             speedup. Single file, inline SVG, no scripts.")
-    Term.(const run $ out $ results_dir $ bench_json $ history_dir $ jobs_term)
+             12 and 13, the compiler selfbench, and a stall-class diff \
+             explaining the pipelining speedup. Single file, inline SVG, \
+             no scripts.")
+    Term.(const run $ out $ results_dir $ bench_json $ jobs_term)
 
 (* alcop cache: inspect and garbage-collect the persistent artifact store.
    Both subcommands open the store directly (no session involved), so the

@@ -1,5 +1,5 @@
 (* The self-contained HTML experiment report: the paper's headline
-   figures (fig 10/12/13), the compiler's own selfbench trajectory, and a
+   figures (fig 10/12/13), the compiler's own selfbench record, and a
    stall-class diff between an unpipelined and a fully pipelined variant
    of the fig 2/3 example — one file, inline SVG, no scripts.
 
@@ -172,32 +172,6 @@ let selfbench_section ~bench_json () =
             (List.map
                (fun (id, ops) -> [ id; Printf.sprintf "%.3g" ops ])
                rows) ]
-
-(* One trend section per machine stream of the benchmark history: the
-   selfbench medians over time with their ±MAD noise bands and any
-   change points the detector flags (doc/benchmarking.md). *)
-let history_sections ~history_dir () =
-  match Benchdb.machines ~dir:history_dir with
-  | [] ->
-    [ Report.section ~title:"Benchmark history"
-        ~intro:
-          (Printf.sprintf
-             "No history recorded under %s yet — run `dune exec \
-              bench/main.exe -- record` to start the stream."
-             history_dir)
-        [] ]
-  | streams ->
-    List.concat_map
-      (fun (machine, path) ->
-        match Benchdb.read_history path with
-        | Error msg ->
-          [ Report.section
-              ~title:(Printf.sprintf "Benchmark history — %s" machine)
-              ~intro:("unreadable stream: " ^ msg)
-              [] ]
-        | Ok (records, _skipped) ->
-          Benchdb.trend_sections ~machine records (Benchdb.trends records))
-      streams
 
 (* --- the fig 2/3 example pair ---
 
@@ -423,8 +397,7 @@ let pipeview_section = function
 (* --- assembly --- *)
 
 let generate ?(hw = Alcop_hw.Hw_config.default) ?pool
-    ?(results_dir = "results") ?(bench_json = "BENCH_gpusim.json")
-    ?(history_dir = Benchdb.default_history_dir) () =
+    ?(results_dir = "results") ?(bench_json = "BENCH_gpusim.json") () =
   let examples =
     ( example_profile ~hw ~smem_stages:1 ~reg_stages:1,
       example_profile ~hw ~smem_stages:3 ~reg_stages:2 )
@@ -438,6 +411,6 @@ let generate ?(hw = Alcop_hw.Hw_config.default) ?pool
     ([ fig10_section ~results_dir ~hw ~pool ();
        fig12_section ~results_dir ~hw ~pool ();
        fig13_section ~results_dir ~hw ~pool ();
-       selfbench_section ~bench_json () ]
-     @ history_sections ~history_dir ()
-     @ [ stall_diff_section examples; pipeview_section examples ])
+       selfbench_section ~bench_json ();
+       stall_diff_section examples;
+       pipeview_section examples ])

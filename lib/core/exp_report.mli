@@ -1,8 +1,8 @@
-(** The self-contained HTML experiment report ([alcop report], [bench
-    report]): the paper's headline figures (10, 12, 13), the compiler
-    selfbench trajectory, a stall-class diff explaining the pipelining
-    speedup and the pipeline observatory of the same example pair — one
-    HTML page with inline SVG, no scripts, no external resources.
+(** The self-contained HTML experiment report ([alcop report]): the
+    paper's headline figures (10, 12, 13), the compiler selfbench, a
+    stall-class diff explaining the pipelining speedup and the pipeline
+    observatory of the same example pair — one HTML page with inline SVG,
+    no scripts, no external resources.
 
     Figure data is read from [results_dir]'s CSVs when `bench csv` has
     written them and recomputed through the same {!Experiments} CSV
@@ -11,8 +11,7 @@
 
 val generate :
   ?hw:Alcop_hw.Hw_config.t -> ?pool:Alcop_par.Pool.t ->
-  ?results_dir:string -> ?bench_json:string -> ?history_dir:string ->
-  unit -> string
+  ?results_dir:string -> ?bench_json:string -> unit -> string
 (** The report page. Each schedule of the example pair (1x1 and 3x2
     stages on MM_RN50_FC) is recorded once; the stall-class diff and the
     observatory section fold the same profiles. *)

@@ -1,18 +1,12 @@
-(** The continuous performance observatory: statistical summaries of
-    repeated benchmark runs, the machine/environment fingerprint that
-    makes numbers comparable, the append-only on-disk history store, and
-    the change-point analyzer + trend charts that turn the history into a
-    regression gate.
+(** Selfbench records: statistical summaries of repeated benchmark runs,
+    the machine/environment fingerprint that makes numbers comparable,
+    and the row-by-row comparison behind [bench compare [--strict]].
 
-    Schema {b alcop-selfbench-v2}: one record per [bench … record] run —
+    Schema {b alcop-selfbench-v2}: one record per [bench selfbench] run —
     a fingerprint plus, per benchmark, robust statistics over [--runs N]
     repetitions (median / MAD / min / p90 and a relative noise estimate).
-    Any other schema, the legacy v1 included, is rejected.
-
-    The history is one JSONL file per machine fingerprint under
-    {!default_history_dir}, append-only (single atomic write per record)
-    and corruption-tolerant on read (bad lines are skipped and counted,
-    mirroring {!Trace_reader}). See doc/benchmarking.md. *)
+    Any other schema, the legacy v1 included, is rejected. See
+    doc/benchmarking.md. *)
 
 (** {1 Robust statistics} *)
 
@@ -66,13 +60,6 @@ val collect_fingerprint :
 (** Probe the running environment; the optional arguments override the
     probes (for tests and for callers that already know). *)
 
-val fingerprint_id : fingerprint -> string
-(** The history-stream key, e.g. ["unix-ocaml5.1.0-1c-jauto"]. Derived
-    from OS, OCaml version, core count and [$ALCOP_JOBS] {e only}: the
-    git rev changes every commit and CI hostnames change every run, so
-    keying on either would shred the history into single-record files.
-    Both stay recorded inside each record. *)
-
 (** {1 Records (schema v2)} *)
 
 type bench = {
@@ -109,100 +96,6 @@ val read_file : string -> (record, string) result
 (** One whole-file record (the BENCH_gpusim.json shape). *)
 
 val write_file : string -> record -> unit
-
-(** {1 History store} *)
-
-val default_history_dir : string
-(** ["results/bench_history"] *)
-
-val history_file : dir:string -> string -> string
-(** [history_file ~dir id] — the JSONL path for machine stream [id]. *)
-
-val append : dir:string -> record -> (string, string) result
-(** Append one record to its machine's stream (creating [dir] as
-    needed) as a single [O_APPEND] write, so concurrent appenders cannot
-    interleave partial lines. Returns the file path written. *)
-
-val read_history : string -> (record list * int, string) result
-(** All records of one stream file in append order, plus the count of
-    skipped (corrupt or alien) lines. [Error] only on I/O failure. *)
-
-val machines : dir:string -> (string * string) list
-(** [(machine id, file path)] for every [*.jsonl] stream in [dir],
-    sorted by id; [] when the directory does not exist. *)
-
-(** {1 Trend analysis} *)
-
-type series_point = {
-  sp_record : int;  (** index of the record in its stream *)
-  sp_ops : float;  (** ops/sec (median-based) *)
-  sp_noise : float;  (** absolute noise in ops/sec (MAD-propagated) *)
-}
-
-type change_point = {
-  cp_index : int;
-      (** series position of the {e first record after} the shift *)
-  cp_before : float;  (** left-window median, ops/sec *)
-  cp_after : float;  (** right-window median, ops/sec *)
-  cp_ratio : float;  (** [after / before]; < 1 is a regression *)
-  cp_sigma : float;  (** the noise floor the shift was tested against *)
-}
-
-val change_points :
-  ?window:int -> ?sensitivity:float -> ?min_rel:float ->
-  (float * float) array -> change_point list
-(** Test-only: the detector tests feed it synthetic series.
-    Sliding median-shift change-point detection over [(value, noise)]
-    points. At each boundary the medians of up to [window] points on
-    either side are compared against a noise floor
-    [sigma = max(1.4826·MAD(residuals), median per-point noise,
-    min_rel·|left median|)]; a boundary fires when
-    [|shift| > sensitivity·sigma], and consecutive firing boundaries
-    collapse to the one with the largest [|shift|/sigma] (ties broken
-    toward the largest single-step jump, which pins the boundary to
-    where the level actually moved). Defaults:
-    [window = 5], [sensitivity = 4.0], [min_rel = 0.02] — the [min_rel]
-    floor means shifts under [sensitivity·2%] can never fire, which is
-    what keeps identical-distribution reruns at zero false positives
-    (tested across 100 seeds). *)
-
-type trend = {
-  t_bench : string;
-  t_points : series_point list;
-  t_changes : change_point list;
-}
-
-val trends :
-  ?window:int -> ?sensitivity:float -> ?min_rel:float ->
-  record list -> trend list
-(** One {!trend} per benchmark id of the stream. *)
-
-val regressions : trend list -> (trend * change_point) list
-(** The change points whose ratio is below 1 (throughput dropped). *)
-
-val first_bad : record list -> change_point -> trend -> string
-(** Test-only: the attribution test checks its text directly.
-    Human description of the first-bad record behind a change point:
-    record number plus its git rev and timestamp when recorded. *)
-
-val trend_lines :
-  machine:string -> skipped:int -> record list -> trend list -> string list
-(** Text report: per-benchmark summary, every change point with
-    magnitude and first-bad record, and a closing regression count. *)
-
-(** {1 Trend charts (inline SVG, light/dark)} *)
-
-val trend_sections :
-  ?max_charts:int -> machine:string -> record list -> trend list ->
-  string list
-(** Report sections for one machine stream: per-benchmark time series
-    with a ±MAD noise band and change-point markers (benchmarks with
-    change points chart first; a note names how many were not charted),
-    plus the change-point table. Composes into {!Report.page}. *)
-
-val trend_page : (string * record list * trend list) list -> string
-(** A standalone HTML page ([bench trend --html]) over
-    [(machine, records, trends)] streams. *)
 
 (** {1 Selfbench comparison} *)
 

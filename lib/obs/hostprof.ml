@@ -27,7 +27,6 @@ let gc_ns_per_promoted_word = 2.0
 
 type record_ =
   | R_task of {
-      label : string;
       enqueue_ns : int;
       start_ns : int;
       finish_ns : int;
@@ -105,7 +104,7 @@ let task_enqueued () = if on () then tick () else min_int
 (* [Gc.minor_words] reads the domain's allocation pointer, so it is exact
    even between minor collections; [quick_stat.minor_words] only advances
    at collection boundaries and would report 0 for small sections. *)
-let task ?(enqueue = min_int) ~label f =
+let task ?(enqueue = min_int) f =
   if not (on ()) then f ()
   else begin
     let s = shard () in
@@ -123,8 +122,7 @@ let task ?(enqueue = min_int) ~label f =
       s.sh_task_lock_ns <- prev_lock;
       s.sh_records <-
         R_task
-          { label;
-            enqueue_ns = (if enqueue = min_int then t0 else min enqueue t0);
+          { enqueue_ns = (if enqueue = min_int then t0 else min enqueue t0);
             start_ns = t0; finish_ns = max t1 t0; lock_ns;
             minor_words = Gc.minor_words () -. mw0;
             promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
@@ -379,7 +377,8 @@ let spans_of_shard role records =
       in
       match r with
       | R_task t ->
-        mk t.label (max 0 (t.start_ns - t.enqueue_ns)) t.lock_ns t.minor_words
+        mk "pool.task" (max 0 (t.start_ns - t.enqueue_ns)) t.lock_ns
+          t.minor_words
       | R_idle _ -> mk "(idle)" 0 0 0.0
       | R_wait _ -> mk "(lock-wait)" 0 (max 0 (b - a)) 0.0
       | R_batch _ -> mk "(batch-wait)" 0 0 0.0)

@@ -61,11 +61,11 @@ val task_enqueued : unit -> int
 (** Timestamp (ns into the window) handed to {!task} as [~enqueue] so
     queue latency can be measured; [min_int] when profiling is off. *)
 
-val task : ?enqueue:int -> label:string -> (unit -> 'a) -> 'a
-(** Run a task body, recording start/finish timestamps and
-    [Gc.quick_stat] deltas on the current domain's shard. Lock waits
-    inside the body are attributed to this task. Exceptions are
-    recorded, then re-raised. *)
+val task : ?enqueue:int -> (unit -> 'a) -> 'a
+(** Run a task body as a ["pool.task"] span, recording start/finish
+    timestamps and [Gc.quick_stat] deltas on the current domain's shard.
+    Lock waits inside the body are attributed to this task. Exceptions
+    are recorded, then re-raised. *)
 
 val idle : (unit -> 'a) -> 'a
 (** Record a blocked-waiting-for-work interval (a worker's

@@ -1,8 +1,8 @@
 (* Minimal JSON tree shared by the tuning logs, the observability sinks
    and the artifact store. One emitter means string escaping and float
    formatting are fixed in one place; one parser reads back what it
-   writes: artifact-store records, trace JSONL ([Trace_reader]) and bench
-   history ([Benchdb]).
+   writes: artifact-store records, trace JSONL ([Trace_reader]) and
+   selfbench records ([Benchdb]).
 
    Both directions sit on the evaluation path (every compile key is
    rendered, every store-served evaluation parsed), so neither allocates

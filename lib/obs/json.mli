@@ -1,7 +1,7 @@
 (** Minimal JSON tree: the one emitter (escaping, float formatting, null)
     shared by the tuning logs, every observability sink, the compile keys
     and the artifact store, and the one parser, which reads artifact-store
-    records, trace JSONL ([Trace_reader]) and bench history ([Benchdb]).
+    records, trace JSONL ([Trace_reader]) and selfbench records ([Benchdb]).
     The repository carries no external JSON dependency. *)
 
 type t =

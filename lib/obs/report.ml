@@ -268,104 +268,6 @@ let line_chart ?(y_label = "") ?(x_label = "") ~series () =
     legend (List.map fst series) ^ Buffer.contents buf
   end
 
-(* --- trend chart: one series with a noise band and change markers --- *)
-
-let trend_chart ?(y_label = "") ?(x_label = "") ~points ~band ~marks () =
-  if points = [] then ""
-  else begin
-    let xs = List.map fst points in
-    let x_min = List.fold_left Float.min infinity xs in
-    let x_max = List.fold_left Float.max neg_infinity xs in
-    let x_span = if x_max > x_min then x_max -. x_min else 1.0 in
-    let y_max =
-      nice_max
-        (List.fold_left Float.max
-           (List.fold_left (fun m (_, _, hi) -> Float.max m hi) 0.0 band)
-           (List.map snd points))
-    in
-    let sx x = margin_l +. (plot_w *. ((x -. x_min) /. x_span)) in
-    let sy y = margin_t +. (plot_h *. (1.0 -. (Float.max 0.0 y /. y_max))) in
-    let buf = Buffer.create 4096 in
-    let out s = Buffer.add_string buf s; Buffer.add_char buf '\n' in
-    out (svg_open ());
-    List.iter (fun k -> out (y_grid ~y_max (y_max *. float_of_int k /. 4.0)))
-      [ 0; 1; 2; 3; 4 ];
-    if y_label <> "" then
-      out
-        (Printf.sprintf
-           "<text x=\"12\" y=\"%g\" transform=\"rotate(-90 12 %g)\" \
-            text-anchor=\"middle\">%s</text>"
-           (margin_t +. (plot_h /. 2.0)) (margin_t +. (plot_h /. 2.0))
-           (html_escape y_label));
-    if x_label <> "" then
-      out
-        (Printf.sprintf
-           "<text x=\"%g\" y=\"%g\" text-anchor=\"middle\">%s</text>"
-           (margin_l +. (plot_w /. 2.0)) (chart_h -. 8.0) (html_escape x_label));
-    (* sparse x ticks: at most ~8, so long histories stay legible *)
-    let n = List.length points in
-    let step = max 1 (n / 8) in
-    List.iteri
-      (fun i (x, _) ->
-        if i mod step = 0 || i = n - 1 then
-          out
-            (Printf.sprintf
-               "<text x=\"%g\" y=\"%g\" text-anchor=\"middle\">%s</text>"
-               (sx x) (chart_h -. 20.0) (fmt_num x)))
-      points;
-    (* the ±noise band, drawn first so the line sits on top of it *)
-    (match band with
-     | [] -> ()
-     | _ ->
-       let band = List.sort (fun (a, _, _) (b, _, _) -> compare a b) band in
-       let upper =
-         List.map (fun (x, _, hi) -> Printf.sprintf "%g,%g" (sx x) (sy hi)) band
-       in
-       let lower =
-         List.rev_map
-           (fun (x, lo, _) -> Printf.sprintf "%g,%g" (sx x) (sy lo))
-           band
-       in
-       out
-         (Printf.sprintf
-            "<polygon class=\"noise-band\" points=\"%s\" fill=\"var(--c1)\" \
-             opacity=\"0.18\"/>"
-            (String.concat " " (upper @ lower))));
-    (* change-point markers: dashed vertical rules at the first-bad x *)
-    List.iter
-      (fun x ->
-        out
-          (Printf.sprintf
-             "<line class=\"change-point\" x1=\"%g\" y1=\"%g\" x2=\"%g\" \
-              y2=\"%g\" stroke=\"var(--worse)\" stroke-width=\"1.5\" \
-              stroke-dasharray=\"5 3\"/>"
-             (sx x) margin_t (sx x) (margin_t +. plot_h)))
-      marks;
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) points in
-    let path =
-      String.concat " "
-        (List.mapi
-           (fun i (x, y) ->
-             Printf.sprintf "%s%g %g" (if i = 0 then "M" else "L") (sx x) (sy y))
-           sorted)
-    in
-    out
-      (Printf.sprintf
-         "<path d=\"%s\" fill=\"none\" stroke=\"var(--c1)\" stroke-width=\"2\" \
-          stroke-linejoin=\"round\"/>"
-         path);
-    List.iter
-      (fun (x, y) ->
-        out
-          (Printf.sprintf
-             "<circle cx=\"%g\" cy=\"%g\" r=\"3.5\" fill=\"var(--c1)\" \
-              stroke=\"var(--surface)\" stroke-width=\"2\"/>"
-             (sx x) (sy y)))
-      sorted;
-    out "</svg>";
-    Buffer.contents buf
-  end
-
 (* --- horizontal dot plot on a log x axis --- *)
 
 let dot_plot_log ?(x_label = "") ~rows () =

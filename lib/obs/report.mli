@@ -9,8 +9,6 @@
     more series, and a table next to every chart so no information is
     color-alone. *)
 
-val html_escape : string -> string
-
 val table : header:string list -> rows:string list list -> string
 
 val grouped_bars :
@@ -25,15 +23,6 @@ val line_chart :
   series:(string * (float * float) list) list -> unit -> string
 (** Lines with ringed markers over a linear x/y; x tick labels are taken
     from the first series' points. Includes the legend. *)
-
-val trend_chart :
-  ?y_label:string -> ?x_label:string -> points:(float * float) list ->
-  band:(float * float * float) list -> marks:float list -> unit -> string
-(** Single time series for benchmark histories: the [(x, lo, hi)] noise
-    band renders as a translucent polygon (class ["noise-band"]) under
-    the line, and each [marks] x gets a dashed vertical change-point rule
-    (class ["change-point"]) in the "worse" color. X tick labels thin out
-    to at most ~8 for long histories. *)
 
 val dot_plot_log : ?x_label:string -> rows:(string * float) list -> unit -> string
 (** Horizontal dot plot on a log x axis with decade gridlines — the right

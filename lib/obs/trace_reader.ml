@@ -11,7 +11,7 @@
    halves of the tuples below) so callers surface one warning instead of
    silently pretending the log was whole. *)
 
-(* --- shared JSONL / file plumbing (also used by Tune.Tuning_log) --- *)
+(* --- file / JSONL plumbing --- *)
 
 let read_all path =
   match open_in path with
@@ -29,7 +29,9 @@ let json_of_file path =
      | Ok j -> Ok j
      | Error e -> Error (path ^ ": " ^ e))
 
-let fold_jsonl_file ?on_skip path ~init ~f =
+(* Fold over a JSONL file one parsed line at a time, never holding the
+   file whole; malformed lines are skipped and counted. *)
+let fold_jsonl_file path ~init ~f =
   match open_in path with
   | exception Sys_error msg -> Error msg
   | ic ->
@@ -37,21 +39,18 @@ let fold_jsonl_file ?on_skip path ~init ~f =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
         let skipped = ref 0 in
-        let rec go acc lineno =
+        let rec go acc =
           match input_line ic with
           | exception End_of_file -> Ok (acc, !skipped)
-          | line when String.trim line = "" -> go acc (lineno + 1)
+          | line when String.trim line = "" -> go acc
           | line ->
             (match Json.of_string line with
-             | Ok j -> go (f acc j) (lineno + 1)
-             | Error e ->
+             | Ok j -> go (f acc j)
+             | Error _ ->
                incr skipped;
-               (match on_skip with
-                | Some g -> g ~lineno ~msg:e
-                | None -> ());
-               go acc (lineno + 1))
+               go acc)
         in
-        go init 1)
+        go init)
 
 (* --- events --- *)
 

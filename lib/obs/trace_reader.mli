@@ -13,24 +13,13 @@
     than silently pretending the log was whole. Blank lines are ignored
     and not counted. [Error] is reserved for I/O failure. *)
 
-(** {1 File / JSONL plumbing}
-
-    Shared by other JSONL consumers (e.g. [Tune.Tuning_log] and
-    {!Benchdb}'s history store). *)
+(** {1 Files} *)
 
 val read_all : string -> (string, string) result
 (** Whole file as a string; [Error msg] on I/O failure. *)
 
 val json_of_file : string -> (Json.t, string) result
 (** Parse a whole file as one JSON document. *)
-
-val fold_jsonl_file :
-  ?on_skip:(lineno:int -> msg:string -> unit) ->
-  string -> init:'a -> f:('a -> Json.t -> 'a) -> ('a * int, string) result
-(** Fold over a JSONL file one parsed line at a time (streaming — the
-    file is never held in memory whole). Malformed lines are skipped and
-    counted into the returned [int] ([on_skip], when given, observes each
-    with its line number); [Error] only on I/O failure. *)
 
 (** {1 Events} *)
 

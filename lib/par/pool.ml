@@ -93,7 +93,7 @@ let run_batch t thunks =
          token lets the profiler report enqueue->start queue latency *)
       let enqueue = Hostprof.task_enqueued () in
       fun () ->
-        Hostprof.task ~enqueue ~label:"pool.task" thunk;
+        Hostprof.task ~enqueue thunk;
         Hostprof.lock_acquire batch_probe batch_lock;
         decr remaining;
         if !remaining = 0 then Condition.signal batch_done;
@@ -127,7 +127,7 @@ let map_array ?each t f xs =
     (* Inline: no capture, no replay — the canonical sequential order. *)
     Array.mapi
       (fun i x ->
-        let y = Hostprof.task ~label:"pool.task" (fun () -> f x) in
+        let y = Hostprof.task (fun () -> f x) in
         (match each with Some g -> g i y | None -> ());
         y)
       xs

@@ -84,7 +84,7 @@ let test_telescoping_exact () =
 let test_inline_window () =
   Hostprof.start ();
   let r =
-    Hostprof.task ~label:"inline" (fun () ->
+    Hostprof.task (fun () ->
         Array.fold_left ( + ) 0 (Array.init 1000 Fun.id))
   in
   let p = Hostprof.stop () in
@@ -99,7 +99,7 @@ let test_inline_window () =
 
 let test_check_rejects_violation () =
   Hostprof.start ();
-  ignore (Hostprof.task ~label:"t" (fun () -> 1 + 1));
+  ignore (Hostprof.task (fun () -> 1 + 1));
   let p = Hostprof.stop () in
   let broken =
     Hostprof.
@@ -251,7 +251,7 @@ let test_lock_probe_contended () =
 let test_probes_off_are_noops () =
   Alcotest.(check bool) "off" false (Hostprof.on ());
   Alcotest.(check int) "enqueue token" min_int (Hostprof.task_enqueued ());
-  let r = Hostprof.task ~label:"off" (fun () -> 42) in
+  let r = Hostprof.task (fun () -> 42) in
   Alcotest.(check int) "task passthrough" 42 r;
   let probe = Hostprof.make_lock "test.off" in
   let m = Mutex.create () in
