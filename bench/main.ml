@@ -6,23 +6,22 @@
      dune exec bench/main.exe -- list    -- list experiment ids
 
    Experiment ids: fig1b fig10 table3 fig11 fig12 fig13 table1 fig23 scaling
-   csv selfbench perf.
+   csv selfbench.
 
    Self-benchmarking (doc/benchmarking.md):
    [selfbench [--runs N]] uses Bechamel to measure the compiler's own
    throughput (lowering, the pipelining pass, trace extraction, timing
-   simulation, a compile-cache hit) and the fig10 sweep at j=1/2/max with
-   a host utilization summary per row; with --runs N the whole
-   measurement repeats N times after a discarded warmup pass and each
-   benchmark reports median/MAD/min/p90 plus a noise estimate
-   (schema alcop-selfbench-v2, written to BENCH_gpusim.json).
+   simulation, a compile-cache hit) and times the fig10 sweep at
+   j=1/2/max, the pre-training fit and a tune job by wall clock; with
+   --runs N the whole measurement repeats N times after a discarded
+   warmup pass and each benchmark reports median/MAD/min/p90 plus a
+   noise estimate (schema alcop-selfbench-v2, written to
+   BENCH_gpusim.json).
    [compare OLD.json NEW.json [--strict] [--tolerance FRAC]] diffs two
-   selfbench files (schema v2) with explicit only-in-OLD/NEW rows and
-   host-profile deltas when both sides carry them; with --strict it is
-   the regression gate.
-   [perf] profiles the host runtime of the fig10 sweep and prints the
-   Amdahl/speedup-loss diagnosis (doc/hostprof.md). The HTML experiment
-   report is `alcop report`. *)
+   selfbench files (schema v2) with explicit only-in-OLD/NEW rows; with
+   --strict it is the regression gate.
+   The host-runtime (Amdahl) profile of a sweep is `alcop perf`
+   (doc/hostprof.md); the HTML experiment report is `alcop report`. *)
 
 open Alcop
 
@@ -339,110 +338,15 @@ let run_csv () =
   in
   write_csv "results/fig13.csv" fig13_header fig13_rows
 
-(* --- host-profile helpers (selfbench rows + the perf experiment) --- *)
-
-module Hostprof = Alcop_obs.Hostprof
-
-(* Aggregate the five wall buckets over the tracks that ran tasks: the
-   worker domains, or the coordinator itself at j=1 (inline). *)
-let host_fracs (p : Hostprof.profile) =
-  let workers =
-    match
-      List.filter
-        (fun w -> not (String.equal w.Hostprof.w_role "coordinator"))
-        p.Hostprof.p_workers
-    with
-    | [] -> p.Hostprof.p_workers
-    | ws -> ws
-  in
-  let sum sel = List.fold_left (fun a w -> a + sel w) 0 workers in
-  let wall = float_of_int (max 1 (sum (fun w -> w.Hostprof.w_wall_ns))) in
-  let f sel = float_of_int (sum sel) /. wall in
-  ( f (fun w -> w.Hostprof.w_busy_ns),
-    f (fun w -> w.Hostprof.w_queue_ns),
-    f (fun w -> w.Hostprof.w_lock_ns),
-    f (fun w -> w.Hostprof.w_gc_ns),
-    f (fun w -> w.Hostprof.w_idle_ns) )
-
-let host_lock_wait_ms (p : Hostprof.profile) =
-  List.fold_left
-    (fun a l -> a +. (float_of_int l.Hostprof.l_wait_ns /. 1e6))
-    0.0 p.Hostprof.p_locks
-
-(* The "host" sub-object attached to sweep rows in BENCH_gpusim.json.
-   `compare` gates on the timing fields only and ignores it; host-aware
-   compares print deltas.
-   [jobs] is the *resolved* worker count the sweep actually ran at —
-   [Hostprof.p_jobs] is 0 for an inline (pool-less) run, which used to
-   mislabel the j1 row (and the jmax alias of it on a 1-core box). *)
-let host_json ~jobs (p : Hostprof.profile) =
-  let busy, queue, lock, gc, idle = host_fracs p in
-  let open Alcop_obs.Json in
-  Obj
-    ([ ("jobs", Int jobs);
-       ("serial_fraction", Float (Hostprof.serial_fraction p));
-       ("effective_parallelism", Float (Hostprof.effective_parallelism p));
-       ("expected_speedup", Float (Hostprof.expected_speedup p ~jobs));
-       ("busy_frac", Float busy); ("queue_frac", Float queue);
-       ("lock_frac", Float lock); ("gc_frac", Float gc);
-       ("idle_frac", Float idle);
-       ("lock_wait_ms", Float (host_lock_wait_ms p)) ]
-     @
-     match p.Hostprof.p_locks with
-     | [] -> []
-     | top :: _ ->
-       [ ("top_lock", Str top.Hostprof.l_name);
-         ("top_lock_wait_ms",
-          Float (float_of_int top.Hostprof.l_wait_ns /. 1e6)) ])
-
-let print_host_summary (p : Hostprof.profile) =
-  let busy, queue, lock, gc, idle = host_fracs p in
-  Printf.printf
-    "  host: busy %.0f%% idle %.0f%% lock %.0f%% queue %.0f%% gc %.0f%% | \
-     serial %.1f%% | eff-par %.2f | lock-wait %.1f ms\n"
-    (100.0 *. busy) (100.0 *. idle) (100.0 *. lock) (100.0 *. queue)
-    (100.0 *. gc)
-    (100.0 *. Hostprof.serial_fraction p)
-    (Hostprof.effective_parallelism p)
-    (host_lock_wait_ms p)
-
-(* One exhaustive ALCOP sweep of MM_RN50_FC through a fresh pass-through
-   session (the fig10-sweep workload), timed by wall clock; with
-   [~profiled:true] the host profiler covers the whole run, pool spawn to
-   join, and the telescoping contract is enforced. *)
-let sweep_once ~profiled jobs =
-  let spec = Alcop_workloads.Suites.mm_rn50_fc in
-  let session = Session.create ~hw ~cache:false () in
-  let evaluate = Variants.evaluator ~hw ~session Variants.alcop spec in
-  let space = Variants.space Variants.alcop spec in
-  let run pool =
-    ignore (Alcop_tune.Tuner.exhaustive ?pool ~space ~evaluate ())
-  in
-  if profiled then Hostprof.start ();
-  let t0 = Unix.gettimeofday () in
-  (if jobs <= 1 then run None
-   else Alcop_par.Pool.with_pool ~jobs (fun p -> run (Some p)));
-  let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  if not profiled then (ns, None)
-  else begin
-    let profile = Hostprof.stop () in
-    (match Hostprof.check profile with
-     | Ok () -> ()
-     | Error msg ->
-       Printf.eprintf "hostprof telescoping violation: %s\n" msg;
-       exit 1);
-    (ns, Some profile)
-  end
-
 (* --- Bechamel self-benchmarks of the compiler itself --- *)
 
 module Benchdb = Alcop_obs.Benchdb
 
-(* One measurement pass: the six bechamel micro-benchmarks (each already
-   an OLS estimate over its own repetitions within the quota) plus the
-   wall-clock fig10 sweeps at j = 1 / 2 / max under the host profiler,
-   the wall-clock pre-training fit and the wall-clock tune job.
-   Returns (id, ns, host sub-object) rows sorted by id. [quiet]
+(* One measurement pass: the bechamel micro-benchmarks (each already an
+   OLS estimate over its own repetitions within the quota) plus the
+   wall-clock fig10 sweeps at j = 1 / 2 / max, the wall-clock
+   pre-training fit and the wall-clock tune job.
+   Returns (id, ns) rows sorted by id. [quiet]
    suppresses the per-row prints — with --runs N the repeated passes
    would otherwise drown the stats table that summarizes them. *)
 let measure_pass ~quiet ~store_dir () =
@@ -548,46 +452,41 @@ let measure_pass ~quiet ~store_dir () =
       (fun (name, est) ->
         Printf.printf "%-40s %14.1f ns/run (%.1f us)\n" name est (est /. 1000.0))
       sorted;
-  (* Parallel-speedup record: the exhaustive ALCOP sweep of the same
-     operator through a fresh pass-through session, timed by wall clock
-     (the sweep runs for seconds and every -j does identical work by
-     construction) under the host profiler, at j = 1 / 2 / max. Each row
-     carries its utilization + lock-wait summary into the record so
-     `bench compare` shows *why* a speedup moved. *)
-  let jmax = max 1 (resolved_jobs ()) in
-  let sweep_row label jobs =
-    let ns, profile = sweep_once ~profiled:true jobs in
-    (* an inline run (jobs <= 1) has no pool: it resolved to one worker *)
-    let resolved = max 1 jobs in
-    if not quiet then
-      Printf.printf "%-40s %14.1f ns/run (%.1f ms)\n" label ns (ns /. 1e6);
-    (match profile with
-     | Some p when not quiet -> print_host_summary p
-     | _ -> ());
-    (label, ns, Option.map (host_json ~jobs:resolved) profile)
-  in
-  let row1 = sweep_row "alcop/fig10-sweep-j1" 1 in
-  let row2 = sweep_row "alcop/fig10-sweep-j2" 2 in
-  let rowj =
-    if jmax = 1 then
-      (let _, ns, host = row1 in ("alcop/fig10-sweep-jmax", ns, host))
-    else if jmax = 2 then
-      (let _, ns, host = row2 in ("alcop/fig10-sweep-jmax", ns, host))
-    else sweep_row "alcop/fig10-sweep-jmax" jmax
-  in
-  let ns_of (_, ns, _) = ns in
-  if not quiet then
-    Printf.printf "parallel sweep speedup at -j %d: %.2fx\n" jmax
-      (if ns_of rowj > 0.0 then ns_of row1 /. ns_of rowj else 1.0);
-  let space = Variants.space Variants.alcop spec in
   let wall_row label run =
     let t0 = Unix.gettimeofday () in
     run ();
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
     if not quiet then
       Printf.printf "%-40s %14.1f ns/run (%.1f ms)\n" label ns (ns /. 1e6);
-    (label, ns, None)
+    (label, ns)
   in
+  (* Parallel-speedup record: the exhaustive ALCOP sweep of the same
+     operator through a fresh pass-through session (the fig10-sweep
+     workload), timed by wall clock from pool spawn to join (the sweep
+     runs for seconds and every -j does identical work by construction),
+     at j = 1 / 2 / max. *)
+  let space = Variants.space Variants.alcop spec in
+  let jmax = max 1 (resolved_jobs ()) in
+  let sweep_row label jobs =
+    let session = Session.create ~hw ~cache:false () in
+    let evaluate = Variants.evaluator ~hw ~session Variants.alcop spec in
+    let run pool =
+      ignore (Alcop_tune.Tuner.exhaustive ?pool ~space ~evaluate ())
+    in
+    wall_row label (fun () ->
+        if jobs <= 1 then run None
+        else Alcop_par.Pool.with_pool ~jobs (fun p -> run (Some p)))
+  in
+  let row1 = sweep_row "alcop/fig10-sweep-j1" 1 in
+  let row2 = sweep_row "alcop/fig10-sweep-j2" 2 in
+  let rowj =
+    if jmax = 1 then ("alcop/fig10-sweep-jmax", snd row1)
+    else if jmax = 2 then ("alcop/fig10-sweep-jmax", snd row2)
+    else sweep_row "alcop/fig10-sweep-jmax" jmax
+  in
+  if not quiet then
+    Printf.printf "parallel sweep speedup at -j %d: %.2fx\n" jmax
+      (if snd rowj > 0.0 then snd row1 /. snd rowj else 1.0);
   (* The tuner's pre-training fit alone, timed by wall clock: one
      [Gbt.fit] of [Tuner.pretrain_config] on MM_RN50_FC's full
      pre-training set (the one [alcop tune]'s default seed draws), built
@@ -613,9 +512,7 @@ let measure_pass ~quiet ~store_dir () =
           (Alcop_tune.Tuner.run ~hw ~spec ~space ~evaluate ~budget:20
              ~seed:2023 Alcop_tune.Tuner.Analytical_xgb))
   in
-  List.sort compare
-    (row1 :: row2 :: rowj :: pretrain_row :: tune_row
-     :: List.map (fun (id, ns) -> (id, ns, None)) sorted)
+  List.sort compare (row1 :: row2 :: rowj :: pretrain_row :: tune_row :: sorted)
 
 let rec remove_tree path =
   if Sys.is_directory path then begin
@@ -629,9 +526,9 @@ let rec remove_tree path =
 (* Repeat the pass [runs] times (plus a discarded warmup pass when
    runs > 1: the first pass pays page-cache and JIT-less but very real
    allocator warmup) and fold the per-id samples into robust statistics.
-   The host sub-object is taken from the last pass. Every pass shares one
-   fresh store directory, removed with its contents however [measure]
-   exits, so no run ever meets records an earlier one left behind. *)
+   Every pass shares one fresh store directory, removed with its contents
+   however [measure] exits, so no run ever meets records an earlier one
+   left behind. *)
 let measure ~runs () =
   let runs = max 1 runs in
   let store_dir = Filename.temp_dir "alcop-selfbench-store-" "" in
@@ -650,33 +547,14 @@ let measure ~runs () =
   in
   let ids =
     match passes with
-    | first :: _ -> List.map (fun (id, _, _) -> id) first
+    | first :: _ -> List.map fst first
     | [] -> []
   in
   let benches =
     List.map
       (fun id ->
-        let samples =
-          List.filter_map
-            (fun rows ->
-              List.find_map
-                (fun (i, ns, _) -> if i = id then Some ns else None)
-                rows)
-            passes
-        in
-        let host =
-          List.fold_left
-            (fun acc rows ->
-              match
-                List.find_map
-                  (fun (i, _, h) -> if i = id then h else None)
-                  rows
-              with
-              | Some h -> Some h
-              | None -> acc)
-            None passes
-        in
-        { Benchdb.b_id = id; b_stats = Benchdb.summarize samples; b_host = host })
+        let samples = List.filter_map (List.assoc_opt id) passes in
+        { Benchdb.b_id = id; b_stats = Benchdb.summarize samples })
       ids
   in
   let fp = Benchdb.collect_fingerprint () in
@@ -736,55 +614,11 @@ let run_compare ?(strict = false) ?(tolerance = 0.20) old_path new_path =
     exit 1
   end
 
-(* --- bench perf: host-runtime diagnosis of the fig10 sweep --- *)
-
-(* Why is fig10-sweep-jmax not faster than fig10-sweep-j1 (ROADMAP open
-   item 5)? Run the sweep unprofiled (overhead baseline), then profiled
-   at j=1 and at j=max, print both Amdahl reports and the diagnosis. *)
-let run_perf () =
-  header "Host runtime profile of the fig10 sweep";
-  let jmax = max 2 (resolved_jobs ()) in
-  let ns_off, _ = sweep_once ~profiled:false 1 in
-  let ns1, p1 = sweep_once ~profiled:true 1 in
-  let nsj, pj = sweep_once ~profiled:true jmax in
-  Printf.printf "sweep wall: %.1f ms unprofiled, %.1f ms profiled at -j 1 \
-                 (overhead %+.1f%%), %.1f ms at -j %d\n\n"
-    (ns_off /. 1e6) (ns1 /. 1e6)
-    (if ns_off > 0.0 then 100.0 *. (ns1 -. ns_off) /. ns_off else 0.0)
-    (nsj /. 1e6) jmax;
-  (match p1 with
-   | Some p ->
-     Printf.printf "-- j=1 --\n%s\n" (Hostprof.report p)
-   | None -> ());
-  match pj with
-  | None -> ()
-  | Some p ->
-    Printf.printf "-- j=%d --\n%s\n" jmax (Hostprof.report p);
-    let achieved = if nsj > 0.0 then ns1 /. nsj else 1.0 in
-    let expected = Hostprof.expected_speedup p ~jobs:jmax in
-    Printf.printf
-      "speedup at -j %d: achieved %.2fx, Amdahl-expected <= %.2fx (serial \
-       %.1f%%)\n"
-      jmax achieved expected
-      (100.0 *. Hostprof.serial_fraction p);
-    let busy, queue, lock, gc, idle = host_fracs p in
-    ignore busy;
-    let name, frac =
-      List.fold_left
-        (fun (bn, bf) (n, f) -> if f > bf then (n, f) else (bn, bf))
-        ("idle", idle)
-        [ ("lock-wait", lock); ("queue-wait", queue); ("gc", gc) ]
-    in
-    Printf.printf
-      "dominant worker-side loss: %s (%.0f%% of worker wall)\n" name
-      (100.0 *. frac)
-
 let experiments =
   [ ("fig1b", run_fig1b); ("fig10", run_fig10); ("table3", run_table3);
     ("fig11", run_fig11); ("fig12", run_fig12); ("fig13", run_fig13);
     ("table1", run_table1); ("fig23", run_fig23); ("scaling", run_scaling);
-    ("csv", run_csv); ("selfbench", fun () -> run_selfbench ());
-    ("perf", run_perf) ]
+    ("csv", run_csv); ("selfbench", fun () -> run_selfbench ()) ]
 
 (* Shared option plumbing for the compare and selfbench subcommands. Each
    [want_*] helper validates one flag value or exits 2 with the offending
@@ -863,10 +697,7 @@ let () =
     | [] | [ "all" ] ->
       Printf.printf "ALCOP reproduction - all experiments on %s\n"
         hw.Alcop_hw.Hw_config.name;
-      List.iter
-        (fun (name, f) ->
-          if name <> "csv" && name <> "perf" then f ())
-        experiments
+      List.iter (fun (name, f) -> if name <> "csv" then f ()) experiments
     | names ->
       List.iter
         (fun n ->

@@ -17,11 +17,18 @@ let hw = Alcop_hw.Hw_config.default
 
 (* --- shared argument parsing --- *)
 
+(* A zero or negative dimension of an ad-hoc shape is a command-line error
+   (exit 124), like a non-positive tile, not an [Op_spec] exception. *)
 let spec_of_string s =
   match Alcop_workloads.Suites.find s with
   | Some spec -> Ok spec
   | None ->
     (match List.map int_of_string (String.split_on_char 'x' s) with
+     | ([ _; _; _ ] | [ _; _; _; _ ]) as dims
+       when List.exists (fun d -> d <= 0) dims ->
+       Error
+         (`Msg
+            (Printf.sprintf "operator %s: every dimension must be positive" s))
      | [ m; n; k ] ->
        Ok (Alcop_sched.Op_spec.matmul ~name:s ~m ~n ~k ())
      | [ b; m; n; k ] ->
@@ -67,6 +74,19 @@ let count_conv what =
     | Error _ as e -> e
   in
   Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
+(* A store cap in mebibytes: a negative cap would empty the store, and one
+   of [max_int / 2^20] or more overflows its byte count. Either is a
+   command-line error (exit 124). *)
+let mib_conv =
+  let limit = max_int / (1024 * 1024) in
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 0 && n < limit -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s: must be in 0 .. %d" s (limit - 1)))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"MIB" (parse, Arg.conv_printer Arg.int)
 
 let budget_conv = count_conv "budget"
 let stage_conv = count_conv "stage count"
@@ -828,7 +848,7 @@ let explain_pipeline_cmd =
     write_text path html;
     Printf.printf "HTML report written to %s\n" path
   in
-  let run spec params stages compare html jsonl_out =
+  let run spec params compare html jsonl_out =
     let session = session_of ~no_cache:false () in
     match compare with
     | Some (pair_a, pair_b) ->
@@ -853,9 +873,6 @@ let explain_pipeline_cmd =
          write_html path (Exp_report.pipeview_compare_page ~label_a ~label_b a b)
        | None -> ())
     | None ->
-      let params =
-        match stages with None -> params | Some pair -> with_stages params pair
-      in
       let v = view session spec params in
       print_string (Alcop_gpusim.Pipeview.report v);
       (match Alcop_perfmodel.Model.predict hw spec params with
@@ -880,11 +897,6 @@ let explain_pipeline_cmd =
        | Some path ->
          write_html path (Exp_report.pipeview_page v)
        | None -> ())
-  in
-  let stages =
-    Arg.(value & opt (some stage_pair_conv) None
-         & info [ "stages" ] ~docv:"SxR"
-             ~doc:"Shorthand for --smem-stages S --reg-stages R.")
   in
   let compare =
     Arg.(value & opt (some (t2 ~sep:',' stage_pair_conv stage_pair_conv)) None
@@ -911,8 +923,7 @@ let explain_pipeline_cmd =
        ~doc:"Pipeline observatory: per-stage buffer occupancy, prefetch \
              slack and sync-wait attribution for one schedule, or an exact \
              telescoped latency delta between two (doc/pipeview.md).")
-    Term.(const run $ spec_arg $ params_term $ stages $ compare $ html
-          $ jsonl_out)
+    Term.(const run $ spec_arg $ params_term $ compare $ html $ jsonl_out)
 
 let verify_cmd =
   let run spec params =
@@ -1045,7 +1056,7 @@ let cache_cmd =
       print_usage st
     in
     let max_mib =
-      Arg.(value & opt (some int) None
+      Arg.(value & opt (some mib_conv) None
            & info [ "max-mib" ] ~docv:"MIB"
                ~doc:"Evict least-recently-used entries until the store fits \
                      under MIB mebibytes (default: the built-in cap).")

@@ -104,7 +104,6 @@ let collect_fingerprint ?hostname ?git_rev ?jobs ?cores () =
 type bench = {
   b_id : string;
   b_stats : stats;
-  b_host : Json.t option;
 }
 
 type record = {
@@ -134,15 +133,14 @@ let fingerprint_to_json fp =
 let bench_to_json b =
   let st = b.b_stats in
   Json.Obj
-    ([ ("id", Json.Str b.b_id);
-       ("runs", Json.Int st.s_runs);
-       ("median_ns", Json.Float st.s_median_ns);
-       ("mad_ns", Json.Float st.s_mad_ns);
-       ("min_ns", Json.Float st.s_min_ns);
-       ("p90_ns", Json.Float st.s_p90_ns);
-       ("mean_ns", Json.Float st.s_mean_ns);
-       ("noise", Json.Float (noise st)) ]
-     @ match b.b_host with Some h -> [ ("host", h) ] | None -> [])
+    [ ("id", Json.Str b.b_id);
+      ("runs", Json.Int st.s_runs);
+      ("median_ns", Json.Float st.s_median_ns);
+      ("mad_ns", Json.Float st.s_mad_ns);
+      ("min_ns", Json.Float st.s_min_ns);
+      ("p90_ns", Json.Float st.s_p90_ns);
+      ("mean_ns", Json.Float st.s_mean_ns);
+      ("noise", Json.Float (noise st)) ]
 
 let record_to_json r =
   Json.Obj
@@ -179,7 +177,8 @@ let fingerprint_of_json j =
 
 (* Entries missing an id or a median are dropped, not errors — one alien
    entry must not invalidate a whole record. Missing spread fields
-   default to a single zero-MAD sample at the median. *)
+   default to a single zero-MAD sample at the median; unknown members
+   (such as the [host] object older records carry) are ignored. *)
 let bench_of_json j =
   match (str_field "id" j, num_field "median_ns" j) with
   | Some id, Some ns ->
@@ -192,8 +191,7 @@ let bench_of_json j =
             s_mad_ns = f "mad_ns" 0.0;
             s_min_ns = f "min_ns" ns;
             s_p90_ns = f "p90_ns" ns;
-            s_mean_ns = f "mean_ns" ns };
-        b_host = Json.member "host" j }
+            s_mean_ns = f "mean_ns" ns } }
   | _ -> None
 
 let record_of_json j =
@@ -236,29 +234,6 @@ type compare_result = {
   cmp_only_old : string list;
   cmp_only_new : string list;
 }
-
-let host_num name h =
-  match Option.bind (Json.member name h) Json.number with
-  | Some v -> v
-  | None -> 0.0
-
-let host_delta_line old_host new_host =
-  match (old_host, new_host) with
-  | Some oh, Some nh ->
-    Some
-      (Printf.sprintf
-         "  host: serial %.1f%% -> %.1f%% | eff-par %.2f -> %.2f | idle \
-          %.0f%% -> %.0f%% | lock-wait %.1f -> %.1f ms"
-         (100.0 *. host_num "serial_fraction" oh)
-         (100.0 *. host_num "serial_fraction" nh)
-         (host_num "effective_parallelism" oh)
-         (host_num "effective_parallelism" nh)
-         (100.0 *. host_num "idle_frac" oh)
-         (100.0 *. host_num "idle_frac" nh)
-         (host_num "lock_wait_ms" oh) (host_num "lock_wait_ms" nh))
-  | Some _, None -> Some "  host: OLD carries host data, NEW does not"
-  | None, Some _ -> Some "  host: NEW carries host data, OLD does not"
-  | None, None -> None
 
 let min_strict_runs = 3
 
@@ -304,9 +279,6 @@ let compare_records ?(strict = false) ?(tolerance = 0.20) ~old_r ~new_r () =
         let old_ops = ops_per_sec ob.b_stats in
         let ratio = if old_ops > 0.0 then new_ops /. old_ops else 1.0 in
         out "%-40s %14.1f %14.1f %8.2fx" nb.b_id old_ops new_ops ratio;
-        (match host_delta_line ob.b_host nb.b_host with
-         | Some l -> out "%s" l
-         | None -> ());
         if ratio < 1.0 -. tolerance then
           complain
             "selfbench regression: %s at %.2fx of baseline (%.1f -> %.1f \

@@ -65,8 +65,6 @@ val collect_fingerprint :
 type bench = {
   b_id : string;
   b_stats : stats;
-  b_host : Json.t option;
-      (** the sweep rows' host-utilization sub-object (doc/hostprof.md) *)
 }
 
 type record = {
@@ -90,7 +88,8 @@ val record_of_json : Json.t -> (record, string) result
 (** Test-only: the schema tests parse in-memory documents.
     Reads an [alcop-selfbench-v2] document; any other schema, the legacy
     [alcop-selfbench-v1] included, is an [Error "unknown selfbench schema
-    …"]. Entries without an id or a [median_ns] are dropped. *)
+    …"]. Entries without an id or a [median_ns] are dropped; unknown
+    members of an entry are ignored. *)
 
 val read_file : string -> (record, string) result
 (** One whole-file record (the BENCH_gpusim.json shape). *)
@@ -109,9 +108,8 @@ type compare_result = {
 val compare_records :
   ?strict:bool -> ?tolerance:float -> old_r:record -> new_r:record ->
   unit -> compare_result
-(** Diff two selfbench records (host objects optional on
-    either side). Benchmarks present on one side only are listed
-    explicitly — "only in OLD" rows count as failures (a benchmark
+(** Diff two selfbench records. Benchmarks present on one side only are
+    listed explicitly — "only in OLD" rows count as failures (a benchmark
     disappeared), "only in NEW" rows do not. [strict] switches the
     GitHub annotation prefix on complaint lines from [::warning::] to
     [::error::] and also counts as a failure every row, on either side,

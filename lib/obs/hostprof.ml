@@ -556,6 +556,7 @@ let is_coordinator w =
   || (String.length w.w_role > 11
       && String.equal (String.sub w.w_role 0 12) (coordinator_role ^ "#"))
 
+(* Coordinator busy time / wall: the [s] of Amdahl's law. *)
 let serial_fraction p =
   if p.p_wall_ns <= 0 then 0.0
   else
@@ -566,6 +567,8 @@ let serial_fraction p =
     in
     float_of_int coord /. float_of_int p.p_wall_ns
 
+(* Total busy time across all domains / wall: how many domains were
+   doing useful work on average (the achieved, not nominal, [-j]). *)
 let effective_parallelism p =
   if p.p_wall_ns <= 0 then 0.0
   else
@@ -574,6 +577,8 @@ let effective_parallelism p =
     in
     float_of_int busy /. float_of_int p.p_wall_ns
 
+(* Amdahl projection from the measured serial fraction:
+   [1 / (s + (1 - s) / jobs)]. *)
 let expected_speedup p ~jobs =
   let jobs = max 1 jobs in
   let s = Float.max 0.0 (Float.min 1.0 (serial_fraction p)) in

@@ -173,17 +173,6 @@ val check : profile -> (unit, string) result
 (** Verify the telescoping invariant: for every worker, the five buckets
     are non-negative and sum exactly to its wall. *)
 
-val serial_fraction : profile -> float
-(** Coordinator busy time / wall — the [s] of Amdahl's law. *)
-
-val effective_parallelism : profile -> float
-(** Total busy time across all domains / wall: how many domains were
-    doing useful work on average (the achieved, not nominal, [-j]). *)
-
-val expected_speedup : profile -> jobs:int -> float
-(** Amdahl projection from the measured serial fraction:
-    [1 / (s + (1 - s) / jobs)]. *)
-
 val report : ?top:int -> profile -> string
 (** The Amdahl / speedup-loss report: per-worker wall decomposition
     (telescoping shown as percentages), serial fraction and expected

@@ -1,7 +1,7 @@
 (* Tests for the selfbench records (Alcop_obs.Benchdb): robust
    statistics, the v2 schema round-trip with its fingerprint, v1
    rejection, and the compare semantics on regressions, tolerance,
-   disjoint ids, missing host objects and thin rows under --strict. *)
+   disjoint ids and thin rows under --strict. *)
 
 open Alcop_obs
 
@@ -39,21 +39,19 @@ let fp ?(git_rev = "abc1234") ?(hostname = "box-a") ?(jobs = "2") ?(cores = 4)
 
 (* --- schema v2 round-trip and v1 compatibility --- *)
 
-let bench ?host ?(runs = 5) ?(mad = 0.0) id median =
+let bench ?(runs = 5) ?(mad = 0.0) id median =
   { Benchdb.b_id = id;
     b_stats =
       { Benchdb.s_runs = runs; s_median_ns = median; s_mad_ns = mad;
         s_min_ns = median -. mad; s_p90_ns = median +. mad;
-        s_mean_ns = median };
-    b_host = host }
+        s_mean_ns = median } }
 
 let record ?(ts = 1000.0) benches =
   Benchdb.make_record ~ts ~generated_by:"test" ~machine:"sim-a100"
     ~fingerprint:(fp ()) benches
 
 let test_v2_roundtrip () =
-  let host = Json.Obj [ ("serial_fraction", Json.Float 0.25) ] in
-  let r = record [ bench ~mad:3.0 "alcop/lower" 120.0; bench ~host "sweep" 5e9 ] in
+  let r = record [ bench ~mad:3.0 "alcop/lower" 120.0; bench "sweep" 5e9 ] in
   match Benchdb.record_of_json (Benchdb.record_to_json r) with
   | Error e -> Alcotest.fail e
   | Ok r' ->
@@ -69,15 +67,13 @@ let test_v2_roundtrip () =
     Alcotest.(check bool) "hostname changes the hash" true
       (f.Benchdb.f_host_hash <> (fp ~hostname:"box-b" ()).Benchdb.f_host_hash);
     (match r'.Benchdb.r_benches with
-     | [ a; b ] ->
+     | [ a; _ ] ->
        Alcotest.(check string) "id" "alcop/lower" a.Benchdb.b_id;
        Alcotest.(check (float 1e-9)) "median" 120.0
          a.Benchdb.b_stats.Benchdb.s_median_ns;
        Alcotest.(check (float 1e-9)) "mad" 3.0
          a.Benchdb.b_stats.Benchdb.s_mad_ns;
-       Alcotest.(check int) "runs" 5 a.Benchdb.b_stats.Benchdb.s_runs;
-       Alcotest.(check bool) "host object survives" true
-         (b.Benchdb.b_host <> None)
+       Alcotest.(check int) "runs" 5 a.Benchdb.b_stats.Benchdb.s_runs
      | bs -> Alcotest.failf "expected 2 benches, got %d" (List.length bs))
 
 let test_v1_rejected () =
@@ -116,10 +112,8 @@ let test_v1_rejected () =
 (* --- compare semantics --- *)
 
 let test_compare_disjoint_and_missing_host () =
-  let host = Json.Obj [ ("serial_fraction", Json.Float 0.5) ] in
-  (* OLD has a host object and a benchmark NEW lacks; NEW has a new one.
-     Pre-PR-7 this crashed or silently dropped the disjoint ids. *)
-  let old_r = record [ bench ~host "shared" 100.0; bench "vanished" 50.0 ] in
+  (* OLD has a benchmark NEW lacks; NEW has a new one. *)
+  let old_r = record [ bench "shared" 100.0; bench "vanished" 50.0 ] in
   let new_r = record [ bench "shared" 100.0; bench "fresh" 10.0 ] in
   let r = Benchdb.compare_records ~old_r ~new_r () in
   Alcotest.(check (list string)) "only old" [ "vanished" ] r.Benchdb.cmp_only_old;
@@ -136,9 +130,7 @@ let test_compare_disjoint_and_missing_host () =
   Alcotest.(check bool) "explicit only-in-OLD row" true
     (List.exists (contains "(only in OLD)") r.Benchdb.cmp_lines);
   Alcotest.(check bool) "explicit only-in-NEW row" true
-    (List.exists (contains "(only in NEW)") r.Benchdb.cmp_lines);
-  Alcotest.(check bool) "one-sided host noted, no crash" true
-    (List.exists (contains "OLD carries host data") r.Benchdb.cmp_lines)
+    (List.exists (contains "(only in NEW)") r.Benchdb.cmp_lines)
 
 let test_compare_regression_and_tolerance () =
   let old_r = record [ bench "hot" 100.0 ] in

@@ -324,7 +324,7 @@ let golden_profile : Hostprof.profile =
             sp_minor_words = 30_000.0 } ] }
 
 (* Pinned output of {!Hostprof.report} on the profile above: the format
-   is part of the CLI surface ([alcop perf], [bench perf]). *)
+   is part of the CLI surface ([alcop perf]). *)
 let golden_report =
   {|== host profile: wall 200.0 ms, 2 worker domains ==
 track              wall(ms)    busy   queue    lock      gc    idle   tasks
@@ -348,15 +348,22 @@ let test_report_golden () =
   Alcotest.(check string) "report golden" golden_report
     (Hostprof.report golden_profile)
 
+(* The analysis numbers as [alcop perf --json-out] exports them
+   ([json_of_profile]; its expected speedup is at the nominal j = 2). *)
 let test_report_analysis_numbers () =
-  let p = golden_profile in
+  let j = Hostprof.json_of_profile golden_profile in
+  let num key =
+    match Option.bind (Json.member key j) Json.number with
+    | Some v -> v
+    | None -> Alcotest.failf "json_of_profile has no number %s" key
+  in
   Alcotest.(check (float 1e-9)) "serial fraction" 0.15
-    (Hostprof.serial_fraction p);
+    (num "serial_fraction");
   Alcotest.(check (float 1e-9)) "effective parallelism" 1.6
-    (Hostprof.effective_parallelism p);
+    (num "effective_parallelism");
   Alcotest.(check (float 1e-6)) "Amdahl at j=2"
     (1.0 /. (0.15 +. (0.85 /. 2.0)))
-    (Hostprof.expected_speedup p ~jobs:2)
+    (num "expected_speedup")
 
 (* --- exports --- *)
 
