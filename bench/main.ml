@@ -373,11 +373,10 @@ let measure_pass ~quiet ~store_dir () =
   in
   let groups = Alcop_pipeline.Pass.groups pass_result in
   let kernel = pass_result.Alcop_pipeline.Pass.kernel in
-  (* Cold compiles go through a pass-through session; the -hit benchmark
-     measures a fingerprint + memo lookup of [Session.evaluate] on a
-     pre-warmed caching session, i.e. what a repeated schedule point costs
-     a tuner or variant sweep. *)
-  let cold = Session.create ~hw ~cache:false () in
+  (* Cold compiles call [Compiler] directly; the -hit benchmark measures
+     a fingerprint + memo lookup of [Session.evaluate] on a pre-warmed
+     caching session, i.e. what a repeated schedule point costs a tuner or
+     variant sweep. *)
   let warm = Session.create ~hw () in
   ignore (Session.evaluate warm params spec);
   (* Persistent-store rows, against the throwaway store [measure] made:
@@ -404,7 +403,7 @@ let measure_pass ~quiet ~store_dir () =
         Test.make ~name:"trace-extract" (Staged.stage (fun () ->
             ignore (Alcop_gpusim.Trace.extract_program ~groups kernel)));
         Test.make ~name:"compile+simulate" (Staged.stage (fun () ->
-            ignore (Session.compile cold params spec)));
+            ignore (Compiler.compile ~hw params spec)));
         Test.make ~name:"session-evaluate-hit" (Staged.stage (fun () ->
             ignore (Session.evaluate warm params spec)));
         Test.make ~name:"store-cold" (Staged.stage (fun () ->
@@ -423,12 +422,9 @@ let measure_pass ~quiet ~store_dir () =
            predates the single recording; it is kept so older records
            stay comparable.) *)
         Test.make ~name:"pipeview-probe-overhead" (Staged.stage (fun () ->
-            match Session.compile cold params spec with
-            | Ok c ->
-              ignore
-                (Result.map Alcop_gpusim.Pipeview.of_profile
-                   (Alcop_gpusim.Profile.run c.Compiler.timing_request))
-            | Error _ -> ()));
+            ignore
+              (Result.map Alcop_gpusim.Pipeview.of_profile
+                 (Compiler.profile ~hw params spec))));
         Test.make ~name:"analytical-model" (Staged.stage (fun () ->
             ignore (Alcop_perfmodel.Model.predict hw spec params))) ]
   in

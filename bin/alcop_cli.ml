@@ -62,15 +62,16 @@ let tile_conv =
   in
   Arg.conv ~docv:"MxNxK" (parse, Arg.conv_printer triple)
 
-(* Counts that must be at least 1: a tuning budget ([--budget 0] would
-   measure nothing) and a pipeline stage count (1 = no pipelining; below 1
-   [Params.make] raises). Anything lower is a command-line error (exit
-   124). *)
-let count_conv what =
+(* Counts with a floor of [min] (default 1): a tuning budget ([--budget
+   0] would measure nothing), a pipeline stage count (1 = no pipelining;
+   below 1 [Params.make] raises) and perf's budget (0 = the whole space).
+   Anything lower is a command-line error (exit 124). *)
+let count_conv ?(min = 1) what =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok _ -> Error (`Msg (Printf.sprintf "%s %s: must be at least 1" what s))
+    | Ok n when n >= min -> Ok n
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "%s %s: must be at least %d" what s min))
     | Error _ as e -> e
   in
   Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
@@ -146,17 +147,16 @@ let ops_cmd =
   Cmd.v (Cmd.info "ops" ~doc:"List the built-in operator suite.")
     Term.(const run $ const ())
 
-(* Every CLI compile goes through a [Session]: the shared per-hardware one
-   by default, or a pass-through session under --no-cache. The CLI also
-   switches the pass manager's post-pass IR validation on — one-shot
-   commands can afford the structural check the tuning hot path skips.
+(* The evaluating commands ([time], [tune]) go through a [Session]: the
+   shared per-hardware one by default, or a pass-through session under
+   --no-cache. The schedule views compile with [Compiler] and touch
+   neither.
 
    The persistent artifact store is on by default (rooted per --store /
    $ALCOP_STORE / XDG, see [Store.default_root]) so repeated invocations
    skip work across processes; --no-store opts out, and an unwritable
    root degrades to exactly that with a one-line warning. *)
 let session_of ?store_dir ?(no_store = false) ~no_cache () =
-  Passman.set_validate_ir true;
   let store =
     if no_store then None
     else
@@ -198,10 +198,10 @@ let with_jobs jobs f =
   if jobs <= 1 then f None
   else Alcop_par.Pool.with_pool ~jobs (fun pool -> f (Some pool))
 
-let with_compiled ?(session = Session.for_hw hw) params spec f =
-  Passman.set_validate_ir true;
-  match Session.compile session params spec with
-  | Ok c -> f c
+(* A compile error ends every command that needs the compiled schedule:
+   one line on stderr, exit 1. *)
+let or_exit = function
+  | Ok v -> v
   | Error e ->
     Printf.eprintf "compile error: %s\n" (Compiler.error_to_string e);
     exit 1
@@ -262,7 +262,7 @@ let write_text path text =
 
 (* A live sink for the whole run. [reset_at_exit] guarantees it is closed
    (file flushed, Chrome trace document written) even when a later step
-   exits early — e.g. [with_compiled]'s [exit 1] on a compile error. *)
+   exits early — e.g. [or_exit]'s [exit 1] on a compile error. *)
 let install_file_sink make path =
   write_output path (fun path ->
       Alcop_obs.Obs.add_sink (make path);
@@ -271,33 +271,32 @@ let install_file_sink make path =
 let show_cmd =
   let run spec params before cuda dump_ir =
     install_dump_ir dump_ir;
-    with_compiled params spec (fun c ->
-        if before then begin
-          print_endline "=== Input IR (unpipelined) ===";
-          print_endline
-            (Alcop_ir.Kernel.to_string c.Compiler.lowered.Alcop_sched.Lower.kernel);
-          print_newline ()
-        end;
-        if cuda then begin
-          print_string
-            (Alcop_cuda.Codegen.kernel ~groups:c.Compiler.groups
-               c.Compiler.kernel);
-          match c.Compiler.lowered.Alcop_sched.Lower.reduce with
-          | Some r ->
-            print_newline ();
-            print_string (Alcop_cuda.Codegen.kernel r)
-          | None -> ()
-        end
-        else begin
-          print_endline "=== Pipelined IR ===";
-          print_endline (Alcop_ir.Kernel.to_string c.Compiler.kernel);
-          List.iter
-            (fun (g : Alcop_pipeline.Analysis.group) ->
-              Format.printf "group %s: stages=%d loop=%s fused=%b@."
-                g.Alcop_pipeline.Analysis.id g.Alcop_pipeline.Analysis.stages
-                g.Alcop_pipeline.Analysis.loop_var g.Alcop_pipeline.Analysis.fused)
-            c.Compiler.groups
-        end)
+    let c = or_exit (Compiler.compile ~hw params spec) in
+    if before then begin
+      print_endline "=== Input IR (unpipelined) ===";
+      print_endline
+        (Alcop_ir.Kernel.to_string c.Compiler.lowered.Alcop_sched.Lower.kernel);
+      print_newline ()
+    end;
+    if cuda then begin
+      print_string
+        (Alcop_cuda.Codegen.kernel ~groups:c.Compiler.groups c.Compiler.kernel);
+      match c.Compiler.lowered.Alcop_sched.Lower.reduce with
+      | Some r ->
+        print_newline ();
+        print_string (Alcop_cuda.Codegen.kernel r)
+      | None -> ()
+    end
+    else begin
+      print_endline "=== Pipelined IR ===";
+      print_endline (Alcop_ir.Kernel.to_string c.Compiler.kernel);
+      List.iter
+        (fun (g : Alcop_pipeline.Analysis.group) ->
+          Format.printf "group %s: stages=%d loop=%s fused=%b@."
+            g.Alcop_pipeline.Analysis.id g.Alcop_pipeline.Analysis.stages
+            g.Alcop_pipeline.Analysis.loop_var g.Alcop_pipeline.Analysis.fused)
+        c.Compiler.groups
+    end
   in
   let before =
     Arg.(value & flag & info [ "before" ] ~doc:"Also print the unpipelined IR.")
@@ -346,34 +345,28 @@ let time_cmd =
     | Error _ -> ()
   in
   let run spec params trace_out no_cache store_dir no_store =
-    (match trace_out with
-     | Some path -> install_file_sink Alcop_obs.Sinks.chrome_trace_file path
-     | None -> ());
-    let session = session_of ?store_dir ~no_store ~no_cache () in
-    let summarize () =
-      if not no_cache then begin
-        Printf.printf "%s\n" (Session.summary session);
-        print_store_summary session
-      end
-    in
     match trace_out with
     | Some path ->
       (* The Chrome trace wants the real compile phases, so this path
-         always compiles fully (it still writes the store through). *)
-      with_compiled ~session params spec (fun c ->
-          print_report spec params c.Compiler.latency_cycles c.Compiler.timing;
-          summarize ();
-          Alcop_obs.Obs.reset ();
-          Printf.printf "Chrome trace written to %s (open in chrome://tracing)\n"
-            path)
+         compiles cold and consults neither the memo nor the store. *)
+      install_file_sink Alcop_obs.Sinks.chrome_trace_file path;
+      let c = or_exit (Compiler.compile ~hw params spec) in
+      print_report spec params c.Compiler.latency_cycles c.Compiler.timing;
+      Alcop_obs.Obs.reset ();
+      Printf.printf "Chrome trace written to %s (open in chrome://tracing)\n"
+        path
     | None ->
       (* Evaluation-grade query: servable by the in-memory cache, the
          on-disk store (a warm run in a *fresh process* never compiles),
          or a cold compile — whichever tier answers first. *)
+      let session = session_of ?store_dir ~no_store ~no_cache () in
       (match Session.timing session params spec with
        | Ok r ->
          print_report spec params r.Session.latency_cycles r.Session.timing;
-         summarize ()
+         if not no_cache then begin
+           Printf.printf "%s\n" (Session.summary session);
+           print_store_summary session
+         end
        | Error msg ->
          Printf.eprintf "compile error: %s\n" msg;
          exit 1)
@@ -405,20 +398,17 @@ let profile_cmd =
     List.iter
       (fun spec ->
         let name = spec.Alcop_sched.Op_spec.name in
-        match Session.compile (Session.for_hw hw) params spec with
+        match Compiler.profile ~hw params spec with
         | Error e ->
           Printf.printf "%-14s %s\n" name
             ("compile fail: " ^ Compiler.error_kind e)
-        | Ok c ->
-          let sim = c.Compiler.timing.Alcop_gpusim.Timing.total_cycles in
+        | Ok p ->
+          let sim =
+            p.Alcop_gpusim.Profile.p_timing.Alcop_gpusim.Timing.total_cycles
+          in
           let dominant =
-            match
-              Alcop_gpusim.Profile.run ~op:name c.Compiler.timing_request
-            with
-            | Ok p ->
-              Alcop_gpusim.Timing.stall_class_name
-                (Alcop_gpusim.Profile.dominant_stall p)
-            | Error _ -> "?"
+            Alcop_gpusim.Timing.stall_class_name
+              (Alcop_gpusim.Profile.dominant_stall p)
           in
           (match Alcop_perfmodel.Model.predict hw spec params with
            | Error f ->
@@ -459,35 +449,24 @@ let profile_cmd =
     print_newline ()
   in
   let run spec params trace_out jsonl_out compare_model =
-    with_compiled params spec (fun c ->
-        match
-          Alcop_gpusim.Profile.run ~op:spec.Alcop_sched.Op_spec.name
-            ~schedule:(Alcop_perfmodel.Params.to_string params)
-            c.Compiler.timing_request
-        with
-        | Error f ->
-          Format.printf "cannot profile: %a@."
-            Alcop_gpusim.Occupancy.pp_failure f;
-          exit 1
-        | Ok p ->
-          print_string (Alcop_gpusim.Profile.report p);
-          let events = Alcop_gpusim.Profile.events p in
-          (match trace_out with
-           | Some path ->
-             write_output path (fun path ->
-                 Alcop_obs.Sinks.(
-                   emit_all (chrome_trace_file ~ts_to_us:Fun.id path) events));
-             Printf.printf
-               "\nChrome trace (simulated time, 1 cycle = 1 us) written to %s\n"
-               path
-           | None -> ());
-          (match jsonl_out with
-           | Some path ->
-             write_output path (fun path ->
-                 Alcop_obs.Sinks.(emit_all (jsonl_file path) events));
-             Printf.printf "JSONL event log written to %s\n" path
-           | None -> ());
-          if compare_model then dashboard params)
+    let p = or_exit (Compiler.profile ~hw params spec) in
+    print_string (Alcop_gpusim.Profile.report p);
+    let events = Alcop_gpusim.Profile.events p in
+    (match trace_out with
+     | Some path ->
+       write_output path (fun path ->
+           Alcop_obs.Sinks.(
+             emit_all (chrome_trace_file ~ts_to_us:Fun.id path) events));
+       Printf.printf
+         "\nChrome trace (simulated time, 1 cycle = 1 us) written to %s\n" path
+     | None -> ());
+    (match jsonl_out with
+     | Some path ->
+       write_output path (fun path ->
+           Alcop_obs.Sinks.(emit_all (jsonl_file path) events));
+       Printf.printf "JSONL event log written to %s\n" path
+     | None -> ());
+    if compare_model then dashboard params
   in
   let trace_out =
     Arg.(value & opt (some string) None
@@ -522,6 +501,22 @@ let method_conv =
     [ ("grid", Alcop_tune.Tuner.Grid); ("xgb", Alcop_tune.Tuner.Xgb);
       ("analytical", Alcop_tune.Tuner.Analytical_only);
       ("xgb+", Alcop_tune.Tuner.Analytical_xgb) ]
+
+(* The pipeline observatory's feature record of every trial that
+   compiled, keyed by space index: the [features] of the tuning log. The
+   tuning session kept only evaluation records, so each trial is compiled
+   and recorded again. *)
+let trial_features spec (r : Alcop_tune.Tuner.result) =
+  Array.to_list r.Alcop_tune.Tuner.trials
+  |> List.filter_map (fun (trial : Alcop_tune.Tuner.trial) ->
+         match trial.cost with
+         | None -> None
+         | Some _ ->
+           Compiler.profile ~hw trial.params spec
+           |> Result.to_option
+           |> Option.map (fun p ->
+                  ( trial.index,
+                    Alcop_gpusim.Pipeview.(features (of_profile p)) )))
 
 let tune_cmd =
   let run spec method_ budget seed log log_jsonl no_cache store_dir no_store
@@ -558,22 +553,18 @@ let tune_cmd =
       Printf.printf "%s\n" (Session.summary session);
       print_store_summary session
     end;
+    (* The JSONL log records the tuning run; it closes before the
+       feature record compiles the trials again. *)
+    if Option.is_some log_jsonl then Alcop_obs.Obs.reset ();
     (match log with
      | Some path ->
-       (* Attach the pipeline observatory's feature record to every
-          measured trial. *)
-       let features = Session.trial_features session spec result in
        write_text path
-         (Alcop_tune.Tuning_log.to_json ~features
+         (Alcop_tune.Tuning_log.to_json ~features:(trial_features spec result)
             ~spec_name:spec.Alcop_sched.Op_spec.name ~method_ ~seed result
           ^ "\n");
        Printf.printf "tuning log written to %s\n" path
      | None -> ());
-    match log_jsonl with
-    | Some path ->
-      Alcop_obs.Obs.reset ();
-      Printf.printf "JSONL event log written to %s\n" path
-    | None -> ()
+    Option.iter (Printf.printf "JSONL event log written to %s\n") log_jsonl
   in
   let method_ =
     Arg.(value & opt method_conv Alcop_tune.Tuner.Analytical_xgb
@@ -611,16 +602,15 @@ let perf_cmd =
     (match log_jsonl with
      | Some path -> install_file_sink Alcop_obs.Sinks.jsonl_file path
      | None -> ());
-    (* A fresh session (not the registry one) and no post-pass IR
-       validation: perf measures the tuning hot path as the tuners run
-       it. *)
+    (* A fresh session (not the registry one): perf measures the tuning
+       hot path as the tuners run it. *)
     let session =
       if no_cache then Session.create ~hw ~cache:false ()
       else Session.create ~hw ()
     in
     let evaluate = Variants.evaluator ~hw ~session Variants.alcop spec in
     let space = Variants.space Variants.alcop spec in
-    let budget = if budget <= 0 then Array.length space else budget in
+    let budget = if budget = 0 then Array.length space else budget in
     Alcop_obs.Hostprof.start ();
     let result =
       with_jobs jobs @@ fun pool ->
@@ -671,7 +661,7 @@ let perf_cmd =
          & info [ "m"; "method" ] ~doc:"grid | xgb | analytical | xgb+.")
   in
   let budget =
-    Arg.(value & opt int 0
+    Arg.(value & opt (count_conv ~min:0 "budget") 0
          & info [ "budget" ]
              ~doc:"Measurement budget (0 = the whole schedule space).")
   in
@@ -748,9 +738,8 @@ let explain_cmd =
     install_dump_ir dump_ir;
     let sink, events = Alcop_obs.Obs.memory_sink () in
     Alcop_obs.Obs.add_sink sink;
-    (* A fresh process: the first session compile is always a cold miss, so
-       the per-pass spans below are real compile timings, not cache hits. *)
-    let result = Session.compile (session_of ~no_cache:false ()) params spec in
+    (* A cold compile: the per-pass spans below are real compile timings. *)
+    let result = Compiler.compile ~hw params spec in
     let captured = events () in
     let gauges = Alcop_obs.Obs.gauges () in
     Alcop_obs.Obs.reset ();
@@ -831,33 +820,22 @@ let explain_pipeline_cmd =
       ~inner_fuse:params.Alcop_perfmodel.Params.inner_fuse
       ~tiling:params.Alcop_perfmodel.Params.tiling ~smem_stages ~reg_stages ()
   in
-  let view session spec params =
-    with_compiled ~session params spec (fun c ->
-        match
-          Alcop_gpusim.Profile.run ~op:spec.Alcop_sched.Op_spec.name
-            ~schedule:(Alcop_perfmodel.Params.to_string params)
-            c.Compiler.timing_request
-        with
-        | Ok p -> Alcop_gpusim.Pipeview.of_profile p
-        | Error f ->
-          Format.eprintf "cannot analyze: %a@."
-            Alcop_gpusim.Occupancy.pp_failure f;
-          exit 1)
+  let view spec params =
+    Alcop_gpusim.Pipeview.of_profile (or_exit (Compiler.profile ~hw params spec))
   in
   let write_html path html =
     write_text path html;
     Printf.printf "HTML report written to %s\n" path
   in
   let run spec params compare html jsonl_out =
-    let session = session_of ~no_cache:false () in
     match compare with
     | Some (pair_a, pair_b) ->
       let params_a = with_stages params pair_a
       and params_b = with_stages params pair_b in
       let label_a = Printf.sprintf "%dx%d" (fst pair_a) (snd pair_a)
       and label_b = Printf.sprintf "%dx%d" (fst pair_b) (snd pair_b) in
-      let a = view session spec params_a in
-      let b = view session spec params_b in
+      let a = view spec params_a in
+      let b = view spec params_b in
       print_string
         (Alcop_gpusim.Pipeview.compare_report ~label_a ~label_b a b);
       (match jsonl_out with
@@ -873,7 +851,7 @@ let explain_pipeline_cmd =
          write_html path (Exp_report.pipeview_compare_page ~label_a ~label_b a b)
        | None -> ())
     | None ->
-      let v = view session spec params in
+      let v = view spec params in
       print_string (Alcop_gpusim.Pipeview.report v);
       (match Alcop_perfmodel.Model.predict hw spec params with
        | Ok m ->
@@ -932,12 +910,11 @@ let verify_cmd =
         "operator too large for the functional interpreter; pick a small shape\n";
       exit 1
     end;
-    with_compiled params spec (fun c ->
-        match Compiler.verify c with
-        | Ok diff -> Printf.printf "OK: max |err| = %g\n" diff
-        | Error diff ->
-          Printf.printf "MISMATCH: max |err| = %g\n" diff;
-          exit 1)
+    match Compiler.verify (or_exit (Compiler.compile ~hw params spec)) with
+    | Ok diff -> Printf.printf "OK: max |err| = %g\n" diff
+    | Error diff ->
+      Printf.printf "MISMATCH: max |err| = %g\n" diff;
+      exit 1
   in
   Cmd.v
     (Cmd.info "verify"

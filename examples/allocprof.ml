@@ -63,14 +63,13 @@ let () =
         Alcop_gpusim.Trace.extract_program ~groups kernel)
   in
   Printf.printf "program events: %d\n" (Alcop_gpusim.Trace.length program);
-  let session = Alcop.Session.create ~hw ~cache:false () in
   ignore
-    (measure "full-compile" (fun () -> Alcop.Session.compile session params spec));
+    (measure "full-compile" (fun () -> Alcop.Compiler.compile ~hw params spec));
   ignore
     (measure "fingerprint" (fun () ->
          Alcop.Fingerprint.compile_key ~hw ~extra_regs_per_thread:0 params spec));
   (* simulate alone, via the compiled request *)
-  (match Alcop.Session.compile session params spec with
+  (match Alcop.Compiler.compile ~hw params spec with
    | Ok c ->
      ignore
        (measure "timing-run" (fun () ->

@@ -43,7 +43,7 @@ let () =
     (String.concat ", "
        (List.map (fun (t, _, _) -> t) l1.Lower.materialize));
   let c1 =
-    match Session.compile (Session.for_hw hw)
+    match Compiler.compile ~hw
             (Alcop_perfmodel.Params.make ~tiling
                ~smem_stages:3 ~reg_stages:2 ()) spec with
     | Ok c -> c
@@ -119,7 +119,7 @@ let () =
   time "fused (case 2):" ~inline_elemwise:true;
   time "materialized:" ~inline_elemwise:false;
   let p = Alcop_perfmodel.Params.make ~tiling ~smem_stages:3 ~reg_stages:1 () in
-  (match Session.compile (Session.for_hw hw) p spec with
+  (match Compiler.compile ~hw p spec with
    | Ok c ->
      Format.printf "    end-to-end latency (fused): %.0f cycles@."
        c.Compiler.latency_cycles;

@@ -27,7 +27,7 @@ let () =
     Alcop_perfmodel.Params.make ~tiling ~smem_stages:3 ~reg_stages:2 ()
   in
   let compiled =
-    match Session.compile (Session.for_hw hw) params spec with
+    match Compiler.compile ~hw params spec with
     | Ok c -> c
     | Error e -> failwith (Compiler.error_to_string e)
   in

@@ -74,9 +74,8 @@ let materialize_cycles (hw : Alcop_hw.Hw_config.t) (lowered : Lower.lowered) =
    (pre-Ampere double buffering): the in-flight tile occupies registers.
 
    Each phase is one named pass run through [Passman.run]: the pass manager
-   owns the obs span, the per-pass wall-time gauge, optional post-pass IR
-   validation and the --dump-ir-after hook, so this function reads as the
-   plain pipeline of paper Fig. 4. *)
+   owns the obs span, the per-pass wall-time gauge and the --dump-ir-after
+   hook, so this function reads as the plain pipeline of paper Fig. 4. *)
 let compile ?(hw = Alcop_hw.Hw_config.default)
     ?(extra_regs_per_thread = 0) (params : Alcop_perfmodel.Params.t)
     (spec : Op_spec.t) =
@@ -186,6 +185,17 @@ let compile ?(hw = Alcop_hw.Hw_config.default)
              Ok
                { schedule; params; lowered; kernel; groups; program;
                  timing_request = request; timing; latency_cycles })))
+
+(* Profile.run replays the request [compile] just timed, so it cannot
+   fail to launch where the timing pass succeeded; the mapping only keeps
+   the result type total. *)
+let profile ?hw params (spec : Op_spec.t) =
+  match compile ?hw params spec with
+  | Error e -> Error e
+  | Ok c ->
+    Alcop_gpusim.Profile.run ~op:spec.Op_spec.name
+      ~schedule:(Alcop_perfmodel.Params.to_string params) c.timing_request
+    |> Result.map_error (fun f -> Launch_failed f)
 
 (* Functional verification: run the pipelined kernel in the strict
    interpreter on deterministic inputs and compare against the host

@@ -47,16 +47,27 @@ val compile :
   Op_spec.t ->
   (compiled, error) result
 (** Compile one operator under one schedule point, cold — no caching.
-    Almost every caller wants {!Session.compile} instead, which memoizes
-    the result under a content fingerprint of the inputs. [Error] covers
+    Callers that only need the latency and kernel timing want
+    {!Session.timing} instead, which memoizes that evaluation under a
+    content fingerprint of the inputs. [Error] covers
     schedule construction failures, lowering failures, pipelining-legality
     rejections and launch failures (resource exhaustion).
     [extra_regs_per_thread] models compilers that prefetch without
     cp.async. Each phase runs through {!Passman.run} as a named pass —
     [schedule] / [lower] / [pipeline] / [trace] / [timing] — inside an
     [Alcop_obs] span named [compile.<pass>], with a [pass.<pass>.ms]
-    wall-time gauge, optional post-pass IR validation and the
-    [--dump-ir-after] hook. *)
+    wall-time gauge and the [--dump-ir-after] hook. *)
+
+val profile :
+  ?hw:Alcop_hw.Hw_config.t ->
+  Alcop_perfmodel.Params.t ->
+  Op_spec.t ->
+  (Alcop_gpusim.Profile.t, error) result
+(** Record one schedule: {!compile}, then replay its timed launch with
+    {!Alcop_gpusim.Profile.run}, labelled with the operator name and the
+    schedule point. Every schedule view ([alcop profile],
+    [alcop explain-pipeline], the report's example pair, the tuning log's
+    feature record) starts from this. *)
 
 val verify : ?atol:float -> compiled -> (float, float) result
 (** Execute the pipelined kernel (and the split-K reduction, if any) in the

@@ -189,13 +189,7 @@ let example_profile ~hw ~smem_stages ~reg_stages =
   let params =
     Alcop_perfmodel.Params.make ~tiling ~smem_stages ~reg_stages ()
   in
-  match Session.compile (Session.for_hw hw) params example_spec with
-  | Error _ -> None
-  | Ok c ->
-    Result.to_option
-      (Alcop_gpusim.Profile.run ~op:example_spec.Alcop_sched.Op_spec.name
-         ~schedule:(Alcop_perfmodel.Params.to_string params)
-         c.Compiler.timing_request)
+  Result.to_option (Compiler.profile ~hw params example_spec)
 
 (* Stall diff between the pair: the per-class cycle deltas partition the
    total cycle delta (each side's classes telescope to its critical

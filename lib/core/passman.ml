@@ -50,20 +50,7 @@ let set_dump ~after f =
 
 let clear_dump () = dump_hook := None
 
-(* --- post-pass validation --- *)
-
-let validate_flag = ref false
-let set_validate_ir v = validate_flag := v
-let validate_ir () = !validate_flag
-
 (* --- running one pass --- *)
-
-let check_ir name kernel =
-  match Alcop_ir.Validate.check kernel with
-  | Ok () -> ()
-  | Error errors ->
-    Obs.count ("pass." ^ name ^ ".validate_fail");
-    raise (Alcop_ir.Validate.Invalid errors)
 
 let run ~name ?ir_of f =
   (* Host-profile allocation sampling is independent of [Obs.enabled]:
@@ -88,14 +75,8 @@ let run ~name ?ir_of f =
       Obs.count ("pass." ^ name ^ ".runs");
       r
   in
-  (match ir_of with
-   | None -> ()
-   | Some extract ->
-     (match extract result with
-      | None -> ()
-      | Some kernel ->
-        if !validate_flag then check_ir name kernel;
-        (match !dump_hook with
-         | Some (after, dump) when String.equal after name -> dump name kernel
-         | Some _ | None -> ())));
+  (match (ir_of, !dump_hook) with
+   | Some extract, Some (after, dump) when String.equal after name ->
+     Option.iter (dump name) (extract result)
+   | _ -> ());
   result

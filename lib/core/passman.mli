@@ -8,9 +8,6 @@
     - an [Alcop_obs] span named [compile.<pass>] (unchanged from the
       pre-passman span names, so existing traces and tools keep working);
     - a wall-time gauge [pass.<pass>.ms] and a counter [pass.<pass>.runs];
-    - optional post-pass structural validation of the produced IR
-      ({!Alcop_ir.Validate.check}), off by default on the hot path and
-      switched on by the CLI;
     - a dump hook ([--dump-ir-after=PASS] in [alcop show]/[alcop explain])
       that receives the intermediate kernel right after the pass runs.
 
@@ -21,7 +18,7 @@
 type info = {
   name : string;       (** registry key, e.g. ["lower"] *)
   title : string;      (** one-line description for [--help] output *)
-  produces_ir : bool;  (** whether the pass yields a kernel to dump/check *)
+  produces_ir : bool;  (** whether the pass yields a kernel to dump *)
 }
 
 val find : string -> info option
@@ -49,19 +46,6 @@ val set_dump :
 val clear_dump : unit -> unit
 (** Test-only: tests uninstall the dump hook between cases. *)
 
-(** {2 Post-pass validation} *)
-
-val set_validate_ir : bool -> unit
-(** When on, every IR-producing pass run through {!run} has its output
-    structurally validated with {!Alcop_ir.Validate.check}; a failure
-    raises {!Alcop_ir.Validate.Invalid} (a compiler bug, not a user
-    error) after bumping [pass.<pass>.validate_fail]. Default: off — the
-    pipelining pass already validates its own output, and tuning sweeps
-    compile thousands of points. *)
-
-val validate_ir : unit -> bool
-(** Test-only: tests read back the validation switch. *)
-
 (** {2 Running a pass} *)
 
 val run :
@@ -72,5 +56,6 @@ val run :
 (** [run ~name ?ir_of f] executes [f] as the named pass: inside an obs span
     [compile.<name>], timing it into the [pass.<name>.ms] gauge, counting
     [pass.<name>.runs], then — when [ir_of] extracts a kernel from the
-    result — validating (if enabled) and feeding the dump hook. Escaping
+    result — feeding the dump hook. The passes that produce IR validate
+    it themselves ([Lower.run], [Alcop_pipeline.Pass.run]). Escaping
     exceptions still close the span. *)

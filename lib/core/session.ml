@@ -119,9 +119,9 @@ let evict_to_capacity t =
 
 let compile_ns = "compile"
 
-(* The in-flight-deduplicated miss protocol, shared by [compile] and
-   [timing]. Returns [`Hit record] or [`Miss]; a [`Miss] caller holds the
-   in-flight claim and runs its branch under [holding_claim]. *)
+(* The in-flight-deduplicated miss protocol of [timing]. Returns
+   [`Hit record] or [`Miss]; a [`Miss] caller holds the in-flight claim
+   and runs its branch under [holding_claim]. *)
 let acquire t key =
   let rec go () =
     match Hashtbl.find_opt t.table key with
@@ -204,52 +204,7 @@ let store_write t key record =
       (Artifact.to_string record);
     Obs.count "session.store.write"
 
-(* The cold path both [compile] and [timing] fall back to: run the real
-   compiler, capture its gauges, write the record through and land it. *)
-let compile_cold t ~extra_regs_per_thread ~key params spec =
-  let outcome = Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec in
-  (* Capture-local read: under a pool this sees only the gauges this
-     very compile published, never another domain's. *)
-  let gauges =
-    match outcome with
-    | Ok _ -> Obs.gauges_with_prefix timing_prefix
-    | Error _ -> []
-  in
-  let record = record_of_outcome outcome gauges in
-  store_write t key record;
-  land_entry t key record;
-  (outcome, record)
-
-let compile t ?(extra_regs_per_thread = 0)
-    (params : Alcop_perfmodel.Params.t) (spec : Op_spec.t) =
-  if not t.cache then
-    Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec
-  else begin
-    let key =
-      Fingerprint.compile_key ~hw:t.hw ~extra_regs_per_thread params spec
-    in
-    match acquire t key with
-    | `Hit record ->
-      (* The memo keeps only the record, so rebuild the artifact. The
-         rebuild's own telemetry is captured and dropped: a hit emits
-         exactly the hit counter and the recorded gauges. *)
-      let outcome =
-        match
-          Obs.capturing (fun () ->
-              Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec)
-        with
-        | Ok outcome, _ -> outcome
-        | Error (e, bt), _ -> Printexc.raise_with_backtrace e bt
-      in
-      count_hit record;
-      outcome
-    | `Miss ->
-      holding_claim t key @@ fun () ->
-      Obs.count "session.cache.miss";
-      fst (compile_cold t ~extra_regs_per_thread ~key params spec)
-  end
-
-(* --- evaluation-grade lookups: may be served by the persistent store --- *)
+(* --- the evaluation: memo, then the persistent store, then a compile --- *)
 
 type timed = {
   latency_cycles : float;
@@ -307,8 +262,20 @@ let timing t ?(extra_regs_per_thread = 0)
          publish_gauges record;
          timed_of_record record
        | None ->
-         timed_of_record
-           (snd (compile_cold t ~extra_regs_per_thread ~key params spec)))
+         let outcome =
+           Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec
+         in
+         (* Capture-local read: under a pool this sees only the gauges
+            this very compile published, never another domain's. *)
+         let gauges =
+           match outcome with
+           | Ok _ -> Obs.gauges_with_prefix timing_prefix
+           | Error _ -> []
+         in
+         let record = record_of_outcome outcome gauges in
+         store_write t key record;
+         land_entry t key record;
+         timed_of_record record)
   end
 
 let evaluate t ?extra_regs_per_thread params spec =
@@ -319,23 +286,3 @@ let evaluate t ?extra_regs_per_thread params spec =
 let evaluator t ?(extra_regs = fun _ -> 0) (spec : Op_spec.t) =
   fun (params : Alcop_perfmodel.Params.t) ->
     evaluate t ~extra_regs_per_thread:(extra_regs params) params spec
-
-let trial_features t (spec : Op_spec.t) (r : Alcop_tune.Tuner.result) =
-  Array.to_list r.Alcop_tune.Tuner.trials
-  |> List.filter_map (fun (trial : Alcop_tune.Tuner.trial) ->
-         match trial.cost with
-         | None -> None
-         | Some _ ->
-           (match compile t trial.params spec with
-            | Error _ -> None
-            | Ok c ->
-              (match
-                 Alcop_gpusim.Profile.run ~op:spec.Op_spec.name
-                   ~schedule:(Alcop_perfmodel.Params.to_string trial.params)
-                   c.Compiler.timing_request
-               with
-               | Ok p ->
-                 Some
-                   ( trial.index,
-                     Alcop_gpusim.Pipeview.(features (of_profile p)) )
-               | Error _ -> None)))

@@ -1,5 +1,7 @@
 (** The compilation session: a content-addressed memo of evaluation
-    records in front of {!Compiler.compile}.
+    records in front of {!Compiler.compile}. It memoizes evaluations and
+    nothing else; a caller that needs the compiled artifact (its IR, trace
+    or recorded profile) calls {!Compiler.compile} or {!Compiler.profile}.
 
     Every tuner, compiler variant and experiment evaluates schedule points
     through a session. The cache key is a {!Fingerprint} of (operator
@@ -14,7 +16,7 @@
     the kind and message of a structured compile error (failed points
     recur in sweeps just as often as good ones). It is never the compiled
     artifact itself, whose IR, schedule and packed program are ~30× the
-    record's size; {!compile} rebuilds that on a hit.
+    record's size.
 
     The memo is capacity-bounded (FIFO eviction). Hit, miss and eviction
     totals are kept per session and also published as
@@ -63,9 +65,7 @@ val attach_store : t -> Store.t option -> unit
     store before compiling: a hit ([session.store.hit]) serves the
     recorded latency, kernel timing and gauges without running the
     compiler at all, and lands the record in the memo — that is what
-    makes warm compiles near-free across processes. A {!compile} miss
-    never reads the store (it must compile to return the artifact); it
-    only writes through. *)
+    makes warm compiles near-free across processes. *)
 
 val store : t -> Store.t option
 
@@ -74,20 +74,6 @@ val for_hw : Alcop_hw.Hw_config.t -> t
     by {!Fingerprint.hw_digest}: all variants, tuners and experiments
     targeting the same machine share one artifact store. Scaled or
     cross-generation machines (experiment E9) each get their own. *)
-
-val compile :
-  t ->
-  ?extra_regs_per_thread:int ->
-  Alcop_perfmodel.Params.t ->
-  Alcop_sched.Op_spec.t ->
-  (Compiler.compiled, Compiler.error) result
-(** {!Compiler.compile} on this session's hardware, counted against the
-    memo. A miss compiles, lands the record and writes it through, like
-    {!timing}. A hit — including a key landed from a disk record — counts
-    as a hit, re-publishes the recorded gauges and compiles again to
-    return the artifact, without landing or writing anything; the
-    rebuild's own telemetry is dropped. Compilation is deterministic, so
-    the artifact is bit-identical to the cold one. *)
 
 type timed = {
   latency_cycles : float;
@@ -106,9 +92,10 @@ val timing :
 (** The memoized evaluation: a hit is served from the memo's record
     without compiling. On a miss with a store attached, a persisted
     record from *any previous process* satisfies the call
-    (bit-identically — floats round-trip exactly); otherwise it compiles
-    as {!compile} does. [Error] carries the memoized compile error's
-    rendering. *)
+    (bit-identically — floats round-trip exactly); otherwise it runs
+    {!Compiler.compile} on this session's hardware, captures its
+    [timing.*] gauges, lands the record and writes it through. [Error]
+    carries the memoized compile error's rendering. *)
 
 val evaluate :
   t ->
@@ -126,20 +113,10 @@ val evaluator :
   float option
 (** Measurement function for the tuners, closed over one operator. *)
 
-val trial_features :
-  t -> Alcop_sched.Op_spec.t -> Alcop_tune.Tuner.result ->
-  (int * (string * float) list) list
-(** The pipeline observatory's feature record ({!Alcop_gpusim.Pipeview})
-    of every trial that compiled, keyed by space index — the [features]
-    argument of {!Alcop_tune.Tuning_log.to_json}. Each trial's
-    {!compile} is a cache hit on the session that ran the tuner, so the
-    extra cost is one rebuild of the artifact and one recorded simulation
-    of its waves per trial. *)
-
 val stats : t -> stats
 (** [hits + misses] telescopes to the total number of (cache-enabled)
-    {!compile}/{!timing}/{!evaluate} calls on this session; [entries]
-    counts resident evaluation records, whichever call landed them. *)
+    {!timing}/{!evaluate} calls on this session; [entries] counts
+    resident evaluation records. *)
 
 val hit_rate : stats -> float
 (** hits / (hits + misses); 0 when nothing was evaluated. *)

@@ -190,4 +190,4 @@ val events : profile -> Obs.event list
 
 val json_of_profile : profile -> Json.t
 (** Machine-readable profile (schema ["alcop-hostprof-v1"]) for
-    [alcop perf --json-out] and the selfbench host rows. *)
+    [alcop perf --json-out]. *)

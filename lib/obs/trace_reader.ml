@@ -1,8 +1,8 @@
 (* Streaming JSONL reader: the inverse of [Sinks.jsonl]. Parses sink
    output back into [Obs.event]s and reconstructs the derived state —
-   span trees, final counter/gauge values and their time series, point
-   events, histograms — so analyses ("why is variant A faster", "did this
-   change regress a pass") run on logs instead of on a live process.
+   span trees, final counter/gauge values, point events, histograms — so
+   analyses ("why is variant A faster", "did this change regress a pass")
+   run on logs instead of on a live process.
 
    Parsing is line-by-line on [Json.of_string]; a malformed line (torn
    write, truncation, bit rot) is skipped and *counted*, never raised
@@ -148,16 +148,12 @@ type point = {
   pt_fields : (string * Json.t) list;
 }
 
-type series = (float * float) list
-
 type trace = {
   tr_events : int;
   tr_skipped : int;
   tr_spans : span list;
   tr_counters : (string * int) list;
-  tr_counter_series : (string * series) list;
   tr_gauges : (string * float) list;
-  tr_gauge_series : (string * series) list;
   tr_points : point list;
   tr_hists : (string * Obs.histogram) list;
 }
@@ -180,8 +176,8 @@ let trace_of_events events =
     Hashtbl.replace pending depth
       (span :: Option.value ~default:[] (Hashtbl.find_opt pending depth))
   in
-  let counters : (string, int * series) Hashtbl.t = Hashtbl.create 8 in
-  let gauges : (string, float * series) Hashtbl.t = Hashtbl.create 8 in
+  let counters : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let gauges : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let hists : (string, Obs.histogram) Hashtbl.t = Hashtbl.create 8 in
   let points = ref [] in
   let n = ref 0 in
@@ -195,20 +191,8 @@ let trace_of_events events =
         push depth
           { sp_name = name; sp_start = ts; sp_dur = dur; sp_depth = depth;
             sp_fields = fields; sp_children = children }
-      | Obs.Counter { name; total; ts; _ } ->
-        let series =
-          match Hashtbl.find_opt counters name with
-          | Some (_, s) -> s
-          | None -> []
-        in
-        Hashtbl.replace counters name (total, (ts, float_of_int total) :: series)
-      | Obs.Gauge { name; value; ts } ->
-        let series =
-          match Hashtbl.find_opt gauges name with
-          | Some (_, s) -> s
-          | None -> []
-        in
-        Hashtbl.replace gauges name (value, (ts, value) :: series)
+      | Obs.Counter { name; total; _ } -> Hashtbl.replace counters name total
+      | Obs.Gauge { name; value; _ } -> Hashtbl.replace gauges name value
       | Obs.Hist { name; value; _ } ->
         let h =
           Option.value ~default:(Obs.hist_empty ()) (Hashtbl.find_opt hists name)
@@ -227,12 +211,8 @@ let trace_of_events events =
   { tr_events = !n;
     tr_skipped = 0;
     tr_spans = roots;
-    tr_counters = sorted_assoc (fun f -> Hashtbl.fold f counters) fst;
-    tr_counter_series =
-      sorted_assoc (fun f -> Hashtbl.fold f counters) (fun (_, s) -> List.rev s);
-    tr_gauges = sorted_assoc (fun f -> Hashtbl.fold f gauges) fst;
-    tr_gauge_series =
-      sorted_assoc (fun f -> Hashtbl.fold f gauges) (fun (_, s) -> List.rev s);
+    tr_counters = sorted_assoc (fun f -> Hashtbl.fold f counters) Fun.id;
+    tr_gauges = sorted_assoc (fun f -> Hashtbl.fold f gauges) Fun.id;
     tr_points = List.rev !points;
     tr_hists = sorted_assoc (fun f -> Hashtbl.fold f hists) Fun.id }
 

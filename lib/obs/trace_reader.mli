@@ -1,7 +1,7 @@
 (** Streaming reader for the JSONL event logs written by {!Sinks.jsonl}:
     the inverse of the sink. Parses lines back into {!Obs.event}s and
     reconstructs the derived state — the span forest, final counter/gauge
-    values and their time series, point events, and histograms aggregated
+    values, point events, and histograms aggregated
     from individual observations — so offline analyses (trace summaries,
     diffs, reports) work from logs alone.
 
@@ -43,17 +43,12 @@ type point = {
   pt_fields : (string * Json.t) list;
 }
 
-type series = (float * float) list
-(** [(ts, value)] samples in emission order. *)
-
 type trace = {
   tr_events : int;  (** total events consumed *)
   tr_skipped : int;  (** malformed lines skipped while reading *)
   tr_spans : span list;  (** root spans in start order *)
   tr_counters : (string * int) list;  (** final totals, sorted by name *)
-  tr_counter_series : (string * series) list;
   tr_gauges : (string * float) list;  (** last value, sorted by name *)
-  tr_gauge_series : (string * series) list;
   tr_points : point list;  (** in emission order *)
   tr_hists : (string * Obs.histogram) list;
       (** aggregated from [Hist] observations, sorted by name *)

@@ -122,7 +122,18 @@ let tuning_log_golden method_ file () =
   let result =
     Alcop_tune.Tuner.run ~hw ~spec ~space ~evaluate ~budget:12 ~seed method_
   in
-  let features = Alcop.Session.trial_features session spec result in
+  (* the CLI's feature record: one recorded profile per compiled trial *)
+  let features =
+    Array.to_list result.Alcop_tune.Tuner.trials
+    |> List.filter_map (fun (t : Alcop_tune.Tuner.trial) ->
+           match t.cost with
+           | None -> None
+           | Some _ ->
+             (match Alcop.Compiler.profile ~hw t.params spec with
+              | Ok p ->
+                Some (t.index, Alcop_gpusim.Pipeview.(features (of_profile p)))
+              | Error _ -> None))
+  in
   let log =
     Alcop_tune.Tuning_log.to_json ~features ~spec_name:spec.Op_spec.name
       ~method_ ~seed result

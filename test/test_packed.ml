@@ -392,9 +392,8 @@ let check_budget name budget f =
 
 let test_allocation_budget () =
   let spec, _tiling, params = budget_spec () in
-  let session = Alcop.Session.create ~hw ~cache:false () in
   check_budget "cold compile+simulate" alloc_budget_full (fun () ->
-      Alcop.Session.compile session params spec)
+      Alcop.Compiler.compile ~hw params spec)
 
 let test_per_pass_budgets () =
   let spec, tiling, params = budget_spec () in
@@ -418,8 +417,7 @@ let test_per_pass_budgets () =
   let kernel = piped.Alcop_pipeline.Pass.kernel in
   check_budget "trace-extract" alloc_budget_trace_extract (fun () ->
       Alcop_gpusim.Trace.extract_program ~groups kernel);
-  let session = Alcop.Session.create ~hw ~cache:false () in
-  (match Alcop.Session.compile session params spec with
+  (match Alcop.Compiler.compile ~hw params spec with
    | Ok c ->
      check_budget "simulate" alloc_budget_simulate (fun () ->
          Alcop_gpusim.Timing.run c.Alcop.Compiler.timing_request)
@@ -454,8 +452,7 @@ let test_evaluation_budgets () =
 
 let test_traced_simulate_budget () =
   let spec, _tiling, params = budget_spec () in
-  let session = Alcop.Session.create ~hw ~cache:false () in
-  match Alcop.Session.compile session params spec with
+  match Alcop.Compiler.compile ~hw params spec with
   | Error _ -> Alcotest.fail "budget compile failed"
   | Ok c ->
     Alcop_obs.Obs.reset ();

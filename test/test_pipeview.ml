@@ -61,13 +61,9 @@ let compiled_view ~smem_stages ~reg_stages () =
   let params =
     Alcop_perfmodel.Params.make ~tiling ~smem_stages ~reg_stages ()
   in
-  let session = Alcop.Session.create ~hw ~cache:false () in
-  match Alcop.Session.compile session params spec with
-  | Error _ -> Alcotest.fail "compile failed"
-  | Ok c ->
-    (match Profile.run c.Alcop.Compiler.timing_request with
-     | Ok p -> Pipeview.of_profile p
-     | Error _ -> Alcotest.fail "pipeview failed on compiled kernel")
+  match Alcop.Compiler.profile ~hw params spec with
+  | Ok p -> Pipeview.of_profile p
+  | Error e -> Alcotest.fail (Alcop.Compiler.error_to_string e)
 
 let test_partition_telescopes () =
   List.iter

@@ -19,12 +19,19 @@ let params = Alcop_perfmodel.Params.make ~tiling ~smem_stages:3 ~reg_stages:2 ()
 
 let test_hit_returns_identical_artifact () =
   let session = Session.create ~hw () in
-  match Session.compile session params spec, Session.compile session params spec with
-  | Ok cold, Ok hit ->
-    Alcotest.(check bool) "latency bit-identical" true
-      (cold.Compiler.latency_cycles = hit.Compiler.latency_cycles);
-    Alcotest.(check bool) "timing bit-identical" true
-      (cold.Compiler.timing = hit.Compiler.timing);
+  match
+    ( Compiler.compile ~hw params spec,
+      Session.timing session params spec,
+      Session.timing session params spec )
+  with
+  | Ok cold, Ok miss, Ok hit ->
+    List.iter
+      (fun (what, (r : Session.timed)) ->
+        Alcotest.(check bool) (what ^ " latency bit-identical") true
+          (cold.Compiler.latency_cycles = r.Session.latency_cycles);
+        Alcotest.(check bool) (what ^ " timing bit-identical") true
+          (cold.Compiler.timing = r.Session.timing))
+      [ ("miss", miss); ("hit", hit) ];
     let s = Session.stats session in
     Alcotest.(check int) "one hit" 1 s.Session.hits;
     Alcotest.(check int) "one miss" 1 s.Session.misses
@@ -109,12 +116,12 @@ let prop_cached_equals_cold =
         | Error _ -> None
       in
       let view = function
-        | Ok (c : Compiler.compiled) ->
-          Some (c.Compiler.latency_cycles, c.Compiler.timing)
+        | Ok (r : Session.timed) ->
+          Some (r.Session.latency_cycles, r.Session.timing)
         | Error _ -> None
       in
-      let first = view (Session.compile session p spec) in
-      let second = view (Session.compile session p spec) in
+      let first = view (Session.timing session p spec) in
+      let second = view (Session.timing session p spec) in
       let s = Session.stats session in
       first = cold && second = cold
       && s.Session.hits + s.Session.misses = 2

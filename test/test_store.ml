@@ -68,40 +68,6 @@ let test_failures_persist () =
     (Session.evaluate s2 bad_params spec = None);
   Alcotest.(check int) "failure served from disk" 1 (Store.stats st2).Store.hits
 
-let test_compile_never_reads_records () =
-  (* [compile] never reads the store: it compiles to return the artifact.
-     A key [timing] landed from a disk record is still a memo hit for it,
-     so the rebuild lands and writes nothing. *)
-  with_dir @@ fun dir ->
-  ignore
-    (Session.timing
-       (Session.create ~hw ~store:(Store.create ~root:dir ()) ())
-       params spec);
-  let st = Store.create ~root:dir () in
-  let s = Session.create ~hw ~store:st () in
-  let warm =
-    match Session.timing s params spec with
-    | Ok r -> r.Session.latency_cycles
-    | Error msg -> Alcotest.failf "warm timing failed: %s" msg
-  in
-  let before = Store.stats st in
-  (match Session.compile s params spec with
-   | Ok c ->
-     Alcotest.(check bool) "rebuilt artifact matches the record" true
-       (c.Compiler.latency_cycles = warm)
-   | Error e -> Alcotest.failf "compile failed: %s" (Compiler.error_to_string e));
-  let after = Store.stats st in
-  Alcotest.(check int) "compile reads nothing"
-    (before.Store.hits + before.Store.misses)
-    (after.Store.hits + after.Store.misses);
-  Alcotest.(check int) "compile writes nothing" before.Store.writes
-    after.Store.writes;
-  let stats = Session.stats s in
-  Alcotest.(check int) "compile on a disk record is a hit" 1
-    stats.Session.hits;
-  Alcotest.(check int) "the read-through is the only miss" 1
-    stats.Session.misses
-
 (* --- corruption tolerance --- *)
 
 let corrupt_then_serve payload =
@@ -321,8 +287,6 @@ let suite =
       [ Alcotest.test_case "warm across sessions (fresh process)" `Quick
           test_warm_across_sessions;
         Alcotest.test_case "failures persist" `Quick test_failures_persist;
-        Alcotest.test_case "compile never served by records" `Quick
-          test_compile_never_reads_records;
         Alcotest.test_case "corrupt entries are misses" `Quick
           test_corrupt_entries;
         Alcotest.test_case "artifact record round-trip" `Quick
