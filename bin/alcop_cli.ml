@@ -741,7 +741,12 @@ let explain_cmd =
     (* A cold compile: the per-pass spans below are real compile timings. *)
     let result = Compiler.compile ~hw params spec in
     let captured = events () in
-    let gauges = Alcop_obs.Obs.gauges () in
+    (* Simulator gauges only: the [pass.<p>.ms] host timings are above. *)
+    let gauges =
+      List.filter
+        (fun (name, _) -> String.starts_with ~prefix:"timing." name)
+        (Alcop_obs.Obs.gauges ())
+    in
     Alcop_obs.Obs.reset ();
     Printf.printf "operator:  %s\n" (Format.asprintf "%a" Alcop_sched.Op_spec.pp spec);
     Printf.printf "schedule:  %s\n\n" (Alcop_perfmodel.Params.to_string params);

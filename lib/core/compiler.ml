@@ -1,12 +1,14 @@
 (* The end-to-end ALCOP compilation pipeline (paper Fig. 4):
 
-     schedule -> lowering -> pipelining pass -> trace -> timing simulation
+     schedule -> launch check -> lowering -> pipelining pass -> trace
+       -> timing simulation
 
    [compile] produces everything downstream consumers need: the pipelined
    kernel (for inspection and functional execution), the pipeline groups
    (for the interpreter's async semantics), the event trace, and the
    simulated kernel latency. A schedule whose resource demands exceed the
-   hardware fails to compile — the tuner sees those as failed trials. *)
+   hardware fails to compile before it is lowered — the tuner sees those
+   as failed trials. *)
 
 open Alcop_ir
 open Alcop_sched
@@ -82,109 +84,113 @@ let compile ?(hw = Alcop_hw.Hw_config.default)
   Obs.with_span "compile"
     ~fields:[ ("op", Alcop_obs.Json.Str spec.Op_spec.name) ]
   @@ fun () ->
-  let fail err =
+  let ( let* ) = Result.bind in
+  let tiling = params.Alcop_perfmodel.Params.tiling in
+  let smem_stages = params.Alcop_perfmodel.Params.smem_stages in
+  let reg_stages = params.Alcop_perfmodel.Params.reg_stages in
+  let compiled =
+    let* schedule =
+      match
+        Passman.run ~name:"schedule" (fun () ->
+            Schedule.default_gemm ~smem_stages ~reg_stages
+              ~inner_fuse:params.Alcop_perfmodel.Params.inner_fuse spec tiling)
+      with
+      | exception Schedule.Schedule_error e -> Error (Schedule_error e)
+      | schedule ->
+        Ok (Schedule.set_swizzle schedule params.Alcop_perfmodel.Params.swizzle)
+    in
+    let elem_bytes = Dtype.size_bytes spec.Op_spec.dtype in
+    (* The launch footprint needs only the params, so an unlaunchable
+       point stops here, before lowering builds its kernel. It runs after
+       [schedule] because [Tiling.warps] needs a validated warp tile. *)
+    let* occ =
+      Alcop_perfmodel.Params.launch ~extra_regs_per_thread hw elem_bytes params
+      |> Result.map_error (fun f -> Launch_failed f)
+    in
+    let* lowered =
+      match
+        Passman.run ~name:"lower"
+          ~ir_of:(fun (l : Lower.lowered) -> Some l.Lower.kernel)
+          (fun () -> Lower.run schedule)
+      with
+      | exception Lower.Lowering_error m -> Error (Lowering_failed m)
+      | lowered -> Ok lowered
+    in
+    let* result =
+      Passman.run ~name:"pipeline"
+        ~ir_of:(function
+          | Ok (r : Alcop_pipeline.Pass.result) ->
+            Some r.Alcop_pipeline.Pass.kernel
+          | Error _ -> None)
+        (fun () ->
+          Alcop_pipeline.Pass.run ~hw ~hints:lowered.Lower.hints
+            lowered.Lower.kernel)
+      |> Result.map_error (fun rejection ->
+             (* The structured payload re-runs the rule checks buffer by
+                buffer — error path only, so the hot path stays
+                single-pass. *)
+             let verdicts =
+               Alcop_pipeline.Analysis.verdicts ~hw ~hints:lowered.Lower.hints
+                 lowered.Lower.kernel
+             in
+             Legality_rejected { rejection; verdicts })
+    in
+    let kernel = result.Alcop_pipeline.Pass.kernel in
+    let groups = Alcop_pipeline.Pass.groups result in
+    let program =
+      Passman.run ~name:"trace" (fun () ->
+          Alcop_gpusim.Trace.extract_program ~groups kernel)
+    in
+    let request =
+      { Alcop_gpusim.Timing.hw; program;
+        total_tbs = Tiling.threadblocks tiling spec;
+        warps_per_tb = Tiling.warps tiling;
+        smem_per_tb = occ.Alcop_gpusim.Occupancy.smem_per_tb;
+        regs_per_thread = occ.Alcop_gpusim.Occupancy.regs_per_thread;
+        grid_m = spec.Op_spec.m / tiling.Tiling.tb_m;
+        grid_n = spec.Op_spec.n / tiling.Tiling.tb_n;
+        grid_z = spec.Op_spec.batch * tiling.Tiling.split_k;
+        tb_m = tiling.Tiling.tb_m; tb_n = tiling.Tiling.tb_n;
+        tb_k = tiling.Tiling.tb_k; elem_bytes;
+        swizzle = params.Alcop_perfmodel.Params.swizzle;
+        jitter_key = Alcop_perfmodel.Params.key spec.Op_spec.name params;
+        barrier_groups =
+          List.filter_map
+            (fun (g : Alcop_pipeline.Analysis.group) ->
+              if g.Alcop_pipeline.Analysis.synchronized then
+                Some g.Alcop_pipeline.Analysis.id
+              else None)
+            groups }
+    in
+    (* [Timing.run] repeats the occupancy check [launch] passed, so its
+       [Error] cannot happen here; the mapping keeps the result total. *)
+    let* timing =
+      Passman.run ~name:"timing" (fun () -> Alcop_gpusim.Timing.run request)
+      |> Result.map_error (fun f -> Launch_failed f)
+    in
+    let latency_cycles =
+      timing.Alcop_gpusim.Timing.total_cycles
+      +. materialize_cycles hw lowered
+      +. Alcop_perfmodel.Reduce_cost.cycles hw spec
+           ~split_k:tiling.Tiling.split_k
+    in
+    Ok
+      { schedule; params; lowered; kernel; groups; program;
+        timing_request = request; timing; latency_cycles }
+  in
+  match compiled with
+  | Ok c ->
+    Obs.count "compile.ok";
+    Obs.add_field "latency_cycles" (Alcop_obs.Json.Float c.latency_cycles);
+    compiled
+  | Error err ->
     Obs.count "compile.fail";
     Obs.count ("compile.fail." ^ error_kind err);
     Obs.point "compile.error"
       [ ("op", Alcop_obs.Json.Str spec.Op_spec.name);
         ("kind", Alcop_obs.Json.Str (error_kind err));
         ("message", Alcop_obs.Json.Str (error_to_string err)) ];
-    Error err
-  in
-  let tiling = params.Alcop_perfmodel.Params.tiling in
-  let smem_stages = params.Alcop_perfmodel.Params.smem_stages in
-  let reg_stages = params.Alcop_perfmodel.Params.reg_stages in
-  match
-    Passman.run ~name:"schedule" (fun () ->
-        Schedule.default_gemm ~smem_stages ~reg_stages
-          ~inner_fuse:params.Alcop_perfmodel.Params.inner_fuse spec tiling)
-  with
-  | exception Schedule.Schedule_error e -> fail (Schedule_error e)
-  | schedule ->
-    let schedule =
-      Schedule.set_swizzle schedule params.Alcop_perfmodel.Params.swizzle
-    in
-    (match
-       Passman.run ~name:"lower"
-         ~ir_of:(fun (l : Lower.lowered) -> Some l.Lower.kernel)
-         (fun () -> Lower.run schedule)
-     with
-     | exception Lower.Lowering_error m -> fail (Lowering_failed m)
-     | lowered ->
-       (match
-          Passman.run ~name:"pipeline"
-            ~ir_of:(function
-              | Ok (r : Alcop_pipeline.Pass.result) ->
-                Some r.Alcop_pipeline.Pass.kernel
-              | Error _ -> None)
-            (fun () ->
-              Alcop_pipeline.Pass.run ~hw ~hints:lowered.Lower.hints
-                lowered.Lower.kernel)
-        with
-        | Error rejection ->
-          (* The structured payload re-runs the rule checks buffer by
-             buffer — error path only, so the hot path stays single-pass. *)
-          let verdicts =
-            Alcop_pipeline.Analysis.verdicts ~hw ~hints:lowered.Lower.hints
-              lowered.Lower.kernel
-          in
-          fail (Legality_rejected { rejection; verdicts })
-        | Ok result ->
-          let kernel = result.Alcop_pipeline.Pass.kernel in
-          let groups = Alcop_pipeline.Pass.groups result in
-          let program =
-            Passman.run ~name:"trace" (fun () ->
-                Alcop_gpusim.Trace.extract_program ~groups kernel)
-          in
-          let elem_bytes = Dtype.size_bytes spec.Op_spec.dtype in
-          let smem_per_tb =
-            List.fold_left
-              (fun acc (b : Buffer.t) ->
-                if Buffer.scope_equal b.Buffer.scope Buffer.Shared then
-                  acc + Buffer.size_bytes b
-                else acc)
-              0 (Stmt.allocs kernel.Kernel.body)
-          in
-          let request =
-            { Alcop_gpusim.Timing.hw; program;
-              total_tbs = Tiling.threadblocks tiling spec;
-              warps_per_tb = Tiling.warps tiling;
-              smem_per_tb;
-              regs_per_thread =
-                Alcop_perfmodel.Params.regs_per_thread params
-                + extra_regs_per_thread;
-              grid_m = spec.Op_spec.m / tiling.Tiling.tb_m;
-              grid_n = spec.Op_spec.n / tiling.Tiling.tb_n;
-              grid_z = spec.Op_spec.batch * tiling.Tiling.split_k;
-              tb_m = tiling.Tiling.tb_m; tb_n = tiling.Tiling.tb_n;
-              tb_k = tiling.Tiling.tb_k; elem_bytes;
-              swizzle = params.Alcop_perfmodel.Params.swizzle;
-              jitter_key = Alcop_perfmodel.Params.key spec.Op_spec.name params;
-              barrier_groups =
-                List.filter_map
-                  (fun (g : Alcop_pipeline.Analysis.group) ->
-                    if g.Alcop_pipeline.Analysis.synchronized then
-                      Some g.Alcop_pipeline.Analysis.id
-                    else None)
-                  groups }
-          in
-          (match
-             Passman.run ~name:"timing" (fun () ->
-                 Alcop_gpusim.Timing.run request)
-           with
-           | Error f -> fail (Launch_failed f)
-           | Ok timing ->
-             let latency_cycles =
-               timing.Alcop_gpusim.Timing.total_cycles
-               +. materialize_cycles hw lowered
-               +. Alcop_perfmodel.Reduce_cost.cycles hw spec
-                    ~split_k:tiling.Tiling.split_k
-             in
-             Obs.count "compile.ok";
-             Obs.add_field "latency_cycles" (Alcop_obs.Json.Float latency_cycles);
-             Ok
-               { schedule; params; lowered; kernel; groups; program;
-                 timing_request = request; timing; latency_cycles })))
+    compiled
 
 (* Profile.run replays the request [compile] just timed, so it cannot
    fail to launch where the timing pass succeeded; the mapping only keeps

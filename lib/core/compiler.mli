@@ -49,11 +49,15 @@ val compile :
 (** Compile one operator under one schedule point, cold — no caching.
     Callers that only need the latency and kernel timing want
     {!Session.timing} instead, which memoizes that evaluation under a
-    content fingerprint of the inputs. [Error] covers
-    schedule construction failures, lowering failures, pipelining-legality
-    rejections and launch failures (resource exhaustion).
-    [extra_regs_per_thread] models compilers that prefetch without
-    cp.async. Each phase runs through {!Passman.run} as a named pass —
+    content fingerprint of the inputs. [Error] reports the first failure
+    in this order: schedule construction ([Schedule_error]), launch
+    ([Launch_failed]: the params-level footprint of
+    {!Alcop_perfmodel.Params.launch}, checked right after the [schedule]
+    pass and before lowering, so a rejected point runs no other pass),
+    lowering ([Lowering_failed]), then pipelining legality
+    ([Legality_rejected]). [extra_regs_per_thread] models compilers that
+    prefetch without cp.async; it counts toward the launch check. Each
+    phase runs through {!Passman.run} as a named pass —
     [schedule] / [lower] / [pipeline] / [trace] / [timing] — inside an
     [Alcop_obs] span named [compile.<pass>], with a [pass.<pass>.ms]
     wall-time gauge and the [--dump-ir-after] hook. *)

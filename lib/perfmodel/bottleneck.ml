@@ -13,12 +13,7 @@ let predict_cycles (hw : Alcop_hw.Hw_config.t) (spec : Op_spec.t) (p : Params.t)
   let tiling = p.Params.tiling in
   (* Reject only what cannot exist at all: a threadblock exceeding
      per-threadblock hardware bounds. *)
-  match
-    Alcop_gpusim.Occupancy.compute hw
-      ~smem_per_tb:(Params.smem_bytes_per_tb p elem_bytes)
-      ~warps_per_tb:(Tiling.warps tiling)
-      ~regs_per_thread:(Params.regs_per_thread p)
-  with
+  match Params.launch hw elem_bytes p with
   | Error _ -> None
   | Ok _ ->
     let total_tbs = Tiling.threadblocks tiling spec in

@@ -25,10 +25,7 @@ let extract (hw : Alcop_hw.Hw_config.t) (spec : Op_spec.t) (p : Params.t) =
   let smem_bytes = Params.smem_bytes_per_tb p elem_bytes in
   let regs = Params.regs_per_thread p in
   let occ =
-    match
-      Alcop_gpusim.Occupancy.compute hw ~smem_per_tb:smem_bytes
-        ~warps_per_tb:warps ~regs_per_thread:regs
-    with
+    match Params.launch hw elem_bytes p with
     | Ok o -> o.Alcop_gpusim.Occupancy.tbs_per_sm
     | Error _ -> 0
   in

@@ -64,12 +64,7 @@ let pipeline_latency_bw ~t_load_latency ~t_load_bw ~t_use ~n_loop ~n_pipe
 let predict (hw : Alcop_hw.Hw_config.t) (spec : Op_spec.t) (p : Params.t) =
   let elem_bytes = Alcop_ir.Dtype.size_bytes spec.Op_spec.dtype in
   let tiling = p.Params.tiling in
-  match
-    Alcop_gpusim.Occupancy.compute hw
-      ~smem_per_tb:(Params.smem_bytes_per_tb p elem_bytes)
-      ~warps_per_tb:(Tiling.warps tiling)
-      ~regs_per_thread:(Params.regs_per_thread p)
-  with
+  match Params.launch hw elem_bytes p with
   | Error f -> Error f
   | Ok occ ->
     let total_tbs = Tiling.threadblocks tiling spec in

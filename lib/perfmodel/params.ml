@@ -15,11 +15,23 @@ let make ?(swizzle = true) ?(inner_fuse = true) ~tiling ~smem_stages ~reg_stages
     invalid_arg "Params.make: stage counts must be >= 1";
   { tiling; smem_stages; reg_stages; swizzle; inner_fuse }
 
+(* Saturates at [max_int]: an absurd stage count must read as too much
+   shared memory, not wrap to a small or negative footprint. *)
 let smem_bytes_per_tb t elem_bytes =
-  Alcop_sched.Tiling.smem_tile_bytes t.tiling elem_bytes * max 1 t.smem_stages
+  let tile = Alcop_sched.Tiling.smem_tile_bytes t.tiling elem_bytes in
+  let stages = max 1 t.smem_stages in
+  if tile > 0 && stages > max_int / tile then max_int else tile * stages
 
 let regs_per_thread t =
   Alcop_sched.Tiling.registers_per_thread t.tiling ~reg_stages:t.reg_stages
+
+(* Paper Sec. IV-A: stages trade against occupancy through this one
+   footprint, which the compiler and every model ask for. *)
+let launch ?(extra_regs_per_thread = 0) hw elem_bytes t =
+  Alcop_gpusim.Occupancy.compute hw
+    ~smem_per_tb:(smem_bytes_per_tb t elem_bytes)
+    ~warps_per_tb:(Alcop_sched.Tiling.warps t.tiling)
+    ~regs_per_thread:(regs_per_thread t + extra_regs_per_thread)
 
 let to_string t =
   Printf.sprintf "%s smem_stages=%d reg_stages=%d%s%s"

@@ -74,10 +74,17 @@ let smem_tile_bytes t elem_bytes = (t.tb_m + t.tb_n) * t.tb_k * elem_bytes
 
 (* Per-thread register estimate: the C accumulator dominates; A and B
    fragments (per register pipeline stage) add on top. fp32 accumulation,
-   32 threads per warp, 4 bytes per register. *)
+   32 threads per warp, 4 bytes per register. The fragment product
+   saturates at [max_int], so an absurd stage count reads as too many
+   registers instead of wrapping. *)
 let registers_per_thread t ~reg_stages =
   let acc = t.warp_m * t.warp_n / 32 in
-  let frags = reg_stages * (t.warp_m + t.warp_n) * t.warp_k / 32 / 2 in
+  let frag = (t.warp_m + t.warp_n) * t.warp_k in
+  let frags =
+    (if frag > 0 && reg_stages > max_int / frag then max_int
+     else reg_stages * frag)
+    / 32 / 2
+  in
   acc + frags + 24 (* index arithmetic, pointers, misc *)
 
 let to_string t =

@@ -59,6 +59,123 @@ let test_evaluator_caches_and_fails () =
   Alcotest.(check bool) "oversized fails" true (evaluate big = None);
   Alcotest.(check bool) "cache stable" true (evaluate params = ok)
 
+(* --- the launch check before lowering --- *)
+
+(* Shared memory the compiled kernel allocates, read off the pipelined
+   IR: the figure the launch check computes from the params alone. *)
+let kernel_smem_bytes (c : Compiler.compiled) =
+  List.fold_left
+    (fun acc (b : Alcop_ir.Buffer.t) ->
+      if Alcop_ir.Buffer.scope_equal b.Alcop_ir.Buffer.scope Alcop_ir.Buffer.Shared
+      then acc + Alcop_ir.Buffer.size_bytes b
+      else acc)
+    0
+    (Alcop_ir.Stmt.allocs c.Compiler.kernel.Alcop_ir.Kernel.body)
+
+(* Random operators across every spec shape the compiler takes: matmul,
+   batched and conv2d, with and without element-wise producers and an
+   epilogue, on ad-hoc shapes: small ones put split-K in the space, large
+   ones tiles too big to launch. *)
+let gen_spec =
+  let open QCheck.Gen in
+  let op = option ~ratio:0.3 (oneofl [ "relu"; "scale2"; "gelu" ]) in
+  let dim = oneofl [ 32; 48; 64; 96; 128; 192; 256; 512 ] in
+  let kdim = oneofl [ 64; 96; 128; 256; 512; 1024 ] in
+  oneof
+    [ map
+        (fun ((m, n, k), (a_op, b_op, epilogue)) ->
+          Op_spec.matmul ?a_op ?b_op ?epilogue ~name:"prop_mm" ~m ~n ~k ())
+        (pair (triple dim dim kdim) (triple op op op));
+      map
+        (fun ((batch, m, n, k), (a_op, epilogue)) ->
+          Op_spec.batched_matmul ?a_op ?epilogue ~name:"prop_bmm" ~batch ~m
+            ~n ~k ())
+        (pair (quad (int_range 1 4) dim dim kdim) (pair op op));
+      map
+        (fun ((cn, ch, ci), (co, kk, epilogue)) ->
+          Op_spec.conv2d ?epilogue ~name:"prop_conv"
+            { Op_spec.cn; ci; ch; cw = ch; co; ckh = kk; ckw = kk;
+              stride = 1; pad = kk / 2 })
+        (pair
+           (triple (int_range 1 2) (oneofl [ 4; 8; 16 ]) (oneofl [ 16; 32; 64 ]))
+           (triple (oneofl [ 32; 64; 128 ]) (oneofl [ 1; 3 ]) op)) ]
+
+let gen_point =
+  QCheck.Gen.(
+    quad gen_spec (oneofl Variants.all) (int_bound 0x3FFFFFFF) (pair bool bool))
+
+let prop_launch_footprint =
+  QCheck.Test.make ~count:300
+    ~name:"launch check agrees with the compiled kernel"
+    (QCheck.make
+       ~print:(fun (s, (v : Variants.t), i, _) ->
+         Printf.sprintf "%s %s point %d" (Format.asprintf "%a" Op_spec.pp s)
+           v.Variants.name i)
+       gen_point)
+    (fun (s, v, i, (swizzle, inner_fuse)) ->
+      let space = Variants.space v s in
+      QCheck.assume (Array.length space > 0);
+      let p =
+        { space.(i mod Array.length space) with
+          Alcop_perfmodel.Params.swizzle; inner_fuse }
+      in
+      let extra = Variants.extra_regs v s p in
+      let launch =
+        Alcop_perfmodel.Params.launch ~extra_regs_per_thread:extra hw
+          (Alcop_ir.Dtype.size_bytes s.Op_spec.dtype) p
+      in
+      match Compiler.compile ~hw ~extra_regs_per_thread:extra p s, launch with
+      | Ok c, Ok _ ->
+        let allocated = kernel_smem_bytes c in
+        let smem = c.Compiler.timing_request.Alcop_gpusim.Timing.smem_per_tb in
+        allocated = smem
+        || QCheck.Test.fail_reportf "kernel allocates %d shared bytes, request %d"
+             allocated smem
+      | Error (Compiler.Launch_failed f), Error f' -> f = f'
+      | Error (Compiler.Launch_failed _), Ok _ | _, Error _ -> false
+      (* a lowering or legality failure of a launchable point *)
+      | Error _, Ok _ -> true)
+
+let test_rejected_before_lowering () =
+  let big =
+    Alcop_perfmodel.Params.make
+      ~tiling:(Tiling.make ~tb_m:256 ~tb_n:128 ~tb_k:64 ~warp_m:64 ~warp_n:64 ~warp_k:32 ())
+      ~smem_stages:4 ~reg_stages:2 ()
+  in
+  Alcop_obs.Obs.record ();
+  Fun.protect ~finally:Alcop_obs.Obs.reset @@ fun () ->
+  let expected = Alcop_perfmodel.Params.launch hw 2 big in
+  (match Compiler.compile ~hw big spec, expected with
+   | Error (Compiler.Launch_failed f), Error f' ->
+     Alcotest.(check bool) "same failure as Params.launch" true (f = f');
+     Alcotest.(check string) "shared memory" "shared memory per threadblock"
+       f.Alcop_gpusim.Occupancy.resource
+   | Error e, _ -> Alcotest.failf "wrong failure: %s" (Compiler.error_to_string e)
+   | Ok _, _ -> Alcotest.fail "oversized schedule compiled");
+  List.iter
+    (fun (pass, runs) ->
+      Alcotest.(check int) ("pass." ^ pass ^ ".runs") runs
+        (Alcop_obs.Obs.counter_value ("pass." ^ pass ^ ".runs")))
+    [ ("schedule", 1); ("lower", 0); ("pipeline", 0); ("trace", 0); ("timing", 0) ];
+  Alcotest.(check int) "compile.fail.launch" 1
+    (Alcop_obs.Obs.counter_value "compile.fail.launch")
+
+(* A stage count whose footprint product would wrap reads as the
+   exhausted resource: the products saturate instead. *)
+let test_huge_stages_saturate () =
+  List.iter
+    (fun stages ->
+      let resource p =
+        match Alcop_perfmodel.Params.launch hw 2 p with
+        | Error f -> f.Alcop_gpusim.Occupancy.resource
+        | Ok _ -> "launches"
+      in
+      Alcotest.(check string) "smem stages" "shared memory per threadblock"
+        (resource { params with Alcop_perfmodel.Params.smem_stages = stages });
+      Alcotest.(check string) "reg stages" "registers per thread"
+        (resource { params with Alcop_perfmodel.Params.reg_stages = stages }))
+    [ 1 lsl 51; 1_000_000_000_000_000; max_int ]
+
 (* --- variants --- *)
 
 let small_spec = Op_spec.matmul ~name:"comp_var" ~m:512 ~n:64 ~k:1024 ()
@@ -184,6 +301,11 @@ let suite =
           test_compile_materialized_elemwise;
         Alcotest.test_case "evaluator cache and failure" `Quick
           test_evaluator_caches_and_fails;
+        Alcotest.test_case "rejected before lowering" `Quick
+          test_rejected_before_lowering;
+        QCheck_alcotest.to_alcotest prop_launch_footprint;
+        Alcotest.test_case "huge stages saturate" `Quick
+          test_huge_stages_saturate;
         Alcotest.test_case "variant ordering" `Slow test_variant_ordering;
         Alcotest.test_case "variant spaces nested" `Quick test_variant_spaces_nested;
         Alcotest.test_case "tvm db register cost" `Quick test_tvm_db_register_cost;
