@@ -26,13 +26,89 @@ type stats = {
   evictions : int;
 }
 
+(* A memo entry: one evaluation record with its floats unboxed in one
+   array. A sweep evicts most of what it inserts (a Fig. 10 sweep ~100k
+   entries a cycle), so an insert into a full memo refills the entry it
+   evicts: only the table's and the queue's cells are new. A boxed record
+   is ~40 words, and each one evicted would be major-heap garbage that the
+   heap grows by until the next major collection. Entries are read and
+   written under the session lock only; [unpack] copies out an equal
+   record, float bits included. *)
+type entry = {
+  floats : float array;
+      (* latency, total, us, wave, tail, miss rate, compute utilization,
+         then the wave-busy fields when [busy] *)
+  mutable busy : bool;
+  mutable n_waves : int;
+  mutable tbs_per_sm : int;
+  mutable occupancy_limiter : string;
+  mutable gauges : (string * float) list;
+  mutable failure : Artifact.t option;  (* [Some] for a failed compile *)
+}
+
+module T = Alcop_gpusim.Timing
+
+let empty_entry () =
+  { floats = Array.make 12 0.0; busy = false; n_waves = 0; tbs_per_sm = 0;
+    occupancy_limiter = ""; gauges = []; failure = None }
+
+let fill e = function
+  | Artifact.Success { Artifact.latency_cycles; timing = k; gauges } ->
+    let f = e.floats in
+    f.(0) <- latency_cycles;
+    f.(1) <- k.T.total_cycles;
+    f.(2) <- k.T.microseconds;
+    f.(3) <- k.T.wave_cycles;
+    f.(4) <- k.T.tail_cycles;
+    f.(5) <- k.T.miss_rate;
+    f.(6) <- k.T.compute_utilization;
+    (match k.T.wave_busy with
+     | None -> e.busy <- false
+     | Some w ->
+       e.busy <- true;
+       f.(7) <- w.T.cycles;
+       f.(8) <- w.T.compute_busy;
+       f.(9) <- w.T.dram_busy;
+       f.(10) <- w.T.llc_busy;
+       f.(11) <- w.T.smem_busy);
+    e.n_waves <- k.T.n_waves;
+    e.tbs_per_sm <- k.T.tbs_per_sm;
+    e.occupancy_limiter <- k.T.occupancy_limiter;
+    e.gauges <- gauges;
+    e.failure <- None
+  | Artifact.Failure _ as r ->
+    e.gauges <- [];
+    e.failure <- Some r
+
+let unpack e =
+  match e.failure with
+  | Some r -> r
+  | None ->
+    let f = e.floats in
+    let wave_busy =
+      if not e.busy then None
+      else
+        Some
+          { T.cycles = f.(7); compute_busy = f.(8); dram_busy = f.(9);
+            llc_busy = f.(10); smem_busy = f.(11) }
+    in
+    Artifact.Success
+      { Artifact.latency_cycles = f.(0);
+        timing =
+          { T.total_cycles = f.(1); microseconds = f.(2);
+            n_waves = e.n_waves; tbs_per_sm = e.tbs_per_sm;
+            occupancy_limiter = e.occupancy_limiter; wave_cycles = f.(3);
+            tail_cycles = f.(4); miss_rate = f.(5);
+            compute_utilization = f.(6); wave_busy };
+        gauges = e.gauges }
+
 type t = {
   hw : Alcop_hw.Hw_config.t;
   capacity : int;
   cache : bool;
   lock : Mutex.t;
   ready : Condition.t;  (* an in-flight compile completed (or failed) *)
-  table : (Fingerprint.t, Artifact.t) Hashtbl.t;
+  table : (Fingerprint.t, entry) Hashtbl.t;
       (* one evaluation record per key: what the store persists, with the
          [timing.*] gauges captured at the cold compile *)
   inflight : (Fingerprint.t, unit) Hashtbl.t;
@@ -110,12 +186,17 @@ let for_hw hw =
 
 let timing_prefix = "timing."
 
-let evict_to_capacity t =
-  while Hashtbl.length t.table >= t.capacity do
-    Hashtbl.remove t.table (Queue.pop t.order);
+(* Make room for one entry: evict the oldest and hand it back for reuse. *)
+let evict_for_insert t =
+  if Hashtbl.length t.table < t.capacity then empty_entry ()
+  else begin
+    let oldest = Queue.pop t.order in
+    let e = Hashtbl.find t.table oldest in
+    Hashtbl.remove t.table oldest;
     t.evictions <- t.evictions + 1;
-    Obs.count "session.cache.evict"
-  done
+    Obs.count "session.cache.evict";
+    e
+  end
 
 let compile_ns = "compile"
 
@@ -125,9 +206,10 @@ let compile_ns = "compile"
 let acquire t key =
   let rec go () =
     match Hashtbl.find_opt t.table key with
-    | Some r ->
+    | Some e ->
       t.hits <- t.hits + 1;
-      `Hit r
+      (* copied out under the lock: a later insert may refill [e] *)
+      `Hit (unpack e)
     | None ->
       if Hashtbl.mem t.inflight key then begin
         (* another domain is compiling this key; [wait] releases the
@@ -166,8 +248,9 @@ let holding_claim t key f =
    holder lands a key, once, so the key is new to the table. *)
 let land_entry t key record =
   locked t (fun () ->
-      evict_to_capacity t;
-      Hashtbl.replace t.table key record;
+      let e = evict_for_insert t in
+      fill e record;
+      Hashtbl.replace t.table key e;
       Queue.push key t.order;
       release t key ())
 

@@ -16,7 +16,8 @@
     the kind and message of a structured compile error (failed points
     recur in sweeps just as often as good ones). It is never the compiled
     artifact itself, whose IR, schedule and packed program are ~30× the
-    record's size.
+    record's size. An insert into a full memo refills the entry it evicts
+    instead of allocating one, and a hit copies out an equal record.
 
     The memo is capacity-bounded (FIFO eviction). Hit, miss and eviction
     totals are kept per session and also published as

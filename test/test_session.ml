@@ -37,14 +37,14 @@ let test_hit_returns_identical_artifact () =
     Alcotest.(check int) "one miss" 1 s.Session.misses
   | _ -> Alcotest.fail "compile failed"
 
+let big =
+  Alcop_perfmodel.Params.make
+    ~tiling:(Tiling.make ~tb_m:256 ~tb_n:128 ~tb_k:64 ~warp_m:64 ~warp_n:64
+               ~warp_k:32 ())
+    ~smem_stages:4 ~reg_stages:2 ()
+
 let test_errors_are_memoized () =
   let session = Session.create ~hw () in
-  let big =
-    Alcop_perfmodel.Params.make
-      ~tiling:(Tiling.make ~tb_m:256 ~tb_n:128 ~tb_k:64 ~warp_m:64 ~warp_n:64
-                 ~warp_k:32 ())
-      ~smem_stages:4 ~reg_stages:2 ()
-  in
   Alcotest.(check bool) "fails" true (Session.evaluate session big spec = None);
   Alcotest.(check bool) "fails again" true (Session.evaluate session big spec = None);
   let s = Session.stats session in
@@ -127,6 +127,38 @@ let prop_cached_equals_cold =
       && s.Session.hits + s.Session.misses = 2
       && s.Session.hits = 1)
 
+(* An insert into a full memo refills the entry it evicts. Random call
+   sequences over one failing and three compiling points through a
+   two-entry session hit, miss and evict; every answer, compared after the
+   whole sequence has refilled the entries, equals a cold compile's. *)
+let prop_recycled_entries =
+  let n = Array.length space in
+  let points = [| big; space.(0); space.(n / 2); space.(n - 1) |] in
+  let cold =
+    Array.map
+      (fun p ->
+        match Compiler.compile ~hw p spec with
+        | Ok c -> Ok (c.Compiler.latency_cycles, c.Compiler.timing)
+        | Error e -> Error (Compiler.error_to_string e))
+      points
+  in
+  QCheck.Test.make ~name:"recycled entries answer like cold compiles"
+    ~count:50
+    QCheck.(list_of_size Gen.(int_range 1 20) (int_bound 3))
+    (fun picks ->
+      let session = Session.create ~hw ~capacity:2 () in
+      let answers =
+        List.map
+          (fun i ->
+            ( i,
+              Result.map
+                (fun (r : Session.timed) ->
+                  (r.Session.latency_cycles, r.Session.timing))
+                (Session.timing session points.(i) spec) ))
+          picks
+      in
+      List.for_all (fun (i, a) -> a = cold.(i)) answers)
+
 (* A miss that raises after the compile — here the write-through's
    telemetry — must release its in-flight claim: the next caller for the
    same key becomes the miss itself instead of blocking forever in the
@@ -180,7 +212,8 @@ let suite =
           test_registry_shared_per_hw;
         Alcotest.test_case "entries are evaluation records" `Quick
           test_entries_are_records;
-        QCheck_alcotest.to_alcotest prop_cached_equals_cold ] ) ]
+        QCheck_alcotest.to_alcotest prop_cached_equals_cold;
+        QCheck_alcotest.to_alcotest prop_recycled_entries ] ) ]
 
 (* Spawns a domain: runs after Test_obs's fork-based test. *)
 let domain_suite =
