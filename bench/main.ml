@@ -373,6 +373,12 @@ let measure_pass ~quiet ~store_dir () =
   in
   let groups = Alcop_pipeline.Pass.groups pass_result in
   let kernel = pass_result.Alcop_pipeline.Pass.kernel in
+  (* The launch the compile+simulate row times, replayed alone. *)
+  let request =
+    match Compiler.compile ~hw params spec with
+    | Ok c -> c.Compiler.timing_request
+    | Error _ -> failwith "selfbench: compile failed"
+  in
   (* Cold compiles call [Compiler] directly; the -hit benchmark measures
      a fingerprint + memo lookup of [Session.evaluate] on a pre-warmed
      caching session, i.e. what a repeated schedule point costs a tuner or
@@ -404,6 +410,8 @@ let measure_pass ~quiet ~store_dir () =
             ignore (Alcop_gpusim.Trace.extract_program ~groups kernel)));
         Test.make ~name:"compile+simulate" (Staged.stage (fun () ->
             ignore (Compiler.compile ~hw params spec)));
+        Test.make ~name:"simulate" (Staged.stage (fun () ->
+            ignore (Alcop_gpusim.Timing.run request)));
         Test.make ~name:"session-evaluate-hit" (Staged.stage (fun () ->
             ignore (Session.evaluate warm params spec)));
         Test.make ~name:"store-cold" (Staged.stage (fun () ->

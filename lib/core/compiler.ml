@@ -144,9 +144,7 @@ let compile ?(hw = Alcop_hw.Hw_config.default)
     let request =
       { Alcop_gpusim.Timing.hw; program;
         total_tbs = Tiling.threadblocks tiling spec;
-        warps_per_tb = Tiling.warps tiling;
-        smem_per_tb = occ.Alcop_gpusim.Occupancy.smem_per_tb;
-        regs_per_thread = occ.Alcop_gpusim.Occupancy.regs_per_thread;
+        warps_per_tb = Tiling.warps tiling; occupancy = occ;
         grid_m = spec.Op_spec.m / tiling.Tiling.tb_m;
         grid_n = spec.Op_spec.n / tiling.Tiling.tb_n;
         grid_z = spec.Op_spec.batch * tiling.Tiling.split_k;
@@ -162,11 +160,8 @@ let compile ?(hw = Alcop_hw.Hw_config.default)
               else None)
             groups }
     in
-    (* [Timing.run] repeats the occupancy check [launch] passed, so its
-       [Error] cannot happen here; the mapping keeps the result total. *)
-    let* timing =
+    let timing =
       Passman.run ~name:"timing" (fun () -> Alcop_gpusim.Timing.run request)
-      |> Result.map_error (fun f -> Launch_failed f)
     in
     let latency_cycles =
       timing.Alcop_gpusim.Timing.total_cycles
@@ -178,30 +173,29 @@ let compile ?(hw = Alcop_hw.Hw_config.default)
       { schedule; params; lowered; kernel; groups; program;
         timing_request = request; timing; latency_cycles }
   in
-  match compiled with
-  | Ok c ->
-    Obs.count "compile.ok";
-    Obs.add_field "latency_cycles" (Alcop_obs.Json.Float c.latency_cycles);
-    compiled
-  | Error err ->
-    Obs.count "compile.fail";
-    Obs.count ("compile.fail." ^ error_kind err);
-    Obs.point "compile.error"
-      [ ("op", Alcop_obs.Json.Str spec.Op_spec.name);
-        ("kind", Alcop_obs.Json.Str (error_kind err));
-        ("message", Alcop_obs.Json.Str (error_to_string err)) ];
-    compiled
+  (* Outcome telemetry is built only when Obs records: formatting a
+     failure's message costs more than a launch failure's whole compile. *)
+  if Obs.enabled () then begin
+    match compiled with
+    | Ok c ->
+      Obs.count "compile.ok";
+      Obs.add_field "latency_cycles" (Alcop_obs.Json.Float c.latency_cycles)
+    | Error err ->
+      Obs.count "compile.fail";
+      Obs.count ("compile.fail." ^ error_kind err);
+      Obs.point "compile.error"
+        [ ("op", Alcop_obs.Json.Str spec.Op_spec.name);
+          ("kind", Alcop_obs.Json.Str (error_kind err));
+          ("message", Alcop_obs.Json.Str (error_to_string err)) ]
+  end;
+  compiled
 
-(* Profile.run replays the request [compile] just timed, so it cannot
-   fail to launch where the timing pass succeeded; the mapping only keeps
-   the result type total. *)
 let profile ?hw params (spec : Op_spec.t) =
-  match compile ?hw params spec with
-  | Error e -> Error e
-  | Ok c ->
-    Alcop_gpusim.Profile.run ~op:spec.Op_spec.name
-      ~schedule:(Alcop_perfmodel.Params.to_string params) c.timing_request
-    |> Result.map_error (fun f -> Launch_failed f)
+  Result.map
+    (fun c ->
+      Alcop_gpusim.Profile.run ~op:spec.Op_spec.name
+        ~schedule:(Alcop_perfmodel.Params.to_string params) c.timing_request)
+    (compile ?hw params spec)
 
 (* Functional verification: run the pipelined kernel in the strict
    interpreter on deterministic inputs and compare against the host

@@ -53,7 +53,8 @@ val compile :
     in this order: schedule construction ([Schedule_error]), launch
     ([Launch_failed]: the params-level footprint of
     {!Alcop_perfmodel.Params.launch}, checked right after the [schedule]
-    pass and before lowering, so a rejected point runs no other pass),
+    pass and before lowering, so a rejected point runs no other pass; the
+    timing request carries this verdict, so [timing] never fails),
     lowering ([Lowering_failed]), then pipelining legality
     ([Legality_rejected]). [extra_regs_per_thread] models compilers that
     prefetch without cp.async; it counts toward the launch check. Each

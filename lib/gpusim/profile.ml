@@ -18,11 +18,9 @@ type t = {
 }
 
 let run ?(op = "kernel") ?(schedule = "") (req : Timing.request) =
-  Result.map
-    (fun (timing, waves) ->
-      { p_op = op; p_schedule = schedule; p_timing = timing;
-        p_program = req.Timing.program; p_waves = waves })
-    (Timing.run_recorded req)
+  let timing, waves = Timing.run_recorded req in
+  { p_op = op; p_schedule = schedule; p_timing = timing;
+    p_program = req.Timing.program; p_waves = waves }
 
 let stages t g = max 1 t.p_program.Trace.group_stages.(g)
 

@@ -20,7 +20,7 @@ val run :
   ?op:string ->
   ?schedule:string ->
   Timing.request ->
-  (t, Occupancy.failure) result
+  t
 
 val stages_of : t -> string -> int
 (** Test-only: the profile tests check this part of {!report} directly.

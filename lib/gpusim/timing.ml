@@ -405,7 +405,7 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
     Array.fold_left (fun acc d -> max acc d) 1 p.Trace.group_depth
   in
   let is_barrier =
-    Array.map (fun gid -> List.mem gid cfg.barrier_groups) p.Trace.groups
+    Array.map (fun gid -> Alcop_ir.Names.mem gid cfg.barrier_groups) p.Trace.groups
   in
   let sc =
     let sc = Domain.DLS.get scratch_key in
@@ -585,17 +585,37 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
       time.(i) <- t
     end
   in
-  (* Advance the earliest threadblock one event at a time so server queues
-     interleave in global time order. *)
+  (* Step the unfinished threadblock minimal by (time, index), one event
+     at a time, so server queues interleave in global time order. The scan
+     also finds the runner-up [s], and the chosen [b] runs ahead: it steps
+     without a rescan while unfinished and still ahead of [s] by (time,
+     index). A step changes only [b]'s own state, so a rescan would pick
+     [b] again: same steps, same order (doc/architecture.md). [step] keeps
+     one call site, in tail position of the loop body, so it compiles to a
+     local jump instead of an allocated closure. *)
   if n > 0 then begin
-    let best = ref 0 in
-    while !best >= 0 do
-      best := -1;
-      for i = 0 to r - 1 do
-        if cursor.(i) < n && (!best < 0 || time.(i) < time.(!best)) then
-          best := i
-      done;
-      if !best >= 0 then step !best
+    let b = ref (-1) and s = ref (-1) and live = ref true in
+    while !live do
+      if
+        !b < 0
+        || cursor.(!b) >= n
+        || (!s >= 0
+            && not
+                 (time.(!b) < time.(!s)
+                  || (time.(!b) = time.(!s) && !b < !s)))
+      then begin
+        b := -1;
+        s := -1;
+        for i = 0 to r - 1 do
+          if cursor.(i) < n then
+            if !b < 0 || time.(i) < time.(!b) then begin
+              s := !b;
+              b := i
+            end
+            else if !s < 0 || time.(i) < time.(!s) then s := i
+        done
+      end;
+      if !b >= 0 then step !b else live := false
     done
   end;
   let cycles = ref 0.0 in
@@ -619,8 +639,7 @@ type request = {
   program : Trace.program;
   total_tbs : int;
   warps_per_tb : int;
-  smem_per_tb : int;
-  regs_per_thread : int;
+  occupancy : Occupancy.t;
   grid_m : int;
   grid_n : int;
   grid_z : int;
@@ -667,10 +686,9 @@ let bank_conflict_penalty ~swizzle ~tb_k ~elem_bytes =
     if row mod 128 = 0 then 3.0 else 2.0
   end
 
-(* The wave plan: how the grid quantizes into full and tail waves, and the
-   per-wave simulation configs. *)
+(* The wave plan: how the grid quantizes into full and tail waves under the
+   request's launch verdict, and the per-wave simulation configs. *)
 type plan = {
-  plan_occ : Occupancy.t;
   full_waves : int;
   remainder : int;  (** threadblocks in the partial tail wave *)
   full_cfg : config option;  (** [Some] iff [full_waves > 0] *)
@@ -679,42 +697,36 @@ type plan = {
 
 let plan (req : request) =
   let hw = req.hw in
-  match
-    Occupancy.compute hw ~smem_per_tb:req.smem_per_tb
-      ~warps_per_tb:req.warps_per_tb ~regs_per_thread:req.regs_per_thread
-  with
-  | Error f -> Error f
-  | Ok occ ->
-    let slots = occ.Occupancy.tbs_per_sm * hw.Alcop_hw.Hw_config.num_sms in
-    let full_waves = req.total_tbs / slots in
-    let rem = req.total_tbs mod slots in
-    let wave_cfg residents active =
-      let loc =
-        Locality.compute hw ~grid_m:req.grid_m ~grid_n:req.grid_n
-          ~grid_z:req.grid_z ~tb_m:req.tb_m ~tb_n:req.tb_n ~tb_k:req.tb_k
-          ~elem_bytes:req.elem_bytes ~resident_tbs:(residents * active)
-      in
-      { hw; residents; active_sms = active; warps_per_tb = req.warps_per_tb;
-        miss_rate = loc.Locality.miss_rate;
-        smem_penalty =
-          bank_conflict_penalty ~swizzle:req.swizzle ~tb_k:req.tb_k
-            ~elem_bytes:req.elem_bytes;
-        issue_overhead = 4.0;
-        barrier_groups = req.barrier_groups }
+  let slots = req.occupancy.Occupancy.tbs_per_sm * hw.Alcop_hw.Hw_config.num_sms in
+  let full_waves = req.total_tbs / slots in
+  let rem = req.total_tbs mod slots in
+  let wave_cfg residents active =
+    let loc =
+      Locality.compute hw ~grid_m:req.grid_m ~grid_n:req.grid_n
+        ~grid_z:req.grid_z ~tb_m:req.tb_m ~tb_n:req.tb_n ~tb_k:req.tb_k
+        ~elem_bytes:req.elem_bytes ~resident_tbs:(residents * active)
     in
-    let full_cfg =
-      if full_waves > 0 then
-        Some (wave_cfg occ.Occupancy.tbs_per_sm hw.Alcop_hw.Hw_config.num_sms)
-      else None
-    in
-    let tail_cfg =
-      if rem > 0 then begin
-        let active = min hw.Alcop_hw.Hw_config.num_sms rem in
-        Some (wave_cfg ((rem + active - 1) / active) active)
-      end
-      else None
-    in
-    Ok { plan_occ = occ; full_waves; remainder = rem; full_cfg; tail_cfg }
+    { hw; residents; active_sms = active; warps_per_tb = req.warps_per_tb;
+      miss_rate = loc.Locality.miss_rate;
+      smem_penalty =
+        bank_conflict_penalty ~swizzle:req.swizzle ~tb_k:req.tb_k
+          ~elem_bytes:req.elem_bytes;
+      issue_overhead = 4.0;
+      barrier_groups = req.barrier_groups }
+  in
+  let full_cfg =
+    if full_waves > 0 then
+      Some (wave_cfg req.occupancy.Occupancy.tbs_per_sm hw.Alcop_hw.Hw_config.num_sms)
+    else None
+  in
+  let tail_cfg =
+    if rem > 0 then begin
+      let active = min hw.Alcop_hw.Hw_config.num_sms rem in
+      Some (wave_cfg ((rem + active - 1) / active) active)
+    end
+    else None
+  in
+  { full_waves; remainder = rem; full_cfg; tail_cfg }
 
 (* Stall-class fractions of the critical threadblock of one recorded wave:
    the [timing.stall.*] gauges. Reads the recording's columns in place, so
@@ -750,7 +762,7 @@ type recorded_wave = {
    recorded wave through it. *)
 let time_kernel ?recorded (req : request) pl ~full_rc ~tail_rc =
   let hw = req.hw in
-  let occ = pl.plan_occ in
+  let occ = req.occupancy in
   let full_waves = pl.full_waves and rem = pl.remainder in
   let sim rc = function
     | Some cfg -> Some (cfg, simulate_packed ?recording:rc cfg req.program)
@@ -832,12 +844,11 @@ let time_kernel ?recorded (req : request) pl ~full_rc ~tail_rc =
         ("tbs_per_sm", Json.Int occ.Occupancy.tbs_per_sm);
         ("n_waves", Json.Int n_waves) ]
   end;
-  Ok
-    { total_cycles;
-      microseconds = Alcop_hw.Hw_config.cycles_to_us hw total_cycles;
-      n_waves; tbs_per_sm = occ.Occupancy.tbs_per_sm;
-      occupancy_limiter = occ.Occupancy.limiter; wave_cycles; tail_cycles;
-      miss_rate; compute_utilization; wave_busy }
+  { total_cycles;
+    microseconds = Alcop_hw.Hw_config.cycles_to_us hw total_cycles;
+    n_waves; tbs_per_sm = occ.Occupancy.tbs_per_sm;
+    occupancy_limiter = occ.Occupancy.limiter; wave_cycles; tail_cycles;
+    miss_rate; compute_utilization; wave_busy }
 
 (* [run]'s recording for the stall gauges: one per domain, reused from run
    to run so its columns stay at their high-water mark instead of being
@@ -850,11 +861,10 @@ let fresh_gauge_slot () = { gauge_in_use = false; gauge_rc = recording () }
 let gauge_key = Domain.DLS.new_key fresh_gauge_slot
 
 let run (req : request) =
-  match plan req with
-  | Error f -> Error f
-  | Ok pl when not (Alcop_obs.Obs.enabled ()) ->
+  let pl = plan req in
+  if not (Alcop_obs.Obs.enabled ()) then
     time_kernel req pl ~full_rc:None ~tail_rc:None
-  | Ok pl ->
+  else begin
     (* With observability on, record the representative wave (the full
        wave when one exists, else the tail) so the stall breakdown rides
        along at no extra simulation cost. *)
@@ -872,14 +882,14 @@ let run (req : request) =
     if pl.full_cfg <> None then
       time_kernel req pl ~full_rc:(Some rc) ~tail_rc:None
     else time_kernel req pl ~full_rc:None ~tail_rc:(Some rc)
+  end
 
 let run_recorded (req : request) =
-  match plan req with
-  | Error f -> Error f
-  | Ok pl ->
-    let fresh cfg = Option.map (fun _ -> recording ()) cfg in
-    let recorded = ref [] in
-    Result.map
-      (fun timing -> (timing, !recorded))
-      (time_kernel ~recorded req pl ~full_rc:(fresh pl.full_cfg)
-         ~tail_rc:(fresh pl.tail_cfg))
+  let pl = plan req in
+  let fresh cfg = Option.map (fun _ -> recording ()) cfg in
+  let recorded = ref [] in
+  let timing =
+    time_kernel ~recorded req pl ~full_rc:(fresh pl.full_cfg)
+      ~tail_rc:(fresh pl.tail_cfg)
+  in
+  (timing, !recorded)

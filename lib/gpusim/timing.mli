@@ -161,8 +161,9 @@ type request = {
   program : Trace.program;
   total_tbs : int;
   warps_per_tb : int;
-  smem_per_tb : int;
-  regs_per_thread : int;
+  occupancy : Occupancy.t;
+      (** the launch verdict: the compiler decides it once, before
+          lowering, and the simulator quantizes waves by it *)
   grid_m : int;
   grid_n : int;
   grid_z : int;
@@ -199,10 +200,10 @@ val jitter : int -> float
 val bank_conflict_penalty : swizzle:bool -> tb_k:int -> elem_bytes:int -> float
 (** Test-only: the DES tests check the penalty model directly. *)
 
-val run : request -> (kernel_timing, Occupancy.failure) result
+val run : request -> kernel_timing
 (** Simulate a whole kernel launch: the full wave, then the tail wave.
-    [Error] when the threadblock exceeds per-threadblock hardware
-    resources (the schedule "fails to compile").
+    The request carries a launch verdict that already passed, so a
+    request always times.
     When an [Alcop_obs] sink is installed, emits gauges for the
     compute/DRAM/LLC/smem busy fractions ([timing.busy.*]), the
     critical-threadblock stall fractions of the representative wave
@@ -220,9 +221,7 @@ type recorded_wave = {
   rw_recording : recording;
 }
 
-val run_recorded :
-  request ->
-  (kernel_timing * recorded_wave list, Occupancy.failure) result
+val run_recorded : request -> kernel_timing * recorded_wave list
 (** {!run}, with every wave recorded: each wave is simulated once, and
     its recording is returned next to the kernel timing, full wave first
     when both exist. Emits the same telemetry as {!run}. *)

@@ -301,16 +301,16 @@ let build ~groups ~nslots ~g_flags ~s_gid ~s_hide ~stages ~sync ~bytes fill =
 
 (* Intern table: group ids numbered in first-use order. *)
 let intern tbl gid =
-  match Hashtbl.find_opt tbl gid with
+  match Names.Tbl.find_opt tbl gid with
   | Some i -> i
   | None ->
-    let i = Hashtbl.length tbl in
-    Hashtbl.replace tbl gid i;
+    let i = Names.Tbl.length tbl in
+    Names.Tbl.replace tbl gid i;
     i
 
 let interned tbl =
-  let ids = Array.make (Hashtbl.length tbl) "" in
-  Hashtbl.iter (fun gid i -> ids.(i) <- gid) tbl;
+  let ids = Array.make (Names.Tbl.length tbl) "" in
+  Names.Tbl.iter (fun gid i -> ids.(i) <- gid) tbl;
   ids
 
 (* The group table is derived from the event stream: a group is
@@ -319,7 +319,7 @@ let interned tbl =
    there is none), and its per-stage byte footprint is the peak sum of
    async load bytes joining one batch. *)
 let pack (events : event array) =
-  let gtbl = Hashtbl.create 8 in
+  let gtbl = Names.Tbl.create 8 in
   let gids =
     Array.map
       (function
@@ -384,7 +384,7 @@ let rec compile_expr bindings (e : Expr.t) : rexpr =
   match e with
   | Expr.Const c -> fun _ -> c
   | Expr.Var v ->
-    (match List.assoc_opt v bindings with
+    (match Names.assoc_opt v bindings with
      | Some s -> fun env -> Array.unsafe_get env s
      | None ->
        fun _ -> raise (Invalid_argument ("Expr.eval: unbound variable " ^ v)))
@@ -562,24 +562,24 @@ let rec exec st node =
 
 let extract_program ~(groups : Alcop_pipeline.Analysis.group list)
     (kernel : Kernel.t) =
-  let buffers = Hashtbl.create 16 in
+  let buffers = Names.Tbl.create 16 in
   List.iter
-    (fun (b : Buffer.t) -> Hashtbl.replace buffers b.Buffer.name b)
+    (fun (b : Buffer.t) -> Names.Tbl.replace buffers b.Buffer.name b)
     (Kernel.all_buffers kernel);
   let buffer_of name =
-    match Hashtbl.find_opt buffers name with
+    match Names.Tbl.find_opt buffers name with
     | Some b -> b
     | None -> invalid_arg ("Trace: unknown buffer " ^ name)
   in
-  let by_buffer = Hashtbl.create 8 in
+  let by_buffer = Names.Tbl.create 8 in
   List.iter
     (fun (g : Alcop_pipeline.Analysis.group) ->
       List.iter
-        (fun n -> Hashtbl.replace by_buffer n g)
+        (fun n -> Names.Tbl.replace by_buffer n g)
         (Alcop_pipeline.Analysis.member_names g))
     groups;
   (* group ids in first-use order, shared by resolution and the program *)
-  let gtbl = Hashtbl.create 8 in
+  let gtbl = Names.Tbl.create 8 in
   let intern = intern gtbl in
   let softs =
     List.filter
@@ -653,7 +653,7 @@ let extract_program ~(groups : Alcop_pipeline.Analysis.group list)
            | Buffer.Shared | Buffer.Register -> flag_shared
          in
          let async = kind = Stmt.Async_copy in
-         let g = Hashtbl.find_opt by_buffer dst.Stmt.buffer in
+         let g = Names.Tbl.find_opt by_buffer dst.Stmt.buffer in
          let gidx =
            match g with
            | Some g -> intern g.Alcop_pipeline.Analysis.id
@@ -706,7 +706,7 @@ let extract_program ~(groups : Alcop_pipeline.Analysis.group list)
            g.Alcop_pipeline.Analysis.stages - 1)
          softs)
   in
-  let ng = Hashtbl.length gtbl in
+  let ng = Names.Tbl.length gtbl in
   (* Exact group-table metadata from the pipeline analysis: protocol kind
      (stamped on commit/wait flags via [g_flags]), declared stage count and
      the pass's per-stage byte footprint. Groups the analysis does not
@@ -717,7 +717,7 @@ let extract_program ~(groups : Alcop_pipeline.Analysis.group list)
   let g_bytes = Array.make (max 1 ng) 0 in
   List.iter
     (fun (g : Alcop_pipeline.Analysis.group) ->
-      match Hashtbl.find_opt gtbl g.Alcop_pipeline.Analysis.id with
+      match Names.Tbl.find_opt gtbl g.Alcop_pipeline.Analysis.id with
       | None -> ()  (* group emitted no events; keep it out of the table *)
       | Some idx ->
         g_stages.(idx) <- g.Alcop_pipeline.Analysis.stages;

@@ -154,13 +154,17 @@ let rec subst name replacement expr =
 
 let rec free_vars acc = function
   | Const _ -> acc
-  | Var v -> if List.mem v acc then acc else v :: acc
+  | Var v -> if Names.mem v acc then acc else v :: acc
   | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
   | Min (a, b) | Max (a, b) -> free_vars (free_vars acc a) b
 
 let free_vars e = List.rev (free_vars [] e)
 
-let mentions name e = List.mem name (free_vars e)
+let rec mentions name = function
+  | Const _ -> false
+  | Var v -> String.equal v name
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
+  | Min (a, b) | Max (a, b) -> mentions name a || mentions name b
 
 (* Rebuild an expression through the smart constructors; folds constants that
    became foldable after substitution. *)

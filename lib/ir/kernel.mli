@@ -11,7 +11,6 @@ val make :
   name:string -> inputs:Buffer.t list -> outputs:Buffer.t list -> body:Stmt.t -> t
 (** @raise Invalid_argument if a parameter is not in global scope. *)
 
-val params : t -> Buffer.t list
 val find_param : t -> string -> Buffer.t option
 
 val all_buffers : t -> Buffer.t list

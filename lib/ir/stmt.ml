@@ -108,8 +108,17 @@ let region_elems r = List.fold_left (fun acc s -> acc * s.len) 1 r.slices
    dimension on one side only. *)
 let squeeze_lens r = List.filter (fun l -> l <> 1) (region_lens r)
 
+let rec squeezed_equal a b =
+  match a, b with
+  | { len = 1; _ } :: a, b | a, { len = 1; _ } :: b -> squeezed_equal a b
+  | [], [] -> true
+  | x :: a, y :: b -> x.len = y.len && squeezed_equal a b
+  | [], _ :: _ | _ :: _, [] -> false
+
+(* Compares [squeeze_lens] of both sides without building them: the
+   validator runs this on every copy of every compile. *)
 let copy_shapes_compatible ~dst ~src =
-  region_elems dst = region_elems src && squeeze_lens dst = squeeze_lens src
+  region_elems dst = region_elems src && squeezed_equal dst.slices src.slices
 
 (* --- Traversal --- *)
 

@@ -33,12 +33,16 @@ let launch ?(extra_regs_per_thread = 0) hw elem_bytes t =
     ~warps_per_tb:(Alcop_sched.Tiling.warps t.tiling)
     ~regs_per_thread:(regs_per_thread t + extra_regs_per_thread)
 
+(* Built without [Printf]: the same bytes as
+   [Printf.sprintf "%s smem_stages=%d reg_stages=%d%s%s"], which [key]
+   hashes on every compile. *)
 let to_string t =
-  Printf.sprintf "%s smem_stages=%d reg_stages=%d%s%s"
-    (Alcop_sched.Tiling.to_string t.tiling)
-    t.smem_stages t.reg_stages
-    (if t.swizzle then "" else " noswizzle")
-    (if t.inner_fuse then "" else " nofuse")
+  String.concat ""
+    [ Alcop_sched.Tiling.to_string t.tiling; " smem_stages=";
+      string_of_int t.smem_stages; " reg_stages="; string_of_int t.reg_stages;
+      (if t.swizzle then "" else " noswizzle");
+      (if t.inner_fuse then "" else " nofuse") ]
 
-(* A stable integer key for hashing / deterministic perturbation. *)
+(* A stable integer key for hashing / deterministic perturbation: the
+   timing jitter, so every simulated cycle count depends on these bytes. *)
 let key spec_name t = Hashtbl.hash (spec_name, to_string t)

@@ -89,7 +89,7 @@ let stage_footprint_bytes g =
 (* Collect the producing copies of all hinted buffers, with their loop
    stacks. *)
 let collect_sites (hints : Hints.t) body =
-  let sites = Hashtbl.create 8 in
+  let sites = Names.Tbl.create 8 in
   let rec walk stack stmt =
     match stmt with
     | Stmt.Seq ss -> List.iter (walk stack) ss
@@ -99,7 +99,7 @@ let collect_sites (hints : Hints.t) body =
     | Stmt.If { then_; _ } -> walk stack then_
     | Stmt.Copy { dst; src; fused; _ } ->
       if Hints.mem hints dst.Stmt.buffer then
-        Hashtbl.add sites dst.Stmt.buffer { dst; src; fused; stack }
+        Names.Tbl.add sites dst.Stmt.buffer { dst; src; fused; stack }
     | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _ | Stmt.Sync _ -> ()
   in
   walk [] body;
@@ -150,7 +150,7 @@ let check_sync_positions kernel (g : group) =
     Stmt.iter
       (fun s ->
         match s with
-        | Stmt.Copy { dst; _ } when List.mem dst.Stmt.buffer names ->
+        | Stmt.Copy { dst; _ } when Names.mem dst.Stmt.buffer names ->
           found := true
         | _ -> ())
       stmt;
@@ -159,7 +159,7 @@ let check_sync_positions kernel (g : group) =
   let reads_member stmt =
     let found = ref false in
     let check (r : Stmt.region) =
-      if List.mem r.Stmt.buffer names then found := true
+      if Names.mem r.Stmt.buffer names then found := true
     in
     Stmt.iter
       (fun s ->
@@ -176,7 +176,7 @@ let check_sync_positions kernel (g : group) =
   let count_member_copies stmt =
     Stmt.count
       (function
-        | Stmt.Copy { dst; _ } -> List.mem dst.Stmt.buffer names
+        | Stmt.Copy { dst; _ } -> Names.mem dst.Stmt.buffer names
         | _ -> false)
       stmt
   in
@@ -229,7 +229,7 @@ let check_sync_positions kernel (g : group) =
    synchronous), and the buffer's scope has an asynchronous copy path on
    this hardware. *)
 let check_rule1 ~(hw : Alcop_hw.Hw_config.t) kernel
-    (sites : (string, copy_site) Hashtbl.t) (h : Hints.hint) =
+    (sites : copy_site Names.Tbl.t) (h : Hints.hint) =
   let buffer =
     match Kernel.find_buffer kernel h.Hints.buffer with
     | Some b -> b
@@ -241,7 +241,7 @@ let check_rule1 ~(hw : Alcop_hw.Hw_config.t) kernel
       (Buffer.scope_to_string buffer.Buffer.scope)
       hw.Alcop_hw.Hw_config.name;
   let site =
-    match Hashtbl.find_all sites h.Hints.buffer with
+    match Names.Tbl.find_all sites h.Hints.buffer with
     | [ s ] -> s
     | [] ->
       reject h.Hints.buffer 1
@@ -356,7 +356,7 @@ let group_infos ~(hw : Alcop_hw.Hw_config.t) (kernel : Kernel.t) infos =
               (fun og ->
                 not (String.equal og.id g.id)
                 && List.for_all
-                     (fun m -> List.mem m.producer (member_names og))
+                     (fun m -> Names.mem m.producer (member_names og))
                      g.members)
               groups
           in
@@ -528,7 +528,7 @@ let verdicts ~(hw : Alcop_hw.Hw_config.t) ~(hints : Hints.t) (kernel : Kernel.t)
                (skipped_check 3, None))
           | Error r ->
             let culprits = String.split_on_char '+' r.buffer in
-            if List.mem name culprits then (failed_check 3 r, None)
+            if Names.mem name culprits then (failed_check 3 r, None)
             else
               ( { rule = 3; passed = true;
                   detail =

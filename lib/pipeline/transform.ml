@@ -32,7 +32,7 @@ let prologue_var_of base = base ^ "_pro"
    find the using block of a group (analysis step 4). *)
 let stmt_reads_any names stmt =
   let reads = ref false in
-  let check (r : Stmt.region) = if List.mem r.Stmt.buffer names then reads := true in
+  let check (r : Stmt.region) = if Names.mem r.Stmt.buffer names then reads := true in
   Stmt.iter
     (fun s ->
       match s with
@@ -46,7 +46,7 @@ let stmt_reads_any names stmt =
   !reads
 
 let is_member_copy names = function
-  | Stmt.Copy { dst; _ } -> List.mem dst.Stmt.buffer names
+  | Stmt.Copy { dst; _ } -> Names.mem dst.Stmt.buffer names
   | _ -> false
 
 (* A statement belongs to the group's loading block if it contains one of
@@ -137,7 +137,7 @@ let rewrite_loop_body (analysis : Analysis.t) (g : Analysis.group) body =
     | None -> `None_
   in
   let add_read_stage (r : Stmt.region) =
-    if List.mem r.Stmt.buffer names then
+    if Names.mem r.Stmt.buffer names then
       { r with Stmt.slices = Stmt.point_slice read_stage :: r.Stmt.slices }
     else r
   in
@@ -145,7 +145,7 @@ let rewrite_loop_body (analysis : Analysis.t) (g : Analysis.group) body =
      so [Stmt.map] (sharing-preserving) leaves their spines alone too. *)
   let rewrite stmt =
     match stmt with
-    | Stmt.Copy ({ dst; src; _ } as c) when List.mem dst.Stmt.buffer names ->
+    | Stmt.Copy ({ dst; src; _ } as c) when Names.mem dst.Stmt.buffer names ->
       let dst', src' =
         rewrite_producer_copy g ~shifted ~dst_stage:ring_shifted
           ~outer:(outer_mode src.Stmt.buffer) ~dst ~src
@@ -191,7 +191,7 @@ let build_prologue (analysis : Analysis.t) (g : Analysis.group) body =
       Option.map (fun b -> Stmt.For { r with body = b }) (skeleton r.body)
     | Stmt.If r -> Option.map (fun b -> Stmt.If { r with then_ = b }) (skeleton r.then_)
     | Stmt.Alloc _ -> None
-    | Stmt.Copy ({ dst; src; _ } as c) when List.mem dst.Stmt.buffer names ->
+    | Stmt.Copy ({ dst; src; _ } as c) when Names.mem dst.Stmt.buffer names ->
       let outer =
         match fused_outer with
         | Some og -> `Fused (og, Expr.zero)

@@ -41,7 +41,7 @@ let sources (s : stage) =
   | Gemm { a; b } -> [ a; b ]
 
 let consumers t name =
-  List.filter (fun s -> List.mem name (sources s)) t.stages
+  List.filter (fun s -> Names.mem name (sources s)) t.stages
 
 let producer t name =
   match (find_exn t name).kind with

@@ -87,7 +87,12 @@ let registers_per_thread t ~reg_stages =
   in
   acc + frags + 24 (* index arithmetic, pointers, misc *)
 
+(* The bytes of [Printf.sprintf "tb(%dx%dx%d)/warp(%dx%dx%d)%s"] with an
+   optional "/split%d", built without [Printf]: the timing jitter hashes
+   this text on every compile. *)
 let to_string t =
-  Printf.sprintf "tb(%dx%dx%d)/warp(%dx%dx%d)%s" t.tb_m t.tb_n t.tb_k t.warp_m
-    t.warp_n t.warp_k
-    (if t.split_k > 1 then Printf.sprintf "/split%d" t.split_k else "")
+  let i = string_of_int in
+  String.concat ""
+    [ "tb("; i t.tb_m; "x"; i t.tb_n; "x"; i t.tb_k; ")/warp("; i t.warp_m;
+      "x"; i t.warp_n; "x"; i t.warp_k;
+      (if t.split_k > 1 then ")/split" ^ i t.split_k else ")") ]

@@ -362,19 +362,15 @@ let profile_jsonl_trace ~smem_stages ~reg_stages =
   | Error e ->
     Alcotest.failf "compile failed: %s" (Alcop.Compiler.error_to_string e)
   | Ok c ->
-    (match
-       Alcop_gpusim.Profile.run ~op:"MM_RN50_FC"
-         c.Alcop.Compiler.timing_request
-     with
-     | Error f ->
-       Alcotest.failf "profile failed: %a" Alcop_gpusim.Occupancy.pp_failure f
-     | Ok p ->
-       let path = Filename.temp_file "alcop_profile" ".jsonl" in
-       Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-       Sinks.emit_all (Sinks.jsonl_file path) (Alcop_gpusim.Profile.events p);
-       (match Trace_reader.load path with
-        | Error e -> Alcotest.fail e
-        | Ok trace -> (p, trace)))
+    let p =
+      Alcop_gpusim.Profile.run ~op:"MM_RN50_FC" c.Alcop.Compiler.timing_request
+    in
+    let path = Filename.temp_file "alcop_profile" ".jsonl" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Sinks.emit_all (Sinks.jsonl_file path) (Alcop_gpusim.Profile.events p);
+    (match Trace_reader.load path with
+     | Error e -> Alcotest.fail e
+     | Ok trace -> (p, trace))
 
 let test_fig23_stall_diff_accounts_for_cycle_delta () =
   let old_p, old_trace = profile_jsonl_trace ~smem_stages:1 ~reg_stages:1 in

@@ -127,7 +127,10 @@ let prop_launch_footprint =
       match Compiler.compile ~hw ~extra_regs_per_thread:extra p s, launch with
       | Ok c, Ok _ ->
         let allocated = kernel_smem_bytes c in
-        let smem = c.Compiler.timing_request.Alcop_gpusim.Timing.smem_per_tb in
+        let smem =
+          c.Compiler.timing_request.Alcop_gpusim.Timing.occupancy
+            .Alcop_gpusim.Occupancy.smem_per_tb
+        in
         allocated = smem
         || QCheck.Test.fail_reportf "kernel allocates %d shared bytes, request %d"
              allocated smem

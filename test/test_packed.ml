@@ -113,7 +113,9 @@ let gen_sched =
          return (Array.of_list (structured ~stages ~iters ~bytes ~flops ~reg)))
       ]
   in
-  let* residents = int_range 1 4 in
+  (* Fig. 10 waves reach 32 residents; three or more tied at t = 0 (zero
+     issue overhead) exercise the engine's run-ahead tie rule. *)
+  let* residents = int_range 1 32 in
   let* active_sms = oneofl [ 1; 2; 8; 108 ] in
   let* warps_per_tb = int_range 1 8 in
   let* miss_rate = oneofl [ 0.0; 0.3; 1.0 ] in
@@ -313,10 +315,14 @@ let test_empty_trace () =
    instead of drowning in a whole-compile number. Measured (2026-08):
    lower 1.6e3, pipeline 5.4e3, trace-extract 1.1e3, simulate 1.6e2,
    full compile+simulate 9.4e3 — down from the 1.85e4 the old single
-   3.7e4 budget guarded. *)
+   3.7e4 budget guarded. With the allocation-free validator (which both
+   [lower] and [pipeline] run) and [String.equal] name lookups: lower 963,
+   pipeline 4,323, [Validate.check] of the pipelined kernel 57 (1,098
+   before), full compile+simulate 7,384. *)
 let alloc_budget_full = 13_000.0
-let alloc_budget_lower = 3_500.0
-let alloc_budget_pipeline = 9_000.0
+let alloc_budget_lower = 2_000.0
+let alloc_budget_pipeline = 8_500.0
+let alloc_budget_validate = 120.0
 let alloc_budget_trace_extract = 2_500.0
 let alloc_budget_simulate = 1_000.0
 
@@ -415,6 +421,8 @@ let test_per_pass_budgets () =
   let piped = run_pipeline () in
   let groups = Alcop_pipeline.Pass.groups piped in
   let kernel = piped.Alcop_pipeline.Pass.kernel in
+  check_budget "validate (pipelined kernel)" alloc_budget_validate (fun () ->
+      Alcop_ir.Validate.check kernel);
   check_budget "trace-extract" alloc_budget_trace_extract (fun () ->
       Alcop_gpusim.Trace.extract_program ~groups kernel);
   (match Alcop.Compiler.compile ~hw params spec with

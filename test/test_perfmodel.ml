@@ -154,6 +154,38 @@ let test_features_distinguish_stages () =
   let f2 = Features.extract hw spec (params ~smem_stages:4 ()) in
   Alcotest.(check bool) "different" true (f1 <> f2)
 
+(* [Params.to_string] and [Tiling.to_string] are built without [Printf];
+   the jitter behind every simulated cycle count hashes their bytes, so
+   they must equal the [Printf] formats they replaced on any params,
+   including split-K tilings, negative fields and both flags off. *)
+let printf_params_to_string (p : Params.t) =
+  let t = p.Params.tiling in
+  Printf.sprintf "%s smem_stages=%d reg_stages=%d%s%s"
+    (Printf.sprintf "tb(%dx%dx%d)/warp(%dx%dx%d)%s" t.Tiling.tb_m t.Tiling.tb_n
+       t.Tiling.tb_k t.Tiling.warp_m t.Tiling.warp_n t.Tiling.warp_k
+       (if t.Tiling.split_k > 1 then Printf.sprintf "/split%d" t.Tiling.split_k
+        else ""))
+    p.Params.smem_stages p.Params.reg_stages
+    (if p.Params.swizzle then "" else " noswizzle")
+    (if p.Params.inner_fuse then "" else " nofuse")
+
+let gen_params =
+  let open QCheck.Gen in
+  let dim = oneof [ int_range 1 512; int_range (-3) 0; map (fun b -> 1 lsl b) (int_range 0 12); return max_int ] in
+  let* tb_m = dim and* tb_n = dim and* tb_k = dim in
+  let* warp_m = dim and* warp_n = dim and* warp_k = dim in
+  let* split_k = oneof [ return 1; int_range 2 16; int_range (-2) 0 ] in
+  let* smem_stages = int_range 1 1_000_000 and* reg_stages = int_range 1 8 in
+  let* swizzle = bool and* inner_fuse = bool in
+  let tiling = Tiling.make ~split_k ~tb_m ~tb_n ~tb_k ~warp_m ~warp_n ~warp_k () in
+  return (Params.make ~swizzle ~inner_fuse ~tiling ~smem_stages ~reg_stages ())
+
+let prop_to_string_matches_printf =
+  QCheck.Test.make ~name:"Params.to_string == Printf format" ~count:1000
+    (QCheck.make ~print:printf_params_to_string gen_params) (fun p ->
+      String.equal (Params.to_string p) (printf_params_to_string p)
+      && Params.key "op" p = Hashtbl.hash ("op", printf_params_to_string p))
+
 let suite =
   [ ( "perfmodel",
       [ Alcotest.test_case "pipeline latency compute bound" `Quick
@@ -179,4 +211,5 @@ let suite =
           test_bottleneck_positive_and_below_peak;
         Alcotest.test_case "features shape" `Quick test_features_shape;
         Alcotest.test_case "features distinguish stages" `Quick
-          test_features_distinguish_stages ] ) ]
+          test_features_distinguish_stages;
+        QCheck_alcotest.to_alcotest prop_to_string_matches_printf ] ) ]

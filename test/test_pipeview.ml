@@ -10,9 +10,14 @@ open Alcop_gpusim
 let hw = Alcop_hw.Hw_config.ampere_a100
 let gshared = "pipe.shared.ko"
 
+let occupancy =
+  Result.get_ok
+    (Occupancy.compute hw ~smem_per_tb:49152 ~warps_per_tb:4
+       ~regs_per_thread:64)
+
 let request_of_events ?(barrier_groups = [ gshared ]) events =
   { Timing.hw; program = Trace.pack events; total_tbs = 32; warps_per_tb = 4;
-    smem_per_tb = 49152; regs_per_thread = 64; grid_m = 8; grid_n = 4;
+    occupancy; grid_m = 8; grid_n = 4;
     grid_z = 1; tb_m = 64; tb_n = 64; tb_k = 32; elem_bytes = 2;
     swizzle = true; jitter_key = 17; barrier_groups }
 
@@ -37,11 +42,7 @@ let pipeline_events ~stages ~iters ~bytes ~flops =
     (prologue @ List.concat (List.init iters iter) @ [ Trace.Barrier ])
 
 let view_of_events events =
-  match Profile.run (request_of_events events) with
-  | Ok p -> Pipeview.of_profile p
-  | Error f ->
-    Alcotest.failf "pipeview failed: %s"
-      (Format.asprintf "%a" Occupancy.pp_failure f)
+  Pipeview.of_profile (Profile.run (request_of_events events))
 
 let check_telescopes v =
   let sum = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 v.Pipeview.pv_terms in

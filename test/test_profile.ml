@@ -25,11 +25,7 @@ let profile_of ?(smem_stages = 3) ?(reg_stages = 2) () =
   match Alcop.Compiler.compile ~hw params spec with
   | Error e -> Alcotest.failf "compile failed: %s" (Alcop.Compiler.error_to_string e)
   | Ok c ->
-    (match
-       Profile.run ~op:"MM_RN50_FC" c.Alcop.Compiler.timing_request
-     with
-     | Error f -> Alcotest.failf "profile failed: %a" Occupancy.pp_failure f
-     | Ok p -> p)
+    Profile.run ~op:"MM_RN50_FC" c.Alcop.Compiler.timing_request
 
 (* Every simulated cycle of every threadblock is attributed to exactly one
    stall class: the recorded intervals are contiguous from 0 to the

@@ -148,7 +148,8 @@ let test_kernel_params () =
     Kernel.make ~name:"k" ~inputs:[ a ] ~outputs:[ c ]
       ~body:(Stmt.copy ~dst:(region_of c) ~src:(region_of a) ())
   in
-  Alcotest.(check int) "params" 2 (List.length (Kernel.params k));
+  Alcotest.(check int) "params" 2
+    (List.length (Kernel.all_buffers k));
   Alcotest.(check bool) "find" true (Kernel.find_param k "A" <> None);
   Alcotest.check_raises "non-global param rejected"
     (Invalid_argument "Kernel.make: parameter s is not in global scope")
