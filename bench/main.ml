@@ -374,11 +374,17 @@ let measure_pass ~quiet ~store_dir () =
   let groups = Alcop_pipeline.Pass.groups pass_result in
   let kernel = pass_result.Alcop_pipeline.Pass.kernel in
   (* The launch the compile+simulate row times, replayed alone. *)
-  let request =
+  let request_of spec =
     match Compiler.compile ~hw params spec with
     | Ok c -> c.Compiler.timing_request
     | Error _ -> failwith "selfbench: compile failed"
   in
+  let request = request_of spec in
+  (* That launch is one tail wave of one threadblock per SM, so it cannot
+     show the wave engine picking among residents. The same schedule on
+     BMM_GPT2_QK runs 6 waves, 5 of them full, of 5 resident threadblocks
+     per SM (register-limited). *)
+  let resident_request = request_of Alcop_workloads.Suites.bmm_gpt2_qk in
   (* Cold compiles call [Compiler] directly; the -hit benchmark measures
      a fingerprint + memo lookup of [Session.evaluate] on a pre-warmed
      caching session, i.e. what a repeated schedule point costs a tuner or
@@ -412,6 +418,8 @@ let measure_pass ~quiet ~store_dir () =
             ignore (Compiler.compile ~hw params spec)));
         Test.make ~name:"simulate" (Staged.stage (fun () ->
             ignore (Alcop_gpusim.Timing.run request)));
+        Test.make ~name:"simulate-full-waves" (Staged.stage (fun () ->
+            ignore (Alcop_gpusim.Timing.run resident_request)));
         Test.make ~name:"session-evaluate-hit" (Staged.stage (fun () ->
             ignore (Session.evaluate warm params spec)));
         Test.make ~name:"store-cold" (Staged.stage (fun () ->

@@ -22,14 +22,17 @@
    (parallel int columns for opcode, argument, interned group index, flags
    and batch ordinal) built in two phases:
 
-   1. the kernel body is *resolved* once into a closure tree with loop
-      variables assigned integer slots, expressions compiled against an
-      [int array] environment and byte/FLOP counts folded to constants
-      (region lengths are static ints, so only loop bounds and branch
-      conditions need evaluation);
-   2. the resolved tree is executed, appending directly into reusable
-      domain-local scratch columns — no per-event boxing, no string
-      hashing in the loop.
+   1. the kernel body is *resolved* once into a flat int code array with
+      loop variables assigned integer slots, byte/FLOP counts folded to
+      constants (region lengths are static ints, so only loop bounds and
+      branch conditions need evaluation, in postfix form) and buffers and
+      groups looked up by linear scans;
+   2. the code array is interpreted, appending directly into the event
+      columns — no per-event boxing, no string hashing in the loop.
+
+   Both phases work in one grow-only domain-local scratch, so a call
+   allocates only the program it returns and a few group-sized counter
+   arrays.
 
    Batch ordinals are program-static (every threadblock runs the same
    program), so the push helpers compute, online, the pipeline batch each
@@ -150,585 +153,830 @@ let decode p = Array.init p.n (event_at p)
 
 (* --- program builder --- *)
 
-(* Reusable extraction buffer: grow-only struct-of-arrays, one per domain.
-   Extraction runs on the tuner's hot path (once per cold compile), so the
-   event rows are built in domain-local scratch and only the exact-size
-   program arrays are allocated per call. *)
-type xbuf = {
-  mutable xb_in_use : bool;  (** re-entrancy guard (never expected) *)
-  mutable xb_cap : int;
-  mutable xb_op : icol;
-  mutable xb_arg : icol;
-  mutable xb_grp : icol;
-  mutable xb_flg : icol;
-  mutable xb_bat : icol;
+(* Reusable extraction scratch: grow-only, one per domain. Extraction runs
+   on the tuner's hot path (once per cold compile), so the event rows, the
+   interned group ids and the resolved kernel body live here; a call
+   allocates only the program it returns and its per-group counters.
+   [pack] shares the rows and the group bookkeeping. *)
+type scratch = {
+  mutable in_use : bool;  (** re-entrancy guard (never expected) *)
+  (* event rows *)
+  mutable cap : int;
+  mutable len : int;
+  mutable r_op : icol;
+  mutable r_arg : icol;
+  mutable r_grp : icol;
+  mutable r_flg : icol;
+  mutable r_bat : icol;
+  mutable warp_mult : int;
+  (* group ids in first-use order *)
+  mutable ng : int;
+  mutable g_id : string array;
+  (* Per-group batch bookkeeping, one slot per interned group, made by
+     [open_groups] once every group is interned. Rows are pushed in
+     program order and every threadblock replays the same program, so a
+     load's batch is the count of commits its group has seen, a wait
+     consumes the oldest not-yet-consumed commit (or nothing, when the
+     program waits before ever committing), and the ring depth is the peak
+     number of committed-but-unconsumed batches. The last four arrays
+     become the program's group table. *)
+  mutable g_committed : int array;
+  mutable g_taken : int array;
+  mutable g_popped : int array;
+  mutable g_flags : int array;
+      (** flag bits stamped on the group's commit/wait events
+          ([flag_sync_group] for scope pipelines, 0 for soft ones) *)
+  mutable g_depth : int array;
+  mutable g_stages : int array;  (** 0 until known: takes the ring depth *)
+  mutable g_sync : bool array;
+  mutable g_bytes : int array;
+  (* register ("soft") pipelines, in analysis order *)
+  mutable s_gid : int array;  (** interned group index *)
+  mutable s_hide : int array;  (** stages - 1: batches kept in flight *)
+  mutable s_open : bool array;
+  mutable s_batches : int array;
+  mutable s_waits : int array;
+  (* the resolved body (see "resolved kernel walker") *)
+  mutable code : int array;
+  mutable code_len : int;
+  mutable stack : int array;  (** expression evaluation stack *)
+  mutable env : int array;  (** loop variable slots *)
+  mutable nslots : int;
+  mutable unbound : string array;  (** names of unbound variables *)
+  mutable nunbound : int;
+  mutable b_var : string array;  (** loop variables in scope, innermost last *)
+  mutable b_slot : int array;
+  mutable nbind : int;
+  mutable bufs : Buffer.t array;  (** parameters, then allocs in program order *)
+  mutable nbuf : int;
 }
 
-let xbuf_fresh cap =
-  { xb_in_use = false; xb_cap = cap; xb_op = icol_create cap;
-    xb_arg = icol_create cap; xb_grp = icol_create cap;
-    xb_flg = icol_create cap; xb_bat = icol_create cap }
+(* [a] if it holds [need] slots, else a copy with at least twice the room *)
+let grown a need fill =
+  let n = Array.length a in
+  if need <= n then a
+  else begin
+    let b = Array.make (max need (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
-let xbuf_key = Domain.DLS.new_key (fun () -> xbuf_fresh 1024)
+let no_buffer =
+  Buffer.make ~name:"" ~scope:Buffer.Global ~dtype:Dtype.F16 ~shape:[ 1 ]
 
-let xbuf_grow b =
-  let cap = 2 * b.xb_cap in
+let scratch_fresh () =
+  let cap = 1024 in
+  { in_use = false; cap; len = 0; r_op = icol_create cap;
+    r_arg = icol_create cap; r_grp = icol_create cap; r_flg = icol_create cap;
+    r_bat = icol_create cap; warp_mult = 1; ng = 0; g_id = Array.make 4 "";
+    g_committed = [||]; g_taken = [||]; g_popped = [||]; g_flags = [||];
+    g_depth = [||]; g_stages = [||]; g_sync = [||]; g_bytes = [||];
+    s_gid = [||]; s_hide = [||]; s_open = [||]; s_batches = [||];
+    s_waits = [||]; code = Array.make 1024 0; code_len = 0;
+    stack = Array.make 16 0; env = Array.make 16 0; nslots = 0;
+    unbound = Array.make 4 ""; nunbound = 0; b_var = Array.make 16 "";
+    b_slot = Array.make 16 0; nbind = 0; bufs = Array.make 16 no_buffer;
+    nbuf = 0 }
+
+let scratch_key = Domain.DLS.new_key scratch_fresh
+
+let rows_grow sc =
+  let cap = 2 * sc.cap in
   let grow (a : icol) =
     let a' = icol_create cap in
-    Bigarray.Array1.blit a (Bigarray.Array1.sub a' 0 b.xb_cap);
+    Bigarray.Array1.blit a (Bigarray.Array1.sub a' 0 sc.cap);
     a'
   in
-  b.xb_op <- grow b.xb_op;
-  b.xb_arg <- grow b.xb_arg;
-  b.xb_grp <- grow b.xb_grp;
-  b.xb_flg <- grow b.xb_flg;
-  b.xb_bat <- grow b.xb_bat;
-  b.xb_cap <- cap
+  sc.r_op <- grow sc.r_op;
+  sc.r_arg <- grow sc.r_arg;
+  sc.r_grp <- grow sc.r_grp;
+  sc.r_flg <- grow sc.r_flg;
+  sc.r_bat <- grow sc.r_bat;
+  sc.cap <- cap
 
-(* exact-size copy of the first [n] rows of a scratch column *)
+(* Index of the interned group [gid] at or after [i], -1 if it has none. *)
+let rec group_index sc gid i =
+  if i = sc.ng then -1
+  else if String.equal sc.g_id.(i) gid then i
+  else group_index sc gid (i + 1)
+
+(* Index of group [gid], interning it on first use. *)
+let intern sc gid =
+  match group_index sc gid 0 with
+  | -1 ->
+    let i = sc.ng in
+    sc.g_id <- grown sc.g_id (i + 1) "";
+    sc.g_id.(i) <- gid;
+    sc.ng <- i + 1;
+    i
+  | i -> i
+
+(* Fresh bookkeeping for the interned groups; no group may be interned
+   after this. *)
+let open_groups sc =
+  let ng = sc.ng in
+  sc.g_committed <- Array.make ng 0;
+  sc.g_taken <- Array.make ng 0;
+  sc.g_popped <- Array.make ng 0;
+  sc.g_flags <- Array.make ng 0;
+  sc.g_depth <- Array.make ng 1;
+  sc.g_stages <- Array.make ng 0;
+  sc.g_sync <- Array.make ng false;
+  sc.g_bytes <- Array.make ng 0
+
+let[@inline] push_row sc ~op ~arg ~group ~flags ~batch =
+  if sc.len = sc.cap then rows_grow sc;
+  let i = sc.len in
+  Bigarray.Array1.unsafe_set sc.r_op i op;
+  Bigarray.Array1.unsafe_set sc.r_arg i arg;
+  Bigarray.Array1.unsafe_set sc.r_grp i group;
+  Bigarray.Array1.unsafe_set sc.r_flg i flags;
+  Bigarray.Array1.unsafe_set sc.r_bat i batch;
+  sc.len <- i + 1
+
+let[@inline] push_load sc ~bytes ~group ~flags =
+  push_row sc ~op:op_load ~arg:bytes ~group ~flags
+    ~batch:
+      (if flags land flag_async <> 0 && group >= 0 then
+         Array.unsafe_get sc.g_committed group
+       else -1)
+
+let push_commit sc ~group ~flags =
+  push_row sc ~op:op_commit ~arg:0 ~group ~flags
+    ~batch:sc.g_committed.(group);
+  let c = sc.g_committed.(group) + 1 in
+  sc.g_committed.(group) <- c;
+  let occ = c - sc.g_popped.(group) in
+  if occ > sc.g_depth.(group) then sc.g_depth.(group) <- occ
+
+let push_wait sc ~group ~flags =
+  let consumed =
+    if sc.g_popped.(group) < sc.g_committed.(group) then begin
+      let p = sc.g_popped.(group) in
+      sc.g_popped.(group) <- p + 1;
+      p
+    end
+    else -1
+  in
+  push_row sc ~op:op_wait ~arg:consumed ~group ~flags
+    ~batch:sc.g_taken.(group);
+  sc.g_taken.(group) <- sc.g_taken.(group) + 1
+
+(* exact-size copy of the first [n] rows of a scratch column; the [sub]
+   view costs 7 words, a memcpy instead of an element loop *)
 let icol_take (a : icol) n : icol =
   let d = icol_create n in
   Bigarray.Array1.blit (Bigarray.Array1.sub a 0 n) d;
   d
 
-type xstate = {
-  env : int array;
-  mutable warp_mult : int;
-  buf : xbuf;
-  mutable len : int;
-  (* Online batch bookkeeping, one slot per interned group. Rows are
-     pushed in program order and every threadblock replays the same
-     program, so a load's batch is the count of commits its group has
-     seen, a wait consumes the oldest not-yet-consumed commit (or nothing,
-     when the program waits before ever committing), and the ring depth is
-     the peak number of committed-but-unconsumed batches. *)
-  g_committed : int array;
-  g_taken : int array;
-  g_popped : int array;
-  g_depth : int array;
-  g_flags : int array;
-      (** flag bits the extractor stamps on the group's commit/wait events
-          ([flag_sync_group] for scope pipelines, 0 for soft ones) *)
-  (* register ("soft") pipeline bookkeeping, one slot per group *)
-  s_gid : int array;  (** interned group index *)
-  s_hide : int array;  (** stages - 1: batches the pipeline keeps in flight *)
-  s_open : bool array;
-  s_batches : int array;
-  s_waits : int array;
-}
-
-let[@inline] push_row st ~op ~arg ~group ~flags ~batch =
-  if st.len = st.buf.xb_cap then xbuf_grow st.buf;
-  let b = st.buf in
-  let i = st.len in
-  Bigarray.Array1.unsafe_set b.xb_op i op;
-  Bigarray.Array1.unsafe_set b.xb_arg i arg;
-  Bigarray.Array1.unsafe_set b.xb_grp i group;
-  Bigarray.Array1.unsafe_set b.xb_flg i flags;
-  Bigarray.Array1.unsafe_set b.xb_bat i batch;
-  st.len <- i + 1
-
-let[@inline] push_load st ~bytes ~group ~flags =
-  push_row st ~op:op_load ~arg:bytes ~group ~flags
-    ~batch:
-      (if flags land flag_async <> 0 && group >= 0 then
-         Array.unsafe_get st.g_committed group
-       else -1)
-
-let push_commit st ~group ~flags =
-  push_row st ~op:op_commit ~arg:0 ~group ~flags
-    ~batch:st.g_committed.(group);
-  let c = st.g_committed.(group) + 1 in
-  st.g_committed.(group) <- c;
-  let occ = c - st.g_popped.(group) in
-  if occ > st.g_depth.(group) then st.g_depth.(group) <- occ
-
-let push_wait st ~group ~flags =
-  let consumed =
-    if st.g_popped.(group) < st.g_committed.(group) then begin
-      let p = st.g_popped.(group) in
-      st.g_popped.(group) <- p + 1;
-      p
-    end
-    else -1
+(* Run [fill sc x] on the domain's scratch and cut the program; a group
+   whose stage count is still 0 takes its observed ring depth. *)
+let build fill x =
+  let sc =
+    let b = Domain.DLS.get scratch_key in
+    if b.in_use then scratch_fresh () else b
   in
-  push_row st ~op:op_wait ~arg:consumed ~group ~flags
-    ~batch:st.g_taken.(group);
-  st.g_taken.(group) <- st.g_taken.(group) + 1
-
-(* Run [fill] over a fresh state on the domain's scratch columns and cut
-   the program. [groups] is the interned group table; [stages], [sync] and
-   [bytes] hold at least one slot per group, and a group whose stage count
-   is still 0 takes its observed ring depth. *)
-let build ~groups ~nslots ~g_flags ~s_gid ~s_hide ~stages ~sync ~bytes fill =
-  let ng = Array.length groups in
-  let scratch =
-    let b = Domain.DLS.get xbuf_key in
-    if b.xb_in_use then xbuf_fresh 1024 else b
-  in
-  scratch.xb_in_use <- true;
-  Fun.protect ~finally:(fun () -> scratch.xb_in_use <- false) @@ fun () ->
-  let nsoft = Array.length s_gid in
-  let st =
-    { env = Array.make (max 1 nslots) 0; warp_mult = 1; buf = scratch;
-      len = 0;
-      g_committed = Array.make (max 1 ng) 0;
-      g_taken = Array.make (max 1 ng) 0;
-      g_popped = Array.make (max 1 ng) 0;
-      g_depth = Array.make (max 1 ng) 1;
-      g_flags;
-      s_gid; s_hide;
-      s_open = Array.make nsoft false;
-      s_batches = Array.make nsoft 0;
-      s_waits = Array.make nsoft 0 }
-  in
-  fill st;
-  let len = st.len in
-  let group_depth = Array.sub st.g_depth 0 ng in
-  let group_stages = Array.sub stages 0 ng in
-  for g = 0 to ng - 1 do
-    if group_stages.(g) = 0 then group_stages.(g) <- group_depth.(g)
+  sc.in_use <- true;
+  Fun.protect ~finally:(fun () -> sc.in_use <- false) @@ fun () ->
+  sc.len <- 0;
+  sc.warp_mult <- 1;
+  sc.ng <- 0;
+  fill sc x;
+  let n = sc.len in
+  let group_stages = sc.g_stages in
+  for g = 0 to sc.ng - 1 do
+    if group_stages.(g) = 0 then group_stages.(g) <- sc.g_depth.(g)
   done;
-  { n = len;
-    opcode = icol_take scratch.xb_op len;
-    arg = icol_take scratch.xb_arg len;
-    group = icol_take scratch.xb_grp len;
-    flags = icol_take scratch.xb_flg len;
-    batch = icol_take scratch.xb_bat len;
-    groups; group_depth; group_stages;
-    group_sync = Array.sub sync 0 ng;
-    group_bytes = Array.sub bytes 0 ng }
-
-(* Intern table: group ids numbered in first-use order. *)
-let intern tbl gid =
-  match Names.Tbl.find_opt tbl gid with
-  | Some i -> i
-  | None ->
-    let i = Names.Tbl.length tbl in
-    Names.Tbl.replace tbl gid i;
-    i
-
-let interned tbl =
-  let ids = Array.make (Names.Tbl.length tbl) "" in
-  Names.Tbl.iter (fun gid i -> ids.(i) <- gid) tbl;
-  ids
+  { n;
+    opcode = icol_take sc.r_op n;
+    arg = icol_take sc.r_arg n;
+    group = icol_take sc.r_grp n;
+    flags = icol_take sc.r_flg n;
+    batch = icol_take sc.r_bat n;
+    groups = Array.sub sc.g_id 0 sc.ng;
+    group_depth = sc.g_depth;
+    group_stages;
+    group_sync = sc.g_sync;
+    group_bytes = sc.g_bytes }
 
 (* The group table is derived from the event stream: a group is
    scope-synchronized when any of its protocol events carries the sync
    bit, its stage count is the largest acquire argument (ring depth when
    there is none), and its per-stage byte footprint is the peak sum of
    async load bytes joining one batch. *)
-let pack (events : event array) =
-  let gtbl = Names.Tbl.create 8 in
+let pack_events sc (events : event array) =
   let gids =
     Array.map
       (function
         | Load { group = Some g; _ } | Commit { group = g; _ }
         | Wait_oldest { group = g; _ } | Acquire { group = g; _ } | Release g ->
-          intern gtbl g
+          intern sc g
         | Load { group = None; _ } | Store _ | Barrier | Compute _ -> -1)
       events
   in
-  let groups = interned gtbl in
-  let slots () = Array.make (max 1 (Array.length groups)) 0 in
-  let stages = slots () and bytes = slots () and open_bytes = slots () in
-  let sync = Array.make (max 1 (Array.length groups)) false in
+  open_groups sc;
+  let open_bytes = Array.make sc.ng 0 in
   let sync_bit g s =
     if s then begin
-      sync.(g) <- true;
+      sc.g_sync.(g) <- true;
       flag_sync_group
     end
     else 0
   in
-  build ~groups ~nslots:0 ~g_flags:[||] ~s_gid:[||] ~s_hide:[||] ~stages ~sync
-    ~bytes
-  @@ fun st ->
   Array.iteri
     (fun i e ->
       let group = gids.(i) in
       match e with
       | Load { level; bytes = b; async; _ } ->
         if async && group >= 0 then open_bytes.(group) <- open_bytes.(group) + b;
-        push_load st ~bytes:b ~group
+        push_load sc ~bytes:b ~group
           ~flags:
             ((if async then flag_async else 0)
             lor match level with From_shared -> flag_shared | From_global -> 0)
       | Store { bytes = b } ->
-        push_row st ~op:op_store ~arg:b ~group ~flags:0 ~batch:(-1)
+        push_row sc ~op:op_store ~arg:b ~group ~flags:0 ~batch:(-1)
       | Commit { sync = s; _ } ->
-        bytes.(group) <- max bytes.(group) open_bytes.(group);
+        sc.g_bytes.(group) <- max sc.g_bytes.(group) open_bytes.(group);
         open_bytes.(group) <- 0;
-        push_commit st ~group ~flags:(sync_bit group s)
+        push_commit sc ~group ~flags:(sync_bit group s)
       | Wait_oldest { sync = s; _ } ->
-        push_wait st ~group ~flags:(sync_bit group s)
+        push_wait sc ~group ~flags:(sync_bit group s)
       | Acquire { stages = k; _ } ->
-        stages.(group) <- max stages.(group) k;
-        push_row st ~op:op_acquire ~arg:k ~group
+        sc.g_stages.(group) <- max sc.g_stages.(group) k;
+        push_row sc ~op:op_acquire ~arg:k ~group
           ~flags:(sync_bit group true) ~batch:(-1)
       | Release _ ->
-        push_row st ~op:op_release ~arg:0 ~group
+        push_row sc ~op:op_release ~arg:0 ~group
           ~flags:(sync_bit group true) ~batch:(-1)
-      | Barrier -> push_row st ~op:op_barrier ~arg:0 ~group ~flags:0 ~batch:(-1)
+      | Barrier -> push_row sc ~op:op_barrier ~arg:0 ~group ~flags:0 ~batch:(-1)
       | Compute { flops } ->
-        push_row st ~op:op_compute ~arg:flops ~group ~flags:0 ~batch:(-1))
+        push_row sc ~op:op_compute ~arg:flops ~group ~flags:0 ~batch:(-1))
     events
+
+let pack events = build pack_events events
 
 (* --- resolved kernel walker --- *)
 
-(* Compiled index expression: evaluates against the slot environment.
-   Unbound variables keep the legacy failure mode (raise at evaluation,
-   not at resolution, with the same message). *)
-type rexpr = int array -> int
+(* The kernel body is resolved once per call into [sc.code], a flat int
+   program: loop variables get integer slots, byte/FLOP counts fold to
+   constants (region lengths are static ints), buffers and groups resolve
+   to their scope, flags and interned index, and only loop extents and
+   branch conditions stay expressions, in postfix form. Each statement is
+   an opcode followed by its operands:
 
-let rec compile_expr bindings (e : Expr.t) : rexpr =
+   - [k_for slot body body_end extent... body...] — a sequential or
+     unrolled loop; it closes open register-pipeline batches after each
+     iteration;
+   - [k_loadn] — the same layout, for a loop whose body is one [k_load]
+     (the shape copy loops lower to), run without per-iteration dispatch;
+   - [k_warp slot body body_end extent... body...] — a warp-parallel loop,
+     run once with its byte/FLOP counts scaled by the extent;
+   - [k_pin slot body_end body...] — a grid loop, its variable pinned to 0;
+   - [k_if cmp rhs body body_end lhs... rhs... body...];
+   - [k_load bytes flags group soft] ([soft]: register-pipeline index or
+     -1), [k_mma flops], [k_commit group], [k_wait group];
+   - [k_row op arg flags] — an ungrouped event (store, element-wise
+     compute, accumulate, barrier) whose [arg] scales with the warps;
+   - [k_sync_row op arg group] — an acquire or release;
+   - [k_fail] — malformed mma operands: raises if (and only if) reached.
+
+   Expressions are [e_const c], [e_slot s], [e_unbound i] (raises, with
+   the name [sc.unbound.(i)], only when evaluated) and the binary
+   operators. A binary operator's right operand is emitted, and so
+   evaluated, first: the order native code evaluates [Expr.eval]'s
+   operands in, so the same error wins when both sides fail. *)
+
+let k_load = 0
+let k_loadn = 1
+let k_for = 2
+let k_warp = 3
+let k_pin = 4
+let k_if = 5
+let k_row = 6
+let k_sync_row = 7
+let k_mma = 8
+let k_commit = 9
+let k_wait = 10
+let k_fail = 11
+
+let e_const = 0
+let e_slot = 1
+let e_unbound = 2
+let e_add = 3
+let e_sub = 4
+let e_mul = 5
+let e_div = 6
+let e_mod = 7
+let e_min = 8
+let e_max = 9
+
+let emit sc x =
+  let i = sc.code_len in
+  if i = Array.length sc.code then sc.code <- grown sc.code (i + 1) 0;
+  Array.unsafe_set sc.code i x;
+  sc.code_len <- i + 1
+
+(* Slot of the innermost loop variable [v] in scope, -1 if unbound. *)
+let rec slot_of sc v i =
+  if i < 0 then -1
+  else if String.equal sc.b_var.(i) v then sc.b_slot.(i)
+  else slot_of sc v (i - 1)
+
+(* Emit [e] in postfix form; returns the evaluation stack depth it needs. *)
+let rec emit_expr sc (e : Expr.t) =
   match e with
-  | Expr.Const c -> fun _ -> c
+  | Expr.Const c ->
+    emit sc e_const;
+    emit sc c;
+    1
   | Expr.Var v ->
-    (match Names.assoc_opt v bindings with
-     | Some s -> fun env -> Array.unsafe_get env s
-     | None ->
-       fun _ -> raise (Invalid_argument ("Expr.eval: unbound variable " ^ v)))
-  | Expr.Add (a, b) ->
-    let fa = compile_expr bindings a and fb = compile_expr bindings b in
-    fun env -> fa env + fb env
-  | Expr.Sub (a, b) ->
-    let fa = compile_expr bindings a and fb = compile_expr bindings b in
-    fun env -> fa env - fb env
-  | Expr.Mul (a, b) ->
-    let fa = compile_expr bindings a and fb = compile_expr bindings b in
-    fun env -> fa env * fb env
-  | Expr.Div (a, b) ->
-    let fa = compile_expr bindings a and fb = compile_expr bindings b in
-    fun env -> Expr.floordiv_int (fa env) (fb env)
-  | Expr.Mod (a, b) ->
-    let fa = compile_expr bindings a and fb = compile_expr bindings b in
-    fun env -> Expr.floormod_int (fa env) (fb env)
-  | Expr.Min (a, b) ->
-    let fa = compile_expr bindings a and fb = compile_expr bindings b in
-    fun env -> min (fa env) (fb env)
-  | Expr.Max (a, b) ->
-    let fa = compile_expr bindings a and fb = compile_expr bindings b in
-    fun env -> max (fa env) (fb env)
+    let s = slot_of sc v (sc.nbind - 1) in
+    if s >= 0 then begin
+      emit sc e_slot;
+      emit sc s
+    end
+    else begin
+      let i = sc.nunbound in
+      sc.unbound <- grown sc.unbound (i + 1) "";
+      sc.unbound.(i) <- v;
+      sc.nunbound <- i + 1;
+      emit sc e_unbound;
+      emit sc i
+    end;
+    1
+  | Expr.Add (a, b) -> emit_binop sc e_add a b
+  | Expr.Sub (a, b) -> emit_binop sc e_sub a b
+  | Expr.Mul (a, b) -> emit_binop sc e_mul a b
+  | Expr.Div (a, b) -> emit_binop sc e_div a b
+  | Expr.Mod (a, b) -> emit_binop sc e_mod a b
+  | Expr.Min (a, b) -> emit_binop sc e_min a b
+  | Expr.Max (a, b) -> emit_binop sc e_max a b
 
-type rcond = { rc_lhs : rexpr; rc_rhs : rexpr; rc_cmp : Stmt.cmp }
+and emit_binop sc op a b =
+  let db = emit_expr sc b in
+  let da = emit_expr sc a in
+  emit sc op;
+  max db (da + 1)
 
-type rstmt =
-  | Rseq of rstmt array
-  | Rfor of { slot : int; extent : rexpr; body : rstmt }
-      (** sequential/unrolled: closes open register-pipeline batches after
-          each iteration *)
-  | Rwarp of { slot : int; extent : rexpr; body : rstmt }
-  | Rpin of { slot : int; body : rstmt }  (** grid loop var pinned to 0 *)
-  | Rif of rcond * rstmt
-  | Rload of { bytes : int; flags : int; group : int; soft : int }
-  | Rloadn of { extent : rexpr; bytes : int; flags : int; group : int;
-                soft : int }
-      (** a Sequential/Unrolled loop whose entire body is one load (the
-          shape copy loops lower to): executed without per-iteration
-          dispatch. Iteration-boundary batch closing is preserved — the
-          first iteration flushes every open register pipeline, later
-          ones can only re-close this load's own group. *)
-  | Rstore of { bytes : int }
-  | Rmma of { flops : int }  (** retires register batches, then computes *)
-  | Runop of { bytes : int }
-  | Raccum_global of { bytes : int }
-  | Raccum_local of { bytes : int }
-  | Rbarrier
-  | Racquire of { group : int; stages : int }
-  | Rcommit of { group : int }
-  | Rwait of { group : int }
-  | Rrelease of { group : int }
-  | Rnop
-  | Rfail of string  (** malformed operands: raise if (and only if) reached *)
+let emit_operand sc e =
+  let depth = emit_expr sc e in
+  sc.stack <- grown sc.stack depth 0
+
+(* Value of the expression in [sc.code.(lo .. hi-1)]. *)
+let eval sc lo hi =
+  let code = sc.code in
+  (* most extents and operands are a constant or a loop variable *)
+  if hi - lo = 2 && code.(lo) = e_const then code.(lo + 1)
+  else if hi - lo = 2 && code.(lo) = e_slot then sc.env.(code.(lo + 1))
+  else begin
+    let stack = sc.stack in
+    let sp = ref 0 and pc = ref lo in
+    while !pc < hi do
+      let at = !pc in
+      match code.(at) with
+      | 0 (* e_const *) ->
+        stack.(!sp) <- code.(at + 1);
+        incr sp;
+        pc := at + 2
+      | 1 (* e_slot *) ->
+        stack.(!sp) <- sc.env.(code.(at + 1));
+        incr sp;
+        pc := at + 2
+      | 2 (* e_unbound *) ->
+        invalid_arg ("Expr.eval: unbound variable " ^ sc.unbound.(code.(at + 1)))
+      | op ->
+        let l = stack.(!sp - 1) and r = stack.(!sp - 2) in
+        sp := !sp - 1;
+        stack.(!sp - 1) <-
+          (match op with
+           | 3 (* e_add *) -> l + r
+           | 4 (* e_sub *) -> l - r
+           | 5 (* e_mul *) -> l * r
+           | 6 (* e_div *) -> Expr.floordiv_int l r
+           | 7 (* e_mod *) -> Expr.floormod_int l r
+           | 8 (* e_min *) -> if l <= r then l else r
+           | _ (* e_max *) -> if l >= r then l else r);
+        pc := at + 1
+    done;
+    stack.(0)
+  end
+
+let add_buffer sc b =
+  sc.bufs <- grown sc.bufs (sc.nbuf + 1) no_buffer;
+  sc.bufs.(sc.nbuf) <- b;
+  sc.nbuf <- sc.nbuf + 1
+
+let rec add_buffers sc = function
+  | [] -> ()
+  | b :: rest ->
+    add_buffer sc b;
+    add_buffers sc rest
+
+let rec add_allocs sc (stmt : Stmt.t) =
+  match stmt with
+  | Stmt.Seq ss -> add_allocs_list sc ss
+  | Stmt.Alloc { buffer; body } ->
+    add_buffer sc buffer;
+    add_allocs sc body
+  | Stmt.For { body; _ } | Stmt.If { then_ = body; _ } -> add_allocs sc body
+  | Stmt.Copy _ | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _
+  | Stmt.Sync _ -> ()
+
+and add_allocs_list sc = function
+  | [] -> ()
+  | s :: rest ->
+    add_allocs sc s;
+    add_allocs_list sc rest
+
+(* The last buffer named [name] among the parameters and the allocs, in
+   program order. *)
+let rec buffer_from sc name i =
+  if i < 0 then invalid_arg ("Trace: unknown buffer " ^ name)
+  else if String.equal sc.bufs.(i).Buffer.name name then sc.bufs.(i)
+  else buffer_from sc name (i - 1)
+
+let buffer_of sc name = buffer_from sc name (sc.nbuf - 1)
+
+let bytes_of_region sc (r : Stmt.region) =
+  let b = buffer_of sc r.Stmt.buffer in
+  Stmt.region_elems r * Dtype.size_bytes b.Buffer.dtype
+
+module A = Alcop_pipeline.Analysis
+
+let rec has_member name = function
+  | [] -> false
+  | (m : A.buffer_info) :: rest ->
+    String.equal m.A.buffer.Buffer.name name || has_member name rest
+
+(* The last group with a member named [name], as the suffix of the group
+   list it heads; [] when there is none. *)
+let rec owner name found = function
+  | [] -> found
+  | (g : A.group) :: rest as l ->
+    owner name (if has_member name g.A.members then l else found) rest
+
+(* Position of group [gid] among the register pipelines, -1 if none. *)
+let rec soft_index gid i = function
+  | [] -> -1
+  | (g : A.group) :: rest ->
+    if g.A.synchronized then soft_index gid i rest
+    else if String.equal g.A.id gid then i
+    else soft_index gid (i + 1) rest
+
+let rec stages_of gid = function
+  | [] -> 2
+  | (g : A.group) :: rest ->
+    if String.equal g.A.id gid then g.A.stages else stages_of gid rest
+
+(* [squeeze_lens r] without building it: its length, and its [i]th entry *)
+let rec squeezed_count = function
+  | [] -> 0
+  | (s : Stmt.slice) :: rest ->
+    (if s.Stmt.len <> 1 then 1 else 0) + squeezed_count rest
+
+let rec squeezed_nth i = function
+  | [] -> invalid_arg "squeezed_nth"
+  | (s : Stmt.slice) :: rest ->
+    if s.Stmt.len = 1 then squeezed_nth i rest
+    else if i = 0 then s.Stmt.len
+    else squeezed_nth (i - 1) rest
+
+let emit_row sc op arg flags =
+  emit sc k_row;
+  emit sc op;
+  emit sc arg;
+  emit sc flags
+
+let emit_sync_row sc op arg group =
+  emit sc k_sync_row;
+  emit sc op;
+  emit sc arg;
+  emit sc group
+
+let rec resolve sc groups (stmt : Stmt.t) =
+  match stmt with
+  | Stmt.Seq ss -> resolve_list sc groups ss
+  | Stmt.Alloc { body; _ } -> resolve sc groups body
+  | Stmt.For { var; extent; kind; body } ->
+    let slot = sc.nslots in
+    sc.nslots <- slot + 1;
+    (match kind with
+     | Stmt.Parallel (Stmt.Block_x | Stmt.Block_y | Stmt.Block_z) ->
+       let at = sc.code_len in
+       emit sc k_pin;
+       emit sc slot;
+       emit sc 0;
+       resolve_in_scope sc groups var slot body;
+       sc.code.(at + 2) <- sc.code_len
+     | Stmt.Parallel (Stmt.Warp_x | Stmt.Warp_y) ->
+       resolve_loop sc groups k_warp var slot extent body
+     | Stmt.Sequential | Stmt.Unrolled ->
+       let at = sc.code_len in
+       resolve_loop sc groups k_for var slot extent body;
+       (* copy loops lower to a loop over one load whose size ignores the
+          loop variable — run them without per-iteration dispatch *)
+       let body_at = sc.code.(at + 2) in
+       if sc.code_len - body_at = 5 && sc.code.(body_at) = k_load then
+         sc.code.(at) <- k_loadn)
+  | Stmt.If { cond; then_ } ->
+    let at = sc.code_len in
+    emit sc k_if;
+    emit sc
+      (match cond.Stmt.cmp with
+       | Stmt.Eq -> 0
+       | Stmt.Ne -> 1
+       | Stmt.Lt -> 2
+       | Stmt.Le -> 3);
+    emit sc 0;
+    emit sc 0;
+    emit sc 0;
+    emit_operand sc cond.Stmt.lhs;
+    sc.code.(at + 2) <- sc.code_len;
+    emit_operand sc cond.Stmt.rhs;
+    sc.code.(at + 3) <- sc.code_len;
+    resolve sc groups then_;
+    sc.code.(at + 4) <- sc.code_len
+  | Stmt.Copy { kind; dst; src; _ } ->
+    let dst_buf = buffer_of sc dst.Stmt.buffer in
+    let bytes = bytes_of_region sc src in
+    (match dst_buf.Buffer.scope with
+     | Buffer.Global -> emit_row sc op_store bytes 0
+     | Buffer.Shared | Buffer.Register ->
+       let src_buf = buffer_of sc src.Stmt.buffer in
+       let shared =
+         match src_buf.Buffer.scope with
+         | Buffer.Global -> 0
+         | Buffer.Shared | Buffer.Register -> flag_shared
+       in
+       let async =
+         match kind with Stmt.Async_copy -> flag_async | Stmt.Sync_copy -> 0
+       in
+       emit sc k_load;
+       emit sc bytes;
+       emit sc (async lor shared);
+       (match owner dst.Stmt.buffer [] groups with
+        | [] ->
+          emit sc (-1);
+          emit sc (-1)
+        | (g : A.group) :: _ ->
+          emit sc (intern sc g.A.id);
+          emit sc (if g.A.synchronized then -1 else soft_index g.A.id 0 groups)))
+  | Stmt.Fill _ -> ()
+  | Stmt.Mma { c; a; _ } ->
+    if squeezed_count c.Stmt.slices = 2 && squeezed_count a.Stmt.slices = 2
+    then begin
+      emit sc k_mma;
+      emit sc
+        (2 * squeezed_nth 0 c.Stmt.slices * squeezed_nth 1 c.Stmt.slices
+        * squeezed_nth 1 a.Stmt.slices)
+    end
+    else emit sc k_fail
+  | Stmt.Unop { dst; _ } ->
+    (* Element-wise transforms ride along with copies in our kernels; a
+       stand-alone unop is costed as CUDA-core work via its output size. *)
+    emit_row sc op_compute (bytes_of_region sc dst) 0
+  | Stmt.Accum { dst; src } ->
+    let dst_buf = buffer_of sc dst.Stmt.buffer in
+    let bytes = bytes_of_region sc src in
+    (match dst_buf.Buffer.scope with
+     | Buffer.Global ->
+       (* read both operands, write the destination *)
+       emit_row sc op_load bytes 0;
+       emit_row sc op_store bytes 0
+     | Buffer.Shared | Buffer.Register -> emit_row sc op_load bytes flag_shared)
+  | Stmt.Sync s ->
+    (match s with
+     | Stmt.Barrier -> emit_row sc op_barrier 0 0
+     | Stmt.Producer_acquire g ->
+       let group = intern sc g in
+       emit_sync_row sc op_acquire (stages_of g groups) group
+     | Stmt.Producer_commit g ->
+       emit sc k_commit;
+       emit sc (intern sc g)
+     | Stmt.Consumer_wait g ->
+       emit sc k_wait;
+       emit sc (intern sc g)
+     | Stmt.Consumer_release g -> emit_sync_row sc op_release 0 (intern sc g))
+
+and resolve_list sc groups = function
+  | [] -> ()
+  | s :: rest ->
+    resolve sc groups s;
+    resolve_list sc groups rest
+
+(* [op slot body body_end extent... body...] *)
+and resolve_loop sc groups op var slot extent body =
+  let at = sc.code_len in
+  emit sc op;
+  emit sc slot;
+  emit sc 0;
+  emit sc 0;
+  emit_operand sc extent;
+  sc.code.(at + 2) <- sc.code_len;
+  resolve_in_scope sc groups var slot body;
+  sc.code.(at + 3) <- sc.code_len
+
+(* Resolve a loop body with the loop variable bound to [slot]. *)
+and resolve_in_scope sc groups var slot body =
+  let d = sc.nbind in
+  sc.b_var <- grown sc.b_var (d + 1) "";
+  sc.b_slot <- grown sc.b_slot (d + 1) 0;
+  sc.b_var.(d) <- var;
+  sc.b_slot.(d) <- slot;
+  sc.nbind <- d + 1;
+  resolve sc groups body;
+  sc.nbind <- d
 
 (* Close the open batch of every register pipeline that accumulated loads. *)
-let flush_soft st =
-  for s = 0 to Array.length st.s_gid - 1 do
-    if st.s_open.(s) then begin
-      let group = st.s_gid.(s) in
-      push_commit st ~group ~flags:st.g_flags.(group);
-      st.s_batches.(s) <- st.s_batches.(s) + 1;
-      st.s_open.(s) <- false
+let flush_soft sc =
+  for s = 0 to Array.length sc.s_gid - 1 do
+    if sc.s_open.(s) then begin
+      let group = sc.s_gid.(s) in
+      push_commit sc ~group ~flags:sc.g_flags.(group);
+      sc.s_batches.(s) <- sc.s_batches.(s) + 1;
+      sc.s_open.(s) <- false
     end
   done
 
 (* Before a compute event: retire register-pipeline batches down to the
    pipeline depth, mirroring the hardware scoreboard stall on the operands
    loaded [stages-1] iterations ago. *)
-let soft_waits st =
-  flush_soft st;
-  for s = 0 to Array.length st.s_gid - 1 do
-    while st.s_waits.(s) < st.s_batches.(s) - st.s_hide.(s) do
-      let group = st.s_gid.(s) in
-      push_wait st ~group ~flags:st.g_flags.(group);
-      st.s_waits.(s) <- st.s_waits.(s) + 1
+let soft_waits sc =
+  flush_soft sc;
+  for s = 0 to Array.length sc.s_gid - 1 do
+    while sc.s_waits.(s) < sc.s_batches.(s) - sc.s_hide.(s) do
+      let group = sc.s_gid.(s) in
+      push_wait sc ~group ~flags:sc.g_flags.(group);
+      sc.s_waits.(s) <- sc.s_waits.(s) + 1
     done
   done
 
-let rec exec st node =
-  match node with
-  | Rseq a ->
-    for i = 0 to Array.length a - 1 do
-      exec st (Array.unsafe_get a i)
-    done
-  | Rfor { slot; extent; body } ->
-    let n = extent st.env in
-    for i = 0 to n - 1 do
-      Array.unsafe_set st.env slot i;
-      exec st body;
-      (* An iteration boundary closes open register-pipeline batches
-         (e.g. each prologue-loop iteration loads one chunk). *)
-      flush_soft st
-    done
-  | Rwarp { slot; extent; body } ->
-    let n = extent st.env in
-    let saved = st.warp_mult in
-    st.warp_mult <- st.warp_mult * n;
-    Array.unsafe_set st.env slot 0;
-    exec st body;
-    st.warp_mult <- saved
-  | Rpin { slot; body } ->
-    Array.unsafe_set st.env slot 0;
-    exec st body
-  | Rif (c, body) ->
-    let l = c.rc_lhs st.env and r = c.rc_rhs st.env in
-    let holds =
-      match c.rc_cmp with
-      | Stmt.Eq -> l = r
-      | Stmt.Ne -> l <> r
-      | Stmt.Lt -> l < r
-      | Stmt.Le -> l <= r
-    in
-    if holds then exec st body
-  | Rload { bytes; flags; group; soft } ->
-    push_load st ~bytes:(bytes * st.warp_mult) ~group ~flags;
-    if soft >= 0 then st.s_open.(soft) <- true
-  | Rloadn { extent; bytes; flags; group; soft } ->
-    (* Equivalent to [Rfor] over a single [Rload]: the first iteration's
-       boundary flush can close *any* open pipeline, so it goes through
-       [flush_soft]; from the second iteration on, the only group a flush
-       could still close is this load's own, so the commit is emitted
-       inline (or skipped entirely for non-pipelined loads). *)
-    let n = extent st.env in
-    if n > 0 then begin
-      let arg = bytes * st.warp_mult in
-      push_load st ~bytes:arg ~group ~flags;
-      if soft >= 0 then st.s_open.(soft) <- true;
-      flush_soft st;
-      if soft >= 0 then begin
-        let sgid = st.s_gid.(soft) in
-        for _ = 2 to n do
-          push_load st ~bytes:arg ~group ~flags;
-          push_commit st ~group:sgid ~flags:st.g_flags.(sgid);
-          st.s_batches.(soft) <- st.s_batches.(soft) + 1
-        done
-      end
-      else
-        for _ = 2 to n do
-          push_load st ~bytes:arg ~group ~flags
-        done
-    end
-  | Rstore { bytes } ->
-    push_row st ~op:op_store ~arg:(bytes * st.warp_mult) ~group:(-1) ~flags:0
-      ~batch:(-1)
-  | Rmma { flops } ->
-    soft_waits st;
-    push_row st ~op:op_compute ~arg:(flops * st.warp_mult) ~group:(-1)
-      ~flags:0 ~batch:(-1)
-  | Runop { bytes } ->
-    (* Element-wise transforms ride along with copies in our kernels; a
-       stand-alone unop is costed as CUDA-core work via its output size. *)
-    push_row st ~op:op_compute ~arg:(bytes * st.warp_mult) ~group:(-1)
-      ~flags:0 ~batch:(-1)
-  | Raccum_global { bytes } ->
-    (* read both operands, write the destination *)
-    push_load st ~bytes:(bytes * st.warp_mult) ~group:(-1) ~flags:0;
-    push_row st ~op:op_store ~arg:(bytes * st.warp_mult) ~group:(-1) ~flags:0
-      ~batch:(-1)
-  | Raccum_local { bytes } ->
-    push_load st ~bytes:(bytes * st.warp_mult) ~group:(-1) ~flags:flag_shared
-  | Rbarrier ->
-    push_row st ~op:op_barrier ~arg:0 ~group:(-1) ~flags:0 ~batch:(-1)
-  | Racquire { group; stages } ->
-    push_row st ~op:op_acquire ~arg:stages ~group ~flags:flag_sync_group
-      ~batch:(-1)
-  | Rcommit { group } -> push_commit st ~group ~flags:st.g_flags.(group)
-  | Rwait { group } -> push_wait st ~group ~flags:st.g_flags.(group)
-  | Rrelease { group } ->
-    push_row st ~op:op_release ~arg:0 ~group ~flags:flag_sync_group
-      ~batch:(-1)
-  | Rnop -> ()
-  | Rfail msg -> invalid_arg msg
+(* Run the statements in [sc.code.(pc .. stop-1)]. *)
+let rec exec sc pc stop =
+  let code = sc.code in
+  let pc = ref pc in
+  while !pc < stop do
+    let at = !pc in
+    match code.(at) with
+    | 0 (* k_load *) ->
+      push_load sc ~bytes:(code.(at + 1) * sc.warp_mult) ~group:code.(at + 3)
+        ~flags:code.(at + 2);
+      let soft = code.(at + 4) in
+      if soft >= 0 then sc.s_open.(soft) <- true;
+      pc := at + 5
+    | 1 (* k_loadn *) ->
+      (* Equivalent to [k_for] over a single [k_load]: the first
+         iteration's boundary flush can close *any* open pipeline, so it
+         goes through [flush_soft]; from the second iteration on, the only
+         group a flush could still close is this load's own, so the commit
+         is emitted inline (or skipped entirely for non-pipelined loads). *)
+      let body = code.(at + 2) in
+      let n = eval sc (at + 4) body in
+      if n > 0 then begin
+        let arg = code.(body + 1) * sc.warp_mult
+        and flags = code.(body + 2)
+        and group = code.(body + 3)
+        and soft = code.(body + 4) in
+        push_load sc ~bytes:arg ~group ~flags;
+        if soft >= 0 then sc.s_open.(soft) <- true;
+        flush_soft sc;
+        if soft >= 0 then begin
+          let sgid = sc.s_gid.(soft) in
+          for _ = 2 to n do
+            push_load sc ~bytes:arg ~group ~flags;
+            push_commit sc ~group:sgid ~flags:sc.g_flags.(sgid);
+            sc.s_batches.(soft) <- sc.s_batches.(soft) + 1
+          done
+        end
+        else
+          for _ = 2 to n do
+            push_load sc ~bytes:arg ~group ~flags
+          done
+      end;
+      pc := code.(at + 3)
+    | 2 (* k_for *) ->
+      let slot = code.(at + 1) and body = code.(at + 2)
+      and body_end = code.(at + 3) in
+      let n = eval sc (at + 4) body in
+      for i = 0 to n - 1 do
+        sc.env.(slot) <- i;
+        exec sc body body_end;
+        (* An iteration boundary closes open register-pipeline batches
+           (e.g. each prologue-loop iteration loads one chunk). *)
+        flush_soft sc
+      done;
+      pc := body_end
+    | 3 (* k_warp *) ->
+      let body = code.(at + 2) and body_end = code.(at + 3) in
+      let n = eval sc (at + 4) body in
+      let saved = sc.warp_mult in
+      sc.warp_mult <- saved * n;
+      sc.env.(code.(at + 1)) <- 0;
+      exec sc body body_end;
+      sc.warp_mult <- saved;
+      pc := body_end
+    | 4 (* k_pin *) ->
+      sc.env.(code.(at + 1)) <- 0;
+      exec sc (at + 3) code.(at + 2);
+      pc := code.(at + 2)
+    | 5 (* k_if *) ->
+      let rhs = code.(at + 2) and body = code.(at + 3) in
+      let l = eval sc (at + 5) rhs in
+      let r = eval sc rhs body in
+      let holds =
+        match code.(at + 1) with
+        | 0 -> l = r
+        | 1 -> l <> r
+        | 2 -> l < r
+        | _ -> l <= r
+      in
+      if holds then exec sc body code.(at + 4);
+      pc := code.(at + 4)
+    | 6 (* k_row *) ->
+      push_row sc ~op:code.(at + 1) ~arg:(code.(at + 2) * sc.warp_mult)
+        ~group:(-1) ~flags:code.(at + 3) ~batch:(-1);
+      pc := at + 4
+    | 7 (* k_sync_row *) ->
+      push_row sc ~op:code.(at + 1) ~arg:code.(at + 2) ~group:code.(at + 3)
+        ~flags:flag_sync_group ~batch:(-1);
+      pc := at + 4
+    | 8 (* k_mma *) ->
+      soft_waits sc;
+      push_row sc ~op:op_compute ~arg:(code.(at + 1) * sc.warp_mult)
+        ~group:(-1) ~flags:0 ~batch:(-1);
+      pc := at + 2
+    | 9 (* k_commit *) ->
+      let group = code.(at + 1) in
+      push_commit sc ~group ~flags:sc.g_flags.(group);
+      pc := at + 2
+    | 10 (* k_wait *) ->
+      let group = code.(at + 1) in
+      push_wait sc ~group ~flags:sc.g_flags.(group);
+      pc := at + 2
+    | _ (* k_fail *) -> invalid_arg "Trace: malformed mma operands"
+  done
 
-let extract_program ~(groups : Alcop_pipeline.Analysis.group list)
-    (kernel : Kernel.t) =
-  let buffers = Names.Tbl.create 16 in
-  List.iter
-    (fun (b : Buffer.t) -> Names.Tbl.replace buffers b.Buffer.name b)
-    (Kernel.all_buffers kernel);
-  let buffer_of name =
-    match Names.Tbl.find_opt buffers name with
-    | Some b -> b
-    | None -> invalid_arg ("Trace: unknown buffer " ^ name)
+let rec add_softs sc s = function
+  | [] -> ()
+  | (g : A.group) :: rest ->
+    if g.A.synchronized then add_softs sc s rest
+    else begin
+      sc.s_gid.(s) <- intern sc g.A.id;
+      sc.s_hide.(s) <- g.A.stages - 1;
+      add_softs sc (s + 1) rest
+    end
+
+(* The register pipelines' bookkeeping; interns their groups. *)
+let open_softs sc groups =
+  let rec count n = function
+    | [] -> n
+    | (g : A.group) :: rest -> count (if g.A.synchronized then n else n + 1) rest
   in
-  let by_buffer = Names.Tbl.create 8 in
-  List.iter
-    (fun (g : Alcop_pipeline.Analysis.group) ->
-      List.iter
-        (fun n -> Names.Tbl.replace by_buffer n g)
-        (Alcop_pipeline.Analysis.member_names g))
-    groups;
+  let n = count 0 groups in
+  sc.s_gid <- Array.make n 0;
+  sc.s_hide <- Array.make n 0;
+  sc.s_open <- Array.make n false;
+  sc.s_batches <- Array.make n 0;
+  sc.s_waits <- Array.make n 0;
+  add_softs sc 0 groups
+
+(* Exact group-table metadata from the pipeline analysis: protocol kind
+   (stamped on commit/wait flags via [g_flags]), declared stage count and
+   the pass's per-stage byte footprint. A group that emitted no events
+   stays out of the table. *)
+let rec add_metadata sc = function
+  | [] -> ()
+  | (g : A.group) :: rest ->
+    let idx = group_index sc g.A.id 0 in
+    if idx >= 0 then begin
+      sc.g_stages.(idx) <- g.A.stages;
+      sc.g_bytes.(idx) <- A.stage_footprint_bytes g;
+      if g.A.synchronized then begin
+        sc.g_sync.(idx) <- true;
+        sc.g_flags.(idx) <- flag_sync_group
+      end
+    end;
+    add_metadata sc rest
+
+let extract sc (groups, (kernel : Kernel.t)) =
+  sc.code_len <- 0;
+  sc.nslots <- 0;
+  sc.nunbound <- 0;
+  sc.nbind <- 0;
+  sc.nbuf <- 0;
+  add_buffers sc kernel.Kernel.inputs;
+  add_buffers sc kernel.Kernel.outputs;
+  add_allocs sc kernel.Kernel.body;
   (* group ids in first-use order, shared by resolution and the program *)
-  let gtbl = Names.Tbl.create 8 in
-  let intern = intern gtbl in
-  let softs =
-    List.filter
-      (fun (g : Alcop_pipeline.Analysis.group) ->
-        not g.Alcop_pipeline.Analysis.synchronized)
-      groups
-  in
-  let soft_index gid =
-    let rec go i = function
-      | [] -> -1
-      | (g : Alcop_pipeline.Analysis.group) :: rest ->
-        if String.equal g.Alcop_pipeline.Analysis.id gid then i
-        else go (i + 1) rest
-    in
-    go 0 softs
-  in
-  let stages_of gid =
-    match
-      List.find_opt
-        (fun (g : Alcop_pipeline.Analysis.group) ->
-          String.equal g.Alcop_pipeline.Analysis.id gid)
-        groups
-    with
-    | Some g -> g.Alcop_pipeline.Analysis.stages
-    | None -> 2
-  in
-  let bytes_of_region (r : Stmt.region) =
-    let b = buffer_of r.Stmt.buffer in
-    Stmt.region_elems r * Dtype.size_bytes b.Buffer.dtype
-  in
-  let nslots = ref 0 in
-  let rec resolve bindings stmt =
-    match stmt with
-    | Stmt.Seq ss -> Rseq (Array.of_list (List.map (resolve bindings) ss))
-    | Stmt.Alloc { body; _ } -> resolve bindings body
-    | Stmt.For { var; extent; kind; body } ->
-      let slot = !nslots in
-      incr nslots;
-      let inner = (var, slot) :: bindings in
-      (match kind with
-       | Stmt.Parallel (Stmt.Block_x | Stmt.Block_y | Stmt.Block_z) ->
-         Rpin { slot; body = resolve inner body }
-       | Stmt.Parallel (Stmt.Warp_x | Stmt.Warp_y) ->
-         Rwarp
-           { slot; extent = compile_expr bindings extent;
-             body = resolve inner body }
-       | Stmt.Sequential | Stmt.Unrolled ->
-         let extent = compile_expr bindings extent in
-         (match resolve inner body with
-          | Rload { bytes; flags; group; soft } ->
-            (* copy loops lower to a loop over one load whose size ignores
-               the loop variable — run them without per-iteration dispatch *)
-            Rloadn { extent; bytes; flags; group; soft }
-          | rb -> Rfor { slot; extent; body = rb }))
-    | Stmt.If { cond; then_ } ->
-      Rif
-        ( { rc_lhs = compile_expr bindings cond.Stmt.lhs;
-            rc_rhs = compile_expr bindings cond.Stmt.rhs;
-            rc_cmp = cond.Stmt.cmp },
-          resolve bindings then_ )
-    | Stmt.Copy { kind; dst; src; _ } ->
-      let dst_buf = buffer_of dst.Stmt.buffer in
-      let bytes = bytes_of_region src in
-      (match dst_buf.Buffer.scope with
-       | Buffer.Global -> Rstore { bytes }
-       | Buffer.Shared | Buffer.Register ->
-         let src_buf = buffer_of src.Stmt.buffer in
-         let shared =
-           match src_buf.Buffer.scope with
-           | Buffer.Global -> 0
-           | Buffer.Shared | Buffer.Register -> flag_shared
-         in
-         let async = kind = Stmt.Async_copy in
-         let g = Names.Tbl.find_opt by_buffer dst.Stmt.buffer in
-         let gidx =
-           match g with
-           | Some g -> intern g.Alcop_pipeline.Analysis.id
-           | None -> -1
-         in
-         let soft =
-           match g with
-           | Some g when not g.Alcop_pipeline.Analysis.synchronized ->
-             soft_index g.Alcop_pipeline.Analysis.id
-           | Some _ | None -> -1
-         in
-         Rload
-           { bytes; flags = (if async then flag_async else 0) lor shared;
-             group = gidx; soft })
-    | Stmt.Fill _ -> Rnop
-    | Stmt.Mma { c; a; _ } ->
-      (match Stmt.squeeze_lens c, Stmt.squeeze_lens a with
-       | [ m; n ], [ _; k ] -> Rmma { flops = 2 * m * n * k }
-       | _ -> Rfail "Trace: malformed mma operands")
-    | Stmt.Unop { dst; _ } -> Runop { bytes = bytes_of_region dst }
-    | Stmt.Accum { dst; src } ->
-      let dst_buf = buffer_of dst.Stmt.buffer in
-      let bytes = bytes_of_region src in
-      (match dst_buf.Buffer.scope with
-       | Buffer.Global -> Raccum_global { bytes }
-       | Buffer.Shared | Buffer.Register -> Raccum_local { bytes })
-    | Stmt.Sync s ->
-      (match s with
-       | Stmt.Barrier -> Rbarrier
-       | Stmt.Producer_acquire g ->
-         Racquire { group = intern g; stages = stages_of g }
-       | Stmt.Producer_commit g -> Rcommit { group = intern g }
-       | Stmt.Consumer_wait g -> Rwait { group = intern g }
-       | Stmt.Consumer_release g -> Rrelease { group = intern g })
-  in
-  let rbody = resolve [] kernel.Kernel.body in
-  (* interning for [s_gid] can still add group ids, so the counter arrays
-     are sized only after it *)
-  let s_gid =
-    Array.of_list
-      (List.map
-         (fun (g : Alcop_pipeline.Analysis.group) ->
-           intern g.Alcop_pipeline.Analysis.id)
-         softs)
-  in
-  let s_hide =
-    Array.of_list
-      (List.map
-         (fun (g : Alcop_pipeline.Analysis.group) ->
-           g.Alcop_pipeline.Analysis.stages - 1)
-         softs)
-  in
-  let ng = Names.Tbl.length gtbl in
-  (* Exact group-table metadata from the pipeline analysis: protocol kind
-     (stamped on commit/wait flags via [g_flags]), declared stage count and
-     the pass's per-stage byte footprint. Groups the analysis does not
-     know (never happens today) default to a soft single-stage entry. *)
-  let g_flags = Array.make (max 1 ng) 0 in
-  let g_stages = Array.make (max 1 ng) 0 in
-  let g_sync = Array.make (max 1 ng) false in
-  let g_bytes = Array.make (max 1 ng) 0 in
-  List.iter
-    (fun (g : Alcop_pipeline.Analysis.group) ->
-      match Names.Tbl.find_opt gtbl g.Alcop_pipeline.Analysis.id with
-      | None -> ()  (* group emitted no events; keep it out of the table *)
-      | Some idx ->
-        g_stages.(idx) <- g.Alcop_pipeline.Analysis.stages;
-        g_bytes.(idx) <- Alcop_pipeline.Analysis.stage_footprint_bytes g;
-        if g.Alcop_pipeline.Analysis.synchronized then begin
-          g_sync.(idx) <- true;
-          g_flags.(idx) <- flag_sync_group
-        end)
-    groups;
-  build ~groups:(interned gtbl) ~nslots:!nslots ~g_flags ~s_gid ~s_hide
-    ~stages:g_stages ~sync:g_sync ~bytes:g_bytes (fun st -> exec st rbody)
+  resolve sc groups kernel.Kernel.body;
+  open_softs sc groups;
+  open_groups sc;
+  add_metadata sc groups;
+  sc.env <- grown sc.env sc.nslots 0;
+  exec sc 0 sc.code_len
+
+let extract_program ~(groups : A.group list) (kernel : Kernel.t) =
+  build extract (groups, kernel)
 
 (* Aggregate statistics of a trace; used by tests and reporting. *)
 type stats = {

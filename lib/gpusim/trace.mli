@@ -116,8 +116,15 @@ val extract_program :
 (** Extract the packed trace of one representative threadblock. [groups]
     must be the pipeline groups the pass reported for this kernel (empty
     for unpipelined kernels). This is the allocation-lean primary path:
-    the kernel body is resolved once into a slot-indexed closure tree,
-    then executed straight into int buffers. *)
+    the kernel body is resolved once into a flat code array in
+    domain-local scratch, which is then interpreted straight into the
+    scratch's event columns; a call allocates only the program it
+    returns and a few group-sized counter arrays.
+    @raise Invalid_argument ["Trace: unknown buffer ..."] when the body
+    names a buffer that is neither a parameter nor allocated, even where
+    no threadblock reaches it; ["Expr.eval: unbound variable ..."] only
+    when a loop extent or condition that mentions one is evaluated;
+    ["Trace: malformed mma operands"] only when such an mma is reached. *)
 
 val pack : event array -> program
 (** Pack a boxed event sequence by pushing it through the builder

@@ -1,10 +1,9 @@
-(** Name lookups for the compile path: [String.equal]-based replacements
-    for [List.mem] and [List.assoc_opt] on names, and a string-keyed hash
-    table. Each scans or hashes exactly as its generic
-    counterpart does, so results and orders are unchanged. *)
+(** Name lookups for the compile path: a [String.equal]-based
+    replacement for [List.mem] on names, and a string-keyed hash table.
+    Each scans or hashes exactly as its generic counterpart does, so
+    results and orders are unchanged. *)
 
 val mem : string -> string list -> bool
-val assoc_opt : string -> (string * 'a) list -> 'a option
 
 module Tbl : Hashtbl.S with type key = string
 (** Hashes with [String.hash] (equal to [Hashtbl.hash] on strings):

@@ -319,7 +319,9 @@ let group_infos ~(hw : Alcop_hw.Hw_config.t) (kernel : Kernel.t) infos =
               depth_of m.site.stack
             | [] -> 0
           in
-          { id = Printf.sprintf "pipe.%s.%s" (Buffer.scope_to_string scope) loop_var;
+          { id =
+              String.concat "."
+                [ "pipe"; Buffer.scope_to_string scope; loop_var ];
             scope; loop_var; loop_extent = (List.hd members).loop_extent;
             loop_depth = depth; stages; members;
             synchronized = Alcop_hw.Hw_config.scope_needs_matching_sync hw scope;

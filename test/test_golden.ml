@@ -224,6 +224,78 @@ let test_key_golden () =
   in
   Alcotest.(check (list string)) file expected (key_lines ())
 
+(* Extracted programs, pinned in test/golden/trace_programs_fig10.txt: per
+   Fig. 10 operator, the number of sampled keys that compile and an MD5
+   over every field of their packed programs (all five columns, the group
+   table and its per-group metadata; [Trace.program_hash] omits [batch]
+   and the metadata). The keys are every [trace_stride]-th point of the
+   Fig. 10 variant spaces, walked operator by operator in [Variants.all]
+   order, each compiled with its variant's register cost. The lines were
+   generated by the extractor that resolved kernels into a closure tree. *)
+let trace_stride = 61
+
+let render_program b (p : Alcop_gpusim.Trace.program) =
+  let open Alcop_gpusim.Trace in
+  let int i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ' '
+  in
+  let col (c : icol) =
+    for i = 0 to p.n - 1 do
+      int c.{i}
+    done;
+    Buffer.add_char b '\n'
+  in
+  int p.n;
+  List.iter col [ p.opcode; p.arg; p.group; p.flags; p.batch ];
+  Array.iteri
+    (fun g id ->
+      Buffer.add_string b id;
+      Buffer.add_char b ' ';
+      int p.group_depth.(g);
+      int p.group_stages.(g);
+      int (Bool.to_int p.group_sync.(g));
+      int p.group_bytes.(g))
+    p.groups;
+  Buffer.add_char b '\n'
+
+let trace_lines () =
+  let hw = Alcop_hw.Hw_config.default in
+  let seen = ref 0 in
+  List.map
+    (fun (spec : Op_spec.t) ->
+      let b = Buffer.create 65536 in
+      let keys = ref 0 in
+      List.iter
+        (fun v ->
+          Array.iter
+            (fun p ->
+              if !seen mod trace_stride = 0 then begin
+                let extra_regs_per_thread = Alcop.Variants.extra_regs v spec p in
+                match
+                  Alcop.Compiler.compile ~hw ~extra_regs_per_thread p spec
+                with
+                | Ok c ->
+                  incr keys;
+                  render_program b c.Alcop.Compiler.program
+                | Error _ -> ()
+              end;
+              incr seen)
+            (Alcop.Variants.space v spec))
+        Alcop.Variants.all;
+      Printf.sprintf "%s keys=%d md5=%s" spec.Op_spec.name !keys
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    Alcop_workloads.Suites.fig10
+
+let test_trace_golden () =
+  let file = "golden/trace_programs_fig10.txt" in
+  let expected =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin file In_channel.input_all)
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check (list string)) file expected (trace_lines ())
+
 let suite =
   [ ( "golden",
       [ Alcotest.test_case "Fig. 7 pipelined IR pinned" `Quick test_fig7_golden;
@@ -237,4 +309,6 @@ let suite =
         Alcotest.test_case "pre-trained priors of all Fig. 10 operators" `Slow
           test_pretrain_priors_golden;
         Alcotest.test_case "compile keys of the Fig. 10 operators" `Quick
-          test_key_golden ] ) ]
+          test_key_golden;
+        Alcotest.test_case "extracted programs of sampled Fig. 10 keys" `Quick
+          test_trace_golden ] ) ]

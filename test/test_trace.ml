@@ -141,6 +141,89 @@ let test_warp_aggregation () =
   let expected = (32 + 32) * 16 * 2 * 4 * 2 * 8 in
   Alcotest.(check int) "shared bytes" expected stats.Trace.shared_load_bytes
 
+(* Failure modes of extraction on hand-built kernels. An unknown buffer is
+   found while the body is resolved, so it raises even where no
+   threadblock reaches it; an unbound variable and a malformed mma raise
+   only when the walk reaches them. *)
+module Ir = Alcop_ir
+
+let buf name scope shape =
+  Ir.Buffer.make ~name ~scope ~dtype:Ir.Dtype.F16 ~shape
+
+let a_glob = buf "A" Ir.Buffer.Global [ 64; 64 ]
+let c_glob = buf "C" Ir.Buffer.Global [ 64; 64 ]
+let a_sh = buf "A_sh" Ir.Buffer.Shared [ 64; 64 ]
+
+let kernel body =
+  Ir.Kernel.make ~name:"hand" ~inputs:[ a_glob ] ~outputs:[ c_glob ]
+    ~body:(Ir.Stmt.alloc a_sh body)
+
+let load_a () =
+  Ir.Stmt.copy ~dst:(Ir.Stmt.full_region a_sh) ~src:(Ir.Stmt.full_region a_glob)
+    ()
+
+let never body =
+  Ir.Stmt.If
+    { cond = { lhs = Ir.Expr.zero; cmp = Ir.Stmt.Eq; rhs = Ir.Expr.one };
+      then_ = body }
+
+let extract body = Trace.extract_program ~groups:[] (kernel body)
+
+let check_raises what msg body =
+  Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+      ignore (extract body))
+
+let ghost_copy =
+  Ir.Stmt.copy ~dst:(Ir.Stmt.full_region a_sh)
+    ~src:(Ir.Stmt.region "ghost" [ Ir.Stmt.slice Ir.Expr.zero 64 ])
+    ()
+
+let test_unknown_buffer () =
+  check_raises "reached" "Trace: unknown buffer ghost" ghost_copy;
+  check_raises "never reached" "Trace: unknown buffer ghost" (never ghost_copy);
+  (* the destination is looked up before the source *)
+  check_raises "destination first" "Trace: unknown buffer nowhere"
+    (Ir.Stmt.copy
+       ~dst:(Ir.Stmt.region "nowhere" [ Ir.Stmt.slice Ir.Expr.zero 64 ])
+       ~src:(Ir.Stmt.region "ghost" [ Ir.Stmt.slice Ir.Expr.zero 64 ])
+       ())
+
+let test_unbound_extent () =
+  let loop extent = Ir.Stmt.for_ "i" extent (load_a ()) in
+  check_raises "reached" "Expr.eval: unbound variable n"
+    (loop (Ir.Expr.var "n"));
+  check_raises "inside an expression" "Expr.eval: unbound variable n"
+    (loop (Ir.Expr.Add (Ir.Expr.const 1, Ir.Expr.var "n")));
+  check_raises "in a condition" "Expr.eval: unbound variable n"
+    (Ir.Stmt.If
+       { cond = { lhs = Ir.Expr.var "n"; cmp = Ir.Stmt.Lt; rhs = Ir.Expr.one };
+         then_ = load_a () });
+  (* A loop's own variable is not in scope in its extent. *)
+  check_raises "own variable" "Expr.eval: unbound variable i"
+    (loop (Ir.Expr.var "i"));
+  let p = extract (Ir.Stmt.seq [ load_a (); never (loop (Ir.Expr.var "n")) ]) in
+  Alcotest.(check int) "unreached: the load only" 1 (Trace.length p);
+  (* both operands unbound: the right one is evaluated first *)
+  check_raises "right operand first" "Expr.eval: unbound variable y"
+    (loop (Ir.Expr.Add (Ir.Expr.var "x", Ir.Expr.var "y")));
+  check_raises "condition: left operand first" "Expr.eval: unbound variable p"
+    (Ir.Stmt.If
+       { cond = { lhs = Ir.Expr.var "p"; cmp = Ir.Stmt.Eq; rhs = Ir.Expr.var "q" };
+         then_ = load_a () });
+  check_raises "min: right operand first" "Expr.eval: unbound variable y"
+    (loop (Ir.Expr.Min (Ir.Expr.var "x", Ir.Expr.var "y")));
+  check_raises "division by zero" "Expr: division by zero"
+    (loop (Ir.Expr.Div (Ir.Expr.const 4, Ir.Expr.Sub (Ir.Expr.one, Ir.Expr.one))))
+
+let test_malformed_mma () =
+  let c = buf "C_reg" Ir.Buffer.Register [ 2; 2; 2 ] in
+  let r b = Ir.Stmt.full_region b in
+  let mma = Ir.Stmt.Mma { c = r c; a = r c; b = r c } in
+  let body s = Ir.Stmt.alloc c (Ir.Stmt.seq [ load_a (); s ]) in
+  let p = extract (body (never mma)) in
+  Alcotest.(check int) "unreached: the load only" 1 (Trace.length p);
+  check_raises "reached" "Trace: malformed mma operands" (body mma)
+
 let suite =
   [ ( "trace",
       [ Alcotest.test_case "flops exact" `Quick test_flops_exact;
@@ -151,4 +234,9 @@ let suite =
         Alcotest.test_case "register pipeline synthesis" `Quick
           test_register_pipeline_synthesis;
         Alcotest.test_case "wait follows commit" `Quick test_wait_follows_commit_order;
-        Alcotest.test_case "warp aggregation" `Quick test_warp_aggregation ] ) ]
+        Alcotest.test_case "warp aggregation" `Quick test_warp_aggregation;
+        Alcotest.test_case "unknown buffer raises" `Quick test_unknown_buffer;
+        Alcotest.test_case "unbound variable raises when evaluated" `Quick
+          test_unbound_extent;
+        Alcotest.test_case "malformed mma raises when reached" `Quick
+          test_malformed_mma ] ) ]
