@@ -20,6 +20,9 @@
    [compare OLD.json NEW.json [--strict] [--tolerance FRAC]] diffs two
    selfbench files (schema v2) with explicit only-in-OLD/NEW rows; with
    --strict it is the regression gate.
+   [passes [OP...] [--rounds N]] prints the time and minor words per run
+   of each compile pass over the distinct Fig. 10 keys (bench/passes.ml);
+   like compare, it is not an experiment, so [all] does not run it.
    The host-runtime (Amdahl) profile of a sweep is `alcop perf`
    (doc/hostprof.md); the HTML experiment report is `alcop report`. *)
 
@@ -669,6 +672,33 @@ let parse_compare rest =
       "usage: compare OLD.json NEW.json [--strict] [--tolerance FRAC]\n";
     exit 2
 
+(* passes [OP...] [--rounds N] *)
+let parse_passes rest =
+  let rounds = ref 1 and ops = ref [] in
+  let rec go = function
+    | [] -> ()
+    | "--rounds" :: v :: rest ->
+      rounds := want_int "passes" "--rounds" v ~min:1;
+      go rest
+    | op :: rest ->
+      (match
+         List.find_opt
+           (fun (s : Alcop_sched.Op_spec.t) ->
+             String.equal s.Alcop_sched.Op_spec.name op)
+           Alcop_workloads.Suites.fig10
+       with
+       | Some spec -> ops := spec :: !ops
+       | None ->
+         Printf.eprintf "passes: %s is not a Fig. 10 operator\n" op;
+         exit 2);
+      go rest
+  in
+  go rest;
+  let specs =
+    if !ops = [] then Alcop_workloads.Suites.fig10 else List.rev !ops
+  in
+  Passes.run ~hw ~rounds:!rounds specs
+
 (* selfbench [--runs N] *)
 let parse_selfbench rest =
   let runs = ref 1 in
@@ -705,6 +735,7 @@ let () =
     match args with
     | [ "list" ] -> List.iter (fun (n, _) -> print_endline n) experiments
     | "compare" :: rest -> parse_compare rest
+    | "passes" :: rest -> parse_passes rest
     | "selfbench" :: (_ :: _ as rest) -> parse_selfbench rest
     | [] | [ "all" ] ->
       Printf.printf "ALCOP reproduction - all experiments on %s\n"

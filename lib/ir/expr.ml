@@ -133,24 +133,24 @@ let eval_const e =
 (* Sharing-preserving: a subtree that does not mention [name] comes back
    physically unchanged (expressions are built through the smart
    constructors, so an untouched subtree is already folded and there is
-   nothing to re-simplify). *)
+   nothing to re-simplify). No closure is built: the pipelining pass runs
+   this on every index it shifts. *)
 let rec subst name replacement expr =
-  let s = subst name replacement in
-  let node2 mk a b =
-    let a' = s a in
-    let b' = s b in
-    if a' == a && b' == b then expr else mk a' b'
-  in
   match expr with
   | Const _ -> expr
   | Var v -> if String.equal v name then replacement else expr
-  | Add (a, b) -> node2 add a b
-  | Sub (a, b) -> node2 sub a b
-  | Mul (a, b) -> node2 mul a b
-  | Div (a, b) -> node2 div a b
-  | Mod (a, b) -> node2 modulo a b
-  | Min (a, b) -> node2 min_ a b
-  | Max (a, b) -> node2 max_ a b
+  | Add (a, b) -> subst2 add name replacement expr a b
+  | Sub (a, b) -> subst2 sub name replacement expr a b
+  | Mul (a, b) -> subst2 mul name replacement expr a b
+  | Div (a, b) -> subst2 div name replacement expr a b
+  | Mod (a, b) -> subst2 modulo name replacement expr a b
+  | Min (a, b) -> subst2 min_ name replacement expr a b
+  | Max (a, b) -> subst2 max_ name replacement expr a b
+
+and subst2 mk name replacement expr a b =
+  let a' = subst name replacement a in
+  let b' = subst name replacement b in
+  if a' == a && b' == b then expr else mk a' b'
 
 let rec free_vars acc = function
   | Const _ -> acc

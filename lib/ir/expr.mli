@@ -48,7 +48,8 @@ val eval_const : t -> int option
 
 val subst : string -> t -> t -> t
 (** [subst x r e] replaces every free occurrence of [x] in [e] with [r],
-    re-simplifying on the way up. *)
+    re-simplifying on the way up. A subtree that does not mention [x]
+    comes back physically unchanged, so [subst x r e == e] then. *)
 
 val free_vars : t -> string list
 (** Free variables in first-occurrence order. *)

@@ -27,10 +27,20 @@ let find_param k name =
 (* Every buffer visible anywhere in the kernel: parameters plus allocs. *)
 let all_buffers k = params k @ Stmt.allocs k.body
 
+(* The first of [all_buffers] named [name], found without building that
+   list: the pipelining analysis looks up every hinted buffer. *)
+let rec find_named name = function
+  | [] -> None
+  | (b : Buffer.t) :: rest ->
+    if String.equal b.Buffer.name name then Some b else find_named name rest
+
 let find_buffer k name =
-  List.find_opt
-    (fun (b : Buffer.t) -> String.equal b.Buffer.name name)
-    (all_buffers k)
+  match find_named name k.inputs with
+  | Some _ as found -> found
+  | None ->
+    (match find_named name k.outputs with
+     | Some _ as found -> found
+     | None -> Stmt.find_alloc k.body name)
 
 let map_body f k = { k with body = f k.body }
 

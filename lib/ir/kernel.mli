@@ -19,5 +19,6 @@ val all_buffers : t -> Buffer.t list
 val find_buffer : t -> string -> Buffer.t option
 
 val map_body : (Stmt.t -> Stmt.t) -> t -> t
+(** Test-only: tests build variants of lowered kernels with it. *)
 
 val to_string : t -> string

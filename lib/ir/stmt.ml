@@ -120,48 +120,43 @@ let rec squeezed_equal a b =
 let copy_shapes_compatible ~dst ~src =
   region_elems dst = region_elems src && squeezed_equal dst.slices src.slices
 
-(* --- Traversal --- *)
+(* --- Traversal ---
 
-let rec iter f stmt =
-  f stmt;
-  match stmt with
-  | Seq ss -> List.iter (iter f) ss
-  | For { body; _ } | Alloc { body; _ } | If { then_ = body; _ } -> iter f body
-  | Copy _ | Fill _ | Mma _ | Unop _ | Accum _ | Sync _ -> ()
+   The rewriting traversals pass their arguments down instead of building
+   a partial application per node: the pipelining pass runs them on every
+   compile. *)
 
-(* [List.map] that returns the input list physically unchanged when [f] is
-   the identity on every element — the sharing-preservation trick the
-   pipelining pass relies on to avoid rebuilding untouched subtrees. *)
-let map_list_sharing f l =
-  let rec go l =
-    match l with
-    | [] -> l
-    | x :: tl ->
-      let x' = f x in
-      let tl' = go tl in
-      if x' == x && tl' == tl then l else x' :: tl'
+(* Bottom-up rewriting that rebuilds a node only when a child actually
+   changed; otherwise the original node comes back, so enclosing rewrites
+   preserve sharing too. A list whose elements all come back physically
+   unchanged is returned itself. This sharing is what the pipelining pass
+   relies on to avoid rebuilding untouched subtrees. *)
+let rec map f stmt =
+  let stmt' =
+    match stmt with
+    | Seq ss ->
+      let ss' = map_list f ss in
+      if ss' == ss then stmt else Seq ss'
+    | For r ->
+      let body = map f r.body in
+      if body == r.body then stmt else For { r with body }
+    | Alloc r ->
+      let body = map f r.body in
+      if body == r.body then stmt else Alloc { r with body }
+    | If r ->
+      let then_ = map f r.then_ in
+      if then_ == r.then_ then stmt else If { r with then_ }
+    | Copy _ | Fill _ | Mma _ | Unop _ | Accum _ | Sync _ -> stmt
   in
-  go l
+  f stmt'
 
-(* Rebuild a node only when a child actually changed; otherwise return the
-   original node so enclosing rewrites can preserve sharing too. *)
-let rec map_children f stmt =
-  match stmt with
-  | Seq ss ->
-    let ss' = map_list_sharing f ss in
-    if ss' == ss then stmt else Seq ss'
-  | For r ->
-    let body = f r.body in
-    if body == r.body then stmt else For { r with body }
-  | Alloc r ->
-    let body = f r.body in
-    if body == r.body then stmt else Alloc { r with body }
-  | If r ->
-    let then_ = f r.then_ in
-    if then_ == r.then_ then stmt else If { r with then_ }
-  | Copy _ | Fill _ | Mma _ | Unop _ | Accum _ | Sync _ -> stmt
-
-and map f stmt = f (map_children (map f) stmt)
+and map_list f l =
+  match l with
+  | [] -> l
+  | x :: tl ->
+    let x' = map f x in
+    let tl' = map_list f tl in
+    if x' == x && tl' == tl then l else x' :: tl'
 
 let rec fold f acc stmt =
   let acc = f acc stmt in
@@ -177,8 +172,23 @@ let allocs stmt =
        (fun acc s -> match s with Alloc { buffer; _ } -> buffer :: acc | _ -> acc)
        [] stmt)
 
-let find_alloc stmt name =
-  List.find_opt (fun b -> String.equal b.Buffer.name name) (allocs stmt)
+(* The first allocation of [name] in program (pre-)order. *)
+let rec find_alloc stmt name =
+  match stmt with
+  | Alloc { buffer; body } ->
+    if String.equal buffer.Buffer.name name then Some buffer
+    else find_alloc body name
+  | Seq ss -> find_alloc_list ss name
+  | For { body; _ } | If { then_ = body; _ } -> find_alloc body name
+  | Copy _ | Fill _ | Mma _ | Unop _ | Accum _ | Sync _ -> None
+
+and find_alloc_list ss name =
+  match ss with
+  | [] -> None
+  | s :: rest ->
+    (match find_alloc s name with
+     | Some _ as found -> found
+     | None -> find_alloc_list rest name)
 
 let loop_vars stmt =
   List.rev
@@ -187,54 +197,73 @@ let loop_vars stmt =
        [] stmt)
 
 (* Substitute an index variable throughout all expressions of a statement.
-   Sharing-preserving: subtrees that never mention the variable come back
-   physically unchanged. *)
-let subst_var name replacement stmt =
-  let in_expr e = Expr.subst name replacement e in
-  let in_slice s =
-    let offset = in_expr s.offset in
-    if offset == s.offset then s else { s with offset }
-  in
-  let in_region r =
-    let slices = map_list_sharing in_slice r.slices in
-    if slices == r.slices then r else { r with slices }
-  in
-  let in_cond c =
-    let lhs = in_expr c.lhs in
-    let rhs = in_expr c.rhs in
-    if lhs == c.lhs && rhs == c.rhs then c else { c with lhs; rhs }
-  in
-  let rewrite stmt =
-    match stmt with
-    | Copy c ->
-      let dst = in_region c.dst in
-      let src = in_region c.src in
-      if dst == c.dst && src == c.src then stmt else Copy { c with dst; src }
-    | Fill f ->
-      let dst = in_region f.dst in
-      if dst == f.dst then stmt else Fill { f with dst }
-    | Mma m ->
-      let c = in_region m.c in
-      let a = in_region m.a in
-      let b = in_region m.b in
-      if c == m.c && a == m.a && b == m.b then stmt else Mma { c; a; b }
-    | Unop u ->
-      let dst = in_region u.dst in
-      let src = in_region u.src in
-      if dst == u.dst && src == u.src then stmt else Unop { u with dst; src }
-    | Accum a ->
-      let dst = in_region a.dst in
-      let src = in_region a.src in
-      if dst == a.dst && src == a.src then stmt else Accum { dst; src }
-    | For r ->
-      let extent = in_expr r.extent in
-      if extent == r.extent then stmt else For { r with extent }
-    | If r ->
-      let cond = in_cond r.cond in
-      if cond == r.cond then stmt else If { r with cond }
-    | Seq _ | Alloc _ | Sync _ -> stmt
-  in
-  map rewrite stmt
+   Sharing-preserving, like [map]: subtrees that never mention the
+   variable come back physically unchanged. *)
+let subst_slice name replacement s =
+  let offset = Expr.subst name replacement s.offset in
+  if offset == s.offset then s else { s with offset }
+
+let rec subst_slices name replacement l =
+  match l with
+  | [] -> l
+  | s :: tl ->
+    let s' = subst_slice name replacement s in
+    let tl' = subst_slices name replacement tl in
+    if s' == s && tl' == tl then l else s' :: tl'
+
+let subst_region name replacement r =
+  let slices = subst_slices name replacement r.slices in
+  if slices == r.slices then r else { r with slices }
+
+let rec subst_var name replacement stmt =
+  match stmt with
+  | Seq ss ->
+    let ss' = subst_list name replacement ss in
+    if ss' == ss then stmt else Seq ss'
+  | For r ->
+    let body = subst_var name replacement r.body in
+    let extent = Expr.subst name replacement r.extent in
+    if body == r.body && extent == r.extent then stmt
+    else For { r with body; extent }
+  | Alloc r ->
+    let body = subst_var name replacement r.body in
+    if body == r.body then stmt else Alloc { r with body }
+  | If r ->
+    let then_ = subst_var name replacement r.then_ in
+    let c = r.cond in
+    let lhs = Expr.subst name replacement c.lhs in
+    let rhs = Expr.subst name replacement c.rhs in
+    let cond = if lhs == c.lhs && rhs == c.rhs then c else { c with lhs; rhs } in
+    if then_ == r.then_ && cond == c then stmt else If { cond; then_ }
+  | Copy c ->
+    let dst = subst_region name replacement c.dst in
+    let src = subst_region name replacement c.src in
+    if dst == c.dst && src == c.src then stmt else Copy { c with dst; src }
+  | Fill f ->
+    let dst = subst_region name replacement f.dst in
+    if dst == f.dst then stmt else Fill { f with dst }
+  | Mma m ->
+    let c = subst_region name replacement m.c in
+    let a = subst_region name replacement m.a in
+    let b = subst_region name replacement m.b in
+    if c == m.c && a == m.a && b == m.b then stmt else Mma { c; a; b }
+  | Unop u ->
+    let dst = subst_region name replacement u.dst in
+    let src = subst_region name replacement u.src in
+    if dst == u.dst && src == u.src then stmt else Unop { u with dst; src }
+  | Accum a ->
+    let dst = subst_region name replacement a.dst in
+    let src = subst_region name replacement a.src in
+    if dst == a.dst && src == a.src then stmt else Accum { dst; src }
+  | Sync _ -> stmt
+
+and subst_list name replacement l =
+  match l with
+  | [] -> l
+  | s :: tl ->
+    let s' = subst_var name replacement s in
+    let tl' = subst_list name replacement tl in
+    if s' == s && tl' == tl then l else s' :: tl'
 
 (* --- Statistics used by tests and the simulator --- *)
 

@@ -96,27 +96,34 @@ val copy_shapes_compatible : dst:region -> src:region -> bool
 
 (** {2 Traversal} *)
 
-val iter : (t -> unit) -> t -> unit
-(** Pre-order traversal. *)
-
 val map : (t -> t) -> t -> t
-(** Bottom-up rewriting: children first, then the rewritten node. *)
+(** Bottom-up rewriting: children first, then the rewritten node. A node
+    whose children all come back physically unchanged is passed to the
+    function itself, so [map Fun.id s == s]. *)
 
 val allocs : t -> Buffer.t list
 (** All allocated buffers in program order. *)
 
 val find_alloc : t -> string -> Buffer.t option
-(** Test-only: tests inspect lowered and pipelined IR with it. *)
+(** The first allocation of the named buffer, in program order. *)
 
 val loop_vars : t -> string list
 (** Test-only: tests inspect lowered and pipelined IR with it. *)
 
+val subst_slices : string -> Expr.t -> slice list -> slice list
+(** [subst_var] on the offsets of a region's slices; the list comes back
+    physically unchanged when no offset mentions the variable. *)
+
 val subst_var : string -> Expr.t -> t -> t
-(** Substitute an index variable through every expression of the program. *)
+(** Substitute an index variable through every expression of the program.
+    A subtree that does not mention the variable comes back physically
+    unchanged. *)
 
 (** {2 Statistics} *)
 
 val count : (t -> bool) -> t -> int
+(** Test-only: tests count IR patterns with it. *)
+
 val count_copies : ?kind:copy_kind -> t -> int
 (** Test-only: tests count primitives in lowered and pipelined IR. *)
 

@@ -69,13 +69,27 @@ type t = {
   groups : group list;  (** outermost first *)
 }
 
-let find_group t id = List.find_opt (fun g -> String.equal g.id id) t.groups
+(* The lookups below recurse by hand instead of taking a closure: the
+   pass runs them for every loop and copy it visits. *)
+let rec find_group_in id = function
+  | [] -> None
+  | g :: rest -> if String.equal g.id id then Some g else find_group_in id rest
 
-let group_of_buffer t name =
-  List.find_opt
-    (fun g ->
-      List.exists (fun m -> String.equal m.buffer.Buffer.name name) g.members)
-    t.groups
+let find_group t id = find_group_in id t.groups
+
+let rec has_member (members : buffer_info list) name =
+  match members with
+  | [] -> false
+  | m :: rest -> String.equal m.buffer.Buffer.name name || has_member rest name
+
+let mem_buffer g name = has_member g.members name
+
+let rec group_of_buffer_in name = function
+  | [] -> None
+  | g :: rest ->
+    if has_member g.members name then Some g else group_of_buffer_in name rest
+
+let group_of_buffer t name = group_of_buffer_in name t.groups
 
 let member_names g = List.map (fun m -> m.buffer.Buffer.name) g.members
 
@@ -86,173 +100,159 @@ let member_names g = List.map (fun m -> m.buffer.Buffer.name) g.members
 let stage_footprint_bytes g =
   List.fold_left (fun acc m -> acc + Buffer.size_bytes m.buffer) 0 g.members
 
-(* Collect the producing copies of all hinted buffers, with their loop
-   stacks. *)
-let collect_sites (hints : Hints.t) body =
-  let sites = Names.Tbl.create 8 in
-  let rec walk stack stmt =
-    match stmt with
-    | Stmt.Seq ss -> List.iter (walk stack) ss
-    | Stmt.For { var; extent; kind; body } ->
-      walk ({ var; extent; kind } :: stack) body
-    | Stmt.Alloc { body; _ } -> walk stack body
-    | Stmt.If { then_; _ } -> walk stack then_
-    | Stmt.Copy { dst; src; fused; _ } ->
-      if Hints.mem hints dst.Stmt.buffer then
-        Names.Tbl.add sites dst.Stmt.buffer { dst; src; fused; stack }
-    | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _ | Stmt.Sync _ -> ()
-  in
-  walk [] body;
-  sites
+(* --- Where a group's buffers are loaded and read --- *)
 
-let region_mentions_var (r : Stmt.region) v =
-  List.exists (fun (s : Stmt.slice) -> Expr.mentions v s.Stmt.offset) r.Stmt.slices
+let rec loads_group g stmt =
+  match stmt with
+  | Stmt.Copy { dst; _ } -> has_member g.members dst.Stmt.buffer
+  | Stmt.Seq ss -> loads_group_list g ss
+  | Stmt.For { body; _ } | Stmt.Alloc { body; _ } | Stmt.If { then_ = body; _ } ->
+    loads_group g body
+  | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _ | Stmt.Sync _ -> false
+
+and loads_group_list g = function
+  | [] -> false
+  | s :: rest -> loads_group g s || loads_group_list g rest
+
+let reads_region g (r : Stmt.region) = has_member g.members r.Stmt.buffer
+
+let rec reads_group g stmt =
+  match stmt with
+  | Stmt.Copy { src; _ } | Stmt.Unop { src; _ } -> reads_region g src
+  | Stmt.Mma { a; b; _ } -> reads_region g a || reads_region g b
+  | Stmt.Accum { dst; src } -> reads_region g dst || reads_region g src
+  | Stmt.Seq ss -> reads_group_list g ss
+  | Stmt.For { body; _ } | Stmt.Alloc { body; _ } | Stmt.If { then_ = body; _ } ->
+    reads_group g body
+  | Stmt.Fill _ | Stmt.Sync _ -> false
+
+and reads_group_list g = function
+  | [] -> false
+  | s :: rest -> reads_group g s || reads_group_list g rest
+
+let rec count_loads g stmt =
+  match stmt with
+  | Stmt.Copy { dst; _ } -> if has_member g.members dst.Stmt.buffer then 1 else 0
+  | Stmt.Seq ss -> count_loads_list g 0 ss
+  | Stmt.For { body; _ } | Stmt.Alloc { body; _ } | Stmt.If { then_ = body; _ } ->
+    count_loads g body
+  | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _ | Stmt.Sync _ -> 0
+
+and count_loads_list g n = function
+  | [] -> n
+  | s :: rest -> count_loads_list g (n + count_loads g s) rest
+
+(* --- Step 2: the producing copies of the hinted buffers --- *)
+
+let rec hinted (hints : Hints.t) name =
+  match hints with
+  | [] -> false
+  | h :: rest -> String.equal h.Hints.buffer name || hinted rest name
+
+let rec has_hinted_copy hints stmt =
+  match stmt with
+  | Stmt.Copy { dst; _ } -> hinted hints dst.Stmt.buffer
+  | Stmt.Seq ss -> has_hinted_copy_list hints ss
+  | Stmt.For { body; _ } | Stmt.Alloc { body; _ } | Stmt.If { then_ = body; _ } ->
+    has_hinted_copy hints body
+  | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _ | Stmt.Sync _ -> false
+
+and has_hinted_copy_list hints = function
+  | [] -> false
+  | s :: rest -> has_hinted_copy hints s || has_hinted_copy_list hints rest
+
+(* The producing copies of all hinted buffers with their loop stacks,
+   last copy first. A frame is built only for a loop that encloses one. *)
+let rec collect hints stack acc stmt =
+  match stmt with
+  | Stmt.Seq ss -> collect_list hints stack acc ss
+  | Stmt.For { var; extent; kind; body } ->
+    if has_hinted_copy hints body then
+      collect hints ({ var; extent; kind } :: stack) acc body
+    else acc
+  | Stmt.Alloc { body; _ } | Stmt.If { then_ = body; _ } ->
+    collect hints stack acc body
+  | Stmt.Copy { dst; src; fused; _ } ->
+    if hinted hints dst.Stmt.buffer then { dst; src; fused; stack } :: acc
+    else acc
+  | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _ | Stmt.Sync _ -> acc
+
+and collect_list hints stack acc = function
+  | [] -> acc
+  | s :: rest -> collect_list hints stack (collect hints stack acc s) rest
+
+let collect_sites hints body = collect hints [] [] body
+
+let rec has_site name = function
+  | [] -> false
+  | (s : copy_site) :: rest ->
+    String.equal s.dst.Stmt.buffer name || has_site name rest
+
+let rec site_of name = function
+  | [] -> reject name 1 "buffer is not produced by a memory copy"
+  | (s : copy_site) :: rest ->
+    if not (String.equal s.dst.Stmt.buffer name) then site_of name rest
+    else if has_site name rest then
+      reject name 0 "buffer has multiple producing copies"
+    else s
+
+let rec slices_mention v = function
+  | [] -> false
+  | (s : Stmt.slice) :: rest -> Expr.mentions v s.Stmt.offset || slices_mention v rest
 
 (* Step 3: the sequential load-and-use loop. Starting from the producing
    copy, walk the enclosing loops from inside to outside; skip loops whose
    variable indexes into the buffer (the buffer is partitioned, not reused,
    along them); the first non-indexing loop must be sequential (paper
    rule 2). *)
-let find_pipeline_loop buffer (site : copy_site) =
-  let rec search = function
-    | [] ->
-      reject buffer 2
-        "no sequential load-and-use loop: the buffer is loaded outside of \
-         any reusing loop"
-    | f :: rest ->
-      if region_mentions_var site.dst f.var then search rest
-      else (
-        match f.kind with
-        | Stmt.Sequential -> f
-        | Stmt.Parallel _ ->
-          reject buffer 2
-            "the load-and-use loop %s is parallel (bound to %s); pipelining \
-             requires a sequential loop"
-            f.var
-            (match f.kind with
-             | Stmt.Parallel b -> Stmt.binding_to_string b
-             | _ -> assert false)
-        | Stmt.Unrolled ->
-          reject buffer 2 "the load-and-use loop %s is unrolled" f.var)
-  in
-  search site.stack
+let rec search_loop buffer (dst : Stmt.region) = function
+  | [] ->
+    reject buffer 2
+      "no sequential load-and-use loop: the buffer is loaded outside of \
+       any reusing loop"
+  | f :: rest ->
+    if slices_mention f.var dst.Stmt.slices then search_loop buffer dst rest
+    else (
+      match f.kind with
+      | Stmt.Sequential -> f
+      | Stmt.Parallel b ->
+        reject buffer 2
+          "the load-and-use loop %s is parallel (bound to %s); pipelining \
+           requires a sequential loop"
+          f.var (Stmt.binding_to_string b)
+      | Stmt.Unrolled ->
+        reject buffer 2 "the load-and-use loop %s is unrolled" f.var)
 
-(* Rule 3 sub-check: within a synchronized group, the producing copies must
-   sit at matching synchronization positions: the direct children of the
-   pipeline loop's body that contain them must form one contiguous run, and
-   none of those children may also read the group (a loading block must be
-   separable from the using block so one acquire/commit pair can guard
-   it). *)
-let check_sync_positions kernel (g : group) =
-  let names = member_names g in
-  let contains_member_copy stmt =
-    let found = ref false in
-    Stmt.iter
-      (fun s ->
-        match s with
-        | Stmt.Copy { dst; _ } when Names.mem dst.Stmt.buffer names ->
-          found := true
-        | _ -> ())
-      stmt;
-    !found
-  in
-  let reads_member stmt =
-    let found = ref false in
-    let check (r : Stmt.region) =
-      if Names.mem r.Stmt.buffer names then found := true
-    in
-    Stmt.iter
-      (fun s ->
-        match s with
-        | Stmt.Copy { src; _ } -> check src
-        | Stmt.Mma { a; b; _ } -> check a; check b
-        | Stmt.Unop { src; _ } -> check src
-        | Stmt.Accum { dst; src } -> check dst; check src
-        | Stmt.Seq _ | Stmt.For _ | Stmt.Alloc _ | Stmt.If _ | Stmt.Fill _
-        | Stmt.Sync _ -> ())
-      stmt;
-    !found
-  in
-  let count_member_copies stmt =
-    Stmt.count
-      (function
-        | Stmt.Copy { dst; _ } -> Names.mem dst.Stmt.buffer names
-        | _ -> false)
-      stmt
-  in
-  let check_children children =
-    let flags = List.map contains_member_copy children in
-    let mixed =
-      List.exists2
-        (fun is_load child -> is_load && reads_member child)
-        flags children
-    in
-    let rec span seen_run in_run = function
-      | [] -> true
-      | true :: rest ->
-        if seen_run && not in_run then false else span true true rest
-      | false :: rest -> span seen_run false rest
-    in
-    (* all member copies inside the contiguous run of loading children *)
-    let n_here =
-      List.fold_left2
-        (fun acc is_load child ->
-          if is_load then acc + count_member_copies child else acc)
-        0 flags children
-    in
-    (not mixed) && n_here = List.length names && span false false flags
-  in
-  let found = ref false in
-  let ok = ref true in
-  Stmt.iter
-    (fun s ->
-      match s with
-      | Stmt.For { var; body; _ } when String.equal var g.loop_var ->
-        found := true;
-        let children = match body with Stmt.Seq ss -> ss | s -> [ s ] in
-        if not (check_children children) then ok := false
-      | _ -> ())
-    kernel.Kernel.body;
-  if not !found then ok := false;
-  if not !ok then
-    reject
-      (String.concat "+" names)
-      3
-      "buffers share the %s synchronization scope but their barriers would \
-       sit at distinct positions in loop %s"
-      (Buffer.scope_to_string g.scope)
-      g.loop_var
+let find_pipeline_loop buffer (site : copy_site) =
+  search_loop buffer site.dst site.stack
+
+let loop_extent_of buffer loop =
+  match Expr.eval_const loop.extent with
+  | Some e when e >= 1 -> e
+  | _ ->
+    reject buffer 0 "extent of pipeline loop %s is not a positive constant"
+      loop.var
 
 (* Rule 1 (asynchronous production) plus its structural preconditions: the
    buffer is declared, produced by exactly one memory copy, that copy
    carries no fused element-wise op (Fig. 5 case 1 forces such copies to be
    synchronous), and the buffer's scope has an asynchronous copy path on
    this hardware. *)
-let check_rule1 ~(hw : Alcop_hw.Hw_config.t) kernel
-    (sites : copy_site Names.Tbl.t) (h : Hints.hint) =
+let check_rule1 ~(hw : Alcop_hw.Hw_config.t) kernel sites (h : Hints.hint) =
+  let name = h.Hints.buffer in
   let buffer =
-    match Kernel.find_buffer kernel h.Hints.buffer with
+    match Kernel.find_buffer kernel name with
     | Some b -> b
-    | None -> reject h.Hints.buffer 0 "buffer is not declared"
+    | None -> reject name 0 "buffer is not declared"
   in
   if not (Alcop_hw.Hw_config.scope_is_async hw buffer.Buffer.scope) then
-    reject h.Hints.buffer 1
-      "scope %s has no asynchronous copy on %s"
+    reject name 1 "scope %s has no asynchronous copy on %s"
       (Buffer.scope_to_string buffer.Buffer.scope)
       hw.Alcop_hw.Hw_config.name;
-  let site =
-    match Names.Tbl.find_all sites h.Hints.buffer with
-    | [ s ] -> s
-    | [] ->
-      reject h.Hints.buffer 1
-        "buffer is not produced by a memory copy"
-    | _ ->
-      reject h.Hints.buffer 0
-        "buffer has multiple producing copies"
-  in
+  let site = site_of name sites in
   (match site.fused with
    | Some op ->
-     reject h.Hints.buffer 1
+     reject name 1
        "producing copy carries fused op %s and is therefore not an \
         asynchronous memory copy" op
    | None -> ());
@@ -261,154 +261,284 @@ let check_rule1 ~(hw : Alcop_hw.Hw_config.t) kernel
 (* Rule 2: the sequential load-and-use loop, with a constant extent. *)
 let check_rule2 (h : Hints.hint) site =
   let loop = find_pipeline_loop h.Hints.buffer site in
-  let loop_extent =
-    match Expr.eval_const loop.extent with
-    | Some e when e >= 1 -> e
-    | _ ->
-      reject h.Hints.buffer 0
-        "extent of pipeline loop %s is not a positive constant"
-        loop.var
-  in
-  (loop, loop_extent)
+  (loop, loop_extent_of h.Hints.buffer loop)
 
 let info_of_hint ~hw kernel sites (h : Hints.hint) =
   let buffer, site = check_rule1 ~hw kernel sites h in
-  let loop, loop_extent = check_rule2 h site in
+  let loop = find_pipeline_loop h.Hints.buffer site in
   { buffer; hint = h; site; loop_var = loop.var;
-    loop_extent; producer = site.src.Stmt.buffer }
+    loop_extent = loop_extent_of h.Hints.buffer loop;
+    producer = site.src.Stmt.buffer }
 
-(* Rule 3 and the multi-level structure, over the per-buffer infos. *)
-let group_infos ~(hw : Alcop_hw.Hw_config.t) (kernel : Kernel.t) infos =
-  begin
-    (* Group by (pipeline loop, scope). *)
-    let keys =
-      List.sort_uniq compare
-        (List.map (fun (i : buffer_info) -> (i.loop_var, i.buffer.Buffer.scope)) infos)
+(* [List.map], in order, without the partial application. *)
+let rec infos_of ~hw kernel sites = function
+  | [] -> []
+  | h :: rest ->
+    let info = info_of_hint ~hw kernel sites h in
+    info :: infos_of ~hw kernel sites rest
+
+(* --- Pipeline groups, rule 3 and the multi-level structure ---
+
+   Infos that share a (pipeline loop, scope) key form one group. Keys are
+   visited in ascending (loop variable, scope) order, the order
+   [List.sort_uniq compare] gives the pairs. An info stands for its key;
+   with a handful of infos per kernel each next key is found by a scan,
+   so no key list, sort or per-group filter is built. *)
+
+let scope_rank = function
+  | Buffer.Global -> 0
+  | Buffer.Shared -> 1
+  | Buffer.Register -> 2
+
+let key_compare (a : buffer_info) (b : buffer_info) =
+  let c = String.compare a.loop_var b.loop_var in
+  if c <> 0 then c
+  else Int.compare (scope_rank a.buffer.Buffer.scope) (scope_rank b.buffer.Buffer.scope)
+
+let rec least best = function
+  | [] -> best
+  | i :: rest -> least (if key_compare i best < 0 then i else best) rest
+
+(* The least key above [lo]'s, or [lo] itself when there is none. *)
+let rec next_key lo best = function
+  | [] -> best
+  | i :: rest ->
+    let above = key_compare i lo > 0 in
+    next_key lo
+      (if above && (best == lo || key_compare i best < 0) then i else best)
+      rest
+
+let rec first_of_key k = function
+  | [] -> k
+  | i :: rest -> if key_compare i k = 0 then i else first_of_key k rest
+
+let rec members_of k = function
+  | [] -> []
+  | i :: rest ->
+    if key_compare i k = 0 then i :: members_of k rest else members_of k rest
+
+let rec stages_agree k stages = function
+  | [] -> true
+  | (i : buffer_info) :: rest ->
+    (key_compare i k <> 0 || i.hint.Hints.stages = stages)
+    && stages_agree k stages rest
+
+let rec key_has_buffer k name = function
+  | [] -> false
+  | (i : buffer_info) :: rest ->
+    (key_compare i k = 0 && String.equal i.buffer.Buffer.name name)
+    || key_has_buffer k name rest
+
+(* Every buffer of key [inner] is produced from a buffer of key [outer]. *)
+let rec produced_by infos ~inner ~outer = function
+  | [] -> true
+  | (m : buffer_info) :: rest ->
+    (key_compare m inner <> 0 || key_has_buffer outer m.producer infos)
+    && produced_by infos ~inner ~outer rest
+
+let rec in_stack var = function
+  | [] -> false
+  | f :: rest -> String.equal f.var var || in_stack var rest
+
+(* Every buffer of key [k] is loaded inside loop [var]. *)
+let rec nested_in k var = function
+  | [] -> true
+  | (m : buffer_info) :: rest ->
+    (key_compare m k <> 0 || in_stack var m.site.stack) && nested_in k var rest
+
+let rec wants_fusion k = function
+  | [] -> true
+  | (m : buffer_info) :: rest ->
+    (key_compare m k <> 0 || m.hint.Hints.inner_fuse) && wants_fusion k rest
+
+let rec depth_of var = function
+  | [] -> 0
+  | f :: rest -> if String.equal f.var var then List.length rest else depth_of var rest
+
+(* The first key, in key order from [k], whose buffers produce those of
+   key [g]; [g] itself when there is none. *)
+let rec producer_key infos g k =
+  if key_compare k g <> 0 && produced_by infos ~inner:g ~outer:k infos then k
+  else
+    let k' = next_key k k infos in
+    if k' == k then g else producer_key infos g k'
+
+let key_id (k : buffer_info) =
+  String.concat "." [ "pipe"; Buffer.scope_to_string k.buffer.Buffer.scope; k.loop_var ]
+
+(* Keys in order, as a list: for rejection messages only. *)
+let keys_of infos =
+  let rec from k =
+    let k' = next_key k k infos in
+    k :: (if k' == k then [] else from k')
+  in
+  match infos with [] -> [] | i :: _ -> from (least i infos)
+
+let key_names infos k =
+  List.map (fun (m : buffer_info) -> m.buffer.Buffer.name) (members_of k infos)
+
+(* Each key's members must request one stage count. *)
+let rec check_stages infos k =
+  let m0 = first_of_key k infos in
+  if not (stages_agree k m0.hint.Hints.stages infos) then
+    reject (String.concat "+" (key_names infos k)) 3
+      "buffers in one synchronization group request different stage counts";
+  let k' = next_key k k infos in
+  if k' != k then check_stages infos k'
+
+let rec keys_in_scope infos scope n k =
+  let n = if Buffer.scope_equal k.buffer.Buffer.scope scope then n + 1 else n in
+  let k' = next_key k k infos in
+  if k' == k then n else keys_in_scope infos scope n k'
+
+(* Rule 3: a synchronized scope has a single barrier object, so all its
+   pipelined buffers must form one group. *)
+let check_scope ~(hw : Alcop_hw.Hw_config.t) infos first scope =
+  if Alcop_hw.Hw_config.scope_needs_matching_sync hw scope
+     && keys_in_scope infos scope 0 first >= 2
+  then begin
+    let of_scope =
+      List.filter
+        (fun (k : buffer_info) -> Buffer.scope_equal k.buffer.Buffer.scope scope)
+        (keys_of infos)
     in
-    let groups =
-      List.map
-        (fun (loop_var, scope) ->
-          let members =
-            List.filter
-              (fun (i : buffer_info) ->
-                String.equal i.loop_var loop_var
-                && Buffer.scope_equal i.buffer.Buffer.scope scope)
-              infos
-          in
-          let stages =
-            match
-              List.sort_uniq compare
-                (List.map (fun m -> m.hint.Hints.stages) members)
-            with
-            | [ s ] -> s
-            | _ ->
-              reject
-                (String.concat "+" (List.map (fun m -> m.buffer.Buffer.name) members))
-                3 "buffers in one synchronization group request different \
-                   stage counts"
-          in
-          let depth =
-            match members with
-            | m :: _ ->
-              let rec depth_of = function
-                | [] -> 0
-                | f :: rest ->
-                  if String.equal f.var loop_var then List.length rest
-                  else depth_of rest
-              in
-              depth_of m.site.stack
-            | [] -> 0
-          in
-          { id =
-              String.concat "."
-                [ "pipe"; Buffer.scope_to_string scope; loop_var ];
-            scope; loop_var; loop_extent = (List.hd members).loop_extent;
-            loop_depth = depth; stages; members;
-            synchronized = Alcop_hw.Hw_config.scope_needs_matching_sync hw scope;
-            outer = None; fused = false })
-        keys
-    in
-    (* Rule 3: a synchronized scope has a single barrier object, so all its
-       pipelined buffers must form one group. *)
-    List.iter
-      (fun scope ->
-        let of_scope =
-          List.filter (fun g -> Buffer.scope_equal g.scope scope) groups
-        in
-        match of_scope with
-        | [] | [ _ ] -> ()
-        | _ :: _ :: _ ->
-          reject
-            (String.concat "+" (List.concat_map member_names of_scope))
-            3
-            "buffers in scope %s are pipelined on different loops (%s) but \
-             the scope has a single barrier object"
-            (Buffer.scope_to_string scope)
-            (String.concat ", " (List.map (fun g -> g.loop_var) of_scope)))
-      (List.filter
-         (fun s -> Alcop_hw.Hw_config.scope_needs_matching_sync hw s)
-         [ Buffer.Global; Buffer.Shared; Buffer.Register ]);
-    (* Multi-level structure: a group is inner to another if its members'
-       producers are the other group's buffers. *)
-    let groups =
-      List.map
-        (fun g ->
-          let producer_group =
-            List.find_opt
-              (fun og ->
-                not (String.equal og.id g.id)
-                && List.for_all
-                     (fun m -> Names.mem m.producer (member_names og))
-                     g.members)
-              groups
-          in
-          match producer_group with
-          | None -> g
-          | Some og ->
-            (* The inner pipeline must be nested inside the outer pipeline
-               loop for fusion to make sense. *)
-            let nested =
-              List.for_all
-                (fun m ->
-                  List.exists
-                    (fun f -> String.equal f.var og.loop_var)
-                    m.site.stack)
-                g.members
-            in
-            if not nested then g
-            else begin
-              let want_fuse =
-                List.for_all (fun m -> m.hint.Hints.inner_fuse) g.members
-              in
-              let can_fuse = g.stages - 1 <= g.loop_extent in
-              if want_fuse && not can_fuse then
-                reject g.id 0
-                  "inner-pipeline fusion requires stages-1 <= extent of %s \
-                   (%d-1 > %d)"
-                  g.loop_var g.stages g.loop_extent;
-              { g with outer = Some og.id; fused = want_fuse }
-            end)
-        groups
-    in
-    (* Outermost groups first: the transformation processes them in order. *)
-    let groups =
-      List.sort (fun a b -> compare a.loop_depth b.loop_depth) groups
-    in
-    List.iter (fun g -> if g.synchronized then check_sync_positions kernel g) groups;
-    groups
+    reject
+      (String.concat "+" (List.concat_map (key_names infos) of_scope))
+      3
+      "buffers in scope %s are pipelined on different loops (%s) but the \
+       scope has a single barrier object"
+      (Buffer.scope_to_string scope)
+      (String.concat ", " (List.map (fun (k : buffer_info) -> k.loop_var) of_scope))
   end
+
+(* A group is inner to the first group whose buffers produce all of its
+   own, when its copies sit inside that group's loop; it is fused with it
+   (paper Fig. 3d) when all its hints ask for it. *)
+let outer_key infos first k =
+  let og = producer_key infos k first in
+  if og != k && nested_in k og.loop_var infos then og else k
+
+let check_fusion infos first k =
+  let og = outer_key infos first k in
+  if og != k && wants_fusion k infos then begin
+    let m0 = first_of_key k infos in
+    if m0.hint.Hints.stages - 1 > m0.loop_extent then
+      reject (key_id k) 0
+        "inner-pipeline fusion requires stages-1 <= extent of %s (%d-1 > %d)"
+        m0.loop_var m0.hint.Hints.stages m0.loop_extent
+  end
+
+let rec check_fusions infos first k =
+  check_fusion infos first k;
+  let k' = next_key k k infos in
+  if k' != k then check_fusions infos first k'
+
+let make_group ~(hw : Alcop_hw.Hw_config.t) infos first k =
+  let m0 = first_of_key k infos in
+  let scope = m0.buffer.Buffer.scope in
+  let og = outer_key infos first k in
+  { id = key_id k; scope; loop_var = m0.loop_var;
+    loop_extent = m0.loop_extent;
+    loop_depth = depth_of m0.loop_var m0.site.stack;
+    stages = m0.hint.Hints.stages; members = members_of k infos;
+    synchronized = Alcop_hw.Hw_config.scope_needs_matching_sync hw scope;
+    outer = (if og == k then None else Some (key_id og));
+    fused = og != k && wants_fusion k infos }
+
+(* Stable insertion by loop depth: outermost groups first, key order
+   among equals, as [List.sort] on [loop_depth] gives. *)
+let rec insert_by_depth g = function
+  | [] -> [ g ]
+  | h :: rest as l ->
+    if g.loop_depth < h.loop_depth then g :: l else h :: insert_by_depth g rest
+
+let rec build_groups ~hw infos first k acc =
+  let acc = insert_by_depth (make_group ~hw infos first k) acc in
+  let k' = next_key k k infos in
+  if k' == k then acc else build_groups ~hw infos first k' acc
+
+(* Rule 3 sub-check: within a synchronized group, the producing copies must
+   sit at matching synchronization positions: the direct children of the
+   pipeline loop's body that contain them must form one contiguous run, and
+   none of those children may also read the group (a loading block must be
+   separable from the using block so one acquire/commit pair can guard
+   it). [phase] is 0 before the run of loading children, 1 in it, 2 after
+   it. *)
+let rec separable_run g n phase count = function
+  | [] -> count = n
+  | c :: rest ->
+    if loads_group g c then
+      phase < 2 && (not (reads_group g c))
+      && separable_run g n 1 (count + count_loads g c) rest
+    else separable_run g n (if phase = 1 then 2 else phase) count rest
+
+let separable g body =
+  let n = List.length g.members in
+  match body with
+  | Stmt.Seq ss -> separable_run g n 0 0 ss
+  | s -> loads_group g s && (not (reads_group g s)) && count_loads g s = n
+
+(* Over every loop of [g.loop_var]: 0 when none was seen, 1 when all seen
+   were separable, 2 when one was not. *)
+let rec sync_scan g state stmt =
+  match stmt with
+  | Stmt.For { var; body; _ } ->
+    let state =
+      if not (String.equal var g.loop_var) then state
+      else if state = 2 || not (separable g body) then 2
+      else 1
+    in
+    sync_scan g state body
+  | Stmt.Seq ss -> sync_scan_list g state ss
+  | Stmt.Alloc { body; _ } | Stmt.If { then_ = body; _ } -> sync_scan g state body
+  | Stmt.Copy _ | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _
+  | Stmt.Sync _ -> state
+
+and sync_scan_list g state = function
+  | [] -> state
+  | s :: rest -> sync_scan_list g (sync_scan g state s) rest
+
+let rec check_sync_positions kernel = function
+  | [] -> ()
+  | g :: rest ->
+    if g.synchronized && sync_scan g 0 kernel.Kernel.body <> 1 then
+      reject
+        (String.concat "+" (member_names g))
+        3
+        "buffers share the %s synchronization scope but their barriers would \
+         sit at distinct positions in loop %s"
+        (Buffer.scope_to_string g.scope)
+        g.loop_var;
+    check_sync_positions kernel rest
+
+(* Rule 3 and the multi-level structure, over the per-buffer infos, in the
+   order the checks have always run: stage counts per group, one group
+   per synchronized scope, fusion, then barrier positions per group,
+   outermost first. *)
+let group_infos ~hw kernel infos =
+  match infos with
+  | [] -> []
+  | i :: _ ->
+    let first = least i infos in
+    check_stages infos first;
+    check_scope ~hw infos first Buffer.Global;
+    check_scope ~hw infos first Buffer.Shared;
+    check_scope ~hw infos first Buffer.Register;
+    check_fusions infos first first;
+    let groups = build_groups ~hw infos first first [] in
+    check_sync_positions kernel groups;
+    groups
 
 (* The analysis proper; legality violations surface as [Rejected] from the
    rule checks deep inside. [run] is the result-returning entry point the
    compiler consumes. *)
-let run_internal ~(hw : Alcop_hw.Hw_config.t) ~(hints : Hints.t)
-    (kernel : Kernel.t) =
-  if hints = [] then { groups = [] }
-  else begin
+let run_internal ~hw ~(hints : Hints.t) (kernel : Kernel.t) =
+  match hints with
+  | [] -> { groups = [] }
+  | _ :: _ ->
     let sites = collect_sites hints kernel.Kernel.body in
-    let infos = List.map (info_of_hint ~hw kernel sites) (List.rev hints) in
+    let infos = infos_of ~hw kernel sites (List.rev hints) in
     { groups = group_infos ~hw kernel infos }
-  end
 
 let run ~hw ~hints kernel =
   match run_internal ~hw ~hints kernel with

@@ -52,7 +52,20 @@ type t = { groups : group list (** outermost first *) }
 
 val find_group : t -> string -> group option
 val group_of_buffer : t -> string -> group option
+(** Test-only: tests look up a buffer's group with it. *)
+
 val member_names : group -> string list
+
+val mem_buffer : group -> string -> bool
+(** The named buffer is one of the group's members. *)
+
+val loads_group : group -> Stmt.t -> bool
+(** The statement contains a copy into one of the group's buffers. *)
+
+val reads_group : group -> Stmt.t -> bool
+(** The statement contains a read of one of the group's buffers: a copy
+    or unary-op source, an mma operand other than the accumulator, or
+    either side of an accumulation. *)
 
 (** Bytes one stage of the group's expanded buffers occupies (sum of the
     pre-expansion member buffer sizes); the footprint the pipeline

@@ -24,404 +24,394 @@
 
 open Alcop_ir
 
+(* Allocation: a compile runs this pass once, so it builds the nodes of
+   the kernel it returns and little else. Untouched subtrees come back
+   physically shared ([Stmt.map], [Stmt.subst_var] and [Expr.subst]
+   preserve sharing), lookups recurse by hand instead of taking closures,
+   and expressions and slices that several rewritten statements use are
+   built once per group and shared. *)
+
 (* Pipeline loop variables are unique per kernel, so deriving the prologue
    variable from the loop variable keeps names deterministic. *)
 let prologue_var_of base = base ^ "_pro"
 
-(* A region read/written in statement [s] mentions one of [names]. Used to
-   find the using block of a group (analysis step 4). *)
-let stmt_reads_any names stmt =
-  let reads = ref false in
-  let check (r : Stmt.region) = if Names.mem r.Stmt.buffer names then reads := true in
-  Stmt.iter
-    (fun s ->
-      match s with
-      | Stmt.Copy { src; _ } -> check src
-      | Stmt.Mma { a; b; _ } -> check a; check b
-      | Stmt.Unop { src; _ } -> check src
-      | Stmt.Accum { dst; src } -> check dst; check src
-      | Stmt.Seq _ | Stmt.For _ | Stmt.Alloc _ | Stmt.If _ | Stmt.Fill _
-      | Stmt.Sync _ -> ())
-    stmt;
-  !reads
+let rec has_seq = function
+  | [] -> false
+  | Stmt.Seq _ :: _ -> true
+  | _ :: rest -> has_seq rest
 
-let is_member_copy names = function
-  | Stmt.Copy { dst; _ } -> Names.mem dst.Stmt.buffer names
-  | _ -> false
+let rec flatten l tail =
+  match l with
+  | [] -> tail
+  | Stmt.Seq inner :: rest -> flatten inner (flatten rest tail)
+  | s :: rest -> s :: flatten rest tail
 
-(* A statement belongs to the group's loading block if it contains one of
-   the group's producing copies anywhere inside (e.g. nested under a
-   partitioning loop). *)
-let contains_member_copy names stmt =
-  let found = ref false in
-  Stmt.iter (fun s -> if is_member_copy names s then found := true) stmt;
-  !found
+(* [Stmt.seq], building no list beyond the one it returns. *)
+let seq l =
+  match if has_seq l then flatten l [] else l with
+  | [ s ] -> s
+  | l -> Stmt.Seq l
 
-let children_of = function
-  | Stmt.Seq ss -> ss
-  | s -> [ s ]
+let rec group_for_loop var = function
+  | [] -> None
+  | (g : Analysis.group) :: rest ->
+    if String.equal g.Analysis.loop_var var then Some g
+    else group_for_loop var rest
+
+let outer_is (i : Analysis.group) id =
+  match i.Analysis.outer with Some o -> String.equal o id | None -> false
+
+(* The inner group fused with [g]. *)
+let rec fused_inner_of (g : Analysis.group) = function
+  | [] -> None
+  | (i : Analysis.group) :: rest ->
+    if i.Analysis.fused && outer_is i g.Analysis.id then Some i
+    else fused_inner_of g rest
+
+(* The outer group [g] is fused with. *)
+let fused_outer (analysis : Analysis.t) (g : Analysis.group) =
+  match g.Analysis.outer with
+  | Some oid when g.Analysis.fused -> Analysis.find_group analysis oid
+  | Some _ | None -> None
+
+(* Stage count of the group a buffer belongs to; 0 if it is not pipelined. *)
+let rec stages_of name = function
+  | [] -> 0
+  | (g : Analysis.group) :: rest ->
+    if Analysis.mem_buffer g name then g.Analysis.stages else stages_of name rest
+
+let acquire id = Stmt.Sync (Stmt.Producer_acquire id)
+let commit id = Stmt.Sync (Stmt.Producer_commit id)
+let wait id = Stmt.Sync (Stmt.Consumer_wait id)
+let release id = Stmt.Sync (Stmt.Consumer_release id)
 
 (* --- Index arithmetic of steps 2 and 3 --- *)
 
-(* Rewrite the producing copy of a member of group [g].
+(* How one context (the steady-state body or the prologue) rewrites the
+   producing copies of a group: the loop variable is replaced by
+   [wrapped], the wrapped future iteration, in source offsets; the
+   destination gains the stage slice [dst_stage]; and in a fused inner
+   level the source's own stage slice becomes [carried], the outer stage
+   the inner overflow carries into (paper Fig. 7 line 26). *)
+type producer = {
+  loop_var : string;
+  wrapped : Expr.t;
+  dst_stage : Stmt.slice;
+  carried : Stmt.slice option;
+}
 
-   [shifted] is the unwrapped future iteration index (loop var + stages - 1
-   in the steady state, or the prologue variable in the prologue).
-   [outer] describes the producing group when this is an inner level:
-   [`Fused (og, base)] rebuilds the outer stage index as
-   [(base + shifted / extent) mod og.stages]; [`Kept] leaves the stage
-   slice produced by the outer transformation untouched; [`None_] means the
-   source is not a pipelined buffer. *)
-let rewrite_producer_copy (g : Analysis.group) ~shifted ~dst_stage ~outer ~dst
-    ~src =
-  let n = g.Analysis.stages in
+(* [shifted] is the unwrapped future iteration index (loop var + stages -
+   1 in the steady state, or the prologue variable in the prologue);
+   [outer] is the fused outer group, whose stage index is rebuilt as
+   [(base + shifted / extent) mod outer.stages]. *)
+let producer (g : Analysis.group) ~shifted ~dst_stage ~outer ~base =
   let extent = Expr.const g.Analysis.loop_extent in
-  let wrapped = Expr.modulo shifted extent in
-  let shift_offset e = Expr.subst g.Analysis.loop_var wrapped e in
-  let shift_slice (s : Stmt.slice) = { s with Stmt.offset = shift_offset s.Stmt.offset } in
-  let src' =
-    match outer with
-    | `None_ | `Kept ->
-      { src with Stmt.slices = List.map shift_slice src.Stmt.slices }
-    | `Fused ((og : Analysis.group), base) ->
-      (match src.Stmt.slices with
-       | _stage_slice :: rest ->
-         let carried =
-           Expr.modulo
-             (Expr.add base (Expr.div shifted extent))
-             (Expr.const og.Analysis.stages)
-         in
-         { src with
-           Stmt.slices = Stmt.point_slice carried :: List.map shift_slice rest }
-       | [] -> src)
-  in
-  let dst' =
-    { dst with
-      Stmt.slices =
-        Stmt.point_slice (Expr.modulo dst_stage (Expr.const n)) :: dst.Stmt.slices }
-  in
-  (dst', src')
+  { loop_var = g.Analysis.loop_var;
+    wrapped = Expr.modulo shifted extent;
+    dst_stage =
+      Stmt.point_slice (Expr.modulo dst_stage (Expr.const g.Analysis.stages));
+    carried =
+      (match outer with
+       | None -> None
+       | Some (og : Analysis.group) ->
+         Some
+           (Stmt.point_slice
+              (Expr.modulo
+                 (Expr.add base (Expr.div shifted extent))
+                 (Expr.const og.Analysis.stages)))) }
+
+(* Rewrite one producing copy. [fused] says its source is the fused outer
+   group's buffer, whose stage slice is replaced by [p.carried]; any other
+   source only has its offsets shifted. *)
+let producer_copy p ~fused stmt =
+  match stmt with
+  | Stmt.Copy c ->
+    let src = c.src in
+    let src =
+      match p.carried, src.Stmt.slices with
+      | Some carried, _stage :: rest when fused ->
+        { src with
+          Stmt.slices = carried :: Stmt.subst_slices p.loop_var p.wrapped rest }
+      | _ ->
+        let slices = Stmt.subst_slices p.loop_var p.wrapped src.Stmt.slices in
+        if slices == src.Stmt.slices then src else { src with Stmt.slices }
+    in
+    let dst = { c.dst with Stmt.slices = p.dst_stage :: c.dst.Stmt.slices } in
+    Stmt.Copy { c with dst; src; kind = Stmt.Async_copy }
+  | s -> s
 
 (* Step 2+3 applied to the steady-state body of the pipeline loop: producing
    copies load [stages-1] iterations ahead; all other accesses to the
    group's buffers read stage [v mod stages]. *)
+type body_rewrite = {
+  group : Analysis.group;
+  loads : producer;
+  outer : Analysis.group option;  (** the fused outer group *)
+  read_stage : Stmt.slice;
+}
+
+let add_read_stage b (r : Stmt.region) =
+  if Analysis.mem_buffer b.group r.Stmt.buffer then
+    { r with Stmt.slices = b.read_stage :: r.Stmt.slices }
+  else r
+
+(* Leaves untouched by the group rewrite come back physically unchanged,
+   so [Stmt.map] (sharing-preserving) leaves their spines alone too. *)
+let rewrite_body_stmt b stmt =
+  match stmt with
+  | Stmt.Copy c when Analysis.mem_buffer b.group c.dst.Stmt.buffer ->
+    let fused =
+      match b.outer with
+      | Some og -> Analysis.mem_buffer og c.src.Stmt.buffer
+      | None -> false
+    in
+    producer_copy b.loads ~fused stmt
+  | Stmt.Copy c ->
+    let src = add_read_stage b c.src in
+    if src == c.src then stmt else Stmt.Copy { c with src }
+  | Stmt.Mma m ->
+    let c = add_read_stage b m.c in
+    let a = add_read_stage b m.a in
+    let bb = add_read_stage b m.b in
+    if c == m.c && a == m.a && bb == m.b then stmt else Stmt.Mma { c; a; b = bb }
+  | Stmt.Unop u ->
+    let src = add_read_stage b u.src in
+    if src == u.src then stmt else Stmt.Unop { u with src }
+  | s -> s
+
 let rewrite_loop_body (analysis : Analysis.t) (g : Analysis.group) body =
-  let names = Analysis.member_names g in
-  let v = Expr.var g.Analysis.loop_var in
   let n = g.Analysis.stages in
+  let v = Expr.var g.Analysis.loop_var in
   let shifted = Expr.add v (Expr.const (n - 1)) in
+  let outer = fused_outer analysis g in
   (* Rolling stage indices. A fused inner pipeline runs holistically across
      outer iterations, so its ring position is the *global* fused iteration
      index u * extent + v — the local index alone is only correct when the
      stage count divides the loop extent (as in paper Fig. 7, where the
      u * extent term vanishes modulo the stage count). *)
-  let ring_base =
-    match
-      Option.bind g.Analysis.outer (fun oid ->
-          if g.Analysis.fused then Analysis.find_group analysis oid else None)
-    with
+  let outer_var, ring_base =
+    match outer with
     | Some og ->
-      Expr.add
-        (Expr.mul (Expr.var og.Analysis.loop_var)
-           (Expr.const g.Analysis.loop_extent))
-        v
-    | None -> v
+      let u = Expr.var og.Analysis.loop_var in
+      (u, Expr.add (Expr.mul u (Expr.const g.Analysis.loop_extent)) v)
+    | None -> (v, v)
   in
-  let ring_shifted = Expr.add ring_base (Expr.const (n - 1)) in
-  let read_stage = Expr.modulo ring_base (Expr.const n) in
-  let outer_mode src_buffer =
-    match Analysis.group_of_buffer analysis src_buffer with
-    | Some og when g.Analysis.fused && g.Analysis.outer = Some og.Analysis.id ->
-      `Fused (og, Expr.var og.Analysis.loop_var)
-    | Some _ -> `Kept
-    | None -> `None_
+  let b =
+    { group = g; outer;
+      loads =
+        producer g ~shifted
+          ~dst_stage:(Expr.add ring_base (Expr.const (n - 1)))
+          ~outer ~base:outer_var;
+      read_stage = Stmt.point_slice (Expr.modulo ring_base (Expr.const n)) }
   in
-  let add_read_stage (r : Stmt.region) =
-    if Names.mem r.Stmt.buffer names then
-      { r with Stmt.slices = Stmt.point_slice read_stage :: r.Stmt.slices }
-    else r
-  in
-  (* Leaves untouched by the group rewrite come back physically unchanged,
-     so [Stmt.map] (sharing-preserving) leaves their spines alone too. *)
-  let rewrite stmt =
-    match stmt with
-    | Stmt.Copy ({ dst; src; _ } as c) when Names.mem dst.Stmt.buffer names ->
-      let dst', src' =
-        rewrite_producer_copy g ~shifted ~dst_stage:ring_shifted
-          ~outer:(outer_mode src.Stmt.buffer) ~dst ~src
-      in
-      Stmt.Copy { c with dst = dst'; src = src'; kind = Stmt.Async_copy }
-    | Stmt.Copy c ->
-      let src = add_read_stage c.src in
-      if src == c.src then stmt else Stmt.Copy { c with src }
-    | Stmt.Mma m ->
-      let c = add_read_stage m.c in
-      let a = add_read_stage m.a in
-      let b = add_read_stage m.b in
-      if c == m.c && a == m.a && b == m.b then stmt else Stmt.Mma { c; a; b }
-    | Stmt.Unop u ->
-      let src = add_read_stage u.src in
-      if src == u.src then stmt else Stmt.Unop { u with src }
-    | s -> s
-  in
-  Stmt.map rewrite body
+  Stmt.map (rewrite_body_stmt b) body
 
 (* Step 4: build the prologue of group [g] from the (pre-step-2/3) body of
    its pipeline loop. The skeleton keeps only the group's producing copies
-   and the loop structure needed to reach them. [hoist] indicates a fused
-   inner pipeline whose prologue runs once in front of the outermost loop,
-   with the outer loop variable pinned to zero. *)
+   and the loop structure needed to reach them. A fused inner pipeline's
+   prologue runs once in front of the outermost loop, with the outer loop
+   variable pinned to zero. *)
+let rec skeleton g p stmt =
+  match stmt with
+  | Stmt.Seq ss ->
+    (match skeleton_list g p ss with [] -> None | kept -> Some (seq kept))
+  | Stmt.For r ->
+    (match skeleton g p r.body with
+     | Some body -> Some (Stmt.For { r with body })
+     | None -> None)
+  | Stmt.If r ->
+    (match skeleton g p r.then_ with
+     | Some then_ -> Some (Stmt.If { r with then_ })
+     | None -> None)
+  | Stmt.Copy c when Analysis.mem_buffer g c.dst.Stmt.buffer ->
+    Some (producer_copy p ~fused:true stmt)
+  | Stmt.Alloc _ | Stmt.Copy _ | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _
+  | Stmt.Accum _ | Stmt.Sync _ -> None
+
+and skeleton_list g p = function
+  | [] -> []
+  | s :: rest ->
+    (match skeleton g p s with
+     | Some kept -> kept :: skeleton_list g p rest
+     | None -> skeleton_list g p rest)
+
 let build_prologue (analysis : Analysis.t) (g : Analysis.group) body =
-  let names = Analysis.member_names g in
-  let n = g.Analysis.stages in
   let pvar = prologue_var_of g.Analysis.loop_var in
   let shifted = Expr.var pvar in
-  let fused_outer =
-    match g.Analysis.outer with
-    | Some oid when g.Analysis.fused -> Analysis.find_group analysis oid
-    | _ -> None
-  in
-  let rec skeleton stmt =
-    match stmt with
-    | Stmt.Seq ss ->
-      (match List.filter_map skeleton ss with
-       | [] -> None
-       | kept -> Some (Stmt.seq kept))
-    | Stmt.For r ->
-      Option.map (fun b -> Stmt.For { r with body = b }) (skeleton r.body)
-    | Stmt.If r -> Option.map (fun b -> Stmt.If { r with then_ = b }) (skeleton r.then_)
-    | Stmt.Alloc _ -> None
-    | Stmt.Copy ({ dst; src; _ } as c) when Names.mem dst.Stmt.buffer names ->
-      let outer =
-        match fused_outer with
-        | Some og -> `Fused (og, Expr.zero)
-        | None ->
-          (match Analysis.group_of_buffer analysis src.Stmt.buffer with
-           | Some _ -> `Kept
-           | None -> `None_)
-      in
-      let dst', src' =
-        rewrite_producer_copy g ~shifted ~dst_stage:shifted ~outer ~dst ~src
-      in
-      Some (Stmt.Copy { c with dst = dst'; src = src'; kind = Stmt.Async_copy })
-    | Stmt.Copy _ | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _
-    | Stmt.Sync _ -> None
-  in
+  let outer = fused_outer analysis g in
+  let p = producer g ~shifted ~dst_stage:shifted ~outer ~base:Expr.zero in
   let loads =
-    match skeleton body with
-    | Some s -> s
-    | None -> Stmt.seq []
+    match skeleton g p body with Some s -> s | None -> Stmt.seq []
   in
   let loads =
     (* A hoisted prologue runs before the outer loop starts: pin the outer
        loop variable to its first iteration. *)
-    match fused_outer with
+    match outer with
     | Some og -> Stmt.subst_var og.Analysis.loop_var Expr.zero loads
     | None -> loads
   in
   let loads =
     if g.Analysis.synchronized then
-      Stmt.seq
-        [ Stmt.Sync (Stmt.Producer_acquire g.Analysis.id);
-          loads;
-          Stmt.Sync (Stmt.Producer_commit g.Analysis.id) ]
+      seq [ acquire g.Analysis.id; loads; commit g.Analysis.id ]
     else loads
   in
-  Stmt.For { var = pvar; extent = Expr.const (n - 1); kind = Stmt.Sequential;
-             body = loads }
+  Stmt.For
+    { var = pvar; extent = Expr.const (g.Analysis.stages - 1);
+      kind = Stmt.Sequential; body = loads }
 
 (* Step 5 for a synchronized group: guard the loading block with producer
    primitives, place consumer_wait before the first user and
    consumer_release after the last, and drop the plain barriers of the
-   unpipelined program. [boundary_wait] carries the inner-fusion variant:
-   the wait condition moves into the fused inner loop and only the release
-   stays at the end of the body (paper Fig. 7 lines 19-22 and 30). *)
+   unpipelined program. With a fused inner pipeline the wait moves into
+   the inner loop ([add_boundary]) and only the release stays, at the end
+   of the body (paper Fig. 7 lines 19-22 and 30).
+
+   [first] and [last] index the first and last child that reads the group
+   (-1 if none); a barrier never reads, so indices over the children with
+   barriers are as good as over those without. [in_run] says the previous
+   kept child loads the group: a run of loading children is opened by an
+   acquire and closed by a commit. *)
+let rec first_reader g i = function
+  | [] -> -1
+  | c :: rest -> if Analysis.reads_group g c then i else first_reader g (i + 1) rest
+
+let rec last_reader g i last = function
+  | [] -> last
+  | c :: rest ->
+    last_reader g (i + 1) (if Analysis.reads_group g c then i else last) rest
+
+let rec guard_children g ~fused_inner ~first ~last i in_run = function
+  | [] ->
+    let tail = if fused_inner then [ release g.Analysis.id ] else [] in
+    if in_run then commit g.Analysis.id :: tail else tail
+  | Stmt.Sync Stmt.Barrier :: rest ->
+    guard_children g ~fused_inner ~first ~last (i + 1) in_run rest
+  | c :: rest ->
+    let load = Analysis.loads_group g c in
+    let after = guard_children g ~fused_inner ~first ~last (i + 1) load rest in
+    let after =
+      if (not fused_inner) && i = last then release g.Analysis.id :: after
+      else after
+    in
+    let out = c :: after in
+    let out =
+      if (not fused_inner) && i = first then wait g.Analysis.id :: out else out
+    in
+    let out = if load && not in_run then acquire g.Analysis.id :: out else out in
+    if in_run && not load then commit g.Analysis.id :: out else out
+
 let inject_sync (g : Analysis.group) ~fused_inner body =
-  let names = Analysis.member_names g in
-  let children = children_of body in
-  let children =
-    List.filter (fun s -> match s with Stmt.Sync Stmt.Barrier -> false | _ -> true)
-      children
-  in
-  (* Wrap the contiguous run of children containing producing copies. *)
-  let rec wrap_producers acc = function
-    | [] -> List.rev acc
-    | s :: rest when contains_member_copy names s ->
-      let run, rest' =
-        let rec take run = function
-          | x :: r when contains_member_copy names x -> take (x :: run) r
-          | r -> (List.rev run, r)
-        in
-        take [ s ] rest
-      in
-      List.rev_append acc
-        ((Stmt.Sync (Stmt.Producer_acquire g.Analysis.id) :: run)
-         @ [ Stmt.Sync (Stmt.Producer_commit g.Analysis.id) ]
-         @ wrap_producers [] rest')
-    | s :: rest -> wrap_producers (s :: acc) rest
-  in
-  let children = wrap_producers [] children in
-  let children =
-    if fused_inner then children
-    else begin
-      (* consumer_wait before the first child that reads the group. *)
-      let rec add_wait = function
-        | [] -> []
-        | s :: rest when stmt_reads_any names s ->
-          Stmt.Sync (Stmt.Consumer_wait g.Analysis.id) :: s :: rest
-        | s :: rest -> s :: add_wait rest
-      in
-      add_wait children
-    end
-  in
-  (* consumer_release after the last child that reads the group; with a
-     fused inner pipeline the release closes the whole body. *)
-  let children =
-    if fused_inner then children @ [ Stmt.Sync (Stmt.Consumer_release g.Analysis.id) ]
-    else begin
-      let rec add_release = function
-        | [] -> []
-        | s :: rest ->
-          if List.exists (stmt_reads_any names) rest then s :: add_release rest
-          else if stmt_reads_any names s then
-            s :: Stmt.Sync (Stmt.Consumer_release g.Analysis.id) :: rest
-          else s :: add_release rest
-      in
-      add_release children
-    end
-  in
-  Stmt.seq children
+  let children = match body with Stmt.Seq ss -> ss | s -> [ s ] in
+  seq
+    (guard_children g ~fused_inner ~first:(first_reader g 0 children)
+       ~last:(last_reader g 0 (-1) children) 0 false children)
 
 (* The boundary consumer_wait of a fused inner pipeline: executed inside the
-   inner loop when the prefetch crosses into the next outer stage. *)
-let boundary_wait (outer : Analysis.group) (inner : Analysis.group) =
+   inner loop when the prefetch crosses into the next outer stage. It goes
+   in front of the inner loop's other statements, as a direct child of the
+   inner loop body. *)
+let add_boundary (outer : Analysis.group) (inner : Analysis.group) body =
   let boundary = inner.Analysis.loop_extent - (inner.Analysis.stages - 1) in
-  Stmt.If
-    { cond =
-        { Stmt.lhs = Expr.var inner.Analysis.loop_var;
-          cmp = Stmt.Eq;
-          rhs = Expr.const boundary };
-      then_ = Stmt.Sync (Stmt.Consumer_wait outer.Analysis.id) }
-
-(* Step 1: prepend the stage dimension to every pipelined buffer. *)
-let expand_allocs (analysis : Analysis.t) body =
-  let rewrite stmt =
-    match stmt with
-    | Stmt.Alloc { buffer; body } ->
-      (match Analysis.group_of_buffer analysis buffer.Buffer.name with
-       | Some g ->
-         Stmt.Alloc { buffer = Buffer.with_stage_dim g.Analysis.stages buffer; body }
-       | None -> stmt)
-    | s -> s
+  let wait_at =
+    Stmt.If
+      { cond =
+          { Stmt.lhs = Expr.var inner.Analysis.loop_var;
+            cmp = Stmt.Eq;
+            rhs = Expr.const boundary };
+        then_ = wait outer.Analysis.id }
   in
-  Stmt.map rewrite body
+  Stmt.map
+    (function
+      | Stmt.For fr when String.equal fr.var inner.Analysis.loop_var ->
+        Stmt.For { fr with body = seq [ wait_at; fr.body ] }
+      | s -> s)
+    body
 
-(* --- Top-down driver --- *)
+(* --- Top-down driver ---
+
+   [hoist] collects, newest first, the prologue statements that must be
+   hoisted in front of the enclosing (outer) pipeline loop. Step 1 (buffer
+   expansion) happens on the way: every [Alloc] of a pipelined buffer
+   gains its stage dimension. *)
+
+let rec rewrite (analysis : Analysis.t) hoist stmt =
+  match stmt with
+  | Stmt.For r ->
+    (match group_for_loop r.var analysis.Analysis.groups with
+     | None ->
+       let body = rewrite analysis hoist r.body in
+       if body == r.body then stmt else Stmt.For { r with body }
+     | Some g ->
+       let prologue = build_prologue analysis g r.body in
+       let body = rewrite_loop_body analysis g r.body in
+       (* Recurse for inner pipeline levels. *)
+       let enclosing = !hoist in
+       hoist := [];
+       let body = rewrite analysis hoist body in
+       let inner_rev = !hoist in
+       hoist := enclosing;
+       let fused_inner = fused_inner_of g analysis.Analysis.groups in
+       let body =
+         if g.Analysis.synchronized then
+           inject_sync g ~fused_inner:(Option.is_some fused_inner) body
+         else body
+       in
+       let body =
+         match fused_inner with
+         | None -> body
+         | Some inner -> add_boundary g inner body
+       in
+       let loop = Stmt.For { r with body } in
+       if g.Analysis.fused && Option.is_some g.Analysis.outer then begin
+         (* Hoist what was hoisted through us, then this group's prologue,
+            in front of the outer pipeline loop. The hoisted prologue reads
+            the outer group's first stage, so a wait for it must run first
+            when the outer group is synchronized. *)
+         let pushed = inner_rev @ !hoist in
+         let pushed =
+           match fused_outer analysis g with
+           | Some og when og.Analysis.synchronized ->
+             wait og.Analysis.id :: pushed
+           | Some _ | None -> pushed
+         in
+         hoist := prologue :: pushed;
+         loop
+       end
+       else
+         (* This group's own prologue runs first (it issues the loads the
+            hoisted inner prologue will wait on), then the material hoisted
+            out of inner levels, then the steady-state loop. *)
+         seq (prologue :: List.rev_append inner_rev [ loop ]))
+  | Stmt.Seq ss ->
+    let before = !hoist in
+    let ss' = rewrite_list analysis hoist ss in
+    if ss' == ss && !hoist == before then stmt else seq ss'
+  | Stmt.Alloc r ->
+    let body = rewrite analysis hoist r.body in
+    let stages = stages_of r.buffer.Buffer.name analysis.Analysis.groups in
+    if stages > 0 then
+      Stmt.Alloc { buffer = Buffer.with_stage_dim stages r.buffer; body }
+    else if body == r.body then stmt
+    else Stmt.Alloc { r with body }
+  | Stmt.If r ->
+    let then_ = rewrite analysis hoist r.then_ in
+    if then_ == r.then_ then stmt else Stmt.If { r with then_ }
+  | Stmt.Copy _ | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _
+  | Stmt.Sync _ -> stmt
+
+and rewrite_list analysis hoist l =
+  match l with
+  | [] -> l
+  | s :: tl ->
+    let s' = rewrite analysis hoist s in
+    let tl' = rewrite_list analysis hoist tl in
+    if s' == s && tl' == tl then l else s' :: tl'
 
 let run (analysis : Analysis.t) (kernel : Kernel.t) =
-  if analysis.Analysis.groups = [] then kernel
-  else begin
-    let group_for_loop var =
-      List.find_opt
-        (fun (g : Analysis.group) -> String.equal g.Analysis.loop_var var)
-        analysis.Analysis.groups
-    in
-    let fused_inner_of (g : Analysis.group) =
-      List.find_opt
-        (fun (i : Analysis.group) ->
-          i.Analysis.fused && i.Analysis.outer = Some g.Analysis.id)
-        analysis.Analysis.groups
-    in
-    (* Returns the rewritten statement plus prologue statements that must be
-       hoisted in front of the enclosing (outer) pipeline loop. *)
-    let rec rewrite stmt : Stmt.t * Stmt.t list =
-      match stmt with
-      | Stmt.For r ->
-        (match group_for_loop r.var with
-         | None ->
-           let body', hoisted = rewrite r.body in
-           let stmt' =
-             if body' == r.body then stmt else Stmt.For { r with body = body' }
-           in
-           (stmt', hoisted)
-         | Some g ->
-           let prologue = build_prologue analysis g r.body in
-           let body = rewrite_loop_body analysis g r.body in
-           (* Recurse for inner pipeline levels. *)
-           let body, hoisted_inner = rewrite body in
-           let fused_inner = fused_inner_of g in
-           let body =
-             if g.Analysis.synchronized then
-               inject_sync g ~fused_inner:(fused_inner <> None) body
-             else body
-           in
-           let body =
-             match fused_inner with
-             | None -> body
-             | Some inner ->
-               (* The boundary wait goes in front of the inner loop's other
-                  statements, as a direct child of the inner loop body. *)
-               let add_boundary = function
-                 | Stmt.For fr when String.equal fr.var inner.Analysis.loop_var ->
-                   Stmt.For
-                     { fr with
-                       body = Stmt.seq [ boundary_wait g inner; fr.body ] }
-                 | s -> s
-               in
-               Stmt.map add_boundary body
-           in
-           let loop = Stmt.For { r with body } in
-           if g.Analysis.fused && g.Analysis.outer <> None then
-             (* Hoist this group's prologue (and anything hoisted through
-                us) in front of the outer pipeline loop. The hoisted
-                prologue reads the outer group's first stage, so a wait for
-                it must run first when the outer group is synchronized. *)
-             let wait_outer =
-               match
-                 Option.bind g.Analysis.outer (Analysis.find_group analysis)
-               with
-               | Some og when og.Analysis.synchronized ->
-                 [ Stmt.Sync (Stmt.Consumer_wait og.Analysis.id) ]
-               | Some _ | None -> []
-             in
-             (loop, hoisted_inner @ wait_outer @ [ prologue ])
-           else
-             (* This group's own prologue runs first (it issues the loads
-                the hoisted inner prologue will wait on), then the material
-                hoisted out of inner levels, then the steady-state loop. *)
-             (Stmt.seq ((prologue :: hoisted_inner) @ [ loop ]), []))
-      | Stmt.Seq ss ->
-        let ss', hoisted =
-          List.fold_left
-            (fun (acc, hs) s ->
-              let s', h = rewrite s in
-              (s' :: acc, hs @ h))
-            ([], []) ss
-        in
-        let ss' = List.rev ss' in
-        let stmt' =
-          if hoisted = [] && List.for_all2 (fun a b -> a == b) ss ss' then stmt
-          else Stmt.seq ss'
-        in
-        (stmt', hoisted)
-      | Stmt.Alloc r ->
-        let body', hoisted = rewrite r.body in
-        let stmt' =
-          if body' == r.body then stmt else Stmt.Alloc { r with body = body' }
-        in
-        (stmt', hoisted)
-      | Stmt.If r ->
-        let then', hoisted = rewrite r.then_ in
-        let stmt' =
-          if then' == r.then_ then stmt else Stmt.If { r with then_ = then' }
-        in
-        (stmt', hoisted)
-      | Stmt.Copy _ | Stmt.Fill _ | Stmt.Mma _ | Stmt.Unop _ | Stmt.Accum _
-      | Stmt.Sync _ ->
-        (stmt, [])
-    in
-    let body, hoisted = rewrite kernel.Kernel.body in
-    assert (hoisted = []);
-    let body = expand_allocs analysis body in
-    Kernel.map_body (fun _ -> body) kernel
-  end
+  match analysis.Analysis.groups with
+  | [] -> kernel
+  | _ :: _ ->
+    let hoist = ref [] in
+    let body = rewrite analysis hoist kernel.Kernel.body in
+    assert (!hoist = []);
+    { kernel with Kernel.body }

@@ -231,6 +231,16 @@ let prop_pp_roundtrip_eval =
       let once = Expr.simplify expr in
       Expr.equal once (Expr.simplify once))
 
+(* The pipelining pass relies on substitution handing back, physically,
+   every subtree that does not mention the variable. *)
+let prop_subst_shares_unmentioned =
+  QCheck.Test.make ~name:"subst v r e == e when e does not mention v"
+    ~count:500
+    QCheck.(pair arb_expr (make (Gen.oneofl [ "x"; "y"; "z"; "w" ])))
+    (fun (expr, v) ->
+      QCheck.assume (not (Expr.mentions v expr));
+      Expr.subst v (Expr.Add (Expr.var "q", Expr.const 1)) expr == expr)
+
 let suite =
   [ ( "expr",
       [ Alcotest.test_case "constant folding" `Quick test_constant_folding;
@@ -252,4 +262,5 @@ let suite =
         QCheck_alcotest.to_alcotest prop_free_vars_after_subst;
         QCheck_alcotest.to_alcotest prop_floormod_range;
         QCheck_alcotest.to_alcotest prop_floor_div_mod_identity;
-        QCheck_alcotest.to_alcotest prop_pp_roundtrip_eval ] ) ]
+        QCheck_alcotest.to_alcotest prop_pp_roundtrip_eval;
+        QCheck_alcotest.to_alcotest prop_subst_shares_unmentioned ] ) ]

@@ -259,7 +259,9 @@ let render_program b (p : Alcop_gpusim.Trace.program) =
     p.groups;
   Buffer.add_char b '\n'
 
-let trace_lines () =
+(* One line per Fig. 10 operator: the count of sampled keys that compile
+   and an MD5 over [render b c] of each of them. *)
+let sampled_lines render =
   let hw = Alcop_hw.Hw_config.default in
   let seen = ref 0 in
   List.map
@@ -277,7 +279,7 @@ let trace_lines () =
                 with
                 | Ok c ->
                   incr keys;
-                  render_program b c.Alcop.Compiler.program
+                  render b c
                 | Error _ -> ()
               end;
               incr seen)
@@ -287,6 +289,9 @@ let trace_lines () =
         (Digest.to_hex (Digest.string (Buffer.contents b))))
     Alcop_workloads.Suites.fig10
 
+let trace_lines () =
+  sampled_lines (fun b c -> render_program b c.Alcop.Compiler.program)
+
 let test_trace_golden () =
   let file = "golden/trace_programs_fig10.txt" in
   let expected =
@@ -295,6 +300,34 @@ let test_trace_golden () =
     |> List.filter (( <> ) "")
   in
   Alcotest.(check (list string)) file expected (trace_lines ())
+
+(* Pipelined IR, pinned in test/golden/pipelined_ir_fig10.txt: the same
+   sampled keys as the trace golden, each rendered as the printed
+   pipelined kernel followed by its group table. The lines were generated
+   before the pipelining pass was rewritten to allocate only its output. *)
+let render_ir b (c : Alcop.Compiler.compiled) =
+  let open Alcop_pipeline.Analysis in
+  Buffer.add_string b (Alcop_ir.Kernel.to_string c.Alcop.Compiler.kernel);
+  Buffer.add_char b '\n';
+  List.iter
+    (fun g ->
+      Buffer.add_string b
+        (Printf.sprintf "%s %s %s %d %d %d %b %s %b %s\n" g.id
+           (Alcop_ir.Buffer.scope_to_string g.scope)
+           g.loop_var g.loop_extent g.loop_depth g.stages g.synchronized
+           (Option.value g.outer ~default:"-")
+           g.fused
+           (String.concat "," (member_names g))))
+    c.Alcop.Compiler.groups
+
+let test_ir_golden () =
+  let file = "golden/pipelined_ir_fig10.txt" in
+  let expected =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin file In_channel.input_all)
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check (list string)) file expected (sampled_lines render_ir)
 
 let suite =
   [ ( "golden",
@@ -311,4 +344,6 @@ let suite =
         Alcotest.test_case "compile keys of the Fig. 10 operators" `Quick
           test_key_golden;
         Alcotest.test_case "extracted programs of sampled Fig. 10 keys" `Quick
-          test_trace_golden ] ) ]
+          test_trace_golden;
+        Alcotest.test_case "pipelined IR of sampled Fig. 10 keys" `Quick
+          test_ir_golden ] ) ]

@@ -201,6 +201,9 @@ let test_barriers_removed () =
 
 let count_sync body pred = Stmt.count pred body
 
+(* Pre-order visit of every statement. *)
+let iter_stmts f body = ignore (Stmt.count (fun s -> f s; false) body)
+
 let test_sync_primitive_counts () =
   let _, r = transformed () in
   let body = r.Alcop_pipeline.Pass.kernel.Kernel.body in
@@ -219,7 +222,7 @@ let test_boundary_wait_under_if () =
   let _, r = transformed () in
   let body = r.Alcop_pipeline.Pass.kernel.Kernel.body in
   let found = ref false in
-  Stmt.iter
+  iter_stmts
     (fun s ->
       match s with
       | Stmt.If { cond; then_ = Stmt.Sync (Stmt.Consumer_wait _) } ->
@@ -235,7 +238,7 @@ let test_prologue_loops () =
   let _, r = transformed () in
   let body = r.Alcop_pipeline.Pass.kernel.Kernel.body in
   let extents = ref [] in
-  Stmt.iter
+  iter_stmts
     (fun s ->
       match s with
       | Stmt.For { var; extent; _ }
@@ -256,7 +259,7 @@ let test_index_shift_and_wrap () =
   let _, r = transformed () in
   let body = r.Alcop_pipeline.Pass.kernel.Kernel.body in
   let checked = ref false in
-  Stmt.iter
+  iter_stmts
     (fun s ->
       match s with
       | Stmt.Copy { dst; src; _ }
@@ -285,7 +288,7 @@ let test_multilevel_carry_index () =
   let _, r = transformed () in
   let body = r.Alcop_pipeline.Pass.kernel.Kernel.body in
   let checked = ref false in
-  Stmt.iter
+  iter_stmts
     (fun s ->
       match s with
       | Stmt.Copy { dst; src; _ }
@@ -315,7 +318,7 @@ let test_mma_reads_rolling_stage () =
   let _, r = transformed () in
   let body = r.Alcop_pipeline.Pass.kernel.Kernel.body in
   let ok = ref false in
-  Stmt.iter
+  iter_stmts
     (fun s ->
       match s with
       | Stmt.Mma { a; _ } ->

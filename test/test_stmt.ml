@@ -169,6 +169,96 @@ let test_printing_shapes () =
   Alcotest.(check bool) "mentions loop" true (contains s "for i in 0 .. 4");
   Alcotest.(check bool) "mentions barrier" true (contains s "__syncthreads()")
 
+(* --- properties: sharing and lookups of the traversals --- *)
+
+(* Random statements over the index expressions of [Test_expr], with
+   buffers [a]..[c] allocated at shapes that tell the allocations apart. *)
+let gen_stmt =
+  let open QCheck.Gen in
+  let expr = Test_expr.gen_expr in
+  let slice = map2 Stmt.slice expr (int_range 1 4) in
+  let region =
+    map2 Stmt.region (oneofl [ "a"; "b"; "c"; "P" ])
+      (list_size (int_range 1 3) slice)
+  in
+  let leaf =
+    oneof
+      [ map2 (fun dst src -> Stmt.copy ~dst ~src ()) region region;
+        map (fun dst -> Stmt.Fill { dst; value = 0.0 }) region;
+        map3 (fun c a b -> Stmt.Mma { c; a; b }) region region region;
+        map2 (fun dst src -> Stmt.Accum { dst; src }) region region;
+        return (Stmt.Sync Stmt.Barrier) ]
+  in
+  let rec stmt n =
+    if n = 0 then leaf
+    else
+      frequency
+        [ (2, leaf);
+          (1,
+           map3
+             (fun var extent body ->
+               Stmt.For { var; extent; kind = Stmt.Sequential; body })
+             (oneofl [ "x"; "y"; "z" ]) expr (stmt (n - 1)));
+          (1, map (fun ss -> Stmt.Seq ss) (list_size (int_range 0 3) (stmt (n - 1))));
+          (1,
+           map3
+             (fun lhs rhs then_ -> Stmt.If { cond = { lhs; cmp = Stmt.Lt; rhs }; then_ })
+             expr expr (stmt (n - 1)));
+          (1,
+           map3
+             (fun name d body ->
+               Stmt.Alloc { buffer = buf ~shape:[ d ] name; body })
+             (oneofl [ "a"; "b"; "c"; "P" ]) (int_range 1 8) (stmt (n - 1))) ]
+  in
+  stmt 3
+
+let arb_stmt = QCheck.make ~print:Stmt.to_string gen_stmt
+
+let region_mentions v (r : Stmt.region) =
+  List.exists (fun (s : Stmt.slice) -> Expr.mentions v s.Stmt.offset) r.Stmt.slices
+
+(* The node's own expressions, not its children's. *)
+let node_mentions v = function
+  | Stmt.For { extent; _ } -> Expr.mentions v extent
+  | Stmt.If { cond; _ } -> Expr.mentions v cond.Stmt.lhs || Expr.mentions v cond.Stmt.rhs
+  | Stmt.Copy { dst; src; _ } | Stmt.Unop { dst; src; _ } | Stmt.Accum { dst; src } ->
+    region_mentions v dst || region_mentions v src
+  | Stmt.Fill { dst; _ } -> region_mentions v dst
+  | Stmt.Mma { c; a; b } ->
+    region_mentions v c || region_mentions v a || region_mentions v b
+  | Stmt.Seq _ | Stmt.Alloc _ | Stmt.Sync _ -> false
+
+let prop_map_id_shares =
+  QCheck.Test.make ~name:"Stmt.map Fun.id s == s" ~count:300 arb_stmt
+    (fun s -> Stmt.map Fun.id s == s)
+
+let prop_subst_var_shares =
+  QCheck.Test.make ~name:"subst_var v r s == s when s does not mention v"
+    ~count:300
+    QCheck.(pair arb_stmt (make (Gen.oneofl [ "x"; "y"; "z"; "w" ])))
+    (fun (s, v) ->
+      QCheck.assume (Stmt.count (node_mentions v) s = 0);
+      Stmt.subst_var v (Expr.var "q") s == s)
+
+(* [Kernel.find_buffer] searches without building [all_buffers]; it must
+   answer as the first match in that list does: parameters first, then
+   allocations in program order. *)
+let prop_find_buffer_first_of_all_buffers =
+  QCheck.Test.make ~name:"find_buffer = first of all_buffers" ~count:300
+    arb_stmt (fun body ->
+      let k =
+        Kernel.make ~name:"k"
+          ~inputs:[ buf ~scope:Buffer.Global ~shape:[ 9 ] "P" ]
+          ~outputs:[] ~body
+      in
+      List.for_all
+        (fun name ->
+          Kernel.find_buffer k name
+          = List.find_opt
+              (fun (b : Buffer.t) -> String.equal b.Buffer.name name)
+              (Kernel.all_buffers k))
+        [ "a"; "b"; "c"; "P"; "zz" ])
+
 let suite =
   [ ( "stmt",
       [ Alcotest.test_case "dtype sizes" `Quick test_dtype_sizes;
@@ -184,4 +274,7 @@ let suite =
         Alcotest.test_case "subst var" `Quick test_subst_var;
         Alcotest.test_case "map rewrite" `Quick test_map_rewrites_bottom_up;
         Alcotest.test_case "kernel params" `Quick test_kernel_params;
-        Alcotest.test_case "printing" `Quick test_printing_shapes ] ) ]
+        Alcotest.test_case "printing" `Quick test_printing_shapes;
+        QCheck_alcotest.to_alcotest prop_map_id_shares;
+        QCheck_alcotest.to_alcotest prop_subst_var_shares;
+        QCheck_alcotest.to_alcotest prop_find_buffer_first_of_all_buffers ] ) ]
