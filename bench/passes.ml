@@ -21,7 +21,9 @@
    times; time is the median over rounds, and the words, exact, must be
    the same in every round. The pass-by-pass compile must reach the same
    outcome as [Compiler.compile] for every key (the failing phase, or the
-   simulated cycles); a mismatch or a round whose words differ exits 1. *)
+   simulated cycles), and [rest] must lie between 0 and [rest_ceiling]
+   words per key; a mismatch, a round whose words differ or a [rest] out
+   of range exits 1. *)
 
 open Alcop
 module Params = Alcop_perfmodel.Params
@@ -153,22 +155,8 @@ let decomposed ~hw t k =
              let program = Alcop_gpusim.Trace.extract_program ~groups kernel in
              mark t p_trace;
              let request =
-               { Timing.hw; program;
-                 total_tbs = Tiling.threadblocks tiling spec;
-                 warps_per_tb = Tiling.warps tiling; occupancy = occ;
-                 grid_m = spec.Op_spec.m / tiling.Tiling.tb_m;
-                 grid_n = spec.Op_spec.n / tiling.Tiling.tb_n;
-                 grid_z = spec.Op_spec.batch * tiling.Tiling.split_k;
-                 tb_m = tiling.Tiling.tb_m; tb_n = tiling.Tiling.tb_n;
-                 tb_k = tiling.Tiling.tb_k; elem_bytes;
-                 swizzle = params.Params.swizzle;
-                 jitter_key = Params.key spec.Op_spec.name params;
-                 barrier_groups =
-                   List.filter_map
-                     (fun (g : Analysis.group) ->
-                       if g.Analysis.synchronized then Some g.Analysis.id
-                       else None)
-                     groups }
+               Compiler.timing_request ~hw ~occupancy:occ ~groups params spec
+                 program
              in
              start ();
              let timing = Timing.run request in
@@ -187,6 +175,13 @@ let whole ~hw t k =
   | Error (Compiler.Launch_failed _) -> Failed 1
   | Error (Compiler.Lowering_failed _) -> Failed 2
   | Error (Compiler.Legality_rejected _) -> Failed 3
+
+(* Ceiling of [rest], in words per key. Measured: 190.8 (MM_BERT_FC1) to
+   234.3 (BMM_BERT_SV) per key, 212.4 over all eleven operators. Work
+   that [Compiler.compile] moves out of its passes, or a pass it gains
+   that [decomposed] does not run, lifts [rest] past it; a pass row that
+   measured more than the whole compile makes [rest] negative. *)
+let rest_ceiling = 250.0
 
 let median xs =
   let a = Array.of_list xs in
@@ -267,5 +262,13 @@ let run ~hw ~rounds specs =
   end;
   if words_differ then begin
     print_endline "FAIL: minor words differ between rounds";
+    exit 1
+  end;
+  let rest = total - !pass_words in
+  if rest < 0
+     || float_of_int rest > rest_ceiling *. float_of_int (Array.length keys)
+  then begin
+    Printf.printf "FAIL: rest is %d words over %d keys, outside 0..%.0f a key\n"
+      rest (Array.length keys) rest_ceiling;
     exit 1
   end

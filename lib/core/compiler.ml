@@ -72,6 +72,30 @@ let materialize_cycles (hw : Alcop_hw.Hw_config.t) (lowered : Lower.lowered) =
       | None -> acc)
     0.0 lowered.Lower.materialize
 
+(* The launch the timing simulator runs for one pipelined kernel. Only
+   synchronized groups draw on the scope-based barriers. *)
+let timing_request ~hw ~occupancy ~groups
+    (params : Alcop_perfmodel.Params.t) (spec : Op_spec.t) program =
+  let tiling = params.Alcop_perfmodel.Params.tiling in
+  { Alcop_gpusim.Timing.hw; program;
+    total_tbs = Tiling.threadblocks tiling spec;
+    warps_per_tb = Tiling.warps tiling; occupancy;
+    grid_m = spec.Op_spec.m / tiling.Tiling.tb_m;
+    grid_n = spec.Op_spec.n / tiling.Tiling.tb_n;
+    grid_z = spec.Op_spec.batch * tiling.Tiling.split_k;
+    tb_m = tiling.Tiling.tb_m; tb_n = tiling.Tiling.tb_n;
+    tb_k = tiling.Tiling.tb_k;
+    elem_bytes = Dtype.size_bytes spec.Op_spec.dtype;
+    swizzle = params.Alcop_perfmodel.Params.swizzle;
+    jitter_key = Alcop_perfmodel.Params.key spec.Op_spec.name params;
+    barrier_groups =
+      List.filter_map
+        (fun (g : Alcop_pipeline.Analysis.group) ->
+          if g.Alcop_pipeline.Analysis.synchronized then
+            Some g.Alcop_pipeline.Analysis.id
+          else None)
+        groups }
+
 (* [extra_regs_per_thread] models compilers that prefetch without cp.async
    (pre-Ampere double buffering): the in-flight tile occupies registers.
 
@@ -142,23 +166,7 @@ let compile ?(hw = Alcop_hw.Hw_config.default)
           Alcop_gpusim.Trace.extract_program ~groups kernel)
     in
     let request =
-      { Alcop_gpusim.Timing.hw; program;
-        total_tbs = Tiling.threadblocks tiling spec;
-        warps_per_tb = Tiling.warps tiling; occupancy = occ;
-        grid_m = spec.Op_spec.m / tiling.Tiling.tb_m;
-        grid_n = spec.Op_spec.n / tiling.Tiling.tb_n;
-        grid_z = spec.Op_spec.batch * tiling.Tiling.split_k;
-        tb_m = tiling.Tiling.tb_m; tb_n = tiling.Tiling.tb_n;
-        tb_k = tiling.Tiling.tb_k; elem_bytes;
-        swizzle = params.Alcop_perfmodel.Params.swizzle;
-        jitter_key = Alcop_perfmodel.Params.key spec.Op_spec.name params;
-        barrier_groups =
-          List.filter_map
-            (fun (g : Alcop_pipeline.Analysis.group) ->
-              if g.Alcop_pipeline.Analysis.synchronized then
-                Some g.Alcop_pipeline.Analysis.id
-              else None)
-            groups }
+      timing_request ~hw ~occupancy:occ ~groups params spec program
     in
     let timing =
       Passman.run ~name:"timing" (fun () -> Alcop_gpusim.Timing.run request)

@@ -63,6 +63,18 @@ val compile :
     [Alcop_obs] span named [compile.<pass>], with a [pass.<pass>.ms]
     wall-time gauge and the [--dump-ir-after] hook. *)
 
+val timing_request :
+  hw:Alcop_hw.Hw_config.t ->
+  occupancy:Alcop_gpusim.Occupancy.t ->
+  groups:Alcop_pipeline.Analysis.group list ->
+  Alcop_perfmodel.Params.t ->
+  Op_spec.t ->
+  Alcop_gpusim.Trace.program ->
+  Alcop_gpusim.Timing.request
+(** The launch {!compile} hands the timing simulator for a pipelined
+    kernel's packed trace: grid and tile shape, launch verdict, jitter key
+    and the ids of the synchronized groups. *)
+
 val profile :
   ?hw:Alcop_hw.Hw_config.t ->
   Alcop_perfmodel.Params.t ->

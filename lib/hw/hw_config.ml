@@ -92,11 +92,15 @@ let volta_v100 = {
 
 let default = ampere_a100
 
-let scope_is_async t scope =
-  List.exists (Alcop_ir.Buffer.scope_equal scope) t.async_scopes
+(* [List.exists] with the scope as an argument rather than in a partial
+   application: the compile path asks once per hinted buffer and group. *)
+let rec has_scope scope = function
+  | [] -> false
+  | s :: rest -> Alcop_ir.Buffer.scope_equal s scope || has_scope scope rest
 
-let scope_needs_matching_sync t scope =
-  List.exists (Alcop_ir.Buffer.scope_equal scope) t.scope_synchronized
+let scope_is_async t scope = has_scope scope t.async_scopes
+
+let scope_needs_matching_sync t scope = has_scope scope t.scope_synchronized
 
 let cycles_to_us t cycles = cycles /. (t.clock_ghz *. 1000.0)
 

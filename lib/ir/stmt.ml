@@ -81,13 +81,20 @@ let full_region (b : Buffer.t) =
   { buffer = b.Buffer.name;
     slices = List.map (fun d -> { offset = Expr.zero; len = d }) b.Buffer.shape }
 
+let rec has_seq = function
+  | [] -> false
+  | Seq _ :: _ -> true
+  | _ :: rest -> has_seq rest
+
+let rec flatten l tail =
+  match l with
+  | [] -> tail
+  | Seq inner :: rest -> flatten inner (flatten rest tail)
+  | s :: rest -> s :: flatten rest tail
+
+(* A list with nothing to flatten is used as it is: no copy. *)
 let seq stmts =
-  let rec flatten acc = function
-    | [] -> List.rev acc
-    | Seq inner :: rest -> flatten (List.rev_append (flatten [] inner) acc) rest
-    | s :: rest -> flatten (s :: acc) rest
-  in
-  match flatten [] stmts with
+  match if has_seq stmts then flatten stmts [] else stmts with
   | [ s ] -> s
   | ss -> Seq ss
 

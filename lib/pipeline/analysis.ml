@@ -279,11 +279,11 @@ let rec infos_of ~hw kernel sites = function
 
 (* --- Pipeline groups, rule 3 and the multi-level structure ---
 
-   Infos that share a (pipeline loop, scope) key form one group. Keys are
-   visited in ascending (loop variable, scope) order, the order
-   [List.sort_uniq compare] gives the pairs. An info stands for its key;
-   with a handful of infos per kernel each next key is found by a scan,
-   so no key list, sort or per-group filter is built. *)
+   Infos that share a (pipeline loop, scope) key form one group. The infos
+   are partitioned once into per-key member lists, kept in ascending
+   (loop variable, scope) order, the order [List.sort_uniq compare] gives
+   the pairs; each list keeps its members in info order and becomes the
+   group's [members]. *)
 
 let scope_rank = function
   | Buffer.Global -> 0
@@ -295,155 +295,125 @@ let key_compare (a : buffer_info) (b : buffer_info) =
   if c <> 0 then c
   else Int.compare (scope_rank a.buffer.Buffer.scope) (scope_rank b.buffer.Buffer.scope)
 
-let rec least best = function
-  | [] -> best
-  | i :: rest -> least (if key_compare i best < 0 then i else best) rest
+(* A key's member list is never empty; its head stands for the key. *)
+let key_of : buffer_info list -> buffer_info = function
+  | m :: _ -> m
+  | [] -> invalid_arg "Analysis.key_of"
 
-(* The least key above [lo]'s, or [lo] itself when there is none. *)
-let rec next_key lo best = function
-  | [] -> best
-  | i :: rest ->
-    let above = key_compare i lo > 0 in
-    next_key lo
-      (if above && (best == lo || key_compare i best < 0) then i else best)
-      rest
+(* [i] in front of its key's members, the keys kept in order. *)
+let rec add_to_key i = function
+  | [] -> [ [ i ] ]
+  | ms :: rest as keys ->
+    let c = key_compare i (key_of ms) in
+    if c = 0 then (i :: ms) :: rest
+    else if c < 0 then [ i ] :: keys
+    else ms :: add_to_key i rest
 
-let rec first_of_key k = function
-  | [] -> k
-  | i :: rest -> if key_compare i k = 0 then i else first_of_key k rest
-
-let rec members_of k = function
+(* Added last first, so every member list ends up in info order. *)
+let rec partition = function
   | [] -> []
-  | i :: rest ->
-    if key_compare i k = 0 then i :: members_of k rest else members_of k rest
+  | i :: rest -> add_to_key i (partition rest)
 
-let rec stages_agree k stages = function
-  | [] -> true
-  | (i : buffer_info) :: rest ->
-    (key_compare i k <> 0 || i.hint.Hints.stages = stages)
-    && stages_agree k stages rest
+let key_id (k : buffer_info) =
+  String.concat "." [ "pipe"; Buffer.scope_to_string k.buffer.Buffer.scope; k.loop_var ]
 
-let rec key_has_buffer k name = function
-  | [] -> false
-  | (i : buffer_info) :: rest ->
-    (key_compare i k = 0 && String.equal i.buffer.Buffer.name name)
-    || key_has_buffer k name rest
+let key_names ms = List.map (fun (m : buffer_info) -> m.buffer.Buffer.name) ms
 
-(* Every buffer of key [inner] is produced from a buffer of key [outer]. *)
-let rec produced_by infos ~inner ~outer = function
+let rec stages_agree stages = function
   | [] -> true
   | (m : buffer_info) :: rest ->
-    (key_compare m inner <> 0 || key_has_buffer outer m.producer infos)
-    && produced_by infos ~inner ~outer rest
+    m.hint.Hints.stages = stages && stages_agree stages rest
+
+(* Each key's members must request one stage count. *)
+let rec check_stages = function
+  | [] -> ()
+  | ms :: rest ->
+    if not (stages_agree (key_of ms).hint.Hints.stages ms) then
+      reject (String.concat "+" (key_names ms)) 3
+        "buffers in one synchronization group request different stage counts";
+    check_stages rest
+
+let rec keys_in_scope scope n = function
+  | [] -> n
+  | ms :: rest ->
+    keys_in_scope scope
+      (if Buffer.scope_equal (key_of ms).buffer.Buffer.scope scope then n + 1
+       else n)
+      rest
+
+(* Rule 3: a synchronized scope has a single barrier object, so all its
+   pipelined buffers must form one group. *)
+let check_scope ~(hw : Alcop_hw.Hw_config.t) keys scope =
+  if Alcop_hw.Hw_config.scope_needs_matching_sync hw scope
+     && keys_in_scope scope 0 keys >= 2
+  then begin
+    let of_scope =
+      List.filter
+        (fun ms -> Buffer.scope_equal (key_of ms).buffer.Buffer.scope scope)
+        keys
+    in
+    reject
+      (String.concat "+" (List.concat_map key_names of_scope))
+      3
+      "buffers in scope %s are pipelined on different loops (%s) but the \
+       scope has a single barrier object"
+      (Buffer.scope_to_string scope)
+      (String.concat ", " (List.map (fun ms -> (key_of ms).loop_var) of_scope))
+  end
+
+(* Every member of [ms] is produced from a buffer of [og]. *)
+let rec produced_by og = function
+  | [] -> true
+  | (m : buffer_info) :: rest ->
+    has_member og m.producer && produced_by og rest
 
 let rec in_stack var = function
   | [] -> false
   | f :: rest -> String.equal f.var var || in_stack var rest
 
-(* Every buffer of key [k] is loaded inside loop [var]. *)
-let rec nested_in k var = function
+(* Every member is loaded inside loop [var]. *)
+let rec nested_in var = function
   | [] -> true
-  | (m : buffer_info) :: rest ->
-    (key_compare m k <> 0 || in_stack var m.site.stack) && nested_in k var rest
+  | (m : buffer_info) :: rest -> in_stack var m.site.stack && nested_in var rest
 
-let rec wants_fusion k = function
+let rec wants_fusion = function
   | [] -> true
-  | (m : buffer_info) :: rest ->
-    (key_compare m k <> 0 || m.hint.Hints.inner_fuse) && wants_fusion k rest
+  | (m : buffer_info) :: rest -> m.hint.Hints.inner_fuse && wants_fusion rest
+
+(* The first key, in key order, other than [ms] whose buffers produce all
+   of those of [ms]. *)
+let rec producer_key ms = function
+  | [] -> None
+  | og :: rest ->
+    if og != ms && produced_by og ms then Some og else producer_key ms rest
 
 let rec depth_of var = function
   | [] -> 0
   | f :: rest -> if String.equal f.var var then List.length rest else depth_of var rest
 
-(* The first key, in key order from [k], whose buffers produce those of
-   key [g]; [g] itself when there is none. *)
-let rec producer_key infos g k =
-  if key_compare k g <> 0 && produced_by infos ~inner:g ~outer:k infos then k
-  else
-    let k' = next_key k k infos in
-    if k' == k then g else producer_key infos g k'
-
-let key_id (k : buffer_info) =
-  String.concat "." [ "pipe"; Buffer.scope_to_string k.buffer.Buffer.scope; k.loop_var ]
-
-(* Keys in order, as a list: for rejection messages only. *)
-let keys_of infos =
-  let rec from k =
-    let k' = next_key k k infos in
-    k :: (if k' == k then [] else from k')
-  in
-  match infos with [] -> [] | i :: _ -> from (least i infos)
-
-let key_names infos k =
-  List.map (fun (m : buffer_info) -> m.buffer.Buffer.name) (members_of k infos)
-
-(* Each key's members must request one stage count. *)
-let rec check_stages infos k =
-  let m0 = first_of_key k infos in
-  if not (stages_agree k m0.hint.Hints.stages infos) then
-    reject (String.concat "+" (key_names infos k)) 3
-      "buffers in one synchronization group request different stage counts";
-  let k' = next_key k k infos in
-  if k' != k then check_stages infos k'
-
-let rec keys_in_scope infos scope n k =
-  let n = if Buffer.scope_equal k.buffer.Buffer.scope scope then n + 1 else n in
-  let k' = next_key k k infos in
-  if k' == k then n else keys_in_scope infos scope n k'
-
-(* Rule 3: a synchronized scope has a single barrier object, so all its
-   pipelined buffers must form one group. *)
-let check_scope ~(hw : Alcop_hw.Hw_config.t) infos first scope =
-  if Alcop_hw.Hw_config.scope_needs_matching_sync hw scope
-     && keys_in_scope infos scope 0 first >= 2
-  then begin
-    let of_scope =
-      List.filter
-        (fun (k : buffer_info) -> Buffer.scope_equal k.buffer.Buffer.scope scope)
-        (keys_of infos)
-    in
-    reject
-      (String.concat "+" (List.concat_map (key_names infos) of_scope))
-      3
-      "buffers in scope %s are pipelined on different loops (%s) but the \
-       scope has a single barrier object"
-      (Buffer.scope_to_string scope)
-      (String.concat ", " (List.map (fun (k : buffer_info) -> k.loop_var) of_scope))
-  end
-
 (* A group is inner to the first group whose buffers produce all of its
    own, when its copies sit inside that group's loop; it is fused with it
    (paper Fig. 3d) when all its hints ask for it. *)
-let outer_key infos first k =
-  let og = producer_key infos k first in
-  if og != k && nested_in k og.loop_var infos then og else k
-
-let check_fusion infos first k =
-  let og = outer_key infos first k in
-  if og != k && wants_fusion k infos then begin
-    let m0 = first_of_key k infos in
-    if m0.hint.Hints.stages - 1 > m0.loop_extent then
-      reject (key_id k) 0
-        "inner-pipeline fusion requires stages-1 <= extent of %s (%d-1 > %d)"
-        m0.loop_var m0.hint.Hints.stages m0.loop_extent
-  end
-
-let rec check_fusions infos first k =
-  check_fusion infos first k;
-  let k' = next_key k k infos in
-  if k' != k then check_fusions infos first k'
-
-let make_group ~(hw : Alcop_hw.Hw_config.t) infos first k =
-  let m0 = first_of_key k infos in
+let make_group ~(hw : Alcop_hw.Hw_config.t) keys ms =
+  let m0 = key_of ms in
   let scope = m0.buffer.Buffer.scope in
-  let og = outer_key infos first k in
-  { id = key_id k; scope; loop_var = m0.loop_var;
-    loop_extent = m0.loop_extent;
+  let id = key_id m0 in
+  let outer =
+    match producer_key ms keys with
+    | Some og when nested_in (key_of og).loop_var ms ->
+      Some (key_id (key_of og))
+    | Some _ | None -> None
+  in
+  let fused = outer <> None && wants_fusion ms in
+  if fused && m0.hint.Hints.stages - 1 > m0.loop_extent then
+    reject id 0
+      "inner-pipeline fusion requires stages-1 <= extent of %s (%d-1 > %d)"
+      m0.loop_var m0.hint.Hints.stages m0.loop_extent;
+  { id; scope; loop_var = m0.loop_var; loop_extent = m0.loop_extent;
     loop_depth = depth_of m0.loop_var m0.site.stack;
-    stages = m0.hint.Hints.stages; members = members_of k infos;
+    stages = m0.hint.Hints.stages; members = ms;
     synchronized = Alcop_hw.Hw_config.scope_needs_matching_sync hw scope;
-    outer = (if og == k then None else Some (key_id og));
-    fused = og != k && wants_fusion k infos }
+    outer; fused }
 
 (* Stable insertion by loop depth: outermost groups first, key order
    among equals, as [List.sort] on [loop_depth] gives. *)
@@ -452,10 +422,10 @@ let rec insert_by_depth g = function
   | h :: rest as l ->
     if g.loop_depth < h.loop_depth then g :: l else h :: insert_by_depth g rest
 
-let rec build_groups ~hw infos first k acc =
-  let acc = insert_by_depth (make_group ~hw infos first k) acc in
-  let k' = next_key k k infos in
-  if k' == k then acc else build_groups ~hw infos first k' acc
+let rec build_groups ~hw keys acc = function
+  | [] -> acc
+  | ms :: rest ->
+    build_groups ~hw keys (insert_by_depth (make_group ~hw keys ms) acc) rest
 
 (* Rule 3 sub-check: within a synchronized group, the producing copies must
    sit at matching synchronization positions: the direct children of the
@@ -516,18 +486,14 @@ let rec check_sync_positions kernel = function
    per synchronized scope, fusion, then barrier positions per group,
    outermost first. *)
 let group_infos ~hw kernel infos =
-  match infos with
-  | [] -> []
-  | i :: _ ->
-    let first = least i infos in
-    check_stages infos first;
-    check_scope ~hw infos first Buffer.Global;
-    check_scope ~hw infos first Buffer.Shared;
-    check_scope ~hw infos first Buffer.Register;
-    check_fusions infos first first;
-    let groups = build_groups ~hw infos first first [] in
-    check_sync_positions kernel groups;
-    groups
+  let keys = partition infos in
+  check_stages keys;
+  check_scope ~hw keys Buffer.Global;
+  check_scope ~hw keys Buffer.Shared;
+  check_scope ~hw keys Buffer.Register;
+  let groups = build_groups ~hw keys [] keys in
+  check_sync_positions kernel groups;
+  groups
 
 (* The analysis proper; legality violations surface as [Rejected] from the
    rule checks deep inside. [run] is the result-returning entry point the

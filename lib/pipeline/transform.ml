@@ -35,23 +35,6 @@ open Alcop_ir
    variable from the loop variable keeps names deterministic. *)
 let prologue_var_of base = base ^ "_pro"
 
-let rec has_seq = function
-  | [] -> false
-  | Stmt.Seq _ :: _ -> true
-  | _ :: rest -> has_seq rest
-
-let rec flatten l tail =
-  match l with
-  | [] -> tail
-  | Stmt.Seq inner :: rest -> flatten inner (flatten rest tail)
-  | s :: rest -> s :: flatten rest tail
-
-(* [Stmt.seq], building no list beyond the one it returns. *)
-let seq l =
-  match if has_seq l then flatten l [] else l with
-  | [ s ] -> s
-  | l -> Stmt.Seq l
-
 let rec group_for_loop var = function
   | [] -> None
   | (g : Analysis.group) :: rest ->
@@ -214,7 +197,7 @@ let rewrite_loop_body (analysis : Analysis.t) (g : Analysis.group) body =
 let rec skeleton g p stmt =
   match stmt with
   | Stmt.Seq ss ->
-    (match skeleton_list g p ss with [] -> None | kept -> Some (seq kept))
+    (match skeleton_list g p ss with [] -> None | kept -> Some (Stmt.seq kept))
   | Stmt.For r ->
     (match skeleton g p r.body with
      | Some body -> Some (Stmt.For { r with body })
@@ -252,7 +235,7 @@ let build_prologue (analysis : Analysis.t) (g : Analysis.group) body =
   in
   let loads =
     if g.Analysis.synchronized then
-      seq [ acquire g.Analysis.id; loads; commit g.Analysis.id ]
+      Stmt.seq [ acquire g.Analysis.id; loads; commit g.Analysis.id ]
     else loads
   in
   Stmt.For
@@ -302,7 +285,7 @@ let rec guard_children g ~fused_inner ~first ~last i in_run = function
 
 let inject_sync (g : Analysis.group) ~fused_inner body =
   let children = match body with Stmt.Seq ss -> ss | s -> [ s ] in
-  seq
+  Stmt.seq
     (guard_children g ~fused_inner ~first:(first_reader g 0 children)
        ~last:(last_reader g 0 (-1) children) 0 false children)
 
@@ -323,7 +306,7 @@ let add_boundary (outer : Analysis.group) (inner : Analysis.group) body =
   Stmt.map
     (function
       | Stmt.For fr when String.equal fr.var inner.Analysis.loop_var ->
-        Stmt.For { fr with body = seq [ wait_at; fr.body ] }
+        Stmt.For { fr with body = Stmt.seq [ wait_at; fr.body ] }
       | s -> s)
     body
 
@@ -381,11 +364,11 @@ let rec rewrite (analysis : Analysis.t) hoist stmt =
          (* This group's own prologue runs first (it issues the loads the
             hoisted inner prologue will wait on), then the material hoisted
             out of inner levels, then the steady-state loop. *)
-         seq (prologue :: List.rev_append inner_rev [ loop ]))
+         Stmt.seq (prologue :: List.rev_append inner_rev [ loop ]))
   | Stmt.Seq ss ->
     let before = !hoist in
     let ss' = rewrite_list analysis hoist ss in
-    if ss' == ss && !hoist == before then stmt else seq ss'
+    if ss' == ss && !hoist == before then stmt else Stmt.seq ss'
   | Stmt.Alloc r ->
     let body = rewrite analysis hoist r.body in
     let stages = stages_of r.buffer.Buffer.name analysis.Analysis.groups in

@@ -326,8 +326,11 @@ let test_empty_trace () =
    ~1.7x; the full ceiling keeps the ~1.75x ratio it had over 7,384.
    With the pipelining pass building little beyond the kernel it returns
    (no closure per node, no key lists or sorts in the analysis, shared
-   stage slices): pipeline 1,223 (4,243 before); its ceiling is
-   ~1.5x that. *)
+   stage slices): pipeline 1,243 (4,243 before); its ceiling is
+   ~1.5x that. With [Stmt.seq] copying no list it has nothing to
+   flatten and the scope lookups of [Hw_config] building no partial
+   application: lower 897, pipeline 1,198, full compile+simulate
+   3,228. *)
 let alloc_budget_full = 11_000.0
 let alloc_budget_lower = 2_000.0
 let alloc_budget_pipeline = 1_800.0
