@@ -322,7 +322,7 @@ let time_cmd =
       t.Alcop_gpusim.Timing.wave_cycles t.Alcop_gpusim.Timing.tail_cycles;
     Printf.printf "LLC miss rate:  %.2f\n" t.Alcop_gpusim.Timing.miss_rate;
     Printf.printf "TC utilization: %.0f%%\n"
-      (100.0 *. t.Alcop_gpusim.Timing.compute_utilization);
+      (100.0 *. Alcop_gpusim.Timing.compute_utilization t);
     (match t.Alcop_gpusim.Timing.wave_busy with
      | Some b when b.Alcop_gpusim.Timing.cycles > 0.0 ->
        let frac x = 100.0 *. Float.min 1.0 (x /. b.Alcop_gpusim.Timing.cycles) in

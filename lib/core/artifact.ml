@@ -9,7 +9,6 @@ module Timing = Alcop_gpusim.Timing
 type record = {
   latency_cycles : float;
   timing : Timing.kernel_timing;
-  gauges : (string * float) list;
 }
 
 type t =
@@ -19,15 +18,21 @@ type t =
       message : string;
     }
 
-let version = 1
+(* Version 2 added the wave's stall fractions and dropped the captured
+   gauges; a version-1 record parses to [None], a miss. *)
+let version = 2
 
+(* A wave is one flat list, in field order: cycles, the four busy totals,
+   then the six stall fractions. Unnamed floats keep the record small and
+   cheap to parse on a warm store read. *)
 let json_of_wave (w : Timing.wave_result) =
-  Json.Obj
-    [ ("cycles", Json.Float w.Timing.cycles);
-      ("compute_busy", Json.Float w.Timing.compute_busy);
-      ("dram_busy", Json.Float w.Timing.dram_busy);
-      ("llc_busy", Json.Float w.Timing.llc_busy);
-      ("smem_busy", Json.Float w.Timing.smem_busy) ]
+  Json.List
+    [ Json.Float w.Timing.cycles; Json.Float w.Timing.compute_busy;
+      Json.Float w.Timing.dram_busy; Json.Float w.Timing.llc_busy;
+      Json.Float w.Timing.smem_busy; Json.Float w.Timing.stall_compute;
+      Json.Float w.Timing.stall_dram_bw; Json.Float w.Timing.stall_llc_bw;
+      Json.Float w.Timing.stall_smem_port;
+      Json.Float w.Timing.stall_sync_wait; Json.Float w.Timing.stall_issue ]
 
 let json_of_timing (k : Timing.kernel_timing) =
   Json.Obj
@@ -39,7 +44,6 @@ let json_of_timing (k : Timing.kernel_timing) =
       ("wave_cycles", Json.Float k.Timing.wave_cycles);
       ("tail_cycles", Json.Float k.Timing.tail_cycles);
       ("miss_rate", Json.Float k.Timing.miss_rate);
-      ("compute_utilization", Json.Float k.Timing.compute_utilization);
       ("wave_busy",
        match k.Timing.wave_busy with
        | None -> Json.Null
@@ -53,9 +57,7 @@ let to_string t =
         [ ("v", Json.Int version);
           ("ok", Json.Bool true);
           ("latency_cycles", Json.Float r.latency_cycles);
-          ("timing", json_of_timing r.timing);
-          ("gauges",
-           Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) r.gauges)) ]
+          ("timing", json_of_timing r.timing) ]
     | Failure { kind; message } ->
       Json.Obj
         [ ("v", Json.Int version);
@@ -86,12 +88,17 @@ let int_field name doc =
 let str_field name doc =
   match field name doc with Json.Str s -> s | _ -> raise Malformed
 
-let wave_of_json doc =
-  { Timing.cycles = num "cycles" doc;
-    compute_busy = num "compute_busy" doc;
-    dram_busy = num "dram_busy" doc;
-    llc_busy = num "llc_busy" doc;
-    smem_busy = num "smem_busy" doc }
+let wave_of_json = function
+  | [ cycles; compute_busy; dram_busy; llc_busy; smem_busy; stall_compute;
+      stall_dram_bw; stall_llc_bw; stall_smem_port; stall_sync_wait;
+      stall_issue ] ->
+    let n = number in
+    { Timing.cycles = n cycles; compute_busy = n compute_busy;
+      dram_busy = n dram_busy; llc_busy = n llc_busy; smem_busy = n smem_busy;
+      stall_compute = n stall_compute; stall_dram_bw = n stall_dram_bw;
+      stall_llc_bw = n stall_llc_bw; stall_smem_port = n stall_smem_port;
+      stall_sync_wait = n stall_sync_wait; stall_issue = n stall_issue }
+  | _ -> raise Malformed
 
 let timing_of_json doc =
   { Timing.total_cycles = num "total_cycles" doc;
@@ -102,17 +109,11 @@ let timing_of_json doc =
     wave_cycles = num "wave_cycles" doc;
     tail_cycles = num "tail_cycles" doc;
     miss_rate = num "miss_rate" doc;
-    compute_utilization = num "compute_utilization" doc;
     wave_busy =
       (match field "wave_busy" doc with
        | Json.Null -> None
-       | Json.Obj _ as w -> Some (wave_of_json w)
+       | Json.List w -> Some (wave_of_json w)
        | _ -> raise Malformed) }
-
-let gauges_of_json doc =
-  match field "gauges" doc with
-  | Json.Obj fields -> List.map (fun (name, v) -> (name, number v)) fields
-  | _ -> raise Malformed
 
 let record_of_json doc =
   if int_field "v" doc <> version then raise Malformed;
@@ -120,8 +121,7 @@ let record_of_json doc =
   | Json.Bool true ->
     Success
       { latency_cycles = num "latency_cycles" doc;
-        timing = timing_of_json (field "timing" doc);
-        gauges = gauges_of_json doc }
+        timing = timing_of_json (field "timing" doc) }
   | Json.Bool false ->
     Failure { kind = str_field "kind" doc; message = str_field "message" doc }
   | _ -> raise Malformed

@@ -2,9 +2,11 @@
     compile fingerprint.
 
     A record is deliberately *evaluation-grade*, not the full compiled
-    artifact: the simulated latency, the complete {!Alcop_gpusim.Timing.kernel_timing}
-    scalars (wave-busy breakdown included) and the [timing.*] gauges the
-    cold compile published. That is everything {!Session.evaluate},
+    artifact: the simulated latency and the complete
+    {!Alcop_gpusim.Timing.kernel_timing} scalars, the representative
+    wave's busy breakdown and stall fractions included, from which
+    {!Alcop_gpusim.Timing.publish_gauges} re-emits every [timing.*]
+    gauge. That is everything {!Session.evaluate},
     {!Session.timing}, the tuners and [alcop time] consume; callers that
     need the lowered IR or the packed trace (IR dumps, chrome traces,
     profilers) recompile. Failed compiles persist too — failed points
@@ -13,14 +15,18 @@
 
     Floats render through {!Alcop_obs.Json.float_repr}, so a value read
     back from disk is bit-identical to the one simulation produced, and a
-    store-warm process reports byte-identical numbers to a cold one. *)
+    store-warm process reports byte-identical numbers to a cold one. A
+    record's bytes depend only on the evaluation, never on whether the
+    writer was traced.
+
+    The JSON is versioned: [{"v":2,"ok":true,"latency_cycles":L,
+    "timing":{...,"wave_busy":W}}], where [W] is [null] or the flat list
+    [[cycles, compute, dram, llc, smem, 6 stall fractions]]. A record of
+    another version reads as a miss. *)
 
 type record = {
   latency_cycles : float;
   timing : Alcop_gpusim.Timing.kernel_timing;
-  gauges : (string * float) list;
-      (** the [timing.*] gauges captured at the cold compile, re-published
-          on every store hit exactly like in-memory session hits *)
 }
 
 type t =

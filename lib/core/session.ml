@@ -36,24 +36,23 @@ type stats = {
    record, float bits included. *)
 type entry = {
   floats : float array;
-      (* latency, total, us, wave, tail, miss rate, compute utilization,
-         then the wave-busy fields when [busy] *)
+      (* latency, total, us, wave, tail, miss rate, then the wave-busy
+         fields (busy totals, stall fractions) when [busy] *)
   mutable busy : bool;
   mutable n_waves : int;
   mutable tbs_per_sm : int;
   mutable occupancy_limiter : string;
-  mutable gauges : (string * float) list;
   mutable failure : Artifact.t option;  (* [Some] for a failed compile *)
 }
 
 module T = Alcop_gpusim.Timing
 
 let empty_entry () =
-  { floats = Array.make 12 0.0; busy = false; n_waves = 0; tbs_per_sm = 0;
-    occupancy_limiter = ""; gauges = []; failure = None }
+  { floats = Array.make 17 0.0; busy = false; n_waves = 0; tbs_per_sm = 0;
+    occupancy_limiter = ""; failure = None }
 
 let fill e = function
-  | Artifact.Success { Artifact.latency_cycles; timing = k; gauges } ->
+  | Artifact.Success { Artifact.latency_cycles; timing = k } ->
     let f = e.floats in
     f.(0) <- latency_cycles;
     f.(1) <- k.T.total_cycles;
@@ -61,24 +60,26 @@ let fill e = function
     f.(3) <- k.T.wave_cycles;
     f.(4) <- k.T.tail_cycles;
     f.(5) <- k.T.miss_rate;
-    f.(6) <- k.T.compute_utilization;
     (match k.T.wave_busy with
      | None -> e.busy <- false
      | Some w ->
        e.busy <- true;
-       f.(7) <- w.T.cycles;
-       f.(8) <- w.T.compute_busy;
-       f.(9) <- w.T.dram_busy;
-       f.(10) <- w.T.llc_busy;
-       f.(11) <- w.T.smem_busy);
+       f.(6) <- w.T.cycles;
+       f.(7) <- w.T.compute_busy;
+       f.(8) <- w.T.dram_busy;
+       f.(9) <- w.T.llc_busy;
+       f.(10) <- w.T.smem_busy;
+       f.(11) <- w.T.stall_compute;
+       f.(12) <- w.T.stall_dram_bw;
+       f.(13) <- w.T.stall_llc_bw;
+       f.(14) <- w.T.stall_smem_port;
+       f.(15) <- w.T.stall_sync_wait;
+       f.(16) <- w.T.stall_issue);
     e.n_waves <- k.T.n_waves;
     e.tbs_per_sm <- k.T.tbs_per_sm;
     e.occupancy_limiter <- k.T.occupancy_limiter;
-    e.gauges <- gauges;
     e.failure <- None
-  | Artifact.Failure _ as r ->
-    e.gauges <- [];
-    e.failure <- Some r
+  | Artifact.Failure _ as r -> e.failure <- Some r
 
 let unpack e =
   match e.failure with
@@ -89,8 +90,11 @@ let unpack e =
       if not e.busy then None
       else
         Some
-          { T.cycles = f.(7); compute_busy = f.(8); dram_busy = f.(9);
-            llc_busy = f.(10); smem_busy = f.(11) }
+          { T.cycles = f.(6); compute_busy = f.(7); dram_busy = f.(8);
+            llc_busy = f.(9); smem_busy = f.(10); stall_compute = f.(11);
+            stall_dram_bw = f.(12); stall_llc_bw = f.(13);
+            stall_smem_port = f.(14); stall_sync_wait = f.(15);
+            stall_issue = f.(16) }
     in
     Artifact.Success
       { Artifact.latency_cycles = f.(0);
@@ -98,9 +102,7 @@ let unpack e =
           { T.total_cycles = f.(1); microseconds = f.(2);
             n_waves = e.n_waves; tbs_per_sm = e.tbs_per_sm;
             occupancy_limiter = e.occupancy_limiter; wave_cycles = f.(3);
-            tail_cycles = f.(4); miss_rate = f.(5);
-            compute_utilization = f.(6); wave_busy };
-        gauges = e.gauges }
+            tail_cycles = f.(4); miss_rate = f.(5); wave_busy } }
 
 type t = {
   hw : Alcop_hw.Hw_config.t;
@@ -109,8 +111,7 @@ type t = {
   lock : Mutex.t;
   ready : Condition.t;  (* an in-flight compile completed (or failed) *)
   table : (Fingerprint.t, entry) Hashtbl.t;
-      (* one evaluation record per key: what the store persists, with the
-         [timing.*] gauges captured at the cold compile *)
+      (* one evaluation record per key: what the store persists *)
   inflight : (Fingerprint.t, unit) Hashtbl.t;
   order : Fingerprint.t Queue.t;  (* insertion order, for FIFO eviction *)
   mutable store : Store.t option;  (* persistent tier, when attached *)
@@ -184,8 +185,6 @@ let for_hw hw =
 
 (* --- the cache proper --- *)
 
-let timing_prefix = "timing."
-
 (* Make room for one entry: evict the oldest and hand it back for reuse. *)
 let evict_for_insert t =
   if Hashtbl.length t.table < t.capacity then empty_entry ()
@@ -254,23 +253,22 @@ let land_entry t key record =
       Queue.push key t.order;
       release t key ())
 
-let record_of_outcome outcome gauges =
-  match outcome with
+let record_of_outcome = function
   | Ok c ->
     Artifact.Success
       { Artifact.latency_cycles = c.Compiler.latency_cycles;
-        timing = c.Compiler.timing;
-        gauges }
+        timing = c.Compiler.timing }
   | Error e ->
     Artifact.Failure
       { kind = Compiler.error_kind e; message = Compiler.error_to_string e }
 
+(* A record served without compiling re-publishes the [timing.*] gauges a
+   compile would have, from its kernel timing. *)
 let publish_gauges = function
-  | Artifact.Success r ->
-    List.iter (fun (name, v) -> Obs.gauge name v) r.Artifact.gauges
-  | Artifact.Failure _ -> ()
+  | Artifact.Success r when Obs.enabled () ->
+    Alcop_gpusim.Timing.publish_gauges r.Artifact.timing
+  | Artifact.Success _ | Artifact.Failure _ -> ()
 
-(* A hit re-publishes the gauges captured at the entry's cold compile. *)
 let count_hit record =
   Obs.count "session.cache.hit";
   publish_gauges record
@@ -289,14 +287,13 @@ let store_write t key record =
 
 (* --- the evaluation: memo, then the persistent store, then a compile --- *)
 
-type timed = {
+type timed = Artifact.record = {
   latency_cycles : float;
   timing : Alcop_gpusim.Timing.kernel_timing;
 }
 
 let timed_of_record = function
-  | Artifact.Success r ->
-    Ok { latency_cycles = r.Artifact.latency_cycles; timing = r.Artifact.timing }
+  | Artifact.Success r -> Ok r
   | Artifact.Failure { message; _ } -> Error message
 
 let timing t ?(extra_regs_per_thread = 0)
@@ -304,8 +301,7 @@ let timing t ?(extra_regs_per_thread = 0)
   if not t.cache then
     timed_of_record
       (record_of_outcome
-         (Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec)
-         [])
+         (Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec))
   else begin
     let key =
       Fingerprint.compile_key ~hw:t.hw ~extra_regs_per_thread params spec
@@ -345,17 +341,10 @@ let timing t ?(extra_regs_per_thread = 0)
          publish_gauges record;
          timed_of_record record
        | None ->
-         let outcome =
-           Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec
+         let record =
+           record_of_outcome
+             (Compiler.compile ~hw:t.hw ~extra_regs_per_thread params spec)
          in
-         (* Capture-local read: under a pool this sees only the gauges
-            this very compile published, never another domain's. *)
-         let gauges =
-           match outcome with
-           | Ok _ -> Obs.gauges_with_prefix timing_prefix
-           | Error _ -> []
-         in
-         let record = record_of_outcome outcome gauges in
          store_write t key record;
          land_entry t key record;
          timed_of_record record)

@@ -11,9 +11,9 @@
     variants over heavily overlapping schedule spaces, and search-based
     schedulers live or die by the cost of evaluating candidates.
 
-    An entry is the {!Artifact.t} the store persists: the latency, the
-    kernel timing and the [timing.*] gauges of a successful compile, or
-    the kind and message of a structured compile error (failed points
+    An entry is the {!Artifact.t} the store persists: the latency and the
+    kernel timing of a successful compile, or the kind and message of a
+    structured compile error (failed points
     recur in sweeps just as often as good ones). It is never the compiled
     artifact itself, whose IR, schedule and packed program are ~30× the
     record's size. An insert into a full memo refills the entry it evicts
@@ -24,10 +24,12 @@
     [session.cache.hit] / [session.cache.miss] / [session.cache.evict]
     counters through [Alcop_obs].
 
-    On a cache hit the [timing.*] gauges captured at the entry's cold
-    compile are re-published, so gauge readers (e.g. the tuner's per-trial
-    stall breakdown) always see values consistent with the latest
-    evaluation, cached or not.
+    When observability is on, a memo or store hit re-publishes the
+    [timing.*] gauges from the record's kernel timing through
+    {!Alcop_gpusim.Timing.publish_gauges}, the function a compile
+    publishes them with. So gauge readers (e.g. the tuner's per-trial
+    stall breakdown) see the same values for the latest evaluation,
+    cached or not, and whether or not the record's writer was traced.
 
     Domain-safe: a per-session mutex guards the table, stats and FIFO
     queue (compiles themselves run outside the lock), and the {!for_hw}
@@ -64,8 +66,9 @@ val attach_store : t -> Store.t option -> unit
     attached, every cold compile writes its evaluation record through
     ([session.store.write]), and {!timing}/{!evaluate} misses read the
     store before compiling: a hit ([session.store.hit]) serves the
-    recorded latency, kernel timing and gauges without running the
-    compiler at all, and lands the record in the memo — that is what
+    recorded latency and kernel timing, and the gauges derived from
+    them, without running the compiler at all, and lands the record in
+    the memo — that is what
     makes warm compiles near-free across processes. *)
 
 val store : t -> Store.t option
@@ -76,13 +79,13 @@ val for_hw : Alcop_hw.Hw_config.t -> t
     targeting the same machine share one artifact store. Scaled or
     cross-generation machines (experiment E9) each get their own. *)
 
-type timed = {
+type timed = Artifact.record = {
   latency_cycles : float;
   timing : Alcop_gpusim.Timing.kernel_timing;
 }
 (** The evaluation-grade view of a compile: everything [alcop time], the
     tuners and the experiment sweeps consume, and exactly what a store
-    record can serve without recompiling. *)
+    record serves without recompiling. *)
 
 val timing :
   t ->
@@ -94,8 +97,8 @@ val timing :
     without compiling. On a miss with a store attached, a persisted
     record from *any previous process* satisfies the call
     (bit-identically — floats round-trip exactly); otherwise it runs
-    {!Compiler.compile} on this session's hardware, captures its
-    [timing.*] gauges, lands the record and writes it through. [Error]
+    {!Compiler.compile} on this session's hardware, lands the record and
+    writes it through. [Error]
     carries the memoized compile error's rendering. *)
 
 val evaluate :

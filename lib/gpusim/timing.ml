@@ -32,13 +32,14 @@
    grows to the high-water mark and is reused across waves, so a wave
    simulation allocates O(1) words regardless of trace length.
 
-   A wave can additionally be recorded: the engine writes every
-   observation — each advance of a threadblock's clock labelled with the
-   stall class that caused it, each load's issue-to-land flight, each
+   Every wave attributes its stalls: each advance of a threadblock's clock
+   carries the stall class that caused it, and the engine sums those
+   advances per (threadblock, class) in its scratch, so every result
+   carries the critical threadblock's stall fractions. A wave can
+   additionally be recorded: the engine then also writes every observation
+   — each classified advance, each load's issue-to-land flight, each
    pipeline fill and consume, each barrier and drain wait — into one
-   [recording], which [Profile], [Pipeview] and [run]'s stall gauges all
-   fold over. Without a recording the bookkeeping degenerates to a handful
-   of integer increments, so the tuner's hot path is unaffected. *)
+   [recording], which [Profile] and [Pipeview] fold over. *)
 
 type config = {
   hw : Alcop_hw.Hw_config.t;
@@ -99,6 +100,12 @@ type wave_result = {
   dram_busy : float;
   llc_busy : float;
   smem_busy : float;
+  stall_compute : float;
+  stall_dram_bw : float;
+  stall_llc_bw : float;
+  stall_smem_port : float;
+  stall_sync_wait : float;
+  stall_issue : float;
 }
 
 (* --- cause mixes, packed ---
@@ -112,27 +119,29 @@ type wave_result = {
    latency (the Fig. 1b story).
 
    A mix is four consecutive floats [dram; llc; smem; lat] at a base index
-   of a flat array — no records, so tracking waves reuse scratch too. *)
+   of a flat float array — no records, so every wave reuses scratch. The
+   arrays are typed [float array]: a polymorphic copy would box every
+   float it moves. *)
 
-let mix_reset4 m base =
+let[@inline] mix_reset4 m base =
   m.(base) <- 0.0;
   m.(base + 1) <- 0.0;
   m.(base + 2) <- 0.0;
   m.(base + 3) <- 0.0
 
-let mix_copy4 dst dbase src sbase =
+let[@inline] mix_copy4 (dst : float array) dbase (src : float array) sbase =
   dst.(dbase) <- src.(sbase);
   dst.(dbase + 1) <- src.(sbase + 1);
   dst.(dbase + 2) <- src.(sbase + 2);
   dst.(dbase + 3) <- src.(sbase + 3)
 
-let mix_add4 dst dbase src sbase =
+let[@inline] mix_add4 dst dbase src sbase =
   dst.(dbase) <- dst.(dbase) +. src.(sbase);
   dst.(dbase + 1) <- dst.(dbase + 1) +. src.(sbase + 1);
   dst.(dbase + 2) <- dst.(dbase + 2) +. src.(sbase + 2);
   dst.(dbase + 3) <- dst.(dbase + 3) +. src.(sbase + 3)
 
-let mix_dominant m base =
+let[@inline] mix_dominant m base =
   let d = m.(base) and l = m.(base + 1) and s = m.(base + 2)
   and t = m.(base + 3) in
   if d > 0.0 && d >= l && d >= s && d >= t then Dram_bw
@@ -140,7 +149,7 @@ let mix_dominant m base =
   else if s > 0.0 && s >= t then Smem_port
   else Sync_wait
 
-let stall_class_index = function
+let[@inline] stall_class_index = function
   | Compute -> 0
   | Dram_bw -> 1
   | Llc_bw -> 2
@@ -259,10 +268,20 @@ let[@inline] push rc kind tb pc t0 t1 t2 =
   rc.t2.(k) <- t2;
   rc.len <- k + 1
 
-(* Only non-empty intervals are written: a threadblock's intervals stay
-   contiguous from 0 to its finish time. *)
-let[@inline] interval rc tb cls pc start stop =
-  if stop > start then push rc (stall_class_index cls) tb pc start stop 0.0
+let n_classes = 7  (* [Array.length stall_class_of_index], as a constant *)
+
+(* One advance of threadblock [tb]'s clock, caused by [cls]: summed into
+   the threadblock's per-class totals [stall] ([n_classes] per
+   threadblock), and written to the recording when [tracking]. Only
+   non-empty advances count, so a threadblock's recorded intervals stay
+   contiguous from 0 to its finish time and are exactly the ones summed. *)
+let[@inline] interval tracking rc (stall : float array) tb cls pc start stop =
+  if stop > start then begin
+    let k = stall_class_index cls in
+    let s = (n_classes * tb) + k in
+    stall.(s) <- stall.(s) +. (stop -. start);
+    if tracking then push rc k tb pc start stop 0.0
+  end
 
 let event rc k =
   let p = rc.program and tb = rc.tb.(k) and c = rc.pc.(k) in
@@ -334,17 +353,18 @@ type scratch = {
   mutable sc_boundary : bool array;  (* per tb: at_boundary *)
   mutable sc_open : float array;  (* per tb x group: open batch *)
   mutable sc_ring : float array;  (* per tb x group x depth slot *)
-  mutable sc_sync_mix : float array;  (* per tb, tracking only *)
-  mutable sc_due_mix : float array;  (* per tb, tracking only *)
-  mutable sc_open_mix : float array;  (* per tb x group, tracking only *)
-  mutable sc_ring_mix : float array;  (* per ring slot, tracking only *)
+  mutable sc_sync_mix : float array;  (* per tb *)
+  mutable sc_due_mix : float array;  (* per tb *)
+  mutable sc_open_mix : float array;  (* per tb x group *)
+  mutable sc_ring_mix : float array;  (* per ring slot *)
+  mutable sc_stall : float array;  (* per tb x stall class: cycles *)
 }
 
 let fresh_scratch () =
   { in_use = false; sc_time = [||]; sc_recent = [||]; sc_due = [||];
     sc_out = [||]; sc_cursor = [||]; sc_boundary = [||]; sc_open = [||];
     sc_ring = [||]; sc_sync_mix = [||]; sc_due_mix = [||];
-    sc_open_mix = [||]; sc_ring_mix = [||] }
+    sc_open_mix = [||]; sc_ring_mix = [||]; sc_stall = [||] }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
@@ -370,6 +390,26 @@ let bgrow cur n =
   else Array.make n false
 
 (* --- the wave engine --- *)
+
+(* Retire threadblock [i]'s synchronous loads issued since the last
+   retirement onto its scoreboard: their latest completion into [due],
+   their cause mix into [due_mix]. With none, [recent] is [0.] and the mix
+   all zeros, so there is nothing to add. *)
+let[@inline] settle (due : float array) (recent : float array) due_mix
+    sync_mix i =
+  let r = recent.(i) in
+  if r > 0.0 then begin
+    due.(i) <- fmax due.(i) r;
+    recent.(i) <- 0.0;
+    mix_add4 due_mix (4 * i) sync_mix (4 * i);
+    mix_reset4 sync_mix (4 * i)
+  end
+
+(* Threadblock [tb]'s cycles in class [cls] over the wave's [cycles]. *)
+let[@inline] stall_fraction (stall : float array) tb cls cycles =
+  if cycles > 0.0 then
+    stall.((n_classes * tb) + stall_class_index cls) /. cycles
+  else 0.0
 
 let simulate_packed ?recording (cfg : config) (p : Trace.program) =
   let hw = cfg.hw in
@@ -421,18 +461,18 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
   sc.sc_boundary <- bgrow sc.sc_boundary r;
   sc.sc_open <- fgrow sc.sc_open (r * ng);
   sc.sc_ring <- fgrow sc.sc_ring (r * ng * maxd);
-  if tracking then begin
-    sc.sc_sync_mix <- fgrow sc.sc_sync_mix (4 * r);
-    sc.sc_due_mix <- fgrow sc.sc_due_mix (4 * r);
-    sc.sc_open_mix <- fgrow sc.sc_open_mix (4 * r * ng);
-    sc.sc_ring_mix <- fgrow sc.sc_ring_mix (4 * r * ng * maxd)
-  end;
+  sc.sc_sync_mix <- fgrow sc.sc_sync_mix (4 * r);
+  sc.sc_due_mix <- fgrow sc.sc_due_mix (4 * r);
+  sc.sc_open_mix <- fgrow sc.sc_open_mix (4 * r * ng);
+  sc.sc_ring_mix <- fgrow sc.sc_ring_mix (4 * r * ng * maxd);
+  sc.sc_stall <- fgrow sc.sc_stall (n_classes * r);
   let time = sc.sc_time and recent = sc.sc_recent and due = sc.sc_due
   and out = sc.sc_out and cursor = sc.sc_cursor
   and boundary = sc.sc_boundary and openb = sc.sc_open
   and ring = sc.sc_ring in
   let sync_mix = sc.sc_sync_mix and due_mix = sc.sc_due_mix
-  and open_mix = sc.sc_open_mix and ring_mix = sc.sc_ring_mix in
+  and open_mix = sc.sc_open_mix and ring_mix = sc.sc_ring_mix
+  and stall = sc.sc_stall in
   let n = p.Trace.n in
   let opcode = p.Trace.opcode and arg = p.Trace.arg
   and group = p.Trace.group and flags = p.Trace.flags
@@ -440,7 +480,7 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
   let step i =
     let t0 = time.(i) in
     let now = t0 +. cfg.issue_overhead in
-    if tracking then interval rc i Issue (-1) t0 now;
+    interval tracking rc stall i Issue (-1) t0 now;
     let c = cursor.(i) in
     let op = opcode.{c} in
     if op = Trace.op_load then begin
@@ -454,27 +494,21 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
       (* destination accumulator of this load's cause components: the open
          batch of its pipe, or the threadblock's synchronous scoreboard *)
       let dst, dbase =
-        if not tracking then (sync_mix, 0)
-        else if piped then (open_mix, 4 * ((i * ng) + g))
-        else (sync_mix, 4 * i)
+        if piped then (open_mix, 4 * ((i * ng) + g)) else (sync_mix, 4 * i)
       in
       let completion =
         if not shared then begin
           let lf = serve llc ~now ~cost:(b /. llc_rate) in
           let df = serve dram ~now ~cost:(b *. cfg.miss_rate /. dram_rate) in
-          if tracking then begin
-            dst.(dbase) <- dst.(dbase) +. fmax 0.0 (df -. now);
-            dst.(dbase + 1) <- dst.(dbase + 1) +. fmax 0.0 (lf -. now);
-            dst.(dbase + 3) <- dst.(dbase + 3) +. load_latency
-          end;
+          dst.(dbase) <- dst.(dbase) +. fmax 0.0 (df -. now);
+          dst.(dbase + 1) <- dst.(dbase + 1) +. fmax 0.0 (lf -. now);
+          dst.(dbase + 3) <- dst.(dbase + 3) +. load_latency;
           fmax lf df +. load_latency
         end
         else begin
           let sf = serve smem ~now ~cost:(b *. cfg.smem_penalty /. smem_rate) in
-          if tracking then begin
-            dst.(dbase + 2) <- dst.(dbase + 2) +. fmax 0.0 (sf -. now);
-            dst.(dbase + 3) <- dst.(dbase + 3) +. smem_latency
-          end;
+          dst.(dbase + 2) <- dst.(dbase + 2) +. fmax 0.0 (sf -. now);
+          dst.(dbase + 3) <- dst.(dbase + 3) +. smem_latency;
           sf +. smem_latency
         end
       in
@@ -501,11 +535,9 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
       let slot = (pg * maxd) + (batch.{c} mod gdepth.(g)) in
       ring.(slot) <- openb.(pg);
       openb.(pg) <- 0.0;
-      if tracking then begin
-        push rc k_fill i c now ring.(slot) 0.0;
-        mix_copy4 ring_mix (4 * slot) open_mix (4 * pg);
-        mix_reset4 open_mix (4 * pg)
-      end;
+      if tracking then push rc k_fill i c now ring.(slot) 0.0;
+      mix_copy4 ring_mix (4 * slot) open_mix (4 * pg);
+      mix_reset4 open_mix (4 * pg);
       time.(i) <- now
     end
     else if op = Trace.op_wait then begin
@@ -522,14 +554,12 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
       let ready = if consumed >= 0 then ring.(slot) else 0.0 in
       if is_barrier.(g) then boundary.(i) <- true;
       let t = fmax now ready in
-      if tracking then begin
-        let cls =
-          if consumed >= 0 then mix_dominant ring_mix (4 * slot)
-          else mix_dominant due_mix (4 * i)
-        in
-        interval rc i cls c now t;
-        push rc k_consume i c now ready t
-      end;
+      if t > now then
+        interval tracking rc stall i
+          (if consumed >= 0 then mix_dominant ring_mix (4 * slot)
+           else mix_dominant due_mix (4 * i))
+          c now t;
+      if tracking then push rc k_consume i c now ready t;
       time.(i) <- t
     end
     else if op = Trace.op_acquire || op = Trace.op_release then
@@ -539,38 +569,27 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
     else if op = Trace.op_barrier then begin
       boundary.(i) <- true;
       let t = fmax now out.(i) in
-      if tracking then begin
-        interval rc i Sync_wait (-1) now t;
-        push rc k_barrier i c now t 0.0
-      end;
+      interval tracking rc stall i Sync_wait (-1) now t;
+      if tracking then push rc k_barrier i c now t 0.0;
       time.(i) <- t
     end
     else begin
       (* compute *)
       if boundary.(i) then begin
         (* loads issued since the boundary could not be hoisted above it *)
-        due.(i) <- fmax due.(i) recent.(i);
-        recent.(i) <- 0.0;
-        if tracking then begin
-          mix_add4 due_mix (4 * i) sync_mix (4 * i);
-          mix_reset4 sync_mix (4 * i)
-        end;
+        settle due recent due_mix sync_mix i;
         boundary.(i) <- false
       end;
       let start = fmax now due.(i) in
-      if tracking then
-        interval rc i (mix_dominant due_mix (4 * i)) (-1) now start;
-      due.(i) <- fmax due.(i) recent.(i);
-      recent.(i) <- 0.0;
-      if tracking then begin
-        mix_add4 due_mix (4 * i) sync_mix (4 * i);
-        mix_reset4 sync_mix (4 * i)
-      end;
+      if start > now then
+        interval tracking rc stall i (mix_dominant due_mix (4 * i)) (-1) now
+          start;
+      settle due recent due_mix sync_mix i;
       let finish =
         serve compute ~now:start
           ~cost:(float_of_int arg.{c} /. compute_rate)
       in
-      if tracking then interval rc i Compute (-1) start finish;
+      interval tracking rc stall i Compute (-1) start finish;
       time.(i) <- finish
     end;
     cursor.(i) <- c + 1;
@@ -578,10 +597,8 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
       (* drain: the epilogue waits for every outstanding store/load *)
       let t0d = time.(i) in
       let t = fmax t0d out.(i) in
-      if tracking then begin
-        interval rc i Sync_wait (-1) t0d t;
-        push rc k_drain i (-1) t0d t 0.0
-      end;
+      interval tracking rc stall i Sync_wait (-1) t0d t;
+      if tracking then push rc k_drain i (-1) t0d t 0.0;
       time.(i) <- t
     end
   in
@@ -618,12 +635,24 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
       if !b >= 0 then step !b else live := false
     done
   end;
-  let cycles = ref 0.0 in
+  (* The critical threadblock is [critical_tb]'s: the lowest index among
+     the maximal finish times, which is where the wave ends. *)
+  let cycles = ref 0.0 and crit = ref 0 in
   for i = 0 to r - 1 do
-    if time.(i) > !cycles then cycles := time.(i)
+    if time.(i) > !cycles then begin
+      cycles := time.(i);
+      crit := i
+    end
   done;
-  { cycles = !cycles; compute_busy = compute.busy; dram_busy = dram.busy;
-    llc_busy = llc.busy; smem_busy = smem.busy }
+  let cycles = !cycles and crit = !crit in
+  { cycles; compute_busy = compute.busy; dram_busy = dram.busy;
+    llc_busy = llc.busy; smem_busy = smem.busy;
+    stall_compute = stall_fraction stall crit Compute cycles;
+    stall_dram_bw = stall_fraction stall crit Dram_bw cycles;
+    stall_llc_bw = stall_fraction stall crit Llc_bw cycles;
+    stall_smem_port = stall_fraction stall crit Smem_port cycles;
+    stall_sync_wait = stall_fraction stall crit Sync_wait cycles;
+    stall_issue = stall_fraction stall crit Issue cycles }
 
 let simulate_program = simulate_packed
 
@@ -661,11 +690,38 @@ type kernel_timing = {
   wave_cycles : float;
   tail_cycles : float;
   miss_rate : float;
-  compute_utilization : float;  (** busy fraction of tensor cores, full wave *)
   wave_busy : wave_result option;
-      (** raw busy breakdown of the representative wave (full wave when one
-          exists, else the tail wave); [None] for an empty trace *)
+      (** busy breakdown and stall fractions of the representative wave
+          (full wave when one exists, else the tail wave); [None] for an
+          empty trace *)
 }
+
+let compute_utilization k =
+  match k.wave_busy with
+  | Some r when r.cycles > 0.0 -> Float.min 1.0 (r.compute_busy /. r.cycles)
+  | Some _ | None -> 0.0
+
+(* The one publisher of [timing.*] gauges, so a compile and a session hit
+   publish the same values in the same order. *)
+let publish_gauges k =
+  let open Alcop_obs in
+  (match k.wave_busy with
+   | Some r when r.cycles > 0.0 ->
+     let frac busy = Float.min 1.0 (busy /. r.cycles) in
+     Obs.gauge "timing.busy.compute" (frac r.compute_busy);
+     Obs.gauge "timing.busy.dram" (frac r.dram_busy);
+     Obs.gauge "timing.busy.llc" (frac r.llc_busy);
+     Obs.gauge "timing.busy.smem" (frac r.smem_busy);
+     Obs.gauge "timing.stall.compute" r.stall_compute;
+     Obs.gauge "timing.stall.dram_bw" r.stall_dram_bw;
+     Obs.gauge "timing.stall.llc_bw" r.stall_llc_bw;
+     Obs.gauge "timing.stall.smem_port" r.stall_smem_port;
+     Obs.gauge "timing.stall.sync_wait" r.stall_sync_wait;
+     Obs.gauge "timing.stall.issue" r.stall_issue
+   | Some _ | None -> ());
+  Obs.gauge "timing.tbs_per_sm" (float_of_int k.tbs_per_sm);
+  Obs.gauge "timing.n_waves" (float_of_int k.n_waves);
+  Obs.gauge "timing.miss_rate" k.miss_rate
 
 let launch_overhead_cycles = 2200.0
 
@@ -728,27 +784,6 @@ let plan (req : request) =
   in
   { full_waves; remainder = rem; full_cfg; tail_cfg }
 
-(* Stall-class fractions of the critical threadblock of one recorded wave:
-   the [timing.stall.*] gauges. Reads the recording's columns in place, so
-   a traced run allocates nothing per event. Each class is summed from the
-   end of the recording back; that order fixes the gauges' bits, which
-   ride in session entries and store records, where a changed bit would
-   make warm and cold reports differ. *)
-let critical_stall_fractions wave_result rc =
-  if wave_result.cycles <= 0.0 then []
-  else begin
-    let crit = critical_tb rc in
-    let totals = Array.make (Array.length stall_class_of_index) 0.0 in
-    for k = rc.len - 1 downto 0 do
-      let kind = rc.kind.(k) in
-      if kind < k_flight && rc.tb.(k) = crit then
-        totals.(kind) <- totals.(kind) +. (rc.t1.(k) -. rc.t0.(k))
-    done;
-    List.map
-      (fun cls -> (cls, totals.(stall_class_index cls) /. wave_result.cycles))
-      all_stall_classes
-  end
-
 type recorded_wave = {
   rw_label : string;
   rw_count : int;
@@ -780,13 +815,6 @@ let time_kernel ?recorded (req : request) pl ~full_rc ~tail_rc =
   let total_cycles =
     ((body +. launch_overhead_cycles) *. jitter req.jitter_key)
   in
-  let compute_utilization =
-    match full_result, tail_result with
-    | Some (_, r), _ | None, Some (_, r) ->
-      if r.cycles > 0.0 then Float.min 1.0 (r.compute_busy /. r.cycles)
-      else 0.0
-    | None, None -> 0.0
-  in
   let n_waves = full_waves + (if rem > 0 then 1 else 0) in
   let miss_rate =
     match full_result, tail_result with
@@ -813,29 +841,16 @@ let time_kernel ?recorded (req : request) pl ~full_rc ~tail_rc =
          [ wave "full" full_waves full_result full_rc;
            wave "tail" 1 tail_result tail_rc ]
    | None -> ());
-  (* Surface the representative wave's busy breakdown, the stall
-     attribution and the occupancy decision as telemetry — this is
-     exactly the data behind the paper's ablation figures, and it is
-     free when no sink is installed. *)
+  let k =
+    { total_cycles;
+      microseconds = Alcop_hw.Hw_config.cycles_to_us hw total_cycles;
+      n_waves; tbs_per_sm = occ.Occupancy.tbs_per_sm;
+      occupancy_limiter = occ.Occupancy.limiter; wave_cycles; tail_cycles;
+      miss_rate; wave_busy }
+  in
   if Alcop_obs.Obs.enabled () then begin
     let open Alcop_obs in
-    let representative_rc = if pl.full_cfg <> None then full_rc else tail_rc in
-    (match wave_busy, representative_rc with
-     | Some r, Some rc when r.cycles > 0.0 ->
-       let frac busy = Float.min 1.0 (busy /. r.cycles) in
-       Obs.gauge "timing.busy.compute" (frac r.compute_busy);
-       Obs.gauge "timing.busy.dram" (frac r.dram_busy);
-       Obs.gauge "timing.busy.llc" (frac r.llc_busy);
-       Obs.gauge "timing.busy.smem" (frac r.smem_busy);
-       List.iter
-         (fun (cls, f) ->
-           if cls <> Launch then
-             Obs.gauge ("timing.stall." ^ stall_class_name cls) f)
-         (critical_stall_fractions r rc)
-     | _ -> ());
-    Obs.gauge "timing.tbs_per_sm" (float_of_int occ.Occupancy.tbs_per_sm);
-    Obs.gauge "timing.n_waves" (float_of_int n_waves);
-    Obs.gauge "timing.miss_rate" miss_rate;
+    publish_gauges k;
     (* histogram, not gauge: across a tuning sweep or batch compile the
        distribution of kernel latencies is the interesting object *)
     Obs.observe "timing.kernel.cycles" total_cycles;
@@ -844,45 +859,9 @@ let time_kernel ?recorded (req : request) pl ~full_rc ~tail_rc =
         ("tbs_per_sm", Json.Int occ.Occupancy.tbs_per_sm);
         ("n_waves", Json.Int n_waves) ]
   end;
-  { total_cycles;
-    microseconds = Alcop_hw.Hw_config.cycles_to_us hw total_cycles;
-    n_waves; tbs_per_sm = occ.Occupancy.tbs_per_sm;
-    occupancy_limiter = occ.Occupancy.limiter; wave_cycles; tail_cycles;
-    miss_rate; compute_utilization; wave_busy }
+  k
 
-(* [run]'s recording for the stall gauges: one per domain, reused from run
-   to run so its columns stay at their high-water mark instead of being
-   regrown on the major heap every time. The [gauge_in_use] flag falls
-   back to a fresh recording on re-entry, as the wave scratch arena does;
-   a recording never outlives the run that filled it. *)
-type gauge_slot = { mutable gauge_in_use : bool; gauge_rc : recording }
-
-let fresh_gauge_slot () = { gauge_in_use = false; gauge_rc = recording () }
-let gauge_key = Domain.DLS.new_key fresh_gauge_slot
-
-let run (req : request) =
-  let pl = plan req in
-  if not (Alcop_obs.Obs.enabled ()) then
-    time_kernel req pl ~full_rc:None ~tail_rc:None
-  else begin
-    (* With observability on, record the representative wave (the full
-       wave when one exists, else the tail) so the stall breakdown rides
-       along at no extra simulation cost. *)
-    let slot =
-      let slot = Domain.DLS.get gauge_key in
-      if slot.gauge_in_use then fresh_gauge_slot () else slot
-    in
-    let rc = slot.gauge_rc in
-    slot.gauge_in_use <- true;
-    Fun.protect
-      ~finally:(fun () ->
-        rc.program <- empty_program;
-        slot.gauge_in_use <- false)
-    @@ fun () ->
-    if pl.full_cfg <> None then
-      time_kernel req pl ~full_rc:(Some rc) ~tail_rc:None
-    else time_kernel req pl ~full_rc:None ~tail_rc:(Some rc)
-  end
+let run (req : request) = time_kernel req (plan req) ~full_rc:None ~tail_rc:None
 
 let run_recorded (req : request) =
   let pl = plan req in

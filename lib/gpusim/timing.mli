@@ -31,6 +31,15 @@ type wave_result = {
   dram_busy : float;
   llc_busy : float;
   smem_busy : float;
+  stall_compute : float;
+  stall_dram_bw : float;
+  stall_llc_bw : float;
+  stall_smem_port : float;
+  stall_sync_wait : float;
+  stall_issue : float;
+      (** [stall_*]: the critical threadblock's ({!critical_tb}) cycles per
+          {!stall_class} over [cycles], [0.] when [cycles] is [0.]. Every
+          wave computes them, recorded or not. *)
 }
 
 (** {1 Stall attribution}
@@ -139,9 +148,9 @@ val simulate_program :
     {!run}.
     Replay one wave of a packed program. This is the engine: flat
     array-backed scoreboard state drawn from a domain-local scratch arena,
-    O(1) allocation per wave. With [?recording], first empties it, then
-    writes every observation of the wave into it; without one the
-    attribution bookkeeping is skipped entirely. *)
+    O(1) allocation per wave. The stall attribution of the result is kept
+    either way. With [?recording], first empties it, then writes every
+    observation of the wave into it. *)
 
 val with_wave_reuse : (unit -> 'a) -> 'a
 (** Bench-only: [f ()]. The simulator has no wave-result cache; the name
@@ -185,11 +194,21 @@ type kernel_timing = {
   wave_cycles : float;
   tail_cycles : float;
   miss_rate : float;
-  compute_utilization : float;
   wave_busy : wave_result option;
-      (** raw busy breakdown of the representative wave (full wave when one
-          exists, else the tail wave); [None] for an empty trace *)
+      (** busy breakdown and stall fractions of the representative wave
+          (full wave when one exists, else the tail wave); [None] for an
+          empty trace *)
 }
+
+val compute_utilization : kernel_timing -> float
+(** Tensor-core busy fraction of the representative wave, at most 1. *)
+
+val publish_gauges : kernel_timing -> unit
+(** Emit the [timing.*] gauges: the representative wave's busy fractions
+    ([timing.busy.*]) and stall fractions ([timing.stall.<class>]), unless
+    it has no cycles, then [timing.tbs_per_sm], [timing.n_waves] and
+    [timing.miss_rate]. {!run} emits them, and a session serving a stored
+    evaluation re-emits them from its record. *)
 
 val launch_overhead_cycles : float
 
@@ -203,15 +222,10 @@ val bank_conflict_penalty : swizzle:bool -> tb_k:int -> elem_bytes:int -> float
 val run : request -> kernel_timing
 (** Simulate a whole kernel launch: the full wave, then the tail wave.
     The request carries a launch verdict that already passed, so a
-    request always times.
-    When an [Alcop_obs] sink is installed, emits gauges for the
-    compute/DRAM/LLC/smem busy fractions ([timing.busy.*]), the
-    critical-threadblock stall fractions of the representative wave
-    ([timing.stall.<class>]) and the occupancy decision
-    ([timing.tbs_per_sm], [timing.n_waves], [timing.miss_rate], plus a
-    [timing.occupancy] point carrying the limiter). The stall fractions
-    come from a recording kept per domain and reused across runs, so a
-    traced run allocates no recording of its own. *)
+    request always times. The simulation is the same whether or not
+    observability is on; when it is, the run then emits
+    {!publish_gauges}, a [timing.kernel.cycles] observation and a
+    [timing.occupancy] point carrying the limiter. *)
 
 type recorded_wave = {
   rw_label : string;  (** ["full"] or ["tail"] *)

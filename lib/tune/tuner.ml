@@ -76,9 +76,10 @@ let best (r : result) = best_within r (Array.length r.trials)
 (* Stall attribution of the trial just measured: the timing simulator
    publishes [timing.stall.<class>] gauges for the representative wave of
    the last launch it timed, so right after [evaluate] those gauges
-   describe *this* trial. That holds on compile-cache hits too: the shared
-   [Session] re-publishes the [timing.*] gauges captured at the entry's
-   cold compile, so the gauges always belong to the point just evaluated. *)
+   describe *this* trial. That holds on memo and store hits too: the
+   shared [Session] re-publishes them from the record's kernel timing,
+   through the same [Timing.publish_gauges], so the gauges always belong
+   to the point just evaluated, whoever computed its record. *)
 let stall_prefix = "timing.stall."
 
 let last_stall_breakdown () =

@@ -38,6 +38,16 @@ type probe = {
   on_flight : flight -> unit;
 }
 
+(* The wave result as it stood when this copy was frozen: latency and
+   busy counters, no stall fractions. *)
+type wave_result = {
+  cycles : float;
+  compute_busy : float;
+  dram_busy : float;
+  llc_busy : float;
+  smem_busy : float;
+}
+
 type server = { mutable next_free : float; mutable busy : float }
 
 let server () = { next_free = 0.0; busy = 0.0 }
@@ -288,5 +298,5 @@ let simulate_wave ?probe (cfg : Timing.config) (trace : Trace.event array) =
   in
   if n > 0 then drive ();
   let cycles = Array.fold_left (fun acc tb -> Float.max acc tb.time) 0.0 tbs in
-  { Timing.cycles; compute_busy = compute.busy; dram_busy = dram.busy;
+  { cycles; compute_busy = compute.busy; dram_busy = dram.busy;
     llc_busy = llc.busy; smem_busy = smem.busy }

@@ -130,6 +130,13 @@ let gen_sched =
 
 let arb_sched = QCheck.make ~print:sched_to_string gen_sched
 
+(* The part of a wave result the frozen engine computes: latency and busy
+   counters. *)
+let busy (r : Timing.wave_result) =
+  { Legacy_sim.cycles = r.Timing.cycles; compute_busy = r.Timing.compute_busy;
+    dram_busy = r.Timing.dram_busy; llc_busy = r.Timing.llc_busy;
+    smem_busy = r.Timing.smem_busy }
+
 let collecting () =
   let advs : Legacy_sim.advance list ref = ref [] in
   let fls : Legacy_sim.flight list ref = ref [] in
@@ -137,8 +144,47 @@ let collecting () =
       on_flight = (fun f -> fls := f :: !fls) },
     advs, fls )
 
+let stall_fields (r : Timing.wave_result) =
+  Timing.
+    [ (Compute, r.stall_compute); (Dram_bw, r.stall_dram_bw);
+      (Llc_bw, r.stall_llc_bw); (Smem_port, r.stall_smem_port);
+      (Sync_wait, r.stall_sync_wait); (Issue, r.stall_issue) ]
+
+(* The engine attributes every wave itself, recorded or not. Its stall
+   fractions must equal the recording's account: per class, the critical
+   threadblock's interval cycles ([Timing.fold ~tb:(critical_tb rc)])
+   over the wave's cycles, to within 1e-12 relative; and the classes must
+   sum to that threadblock's finish time, which is the wave's cycles. *)
+let stalls_match_recording (r : Timing.wave_result) rc =
+  let cycles = r.Timing.cycles in
+  let crit = Timing.critical_tb rc in
+  let totals = Array.make (List.length Timing.all_stall_classes) 0.0 in
+  Timing.fold ~tb:crit
+    (fun () -> function
+      | Timing.Interval { cls; start; stop; _ } ->
+        let k = Timing.stall_class_index cls in
+        totals.(k) <- totals.(k) +. (stop -. start)
+      | _ -> ())
+    () rc;
+  let close a b =
+    Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b)
+  in
+  let expected cls =
+    if cycles > 0.0 then totals.(Timing.stall_class_index cls) /. cycles
+    else 0.0
+  in
+  let classes_sum =
+    List.fold_left (fun acc (_, f) -> acc +. (f *. cycles)) 0.0 (stall_fields r)
+  in
+  List.for_all (fun (cls, f) -> close f (expected cls)) (stall_fields r)
+  && totals.(Timing.stall_class_index Timing.Launch) = 0.0
+  && (cycles = 0.0
+      || (cycles = (Timing.finish_times rc).(crit)
+          && Float.abs (classes_sum -. cycles) <= 1e-9 *. cycles))
+
 (* A recorded packed replay, projected onto the legacy probe streams: its
-   [Interval] and [Flight] events, newest first like [collecting]. *)
+   [Interval] and [Flight] events, newest first like [collecting], with
+   whether its stall fractions match the recording. *)
 let recorded_streams cfg (program : Trace.program) =
   let rc = Timing.recording () in
   let r = Timing.simulate_program ~recording:rc cfg program in
@@ -161,7 +207,7 @@ let recorded_streams cfg (program : Trace.program) =
         | _ -> (advs, fls))
       ([], []) rc
   in
-  (r, advs, fls)
+  (busy r, stalls_match_recording r rc, advs, fls)
 
 (* Latency + busy equivalence, no probe: the tuner-facing fast path. *)
 let prop_results_equal =
@@ -169,7 +215,7 @@ let prop_results_equal =
     ~count:150 arb_sched (fun s ->
       let legacy = Legacy_sim.simulate_wave s.cfg s.events in
       let packed = Timing.simulate_program s.cfg (Trace.pack s.events) in
-      legacy = packed)
+      legacy = busy packed)
 
 (* Probe equivalence: the complete advance and flight streams — classes,
    groups, batch ordinals, interval endpoints, order — must be
@@ -179,8 +225,10 @@ let prop_probe_streams_equal =
     ~count:120 arb_sched (fun s ->
       let lp, ladv, lfl = collecting () in
       let lr = Legacy_sim.simulate_wave ~probe:lp s.cfg s.events in
-      let pr, padv, pfl = recorded_streams s.cfg (Trace.pack s.events) in
-      lr = pr && !ladv = padv && !lfl = pfl)
+      let pr, stalls_ok, padv, pfl =
+        recorded_streams s.cfg (Trace.pack s.events)
+      in
+      lr = pr && stalls_ok && !ladv = padv && !lfl = pfl)
 
 (* Same, over real compiler output: traces extracted from random
    pipelined kernels (reusing the property-test generator), with the
@@ -209,8 +257,8 @@ let prop_compiled_equal =
         in
         let lp, ladv, lfl = collecting () in
         let lr = Legacy_sim.simulate_wave ~probe:lp cfg events in
-        let pr, padv, pfl = recorded_streams cfg program in
-        lr = pr && !ladv = padv && !lfl = pfl)
+        let pr, stalls_ok, padv, pfl = recorded_streams cfg program in
+        lr = pr && stalls_ok && !ladv = padv && !lfl = pfl)
 
 (* The recording's stream contract on compiled kernels: no wait finishes
    before its batch is ready or before it begins, and each threadblock's
@@ -244,6 +292,57 @@ let prop_recording_contract =
             true rc
         in
         ok && reached = Timing.finish_times rc)
+
+(* [stalls_match_recording] on every recorded wave of whole launches,
+   compiled from the small property cases (tail-only launches, split-K)
+   and from random variant-space points of the Fig. 10 operators (full
+   waves as well as tails). *)
+let fig10_spaces =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun spec -> (spec, Alcop.Variants.space Alcop.Variants.alcop spec))
+          Alcop_workloads.Suites.fig10))
+
+let arb_launch =
+  let open QCheck.Gen in
+  let small =
+    map
+      (fun (c : Test_property.case) ->
+        ( Test_property.spec_of c,
+          Alcop_perfmodel.Params.make ~tiling:c.Test_property.tiling
+            ~smem_stages:c.Test_property.smem_stages
+            ~reg_stages:c.Test_property.reg_stages () ))
+      Test_property.gen_case
+  in
+  let fig10 =
+    map2
+      (fun op pt ->
+        let spaces = Lazy.force fig10_spaces in
+        let spec, space = spaces.(op mod Array.length spaces) in
+        (spec, space.(pt mod Array.length space)))
+      nat nat
+  in
+  QCheck.make
+    ~print:(fun (spec, params) ->
+      spec.Alcop_sched.Op_spec.name ^ " "
+      ^ Alcop_perfmodel.Params.to_string params)
+    (oneof [ small; fig10 ])
+
+let prop_engine_stalls_match_recording =
+  QCheck.Test.make ~name:"engine stall fractions == recording fold"
+    ~count:40 arb_launch (fun (spec, params) ->
+      match Alcop.Compiler.compile ~hw params spec with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok c ->
+        let req = c.Alcop.Compiler.timing_request in
+        let timing, waves = Timing.run_recorded req in
+        let wave_ok (w : Timing.recorded_wave) =
+          w.Timing.rw_result.Timing.cycles > 0.0
+          && stalls_match_recording w.Timing.rw_result w.Timing.rw_recording
+        in
+        (* recording changes nothing the run reports *)
+        timing = Timing.run req && waves <> [] && List.for_all wave_ok waves)
 
 (* The packed form is lossless: decoding every index of [pack events]
    returns the original boxed event — including the new sync bit on
@@ -304,7 +403,7 @@ let test_empty_trace () =
   in
   Alcotest.(check bool) "empty trace identical" true
     (Legacy_sim.simulate_wave cfg [||]
-     = Timing.simulate_program cfg (Trace.pack [||]))
+     = busy (Timing.simulate_program cfg (Trace.pack [||])))
 
 (* Allocation budget of one cold compile+simulate (ROADMAP item 5): the
    packed datapath landed at roughly 1.85e4 minor words; the ceiling is
@@ -330,13 +429,16 @@ let test_empty_trace () =
    ~1.5x that. With [Stmt.seq] copying no list it has nothing to
    flatten and the scope lookups of [Hw_config] building no partial
    application: lower 897, pipeline 1,198, full compile+simulate
-   3,228. *)
+   3,228. With every wave attributing its stalls (cause mixes and
+   per-class totals kept in scratch on every run): simulate 135, up from
+   132, and its ceiling is ~1.5x that. A polymorphic mix copy that boxed
+   every float it moved made it 1,695. *)
 let alloc_budget_full = 11_000.0
 let alloc_budget_lower = 2_000.0
 let alloc_budget_pipeline = 1_800.0
 let alloc_budget_validate = 120.0
 let alloc_budget_trace_extract = 250.0
-let alloc_budget_simulate = 1_000.0
+let alloc_budget_simulate = 200.0
 
 (* Ceilings of the store-served evaluation path, ~1.5x the measured
    value. With the JSON emitter escaping through a fresh buffer per
@@ -354,19 +456,19 @@ let alloc_budget_store_served = 1_400.0
    ceiling sees them. *)
 let major_budget_store_served = 200.0
 
-(* With observability on, [Timing.run] records its representative wave
-   for the [timing.stall.*] gauges. Writing the recording allocates
-   nothing per event and the gauges read its columns in place, so a
-   per-event allocation shows up here: measured 2.3e3 minor words on the
-   budget schedule, and the ceiling is ~2x that. *)
-let alloc_budget_simulate_traced = 4_500.0
+(* With observability on, [Timing.run] simulates exactly as without and
+   then publishes its [timing.*] gauges from the kernel timing. When it
+   recorded its representative wave for the stall gauges it measured
+   2.2e3 minor words on the budget schedule; now 549, and the ceiling is
+   ~1.5x that. *)
+let alloc_budget_simulate_traced = 850.0
 
 (* Arrays past the minor heap's size limit are allocated straight on the
    major heap, where no minor-word budget sees them. A traced
    [Timing.run] once built a fresh recording per run, whose columns grew
    by doubling into such arrays: 18,444 direct major words per run
-   on the budget schedule. The per-domain recording is now reused, so a
-   warm traced run allocates none. *)
+   on the budget schedule. It records nothing now, so a warm traced run
+   allocates none. *)
 let major_budget_simulate_traced = 1_000.0
 
 let budget_spec () =
@@ -506,4 +608,5 @@ let suite =
         Alcotest.test_case "allocation budget, traced simulate" `Quick
           test_traced_simulate_budget;
         QCheck_alcotest.to_alcotest prop_recording_contract;
+        QCheck_alcotest.to_alcotest prop_engine_stalls_match_recording;
         QCheck_alcotest.to_alcotest prop_pack_matches_extractor ] ) ]

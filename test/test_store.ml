@@ -21,6 +21,11 @@ let bad_params =
 
 let with_dir f = Temp_dir.with_dir "alcop-store-test" f
 
+let stall_fractions (w : Alcop_gpusim.Timing.wave_result) =
+  Alcop_gpusim.Timing.
+    [ w.stall_compute; w.stall_dram_bw; w.stall_llc_bw; w.stall_smem_port;
+      w.stall_sync_wait; w.stall_issue ]
+
 (* --- cross-process serving: fresh session, shared directory --- *)
 
 let test_warm_across_sessions () =
@@ -133,8 +138,7 @@ let test_artifact_roundtrip () =
   let record =
     Artifact.Success
       { Artifact.latency_cycles = c.Compiler.latency_cycles;
-        timing = c.Compiler.timing;
-        gauges = [ ("timing.n_waves", 7.0); ("timing.miss_rate", 0.125) ] }
+        timing = c.Compiler.timing }
   in
   (match Artifact.of_string (Artifact.to_string record) with
    | Some (Artifact.Success r) ->
@@ -142,16 +146,67 @@ let test_artifact_roundtrip () =
        (r.Artifact.latency_cycles = c.Compiler.latency_cycles);
      Alcotest.(check bool) "kernel timing round-trips" true
        (r.Artifact.timing = c.Compiler.timing);
-     Alcotest.(check bool) "gauges round-trip" true
-       (r.Artifact.gauges
-        = [ ("timing.n_waves", 7.0); ("timing.miss_rate", 0.125) ])
+     (match r.Artifact.timing.wave_busy, c.Compiler.timing.wave_busy with
+      | Some w, Some w0 ->
+        let bits w = List.map Int64.bits_of_float (stall_fractions w) in
+        Alcotest.(check (list int64))
+          "stall fractions round-trip bit-identically" (bits w0) (bits w);
+        let sum = List.fold_left ( +. ) 0.0 (stall_fractions w) in
+        Alcotest.(check bool)
+          (Printf.sprintf "stall fractions cover the wave (sum %g)" sum)
+          true
+          (Float.abs (sum -. 1.0) < 1e-9)
+      | _ -> Alcotest.fail "round-trip lost the representative wave")
    | Some (Artifact.Failure _) | None -> Alcotest.fail "round-trip lost record");
   let failure = Artifact.Failure { kind = "launch"; message = "too big" } in
-  match Artifact.of_string (Artifact.to_string failure) with
-  | Some (Artifact.Failure { kind; message }) ->
-    Alcotest.(check string) "kind" "launch" kind;
-    Alcotest.(check string) "message" "too big" message
-  | Some (Artifact.Success _) | None -> Alcotest.fail "round-trip lost failure"
+  (match Artifact.of_string (Artifact.to_string failure) with
+   | Some (Artifact.Failure { kind; message }) ->
+     Alcotest.(check string) "kind" "launch" kind;
+     Alcotest.(check string) "message" "too big" message
+   | Some (Artifact.Success _) | None -> Alcotest.fail "round-trip lost failure");
+  (* A version-1 record carries no stall fractions: it reads as a miss. *)
+  Alcotest.(check bool) "version-1 record is a miss" true
+    (Artifact.of_string {|{"v":1,"ok":false,"kind":"launch","message":"m"}|}
+     = None)
+
+(* --- traced and untraced writers agree --- *)
+
+(* A store filled by an untraced process serves a traced one the same
+   [timing.stall.*] gauges a traced cold compile publishes, and a record's
+   bytes do not depend on whether its writer was traced. *)
+let test_traced_hit_after_untraced_fill () =
+  let key =
+    Fingerprint.to_hex
+      (Fingerprint.compile_key ~hw ~extra_regs_per_thread:0 params spec)
+  in
+  (* One evaluation through a fresh session, as a new process would run
+     it; returns the stall gauges it published and the store's hits. *)
+  let evaluate ~traced root =
+    Alcop_obs.Obs.reset ();
+    if traced then Alcop_obs.Obs.record ();
+    Fun.protect ~finally:Alcop_obs.Obs.reset @@ fun () ->
+    let st = Store.create ~root () in
+    (match Session.timing (Session.create ~hw ~store:st ()) params spec with
+     | Ok _ -> ()
+     | Error msg -> Alcotest.failf "evaluation failed: %s" msg);
+    ( Alcop_obs.Obs.gauges_with_prefix "timing.stall.",
+      (Store.stats st).Store.hits )
+  in
+  with_dir @@ fun traced_dir ->
+  with_dir @@ fun untraced_dir ->
+  let cold, cold_hits = evaluate ~traced:true traced_dir in
+  Alcotest.(check int) "traced cold compile" 0 cold_hits;
+  Alcotest.(check int) "six stall gauges" 6 (List.length cold);
+  ignore (evaluate ~traced:false untraced_dir);
+  let bytes root = Store.read (Store.create ~root ()) ~ns:"compile" key in
+  let traced_bytes = bytes traced_dir in
+  Alcotest.(check bool) "record written" true (traced_bytes <> None);
+  Alcotest.(check (option string)) "record bytes traced = untraced"
+    traced_bytes (bytes untraced_dir);
+  let warm, warm_hits = evaluate ~traced:true untraced_dir in
+  Alcotest.(check int) "traced run served from the store" 1 warm_hits;
+  Alcotest.(check bool) "store-served stall gauges = traced cold compile's" true
+    (warm = cold)
 
 (* --- eviction under a size cap --- *)
 
@@ -291,6 +346,8 @@ let suite =
           test_corrupt_entries;
         Alcotest.test_case "artifact record round-trip" `Quick
           test_artifact_roundtrip;
+        Alcotest.test_case "traced hit after untraced fill" `Quick
+          test_traced_hit_after_untraced_fill;
         Alcotest.test_case "gc evicts LRU under cap" `Quick test_gc_eviction;
         Alcotest.test_case "unwritable root degrades cleanly" `Quick
           test_unwritable_root;
