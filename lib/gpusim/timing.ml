@@ -226,7 +226,11 @@ type recording = {
   mutable t2 : float array;
 }
 
-let empty_program = Trace.pack [||]
+let empty_program =
+  let col () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0 in
+  { Trace.n = 0; opcode = col (); arg = col (); group = col (); flags = col ();
+    batch = col (); groups = [||]; group_depth = [||]; group_stages = [||];
+    group_sync = [||]; group_bytes = [||] }
 
 let recording () =
   { program = empty_program; residents = 0; len = 0; kind = [||]; tb = [||];

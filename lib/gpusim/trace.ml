@@ -16,11 +16,10 @@
    loop form a batch, and a compute event waits until all batches except
    the youngest [stages-1] have completed.
 
-   Representation: the boxed [event] type is the view for tests and
-   hand-built traces.
-   The extractor produces a packed [program] — a struct-of-arrays encoding
-   (parallel int columns for opcode, argument, interned group index, flags
-   and batch ordinal) built in two phases:
+   Representation: the extractor produces a packed [program], the
+   library's only trace representation — a struct-of-arrays encoding
+   (parallel int columns for opcode, argument, interned group index,
+   flags and batch ordinal) — built in two phases:
 
    1. the kernel body is *resolved* once into a flat int code array with
       loop variables assigned integer slots, byte/FLOP counts folded to
@@ -38,43 +37,17 @@
    program), so the push helpers compute, online, the pipeline batch each
    event opens/commits/consumes plus each group's maximum number of
    in-flight batches — which is what lets the simulator replace its batch
-   queues with fixed-size rings. Hand-built traces ([pack]) are pushed
-   through the same helpers, so the recurrence exists once. The emitted
-   columns are malloc-backed Bigarrays: exact-size major-heap int arrays
-   cost more in GC pacing than the whole walk (see [icol]). *)
+   queues with fixed-size rings. The test suite's boxed event view packs
+   events with its own implementation of this recurrence and checks the
+   extractor against it. The emitted columns are malloc-backed
+   Bigarrays: exact-size major-heap int arrays cost more in GC pacing
+   than the whole walk (see [icol]). *)
 
 open Alcop_ir
 
 type level =
   | From_global
   | From_shared
-
-type event =
-  | Load of { level : level; bytes : int; async : bool; group : string option }
-  | Store of { bytes : int }
-  | Commit of { group : string; sync : bool }
-  | Wait_oldest of { group : string; sync : bool }
-  | Acquire of { group : string; stages : int }
-  | Release of string
-  | Barrier
-  | Compute of { flops : int }
-
-let pp_event fmt = function
-  | Load { level; bytes; async; group } ->
-    Format.fprintf fmt "load[%s] %dB%s%s"
-      (match level with From_global -> "global" | From_shared -> "shared")
-      bytes
-      (if async then " async" else "")
-      (match group with None -> "" | Some g -> " @" ^ g)
-  | Store { bytes } -> Format.fprintf fmt "store %dB" bytes
-  | Commit { group = g; sync } ->
-    Format.fprintf fmt "commit @%s%s" g (if sync then "" else " soft")
-  | Wait_oldest { group = g; sync } ->
-    Format.fprintf fmt "wait @%s%s" g (if sync then "" else " soft")
-  | Acquire { group; stages } -> Format.fprintf fmt "acquire @%s (%d)" group stages
-  | Release g -> Format.fprintf fmt "release @%s" g
-  | Barrier -> Format.fprintf fmt "barrier"
-  | Compute { flops } -> Format.fprintf fmt "compute %d flops" flops
 
 (* --- packed programs --- *)
 
@@ -92,9 +65,10 @@ let flag_shared = 2
 
 (* Set on the commit/wait/acquire/release events of scope-synchronized
    pipeline groups; scoreboard-synthesized ("soft") register-pipeline
-   commits and waits carry a clear bit. The simulator never reads it — it
-   exists so decoded views and the pipeline observatory can tell the two
-   protocols apart without re-running the analysis. *)
+   commits and waits carry a clear bit. The simulator never reads it (the
+   pipeline observatory reads [group_sync]); it keeps the two protocols
+   apart event by event in the flags column, which the test suite's
+   independent packer must reproduce. *)
 let flag_sync_group = 4
 
 (* Program columns live in int Bigarrays: their storage is malloc'd
@@ -126,38 +100,12 @@ let program_hash p =
   Digest.string
     (Marshal.to_string (p.opcode, p.arg, p.group, p.flags, p.groups) [])
 
-let event_at p i =
-  let g = p.group.{i} in
-  let op = p.opcode.{i} in
-  if op = op_load then
-    Load
-      { level =
-          (if p.flags.{i} land flag_shared <> 0 then From_shared
-           else From_global);
-        bytes = p.arg.{i};
-        async = p.flags.{i} land flag_async <> 0;
-        group = (if g >= 0 then Some p.groups.(g) else None) }
-  else if op = op_store then Store { bytes = p.arg.{i} }
-  else if op = op_commit then
-    Commit
-      { group = p.groups.(g); sync = p.flags.{i} land flag_sync_group <> 0 }
-  else if op = op_wait then
-    Wait_oldest
-      { group = p.groups.(g); sync = p.flags.{i} land flag_sync_group <> 0 }
-  else if op = op_acquire then Acquire { group = p.groups.(g); stages = p.arg.{i} }
-  else if op = op_release then Release p.groups.(g)
-  else if op = op_barrier then Barrier
-  else Compute { flops = p.arg.{i} }
-
-let decode p = Array.init p.n (event_at p)
-
 (* --- program builder --- *)
 
 (* Reusable extraction scratch: grow-only, one per domain. Extraction runs
    on the tuner's hot path (once per cold compile), so the event rows, the
    interned group ids and the resolved kernel body live here; a call
-   allocates only the program it returns and its per-group counters.
-   [pack] shares the rows and the group bookkeeping. *)
+   allocates only the program it returns and its per-group counters. *)
 type scratch = {
   mutable in_use : bool;  (** re-entrancy guard (never expected) *)
   (* event rows *)
@@ -328,92 +276,6 @@ let icol_take (a : icol) n : icol =
   let d = icol_create n in
   Bigarray.Array1.blit (Bigarray.Array1.sub a 0 n) d;
   d
-
-(* Run [fill sc x] on the domain's scratch and cut the program; a group
-   whose stage count is still 0 takes its observed ring depth. *)
-let build fill x =
-  let sc =
-    let b = Domain.DLS.get scratch_key in
-    if b.in_use then scratch_fresh () else b
-  in
-  sc.in_use <- true;
-  Fun.protect ~finally:(fun () -> sc.in_use <- false) @@ fun () ->
-  sc.len <- 0;
-  sc.warp_mult <- 1;
-  sc.ng <- 0;
-  fill sc x;
-  let n = sc.len in
-  let group_stages = sc.g_stages in
-  for g = 0 to sc.ng - 1 do
-    if group_stages.(g) = 0 then group_stages.(g) <- sc.g_depth.(g)
-  done;
-  { n;
-    opcode = icol_take sc.r_op n;
-    arg = icol_take sc.r_arg n;
-    group = icol_take sc.r_grp n;
-    flags = icol_take sc.r_flg n;
-    batch = icol_take sc.r_bat n;
-    groups = Array.sub sc.g_id 0 sc.ng;
-    group_depth = sc.g_depth;
-    group_stages;
-    group_sync = sc.g_sync;
-    group_bytes = sc.g_bytes }
-
-(* The group table is derived from the event stream: a group is
-   scope-synchronized when any of its protocol events carries the sync
-   bit, its stage count is the largest acquire argument (ring depth when
-   there is none), and its per-stage byte footprint is the peak sum of
-   async load bytes joining one batch. *)
-let pack_events sc (events : event array) =
-  let gids =
-    Array.map
-      (function
-        | Load { group = Some g; _ } | Commit { group = g; _ }
-        | Wait_oldest { group = g; _ } | Acquire { group = g; _ } | Release g ->
-          intern sc g
-        | Load { group = None; _ } | Store _ | Barrier | Compute _ -> -1)
-      events
-  in
-  open_groups sc;
-  let open_bytes = Array.make sc.ng 0 in
-  let sync_bit g s =
-    if s then begin
-      sc.g_sync.(g) <- true;
-      flag_sync_group
-    end
-    else 0
-  in
-  Array.iteri
-    (fun i e ->
-      let group = gids.(i) in
-      match e with
-      | Load { level; bytes = b; async; _ } ->
-        if async && group >= 0 then open_bytes.(group) <- open_bytes.(group) + b;
-        push_load sc ~bytes:b ~group
-          ~flags:
-            ((if async then flag_async else 0)
-            lor match level with From_shared -> flag_shared | From_global -> 0)
-      | Store { bytes = b } ->
-        push_row sc ~op:op_store ~arg:b ~group ~flags:0 ~batch:(-1)
-      | Commit { sync = s; _ } ->
-        sc.g_bytes.(group) <- max sc.g_bytes.(group) open_bytes.(group);
-        open_bytes.(group) <- 0;
-        push_commit sc ~group ~flags:(sync_bit group s)
-      | Wait_oldest { sync = s; _ } ->
-        push_wait sc ~group ~flags:(sync_bit group s)
-      | Acquire { stages = k; _ } ->
-        sc.g_stages.(group) <- max sc.g_stages.(group) k;
-        push_row sc ~op:op_acquire ~arg:k ~group
-          ~flags:(sync_bit group true) ~batch:(-1)
-      | Release _ ->
-        push_row sc ~op:op_release ~arg:0 ~group
-          ~flags:(sync_bit group true) ~batch:(-1)
-      | Barrier -> push_row sc ~op:op_barrier ~arg:0 ~group ~flags:0 ~batch:(-1)
-      | Compute { flops } ->
-        push_row sc ~op:op_compute ~arg:flops ~group ~flags:0 ~batch:(-1))
-    events
-
-let pack events = build pack_events events
 
 (* --- resolved kernel walker --- *)
 
@@ -958,7 +820,19 @@ let rec add_metadata sc = function
     end;
     add_metadata sc rest
 
-let extract sc (groups, (kernel : Kernel.t)) =
+(* Extract into the domain's scratch and cut the program; a group whose
+   stage count is still 0 (a primitive naming a group the analysis did not
+   report) takes its observed ring depth. *)
+let extract_program ~(groups : A.group list) (kernel : Kernel.t) =
+  let sc =
+    let b = Domain.DLS.get scratch_key in
+    if b.in_use then scratch_fresh () else b
+  in
+  sc.in_use <- true;
+  Fun.protect ~finally:(fun () -> sc.in_use <- false) @@ fun () ->
+  sc.len <- 0;
+  sc.warp_mult <- 1;
+  sc.ng <- 0;
   sc.code_len <- 0;
   sc.nslots <- 0;
   sc.nunbound <- 0;
@@ -973,10 +847,23 @@ let extract sc (groups, (kernel : Kernel.t)) =
   open_groups sc;
   add_metadata sc groups;
   sc.env <- grown sc.env sc.nslots 0;
-  exec sc 0 sc.code_len
-
-let extract_program ~(groups : A.group list) (kernel : Kernel.t) =
-  build extract (groups, kernel)
+  exec sc 0 sc.code_len;
+  let n = sc.len in
+  let group_stages = sc.g_stages in
+  for g = 0 to sc.ng - 1 do
+    if group_stages.(g) = 0 then group_stages.(g) <- sc.g_depth.(g)
+  done;
+  { n;
+    opcode = icol_take sc.r_op n;
+    arg = icol_take sc.r_arg n;
+    group = icol_take sc.r_grp n;
+    flags = icol_take sc.r_flg n;
+    batch = icol_take sc.r_bat n;
+    groups = Array.sub sc.g_id 0 sc.ng;
+    group_depth = sc.g_depth;
+    group_stages;
+    group_sync = sc.g_sync;
+    group_bytes = sc.g_bytes }
 
 (* Aggregate statistics of a trace; used by tests and reporting. *)
 type stats = {

@@ -12,33 +12,18 @@
     extractor synthesizes the equivalent batches: a compute event waits
     until all batches except the youngest [stages-1] have completed.
 
-    The simulator runs on the packed {!program} representation — parallel
-    int arrays with an interned group table and precomputed batch ordinals
-    — produced by {!extract_program} with no per-event boxing. The boxed
-    {!event} type is the view for tests and hand-built traces: {!pack}
-    pushes events through the extractor's own builder, so batch ordinals
-    are computed by one recurrence, and {!decode} prints a program back. *)
+    A trace has one representation, the packed {!program} — parallel int
+    arrays with an interned group table and precomputed batch ordinals —
+    produced by {!extract_program} with no per-event boxing. The test
+    suite keeps a boxed event view of it, with its own packer that
+    computes batch ordinals and ring depths independently of the
+    extractor. *)
 
 open Alcop_ir
 
 type level =
   | From_global
   | From_shared
-
-type event =
-  | Load of { level : level; bytes : int; async : bool; group : string option }
-  | Store of { bytes : int }
-  | Commit of { group : string; sync : bool }
-      (** [sync] distinguishes scope-synchronized pipeline commits from
-          scoreboard-synthesized register-pipeline ones *)
-  | Wait_oldest of { group : string; sync : bool }
-  | Acquire of { group : string; stages : int }
-  | Release of string
-  | Barrier
-  | Compute of { flops : int }
-
-val pp_event : Format.formatter -> event -> unit
-(** Test-only: tests print failing event sequences. *)
 
 (** {1 Packed programs}
 
@@ -47,8 +32,8 @@ val pp_event : Format.formatter -> event -> unit
     are interned into [groups]; [group.{i}] is an index into it, [-1] when
     the event has no group. *)
 
-(** Opcodes (values of [opcode.{i}]); every other value is a compute
-    event, whose [arg] is its FLOPs. *)
+(** Opcodes (values of [opcode.{i}]); the simulator reads every value
+    but the seven below as a compute event, whose [arg] is its FLOPs. *)
 
 val op_load : int
 val op_store : int
@@ -58,17 +43,21 @@ val op_acquire : int
 val op_release : int
 val op_barrier : int
 
+val op_compute : int
+(** Test-only: tests pack compute events with the value the extractor
+    gives them. *)
+
 (** Flag bits (values or-ed into [flags.{i}]). *)
 
 val flag_async : int
 val flag_shared : int
 
 val flag_sync_group : int
-(** Test-only: tests check the sync bit of packed events.
+(** Test-only: tests pack and decode the sync bit of events.
     Set on commit/wait/acquire/release events of scope-synchronized
     pipeline groups; clear on the synthesized commit/wait pairs of
-    register ("soft") pipelines. Ignored by the simulator — carried for
-    decoded views and the pipeline observatory. *)
+    register ("soft") pipelines. Ignored by the simulator, which reads the
+    protocol of a group from [group_sync]. *)
 
 type icol = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** A program column. Bigarray storage is malloc'd outside the OCaml heap,
@@ -95,18 +84,14 @@ type program = {
       (** per group: peak committed-but-unconsumed batches (ring capacity
           a replay needs), always [>= 1] *)
   group_stages : int array;
-      (** per group: the pipeline stage count the pass planned on the
-          {!extract_program} path; for {!pack}-built traces the largest
-          acquire argument. Either falls back to [group_depth] when
-          unknown. *)
+      (** per group: the pipeline stage count the pass planned; falls back
+          to [group_depth] when unknown *)
   group_sync : bool array;
       (** per group: [true] for scope-synchronized pipelines, [false] for
           scoreboard-synthesized register pipelines *)
   group_bytes : int array;
       (** per group: bytes one pipeline stage occupies — the pass's
-          per-stage buffer footprint on the {!extract_program} path; for
-          {!pack}-built traces, derived from the events as the peak
-          async-load byte sum of one batch. [0] when unknown. *)
+          per-stage buffer footprint, [0] when unknown *)
 }
 
 val length : program -> int
@@ -115,30 +100,16 @@ val extract_program :
   groups:Alcop_pipeline.Analysis.group list -> Kernel.t -> program
 (** Extract the packed trace of one representative threadblock. [groups]
     must be the pipeline groups the pass reported for this kernel (empty
-    for unpipelined kernels). This is the allocation-lean primary path:
-    the kernel body is resolved once into a flat code array in
-    domain-local scratch, which is then interpreted straight into the
-    scratch's event columns; a call allocates only the program it
-    returns and a few group-sized counter arrays.
+    for unpipelined kernels). Extraction is allocation-lean: the kernel
+    body is resolved once into a flat code array in domain-local scratch,
+    which is then interpreted straight into the scratch's event columns;
+    a call allocates only the program it returns and a few group-sized
+    counter arrays.
     @raise Invalid_argument ["Trace: unknown buffer ..."] when the body
     names a buffer that is neither a parameter nor allocated, even where
     no threadblock reaches it; ["Expr.eval: unbound variable ..."] only
     when a loop extent or condition that mentions one is evaluated;
     ["Trace: malformed mma operands"] only when such an mma is reached. *)
-
-val pack : event array -> program
-(** Pack a boxed event sequence by pushing it through the builder
-    {!extract_program} uses, so batch ordinals and ring depths come from
-    the same recurrence. The group table is derived from the events: a
-    group is synchronized when any of its protocol events carries [sync]
-    (acquire and release always do), its stage count is the largest
-    acquire argument, and its byte footprint is the peak async-load byte
-    sum of one batch. Intended for tests and hand-built traces. *)
-
-val decode : program -> event array
-(** Test-only: tests, and the frozen legacy engine they compare against,
-    read programs as boxed events.
-    The boxed view of a program, event by event. *)
 
 val program_hash : program -> string
 (** Content digest of the packed encoding (group table included),

@@ -1,7 +1,7 @@
 (* Frozen copy of the pre-packed-program wave simulator.
 
    This is the boxed-event replay engine exactly as it stood before the
-   packed-trace datapath landed: it walks a [Trace.event array] with
+   packed-trace datapath landed: it walks a [Boxed_trace.event array] with
    per-threadblock records, string-keyed pipe hashtables and a batch
    [Queue] per group. It exists only as the reference side of the QCheck
    equivalence properties in [Test_packed] — packed replay must produce
@@ -126,7 +126,8 @@ let pipe_of tb gid =
     Hashtbl.replace tb.pipes gid p;
     p
 
-let simulate_wave ?probe (cfg : Timing.config) (trace : Trace.event array) =
+let simulate_wave ?probe (cfg : Timing.config)
+    (trace : Boxed_trace.event array) =
   let hw = cfg.Timing.hw in
   let active = float_of_int (max 1 cfg.Timing.active_sms) in
   let dram = server () and llc = server () and smem = server ()
@@ -166,7 +167,7 @@ let simulate_wave ?probe (cfg : Timing.config) (trace : Trace.event array) =
     let now = t0 +. cfg.Timing.issue_overhead in
     att i Timing.Issue None (-1) t0 now;
     (match trace.(tb.cursor) with
-     | Trace.Load { level; bytes; async; group } ->
+     | Boxed_trace.Load { level; bytes; async; group } ->
        let b = float_of_int bytes in
        let lmix = if tracking then Some (mix ()) else None in
        let completion =
@@ -219,14 +220,14 @@ let simulate_wave ?probe (cfg : Timing.config) (trace : Trace.event array) =
               fl_issue = now; fl_land = completion }
         | None -> ());
        tb.time <- now
-     | Trace.Store { bytes } ->
+     | Boxed_trace.Store { bytes } ->
        let completion =
          serve dram ~now ~cost:(float_of_int bytes /. dram_rate)
          +. hw.Alcop_hw.Hw_config.dram_write_latency
        in
        tb.all_outstanding <- Float.max tb.all_outstanding completion;
        tb.time <- now
-     | Trace.Commit { group = gid; _ } ->
+     | Boxed_trace.Commit { group = gid; _ } ->
        let p = pipe_of tb gid in
        Queue.push
          (p.open_batch, if tracking then mix_copy p.open_mix else p.open_mix)
@@ -235,7 +236,7 @@ let simulate_wave ?probe (cfg : Timing.config) (trace : Trace.event array) =
        p.committed <- p.committed + 1;
        if tracking then mix_reset p.open_mix;
        tb.time <- now
-     | Trace.Wait_oldest { group = gid; _ } ->
+     | Boxed_trace.Wait_oldest { group = gid; _ } ->
        let p = pipe_of tb gid in
        let ready, rmix =
          match Queue.take_opt p.batches with
@@ -248,13 +249,13 @@ let simulate_wave ?probe (cfg : Timing.config) (trace : Trace.event array) =
        let t = Float.max now ready in
        att i (dominant rmix) (Some gid) ordinal now t;
        tb.time <- t
-     | Trace.Acquire _ | Trace.Release _ -> tb.time <- now
-     | Trace.Barrier ->
+     | Boxed_trace.Acquire _ | Boxed_trace.Release _ -> tb.time <- now
+     | Boxed_trace.Barrier ->
        tb.at_boundary <- true;
        let t = Float.max now tb.all_outstanding in
        att i Timing.Sync_wait None (-1) now t;
        tb.time <- t
-     | Trace.Compute { flops } ->
+     | Boxed_trace.Compute { flops } ->
        if tb.at_boundary then begin
          tb.sync_due <- Float.max tb.sync_due tb.sync_recent;
          tb.sync_recent <- 0.0;

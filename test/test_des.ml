@@ -16,12 +16,12 @@ let cfg ?(residents = 1) ?(active_sms = 108) ?(miss_rate = 1.0)
 let run ?residents ?active_sms ?miss_rate ?warps_per_tb ?barrier_groups events =
   Timing.simulate_program
     (cfg ?residents ?active_sms ?miss_rate ?warps_per_tb ?barrier_groups ())
-    (Trace.pack (Array.of_list events))
+    (Boxed_trace.pack (Array.of_list events))
 
-let compute flops = Trace.Compute { flops }
-let gload bytes = Trace.Load { level = Trace.From_global; bytes; async = false; group = None }
+let compute flops = Boxed_trace.Compute { flops }
+let gload bytes = Boxed_trace.Load { level = Trace.From_global; bytes; async = false; group = None }
 let aload bytes g =
-  Trace.Load { level = Trace.From_global; bytes; async = true; group = Some g }
+  Boxed_trace.Load { level = Trace.From_global; bytes; async = true; group = Some g }
 
 let check_cycles name expected actual =
   Alcotest.(check (float 1.0)) name expected actual
@@ -51,7 +51,7 @@ let test_sync_load_blocks_next_compute () =
 
 let test_barrier_waits_all_loads () =
   let bytes = 11030 in
-  let r = run [ gload bytes; Trace.Barrier; compute 2048 ] in
+  let r = run [ gload bytes; Boxed_trace.Barrier; compute 2048 ] in
   let service = float_of_int bytes /. (1103.0 /. 108.0) in
   let expected = service +. hw.Alcop_hw.Hw_config.dram_latency +. 1.0 in
   Alcotest.(check bool) "barrier exposes the load" true
@@ -62,8 +62,8 @@ let test_async_pipeline_overlap () =
      compute-bound and loads vanish behind it. *)
   let g = "p" in
   let iter i =
-    [ aload 128 g; Trace.Commit { group = g; sync = true }; Trace.Wait_oldest { group = g; sync = true }; compute 2048000 ]
-    |> fun l -> if i = 0 then (aload 128 g :: Trace.Commit { group = g; sync = true } :: l) else l
+    [ aload 128 g; Boxed_trace.Commit { group = g; sync = true }; Boxed_trace.Wait_oldest { group = g; sync = true }; compute 2048000 ]
+    |> fun l -> if i = 0 then (aload 128 g :: Boxed_trace.Commit { group = g; sync = true } :: l) else l
   in
   let events = List.concat (List.init 4 iter) in
   let r = run events in
@@ -78,7 +78,7 @@ let test_wait_blocks_until_oldest () =
   let bytes = 110300 in
   let service = float_of_int bytes /. (1103.0 /. 108.0) in
   let r =
-    run [ aload bytes g; Trace.Commit { group = g; sync = true }; Trace.Wait_oldest { group = g; sync = true }; compute 2048 ]
+    run [ aload bytes g; Boxed_trace.Commit { group = g; sync = true }; Boxed_trace.Wait_oldest { group = g; sync = true }; compute 2048 ]
   in
   let expected = service +. hw.Alcop_hw.Hw_config.dram_latency +. 1.0 in
   Alcotest.(check bool) "wait exposes the async load" true
@@ -87,7 +87,7 @@ let test_wait_blocks_until_oldest () =
 let test_bandwidth_contention_across_tbs () =
   (* Two resident threadblocks sharing the DRAM server take twice as long
      as one for bandwidth-bound work. *)
-  let events = [ gload 1103000; Trace.Barrier ] in
+  let events = [ gload 1103000; Boxed_trace.Barrier ] in
   let one = run ~residents:1 events in
   let two = run ~residents:2 events in
   Alcotest.(check bool)
@@ -100,7 +100,7 @@ let test_compute_multiplexing_hides_loads () =
      gaps and push tensor-core utilization up. *)
   let g = "p" in
   let iter _ =
-    [ aload 1024 g; Trace.Commit { group = g; sync = true }; Trace.Wait_oldest { group = g; sync = true }; compute 204800 ]
+    [ aload 1024 g; Boxed_trace.Commit { group = g; sync = true }; Boxed_trace.Wait_oldest { group = g; sync = true }; compute 204800 ]
   in
   let events = List.concat (List.init 8 iter) in
   let one = run ~residents:1 events in
@@ -126,7 +126,7 @@ let test_boundary_flushes_lookahead () =
   let bytes = 110300 in
   let tail = 204800 (* 100 cycles at full rate *) in
   let events =
-    [ aload 16 g; Trace.Commit { group = g; sync = true }; Trace.Wait_oldest { group = g; sync = true }; gload bytes;
+    [ aload 16 g; Boxed_trace.Commit { group = g; sync = true }; Boxed_trace.Wait_oldest { group = g; sync = true }; gload bytes;
       compute tail; compute tail ]
   in
   let with_boundary = run ~barrier_groups:[ g ] events in
@@ -143,7 +143,7 @@ let test_empty_trace () =
   check_cycles "empty" 0.0 r.Timing.cycles
 
 let test_store_counted_at_kernel_end () =
-  let r = run [ Trace.Store { bytes = 110300 } ] in
+  let r = run [ Boxed_trace.Store { bytes = 110300 } ] in
   Alcotest.(check bool) "store drains before the kernel ends" true
     (r.Timing.cycles > 100.0)
 

@@ -18,7 +18,7 @@ let hw = Alcop_hw.Hw_config.ampere_a100
 let gshared = "pipe.shared.ko"
 let greg = "pipe.register.ki"
 
-type sched = { events : Trace.event array; cfg : Timing.config }
+type sched = { events : Boxed_trace.event array; cfg : Timing.config }
 
 let sched_to_string s =
   Format.asprintf "tbs=%d sms=%d warps=%d miss=%.1f pen=%.1f io=%.1f bar=[%s]@ %a"
@@ -28,7 +28,7 @@ let sched_to_string s =
     (String.concat "," s.cfg.Timing.barrier_groups)
     (Format.pp_print_list
        ~pp_sep:(fun f () -> Format.pp_print_string f "; ")
-       Trace.pp_event)
+       Boxed_trace.pp_event)
     (Array.to_list s.events)
 
 (* Unstructured schedules: arbitrary event orders exercise every edge of
@@ -45,43 +45,43 @@ let gen_event =
         let* bytes = bytes in
         let* async = bool in
         let* group = any_group in
-        return (Trace.Load { level; bytes; async; group }) );
+        return (Boxed_trace.Load { level; bytes; async; group }) );
       ( 2,
         let* flops = oneofl [ 2048; 65536; 409600 ] in
-        return (Trace.Compute { flops }) );
-      (1, let* b = bytes in return (Trace.Store { bytes = b }));
+        return (Boxed_trace.Compute { flops }) );
+      (1, let* b = bytes in return (Boxed_trace.Store { bytes = b }));
       ( 2,
         let* g = some_group in
         let* sync = bool in
-        return (Trace.Commit { group = g; sync }) );
+        return (Boxed_trace.Commit { group = g; sync }) );
       ( 2,
         let* g = some_group in
         let* sync = bool in
-        return (Trace.Wait_oldest { group = g; sync }) );
+        return (Boxed_trace.Wait_oldest { group = g; sync }) );
       ( 1,
         let* g = some_group in
         let* stages = int_range 2 4 in
-        return (Trace.Acquire { group = g; stages }) );
-      (1, let* g = some_group in return (Trace.Release g));
-      (1, return Trace.Barrier) ]
+        return (Boxed_trace.Acquire { group = g; stages }) );
+      (1, let* g = some_group in return (Boxed_trace.Release g));
+      (1, return Boxed_trace.Barrier) ]
 
 (* Structured schedules: the shape the pipelining pass actually emits —
    a [stages - 1]-deep prologue then a steady-state loop, optionally with
    a register-level (non-synchronized) inner pipeline. *)
 let structured ~stages ~iters ~bytes ~flops ~reg =
-  let acq = Trace.Acquire { group = gshared; stages } in
+  let acq = Boxed_trace.Acquire { group = gshared; stages } in
   let aload b =
-    Trace.Load
+    Boxed_trace.Load
       { level = Trace.From_global; bytes = b; async = true;
         group = Some gshared }
   in
   let sload b =
-    Trace.Load
+    Boxed_trace.Load
       { level = Trace.From_shared; bytes = b; async = reg;
         group = (if reg then Some greg else None) }
   in
-  let commit_sh = Trace.Commit { group = gshared; sync = true } in
-  let wait_sh = Trace.Wait_oldest { group = gshared; sync = true } in
+  let commit_sh = Boxed_trace.Commit { group = gshared; sync = true } in
+  let wait_sh = Boxed_trace.Wait_oldest { group = gshared; sync = true } in
   let prologue =
     List.concat
       (List.init (stages - 1) (fun _ -> [ acq; aload bytes; commit_sh ]))
@@ -90,14 +90,14 @@ let structured ~stages ~iters ~bytes ~flops ~reg =
     [ acq; aload bytes; commit_sh; wait_sh ]
     @ (if reg then
          [ sload (bytes / 4);
-           Trace.Commit { group = greg; sync = false };
-           Trace.Wait_oldest { group = greg; sync = false } ]
+           Boxed_trace.Commit { group = greg; sync = false };
+           Boxed_trace.Wait_oldest { group = greg; sync = false } ]
        else [ sload (bytes / 4) ])
-    @ [ Trace.Compute { flops }; Trace.Release gshared ]
+    @ [ Boxed_trace.Compute { flops }; Boxed_trace.Release gshared ]
   in
   prologue
   @ List.concat (List.init iters iter)
-  @ [ Trace.Barrier; Trace.Store { bytes } ]
+  @ [ Boxed_trace.Barrier; Boxed_trace.Store { bytes } ]
 
 let gen_sched =
   let open QCheck.Gen in
@@ -214,7 +214,7 @@ let prop_results_equal =
   QCheck.Test.make ~name:"packed replay == legacy (latencies, busy)"
     ~count:150 arb_sched (fun s ->
       let legacy = Legacy_sim.simulate_wave s.cfg s.events in
-      let packed = Timing.simulate_program s.cfg (Trace.pack s.events) in
+      let packed = Timing.simulate_program s.cfg (Boxed_trace.pack s.events) in
       legacy = busy packed)
 
 (* Probe equivalence: the complete advance and flight streams — classes,
@@ -226,7 +226,7 @@ let prop_probe_streams_equal =
       let lp, ladv, lfl = collecting () in
       let lr = Legacy_sim.simulate_wave ~probe:lp s.cfg s.events in
       let pr, stalls_ok, padv, pfl =
-        recorded_streams s.cfg (Trace.pack s.events)
+        recorded_streams s.cfg (Boxed_trace.pack s.events)
       in
       lr = pr && stalls_ok && !ladv = padv && !lfl = pfl)
 
@@ -241,7 +241,7 @@ let prop_compiled_equal =
       | None -> QCheck.assume_fail ()
       | Some (_, _, kernel, groups) ->
         let program = Trace.extract_program ~groups kernel in
-        let events = Trace.decode program in
+        let events = Boxed_trace.decode program in
         let barrier_groups =
           List.filter_map
             (fun (g : Alcop_pipeline.Analysis.group) ->
@@ -352,8 +352,8 @@ let prop_engine_stalls_match_recording =
 let prop_pack_decode_roundtrip =
   QCheck.Test.make ~name:"decode (pack events) == events (incl. sync flag)"
     ~count:200 arb_sched (fun s ->
-      let p = Trace.pack s.events in
-      Trace.decode p = s.events
+      let p = Boxed_trace.pack s.events in
+      Boxed_trace.decode p = s.events
       && (let ok = ref true in
           Array.iteri
             (fun i ev ->
@@ -363,17 +363,19 @@ let prop_pack_decode_roundtrip =
               in
               match ev with
               (* acquire/release are scope-protocol by definition *)
-              | Trace.Acquire _ | Trace.Release _ ->
+              | Boxed_trace.Acquire _ | Boxed_trace.Release _ ->
                 if not synced then ok := false
-              | Trace.Commit { sync; _ } | Trace.Wait_oldest { sync; _ } ->
+              | Boxed_trace.Commit { sync; _ } | Boxed_trace.Wait_oldest { sync; _ } ->
                 if synced <> sync then ok := false
               | _ -> ())
             s.events;
           !ok))
 
-(* The extractor and [pack] push rows through one builder, so on a real
-   compiled kernel, packing the decoded events must reproduce every
-   column the extractor emitted, batch ordinals and ring depths included.
+(* On a real compiled kernel, packing the decoded events must reproduce
+   every column the extractor emitted, batch ordinals and ring depths
+   included. [Boxed_trace.pack] computes those with its own recurrence,
+   sharing no code with the extractor's builder, so the two check each
+   other.
    [group_stages] and [group_bytes] are left out: the extractor takes
    them exactly from the pipeline analysis, while [pack] can only derive
    them from the events (acquire arguments, per-batch async-load bytes). *)
@@ -384,7 +386,7 @@ let prop_pack_matches_extractor =
       | None -> QCheck.assume_fail ()
       | Some (_, _, kernel, groups) ->
         let p = Trace.extract_program ~groups kernel in
-        let q = Trace.pack (Trace.decode p) in
+        let q = Boxed_trace.pack (Boxed_trace.decode p) in
         p.Trace.n = q.Trace.n
         && p.Trace.opcode = q.Trace.opcode
         && p.Trace.arg = q.Trace.arg
@@ -403,7 +405,7 @@ let test_empty_trace () =
   in
   Alcotest.(check bool) "empty trace identical" true
     (Legacy_sim.simulate_wave cfg [||]
-     = busy (Timing.simulate_program cfg (Trace.pack [||])))
+     = busy (Timing.simulate_program cfg (Boxed_trace.pack [||])))
 
 (* Allocation budget of one cold compile+simulate (ROADMAP item 5): the
    packed datapath landed at roughly 1.85e4 minor words; the ceiling is

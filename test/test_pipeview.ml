@@ -16,7 +16,7 @@ let occupancy =
        ~regs_per_thread:64)
 
 let request_of_events ?(barrier_groups = [ gshared ]) events =
-  { Timing.hw; program = Trace.pack events; total_tbs = 32; warps_per_tb = 4;
+  { Timing.hw; program = Boxed_trace.pack events; total_tbs = 32; warps_per_tb = 4;
     occupancy; grid_m = 8; grid_n = 4;
     grid_z = 1; tb_m = 64; tb_n = 64; tb_k = 32; elem_bytes = 2;
     swizzle = true; jitter_key = 17; barrier_groups }
@@ -24,22 +24,22 @@ let request_of_events ?(barrier_groups = [ gshared ]) events =
 (* A [stages]-deep scope-synchronized pipeline: prologue then steady
    state, with load size and compute cost as the slack dials. *)
 let pipeline_events ~stages ~iters ~bytes ~flops =
-  let acq = Trace.Acquire { group = gshared; stages } in
+  let acq = Boxed_trace.Acquire { group = gshared; stages } in
   let aload =
-    Trace.Load
+    Boxed_trace.Load
       { level = Trace.From_global; bytes; async = true; group = Some gshared }
   in
-  let commit = Trace.Commit { group = gshared; sync = true } in
-  let wait = Trace.Wait_oldest { group = gshared; sync = true } in
+  let commit = Boxed_trace.Commit { group = gshared; sync = true } in
+  let wait = Boxed_trace.Wait_oldest { group = gshared; sync = true } in
   let prologue =
     List.concat (List.init (stages - 1) (fun _ -> [ acq; aload; commit ]))
   in
   let iter _ =
-    [ acq; aload; commit; wait; Trace.Compute { flops };
-      Trace.Release gshared ]
+    [ acq; aload; commit; wait; Boxed_trace.Compute { flops };
+      Boxed_trace.Release gshared ]
   in
   Array.of_list
-    (prologue @ List.concat (List.init iters iter) @ [ Trace.Barrier ])
+    (prologue @ List.concat (List.init iters iter) @ [ Boxed_trace.Barrier ])
 
 let view_of_events events =
   Pipeview.of_profile (Profile.run (request_of_events events))

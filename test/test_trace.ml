@@ -25,7 +25,7 @@ let build_program ?(smem_stages = 3) ?(reg_stages = 2) () =
 (* The boxed event view, for tests that match on events. *)
 let build ?smem_stages ?reg_stages () =
   let p, groups = build_program ?smem_stages ?reg_stages () in
-  (Trace.decode p, groups)
+  (Boxed_trace.decode p, groups)
 
 let program_stats ?smem_stages ?reg_stages () =
   Trace.stats_of_program (fst (build_program ?smem_stages ?reg_stages ()))
@@ -60,8 +60,8 @@ let test_unpipelined_trace_shape () =
   (* barriers survive: 2 per ko iteration *)
   let barriers =
     Array.fold_left
-      (fun n e -> match e with Trace.Barrier -> n + 1 | _ -> n)
-      0 (Trace.decode p)
+      (fun n e -> match e with Boxed_trace.Barrier -> n + 1 | _ -> n)
+      0 (Boxed_trace.decode p)
   in
   Alcotest.(check int) "barriers" 16 barriers
 
@@ -72,11 +72,11 @@ let test_smem_pipeline_sync_events () =
   (* acquires: 2 prologue iterations + 8 steady = 10; waits = 8 steady
      (wait sits before the inner loop each iteration); commits = 10. *)
   Alcotest.(check int) "acquires" 10
-    (count trace (function Trace.Acquire _ -> true | _ -> false));
+    (count trace (function Boxed_trace.Acquire _ -> true | _ -> false));
   Alcotest.(check int) "commits" 10
-    (count trace (function Trace.Commit _ -> true | _ -> false));
+    (count trace (function Boxed_trace.Commit _ -> true | _ -> false));
   Alcotest.(check int) "waits" 8
-    (count trace (function Trace.Wait_oldest _ -> true | _ -> false))
+    (count trace (function Boxed_trace.Wait_oldest _ -> true | _ -> false))
 
 (* Register pipeline synthesis: per ki iteration one commit and one wait on
    the register group, plus one commit per prologue chunk. *)
@@ -90,11 +90,11 @@ let test_register_pipeline_synthesis () =
       .Alcop_pipeline.Analysis.id
   in
   let commits =
-    count trace (function Trace.Commit { group = g; _ } -> String.equal g reg_gid | _ -> false)
+    count trace (function Boxed_trace.Commit { group = g; _ } -> String.equal g reg_gid | _ -> false)
   in
   let waits =
     count trace
-      (function Trace.Wait_oldest { group = g; _ } -> String.equal g reg_gid | _ -> false)
+      (function Boxed_trace.Wait_oldest { group = g; _ } -> String.equal g reg_gid | _ -> false)
   in
   (* hoisted prologue: 1 chunk; steady: 8 ko x 2 ki = 16 -> 17 commits.
      waits: one per compute = 16. *)
@@ -106,8 +106,8 @@ let test_register_pipeline_synthesis () =
   Array.iter
     (fun e ->
       match e with
-      | Trace.Commit { group = g; _ } when String.equal g reg_gid -> incr depth
-      | Trace.Wait_oldest { group = g; _ } when String.equal g reg_gid ->
+      | Boxed_trace.Commit { group = g; _ } when String.equal g reg_gid -> incr depth
+      | Boxed_trace.Wait_oldest { group = g; _ } when String.equal g reg_gid ->
         decr depth;
         if !depth < 0 then Alcotest.fail "register wait underflow"
       | _ -> ())
@@ -127,8 +127,8 @@ let test_wait_follows_commit_order () =
   Array.iter
     (fun e ->
       match e with
-      | Trace.Commit { group = g; _ } when String.equal g gid -> incr depth
-      | Trace.Wait_oldest { group = g; _ } when String.equal g gid ->
+      | Boxed_trace.Commit { group = g; _ } when String.equal g gid -> incr depth
+      | Boxed_trace.Wait_oldest { group = g; _ } when String.equal g gid ->
         decr depth;
         if !depth < 0 then Alcotest.fail "shared wait underflow"
       | _ -> ())
