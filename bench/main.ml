@@ -388,6 +388,24 @@ let measure_pass ~quiet ~store_dir () =
      BMM_GPT2_QK runs 6 waves, 5 of them full, of 5 resident threadblocks
      per SM (register-limited). *)
   let resident_request = request_of Alcop_workloads.Suites.bmm_gpt2_qk in
+  (* Neither launch runs a wave of more than 5 residents, where the wave
+     engine picks among many. A 16x16x16 tile of one warp, unpipelined,
+     packs 32 threadblocks per SM (the threadblock cap); on MM_Conv1x1_2
+     it runs one full wave of 32 residents and a tail of 27, each
+     threadblock replaying 449 events. (On MM_RN50_FC the same schedule
+     is a single tail wave of 3 residents.) *)
+  let many_residents_request =
+    let tiling =
+      Alcop_sched.Tiling.make ~tb_m:16 ~tb_n:16 ~tb_k:16 ~warp_m:16
+        ~warp_n:16 ~warp_k:16 ()
+    in
+    let params =
+      Alcop_perfmodel.Params.make ~tiling ~smem_stages:1 ~reg_stages:1 ()
+    in
+    match Compiler.compile ~hw params Alcop_workloads.Suites.mm_conv1x1_2 with
+    | Ok c -> c.Compiler.timing_request
+    | Error _ -> failwith "selfbench: compile failed"
+  in
   (* Cold compiles call [Compiler] directly; the -hit benchmark measures
      a fingerprint + memo lookup of [Session.evaluate] on a pre-warmed
      caching session, i.e. what a repeated schedule point costs a tuner or
@@ -423,6 +441,8 @@ let measure_pass ~quiet ~store_dir () =
             ignore (Alcop_gpusim.Timing.run request)));
         Test.make ~name:"simulate-full-waves" (Staged.stage (fun () ->
             ignore (Alcop_gpusim.Timing.run resident_request)));
+        Test.make ~name:"simulate-many-residents" (Staged.stage (fun () ->
+            ignore (Alcop_gpusim.Timing.run many_residents_request)));
         Test.make ~name:"session-evaluate-hit" (Staged.stage (fun () ->
             ignore (Session.evaluate warm params spec)));
         Test.make ~name:"store-cold" (Staged.stage (fun () ->

@@ -40,6 +40,21 @@ let names =
 
 let n_passes = Array.length names
 
+(* The [timing] row split by full-wave residency, the request's
+   [tbs_per_sm]: 1, 2, 3-4, 5-8, 9-16, 17+. The wave engine's cost per
+   step grows with it. *)
+let residency_names = [| "r=1"; "r=2"; "r=3-4"; "r=5-8"; "r=9-16"; "r>=17" |]
+
+let n_residencies = Array.length residency_names
+
+let residency_bin tbs_per_sm =
+  if tbs_per_sm <= 1 then 0
+  else if tbs_per_sm = 2 then 1
+  else if tbs_per_sm <= 4 then 2
+  else if tbs_per_sm <= 8 then 3
+  else if tbs_per_sm <= 16 then 4
+  else 5
+
 type key = { spec : Op_spec.t; params : Params.t; extra : int }
 
 let distinct_keys specs =
@@ -70,10 +85,13 @@ type tally = {
   ns : int array;
 }
 
+(* Slots: the passes, the whole compile, then the residency bins. *)
+let n_slots = n_passes + 1 + n_residencies
+
 let tally () =
-  { runs = Array.make (n_passes + 1) 0;
-    words = Array.make (n_passes + 1) 0.0;
-    ns = Array.make (n_passes + 1) 0 }
+  { runs = Array.make n_slots 0;
+    words = Array.make n_slots 0.0;
+    ns = Array.make n_slots 0 }
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
@@ -84,12 +102,22 @@ let start () =
   w0.(0) <- Gc.minor_words ();
   t0_ns := now_ns ()
 
+let add t i ns words =
+  t.runs.(i) <- t.runs.(i) + 1;
+  t.words.(i) <- t.words.(i) +. words;
+  t.ns.(i) <- t.ns.(i) + ns
+
 let mark t i =
   let t1 = now_ns () in
   let w1 = Gc.minor_words () in
-  t.runs.(i) <- t.runs.(i) + 1;
-  t.words.(i) <- t.words.(i) +. (w1 -. w0.(0));
-  t.ns.(i) <- t.ns.(i) + (t1 - !t0_ns)
+  add t i (t1 - !t0_ns) (w1 -. w0.(0))
+
+(* [mark] of pass [i], credited also to slot [j]. *)
+let mark2 t i j =
+  let t1 = now_ns () in
+  let w1 = Gc.minor_words () in
+  add t i (t1 - !t0_ns) (w1 -. w0.(0));
+  add t j (t1 - !t0_ns) (w1 -. w0.(0))
 
 (* Outcome of one compile: the failing phase (0 schedule, 1 launch,
    2 lower, 3 legality) or the simulated kernel cycles. *)
@@ -104,6 +132,7 @@ let p_validate = 5
 let p_trace = 6
 let p_timing = 7
 let p_compile = n_passes
+let p_residency = n_passes + 1
 
 (* [Compiler.compile] with each pass measured on its own. *)
 let decomposed ~hw t k =
@@ -158,9 +187,13 @@ let decomposed ~hw t k =
                Compiler.timing_request ~hw ~occupancy:occ ~groups params spec
                  program
              in
+             let bin =
+               residency_bin
+                 request.Timing.occupancy.Alcop_gpusim.Occupancy.tbs_per_sm
+             in
              start ();
              let timing = Timing.run request in
-             mark t p_timing;
+             mark2 t p_timing (p_residency + bin);
              Cycles timing.Timing.total_cycles)))
 
 let whole ~hw t k =
@@ -211,6 +244,16 @@ let run ~hw ~rounds specs =
         t)
   in
   let first = List.hd tallies in
+  (* Each timing run lands in exactly one residency bin. *)
+  let split_sums t =
+    let sum a = Array.fold_left ( + ) 0 (Array.sub a p_residency n_residencies)
+    and sumf a =
+      Array.fold_left ( +. ) 0.0 (Array.sub a p_residency n_residencies)
+    in
+    sum t.runs = t.runs.(p_timing)
+    && sum t.ns = t.ns.(p_timing)
+    && sumf t.words = t.words.(p_timing)
+  in
   let words_differ =
     List.exists (fun t -> t.words <> first.words || t.runs <> first.runs) tallies
   in
@@ -244,6 +287,13 @@ let run ~hw ~rounds specs =
       (median (List.map (fun t -> per_run t i) tallies))
       (words_of i)
   done;
+  Array.iteri
+    (fun j name ->
+      let i = p_residency + j in
+      row ("  " ^ name) first.runs.(i)
+        (median (List.map (fun t -> per_run t i) tallies))
+        (words_of i))
+    residency_names;
   let total = words_of p_compile in
   row "rest" (Array.length keys) (median (List.map rest_us tallies))
     (total - !pass_words);
@@ -258,6 +308,10 @@ let run ~hw ~rounds specs =
   if !bad > 0 then begin
     Printf.printf "FAIL: %d pass-by-pass compiles disagree with Compiler.compile\n"
       !bad;
+    exit 1
+  end;
+  if not (List.for_all split_sums tallies) then begin
+    print_endline "FAIL: the residency rows do not sum to the timing row";
     exit 1
   end;
   if words_differ then begin

@@ -362,13 +362,14 @@ type scratch = {
   mutable sc_open_mix : float array;  (* per tb x group *)
   mutable sc_ring_mix : float array;  (* per ring slot *)
   mutable sc_stall : float array;  (* per tb x stall class: cycles *)
+  mutable sc_heap : int array;  (* unfinished tbs, min-heap by (time, tb) *)
 }
 
 let fresh_scratch () =
   { in_use = false; sc_time = [||]; sc_recent = [||]; sc_due = [||];
     sc_out = [||]; sc_cursor = [||]; sc_boundary = [||]; sc_open = [||];
     sc_ring = [||]; sc_sync_mix = [||]; sc_due_mix = [||];
-    sc_open_mix = [||]; sc_ring_mix = [||]; sc_stall = [||] }
+    sc_open_mix = [||]; sc_ring_mix = [||]; sc_stall = [||]; sc_heap = [||] }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
@@ -414,6 +415,40 @@ let[@inline] stall_fraction (stall : float array) tb cls cycles =
   if cycles > 0.0 then
     stall.((n_classes * tb) + stall_class_index cls) /. cycles
   else 0.0
+
+(* --- the run order ---
+
+   The unfinished threadblocks form a binary min-heap [heap.(0 .. size-1)]
+   ordered by (clock, index). *)
+
+let[@inline] before (time : float array) x y =
+  let tx = time.(x) and ty = time.(y) in
+  tx < ty || (tx = ty && x < y)
+
+(* Restore the heap after the root's key grew. *)
+let sift_down (time : float array) (heap : int array) size =
+  let x = heap.(0) in
+  let tx = time.(x) in
+  let k = ref 0 and go = ref true in
+  while !go do
+    let l = (2 * !k) + 1 in
+    if l >= size then go := false
+    else begin
+      let m =
+        if l + 1 < size && before time heap.(l + 1) heap.(l) then l + 1 else l
+      in
+      let y = heap.(m) in
+      let ty = time.(y) in
+      if ty < tx || (ty = tx && y < x) then begin
+        heap.(!k) <- y;
+        k := m
+      end
+      else go := false
+    end
+  done;
+  heap.(!k) <- x
+
+let k_issue = stall_class_index Issue
 
 let simulate_packed ?recording (cfg : config) (p : Trace.program) =
   let hw = cfg.hw in
@@ -470,10 +505,11 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
   sc.sc_open_mix <- fgrow sc.sc_open_mix (4 * r * ng);
   sc.sc_ring_mix <- fgrow sc.sc_ring_mix (4 * r * ng * maxd);
   sc.sc_stall <- fgrow sc.sc_stall (n_classes * r);
+  sc.sc_heap <- igrow sc.sc_heap r;
   let time = sc.sc_time and recent = sc.sc_recent and due = sc.sc_due
   and out = sc.sc_out and cursor = sc.sc_cursor
   and boundary = sc.sc_boundary and openb = sc.sc_open
-  and ring = sc.sc_ring in
+  and ring = sc.sc_ring and heap = sc.sc_heap in
   let sync_mix = sc.sc_sync_mix and due_mix = sc.sc_due_mix
   and open_mix = sc.sc_open_mix and ring_mix = sc.sc_ring_mix
   and stall = sc.sc_stall in
@@ -481,19 +517,27 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
   let opcode = p.Trace.opcode and arg = p.Trace.arg
   and group = p.Trace.group and flags = p.Trace.flags
   and batch = p.Trace.batch and gdepth = p.Trace.group_depth in
-  let step i =
-    let t0 = time.(i) in
+  (* The running threadblock [b]: its clock, cursor and [Issue] cycles
+     live here while it runs ahead, and go back to [time], [cursor] and
+     [stall] when it stops. [s] is the runner-up, with clock [ts]. *)
+  let b = ref 0 and clock = ref 0.0 and c = ref 0 and issued = ref 0.0 in
+  let s = ref (-1) and ts = ref 0.0 and ahead = ref true in
+  let step () =
+    let i = !b in
+    let t0 = !clock in
     let now = t0 +. cfg.issue_overhead in
-    interval tracking rc stall i Issue (-1) t0 now;
-    let c = cursor.(i) in
-    let op = opcode.{c} in
+    if now > t0 then begin
+      issued := !issued +. (now -. t0);
+      if tracking then push rc k_issue i (-1) t0 now 0.0
+    end;
+    let c0 = !c in
+    let op = opcode.{c0} in
     if op = Trace.op_load then begin
-      let bytes = arg.{c} in
-      let b = float_of_int bytes in
-      let fl = flags.{c} in
+      let fbytes = float_of_int arg.{c0} in
+      let fl = flags.{c0} in
       let shared = fl land Trace.flag_shared <> 0 in
       let async = fl land Trace.flag_async <> 0 in
-      let g = group.{c} in
+      let g = group.{c0} in
       let piped = async && g >= 0 in
       (* destination accumulator of this load's cause components: the open
          batch of its pipe, or the threadblock's synchronous scoreboard *)
@@ -502,15 +546,15 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
       in
       let completion =
         if not shared then begin
-          let lf = serve llc ~now ~cost:(b /. llc_rate) in
-          let df = serve dram ~now ~cost:(b *. cfg.miss_rate /. dram_rate) in
+          let lf = serve llc ~now ~cost:(fbytes /. llc_rate) in
+          let df = serve dram ~now ~cost:(fbytes *. cfg.miss_rate /. dram_rate) in
           dst.(dbase) <- dst.(dbase) +. fmax 0.0 (df -. now);
           dst.(dbase + 1) <- dst.(dbase + 1) +. fmax 0.0 (lf -. now);
           dst.(dbase + 3) <- dst.(dbase + 3) +. load_latency;
           fmax lf df +. load_latency
         end
         else begin
-          let sf = serve smem ~now ~cost:(b *. cfg.smem_penalty /. smem_rate) in
+          let sf = serve smem ~now ~cost:(fbytes *. cfg.smem_penalty /. smem_rate) in
           dst.(dbase + 2) <- dst.(dbase + 2) +. fmax 0.0 (sf -. now);
           dst.(dbase + 3) <- dst.(dbase + 3) +. smem_latency;
           sf +. smem_latency
@@ -522,34 +566,34 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
         openb.(pg) <- fmax openb.(pg) completion
       end
       else recent.(i) <- fmax recent.(i) completion;
-      if tracking then push rc k_flight i c now completion 0.0;
-      time.(i) <- now
+      if tracking then push rc k_flight i c0 now completion 0.0;
+      clock := now
     end
     else if op = Trace.op_store then begin
       let completion =
-        serve dram ~now ~cost:(float_of_int arg.{c} /. dram_rate)
+        serve dram ~now ~cost:(float_of_int arg.{c0} /. dram_rate)
         +. hw.Alcop_hw.Hw_config.dram_write_latency
       in
       out.(i) <- fmax out.(i) completion;
-      time.(i) <- now
+      clock := now
     end
     else if op = Trace.op_commit then begin
-      let g = group.{c} in
+      let g = group.{c0} in
       let pg = (i * ng) + g in
-      let slot = (pg * maxd) + (batch.{c} mod gdepth.(g)) in
+      let slot = (pg * maxd) + (batch.{c0} mod gdepth.(g)) in
       ring.(slot) <- openb.(pg);
       openb.(pg) <- 0.0;
-      if tracking then push rc k_fill i c now ring.(slot) 0.0;
+      if tracking then push rc k_fill i c0 now ring.(slot) 0.0;
       mix_copy4 ring_mix (4 * slot) open_mix (4 * pg);
       mix_reset4 open_mix (4 * pg);
-      time.(i) <- now
+      clock := now
     end
     else if op = Trace.op_wait then begin
-      let g = group.{c} in
+      let g = group.{c0} in
       (* [arg] carries the index of the committed batch this wait consumes
          (-1 when the queue would have been empty), [batch] its
          consumption ordinal — both precomputed by the trace builder. *)
-      let consumed = arg.{c} in
+      let consumed = arg.{c0} in
       let slot =
         if consumed >= 0 then
           ((((i * ng) + g) * maxd) + (consumed mod gdepth.(g)))
@@ -562,20 +606,20 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
         interval tracking rc stall i
           (if consumed >= 0 then mix_dominant ring_mix (4 * slot)
            else mix_dominant due_mix (4 * i))
-          c now t;
-      if tracking then push rc k_consume i c now ready t;
-      time.(i) <- t
+          c0 now t;
+      if tracking then push rc k_consume i c0 now ready t;
+      clock := t
     end
     else if op = Trace.op_acquire || op = Trace.op_release then
       (* Stage-slot accounting has no timing effect in a lockstep
          threadblock model: releases precede acquires in program order. *)
-      time.(i) <- now
+      clock := now
     else if op = Trace.op_barrier then begin
       boundary.(i) <- true;
       let t = fmax now out.(i) in
       interval tracking rc stall i Sync_wait (-1) now t;
-      if tracking then push rc k_barrier i c now t 0.0;
-      time.(i) <- t
+      if tracking then push rc k_barrier i c0 now t 0.0;
+      clock := t
     end
     else begin
       (* compute *)
@@ -591,52 +635,62 @@ let simulate_packed ?recording (cfg : config) (p : Trace.program) =
       settle due recent due_mix sync_mix i;
       let finish =
         serve compute ~now:start
-          ~cost:(float_of_int arg.{c} /. compute_rate)
+          ~cost:(float_of_int arg.{c0} /. compute_rate)
       in
       interval tracking rc stall i Compute (-1) start finish;
-      time.(i) <- finish
+      clock := finish
     end;
-    cursor.(i) <- c + 1;
-    if c + 1 >= n then begin
+    c := c0 + 1;
+    if c0 + 1 >= n then begin
       (* drain: the epilogue waits for every outstanding store/load *)
-      let t0d = time.(i) in
+      let t0d = !clock in
       let t = fmax t0d out.(i) in
       interval tracking rc stall i Sync_wait (-1) t0d t;
       if tracking then push rc k_drain i (-1) t0d t 0.0;
-      time.(i) <- t
-    end
+      clock := t
+    end;
+    ahead := !c < n && (!s < 0 || !clock < !ts || (!clock = !ts && i < !s))
   in
   (* Step the unfinished threadblock minimal by (time, index), one event
-     at a time, so server queues interleave in global time order. The scan
-     also finds the runner-up [s], and the chosen [b] runs ahead: it steps
-     without a rescan while unfinished and still ahead of [s] by (time,
-     index). A step changes only [b]'s own state, so a rescan would pick
-     [b] again: same steps, same order (doc/architecture.md). [step] keeps
-     one call site, in tail position of the loop body, so it compiles to a
-     local jump instead of an allocated closure. *)
+     at a time, so server queues interleave in global time order. That is
+     the root [b] of [heap]; the runner-up [s] is the lesser of its two
+     children. [b] steps, then runs ahead: it steps on while unfinished and
+     still ahead of [s] by (time, index). A step changes only [b]'s own
+     state, so every other key stays put and the next pick would be [b]
+     again: same steps, same order (doc/architecture.md). Then [b] is
+     sifted down, or dropped once finished. All clocks start at 0, so
+     index order is a valid heap. [step] keeps one call site, in tail
+     position of the run-ahead loop body, so it compiles to a local jump
+     instead of an allocated closure. *)
   if n > 0 then begin
-    let b = ref (-1) and s = ref (-1) and live = ref true in
-    while !live do
-      if
-        !b < 0
-        || cursor.(!b) >= n
-        || (!s >= 0
-            && not
-                 (time.(!b) < time.(!s)
-                  || (time.(!b) = time.(!s) && !b < !s)))
-      then begin
-        b := -1;
-        s := -1;
-        for i = 0 to r - 1 do
-          if cursor.(i) < n then
-            if !b < 0 || time.(i) < time.(!b) then begin
-              s := !b;
-              b := i
-            end
-            else if !s < 0 || time.(i) < time.(!s) then s := i
-        done
+    for k = 0 to r - 1 do
+      heap.(k) <- k
+    done;
+    let size = ref r in
+    while !size > 0 do
+      let i = heap.(0) in
+      s :=
+        if !size > 2 && before time heap.(2) heap.(1) then heap.(2)
+        else if !size > 1 then heap.(1)
+        else -1;
+      if !s >= 0 then ts := time.(!s);
+      let si = (n_classes * i) + k_issue in
+      b := i;
+      clock := time.(i);
+      c := cursor.(i);
+      issued := stall.(si);
+      ahead := true;
+      while !ahead do
+        step ()
+      done;
+      time.(i) <- !clock;
+      cursor.(i) <- !c;
+      stall.(si) <- !issued;
+      if !c >= n then begin
+        decr size;
+        heap.(0) <- heap.(!size)
       end;
-      if !b >= 0 then step !b else live := false
+      sift_down time heap !size
     done
   end;
   (* The critical threadblock is [critical_tb]'s: the lowest index among

@@ -66,6 +66,13 @@ type shard = {
 let active = Atomic.make false
 let epoch = Atomic.make 0
 let origin = ref 0.0  (* published by the Atomic.set of [active] *)
+
+(* Process CPU time, user + system, of every domain and thread. *)
+let cpu_ns () =
+  let t = Unix.times () in
+  int_of_float ((t.Unix.tms_utime +. t.Unix.tms_stime) *. 1e9)
+
+let cpu_origin = ref 0
 let shards_m = Mutex.create ()
 let shards : shard list ref = ref []
 
@@ -284,6 +291,7 @@ type span = {
 
 type profile = {
   p_wall_ns : int;
+  p_cpu_ns : int;
   p_jobs : int;
   p_workers : worker list;
   p_locks : lock_stat list;
@@ -384,7 +392,7 @@ let spans_of_shard role records =
       | R_batch _ -> mk "(batch-wait)" 0 0 0.0)
     records
 
-let analyze ~wall shard_list =
+let analyze ~wall ~cpu shard_list =
   (* Deterministic order: coordinator shards first, then workers by
      numeric-aware role; duplicate roles (two pools in one window) get a
      #n suffix so every row stays visible. *)
@@ -500,7 +508,7 @@ let analyze ~wall shard_list =
          (fun (_, sh) -> not (String.equal sh.sh_role coordinator_role))
          named)
   in
-  { p_wall_ns = wall; p_jobs = jobs; p_workers = workers; p_locks = lock_list;
+  { p_wall_ns = wall; p_cpu_ns = cpu; p_jobs = jobs; p_workers = workers; p_locks = lock_list;
     p_passes = pass_list; p_queue_hist = !queue_hist; p_spans = spans }
 
 (* --- lifecycle --- *)
@@ -511,6 +519,7 @@ let start () =
   Mutex.unlock shards_m;
   Atomic.incr epoch;
   origin := Unix.gettimeofday ();
+  cpu_origin := cpu_ns ();
   Atomic.set active true;
   (* the starting domain is the coordinator; register its shard now so an
      all-inline window still has a row *)
@@ -519,13 +528,14 @@ let start () =
 let stop () =
   if not (on ()) then invalid_arg "Hostprof.stop: no profiling window open";
   let wall = max 0 (tick ()) in
+  let cpu = max 0 (cpu_ns () - !cpu_origin) in
   Atomic.set active false;
   Mutex.lock shards_m;
   let ss = !shards in
   shards := [];
   Mutex.unlock shards_m;
   let ep = Atomic.get epoch in
-  analyze ~wall (List.filter (fun s -> s.sh_epoch = ep) ss)
+  analyze ~wall ~cpu (List.filter (fun s -> s.sh_epoch = ep) ss)
 
 (* --- derived metrics --- *)
 
@@ -568,7 +578,8 @@ let serial_fraction p =
     float_of_int coord /. float_of_int p.p_wall_ns
 
 (* Total busy time across all domains / wall: how many domains were
-   doing useful work on average (the achieved, not nominal, [-j]). *)
+   inside a task on average (the achieved, not nominal, [-j]). Busy is
+   wall time, so a descheduled domain still counts as busy. *)
 let effective_parallelism p =
   if p.p_wall_ns <= 0 then 0.0
   else
@@ -576,6 +587,13 @@ let effective_parallelism p =
       List.fold_left (fun acc w -> acc + w.w_busy_ns) 0 p.p_workers
     in
     float_of_int busy /. float_of_int p.p_wall_ns
+
+(* Process CPU time / wall: how many CPUs actually ran the process on
+   average. Below [effective_parallelism] when busy domains wait for a
+   CPU. *)
+let cpu_parallelism p =
+  if p.p_wall_ns <= 0 then 0.0
+  else float_of_int p.p_cpu_ns /. float_of_int p.p_wall_ns
 
 (* Amdahl projection from the measured serial fraction:
    [1 / (s + (1 - s) / jobs)]. *)
@@ -620,6 +638,8 @@ let report ?(top = 5) p =
   line "serial (coordinator busy): %.1f%% of wall" (100.0 *. s);
   line "effective parallelism:     %.2f domains busy on average (nominal %d)"
     eff nominal;
+  line "process CPU (user+sys):    %.1f ms, %.2f CPUs busy on average"
+    (ms p.p_cpu_ns) (cpu_parallelism p);
   line "Amdahl: expected speedup <= %.2fx at j=%d (ideal %.1fx)"
     (expected_speedup p ~jobs:nominal)
     nominal (float_of_int nominal);
@@ -720,6 +740,8 @@ let json_of_profile p =
       ("wall_ns", Json.Int p.p_wall_ns); ("jobs", Json.Int p.p_jobs);
       ("serial_fraction", Json.Float (serial_fraction p));
       ("effective_parallelism", Json.Float (effective_parallelism p));
+      ("cpu_ns", Json.Int p.p_cpu_ns);
+      ("cpu_parallelism", Json.Float (cpu_parallelism p));
       ("expected_speedup", Json.Float (expected_speedup p ~jobs:nominal));
       ("workers",
        Json.List

@@ -148,6 +148,9 @@ type span = {
 
 type profile = {
   p_wall_ns : int;
+  p_cpu_ns : int;
+      (** process CPU time, user + system over all domains, over the
+          window ([Unix.times]) *)
   p_jobs : int;  (** worker domains observed; 0 = everything ran inline *)
   p_workers : worker list;  (** coordinator first, then workers by role *)
   p_locks : lock_stat list;  (** sorted by total wait, descending *)
@@ -176,7 +179,8 @@ val check : profile -> (unit, string) result
 val report : ?top:int -> profile -> string
 (** The Amdahl / speedup-loss report: per-worker wall decomposition
     (telescoping shown as percentages), serial fraction and expected
-    vs. achieved parallelism, top-[top] contended locks (default 5),
+    vs. achieved parallelism, the process CPU time and the CPUs it kept
+    busy on average, top-[top] contended locks (default 5),
     allocation-heaviest passes, task queue-latency percentiles. Pure —
     deterministic for a given profile (golden-tested). *)
 

@@ -292,6 +292,7 @@ let golden_profile : Hostprof.profile =
   in
   Hostprof.
     { p_wall_ns = 200_000_000;
+      p_cpu_ns = 190_000_000;
       p_jobs = 2;
       p_workers =
         [ worker "coordinator" 30_000_000 0 0 0 170_000_000 0;
@@ -333,6 +334,7 @@ worker-0              200.0   75.0%    5.0%   10.0%    2.5%    7.5%      40
 worker-1              200.0   70.0%    6.0%    4.0%    5.0%   15.0%      38
 serial (coordinator busy): 15.0% of wall
 effective parallelism:     1.60 domains busy on average (nominal 2)
+process CPU (user+sys):    190.0 ms, 0.95 CPUs busy on average
 Amdahl: expected speedup <= 1.74x at j=2 (ideal 2.0x)
 speedup loss (worker-equivalents): idle 0.23, lock 0.14, queue 0.11, gc 0.07
 top contended locks (by total wait):
@@ -361,6 +363,9 @@ let test_report_analysis_numbers () =
     (num "serial_fraction");
   Alcotest.(check (float 1e-9)) "effective parallelism" 1.6
     (num "effective_parallelism");
+  Alcotest.(check (float 1e-9)) "process CPU time" 1.9e8 (num "cpu_ns");
+  Alcotest.(check (float 1e-9)) "CPU parallelism" 0.95
+    (num "cpu_parallelism");
   Alcotest.(check (float 1e-6)) "Amdahl at j=2"
     (1.0 /. (0.15 +. (0.85 /. 2.0)))
     (num "expected_speedup")
