@@ -4,13 +4,20 @@
 
    A key is one (operator, schedule point, register cost) that the Fig. 10
    protocol evaluates: every point of every variant space of the Fig. 10
-   operators (or only of the named ones), duplicates dropped. Each key is
-   compiled twice per round, untraced, on one domain:
+   operators (or only of the named ones), duplicates dropped, in
+   enumeration order, so the stage-count siblings of a tiling are
+   adjacent. Each round compiles every key twice, untraced, on one
+   domain:
    - pass by pass, in the order of [Compiler.compile] (schedule, launch
      check, lower, pipelining analysis, transform, validation of the
      pipelined kernel, trace extraction, timing simulation), reading the
-     minor-word counter and a monotonic clock around each pass;
+     minor-word counter and a monotonic clock around each pass; schedule
+     and lower are [Compiler.schedule_point] and [Compiler.lower_point],
+     the slot-aware steps [Compiler.compile] runs;
    - whole, through [Compiler.compile].
+   All keys go pass by pass first, then all whole, so both sides meet the
+   keys in the same order and the lowering slot in the same state: each
+   side lowers a tiling's first sibling and reuses that for the rest.
    The [rest] row is the whole compile minus the passes: the glue between
    them (pass manager, result records, the timing request, the latency
    sum). So the words of the pass rows and [rest] sum exactly to those of
@@ -83,6 +90,9 @@ type tally = {
   runs : int array;
   words : float array;
   ns : int array;
+  mutable reused : int;
+      (** pass-by-pass lowerings that returned the previous key's kernel *)
+  mutable last_lowered : Alcop_ir.Kernel.t option;
 }
 
 (* Slots: the passes, the whole compile, then the residency bins. *)
@@ -91,7 +101,7 @@ let n_slots = n_passes + 1 + n_residencies
 let tally () =
   { runs = Array.make n_slots 0;
     words = Array.make n_slots 0.0;
-    ns = Array.make n_slots 0 }
+    ns = Array.make n_slots 0; reused = 0; last_lowered = None }
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
@@ -137,18 +147,12 @@ let p_residency = n_passes + 1
 (* [Compiler.compile] with each pass measured on its own. *)
 let decomposed ~hw t k =
   let params = k.params and spec = k.spec in
-  let tiling = params.Params.tiling in
   start ();
-  match
-    Schedule.default_gemm ~smem_stages:params.Params.smem_stages
-      ~reg_stages:params.Params.reg_stages
-      ~inner_fuse:params.Params.inner_fuse spec tiling
-  with
+  match Compiler.schedule_point params spec with
   | exception Schedule.Schedule_error _ ->
     mark t p_schedule;
     Failed 0
   | schedule ->
-    let schedule = Schedule.set_swizzle schedule params.Params.swizzle in
     mark t p_schedule;
     let elem_bytes = Alcop_ir.Dtype.size_bytes spec.Op_spec.dtype in
     start ();
@@ -158,12 +162,15 @@ let decomposed ~hw t k =
      | Error _ -> Failed 1
      | Ok occ ->
        start ();
-       (match Lower.run schedule with
+       (match Compiler.lower_point schedule with
         | exception Lower.Lowering_error _ ->
           mark t p_lower;
           Failed 2
         | lowered ->
           mark t p_lower;
+          (match t.last_lowered with
+           | Some k when k == lowered.Lower.kernel -> t.reused <- t.reused + 1
+           | _ -> t.last_lowered <- Some lowered.Lower.kernel);
           let hints = lowered.Lower.hints in
           start ();
           let analysis = Analysis.run ~hw ~hints lowered.Lower.kernel in
@@ -209,8 +216,8 @@ let whole ~hw t k =
   | Error (Compiler.Lowering_failed _) -> Failed 2
   | Error (Compiler.Legality_rejected _) -> Failed 3
 
-(* Ceiling of [rest], in words per key. Measured: 190.8 (MM_BERT_FC1) to
-   234.3 (BMM_BERT_SV) per key, 212.4 over all eleven operators. Work
+(* Ceiling of [rest], in words per key. Measured: 170.8 (MM_BERT_FC1) to
+   214.3 (BMM_BERT_SV) per key, 192.4 over all eleven operators. Work
    that [Compiler.compile] moves out of its passes, or a pass it gains
    that [decomposed] does not run, lifts [rest] past it; a pass row that
    measured more than the whole compile makes [rest] negative. *)
@@ -232,14 +239,13 @@ let run ~hw ~rounds specs =
     (String.concat " " (List.map (fun (s : Op_spec.t) -> s.Op_spec.name) specs));
   Array.iter (fun k -> ignore (whole ~hw (tally ()) k)) keys;
   let bad = ref 0 in
+  let outcomes = Array.make (Array.length keys) (Failed 0) in
   let tallies =
     List.init rounds (fun _ ->
         let t = tally () in
-        Array.iter
-          (fun k ->
-            let a = decomposed ~hw t k in
-            let b = whole ~hw t k in
-            if a <> b then incr bad)
+        Array.iteri (fun i k -> outcomes.(i) <- decomposed ~hw t k) keys;
+        Array.iteri
+          (fun i k -> if whole ~hw t k <> outcomes.(i) then incr bad)
           keys;
         t)
   in
@@ -260,6 +266,8 @@ let run ~hw ~rounds specs =
   let compiled = first.runs.(p_timing) in
   Printf.printf "%d keys compile; %d reach the pipelining transform\n"
     compiled first.runs.(p_transform);
+  Printf.printf "%d of %d lowerings reused the slot's kernel\n" first.reused
+    first.runs.(p_lower);
   let per_run t i =
     if t.runs.(i) = 0 then 0.0
     else float_of_int t.ns.(i) /. 1e3 /. float_of_int t.runs.(i)

@@ -60,7 +60,36 @@ val compile :
     phase runs through {!Passman.run} as a named pass —
     [schedule] / [lower] / [pipeline] / [trace] / [timing] — inside an
     [Alcop_obs] span named [compile.<pass>], with a [pass.<pass>.ms]
-    wall-time gauge and the [--dump-ir-after] hook. *)
+    wall-time gauge and the [--dump-ir-after] hook; the enclosing
+    [compile] span and its field list exist only when Obs records.
+
+    The [schedule] and [lower] passes are {!schedule_point} and
+    {!lower_point}: the stage-count siblings of one tiling, compiled back
+    to back on one domain, build the stage-free schedule once and lower
+    once. The result is the same as a cold compile's in every field. *)
+
+val schedule_point : Alcop_perfmodel.Params.t -> Op_spec.t -> Schedule.t
+(** The [schedule] pass: {!Schedule.pipeline_gemm} at the point's stage
+    counts and fusion flag, then its swizzle, on the
+    {!Schedule.tiled_gemm} base of the point's operator and tiling. The
+    base comes from the domain's one-entry slot when the slot holds the
+    same (operator, tiling) pair, compared structurally; otherwise it is
+    built and replaces the slot's entry. A base that fails to build
+    leaves the slot as it was.
+    @raise Schedule.Schedule_error as {!Schedule.tiled_gemm} and
+    {!Schedule.pipeline_gemm} do. *)
+
+val lower_point : Schedule.t -> Lower.lowered
+(** The [lower] pass: {!Lower.run}, reused from the slot when the
+    schedule's dataflow graph is physically the slot's base graph, i.e.
+    it came from {!schedule_point} on the slot's (operator, tiling) and
+    its per-point step inlined nothing. A reused result is the slot's
+    lowered kernel with [hints] and [schedule] replaced by the
+    schedule's. [Lower.run] reads only the operator, the tiling and the
+    graph, so the kernel, [materialize] and [reduce] are the ones
+    [Lower.run] would build. The first lowering of a slot's base is
+    kept; one that fails keeps nothing.
+    @raise Lower.Lowering_error as {!Lower.run} does. *)
 
 val timing_request :
   hw:Alcop_hw.Hw_config.t ->

@@ -70,9 +70,26 @@ val auto_pipeline :
     (e.g. pre-Ampere: shared-memory buffers are skipped under rule 1 while
     register pipelining still applies). *)
 
+val tiled_gemm : Op_spec.t -> Tiling.t -> t
+(** The stage-free base of the canonical GPU GEMM schedule: two-level
+    cache reads on both inputs ([A -> A_sh -> A_reg], likewise [B]; the
+    chain starts at [A_f]/[B_f] behind an element-wise producer), then
+    tiling. It depends only on the operator and the tiling, so every
+    stage-count point of one tiling shares it.
+    @raise Schedule_error if the tiling is invalid for the operator. *)
+
+val pipeline_gemm :
+  ?smem_stages:int -> ?reg_stages:int -> ?inner_fuse:bool ->
+  ?inline_elemwise:bool -> t -> t
+(** The per-point step on a {!tiled_gemm} base: pipelining at the
+    requested levels (a stage count of 1 disables that level), then
+    best-effort inlining of element-wise input producers. Inlining comes
+    last because its outcome depends on which copies are pipelined
+    (Fig. 5): the result shares the base's dataflow graph physically
+    exactly when nothing was inlined.
+    @raise Schedule_error when a pipelining primitive is refused. *)
+
 val default_gemm :
   ?smem_stages:int -> ?reg_stages:int -> ?inner_fuse:bool ->
   ?inline_elemwise:bool -> Op_spec.t -> Tiling.t -> t
-(** The canonical GPU GEMM schedule: two-level cache reads on both inputs,
-    tiling, pipelining at the requested levels (a stage count of 1 disables
-    that level), and inlining of element-wise input producers. *)
+(** The canonical GPU GEMM schedule: {!pipeline_gemm} of {!tiled_gemm}. *)

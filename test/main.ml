@@ -30,6 +30,7 @@ let () =
      @ Test_par.suite
      @ Test_fingerprint.domain_suite
      @ Test_session.domain_suite
+     @ Test_compiler.domain_suite
      @ Test_hostprof.suite
      @ Test_analytics.suite
      @ Test_benchdb.suite

@@ -323,3 +323,124 @@ let suite =
         Alcotest.test_case "conv implicit gemm dims" `Quick
           test_conv_implicit_gemm_dims;
         Alcotest.test_case "arithmetic intensity" `Quick test_arithmetic_intensity ] ) ]
+
+(* --- the lowering slot --- *)
+
+(* A compile served from the domain's lowering slot must equal a cold
+   compile of the same point: the same pipelined and lowered kernels,
+   groups, latency bits and error. A domain starts with an empty slot, so
+   a compile on a freshly spawned domain is cold by construction.
+
+   A case is a sequence of runs. A run compiles 1 to 4 stage-count points
+   of one of two tilings back to back, on one of two operators of equal
+   shape (so they share tilings) that differ in their element-wise
+   producers;
+   with a producer, whether it is inlined depends on the stage counts
+   (Fig. 5), so the lowered graph changes within a run. Stage counts up
+   to 5 and 3 reach launch and legality failures, and an untileable
+   tiling a schedule failure. No lowering failure is reachable through
+   [Compiler.compile] (every reachable schedule lowers), so a case may
+   also lower an untiled schedule through [Compiler.lower_point] between
+   compiles: it must fail as [Lower.run] does and leave the slot serving
+   exact results. *)
+type slot_step =
+  | Compile_point of int * Alcop_perfmodel.Params.t
+  | Lower_untiled
+
+let gen_slot_case =
+  let open QCheck.Gen in
+  let op = option ~ratio:0.6 (oneofl [ "relu"; "scale2" ]) in
+  let* spec = gen_spec in
+  let* a_op = op and* b_op = op and* epilogue = op in
+  let twin = { spec with Op_spec.name = "prop_twin"; a_op; b_op; epilogue } in
+  let space = Variants.space Variants.alcop spec in
+  let point =
+    let* smem_stages = int_range 1 5 and* reg_stages = int_range 1 3 in
+    let* swizzle = bool and* inner_fuse = bool in
+    return (smem_stages, reg_stages, swizzle, inner_fuse)
+  in
+  (* Runs draw their tiling from two, so a run often meets the slot
+     holding its own tiling under the other operator. *)
+  let* tilings = pair (int_bound 0x3FFFFFFF) (int_bound 0x3FFFFFFF) in
+  let run =
+    let* which = int_bound 1 and* first = bool in
+    let i = if first then fst tilings else snd tilings in
+    let* untileable = map (fun n -> n = 0) (int_bound 9) in
+    let* points = list_size (int_range 1 4) point in
+    let* lower_untiled = map (fun n -> n = 0) (int_bound 4) in
+    let tiling =
+      if untileable || Array.length space = 0 then
+        Tiling.make ~tb_m:(2 * spec.Op_spec.m) ~tb_n:32 ~tb_k:32 ~warp_m:16
+          ~warp_n:16 ~warp_k:16 ()
+      else space.(i mod Array.length space).Alcop_perfmodel.Params.tiling
+    in
+    return
+      (List.concat_map
+         (fun (smem_stages, reg_stages, swizzle, inner_fuse) ->
+           let p =
+             Alcop_perfmodel.Params.make ~swizzle ~inner_fuse ~tiling
+               ~smem_stages ~reg_stages ()
+           in
+           Compile_point (which, p)
+           :: (if lower_untiled then [ Lower_untiled ] else []))
+         points)
+  in
+  let* runs = list_size (int_range 2 5) run in
+  return ([| spec; twin |], List.concat runs)
+
+let slot_case_to_string (specs, steps) =
+  String.concat "\n"
+    (Format.asprintf "%a / %a" Op_spec.pp specs.(0) Op_spec.pp specs.(1)
+    :: List.map
+         (function
+           | Compile_point (i, p) ->
+             Printf.sprintf "  compile %d %s" i
+               (Alcop_perfmodel.Params.to_string p)
+           | Lower_untiled -> "  lower an untiled schedule")
+         steps)
+
+(* Everything of a compile's result a caller can observe. *)
+let compile_outcome = function
+  | Ok (c : Compiler.compiled) ->
+    Ok
+      ( ( Alcop_ir.Kernel.to_string c.Compiler.kernel,
+          Alcop_ir.Kernel.to_string c.Compiler.lowered.Lower.kernel,
+          Option.map Alcop_ir.Kernel.to_string
+            c.Compiler.lowered.Lower.reduce,
+          c.Compiler.lowered.Lower.materialize ),
+        ( c.Compiler.groups,
+          Int64.bits_of_float c.Compiler.latency_cycles,
+          c.Compiler.schedule,
+          c.Compiler.lowered.Lower.schedule == c.Compiler.schedule,
+          c.Compiler.lowered.Lower.hints
+          = c.Compiler.schedule.Schedule.pipeline_hints ) )
+  | Error e -> Error (Compiler.error_kind e, Compiler.error_to_string e)
+
+let prop_slot_equals_cold =
+  QCheck.Test.make ~count:100
+    ~name:"compile served from the lowering slot == cold compile"
+    (QCheck.make ~print:slot_case_to_string gen_slot_case)
+    (fun (specs, steps) ->
+      List.for_all
+        (function
+          | Compile_point (i, p) ->
+            let served = compile_outcome (Compiler.compile ~hw p specs.(i)) in
+            let cold =
+              Domain.join
+                (Domain.spawn (fun () ->
+                     compile_outcome (Compiler.compile ~hw p specs.(i))))
+            in
+            served = cold
+            || QCheck.Test.fail_reportf "%s: served %s, cold %s"
+                 (Alcop_perfmodel.Params.to_string p)
+                 (match served with Ok _ -> "ok" | Error (k, _) -> k)
+                 (match cold with Ok _ -> "ok" | Error (k, _) -> k)
+          | Lower_untiled ->
+            (match Compiler.lower_point (Schedule.create specs.(0)) with
+             | exception Lower.Lowering_error _ -> true
+             | _ -> false))
+        steps)
+
+(* Spawns domains: runs after Test_obs's fork-based test. *)
+let domain_suite =
+  [ ("compiler-slot", [ QCheck_alcotest.to_alcotest prop_slot_equals_cold ]) ]

@@ -434,8 +434,12 @@ let test_empty_trace () =
    3,228. With every wave attributing its stalls (cause mixes and
    per-class totals kept in scratch on every run): simulate 135, up from
    132, and its ceiling is ~1.5x that. A polymorphic mix copy that boxed
-   every float it moved made it 1,695. *)
+   every float it moved made it 1,695. With the stage-free schedule and
+   the lowered kernel reused across the stage counts of one tiling: full
+   compile+simulate 3,217 cold, 1,866 for a stage sibling, whose ceiling
+   is ~1.5x that. *)
 let alloc_budget_full = 11_000.0
+let alloc_budget_sibling = 2_800.0
 let alloc_budget_lower = 2_000.0
 let alloc_budget_pipeline = 1_800.0
 let alloc_budget_validate = 120.0
@@ -485,10 +489,14 @@ let budget_spec () =
   (spec, tiling, params)
 
 (* Warm twice (one-time lazies, domain-local scratch growth), then measure
-   the third run. *)
-let measured_minor_words f =
+   the third run. [before] runs ahead of each run, outside the measured
+   window. *)
+let measured_minor_words ?(before = ignore) f =
+  before ();
   ignore (f ());
+  before ();
   ignore (f ());
+  before ();
   let w0 = Gc.minor_words () in
   ignore (f ());
   Gc.minor_words () -. w0
@@ -505,17 +513,36 @@ let measured_direct_major_words f =
   let _, promoted1, major1 = Gc.counters () in
   major1 -. major0 -. (promoted1 -. promoted0)
 
-let check_budget name budget f =
-  let dw = measured_minor_words f in
+let check_budget ?before name budget f =
+  let dw = measured_minor_words ?before f in
   Alcotest.(check bool)
     (Printf.sprintf "%s allocates %.0f minor words (budget %.0f)" name dw
        budget)
     true (dw < budget)
 
+(* [Compiler.compile] reuses the stage-free schedule and the lowered
+   kernel of the last tiling its domain compiled. A cold compile is one
+   whose domain last compiled another tiling; a stage sibling's follows
+   a point of the same tiling with other stage counts. *)
 let test_allocation_budget () =
   let spec, _tiling, params = budget_spec () in
-  check_budget "cold compile+simulate" alloc_budget_full (fun () ->
-      Alcop.Compiler.compile ~hw params spec)
+  let compile p () = Alcop.Compiler.compile ~hw p spec in
+  let other =
+    Alcop_perfmodel.Params.make
+      ~tiling:
+        (Alcop_sched.Tiling.make ~tb_m:32 ~tb_n:32 ~tb_k:32 ~warp_m:16
+           ~warp_n:16 ~warp_k:16 ())
+      ~smem_stages:1 ~reg_stages:1 ()
+  in
+  let sibling =
+    { params with Alcop_perfmodel.Params.smem_stages = 2; reg_stages = 1 }
+  in
+  check_budget "cold compile+simulate" alloc_budget_full
+    ~before:(fun () -> ignore (compile other ()))
+    (compile params);
+  check_budget "stage-sibling compile+simulate" alloc_budget_sibling
+    ~before:(fun () -> ignore (compile sibling ()))
+    (compile params)
 
 let test_per_pass_budgets () =
   let spec, tiling, params = budget_spec () in
